@@ -138,7 +138,12 @@ def load_domain_dir(path: str | Path, domain: str | None = None, scheme: str = "
     files = sorted(root.glob("*.txt"))
     if not files:
         raise InputError(f"no *.txt documents under {root}")
-    texts = [f.read_text(encoding="utf-8") for f in files]
+    texts = []
+    for f in files:
+        try:
+            texts.append(f.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{f} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return DomainCorpus.from_texts(domain or root.name, texts, scheme)
 
 

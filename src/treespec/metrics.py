@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, UndefinedCorrelationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord:
     """One speculative-node observation."""
 

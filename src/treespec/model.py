@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import abc
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -92,14 +93,25 @@ def top_candidates(dist: np.ndarray | Sequence[float], k: int) -> list[tuple[int
     return [(int(i), float(arr[i])) for i in order]
 
 
+def context_suffix(context: TokenSeq, window: int | None) -> list[int]:
+    """The last ``window`` tokens of ``context`` as ints; all of it when None."""
+    start = 0 if window is None else max(0, len(context) - window)
+    return [int(t) for t in context[start:]]
+
+
 class LanguageModel(abc.ABC):
     """Yields a normalized next-token distribution for any token context.
 
     Implementations are immutable after construction and safe for concurrent
     reads. Contexts are sequences of token indices into ``vocab``.
+
+    ``context_window`` is how many trailing context tokens the model reads;
+    None means all of them. Callers may pass any context that ends in those
+    tokens and get the same distribution.
     """
 
     vocab: Vocabulary
+    context_window: int | None = None
 
     @abc.abstractmethod
     def next_token_dist(self, context: TokenSeq) -> np.ndarray:
@@ -109,7 +121,8 @@ class LanguageModel(abc.ABC):
         """Score many contexts in one invocation (the batched call boundary)."""
         return [self.next_token_dist(c) for c in contexts]
 
-    def _check_context(self, context: TokenSeq) -> None:
+    def check_context(self, context: TokenSeq) -> None:
+        """Raise InputError unless every token of ``context`` is in the vocabulary."""
         if len(context) == 0:
             return
         arr = np.asarray(context, dtype=np.int64)
@@ -141,6 +154,7 @@ class NGramModel(LanguageModel):
             raise InputError("smoothing must be >= 0")
         self.vocab = vocab
         self.order = order
+        self.context_window = order - 1
         self.smoothing = float(smoothing)
         self.counts: dict[tuple[int, ...], dict[int, int]] = {
             tuple(ctx): dict(row) for ctx, row in counts.items()
@@ -155,17 +169,24 @@ class NGramModel(LanguageModel):
         order: int,
         smoothing: float,
     ) -> "NGramModel":
-        """Count successor statistics over ``documents`` (index sequences)."""
+        """Count successor statistics over ``documents`` (index sequences).
+
+        Each document's n-grams are counted on their own and then merged, so
+        peak memory grows with the distinct n-grams of one document, not of
+        the corpus. Rows and their entries keep first-occurrence order.
+        """
         if order < 1:
             raise InputError("order must be >= 1")
         counts: dict[tuple[int, ...], dict[int, int]] = {}
         span = order - 1
         for doc in documents:
             doc = list(doc)
-            for i, token in enumerate(doc):
-                ctx = tuple(doc[max(0, i - span):i])
-                row = counts.setdefault(ctx, {})
-                row[token] = row.get(token, 0) + 1
+            # The first `span` tokens follow a context shorter than span.
+            grams = Counter(tuple(doc[: i + 1]) for i in range(min(span, len(doc))))
+            grams.update(zip(*(doc[k:] for k in range(order))))
+            for gram, count in grams.items():
+                row = counts.setdefault(gram[:-1], {})
+                row[gram[-1]] = row.get(gram[-1], 0) + count
         return cls(vocab, order, counts, smoothing)
 
     def _context_key(self, context: TokenSeq) -> tuple[int, ...]:
@@ -174,7 +195,7 @@ class NGramModel(LanguageModel):
         return tuple(int(t) for t in context[-(self.order - 1):])
 
     def next_token_dist(self, context: TokenSeq) -> np.ndarray:
-        self._check_context(context)
+        self.check_context(context)
         key = self._context_key(context)
         row = self.counts.get(key)
         total = self._totals.get(key, 0)
@@ -210,7 +231,7 @@ class TableModel(LanguageModel):
         }
 
     def next_token_dist(self, context: TokenSeq) -> np.ndarray:
-        self._check_context(context)
+        self.check_context(context)
         return self.table.get(tuple(int(t) for t in context), self.default)
 
 

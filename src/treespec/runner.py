@@ -34,7 +34,7 @@ from .metrics import (
     position_effects,
     summarize,
 )
-from .model import LanguageModel
+from .model import LanguageModel, context_suffix
 from .tree import TreeParams, build_draft_tree
 from .verify import score_tree
 
@@ -133,8 +133,12 @@ def config_from_mapping(values: Mapping[str, str]) -> GenerationConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments are ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -201,9 +205,22 @@ def run_experiment(
     up to ``max_new_tokens`` steps per prompt. When an end-of-sequence token
     is configured and committed, the prompt halts and the halting step
     contributes no records. Fully deterministic for a fixed config.
+
+    A step's rows and committed token depend only on the last
+    max(draft, target) ``context_window`` tokens, so each domain keeps them
+    per window and calls ``generate_step`` only for a window it has not seen.
     """
     if not corpora:
         raise InputError("need at least one domain corpus")
+    if config.eos_token:
+        missing = sorted(
+            d for d, c in corpora.items() if c.vocabulary.get(config.eos_token) is None
+        )
+        if missing:
+            raise InputError(
+                f"eos_token {config.eos_token!r} is not in the vocabulary of domain(s): "
+                + ", ".join(missing)
+            )
     started = datetime.now(timezone.utc).isoformat()
     records: list[NodeRecord] = []
     domain_meta: dict[str, dict[str, object]] = {}
@@ -216,24 +233,44 @@ def run_experiment(
         prompt_set = sample_prompts(
             corpus, config.prompts_per_domain, config.seed, config.prompt_truncation
         )
-        eos_index = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
+        eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
+        window = max(draft.context_window, target.context_window)
+        # last `window` tokens -> ([(depth, token, p_draft, p_target, alpha,
+        # target_entropy)], committed token)
+        memo: dict[tuple[int, ...], tuple[list[tuple], int]] = {}
         domain_records = 0
         trees = 0
         stopped_prompts = 0
         for prompt_id, prompt in enumerate(prompt_set.prompts):
+            draft.check_context(prompt)  # both models share the corpus vocabulary
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
                 position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
-                step_records, committed = generate_step(
-                    draft,
-                    target,
-                    context,
-                    config.tree,
-                    domain=domain,
-                    prompt_id=prompt_id,
-                    step_index=step_index,
-                    position_bin=position_bin,
-                )
+                key = tuple(context_suffix(context, window))
+                step = memo.get(key)
+                if step is None:
+                    step_records, committed = generate_step(
+                        draft,
+                        target,
+                        context,
+                        config.tree,
+                        domain=domain,
+                        prompt_id=prompt_id,
+                        step_index=step_index,
+                        position_bin=position_bin,
+                    )
+                    memo[key] = (
+                        [(r.depth, r.token, r.p_draft, r.p_target, r.alpha, r.target_entropy)
+                         for r in step_records],
+                        committed,
+                    )
+                else:
+                    rows, committed = step
+                    step_records = [
+                        NodeRecord(domain, prompt_id, step_index, depth, position_bin,
+                                   token, p_draft, p_target, alpha, entropy)
+                        for depth, token, p_draft, p_target, alpha, entropy in rows
+                    ]
                 if eos_index is not None and committed == eos_index:
                     stopped_prompts += 1
                     break
@@ -294,27 +331,33 @@ def read_records_csv(path: str | Path, validate: bool = True) -> list[NodeRecord
     records: list[NodeRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != RECORD_FIELDS:
-            raise InputError(f"{path} is not a record file (unexpected header)")
-        for row in reader:
-            if len(row) != len(RECORD_FIELDS):
-                raise InputError(f"{path}: malformed row {row!r}")
-            rec = NodeRecord(
-                domain=row[0],
-                prompt_id=int(row[1]),
-                step_index=int(row[2]),
-                depth=int(row[3]),
-                position_bin=int(row[4]),
-                token=int(row[5]),
-                p_draft=float(row[6]),
-                p_target=float(row[7]),
-                alpha=float(row[8]),
-                target_entropy=float(row[9]),
-            )
-            if validate:
-                rec.validate()
-            records.append(rec)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != RECORD_FIELDS:
+                raise InputError(f"{path} is not a record file (unexpected header)")
+            for row in reader:
+                if len(row) != len(RECORD_FIELDS):
+                    raise InputError(f"{path}: malformed row {row!r}")
+                try:
+                    rec = NodeRecord(
+                        domain=row[0],
+                        prompt_id=int(row[1]),
+                        step_index=int(row[2]),
+                        depth=int(row[3]),
+                        position_bin=int(row[4]),
+                        token=int(row[5]),
+                        p_draft=float(row[6]),
+                        p_target=float(row[7]),
+                        alpha=float(row[8]),
+                        target_entropy=float(row[9]),
+                    )
+                except ValueError as exc:
+                    raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+                if validate:
+                    rec.validate()
+                records.append(rec)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     return records
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, top_candidates
+from .model import LanguageModel, TokenSeq, context_suffix, top_candidates
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,6 @@ class DraftTree:
         return [i for i, flag in enumerate(has_child) if not flag]
 
 
-def _path(nodes: list[TreeNode], index: int) -> list[int]:
-    tokens: list[int] = []
-    current: int | None = index
-    while current is not None:
-        tokens.append(nodes[current].token)
-        current = nodes[current].parent
-    tokens.reverse()
-    return tokens
-
-
 def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTree:
     """Build one speculative tree over ``context`` with the draft model.
 
@@ -98,19 +88,23 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
     its top ``max_branch`` children until ``max_nodes`` nodes exist, the depth
     cap stops expansion, or no expandable node remains. Zero-probability
     candidates are never materialized (they are not proposals). Each frontier
-    is rescored fresh over the full context + path, batched per depth wave.
+    is rescored fresh over context + path, batched per depth wave; the
+    context is range-checked once and then cut to the draft's window.
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
-    base = [int(t) for t in context]
+    draft.check_context(context)
+    base = context_suffix(context, draft.context_window)
     vocab_size = draft.vocab.size
 
     nodes: list[TreeNode] = []
+    paths: list[list[int]] = []  # per node: tokens from depth 1 down to it
     root_dist = draft.next_token_dist(base)
     for token, prob in top_candidates(root_dist, min(params.root_top_k, vocab_size)):
         if prob <= 0.0 or len(nodes) >= params.max_nodes:
             break
         nodes.append(TreeNode(token, 1, None, prob, math.log(prob)))
+        paths.append([token])
 
     # Frontier of unexpanded expandable nodes, best cum_logp first, insertion
     # order on ties. Distributions are fetched lazily: the first pop at a
@@ -128,7 +122,7 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
                 {index}
                 | {j for _, j in frontier if nodes[j].depth == depth and j not in pending}
             )
-            dists = draft.next_token_dists([base + _path(nodes, j) for j in wave])
+            dists = draft.next_token_dists([base + paths[j] for j in wave])
             pending.update(zip(wave, dists))
         parent = nodes[index]
         for token, prob in top_candidates(pending.pop(index), branch):
@@ -137,10 +131,11 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
             child = TreeNode(token, parent.depth + 1, index, prob, parent.cum_logp + math.log(prob))
             child_index = len(nodes)
             nodes.append(child)
+            paths.append(paths[index] + [token])
             if child.depth < params.max_depth:
                 heapq.heappush(frontier, (-child.cum_logp, child_index))
 
-    return DraftTree(nodes=nodes, context_len=len(base))
+    return DraftTree(nodes=nodes, context_len=len(context))
 
 
 def tree_attention_mask(tree: DraftTree) -> np.ndarray:

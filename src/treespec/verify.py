@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, entropy_nats, validate_dist
+from .model import LanguageModel, TokenSeq, context_suffix, entropy_nats, validate_dist
 from .tree import DraftTree
 
 
@@ -47,11 +47,13 @@ def score_tree(
     A node at depth d is scored on context + its (d-1)-token ancestor prefix.
     All distinct prefixes, including the bare context, go through one batched
     model invocation; the bonus token is the argmax of the bare-context row
-    (ties to the lowest token index).
+    (ties to the lowest token index). The context is range-checked once and
+    then cut to the target's window.
     """
     if tree.context_len != len(context):
         raise InputError("tree was built over a context of different length")
-    base = [int(t) for t in context]
+    target.check_context(context)
+    base = context_suffix(context, target.context_window)
 
     prefixes: list[tuple[int, ...]] = [()]
     prefix_slot: dict[tuple[int, ...], int] = {(): 0}

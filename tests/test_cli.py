@@ -1,7 +1,19 @@
+import hashlib
+
 import pytest
 
 from treespec import read_records_csv
 from treespec.cli import main
+
+# sha256 of the default reference run (`run --synthetic`), produced on numpy
+# 2.4.6, Python 3.11, x86-64 Linux. Another numpy or platform may round float
+# bits differently. To regenerate after an intended output change, run
+# `treespec run --synthetic --out DIR` and take `sha256sum DIR/*`.
+REFERENCE_SHA256 = {
+    "records.csv": "96dab7e8b6adc33c4bb741f905d6c0d74a0f1d319cdf6ba6216f1fba85696c03",
+    "summary.json": "5dfcd4f92e18a0e6b22a0126e4565d6da824916c2f24e2546926a4539def92ec",
+    "tables.txt": "9641a75d5cba823794fe18d40fb9217479b6cfd22f6b871fe081b009031b81c7",
+}
 
 
 def run_cli(*argv):
@@ -9,6 +21,32 @@ def run_cli(*argv):
 
 
 class TestRun:
+    def test_reference_run_matches_pinned_hashes(self, tmp_path):
+        assert run_cli("run", "--synthetic", "--out", str(tmp_path)) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in REFERENCE_SHA256
+        }
+        assert digests == REFERENCE_SHA256
+
+    def test_eos_token_in_no_vocabulary_exits_one(self, tmp_path, capsys):
+        code = run_cli(
+            "run", "--synthetic", "--synthetic-docs", "4", "--out", str(tmp_path / "o"),
+            "--eos-token", "NOPE",
+        )
+        assert code == 1
+        assert "'NOPE'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_document_exits_one(self, tmp_path, capsys):
+        domain = tmp_path / "data" / "alpha"
+        domain.mkdir(parents=True)
+        (domain / "good.txt").write_text("a b a b")
+        (domain / "latin1.txt").write_bytes("caf\xe9 au lait".encode("latin-1"))
+        code = run_cli("run", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "latin1.txt" in capsys.readouterr().err
+
     def test_synthetic_run_writes_reports(self, tmp_path):
         out = tmp_path / "results"
         code = run_cli(
@@ -34,6 +72,12 @@ class TestRun:
         meta = (out / "meta.json").read_text()
         assert '"seed": "11"' in meta
         assert '"max_new_tokens": "2"' in meta
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 7\n# caf\xe9\n")
+        assert run_cli("run", "--synthetic", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+        assert "run.cfg is not UTF-8" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_one(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -98,6 +142,22 @@ class TestAnalyzeAndTables:
 
     def test_analyze_missing_file_exits_two(self, tmp_path):
         assert run_cli("analyze", "--records", str(tmp_path / "no.csv"), "--out", str(tmp_path)) == 2
+
+    def test_analyze_non_numeric_field_exits_one(self, record_file, tmp_path, capsys):
+        lines = record_file.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[1] = "abc"
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert f"{bad}:3:" in capsys.readouterr().err
+
+    def test_analyze_non_utf8_file_exits_one(self, record_file, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(record_file.read_bytes() + b"chat,0,0,1,0,\xff\n")
+        assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert "bad.csv is not UTF-8" in capsys.readouterr().err
 
     def test_analyze_corrupt_file_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from treespec import (
     top_candidates,
     validate_dist,
 )
+from treespec.model import context_suffix
 
 AB = Vocabulary(("a", "b"))
 WXYZ = Vocabulary(("w", "x", "y", "z"))
@@ -122,6 +123,47 @@ class TestNextTokenDist:
         batched = model.next_token_dists(contexts)
         for ctx, dist in zip(contexts, batched):
             assert np.array_equal(dist, model.next_token_dist(ctx))
+
+
+class TestContextWindow:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_ngram_window_is_order_minus_one(self, order):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=order, smoothing=0.1)
+        assert model.context_window == order - 1
+
+    def test_table_model_reads_whole_context(self):
+        assert TableModel(WXYZ, [0.25] * 4).context_window is None
+
+    def test_context_suffix(self):
+        assert context_suffix([4, 5, 6, 7], 2) == [6, 7]
+        assert context_suffix([5, 6], 3) == [5, 6]  # shorter than the window
+        assert context_suffix([5, 6, 7], 0) == []
+        assert context_suffix((5, np.int64(6)), None) == [5, 6]
+
+    def test_short_context_scored_like_full(self):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 1, 2, 0, 1, 3]], order=4, smoothing=0.1)
+        for context in ([1], [0, 1], [2, 0, 1], [3, 2, 0, 1]):
+            suffix = context_suffix(context, model.context_window)
+            assert np.array_equal(model.next_token_dist(suffix), model.next_token_dist(context))
+
+    def test_fit_matches_position_loop(self):
+        # Reference: one count per position, keyed on the up-to-(order-1)
+        # tokens before it; the fit must equal it, including row order.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            order = int(rng.integers(1, 5))
+            docs = [[int(t) for t in rng.integers(0, 4, size=int(rng.integers(0, 12)))]
+                    for _ in range(int(rng.integers(1, 4)))]
+            expected: dict = {}
+            for doc in docs:
+                for i, token in enumerate(doc):
+                    row = expected.setdefault(tuple(doc[max(0, i - order + 1):i]), {})
+                    row[token] = row.get(token, 0) + 1
+            counts = NGramModel.fit(WXYZ, docs, order=order, smoothing=0.1).counts
+            assert counts == expected
+            assert [(k, list(r)) for k, r in counts.items()] == [
+                (k, list(r)) for k, r in expected.items()
+            ]
 
 
 class TestTopCandidates:

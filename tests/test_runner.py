@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treespec import (
+    DomainCorpus,
     DomainSummary,
     GenerationConfig,
     InputError,
@@ -20,9 +21,11 @@ from treespec import (
     read_summary_json,
     render_tables,
     run_experiment,
+    sample_prompts,
     score_tree,
     summarize,
     synthetic_corpus,
+    train_models,
     write_records_csv,
     write_summary_json,
 )
@@ -153,7 +156,67 @@ class TestGenerateStep:
             rec.validate()
 
 
+def plain_loop(config, corpora):
+    """Reference loop: calls generate_step at every step, with no memo."""
+    records = []
+    for domain in sorted(corpora):
+        corpus = corpora[domain]
+        draft, target = train_models(
+            corpus, config.draft_order, config.target_order, config.smoothing
+        )
+        prompts = sample_prompts(
+            corpus, config.prompts_per_domain, config.seed, config.prompt_truncation
+        )
+        eos = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
+        for prompt_id, prompt in enumerate(prompts.prompts):
+            context = list(prompt)
+            for step_index in range(config.max_new_tokens):
+                step_records, committed = generate_step(
+                    draft, target, context, config.tree, domain=domain, prompt_id=prompt_id,
+                    step_index=step_index,
+                    position_bin=0 if 2 * step_index < config.max_new_tokens else 1,
+                )
+                if committed == eos:
+                    break
+                records.extend(step_records)
+                context.append(committed)
+    return records
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "orders, eos_token",
+        [((1, 2), None), ((2, 3), None), ((2, 4), None), ((2, 3), "<end>")],
+    )
+    def test_memo_matches_plain_loop(self, orders, eos_token, monkeypatch):
+        corpora = {d: synthetic_corpus(d, n_docs=12, seed=9, doc_len=150) for d in ("chat", "math")}
+        config = GenerationConfig(
+            prompts_per_domain=6, max_new_tokens=48, prompt_truncation=40,
+            draft_order=orders[0], target_order=orders[1], eos_token=eos_token,
+        )
+        expected = plain_loop(config, corpora)
+        calls = []
+
+        def counting_step(*args, **kwargs):
+            calls.append(kwargs["step_index"])
+            return generate_step(*args, **kwargs)
+
+        monkeypatch.setattr("treespec.runner.generate_step", counting_step)
+        report = run_experiment(config, corpora)
+        assert report.records == expected
+        assert len(calls) < sum(m["trees"] for m in report.metadata["domains"].values())
+        if eos_token:
+            assert all(m["stopped_prompts"] > 0 for m in report.metadata["domains"].values())
+
+    def test_out_of_range_prompt_token_before_window_rejected(self):
+        # Both prompts open on the same window, so the second one is a memo
+        # hit; its token 99 must still be rejected.
+        vocab = Vocabulary(("a", "b", "c", "d"))
+        corpus = DomainCorpus("d", [(0, 1, 2, 3, 0, 1, 2), (99, 1, 2)], vocab)
+        config = GenerationConfig(prompts_per_domain=2, max_new_tokens=2, prompt_truncation=3)
+        with pytest.raises(InputError):
+            run_experiment(config, {"d": corpus})
+
     def test_count_arithmetic_small(self):
         corpus = synthetic_corpus("chat", n_docs=10, seed=3, doc_len=120)
         config = GenerationConfig(prompts_per_domain=1, max_new_tokens=4, prompt_truncation=60)
@@ -188,13 +251,13 @@ class TestRunExperiment:
         assert len(stopped.records) < len(full.records)
         assert stopped.metadata["domains"]["chat"]["stopped_prompts"] > 0
 
-    def test_unknown_eos_token_ignored(self):
-        corpus = synthetic_corpus("math", n_docs=6, seed=2, doc_len=100)
+    def test_unknown_eos_token_rejected(self):
+        corpora = {d: synthetic_corpus(d, n_docs=6, seed=2, doc_len=100) for d in ("chat", "math")}
         config = GenerationConfig(
             prompts_per_domain=1, max_new_tokens=3, prompt_truncation=30, eos_token="<absent>"
         )
-        report = run_experiment(config, {"math": corpus})
-        assert len(report.records) == 24
+        with pytest.raises(InputError, match="chat, math"):
+            run_experiment(config, corpora)
 
     def test_empty_corpora_rejected(self):
         with pytest.raises(InputError):

@@ -213,6 +213,27 @@ class TestBuild:
         with pytest.raises(InputError):
             build_draft_tree(trigram_model(), [], TreeParams())
 
+    def test_out_of_range_token_before_window_rejected(self):
+        bigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=2, smoothing=0.1)
+        with pytest.raises(InputError):
+            build_draft_tree(bigram, [99, 0, 1], TreeParams())
+
+    def test_model_sees_window_plus_path_only(self):
+        seen = []
+
+        class Spy(NGramModel):
+            def next_token_dist(self, context):
+                seen.append(list(context))
+                return super().next_token_dist(context)
+
+        params = TreeParams(3, 2, 3, 8)
+        context = [3, 3, 2, 0, 1]
+        tree = build_draft_tree(Spy(WXYZ, 3, TRIGRAM_COUNTS, 0.2), context, params)
+        assert tree.context_len == len(context)
+        assert seen[0] == [0, 1]
+        assert all(c[:2] == [0, 1] and len(c) <= 2 + 2 for c in seen)
+        assert tree_tuples(tree) == tree_tuples(build_draft_tree(trigram_model(), [0, 1], params))
+
     def test_invalid_params_rejected(self):
         with pytest.raises(InputError):
             TreeParams(max_depth=0)

@@ -115,6 +115,12 @@ class TestScoreTree:
                 assert score.p_target == float(dist[node.token])
                 assert score.target_entropy == entropy_nats(dist)
 
+    def test_out_of_range_token_before_window_rejected(self):
+        model = NGramModel.fit(ABCD, [[0, 1, 2, 3]], order=2, smoothing=0.1)
+        tree = build_draft_tree(model, [0, 0, 1], TreeParams())
+        with pytest.raises(InputError):
+            score_tree(model, [99, 0, 1], tree)
+
     def test_context_length_mismatch(self):
         draft = TableModel(ABCD, [0.25] * 4)
         tree = build_draft_tree(draft, [0, 1], TreeParams())
