@@ -24,6 +24,7 @@ from .metrics import (
     DomainSummary,
     NodeRecord,
     PositionEffects,
+    RecordTable,
     average_ranks,
     chain_probabilities,
     depth_profile,

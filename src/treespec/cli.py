@@ -101,10 +101,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     records = read_records_csv(args.records)
+    summaries = summarize(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_summary_json(summarize(records), out / "summary.json")
-    (out / "tables.txt").write_text(render_tables(records), encoding="utf-8")
+    write_summary_json(summaries, out / "summary.json")
+    (out / "tables.txt").write_text(render_tables(records, summaries), encoding="utf-8")
     print(f"analyzed {len(records)} records")
     print(f"wrote {out / 'summary.json'}")
     print(f"wrote {out / 'tables.txt'}")
@@ -113,7 +114,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     records = read_records_csv(args.records)
-    text = render_tables(records)
+    text = render_tables(records, summarize(records))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -123,10 +123,7 @@ class LanguageModel(abc.ABC):
 
     def check_context(self, context: TokenSeq) -> None:
         """Raise InputError unless every token of ``context`` is in the vocabulary."""
-        if len(context) == 0:
-            return
-        arr = np.asarray(context, dtype=np.int64)
-        if arr.min() < 0 or arr.max() >= self.vocab.size:
+        if len(context) and (min(context) < 0 or max(context) >= self.vocab.size):
             raise InputError("context contains a token outside the model vocabulary")
 
 

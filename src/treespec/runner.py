@@ -6,6 +6,11 @@ the target's greedy bonus token and repeat. Acceptance is recorded
 analytically; committed text always follows the target, so the harness
 measures speculation quality without changing what gets generated.
 
+A run's records flow as columns: each domain's step memo keeps a distinct
+step's rows once, the loop notes which memo entry every step used, and the
+columns are gathered in one pass at the end into a RecordTable that is
+summarized once and written as CSV and tables.
+
 Record files are CSV with a frozen column order (NodeRecord fields) and all
 floats at 17 significant digits, so a run is reproducible byte-for-byte and
 re-ingestion is lossless.
@@ -15,21 +20,27 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .corpus import DomainCorpus, sample_prompts, train_models
 from .errors import InputError
 from .metrics import (
+    FLOAT_FIELDS,
+    INT_FIELDS,
     RECORD_FIELDS,
     DomainSummary,
     NodeRecord,
+    RecordTable,
+    as_table,
     depth_profile,
     position_effects,
     summarize,
@@ -39,6 +50,9 @@ from .tree import TreeParams, build_draft_tree
 from .verify import score_tree
 
 REPORT_FORMATS = ("csv", "json", "tables")
+
+# Rows held as text at once while a record file is written or read.
+_CSV_CHUNK_ROWS = 8192
 
 # Rendering thresholds for the speedup-regime column: at least one accepted
 # token per call is a net win; just under is labelled marginal.
@@ -153,7 +167,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 class ExperimentReport:
     """Records plus their aggregation and run metadata."""
 
-    records: list[NodeRecord]
+    records: RecordTable
     summaries: dict[str, DomainSummary]
     metadata: dict[str, object]
 
@@ -222,10 +236,17 @@ def run_experiment(
                 + ", ".join(missing)
             )
     started = datetime.now(timezone.utc).isoformat()
-    records: list[NodeRecord] = []
+    domains = sorted(corpora)
+    # Every distinct step's rows, once: (depth, token, p_draft, p_target,
+    # alpha, target_entropy); a memo entry is (first row, row count,
+    # committed token).
+    rows: list[tuple[int, int, float, float, float, float]] = []
+    # One entry per recorded step: (domain code, prompt_id, step_index,
+    # position_bin, first row, row count).
+    steps: list[tuple[int, int, int, int, int, int]] = []
     domain_meta: dict[str, dict[str, object]] = {}
 
-    for domain in sorted(corpora):
+    for code, domain in enumerate(domains):
         corpus = corpora[domain]
         draft, target = train_models(
             corpus, config.draft_order, config.target_order, config.smoothing
@@ -235,9 +256,7 @@ def run_experiment(
         )
         eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
         window = max(draft.context_window, target.context_window)
-        # last `window` tokens -> ([(depth, token, p_draft, p_target, alpha,
-        # target_entropy)], committed token)
-        memo: dict[tuple[int, ...], tuple[list[tuple], int]] = {}
+        memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
         domain_records = 0
         trees = 0
         stopped_prompts = 0
@@ -247,8 +266,8 @@ def run_experiment(
             for step_index in range(config.max_new_tokens):
                 position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
                 key = tuple(context_suffix(context, window))
-                step = memo.get(key)
-                if step is None:
+                entry = memo.get(key)
+                if entry is None:
                     step_records, committed = generate_step(
                         draft,
                         target,
@@ -259,23 +278,17 @@ def run_experiment(
                         step_index=step_index,
                         position_bin=position_bin,
                     )
-                    memo[key] = (
-                        [(r.depth, r.token, r.p_draft, r.p_target, r.alpha, r.target_entropy)
-                         for r in step_records],
-                        committed,
+                    entry = memo[key] = (len(rows), len(step_records), committed)
+                    rows.extend(
+                        (r.depth, r.token, r.p_draft, r.p_target, r.alpha, r.target_entropy)
+                        for r in step_records
                     )
-                else:
-                    rows, committed = step
-                    step_records = [
-                        NodeRecord(domain, prompt_id, step_index, depth, position_bin,
-                                   token, p_draft, p_target, alpha, entropy)
-                        for depth, token, p_draft, p_target, alpha, entropy in rows
-                    ]
+                first, count, committed = entry
                 if eos_index is not None and committed == eos_index:
                     stopped_prompts += 1
                     break
-                records.extend(step_records)
-                domain_records += len(step_records)
+                steps.append((code, prompt_id, step_index, position_bin, first, count))
+                domain_records += count
                 trees += 1
                 context.append(committed)
         domain_meta[domain] = {
@@ -286,6 +299,7 @@ def run_experiment(
             "vocab_size": corpus.vocabulary.size,
         }
 
+    records = _gather(domains, rows, steps)
     metadata: dict[str, object] = {
         "config": config.flat_dict(),
         "config_hash": config.config_hash(),
@@ -297,68 +311,157 @@ def run_experiment(
     return ExperimentReport(records=records, summaries=summarize(records), metadata=metadata)
 
 
+def _gather(
+    domains: Sequence[str],
+    rows: Sequence[tuple[int, int, float, float, float, float]],
+    steps: Sequence[tuple[int, int, int, int, int, int]],
+) -> RecordTable:
+    """Record columns: each step's memo rows, in step order, beside its own fields."""
+    step_cols = np.array(steps, dtype=np.int64).reshape(-1, 6).T
+    codes, prompt_ids, step_indices, bins, firsts, counts = step_cols
+    # Row i of the table is row (first + offset) of its step's memo entry.
+    step_starts = np.cumsum(counts) - counts
+    index = np.arange(int(counts.sum())) + np.repeat(firsts - step_starts, counts)
+    depths, tokens = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2).T
+    floats = np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4).T
+    return RecordTable(
+        domains,
+        np.repeat(codes, counts),
+        prompt_id=np.repeat(prompt_ids, counts),
+        step_index=np.repeat(step_indices, counts),
+        depth=depths[index],
+        position_bin=np.repeat(bins, counts),
+        token=tokens[index],
+        **{name: column[index] for name, column in zip(FLOAT_FIELDS, floats)},
+    )
+
+
 # --- persistence -------------------------------------------------------------
 
 
-def _fmt17(value: float) -> str:
-    return format(value, ".17g")
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it inside a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
 
 
-def write_records_csv(records: Sequence[NodeRecord], path: str | Path) -> None:
-    """Frozen column order, floats at 17 significant digits, \\n line ends."""
+def _cell_text(values: np.ndarray) -> list[str]:
+    """CSV text of a slice of an int or float column, each distinct value formatted once.
+
+    Floats are told apart by bit pattern, so -0.0 and each NaN keep their
+    own text; each is written as ``format(x, ".17g")``.
+    """
+    if values.dtype == np.float64:
+        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        text = [format(x, ".17g") for x in bits.view(np.float64).tolist()]
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        text = [str(v) for v in distinct.tolist()]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | Path) -> None:
+    """Frozen column order, floats at 17 significant digits, \\n line ends.
+
+    Rows are formatted and written ``_CSV_CHUNK_ROWS`` at a time.
+    """
+    table = as_table(records)
+    names = np.array([_csv_field(d) for d in table.domains], dtype=object)
+    columns = [getattr(table, name) for name in RECORD_FIELDS[1:]]
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RECORD_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.domain,
-                    rec.prompt_id,
-                    rec.step_index,
-                    rec.depth,
-                    rec.position_bin,
-                    rec.token,
-                    _fmt17(rec.p_draft),
-                    _fmt17(rec.p_target),
-                    _fmt17(rec.alpha),
-                    _fmt17(rec.target_entropy),
-                ]
-            )
+        handle.write(",".join(RECORD_FIELDS) + "\n")
+        for lo in range(0, len(table), _CSV_CHUNK_ROWS):
+            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
+            cells = [names[table.domain_code[rows]].tolist()]
+            cells += [_cell_text(column[rows]) for column in columns]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def read_records_csv(path: str | Path, validate: bool = True) -> list[NodeRecord]:
-    """Re-ingest a record file; optionally re-check per-row self-consistency."""
-    records: list[NodeRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
+def read_records_csv(path: str | Path, validate: bool = True) -> RecordTable:
+    """Re-ingest a record file; optionally re-check per-row self-consistency.
+
+    Rows are parsed ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct
+    field text once. The first bad row is reported as ``path:line`` with the
+    message ``int``, ``float`` or ``NodeRecord.validate`` gives.
+    """
+    domains: dict[str, int] = {}
+    chunks: list[RecordTable] = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
             header = next(reader, None)
             if header is None or tuple(header) != RECORD_FIELDS:
                 raise InputError(f"{path} is not a record file (unexpected header)")
-            for row in reader:
-                if len(row) != len(RECORD_FIELDS):
-                    raise InputError(f"{path}: malformed row {row!r}")
+            while rows := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
+                table = _parse_rows(rows, domains, validate)
+                if table is None:
+                    _raise_first_bad_row(path, validate)
+                chunks.append(table)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    if not chunks:
+        return RecordTable.from_records(())
+    return RecordTable(
+        domains,
+        np.concatenate([c.domain_code for c in chunks]),
+        **{name: np.concatenate([getattr(c, name) for c in chunks]) for name in RECORD_FIELDS[1:]},
+    )
+
+
+def _parse_rows(
+    rows: list[list[str]], domains: dict[str, int], validate: bool
+) -> RecordTable | None:
+    """Columns of raw CSV rows, or None if any row is bad.
+
+    Domains are numbered into ``domains`` as they are met.
+    """
+    if set(map(len, rows)) != {len(RECORD_FIELDS)}:
+        return None
+    domain, *raw = zip(*rows)
+    try:
+        columns = {
+            name: _parse_column(texts, int if name in INT_FIELDS else float)
+            for name, texts in zip(RECORD_FIELDS[1:], raw)
+        }
+    except (ValueError, OverflowError):
+        return None
+    codes = _parse_column(domain, lambda name: domains.setdefault(name, len(domains)))
+    table = RecordTable(domains, codes, **columns)
+    if validate and table.invalid_rows().any():
+        return None
+    return table
+
+
+def _parse_column(texts: Sequence[str], parse) -> np.ndarray:
+    """``parse`` applied to each distinct text once, in order of first appearance."""
+    values = {text: parse(text) for text in dict.fromkeys(texts)}
+    dtype = np.float64 if parse is float else np.int64
+    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+
+
+def _raise_first_bad_row(path: str | Path, validate: bool) -> NoReturn:
+    """Re-read ``path`` row by row and raise InputError at the first bad row."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(RECORD_FIELDS):
+                raise InputError(f"{where}: malformed row {row!r}")
+            try:
+                ints = [int(v) for v in row[1:1 + len(INT_FIELDS)]]
+                rec = NodeRecord(row[0], *ints, *(float(v) for v in row[1 + len(INT_FIELDS):]))
+            except ValueError as exc:
+                raise InputError(f"{where}: {exc}") from exc
+            if any(not -(2**63) <= v < 2**63 for v in ints):
+                raise InputError(f"{where}: integer field outside the int64 range")
+            if validate:
                 try:
-                    rec = NodeRecord(
-                        domain=row[0],
-                        prompt_id=int(row[1]),
-                        step_index=int(row[2]),
-                        depth=int(row[3]),
-                        position_bin=int(row[4]),
-                        token=int(row[5]),
-                        p_draft=float(row[6]),
-                        p_target=float(row[7]),
-                        alpha=float(row[8]),
-                        target_entropy=float(row[9]),
-                    )
-                except ValueError as exc:
-                    raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
-                if validate:
                     rec.validate()
-                records.append(rec)
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    return records
+                except InputError as exc:
+                    raise InputError(f"{where}: {exc}") from exc
+    raise InputError(f"{path}: unreadable record rows")
 
 
 def _summary_to_jsonable(summary: DomainSummary) -> dict[str, object]:
@@ -414,9 +517,15 @@ def _rho_str(rho: float) -> str:
     return "n/a" if math.isnan(rho) else f"{rho:+.3f}"
 
 
-def render_tables(records: Sequence[NodeRecord]) -> str:
-    """Six plain-text report tables over a record set (headers only when empty)."""
-    summaries = summarize(records)
+def render_tables(
+    records: RecordTable | Sequence[NodeRecord], summaries: Mapping[str, DomainSummary]
+) -> str:
+    """Six plain-text report tables over a record set and its summaries.
+
+    ``summaries`` must be ``summarize(records)``; only headers are written
+    when there are no records.
+    """
+    records = as_table(records)
     domains = sorted(summaries)
     all_depths = sorted({d for s in summaries.values() for d in s.per_depth_alpha})
     out: list[str] = []
@@ -429,8 +538,7 @@ def render_tables(records: Sequence[NodeRecord]) -> str:
             f"{domain:<12}{s.node_count:>8}  {s.mean_alpha:>10.4f}  {s.std_alpha:>9.4f}  {s.mean_entropy:>12.4f}"
         )
     if records:
-        alphas = np.asarray([r.alpha for r in records])
-        entropies = np.asarray([r.target_entropy for r in records])
+        alphas, entropies = records.alpha, records.target_entropy
         out.append(
             f"{'all':<12}{len(records):>8}  {alphas.mean():>10.4f}  {alphas.std():>9.4f}  {entropies.mean():>12.4f}"
         )
@@ -514,6 +622,6 @@ def emit_report(
         written["meta"] = meta_path
     if "tables" in formats:
         path = out / "tables.txt"
-        path.write_text(render_tables(report.records), encoding="utf-8")
+        path.write_text(render_tables(report.records, report.summaries), encoding="utf-8")
         written["tables"] = path
     return written

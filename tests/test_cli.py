@@ -4,6 +4,7 @@ import pytest
 
 from treespec import read_records_csv
 from treespec.cli import main
+from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
 
 # sha256 of the default reference run (`run --synthetic`), produced on numpy
 # 2.4.6, Python 3.11, x86-64 Linux. Another numpy or platform may round float
@@ -158,6 +159,31 @@ class TestAnalyzeAndTables:
         bad.write_bytes(record_file.read_bytes() + b"chat,0,0,1,0,\xff\n")
         assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
         assert "bad.csv is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_analyze_non_finite_float_exits_one(self, record_file, tmp_path, capsys, field, value):
+        lines = record_file.read_text().splitlines(keepends=True)
+        cells = lines[2].rstrip("\n").split(",")
+        cells[RECORD_FIELDS.index(field)] = value
+        lines[2] = ",".join(cells) + "\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--records", str(bad), "--out", str(out)) == 1
+        assert f"{bad}:3: {field} must be finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_analyze_inconsistent_alpha_names_line(self, record_file, tmp_path, capsys):
+        lines = record_file.read_text().splitlines(keepends=True)
+        cells = lines[5].rstrip("\n").split(",")
+        cells[RECORD_FIELDS.index("p_draft")] = "1e-300"
+        cells[RECORD_FIELDS.index("alpha")] = "0.5"
+        lines[5] = ",".join(cells) + "\n"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        assert run_cli("tables", "--records", str(bad)) == 1
+        assert f"{bad}:6: alpha inconsistent" in capsys.readouterr().err
 
     def test_analyze_corrupt_file_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from treespec import (
+    DomainSummary,
     InputError,
     NodeRecord,
+    RecordTable,
     UndefinedCorrelationError,
     average_ranks,
     chain_probabilities,
@@ -15,6 +17,7 @@ from treespec import (
     spearman_rho,
     summarize,
 )
+from treespec.metrics import FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS
 
 
 def make_record(
@@ -311,3 +314,237 @@ class TestReferenceFixtureConsistency:
             assert expected_accepted_length(per_depth) == pytest.approx(
                 payload["expected_len"], abs=2e-3
             ), name
+
+
+# --- scalar oracles: the per-element implementations the folds replaced ---
+
+
+def scalar_average_ranks(values):
+    """Walk the stable sort order and give each run of equal values its mean position."""
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(arr.shape[0], dtype=np.float64)
+    start = 0
+    while start < arr.shape[0]:
+        stop = start
+        while stop + 1 < arr.shape[0] and arr[order[stop + 1]] == arr[order[start]]:
+            stop += 1
+        ranks[order[start:stop + 1]] = (start + stop) / 2.0 + 1.0
+        start = stop + 1
+    return ranks
+
+
+def scalar_spearman(x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return math.nan
+    rx = scalar_average_ranks(x)
+    ry = scalar_average_ranks(y)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    rho = float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
+    return max(-1.0, min(1.0, rho))
+
+
+def scalar_summarize(records):
+    """Group NodeRecords one at a time and fold each domain's lists."""
+    by_domain = {}
+    for rec in records:
+        by_domain.setdefault(rec.domain, []).append(rec)
+    out = {}
+    for domain in sorted(by_domain):
+        rows = by_domain[domain]
+        alphas = np.asarray([r.alpha for r in rows], dtype=np.float64)
+        entropies = np.asarray([r.target_entropy for r in rows], dtype=np.float64)
+        depths = np.asarray([r.depth for r in rows], dtype=np.int64)
+        per_depth = {
+            int(d): float(alphas[depths == d].mean()) for d in sorted(np.unique(depths))
+        }
+        chain = chain_probabilities(per_depth)
+        out[domain] = DomainSummary(
+            node_count=len(rows),
+            mean_alpha=float(alphas.mean()),
+            std_alpha=float(alphas.std()),
+            mean_entropy=float(entropies.mean()),
+            per_depth_alpha=per_depth,
+            chain_prob=chain,
+            expected_len=sum(chain.values()),
+            spearman_rho=scalar_spearman(entropies, alphas),
+        )
+    return out
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def tied_values(rng, n):
+    """Values drawn from a few levels (heavy ties), with ±0.0 and sometimes NaN."""
+    levels = np.array([-0.0, 0.0, 0.25, 1.0, -3.5, 1e-300])
+    values = levels[rng.integers(0, levels.shape[0], n)]
+    if rng.random() < 0.3:
+        values[rng.integers(0, n)] = math.nan
+    return values
+
+
+class TestRanksAgainstScalarOracle:
+    def test_random_heavy_ties(self):
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            values = tied_values(rng, n) if rng.random() < 0.6 else rng.random(n)
+            assert same_bits(average_ranks(values), scalar_average_ranks(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [0.7], [2.0] * 9, [0.0, -0.0, 0.0, -0.0], [-0.0, 1.0, 0.0], [math.nan] * 3],
+    )
+    def test_edge_inputs(self, values):
+        assert same_bits(average_ranks(values), scalar_average_ranks(values))
+
+    def test_signed_zeros_tie(self):
+        assert average_ranks([0.0, -0.0, 1.0]).tolist() == [1.5, 1.5, 3.0]
+
+    def test_spearman_matches_scalar(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            n = int(rng.integers(2, 80))
+            x = tied_values(rng, n) if rng.random() < 0.5 else rng.random(n)
+            y = np.round(rng.random(n), 1)
+            expected = scalar_spearman(x, y)
+            if math.isnan(expected):
+                with pytest.raises(UndefinedCorrelationError):
+                    spearman_rho(zip(x.tolist(), y.tolist()))
+            else:
+                assert same_bits(spearman_rho(zip(x.tolist(), y.tolist())), expected)
+
+
+def random_records(rng):
+    """Records over shuffled domain names; every domain covers depths 1..D."""
+    names = ["code", "chat", "math", "reasoning", "zeta", ""]
+    rng.shuffle(names)
+    records = []
+    for domain in names[: int(rng.integers(1, 5))]:
+        depth_count = int(rng.integers(1, 5))
+        n = int(rng.integers(max(2, depth_count), 200))  # one row has no correlation
+        depths = np.concatenate([np.arange(1, depth_count + 1),
+                                 rng.integers(1, depth_count + 1, n - depth_count)])
+        tied = rng.random() < 0.5
+        for depth in depths.tolist():
+            alpha = float(np.round(rng.random(), 1) if tied else rng.random())
+            entropy = float(np.round(rng.random(), 1) if tied else rng.random() * 3)
+            records.append(make_record(domain=domain, depth=depth,
+                                       position_bin=int(rng.integers(0, 2)),
+                                       alpha=alpha, entropy=entropy))
+    order = rng.permutation(len(records))
+    return [records[i] for i in order]
+
+
+def assert_summaries_identical(got, expected):
+    assert list(got) == list(expected)
+    for domain, want in expected.items():
+        have = got[domain]
+        assert have.node_count == want.node_count
+        for name in ("mean_alpha", "std_alpha", "mean_entropy", "expected_len", "spearman_rho"):
+            assert same_bits(getattr(have, name), getattr(want, name)), (domain, name)
+        assert have.per_depth_alpha == want.per_depth_alpha
+        assert have.chain_prob == want.chain_prob
+
+
+class TestSummarizeAgainstScalarOracle:
+    def test_random_tables(self):
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            records = random_records(rng)
+            expected = scalar_summarize(records)
+            assert_summaries_identical(summarize(records), expected)
+            assert_summaries_identical(summarize(RecordTable.from_records(records)), expected)
+
+    def test_depth_profile_cells_match_per_depth_alpha(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            records = random_records(rng)
+            profile = depth_profile(records)
+            for domain, summary in scalar_summarize(records).items():
+                for depth, alpha in summary.per_depth_alpha.items():
+                    assert same_bits(profile.cells[(domain, depth)], alpha)
+
+    def test_position_cells_match_scalar_groups(self):
+        rng = np.random.default_rng(79)
+        for _ in range(20):
+            records = random_records(rng)
+            groups = {}
+            for rec in records:
+                groups.setdefault((rec.depth, rec.position_bin), []).append(rec.alpha)
+            cells = position_effects(records).cells
+            assert list(cells) == sorted(groups)
+            for key, alphas in groups.items():
+                assert same_bits(cells[key], np.mean(alphas))
+
+
+class TestRecordTable:
+    def test_from_records_round_trip(self):
+        rng = np.random.default_rng(83)
+        records = random_records(rng)
+        table = RecordTable.from_records(records)
+        assert len(table) == len(records)
+        assert list(table) == records
+        assert table.domain_code.dtype == np.int64
+        assert all(getattr(table, name).dtype == np.int64 for name in INT_FIELDS)
+        assert all(getattr(table, name).dtype == np.float64 for name in FLOAT_FIELDS)
+
+    def test_equality_ignores_domain_numbering(self):
+        records = [make_record(domain="b"), make_record(domain="a", alpha=0.25)]
+        table = RecordTable.from_records(records)
+        columns = {name: getattr(table, name) for name in RECORD_FIELDS[1:]}
+        renumbered = RecordTable(("a", "b"), [1, 0], **columns)
+        assert renumbered == table
+        assert RecordTable(("a", "b"), [0, 1], **columns) != table
+        assert table != records  # compare rows with list(table)
+
+    def test_empty(self):
+        table = RecordTable.from_records([])
+        assert len(table) == 0 and not table and list(table) == []
+        assert summarize(table) == {}
+
+    def test_rejects_ragged_columns_and_bad_codes(self):
+        columns = {name: [0] for name in RECORD_FIELDS[1:]}
+        with pytest.raises(InputError):
+            RecordTable(("a",), [0, 0], **columns)
+        with pytest.raises(InputError):
+            RecordTable(("a",), [1], **columns)
+        with pytest.raises(InputError):
+            RecordTable(("a", "a"), [0], **columns)
+
+    def test_invalid_rows_matches_validate(self):
+        rng = np.random.default_rng(89)
+        specials = [0.0, -0.0, 1.0, 0.5, 2.0, -1e-9, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+        records = []
+        for _ in range(3000):
+            p_draft, p_target = (float(v) for v in rng.choice(specials, 2))
+            alpha = min(1.0, p_target / p_draft) if p_draft > 0 and rng.random() < 0.6 \
+                else float(rng.choice(specials))
+            records.append(NodeRecord(
+                "d", 0, int(rng.integers(-1, 3)), int(rng.integers(0, 3)),
+                int(rng.integers(-1, 3)), 0, p_draft, p_target, alpha,
+                float(rng.choice(specials)),
+            ))
+        expected = []
+        for rec in records:
+            try:
+                rec.validate()
+                expected.append(False)
+            except InputError:
+                expected.append(True)
+        assert RecordTable.from_records(records).invalid_rows().tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_validate_rejects_non_finite(self, name, value):
+        fields = dict(domain="d", prompt_id=0, step_index=0, depth=1, position_bin=0, token=0,
+                      p_draft=0.5, p_target=0.25, alpha=0.5, target_entropy=0.1)
+        fields[name] = value
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            NodeRecord(**fields).validate()

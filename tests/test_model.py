@@ -48,6 +48,25 @@ class TestVocabulary:
             AB.index_of("zzz")
 
 
+class TestCheckContext:
+    model = TableModel(WXYZ, [0.25, 0.25, 0.25, 0.25])
+
+    @pytest.mark.parametrize(
+        "context",
+        [[], (), [0, 3, 1], (3,), [np.int64(2), np.int32(0)], np.array([1, 2, 3])],
+    )
+    def test_in_vocabulary_accepted(self, context):
+        self.model.check_context(context)
+
+    @pytest.mark.parametrize(
+        "context",
+        [[-1], [0, 1, -5], [4], [0, 99], [np.int64(4)], np.array([0, -1]), np.array([7])],
+    )
+    def test_outside_vocabulary_rejected(self, context):
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            self.model.check_context(context)
+
+
 class TestValidateDist:
     def test_accepts_valid(self):
         validate_dist([0.5, 0.25, 0.25])

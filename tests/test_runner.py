@@ -10,6 +10,7 @@ from treespec import (
     InputError,
     NGramModel,
     NodeRecord,
+    RecordTable,
     TreeParams,
     Vocabulary,
     build_draft_tree,
@@ -29,7 +30,8 @@ from treespec import (
     write_records_csv,
     write_summary_json,
 )
-from treespec.metrics import RECORD_FIELDS
+from treespec import runner
+from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
 from treespec.runner import ExperimentReport
 
 
@@ -203,7 +205,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr("treespec.runner.generate_step", counting_step)
         report = run_experiment(config, corpora)
-        assert report.records == expected
+        assert list(report.records) == expected
         assert len(calls) < sum(m["trees"] for m in report.metadata["domains"].values())
         if eos_token:
             assert all(m["stopped_prompts"] > 0 for m in report.metadata["domains"].values())
@@ -355,7 +357,7 @@ class TestPersistence:
             emit_report(small_report, tmp_path, formats=["pdf"])
 
     def test_render_tables_content(self, small_report):
-        text = render_tables(small_report.records)
+        text = render_tables(small_report.records, small_report.summaries)
         assert "Expected accepted length" in text
         assert "chat" in text and "math" in text
         assert "regime" in text
@@ -368,9 +370,110 @@ class TestPersistence:
                     NodeRecord(domain, 0, 0, int(depth_str), 0, 0, 1.0, alpha, alpha, 0.1)
                     for _ in range(4)
                 ]
-        text = render_tables(records)
+        text = render_tables(records, summarize(records))
         depth_section = text.split("== Mean acceptance by tree depth ==")[1].splitlines()
         assert "delta" in depth_section[1]
         chat_row = next(line for line in depth_section if line.startswith("chat"))
         assert "0.567" in chat_row and "0.553" in chat_row and "0.588" in chat_row
         assert "+0.021" in chat_row
+
+
+# Awkward doubles: shortest repr differs from 17 digits, subnormal, tiny,
+# exact, negative zero; each appears more than once.
+AWKWARD = [0.1 + 0.2, 5e-324, 1e-300, 1.0, -0.0, 0.1 + 0.2, 1e-300, -0.0]
+
+
+def awkward_table():
+    n = len(AWKWARD)
+    p_draft = [v if v > 0 else 0.5 for v in AWKWARD]
+    p_target = AWKWARD[3:] + AWKWARD[:3]
+    return RecordTable(
+        ("chat", "a,b", 'q"t'),
+        [i % 3 for i in range(n)],
+        prompt_id=range(n),
+        step_index=[0, 1, 2, 3, 0, 1, 2, 3],
+        depth=[1, 2, 1, 2, 3, 1, 2, 1],
+        position_bin=[0, 1] * 4,
+        token=[7, 0, 7, 123456, 7, 0, 1, 2],
+        p_draft=p_draft,
+        p_target=p_target,
+        alpha=[min(1.0, t / d) for t, d in zip(p_target, p_draft)],
+        target_entropy=AWKWARD,
+    )
+
+
+class TestRecordCsv:
+    def test_cells_are_17_digit_text(self, tmp_path):
+        table = awkward_table()
+        path = tmp_path / "records.csv"
+        write_records_csv(table, path)
+        expected = [",".join(RECORD_FIELDS)]
+        for rec in table:
+            ints = [rec.prompt_id, rec.step_index, rec.depth, rec.position_bin, rec.token]
+            floats = [format(getattr(rec, name), ".17g") for name in FLOAT_FIELDS]
+            domain = {"a,b": '"a,b"', 'q"t': '"q""t"'}.get(rec.domain, rec.domain)
+            expected.append(",".join([domain, *map(str, ints), *floats]))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+        assert "0.30000000000000004" in expected[1] and "-0" in expected[5].split(",")
+
+    def test_same_bytes_as_a_list_of_records(self, tmp_path):
+        table = awkward_table()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_records_csv(table, a)
+        write_records_csv(list(table), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_write_read_round_trip(self, tmp_path):
+        table = awkward_table()
+        path = tmp_path / "records.csv"
+        write_records_csv(table, path)
+        back = read_records_csv(path)
+        assert back == table
+        for name in FLOAT_FIELDS:  # -0.0 keeps its sign
+            assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
+
+    def test_large_file_read_in_chunks(self, tmp_path, monkeypatch):
+        base = awkward_table()
+        reps = 100_000 // len(base)
+        columns = {name: np.tile(getattr(base, name), reps) for name in RECORD_FIELDS[1:]}
+        table = RecordTable(base.domains, np.tile(base.domain_code, reps), **columns)
+        path = tmp_path / "records.csv"
+        write_records_csv(table, path)
+        seen = []
+        parse_rows = runner._parse_rows
+
+        def spy(rows, domains, validate):
+            seen.append(len(rows))
+            return parse_rows(rows, domains, validate)
+
+        monkeypatch.setattr(runner, "_parse_rows", spy)
+        assert read_records_csv(path) == table
+        assert sum(seen) == len(table) == 100_000
+        assert max(seen) == runner._CSV_CHUNK_ROWS
+        assert len(seen) == -(-len(table) // runner._CSV_CHUNK_ROWS)
+
+    @pytest.mark.parametrize("chunk_rows", [4, 8192])
+    def test_first_bad_row_is_reported(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+        good = "chat,0,0,1,0,5,0.5,0.25,0.5,0.1"
+        rows = [good] * 12
+        rows[9] = "chat,0,0,1,0,5,0.5,0.25,0.75,0.1"  # line 11: alpha inconsistent
+        rows[10] = "chat,0,x,1,0,5,0.5,0.25,0.5,0.1"  # line 12: not an integer
+        rows[11] = "chat,0,0,1"  # line 13: too few fields
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=f"{path}:11: alpha inconsistent"):
+            read_records_csv(path)
+        with pytest.raises(InputError, match=f"{path}:12: invalid literal"):
+            read_records_csv(path, validate=False)
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records_csv([], path)
+        assert read_records_csv(path) == RecordTable.from_records([])
+
+    def test_integer_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\nchat,0,0,1,0,99999999999999999999,0.5,0.25,0.5,0.1\n")
+        with pytest.raises(InputError, match=f"{path}:2: integer field outside the int64 range"):
+            read_records_csv(path)
