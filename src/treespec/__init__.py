@@ -36,6 +36,7 @@ from .metrics import (
 from .model import (
     LanguageModel,
     NGramModel,
+    SparseRow,
     TableModel,
     Vocabulary,
     entropy_nats,

@@ -6,4 +6,4 @@ class InputError(ValueError):
 
 
 class UndefinedCorrelationError(InputError):
-    """Rank correlation is undefined (a variable has all-tied values)."""
+    """Rank correlation is undefined (fewer than 2 pairs, or a variable all tied)."""

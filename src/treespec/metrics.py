@@ -164,7 +164,7 @@ class DomainSummary:
     """Aggregated statistics for one domain.
 
     ``spearman_rho`` is NaN when the correlation is undefined for the
-    domain's records (one variable entirely tied).
+    domain's records (fewer than 2 records, or one variable entirely tied).
     """
 
     node_count: int
@@ -246,7 +246,7 @@ def spearman_rho(pairs: Iterable[tuple[float, float]]) -> float:
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     if x.shape[0] < 2:
-        raise InputError("need at least 2 pairs for a correlation")
+        raise UndefinedCorrelationError("need at least 2 pairs for a correlation")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedCorrelationError("correlation undefined: a variable is all-tied")
     rx = average_ranks(x)

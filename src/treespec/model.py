@@ -1,8 +1,9 @@
 """Language-model interface and deterministic n-gram reference models.
 
 Everything here is desk-scale and exactly reproducible: models are plain
-count tables, distributions are dense numpy vectors over a fixed vocabulary,
-and all tie-breaking is by ascending token index.
+count tables, distributions are numpy vectors over a fixed vocabulary (an
+n-gram model's are ``SparseRow`` values with the same numbers), and all
+tie-breaking is by ascending token index.
 """
 
 from __future__ import annotations
@@ -74,23 +75,136 @@ def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) 
     return arr
 
 
-def entropy_nats(dist: np.ndarray | Sequence[float]) -> float:
+def entropy_nats(dist: Dist | Sequence[float]) -> float:
     """Shannon entropy -sum(p ln p) in nats, with 0 ln 0 taken as 0."""
+    if isinstance(dist, SparseRow):
+        return dist.entropy()
+    return _dense_entropy(dist)
+
+
+def _dense_entropy(dist: np.ndarray | Sequence[float]) -> float:
     arr = np.asarray(dist, dtype=np.float64)
     pos = arr[arr > 0.0]
     return float(-(pos * np.log(pos)).sum()) + 0.0
 
 
-def top_candidates(dist: np.ndarray | Sequence[float], k: int) -> list[tuple[int, float]]:
+def top_candidates(dist: Dist | Sequence[float], k: int) -> list[tuple[int, float]]:
     """The k highest-probability (token, probability) pairs, descending.
 
     Ties are broken by ascending token index so results are reproducible.
     """
+    if isinstance(dist, SparseRow):
+        return dist.top(k)
     arr = np.asarray(dist, dtype=np.float64)
-    if not 1 <= k <= arr.shape[0]:
-        raise InputError(f"k={k} out of range for vocabulary of {arr.shape[0]}")
+    _check_k(k, arr.shape[0])
     order = np.argsort(-arr, kind="stable")[:k]
     return [(int(i), float(arr[i])) for i in order]
+
+
+def _check_k(k: int, size: int) -> None:
+    if not 1 <= k <= size:
+        raise InputError(f"k={k} out of range for vocabulary of {size}")
+
+
+class SparseRow:
+    """An n-gram next-token distribution held as its successor-count row.
+
+    Token t has probability (smoothing + row[t]) / denom if t is in ``row``
+    and ``floor`` (smoothing / denom) otherwise, by the same IEEE operations
+    that fill the dense vector ``np.asarray(self)``; every value, the
+    ``top`` order and the entropy equal their dense counterparts bit for
+    bit. An empty ``row`` with ``floor`` 1 / size is the uniform fallback.
+
+    ``entropy`` is computed once per count row and kept in ``entropies``
+    (the model's cache) under ``key``: the row's context, or None for a
+    context unseen in training. Counts are assumed non-negative, as ``fit``
+    makes them.
+    """
+
+    __slots__ = ("size", "row", "smoothing", "denom", "floor", "key", "entropies")
+
+    def __init__(
+        self,
+        size: int,
+        row: Mapping[int, int],
+        smoothing: float,
+        denom: float,
+        key: tuple[int, ...] | None,
+        entropies: dict,
+    ) -> None:
+        self.size = size
+        if denom <= 0.0:
+            row, self.floor = {}, 1.0 / size
+        else:
+            self.floor = smoothing / denom
+        self.row = row
+        self.smoothing = smoothing
+        self.denom = denom
+        self.key = key
+        self.entropies = entropies
+
+    def __getitem__(self, token: int) -> float:
+        if not 0 <= token < self.size:
+            raise IndexError(f"token {token} out of range for vocabulary of {self.size}")
+        count = self.row.get(token)
+        return self.floor if count is None else (self.smoothing + count) / self.denom
+
+    def _row_probs(self) -> list[float]:
+        """The row tokens' probabilities, in row order."""
+        smoothing, denom = self.smoothing, self.denom
+        return [(smoothing + count) / denom for count in self.row.values()]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        probs = np.full(self.size, self.floor)
+        probs[list(self.row)] = self._row_probs()
+        return probs if dtype is None else probs.astype(dtype, copy=False)
+
+    def top(self, k: int) -> list[tuple[int, float]]:
+        """``top_candidates`` of the dense vector, from the row alone.
+
+        Tokens outside the row all sit at the floor and tie by index, so the
+        k lowest-index ones are the only ones that can make the top k.
+        """
+        _check_k(k, self.size)
+        row = self.row
+        ranked = [(-p, token) for token, p in zip(row, self._row_probs())]
+        floor = -self.floor
+        token = extra = 0
+        while extra < k and token < self.size:
+            if token not in row:
+                ranked.append((floor, token))
+                extra += 1
+            token += 1
+        ranked.sort()
+        return [(token, -p) for p, token in ranked[:k]]
+
+    def entropy(self) -> float:
+        """``entropy_nats`` of the dense vector, computed once per count row.
+
+        With a positive floor every entry is positive, so the dense sum runs
+        over all ``size`` p ln p terms in token order: the floor's term
+        outside the row and each row token's own term inside it. That array
+        is built from the row's few terms and summed the same way, which
+        gives the same bits without a vocabulary-sized log (np.log gives a
+        value the same result in any array; a test holds it to that). At a
+        zero floor the zero entries drop out of the dense sum, so the dense
+        vector is built.
+        """
+        h = self.entropies.get(self.key)
+        if h is None:
+            if self.floor > 0.0:
+                values = np.array([*self._row_probs(), self.floor])
+                terms = values * np.log(values)
+                dense = np.full(self.size, terms[-1])
+                dense[list(self.row)] = terms[:-1]
+                h = float(-dense.sum()) + 0.0
+            else:
+                h = _dense_entropy(self)
+            self.entropies[self.key] = h
+        return h
+
+
+Dist = np.ndarray | SparseRow
 
 
 def context_suffix(context: TokenSeq, window: int | None) -> list[int]:
@@ -114,10 +228,10 @@ class LanguageModel(abc.ABC):
     context_window: int | None = None
 
     @abc.abstractmethod
-    def next_token_dist(self, context: TokenSeq) -> np.ndarray:
+    def next_token_dist(self, context: TokenSeq) -> Dist:
         """Next-token distribution given ``context``; deterministic per input."""
 
-    def next_token_dists(self, contexts: Sequence[TokenSeq]) -> list[np.ndarray]:
+    def next_token_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
         """Score many contexts in one invocation (the batched call boundary)."""
         return [self.next_token_dist(c) for c in contexts]
 
@@ -136,6 +250,11 @@ class NGramModel(LanguageModel):
     positive smoothing guarantees full support on unseen contexts. A context
     with zero total mass (possible only at smoothing 0) falls back to uniform
     so the output is always a valid distribution.
+
+    Distributions are ``SparseRow`` values over the context's count row; the
+    entropy of each count row is computed once and cached on the model, so
+    the cache holds at most ``len(counts) + 1`` entries (the extra one for
+    contexts unseen in training).
     """
 
     def __init__(
@@ -157,6 +276,7 @@ class NGramModel(LanguageModel):
             tuple(ctx): dict(row) for ctx, row in counts.items()
         }
         self._totals = {ctx: sum(row.values()) for ctx, row in self.counts.items()}
+        self._entropies: dict[tuple[int, ...] | None, float] = {}
 
     @classmethod
     def fit(
@@ -189,23 +309,20 @@ class NGramModel(LanguageModel):
     def _context_key(self, context: TokenSeq) -> tuple[int, ...]:
         if self.order == 1:
             return ()
-        return tuple(int(t) for t in context[-(self.order - 1):])
+        return tuple(map(int, context[-(self.order - 1):]))
 
-    def next_token_dist(self, context: TokenSeq) -> np.ndarray:
+    def next_token_dist(self, context: TokenSeq) -> SparseRow:
         self.check_context(context)
         key = self._context_key(context)
         row = self.counts.get(key)
-        total = self._totals.get(key, 0)
+        if row is None:
+            # Unseen contexts share one row; () is the real document-start row.
+            key, row, total = None, {}, 0
+        else:
+            total = self._totals[key]
         size = self.vocab.size
         denom = total + self.smoothing * size
-        if denom <= 0.0:
-            return np.full(size, 1.0 / size)
-        probs = np.full(size, self.smoothing, dtype=np.float64)
-        if row:
-            for token, count in row.items():
-                probs[token] += count
-        probs /= denom
-        return probs
+        return SparseRow(size, row, self.smoothing, denom, key, self._entropies)
 
 
 class TableModel(LanguageModel):

@@ -119,7 +119,11 @@ def _check_trees(rng: np.random.Generator, builds: int = 100) -> tuple[bool, str
         ctx_len = tree.context_len
         for i in range(len(tree.nodes)):
             visible = {j for j in range(len(tree.nodes)) if mask[ctx_len + i, ctx_len + j]}
-            if visible != set(tree.ancestors(i)) | {i}:
+            chain, current = set(), i
+            while current is not None:
+                chain.add(current)
+                current = tree.nodes[current].parent
+            if visible != chain:
                 return False, "mask does not equal ancestor set"
     return True, f"{builds} randomized builds satisfied all invariants"
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, context_suffix, top_candidates
+from .model import Dist, LanguageModel, TokenSeq, context_suffix, top_candidates
 
 
 @dataclass(frozen=True)
@@ -53,24 +53,27 @@ class TreeNode:
 
 @dataclass
 class DraftTree:
-    """Nodes in insertion order plus the committed-context length at build time."""
+    """Nodes in insertion order plus the committed-context length at build time.
+
+    ``paths[i]`` holds the tokens from node i's depth-1 ancestor down to node
+    i inclusive. ``build_draft_tree`` fills it as it grows the tree; a tree
+    built by hand gets it from the parent links.
+    """
 
     nodes: list[TreeNode] = field(default_factory=list)
     context_len: int = 0
+    paths: list[tuple[int, ...]] = field(default_factory=list)
 
-    def ancestors(self, index: int) -> list[int]:
-        """Indices of the ancestor chain of ``index``, root end first."""
-        chain: list[int] = []
-        parent = self.nodes[index].parent
-        while parent is not None:
-            chain.append(parent)
-            parent = self.nodes[parent].parent
-        chain.reverse()
-        return chain
+    def __post_init__(self) -> None:
+        if len(self.paths) != len(self.nodes):
+            self.paths = []
+            for node in self.nodes:
+                prefix = () if node.parent is None else self.paths[node.parent]
+                self.paths.append(prefix + (node.token,))
 
     def path_tokens(self, index: int) -> list[int]:
         """Tokens from the depth-1 ancestor down to ``index`` inclusive."""
-        return [self.nodes[i].token for i in self.ancestors(index)] + [self.nodes[index].token]
+        return list(self.paths[index])
 
     def leaf_indices(self) -> list[int]:
         has_child = [False] * len(self.nodes)
@@ -98,20 +101,20 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
     vocab_size = draft.vocab.size
 
     nodes: list[TreeNode] = []
-    paths: list[list[int]] = []  # per node: tokens from depth 1 down to it
+    paths: list[tuple[int, ...]] = []  # per node: tokens from depth 1 down to it
     root_dist = draft.next_token_dist(base)
     for token, prob in top_candidates(root_dist, min(params.root_top_k, vocab_size)):
         if prob <= 0.0 or len(nodes) >= params.max_nodes:
             break
         nodes.append(TreeNode(token, 1, None, prob, math.log(prob)))
-        paths.append([token])
+        paths.append((token,))
 
     # Frontier of unexpanded expandable nodes, best cum_logp first, insertion
     # order on ties. Distributions are fetched lazily: the first pop at a
     # depth scores every same-depth frontier path in one batched call.
     frontier = [(-node.cum_logp, i) for i, node in enumerate(nodes) if node.depth < params.max_depth]
     heapq.heapify(frontier)
-    pending: dict[int, np.ndarray] = {}
+    pending: dict[int, Dist] = {}
     branch = min(params.max_branch, vocab_size)
 
     while frontier and len(nodes) < params.max_nodes:
@@ -122,7 +125,7 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
                 {index}
                 | {j for _, j in frontier if nodes[j].depth == depth and j not in pending}
             )
-            dists = draft.next_token_dists([base + paths[j] for j in wave])
+            dists = draft.next_token_dists([[*base, *paths[j]] for j in wave])
             pending.update(zip(wave, dists))
         parent = nodes[index]
         for token, prob in top_candidates(pending.pop(index), branch):
@@ -131,11 +134,11 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
             child = TreeNode(token, parent.depth + 1, index, prob, parent.cum_logp + math.log(prob))
             child_index = len(nodes)
             nodes.append(child)
-            paths.append(paths[index] + [token])
+            paths.append(paths[index] + (token,))
             if child.depth < params.max_depth:
                 heapq.heappush(frontier, (-child.cum_logp, child_index))
 
-    return DraftTree(nodes=nodes, context_len=len(context))
+    return DraftTree(nodes=nodes, context_len=len(context), paths=paths)
 
 
 def tree_attention_mask(tree: DraftTree) -> np.ndarray:

@@ -16,7 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, context_suffix, entropy_nats, validate_dist
+from .model import (
+    LanguageModel,
+    TokenSeq,
+    context_suffix,
+    entropy_nats,
+    top_candidates,
+    validate_dist,
+)
 from .tree import DraftTree
 
 
@@ -46,9 +53,10 @@ def score_tree(
 
     A node at depth d is scored on context + its (d-1)-token ancestor prefix.
     All distinct prefixes, including the bare context, go through one batched
-    model invocation; the bonus token is the argmax of the bare-context row
-    (ties to the lowest token index). The context is range-checked once and
-    then cut to the target's window.
+    model invocation; the bonus token is the top candidate of the bare-context
+    row (ties to the lowest token index). Each node's ancestor prefix is read
+    from ``tree.paths``. The context is range-checked once and then cut to
+    the target's window.
     """
     if tree.context_len != len(context):
         raise InputError("tree was built over a context of different length")
@@ -58,8 +66,8 @@ def score_tree(
     prefixes: list[tuple[int, ...]] = [()]
     prefix_slot: dict[tuple[int, ...], int] = {(): 0}
     node_slot: list[int] = []
-    for i in range(len(tree.nodes)):
-        ancestors = tuple(tree.path_tokens(i)[:-1])
+    for path in tree.paths:
+        ancestors = path[:-1]
         slot = prefix_slot.get(ancestors)
         if slot is None:
             slot = len(prefixes)
@@ -67,7 +75,7 @@ def score_tree(
             prefix_slot[ancestors] = slot
         node_slot.append(slot)
 
-    dists = target.next_token_dists([base + list(p) for p in prefixes])
+    dists = target.next_token_dists([[*base, *p] for p in prefixes])
     entropies = [entropy_nats(d) for d in dists]
 
     scores = []
@@ -77,7 +85,7 @@ def score_tree(
         scores.append(
             NodeScore(i, p_target, acceptance_prob(p_target, node.p_draft), entropies[slot])
         )
-    bonus = int(np.argmax(dists[0]))
+    bonus = top_candidates(dists[0], 1)[0][0]
     return scores, bonus
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -60,6 +61,19 @@ class TestRun:
         assert (out / "summary.json").exists()
         assert (out / "tables.txt").exists()
         assert (out / "meta.json").exists()
+
+    def test_one_record_per_domain_exits_zero(self, tmp_path):
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--synthetic", "--out", str(out), "--prompts-per-domain", "1",
+            "--max-new-tokens", "1", "--root-top-k", "1", "--max-nodes", "1",
+        )
+        assert code == 0
+        assert len(read_records_csv(out / "records.csv")) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert {s["node_count"] for s in summary.values()} == {1}
+        assert {s["spearman_rho"] for s in summary.values()} == {None}
+        assert "n/a" in (out / "tables.txt").read_text()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -140,6 +154,15 @@ class TestAnalyzeAndTables:
         out = tmp_path / "tables.txt"
         assert run_cli("tables", "--records", str(record_file), "--out", str(out)) == 0
         assert "Expected accepted length" in out.read_text()
+
+    def test_analyze_one_data_row_exits_zero(self, record_file, tmp_path):
+        one = tmp_path / "one.csv"
+        one.write_text("".join(record_file.read_text().splitlines(keepends=True)[:2]))
+        out = tmp_path / "o"
+        assert run_cli("analyze", "--records", str(one), "--out", str(out)) == 0
+        (summary,) = json.loads((out / "summary.json").read_text()).values()
+        assert summary["node_count"] == 1 and summary["spearman_rho"] is None
+        assert "n/a" in (out / "tables.txt").read_text()
 
     def test_analyze_missing_file_exits_two(self, tmp_path):
         assert run_cli("analyze", "--records", str(tmp_path / "no.csv"), "--out", str(tmp_path)) == 2

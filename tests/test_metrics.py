@@ -115,6 +115,13 @@ class TestSummarize:
         values = [summary.chain_prob[d] for d in sorted(summary.chain_prob)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_single_record_correlation_is_nan(self):
+        two = [make_record(domain="two", alpha=a, entropy=a) for a in (0.2, 0.6)]
+        summaries = summarize([make_record(alpha=0.4), *two])
+        assert summaries["dom"].node_count == 1
+        assert math.isnan(summaries["dom"].spearman_rho)
+        assert summaries["two"].spearman_rho == 1.0
+
     def test_degenerate_correlation_is_nan(self):
         records = [make_record(alpha=0.4, entropy=e) for e in (0.1, 0.2, 0.3)]
         assert math.isnan(summarize(records)["dom"].spearman_rho)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -126,7 +127,7 @@ class TestNextTokenDist:
             order = int(rng.integers(1, 4))
             model = NGramModel.fit(vocab, [doc], order=order, smoothing=float(rng.uniform(0, 0.8)))
             context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(0, 6)))]
-            dist = model.next_token_dist(context)
+            dist = np.asarray(model.next_token_dist(context))
             assert abs(dist.sum() - 1.0) < 1e-9
             assert np.all(dist >= 0)
 
@@ -197,8 +198,10 @@ class TestTopCandidates:
 
     @pytest.mark.parametrize("k", [0, 4, -1])
     def test_k_out_of_range(self, k):
-        with pytest.raises(InputError):
-            top_candidates([0.5, 0.3, 0.2], k)
+        model = NGramModel.fit(Vocabulary(("a", "b", "c")), [[0, 1, 2]], order=2, smoothing=0.1)
+        for dist in ([0.5, 0.3, 0.2], model.next_token_dist([0])):
+            with pytest.raises(InputError):
+                top_candidates(dist, k)
 
     def test_full_k_is_permutation(self):
         rng = np.random.default_rng(3)
@@ -261,3 +264,118 @@ class TestSerialization:
         path.write_text('{"format": "other", "version": 9}')
         with pytest.raises(InputError):
             load_model(path)
+
+
+# --- sparse rows against the dense builder ------------------------------------
+
+
+def dense_dist(model, context):
+    """The dense builder NGramModel used before SparseRow, kept as the oracle."""
+    key = tuple(int(t) for t in context[-(model.order - 1):]) if model.order > 1 else ()
+    row = model.counts.get(key)
+    size = model.vocab.size
+    denom = (sum(row.values()) if row else 0) + model.smoothing * size
+    if denom <= 0.0:
+        return np.full(size, 1.0 / size)
+    probs = np.full(size, model.smoothing, dtype=np.float64)
+    if row:
+        for token, count in row.items():
+            probs[token] += count
+    probs /= denom
+    return probs
+
+
+def random_counts(rng, size, order, high=4):
+    """Rows of counts in [0, high), so at the default high tokens tie within
+    a row and (at count 0) with the floor; rows run from one token to every
+    token, () among them."""
+    counts = {}
+    for _ in range(int(rng.integers(1, 8))):
+        length = 0 if order == 1 or rng.random() < 0.2 else int(rng.integers(1, order))
+        key = tuple(int(t) for t in rng.integers(0, size, size=length))
+        width = int(rng.integers(1, size + 1))
+        tokens = rng.choice(size, size=width, replace=False)
+        counts[key] = {int(t): int(rng.integers(0, high)) for t in tokens}
+    return counts
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a).dtype == np.float64
+    assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestSparseRow:
+    @pytest.mark.parametrize("smoothing", [0.0, 1e-3, 0.1, 1.0])
+    def test_matches_dense_builder_bit_for_bit(self, smoothing):
+        rng = np.random.default_rng(int(smoothing * 1000) + 17)
+        for _ in range(40):
+            size = int(rng.integers(2, 61))
+            order = int(rng.integers(1, 5))
+            vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+            counts = random_counts(rng, size, order)
+            model = NGramModel(vocab, order, counts, smoothing)
+            contexts = [[], *(list(key) for key in counts)]
+            for _ in range(100):
+                unseen = [int(t) for t in rng.integers(0, size, size=order - 1)]
+                if tuple(unseen) not in counts:
+                    # First, so that its cached entropy cannot stand in for
+                    # the () row's.
+                    contexts.insert(0, unseen)
+                    break
+            for context in contexts:
+                dist = model.next_token_dist(context)
+                dense = dense_dist(model, context)
+                assert_same_bits(dist, dense)
+                assert_same_bits(validate_dist(dist, size), dense)
+                assert [dist[t] for t in range(size)] == [float(p) for p in dense]
+                for k in range(1, size + 1):
+                    assert top_candidates(dist, k) == top_candidates(dense, k)
+                assert top_candidates(dist, 1)[0][0] == int(np.argmax(dense))
+                assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
+                assert entropy_nats(dist).hex() == entropy_nats(dense).hex()  # cached
+
+    def test_entropy_matches_dense_at_large_vocabularies(self):
+        # Past 128 entries numpy's pairwise sum splits the array into blocks;
+        # counts up to 10^4 give thousands of distinct p ln p terms.
+        rng = np.random.default_rng(29)
+        for size in (129, 517, 4000, 8193):
+            vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+            for smoothing, high in itertools.product((1e-3, 0.1, 1.0), (4, 10_000)):
+                model = NGramModel(vocab, 2, random_counts(rng, size, 2, high), smoothing)
+                for context in [[], *(list(key) for key in model.counts)]:
+                    dist = model.next_token_dist(context)
+                    dense = dense_dist(model, context)
+                    assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
+                    assert top_candidates(dist, 40) == top_candidates(dense, 40)
+
+    def test_log_does_not_depend_on_array_length(self):
+        # SparseRow.entropy takes its p ln p terms from a short array and the
+        # dense path from a vocabulary-sized one; their bits agree only while
+        # np.log gives a value the same result wherever it sits.
+        values = np.random.default_rng(31).random(20_000) + 1e-12
+        whole = np.log(values)
+        for step in (1, 2, 3, 9):
+            parts = [np.log(values[i:i + step]) for i in range(0, values.size, step)]
+            assert_same_bits(np.concatenate(parts), whole)
+
+    def test_entropy_cache_keyed_per_count_row(self):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=3, smoothing=0.1)
+        for context in ([2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]):
+            entropy_nats(model.next_token_dist(context))
+        # [2, 2] and [3, 0] are unseen and share one entry; [2, 0, 1] reads (0, 1).
+        assert set(model._entropies) == {None, (), (0,), (0, 1)}
+        assert len(model._entropies) <= len(model.counts) + 1
+
+    def test_token_out_of_range(self):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)
+        dist = model.next_token_dist([0])
+        assert dist[np.int64(1)] == dense_dist(model, [0])[1]
+        for token in (4, -1):
+            with pytest.raises(IndexError):
+                dist[token]
+
+    def test_asarray_dtype(self):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2]], order=2, smoothing=0.1)
+        dist = model.next_token_dist([0])
+        assert np.asarray(dist, dtype=np.float32).dtype == np.float32
+        assert_same_bits(np.asarray(dist, dtype=np.float64), dense_dist(model, [0]))

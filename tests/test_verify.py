@@ -216,3 +216,42 @@ class TestResidual:
         freq = np.bincount(tokens, minlength=size) / samples
         tv = 0.5 * float(np.abs(freq - target).sum())
         assert tv < 0.02
+
+
+class TestSparseMatchesTable:
+    """Trees and scores over NGramModels equal those over TableModels that
+    hold the same rows as dense vectors, keyed on the full contexts asked."""
+
+    @staticmethod
+    def as_table(model, contexts):
+        rows = {tuple(c): np.asarray(model.next_token_dist(c)) for c in contexts}
+        uniform = np.full(model.vocab.size, 1.0 / model.vocab.size)
+        return TableModel(model.vocab, uniform, rows)
+
+    @pytest.mark.parametrize("smoothing", [0.0, 1e-3, 0.1, 1.0])
+    def test_same_trees_and_scores(self, smoothing):
+        rng = np.random.default_rng(int(smoothing * 1000) + 5)
+        for _ in range(30):
+            size = int(rng.integers(2, 13))
+            vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+            docs = [[int(t) for t in rng.integers(0, size, size=int(rng.integers(5, 40)))]
+                    for _ in range(int(rng.integers(1, 4)))]
+            draft_order = int(rng.integers(1, 4))
+            draft = NGramModel.fit(vocab, docs, order=draft_order, smoothing=smoothing)
+            target = NGramModel.fit(vocab, docs, order=draft_order + 1, smoothing=smoothing)
+            params = TreeParams(
+                max_depth=int(rng.integers(1, 5)),
+                max_branch=int(rng.integers(1, 4)),
+                root_top_k=int(rng.integers(1, 4)),
+                max_nodes=int(rng.integers(3, 17)),
+            )
+            context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
+            tree = build_draft_tree(draft, context, params)
+            scores, bonus = score_tree(target, context, tree)
+
+            asked = [context] + [context + list(path) for path in tree.paths]
+            table_tree = build_draft_tree(self.as_table(draft, asked), context, params)
+            assert table_tree == tree  # nodes, context_len and paths
+            table_scores, table_bonus = score_tree(self.as_table(target, asked), context, tree)
+            assert table_scores == scores
+            assert table_bonus == bonus
