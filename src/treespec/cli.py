@@ -16,7 +16,9 @@ from .corpus import load_corpora, synthetic_corpora
 from .errors import InputError
 from .metrics import summarize
 from .runner import (
+    CONFIG_KEYS,
     REPORT_FORMATS,
+    check_formats,
     config_from_mapping,
     emit_report,
     parse_config_file,
@@ -26,14 +28,6 @@ from .runner import (
     write_summary_json,
 )
 from .selftest import run_selftest
-
-_CONFIG_FLAGS = (
-    "max_depth", "max_branch", "root_top_k", "max_nodes",
-    "max_new_tokens", "prompt_truncation", "temperature_mode", "seed",
-    "prompts_per_domain", "draft_order", "target_order", "smoothing",
-    "eos_token",
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -51,14 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--formats", default=",".join(REPORT_FORMATS),
                        help="comma-separated subset of csv,json,tables")
-    for key in _CONFIG_FLAGS:
-        flag = "--" + key.replace("_", "-")
-        if key == "smoothing":
-            run_p.add_argument(flag, type=float, default=None)
-        elif key in ("temperature_mode", "eos_token"):
-            run_p.add_argument(flag, type=str, default=None)
-        else:
-            run_p.add_argument(flag, type=int, default=None)
+    # Flag values stay text so that they parse and fail like config file values.
+    for key in CONFIG_KEYS:
+        run_p.add_argument("--" + key.replace("_", "-"), help=f"config key {key}")
     run_p.set_defaults(func=_cmd_run)
 
     an_p = sub.add_parser("analyze", help="re-aggregate an existing record file")
@@ -79,11 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     values = parse_config_file(args.config) if args.config else {}
-    for key in _CONFIG_FLAGS:
-        override = getattr(args, key)
-        if override is not None:
-            values[key] = str(override)
+    flags = {key: getattr(args, key) for key in CONFIG_KEYS}
+    values.update((key, text) for key, text in flags.items() if text is not None)
     config = config_from_mapping(values)
+    formats = [f for f in args.formats.split(",") if f]
+    check_formats(formats)
 
     if args.synthetic:
         corpora = synthetic_corpora(n_docs=args.synthetic_docs, seed=config.seed)
@@ -91,7 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         corpora = load_corpora(args.data)
 
     report = run_experiment(config, corpora)
-    formats = [f for f in args.formats.split(",") if f]
     written = emit_report(report, args.out, formats)
     print(f"{len(report.records)} records over {len(report.summaries)} domains")
     for name, path in sorted(written.items()):

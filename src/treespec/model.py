@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +60,7 @@ class Vocabulary:
 
 
 def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) -> np.ndarray:
-    """Check that ``probs`` is a distribution (non-negative, sums to 1 within 1e-9)."""
+    """Check that ``probs`` is a distribution (finite, non-negative, sums to 1 within 1e-9)."""
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1:
         raise InputError("distribution must be one-dimensional")
@@ -67,6 +68,8 @@ def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) 
         raise InputError(f"distribution has length {arr.shape[0]}, expected {size}")
     if arr.shape[0] < 1:
         raise InputError("distribution must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("distribution has non-finite entries")
     if np.any(arr < 0.0):
         raise InputError("distribution has negative entries")
     total = float(arr.sum())
@@ -266,8 +269,8 @@ class NGramModel(LanguageModel):
     ) -> None:
         if order < 1:
             raise InputError("order must be >= 1")
-        if smoothing < 0:
-            raise InputError("smoothing must be >= 0")
+        if not 0 <= smoothing < math.inf:
+            raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
         self.vocab = vocab
         self.order = order
         self.context_window = order - 1

@@ -24,10 +24,10 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence
+from typing import Mapping, NoReturn, Sequence, get_type_hints
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class GenerationConfig:
     tree: TreeParams = field(default_factory=TreeParams)
     max_new_tokens: int = 64
     prompt_truncation: int = 512
-    temperature_mode: str = "greedy"
     seed: int = 42
     prompts_per_domain: int = 50
     draft_order: int = 2
@@ -78,75 +77,65 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1 or self.prompt_truncation < 1 or self.prompts_per_domain < 1:
             raise InputError("token caps and prompt counts must be >= 1")
-        if self.temperature_mode != "greedy":
-            raise InputError("only greedy temperature_mode is supported")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.draft_order < 1 or self.draft_order >= self.target_order:
             raise InputError("need 1 <= draft_order < target_order")
-        if self.smoothing < 0:
-            raise InputError("smoothing must be >= 0")
+        if not 0 <= self.smoothing < math.inf:
+            raise InputError(f"smoothing must be finite and >= 0, got {self.smoothing!r}")
 
     def flat_dict(self) -> dict[str, str]:
-        """Flat key/value view; tree limits are inlined."""
-        return {
-            "max_depth": str(self.tree.max_depth),
-            "max_branch": str(self.tree.max_branch),
-            "root_top_k": str(self.tree.root_top_k),
-            "max_nodes": str(self.tree.max_nodes),
-            "max_new_tokens": str(self.max_new_tokens),
-            "prompt_truncation": str(self.prompt_truncation),
-            "temperature_mode": self.temperature_mode,
-            "seed": str(self.seed),
-            "prompts_per_domain": str(self.prompts_per_domain),
-            "draft_order": str(self.draft_order),
-            "target_order": str(self.target_order),
-            "smoothing": repr(self.smoothing),
-            "eos_token": "" if self.eos_token is None else self.eos_token,
-        }
+        """Flat key/value view; tree limits are inlined and no eos_token is ''."""
+        flat = {}
+        for key in CONFIG_KEYS:
+            value = getattr(self.tree if key in TREE_KEYS else self, key)
+            flat[key] = "" if value is None else str(value)
+        return flat
 
     def config_hash(self) -> str:
         flat = "\n".join(f"{k}={v}" for k, v in sorted(self.flat_dict().items()))
         return hashlib.sha256(flat.encode("utf-8")).hexdigest()
 
 
-_INT_KEYS = {
-    "max_depth", "max_branch", "root_top_k", "max_nodes",
-    "max_new_tokens", "prompt_truncation", "seed", "prompts_per_domain",
-    "draft_order", "target_order",
+def _field_types(cls: type) -> dict[str, type]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# Every config key and the type its text parses to, in field order: the
+# TreeParams limits, then the other GenerationConfig fields. ``str`` is the
+# optional eos_token, where '' and 'none' mean no token.
+TREE_KEYS = tuple(_field_types(TreeParams))
+CONFIG_KEYS: dict[str, type] = {
+    key: kind if kind in (int, float) else str
+    for key, kind in {**_field_types(TreeParams), **_field_types(GenerationConfig)}.items()
+    if kind is not TreeParams
 }
+_KIND_NAMES = {int: "an integer", float: "a number"}
 
 
 def config_from_mapping(values: Mapping[str, str]) -> GenerationConfig:
     """Build a config from flat string key/values (config file or CLI merge)."""
-    known = set(GenerationConfig().flat_dict())
-    unknown = set(values) - known
+    unknown = set(values) - set(CONFIG_KEYS)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
+    tree_kwargs: dict[str, object] = {}
     kwargs: dict[str, object] = {}
-    tree_kwargs: dict[str, int] = {}
     for key, raw in values.items():
-        if key in _INT_KEYS:
-            try:
-                parsed: object = int(raw)
-            except ValueError as exc:
-                raise InputError(f"config key {key} expects an integer, got {raw!r}") from exc
-        elif key == "smoothing":
-            try:
-                parsed = float(raw)
-            except ValueError as exc:
-                raise InputError(f"config key smoothing expects a number, got {raw!r}") from exc
-        elif key == "eos_token":
-            parsed = raw if raw not in ("", "none") else None
+        kind = CONFIG_KEYS[key]
+        if kind is str:
+            parsed: object = raw if raw not in ("", "none") else None
         else:
-            parsed = raw
-        if key in ("max_depth", "max_branch", "root_top_k", "max_nodes"):
-            tree_kwargs[key] = parsed  # type: ignore[assignment]
-        else:
-            kwargs[key] = parsed
+            try:
+                parsed = kind(raw)
+            except ValueError as exc:
+                raise InputError(f"config key {key} expects {_KIND_NAMES[kind]}, got {raw!r}") from exc
+        (tree_kwargs if key in TREE_KEYS else kwargs)[key] = parsed
     return GenerationConfig(tree=TreeParams(**tree_kwargs), **kwargs)  # type: ignore[arg-type]
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments are ignored."""
+    """Flat ``key = value`` lines, each key at most once; blank lines and # comments are ignored."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -159,7 +148,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise InputError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise InputError(f"{path}:{lineno}: config key {key} is set twice")
+        values[key] = value.strip()
     return values
 
 
@@ -595,15 +587,20 @@ def render_tables(
     return "\n".join(out)
 
 
+def check_formats(formats: Sequence[str]) -> None:
+    """Reject any name in ``formats`` that is not one of ``REPORT_FORMATS``."""
+    unknown = set(formats) - set(REPORT_FORMATS)
+    if unknown:
+        raise InputError(f"unknown report formats: {sorted(unknown)}")
+
+
 def emit_report(
     report: ExperimentReport,
     out_dir: str | Path,
     formats: Sequence[str] = REPORT_FORMATS,
 ) -> dict[str, Path]:
     """Write the requested artifacts into ``out_dir``; returns written paths."""
-    unknown = set(formats) - set(REPORT_FORMATS)
-    if unknown:
-        raise InputError(f"unknown report formats: {sorted(unknown)}")
+    check_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}

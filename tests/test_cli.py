@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from treespec import read_records_csv
+from treespec import GenerationConfig, InputError, cli, read_records_csv
 from treespec.cli import main
 from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
+from treespec.runner import CONFIG_KEYS
 
 # sha256 of the default reference run (`run --synthetic`), produced on numpy
 # 2.4.6, Python 3.11, x86-64 Linux. Another numpy or platform may round float
@@ -15,6 +16,15 @@ REFERENCE_SHA256 = {
     "records.csv": "96dab7e8b6adc33c4bb741f905d6c0d74a0f1d319cdf6ba6216f1fba85696c03",
     "summary.json": "5dfcd4f92e18a0e6b22a0126e4565d6da824916c2f24e2546926a4539def92ec",
     "tables.txt": "9641a75d5cba823794fe18d40fb9217479b6cfd22f6b871fe081b009031b81c7",
+}
+
+# A value other than the default for every config key; each is valid with the
+# other keys at their defaults.
+NON_DEFAULT_VALUES = {
+    "max_depth": "4", "max_branch": "3", "root_top_k": "2", "max_nodes": "12",
+    "max_new_tokens": "5", "prompt_truncation": "40", "seed": "7",
+    "prompts_per_domain": "2", "draft_order": "1", "target_order": "4",
+    "smoothing": "0.25", "eos_token": "<end>",
 }
 
 
@@ -87,6 +97,48 @@ class TestRun:
         meta = (out / "meta.json").read_text()
         assert '"seed": "11"' in meta
         assert '"max_new_tokens": "2"' in meta
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_flag_value_parses_like_file_value(self, key, tmp_path, monkeypatch):
+        configs = []
+
+        def capture(config, corpora):
+            configs.append(config)
+            raise InputError("stop before the run")
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        value = NON_DEFAULT_VALUES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        base = ("run", "--synthetic", "--synthetic-docs", "2", "--out", str(tmp_path / "o"))
+        assert run_cli(*base, "--" + key.replace("_", "-"), value) == 1
+        assert run_cli(*base, "--config", str(cfg)) == 1
+        assert len(configs) == 2
+        assert configs[0] == configs[1] != GenerationConfig()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "abc", "error: config key seed expects an integer, got 'abc'"),
+            ("--seed", "-1", "error: seed must be >= 0"),
+            ("--smoothing", "nan", "error: smoothing must be finite and >= 0, got nan"),
+            ("--smoothing", "inf", "error: smoothing must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert run_cli("run", "--synthetic", "--out", str(out), flag, value) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_unknown_format_exits_one_before_reading_data(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--data", str(tmp_path / "missing"), "--out", str(out), "--formats", "csv,cvs"
+        )
+        assert code == 1
+        assert "unknown report formats: ['cvs']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -84,6 +84,15 @@ class TestValidateDist:
         with pytest.raises(InputError):
             validate_dist([0.5, 0.5], size=3)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(InputError, match="non-finite"):
+            validate_dist([value, 1.0])
+        with pytest.raises(InputError, match="non-finite"):
+            TableModel(AB, [value, 1.0])
+        with pytest.raises(InputError, match="non-finite"):
+            TableModel(AB, [0.5, 0.5], {(0,): [1.0, value]})
+
 
 class TestNextTokenDist:
     def test_uniform_table_model(self):
@@ -103,6 +112,13 @@ class TestNextTokenDist:
     def test_empty_context_order_one(self):
         model = NGramModel.fit(AB, [[0, 1, 0, 1, 0]], order=1, smoothing=0.0)
         assert np.allclose(model.next_token_dist([]), [0.6, 0.4])
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_bad_smoothing(self, smoothing):
+        with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
+            NGramModel.fit(AB, [[0, 1, 0]], order=2, smoothing=smoothing)
+        with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
+            NGramModel(AB, 2, {(0,): {1: 1}}, smoothing)
 
     def test_unknown_token_in_context(self):
         model = NGramModel.fit(AB, [[0, 1]], order=2, smoothing=0.1)

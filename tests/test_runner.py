@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +68,6 @@ class TestConfig:
         assert config.tree.max_branch == 2
         assert config.tree.root_top_k == 3
         assert config.tree.max_nodes == 8
-        assert config.temperature_mode == "greedy"
         assert config.max_new_tokens == 64
         assert config.prompt_truncation == 512
         assert config.seed == 42
@@ -95,9 +95,29 @@ class TestConfig:
         assert config_from_mapping({"eos_token": ""}).eos_token is None
         assert config_from_mapping({"eos_token": "none"}).eos_token is None
 
-    def test_non_greedy_rejected(self):
-        with pytest.raises(InputError):
-            GenerationConfig(temperature_mode="sampled")
+    def test_temperature_mode_is_unknown_key(self):
+        with pytest.raises(InputError, match=r"unknown config keys: \['temperature_mode'\]"):
+            config_from_mapping({"temperature_mode": "greedy"})
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(InputError, match="smoothing must be finite"):
+            GenerationConfig(smoothing=smoothing)
+        with pytest.raises(InputError, match="smoothing must be finite"):
+            config_from_mapping({"smoothing": str(smoothing)})
+
+    def test_readme_key_table_matches_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        rows = {}
+        for line in table.splitlines():
+            if not line.startswith("|"):
+                break
+            key, default = (cell.strip() for cell in line.split("|")[1:3])
+            rows[key.strip("`")] = default
+        defaults = {k: v or "(none)" for k, v in GenerationConfig().flat_dict().items()}
+        assert list(rows) == list(runner.CONFIG_KEYS)
+        assert rows == defaults
 
     def test_hash_changes_with_config(self):
         assert GenerationConfig().config_hash() != GenerationConfig(seed=43).config_hash()
@@ -110,6 +130,12 @@ class TestConfig:
         assert config.seed == 9
         assert config.max_new_tokens == 16
         assert config.eos_token == "<end>"
+
+    def test_parse_duplicate_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\n# again\nseed = 2\n")
+        with pytest.raises(InputError, match=r"run\.cfg:3: config key seed is set twice"):
+            parse_config_file(path)
 
     def test_parse_bad_line(self, tmp_path):
         path = tmp_path / "run.cfg"
