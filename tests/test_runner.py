@@ -95,9 +95,11 @@ class TestConfig:
         assert config_from_mapping({"eos_token": ""}).eos_token is None
         assert config_from_mapping({"eos_token": "none"}).eos_token is None
 
-    def test_temperature_mode_is_unknown_key(self):
-        with pytest.raises(InputError, match=r"unknown config keys: \['temperature_mode'\]"):
-            config_from_mapping({"temperature_mode": "greedy"})
+    def test_non_greedy_rejected(self):
+        # Decoding is always greedy, so temperature_mode is no longer a key at all.
+        for mode in ("sampled", "greedy"):
+            with pytest.raises(InputError, match=r"unknown config keys: \['temperature_mode'\]"):
+                config_from_mapping({"temperature_mode": mode})
 
     @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf])
     def test_non_finite_smoothing_rejected(self, smoothing):
