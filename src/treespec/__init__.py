@@ -40,8 +40,6 @@ from .model import (
     TableModel,
     Vocabulary,
     entropy_nats,
-    load_model,
-    save_model,
     top_candidates,
     validate_dist,
 )

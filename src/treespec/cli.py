@@ -29,8 +29,16 @@ from .runner import (
 )
 from .selftest import run_selftest
 
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as bad input (exit 1), not argparse's exit 2."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treespec",
         description="Tree-based speculative decoding harness with acceptance analytics.",
     )
@@ -112,12 +120,14 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise InputError("seed must be >= 0")
     return 0 if run_selftest(seed=args.seed) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,19 +9,18 @@ tie-breaking is by ascending token index.
 from __future__ import annotations
 
 import abc
-import json
+import bisect
+import functools
+import itertools
 import math
-from collections import Counter
+import numbers
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError
-
-MODEL_FORMAT = "treespec-ngram"
-MODEL_FORMAT_VERSION = 1
 
 TokenSeq = Sequence[int]
 
@@ -247,17 +246,32 @@ class LanguageModel(abc.ABC):
 class NGramModel(LanguageModel):
     """Additively smoothed order-n count model.
 
-    ``counts`` maps a context tuple (the last ``order - 1`` tokens; shorter
-    tuples occur near document starts) to per-token successor counts. The
-    conditional is (count + smoothing) / (total + smoothing * |V|), so any
-    positive smoothing guarantees full support on unseen contexts. A context
-    with zero total mass (possible only at smoothing 0) falls back to uniform
-    so the output is always a valid distribution.
+    A context is the last ``order - 1`` tokens before a position; near a
+    document start it is shorter. The conditional is (count + smoothing) /
+    (total + smoothing * |V|), so any positive smoothing guarantees full
+    support on unseen contexts. A context with zero total mass (possible only
+    at smoothing 0) falls back to uniform so the output is always a valid
+    distribution.
 
-    Distributions are ``SparseRow`` values over the context's count row; the
-    entropy of each count row is computed once and cached on the model, so
-    the cache holds at most ``len(counts) + 1`` entries (the extra one for
-    contexts unseen in training).
+    Counts live in flat int64 columns. A context gets an id level by level:
+    at level k (1 .. order - 1) it is the rank of the pair (its level k - 1
+    id, ``back``) among the distinct pairs, where the level-0 id is 0 and
+    ``back`` is the token k places back plus one, or 0 past a document
+    start. Ids stay below the number of contexts, so a pair packs into one
+    int64 code at any order. ``_levels[k - 1]`` holds level k as a trie
+    layer: the children of level k - 1 id p are the ids
+    ``_levels[k - 1][0][p]`` up to ``[p + 1]``, whose ``back`` values,
+    ascending, are the same slice of ``_levels[k - 1][1]``. ``_first`` maps
+    a level-1 ``back`` straight to its id (-1 if none). The context with
+    final id c has the successors ``_tokens[_offsets[c]:_offsets[c + 1]]``
+    (ascending), their counts ``_counts`` over the same slice, and the sum
+    ``_totals[c]``.
+
+    ``next_token_dist`` walks the levels once per distinct context and keeps
+    the ``SparseRow`` it builds. The entropy of each count row is computed
+    once and cached on the model, so that cache holds at most
+    ``len(counts) + 1`` entries (the extra one for contexts unseen in
+    training).
     """
 
     def __init__(
@@ -267,19 +281,33 @@ class NGramModel(LanguageModel):
         counts: Mapping[tuple[int, ...], Mapping[int, int]],
         smoothing: float,
     ) -> None:
-        if order < 1:
-            raise InputError("order must be >= 1")
-        if not 0 <= smoothing < math.inf:
-            raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
-        self.vocab = vocab
-        self.order = order
-        self.context_window = order - 1
-        self.smoothing = float(smoothing)
-        self.counts: dict[tuple[int, ...], dict[int, int]] = {
-            tuple(ctx): dict(row) for ctx, row in counts.items()
-        }
-        self._totals = {ctx: sum(row.values()) for ctx, row in self.counts.items()}
-        self._entropies: dict[tuple[int, ...] | None, float] = {}
+        """Pack ``counts`` (context tuple -> {token: count}) into the columns.
+
+        Contexts may be shorter than ``order - 1`` but not longer, every token
+        must be in the vocabulary and every count a non-negative integer.
+        """
+        self._setup(vocab, order, smoothing)
+        span, size = order - 1, vocab.size
+        backs, lengths, tokens, weights = [], [], [], []
+        for context, row in counts.items():
+            context = tuple(context)
+            if len(context) > span:
+                raise InputError(f"context {context} is longer than order - 1 = {span}")
+            _check_tokens(context, size)
+            _check_tokens(row, size)
+            for count in row.values():
+                if not isinstance(count, numbers.Integral) or count < 0:
+                    raise InputError(f"count {count!r} after context {context} is not "
+                                     "a non-negative integer")
+            backs.append([context[-k] + 1 if k <= len(context) else 0 for k in range(1, order)])
+            lengths.append(len(row))
+            tokens.extend(row)
+            weights.extend(row.values())
+        columns = np.array(backs, dtype=np.int64).reshape(len(backs), span).T
+        ids = self._rank(columns, len(backs))
+        keys = np.repeat(ids, lengths) * size + np.array(tokens, dtype=np.int64)
+        ascending = np.argsort(keys)
+        self._pack(keys[ascending], np.array(weights, dtype=np.int64)[ascending], len(backs))
 
     @classmethod
     def fit(
@@ -291,41 +319,130 @@ class NGramModel(LanguageModel):
     ) -> "NGramModel":
         """Count successor statistics over ``documents`` (index sequences).
 
-        Each document's n-grams are counted on their own and then merged, so
-        peak memory grows with the distinct n-grams of one document, not of
-        the corpus. Rows and their entries keep first-occurrence order.
+        The documents are flattened into one array; each level's context ids
+        come from one ``np.unique`` over all positions and the (context,
+        token) pairs are counted with one more.
         """
+        model = cls.__new__(cls)
+        model._setup(vocab, order, smoothing)
+        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(documents), dtype=np.int64,
+                           count=int(lengths.sum()))
+        if flat.size and (flat.min() < 0 or flat.max() >= vocab.size):
+            raise InputError("document contains a token outside the model vocabulary")
+        since_start = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        # Made one level at a time, so only one column is alive at once.
+        columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, order))
+        ids = model._rank(columns, flat.size)
+        model._pack(*np.unique(ids * vocab.size + flat, return_counts=True), flat.size)
+        return model
+
+    def _setup(self, vocab: Vocabulary, order: int, smoothing: float) -> None:
         if order < 1:
             raise InputError("order must be >= 1")
-        counts: dict[tuple[int, ...], dict[int, int]] = {}
-        span = order - 1
-        for doc in documents:
-            doc = list(doc)
-            # The first `span` tokens follow a context shorter than span.
-            grams = Counter(tuple(doc[: i + 1]) for i in range(min(span, len(doc))))
-            grams.update(zip(*(doc[k:] for k in range(order))))
-            for gram, count in grams.items():
-                row = counts.setdefault(gram[:-1], {})
-                row[gram[-1]] = row.get(gram[-1], 0) + count
-        return cls(vocab, order, counts, smoothing)
+        if not 0 <= smoothing < math.inf:
+            raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
+        self.vocab = vocab
+        self.order = order
+        self.context_window = order - 1
+        self.smoothing = float(smoothing)
+        self._entropies: dict[tuple[int, ...] | None, float] = {}
+        self._rows: dict[tuple[int, ...], SparseRow] = {}
+        # Unseen contexts share one row; () is the real document-start row.
+        size = vocab.size
+        self._unseen = SparseRow(size, {}, self.smoothing, self.smoothing * size, None,
+                                 self._entropies)
 
-    def _context_key(self, context: TokenSeq) -> tuple[int, ...]:
-        if self.order == 1:
-            return ()
-        return tuple(map(int, context[-(self.order - 1):]))
+    def _rank(self, columns: Iterable[np.ndarray], n: int) -> np.ndarray:
+        """Fill ``_levels`` and ``_first`` from each level's ``back`` column; the final ids."""
+        radix = self.vocab.size + 1
+        ids = np.zeros(n, dtype=np.int64)
+        self._levels = []
+        parents = 1
+        for back in columns:
+            codes, ids = np.unique(ids * radix + back, return_inverse=True)
+            parent, children = np.divmod(codes, radix)
+            starts = np.searchsorted(parent, np.arange(parents + 1))
+            # Memoryviews index and slice to plain ints without a list of them.
+            self._levels.append((memoryview(starts), memoryview(children)))
+            parents = codes.size
+        first = np.full(radix, -1)
+        if self._levels:
+            first[self._levels[0][1]] = np.arange(len(self._levels[0][1]))
+        self._first = memoryview(first)
+        return ids
+
+    def _pack(self, keys: np.ndarray, counts: np.ndarray, n: int) -> None:
+        """Fill the row columns from ascending ``context id * |V| + token`` keys.
+
+        ``n`` is the number of context rows ``_rank`` ranked.
+        """
+        n_contexts = len(self._levels[-1][1]) if self._levels else min(n, 1)
+        size = self.vocab.size
+        rows = keys // size
+        offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
+        # Differences of running sums give an empty row (a context given
+        # with no successors) a total of 0.
+        cumulative = np.concatenate(([0], np.cumsum(counts)))
+        self._offsets = memoryview(offsets)
+        self._tokens = memoryview(keys - rows * size)
+        self._counts = memoryview(counts)
+        self._totals = memoryview(cumulative[offsets[1:]] - cumulative[offsets[:-1]])
+
+    @functools.cached_property
+    def counts(self) -> Mapping[tuple[int, ...], dict[int, int]]:
+        """Read-only view, context tuple -> {token: count}, decoded on first use.
+
+        Scoring never builds it. Each row lists its tokens in ascending order.
+        """
+        node = np.arange(len(self._totals))
+        columns = []
+        for starts, children in reversed(self._levels):
+            columns.append(np.asarray(children)[node])
+            node = np.searchsorted(starts, node, side="right") - 1
+        backs = np.stack(columns, axis=1).tolist() if columns else [[]] * len(self._totals)
+        offsets, tokens = self._offsets.tolist(), self._tokens.tolist()
+        counts = self._counts.tolist()
+        return MappingProxyType({
+            tuple(t - 1 for t in back if t): dict(zip(tokens[start:stop], counts[start:stop]))
+            for back, start, stop in zip(backs, offsets, offsets[1:])
+        })
 
     def next_token_dist(self, context: TokenSeq) -> SparseRow:
         self.check_context(context)
-        key = self._context_key(context)
-        row = self.counts.get(key)
-        if row is None:
-            # Unseen contexts share one row; () is the real document-start row.
-            key, row, total = None, {}, 0
-        else:
-            total = self._totals[key]
+        span = self.context_window
+        key = tuple(map(int, context[-span:])) if span else ()
+        dist = self._rows.get(key)
+        if dist is None:
+            dist = self._rows[key] = self._read_row(key)
+        return dist
+
+    def _read_row(self, key: tuple[int, ...]) -> SparseRow:
+        """The ``SparseRow`` of ``key``'s count row, found by walking the levels."""
+        n = len(key)
+        node = self._first[key[-1] + 1 if n else 0] if self._levels else 0
+        for k in range(2, self.order):
+            if node < 0:
+                return self._unseen
+            starts, children = self._levels[k - 1]
+            back = key[-k] + 1 if k <= n else 0
+            lo, hi = starts[node], starts[node + 1]
+            node = bisect.bisect_left(children, back, lo, hi)
+            if node == hi or children[node] != back:
+                return self._unseen
+        if not 0 <= node < len(self._totals):
+            return self._unseen
+        start, stop = self._offsets[node], self._offsets[node + 1]
         size = self.vocab.size
-        denom = total + self.smoothing * size
+        denom = self._totals[node] + self.smoothing * size
+        row = dict(zip(self._tokens[start:stop], self._counts[start:stop]))
         return SparseRow(size, row, self.smoothing, denom, key, self._entropies)
+
+
+def _check_tokens(tokens: Iterable, size: int) -> None:
+    for token in tokens:
+        if not isinstance(token, numbers.Integral) or not 0 <= token < size:
+            raise InputError(f"token {token!r} outside the model vocabulary of {size}")
 
 
 class TableModel(LanguageModel):
@@ -350,37 +467,3 @@ class TableModel(LanguageModel):
     def next_token_dist(self, context: TokenSeq) -> np.ndarray:
         self.check_context(context)
         return self.table.get(tuple(int(t) for t in context), self.default)
-
-
-def save_model(model: NGramModel, path: str | Path) -> None:
-    """Write an NGramModel to a versioned JSON file (see ``load_model``)."""
-    entries = [
-        [list(ctx), {str(tok): c for tok, c in sorted(row.items())}]
-        for ctx, row in sorted(model.counts.items())
-    ]
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_FORMAT_VERSION,
-        "order": model.order,
-        "smoothing": model.smoothing,
-        "vocab": list(model.vocab.tokens),
-        "counts": entries,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> NGramModel:
-    """Read a model produced by ``save_model``; rejects unknown formats."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_FORMAT_VERSION:
-        raise InputError(f"unsupported model file format in {path}")
-    counts = {
-        tuple(ctx): {int(tok): int(c) for tok, c in row.items()}
-        for ctx, row in payload["counts"]
-    }
-    return NGramModel(
-        Vocabulary(tuple(payload["vocab"])),
-        int(payload["order"]),
-        counts,
-        float(payload["smoothing"]),
-    )

@@ -272,3 +272,45 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_negative_seed_exits_one(self, capsys):
+        # It died with numpy's traceback from default_rng.
+        assert run_cli("selftest", "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+
+class TestUsageErrors:
+    """argparse usage errors are bad input: exit 1 with one error line, like any other."""
+
+    def test_non_integer_synthetic_docs_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--synthetic", "--synthetic-docs", "abc", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: treespec run: argument --synthetic-docs: invalid int value: 'abc'\n"
+        )
+        assert not out.exists()
+
+    def test_missing_out_exits_one(self, capsys):
+        assert run_cli("run", "--synthetic") == 1
+        assert capsys.readouterr().err == (
+            "error: treespec run: the following arguments are required: --out\n"
+        )
+
+    def test_unknown_flag_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("run", "--synthetic", "--out", str(out), "--temperature-mode", "greedy") == 1
+        assert capsys.readouterr().err == (
+            "error: treespec: unrecognized arguments: --temperature-mode greedy\n"
+        )
+        assert not out.exists()
+
+    def test_non_integer_selftest_seed_exits_one(self, capsys):
+        assert run_cli("selftest", "--seed", "x") == 1
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+        assert "usage: treespec" in capsys.readouterr().out

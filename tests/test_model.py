@@ -10,8 +10,6 @@ from treespec import (
     TableModel,
     Vocabulary,
     entropy_nats,
-    load_model,
-    save_model,
     top_candidates,
     validate_dist,
 )
@@ -120,6 +118,43 @@ class TestNextTokenDist:
         with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
             NGramModel(AB, 2, {(0,): {1: 1}}, smoothing)
 
+    def test_successor_outside_vocabulary_rejected(self):
+        # It used to score token 5 at 0.917 in a two-token vocabulary.
+        with pytest.raises(InputError, match="token 5 outside the model vocabulary of 2"):
+            NGramModel(AB, 2, {(0,): {5: 1}}, 0.1)
+        with pytest.raises(InputError, match="token -1 outside"):
+            NGramModel(AB, 2, {(0,): {-1: 1}}, 0.1)
+
+    def test_context_token_outside_vocabulary_rejected(self):
+        with pytest.raises(InputError, match="token 2 outside the model vocabulary of 2"):
+            NGramModel(AB, 3, {(0, 2): {1: 1}}, 0.1)
+
+    def test_negative_count_rejected(self):
+        # It used to give a uniform row.
+        with pytest.raises(InputError, match=r"count -3 after context \(0,\) is not"):
+            NGramModel(AB, 2, {(0,): {1: -3}}, 0.1)
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, "3", None])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(InputError, match="not a non-negative integer"):
+            NGramModel(AB, 2, {(0,): {0: 1, 1: count}}, 0.1)
+
+    def test_context_longer_than_window_rejected(self):
+        with pytest.raises(InputError, match=r"context \(0, 1\) is longer than order - 1 = 1"):
+            NGramModel(AB, 2, {(0, 1): {1: 1}}, 0.1)
+        with pytest.raises(InputError, match="longer than order - 1 = 0"):
+            NGramModel(AB, 1, {(0,): {1: 1}}, 0.1)
+
+    def test_empty_row_kept(self):
+        for order, context in ((1, ()), (2, (0,))):
+            model = NGramModel(AB, order, {context: {}}, 0.0)
+            assert model.counts == {context: {}}
+            assert np.array_equal(model.next_token_dist(list(context)), [0.5, 0.5])
+
+    def test_fit_token_outside_vocabulary_rejected(self):
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            NGramModel.fit(AB, [[0, 1], [1, 2]], order=2, smoothing=0.1)
+
     def test_unknown_token_in_context(self):
         model = NGramModel.fit(AB, [[0, 1]], order=2, smoothing=0.1)
         with pytest.raises(InputError):
@@ -184,22 +219,87 @@ class TestContextWindow:
 
     def test_fit_matches_position_loop(self):
         # Reference: one count per position, keyed on the up-to-(order-1)
-        # tokens before it; the fit must equal it, including row order.
+        # tokens before it; the fit must equal it, with each row's tokens
+        # in ascending order.
         rng = np.random.default_rng(11)
         for _ in range(40):
             order = int(rng.integers(1, 5))
             docs = [[int(t) for t in rng.integers(0, 4, size=int(rng.integers(0, 12)))]
                     for _ in range(int(rng.integers(1, 4)))]
-            expected: dict = {}
-            for doc in docs:
-                for i, token in enumerate(doc):
-                    row = expected.setdefault(tuple(doc[max(0, i - order + 1):i]), {})
-                    row[token] = row.get(token, 0) + 1
+            expected = position_loop_counts(docs, order)
             counts = NGramModel.fit(WXYZ, docs, order=order, smoothing=0.1).counts
             assert counts == expected
-            assert [(k, list(r)) for k, r in counts.items()] == [
-                (k, list(r)) for k, r in expected.items()
+            assert {k: list(r) for k, r in counts.items()} == {
+                k: sorted(r) for k, r in expected.items()
+            }
+
+
+def position_loop_counts(docs, order):
+    """One count per position, keyed on the up-to-(order-1) tokens before it."""
+    expected: dict = {}
+    for doc in docs:
+        for i, token in enumerate(doc):
+            row = expected.setdefault(tuple(doc[max(0, i - order + 1):i]), {})
+            row[token] = row.get(token, 0) + 1
+    return expected
+
+
+class TestCountStore:
+    """The fitted count columns against the position loop, row by row."""
+
+    def check_against_position_loop(self, rng, size, order, docs, smoothing):
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+        model = NGramModel.fit(vocab, docs, order=order, smoothing=smoothing)
+        expected = position_loop_counts(docs, order)
+        assert model.counts == expected
+        assert len(model.counts) == len(expected)
+        packed = NGramModel(vocab, order, expected, smoothing)
+        assert packed.counts == expected
+        span = order - 1
+        contexts = [list(key) for key in expected]
+        # Full-length contexts behind a longer history, short and unseen ones.
+        contexts += [[int(rng.integers(size)), *key] for key in expected if len(key) == span]
+        contexts += [[int(t) for t in rng.integers(0, size, size=int(rng.integers(0, order + 2)))]
+                     for _ in range(10)]
+        for context in contexts:
+            row = expected.get(tuple(context[-span:]) if span else ())
+            dist = model.next_token_dist(context)
+            assert dist.denom == (sum(row.values()) if row else 0) + smoothing * size
+            dense = dense_dist(model, context)
+            assert_same_bits(dist, dense)
+            assert_same_bits(packed.next_token_dist(context), dense)
+            assert top_candidates(dist, min(3, size)) == top_candidates(dense, min(3, size))
+            assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
+        assert len(model._entropies) <= len(model.counts) + 1
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            size = int(rng.integers(2, 61))
+            order = int(rng.integers(1, 6))
+            # A small alphabet repeats contexts; lengths run from empty past the span.
+            alphabet = int(rng.integers(1, size + 1))
+            docs = [
+                [int(t) for t in rng.integers(0, alphabet, size=int(rng.integers(0, 3 * order)))]
+                for _ in range(int(rng.integers(0, 5)))
             ]
+            smoothing = float(rng.choice([0.0, 0.1, 1.0]))
+            self.check_against_position_loop(rng, size, order, docs, smoothing)
+
+    def test_codes_past_int64_packing(self):
+        # (4000 + 1) ** 6 > 2 ** 63: a context packed into one int64 overflows.
+        rng = np.random.default_rng(47)
+        size, order = 4000, 7
+        assert (size + 1) ** (order - 1) > 2 ** 63
+        head = [3999, 3998, 0, 3999, 3998, 3999, 1]
+        docs = [head, head[:3], [], [int(t) for t in rng.integers(0, size, size=9)], head * 2]
+        self.check_against_position_loop(rng, size, order, docs, 0.1)
+
+    def test_no_documents(self):
+        rng = np.random.default_rng(53)
+        for order in (1, 3):
+            self.check_against_position_loop(rng, 5, order, [], 0.5)
+            self.check_against_position_loop(rng, 5, order, [[], []], 0.0)
 
 
 class TestTopCandidates:
@@ -258,28 +358,6 @@ class TestEntropy:
             dist = weights / weights.sum()
             h = entropy_nats(dist)
             assert 0.0 <= h <= math.log(size) + 1e-12
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        doc = [int(t) for t in rng.integers(0, 4, size=60)]
-        model = NGramModel.fit(WXYZ, [doc], order=3, smoothing=0.25)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.order == model.order
-        assert loaded.smoothing == model.smoothing
-        assert loaded.vocab.tokens == model.vocab.tokens
-        assert loaded.counts == model.counts
-        for context in ([0], [1, 2], [3, 0, 1], []):
-            assert np.array_equal(loaded.next_token_dist(context), model.next_token_dist(context))
-
-    def test_rejects_unknown_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other", "version": 9}')
-        with pytest.raises(InputError):
-            load_model(path)
 
 
 # --- sparse rows against the dense builder ------------------------------------
