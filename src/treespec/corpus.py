@@ -70,6 +70,8 @@ class DomainCorpus:
     ) -> "DomainCorpus":
         """Tokenize and encode raw texts; unseen tokens map to the unknown index."""
         token_docs = [tokenize(t, scheme) for t in texts]
+        if vocabulary is None and not any(token_docs):
+            raise InputError(f"domain {domain!r} has no tokens: every document is empty")
         vocab = vocabulary if vocabulary is not None else build_vocabulary(token_docs)
         unk = vocab.get(UNK_TOKEN, 0)
         documents = [

@@ -120,10 +120,10 @@ class SparseRow:
     ``entropy`` is computed once per count row and kept in ``entropies``
     (the model's cache) under ``key``: the row's context, or None for a
     context unseen in training. Counts are assumed non-negative, as ``fit``
-    makes them.
+    makes them. ``tops`` keeps ``top``'s rankings by k, made on first use.
     """
 
-    __slots__ = ("size", "row", "smoothing", "denom", "floor", "key", "entropies")
+    __slots__ = ("size", "row", "smoothing", "denom", "floor", "key", "entropies", "tops")
 
     def __init__(
         self,
@@ -144,6 +144,7 @@ class SparseRow:
         self.denom = denom
         self.key = key
         self.entropies = entropies
+        self.tops: dict[int, tuple[tuple[int, float], ...]] | None = None
 
     def __getitem__(self, token: int) -> float:
         if not 0 <= token < self.size:
@@ -165,8 +166,17 @@ class SparseRow:
         """``top_candidates`` of the dense vector, from the row alone.
 
         Tokens outside the row all sit at the floor and tie by index, so the
-        k lowest-index ones are the only ones that can make the top k.
+        k lowest-index ones are the only ones that can make the top k. Each
+        k is ranked once and kept as a tuple; every call returns a new list.
         """
+        if self.tops is None:
+            self.tops = {}
+        ranked = self.tops.get(k)
+        if ranked is None:
+            ranked = self.tops[k] = tuple(self._rank_top(k))
+        return list(ranked)
+
+    def _rank_top(self, k: int) -> list[tuple[int, float]]:
         _check_k(k, self.size)
         row = self.row
         ranked = [(-p, token) for token, p in zip(row, self._row_probs())]

@@ -164,42 +164,27 @@ class ExperimentReport:
     metadata: dict[str, object]
 
 
-def generate_step(
-    draft: LanguageModel,
-    target: LanguageModel,
-    context: Sequence[int],
-    params: TreeParams,
-    *,
-    domain: str = "",
-    prompt_id: int = 0,
-    step_index: int = 0,
-    position_bin: int = 0,
-) -> tuple[list[NodeRecord], int]:
-    """One generation step: build a tree, score it, return rows + committed token.
+# One node's memo row: (depth, token, p_draft, p_target, alpha, target_entropy).
+Row = tuple[int, int, float, float, float, float]
 
-    The committed token is the target's greedy bonus token; the caller
-    appends it to the context.
+
+def generate_step(
+    draft: LanguageModel, target: LanguageModel, context: Sequence[int], params: TreeParams
+) -> tuple[list[Row], int]:
+    """One generation step: build a tree, score it, return its rows + committed token.
+
+    Each tree node gives one ``Row``, in node order. The committed token is
+    the target's greedy bonus token; the caller appends it to the context.
+    Both depend only on the last max(draft, target) ``context_window``
+    tokens of ``context``, so the caller may pass just those.
     """
     tree = build_draft_tree(draft, context, params)
     scores, bonus = score_tree(target, context, tree)
-    records = []
-    for score in scores:
-        node = tree.nodes[score.node_index]
-        records.append(
-            NodeRecord(
-                domain=domain,
-                prompt_id=prompt_id,
-                step_index=step_index,
-                depth=node.depth,
-                position_bin=position_bin,
-                token=node.token,
-                p_draft=node.p_draft,
-                p_target=score.p_target,
-                alpha=score.alpha,
-                target_entropy=score.target_entropy,
-            )
-        )
-    return records, bonus
+    rows = [
+        (node.depth, node.token, node.p_draft, p_target, alpha, entropy)
+        for node, (_, p_target, alpha, entropy) in zip(tree.nodes, scores)
+    ]
+    return rows, bonus
 
 
 def run_experiment(
@@ -214,7 +199,9 @@ def run_experiment(
 
     A step's rows and committed token depend only on the last
     max(draft, target) ``context_window`` tokens, so each domain keeps them
-    per window and calls ``generate_step`` only for a window it has not seen.
+    per window and calls ``generate_step`` on that window, and only for a
+    window it has not seen. A prompt's tokens are range-checked once, whole;
+    each window is checked again inside the step.
     """
     if not corpora:
         raise InputError("need at least one domain corpus")
@@ -229,10 +216,9 @@ def run_experiment(
             )
     started = datetime.now(timezone.utc).isoformat()
     domains = sorted(corpora)
-    # Every distinct step's rows, once: (depth, token, p_draft, p_target,
-    # alpha, target_entropy); a memo entry is (first row, row count,
-    # committed token).
-    rows: list[tuple[int, int, float, float, float, float]] = []
+    # Every distinct step's rows, once; a memo entry is (first row, row
+    # count, committed token).
+    rows: list[Row] = []
     # One entry per recorded step: (domain code, prompt_id, step_index,
     # position_bin, first row, row count).
     steps: list[tuple[int, int, int, int, int, int]] = []
@@ -260,21 +246,9 @@ def run_experiment(
                 key = tuple(context_suffix(context, window))
                 entry = memo.get(key)
                 if entry is None:
-                    step_records, committed = generate_step(
-                        draft,
-                        target,
-                        context,
-                        config.tree,
-                        domain=domain,
-                        prompt_id=prompt_id,
-                        step_index=step_index,
-                        position_bin=position_bin,
-                    )
-                    entry = memo[key] = (len(rows), len(step_records), committed)
-                    rows.extend(
-                        (r.depth, r.token, r.p_draft, r.p_target, r.alpha, r.target_entropy)
-                        for r in step_records
-                    )
+                    step_rows, committed = generate_step(draft, target, key, config.tree)
+                    entry = memo[key] = (len(rows), len(step_rows), committed)
+                    rows.extend(step_rows)
                 first, count, committed = entry
                 if eos_index is not None and committed == eos_index:
                     stopped_prompts += 1
@@ -305,7 +279,7 @@ def run_experiment(
 
 def _gather(
     domains: Sequence[str],
-    rows: Sequence[tuple[int, int, float, float, float, float]],
+    rows: Sequence[Row],
     steps: Sequence[tuple[int, int, int, int, int, int]],
 ) -> RecordTable:
     """Record columns: each step's memo rows, in step order, beside its own fields."""
@@ -588,7 +562,9 @@ def render_tables(
 
 
 def check_formats(formats: Sequence[str]) -> None:
-    """Reject any name in ``formats`` that is not one of ``REPORT_FORMATS``."""
+    """Reject an empty ``formats`` or any name in it that is not one of ``REPORT_FORMATS``."""
+    if not formats:
+        raise InputError(f"no report formats given; choose from {','.join(REPORT_FORMATS)}")
     unknown = set(formats) - set(REPORT_FORMATS)
     if unknown:
         raise InputError(f"unknown report formats: {sorted(unknown)}")

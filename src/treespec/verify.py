@@ -10,8 +10,7 @@ acceptance analytically, but sampling is what makes the rule testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +26,7 @@ from .model import (
 from .tree import DraftTree
 
 
-@dataclass(frozen=True)
-class NodeScore:
+class NodeScore(NamedTuple):
     """Verification result for one tree node (index into the tree's node list)."""
 
     node_index: int

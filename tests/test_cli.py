@@ -140,6 +140,32 @@ class TestRun:
         assert "unknown report formats: ['cvs']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("formats", [",", ""])
+    def test_empty_formats_exits_one_before_reading_data(self, tmp_path, capsys, formats):
+        # A missing --data directory would exit 2, so exit 1 shows the corpus was never read.
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--data", str(tmp_path / "missing"), "--out", str(out), "--formats", formats
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: no report formats given; choose from csv,json,tables\n"
+        )
+        assert not out.exists()
+
+    def test_data_domain_without_tokens_exits_one(self, tmp_path, capsys):
+        for domain, text in (("a", "x y x y"), ("b", "  \n")):
+            folder = tmp_path / "data" / domain
+            folder.mkdir(parents=True)
+            (folder / "doc1.txt").write_text(text)
+            (folder / "doc2.txt").write_text("" if domain == "b" else text)
+        out = tmp_path / "o"
+        assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "error: domain 'b' has no tokens: every document is empty\n"
+        )
+        assert not out.exists()
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 7\n# caf\xe9\n")

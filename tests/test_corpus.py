@@ -61,6 +61,12 @@ class TestVocabularyBuild:
         corpus = DomainCorpus.from_texts("d", ["a zzz b"], vocabulary=vocab)
         assert corpus.documents == [(1, 0, 2)]
 
+    def test_no_tokens_names_the_domain(self):
+        with pytest.raises(InputError, match="domain 'd' has no tokens: every document is empty"):
+            DomainCorpus.from_texts("d", ["", "  \n\t"])
+        with pytest.raises(InputError, match="domain 'd' has no tokens"):
+            DomainCorpus.from_texts("d", [])
+
     def test_blank_documents_dropped(self):
         corpus = DomainCorpus.from_texts("d", ["a b", "   ", "b"])
         assert len(corpus.documents) == 2

@@ -460,6 +460,25 @@ class TestSparseRow:
         assert set(model._entropies) == {None, (), (0,), (0, 1)}
         assert len(model._entropies) <= len(model.counts) + 1
 
+    def test_top_repeats_and_hands_out_copies(self):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=2, smoothing=0.1)
+        dist = model.next_token_dist([0])
+        dense = dense_dist(model, [0])
+        for k in (1, 3, 4):
+            first = dist.top(k)
+            assert first == top_candidates(dense, k)
+            first.append((99, 2.0))
+            first[0] = (99, 2.0)
+            assert dist.top(k) == top_candidates(dense, k)
+            assert top_candidates(dist, k) == top_candidates(dense, k)
+            assert dist.top(k) is not dist.top(k)
+        assert sorted(dist.tops) == [1, 3, 4]
+        # The row is cached on the model, so a later lookup reuses its rankings.
+        assert model.next_token_dist([0]).tops is dist.tops
+        with pytest.raises(InputError):
+            dist.top(5)
+        assert 5 not in dist.tops
+
     def test_token_out_of_range(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)
         dist = model.next_token_dist([0])

@@ -1,0 +1,178 @@
+"""Seeded property tests over random TableModel draft/target pairs and TreeParams.
+
+Each case draws a small vocabulary, a draft and a target table model that
+read a random number of trailing tokens (or the whole context), random tree
+limits and a random context. Distributions have zero entries and exact ties,
+so the p <= 0 cut and the index tie-break are exercised. The tree, its scores
+and the step are checked against re-computations that score one context at a
+time over dense vectors.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from treespec import (
+    TableModel,
+    TreeParams,
+    Vocabulary,
+    build_draft_tree,
+    entropy_nats,
+    generate_step,
+    score_tree,
+)
+from treespec.model import context_suffix
+
+CASES = 300
+
+
+class WindowTable(TableModel):
+    """A TableModel that reads only the last ``window`` tokens (all of them when None).
+
+    It counts its batched calls and every context it scores.
+    """
+
+    def __init__(self, vocab, default, table, window):
+        super().__init__(vocab, default, table)
+        self.context_window = window
+        self.batches = []
+        self.scored = 0
+
+    def next_token_dist(self, context):
+        self.scored += 1
+        return super().next_token_dist(context_suffix(context, self.context_window))
+
+    def next_token_dists(self, contexts):
+        self.batches.append([tuple(c) for c in contexts])
+        return super().next_token_dists(contexts)
+
+
+def random_dist(rng, size):
+    """Small integer weights (zeros and ties) or uniform reals, normalized."""
+    if rng.random() < 0.6:
+        weights = rng.integers(0, 4, size=size).astype(np.float64)
+    else:
+        weights = rng.random(size)
+    if weights.sum() == 0.0:
+        weights[rng.integers(size)] = 1.0
+    return weights / weights.sum()
+
+
+def random_model(rng, vocab):
+    window = [None, 0, 1, 2, 3][rng.integers(5)]
+    longest = 3 if window is None else window
+    table = {
+        context: random_dist(rng, vocab.size)
+        for n in range(longest + 1)
+        for context in itertools.product(range(vocab.size), repeat=n)
+        if rng.random() < 0.8
+    }
+    return WindowTable(vocab, random_dist(rng, vocab.size), table, window)
+
+
+def random_case(rng):
+    vocab = Vocabulary(tuple(f"t{i}" for i in range(int(rng.integers(2, 6)))))
+    draft, target = random_model(rng, vocab), random_model(rng, vocab)
+    root_top_k = int(rng.integers(1, 5))
+    params = TreeParams(
+        max_depth=int(rng.integers(1, 5)),
+        max_branch=int(rng.integers(1, 4)),
+        root_top_k=root_top_k,
+        max_nodes=int(rng.integers(root_top_k, 16)),
+    )
+    context = [int(t) for t in rng.integers(0, vocab.size, size=int(rng.integers(1, 9)))]
+    return draft, target, params, context
+
+
+def dense(model, context):
+    return np.asarray(model.next_token_dist(list(context)), dtype=np.float64)
+
+
+def ranked(dist, k):
+    """The k best (token, p) pairs with p > 0: descending p, ascending token on ties."""
+    order = sorted(range(dist.shape[0]), key=lambda t: (-dist[t], t))[:k]
+    return [(t, float(dist[t])) for t in order if dist[t] > 0.0]
+
+
+def oracle_tree(draft, context, params):
+    """Best-first expansion, one context at a time: (token, depth, parent, p, cum_logp, path)."""
+    nodes = [
+        (token, 1, None, p, math.log(p), (token,))
+        for token, p in ranked(dense(draft, context), params.root_top_k)
+    ][: params.max_nodes]
+    expanded = set()
+    while len(nodes) < params.max_nodes:
+        open_nodes = [
+            i for i, node in enumerate(nodes) if node[1] < params.max_depth and i not in expanded
+        ]
+        if not open_nodes:
+            break
+        best = max(open_nodes, key=lambda i: (nodes[i][4], -i))
+        expanded.add(best)
+        _, depth, _, _, cum_logp, path = nodes[best]
+        for token, p in ranked(dense(draft, [*context, *path]), params.max_branch):
+            if len(nodes) >= params.max_nodes:
+                break
+            nodes.append((token, depth + 1, best, p, cum_logp + math.log(p), (*path, token)))
+    return nodes
+
+
+def step_window(draft, target):
+    """The tokens a step reads; at least one, since a tree needs a non-empty context."""
+    windows = (draft.context_window, target.context_window)
+    return None if None in windows else max(*windows, 1)
+
+
+def test_tree_respects_budget_depth_cap_and_best_first_order():
+    rng = np.random.default_rng(4101)
+    for _ in range(CASES):
+        draft, _, params, context = random_case(rng)
+        tree = build_draft_tree(draft, context, params)
+        nodes = tree.nodes
+        assert 1 <= len(nodes) <= params.max_nodes
+        assert all(1 <= node.depth <= params.max_depth for node in nodes)
+        assert sum(node.parent is None for node in nodes) <= params.root_top_k
+        children = [sum(node.parent == i for node in nodes) for i in range(len(nodes))]
+        assert max(children) <= params.max_branch
+        expected = oracle_tree(draft, context, params)
+        assert [
+            (node.token, node.depth, node.parent, node.p_draft, node.cum_logp, path)
+            for node, path in zip(nodes, tree.paths)
+        ] == expected
+
+
+def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
+    rng = np.random.default_rng(4102)
+    for _ in range(CASES):
+        draft, target, params, context = random_case(rng)
+        tree = build_draft_tree(draft, context, params)
+        scores, bonus = score_tree(target, context, tree)
+        base = tuple(context_suffix(context, target.context_window))
+        prefixes = list(dict.fromkeys([(), *(path[:-1] for path in tree.paths)]))
+        assert target.batches == [[base + prefix for prefix in prefixes]]
+        assert target.scored == len(prefixes)
+        assert [score.node_index for score in scores] == list(range(len(tree.nodes)))
+        for node, path, score in zip(tree.nodes, tree.paths, scores):
+            dist = dense(target, [*context, *path[:-1]])
+            assert score.p_target == float(dist[node.token])
+            assert score.alpha == min(1.0, score.p_target / node.p_draft)
+            assert 0.0 <= score.alpha <= 1.0
+            assert score.target_entropy == entropy_nats(dist)
+        assert bonus == ranked(dense(target, context), 1)[0][0]
+
+
+def test_generate_step_on_the_window_matches_the_full_context():
+    rng = np.random.default_rng(4103)
+    for _ in range(CASES):
+        draft, target, params, context = random_case(rng)
+        rows, committed = generate_step(draft, target, context, params)
+        window = context_suffix(context, step_window(draft, target))
+        assert generate_step(draft, target, window, params) == (rows, committed)
+        tree = build_draft_tree(draft, context, params)
+        scores, bonus = score_tree(target, context, tree)
+        assert committed == bonus
+        assert rows == [
+            (node.depth, node.token, node.p_draft, *score[1:])
+            for node, score in zip(tree.nodes, scores)
+        ]

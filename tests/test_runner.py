@@ -151,16 +151,16 @@ class TestGenerateStep:
         vocab = Vocabulary(("a", "b", "c", "d"))
         doc = [0, 1, 2, 3, 0, 1, 2, 3, 0]
         model = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
-        records, committed = generate_step(model, model, [0, 1], TreeParams())
-        assert all(r.alpha == 1.0 for r in records)
+        rows, committed = generate_step(model, model, [0, 1], TreeParams())
+        assert all(alpha == 1.0 for _, _, _, _, alpha, _ in rows)
         assert committed == int(np.argmax(model.next_token_dist([0, 1])))
 
     def test_full_tree_yields_max_nodes_records(self):
         corpus = synthetic_corpus("chat", n_docs=10, seed=3, doc_len=120)
         draft = NGramModel.fit(corpus.vocabulary, corpus.documents, 2, 0.1)
         target = NGramModel.fit(corpus.vocabulary, corpus.documents, 3, 0.1)
-        records, _ = generate_step(draft, target, list(corpus.documents[0][:40]), TreeParams())
-        assert len(records) == 8
+        rows, _ = generate_step(draft, target, list(corpus.documents[0][:40]), TreeParams())
+        assert len(rows) == 8
 
     def test_records_match_tree_and_scores(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
@@ -168,26 +168,24 @@ class TestGenerateStep:
         draft = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
         target = NGramModel.fit(vocab, [doc], order=3, smoothing=0.3)
         context = [0, 1]
-        records, _ = generate_step(
-            draft, target, context, TreeParams(), domain="x", prompt_id=4, step_index=9, position_bin=1
-        )
+        rows, _ = generate_step(draft, target, context, TreeParams())
         tree = build_draft_tree(draft, context, TreeParams())
         scores, _ = score_tree(target, context, tree)
-        assert len(records) == len(scores)
-        for rec, score in zip(records, scores):
+        assert len(rows) == len(scores)
+        for row, score in zip(rows, scores):
             node = tree.nodes[score.node_index]
-            assert (rec.domain, rec.prompt_id, rec.step_index, rec.position_bin) == ("x", 4, 9, 1)
-            assert rec.token == node.token
-            assert rec.depth == node.depth
-            assert rec.p_draft == node.p_draft
-            assert rec.p_target == score.p_target
-            assert rec.alpha == score.alpha
-            assert rec.target_entropy == score.target_entropy
-            rec.validate()
+            depth, token, p_draft, p_target, alpha, target_entropy = row
+            assert token == node.token
+            assert depth == node.depth
+            assert p_draft == node.p_draft
+            assert p_target == score.p_target
+            assert alpha == score.alpha
+            assert target_entropy == score.target_entropy
+            NodeRecord("x", 4, 9, depth, 1, *row[1:]).validate()
 
 
 def plain_loop(config, corpora):
-    """Reference loop: calls generate_step at every step, with no memo."""
+    """Reference loop: calls generate_step on the full context at every step, with no memo."""
     records = []
     for domain in sorted(corpora):
         corpus = corpora[domain]
@@ -201,14 +199,14 @@ def plain_loop(config, corpora):
         for prompt_id, prompt in enumerate(prompts.prompts):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
-                step_records, committed = generate_step(
-                    draft, target, context, config.tree, domain=domain, prompt_id=prompt_id,
-                    step_index=step_index,
-                    position_bin=0 if 2 * step_index < config.max_new_tokens else 1,
-                )
+                position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
+                step_rows, committed = generate_step(draft, target, context, config.tree)
                 if committed == eos:
                     break
-                records.extend(step_records)
+                records.extend(
+                    NodeRecord(domain, prompt_id, step_index, depth, position_bin, *rest)
+                    for depth, *rest in step_rows
+                )
                 context.append(committed)
     return records
 
@@ -228,13 +226,15 @@ class TestRunExperiment:
         calls = []
 
         def counting_step(*args, **kwargs):
-            calls.append(kwargs["step_index"])
+            calls.append(args[2])
             return generate_step(*args, **kwargs)
 
         monkeypatch.setattr("treespec.runner.generate_step", counting_step)
         report = run_experiment(config, corpora)
         assert list(report.records) == expected
         assert len(calls) < sum(m["trees"] for m in report.metadata["domains"].values())
+        # Each step gets its window, the last target_order - 1 tokens, not the 40+ token context.
+        assert {len(context) for context in calls} == {orders[1] - 1}
         if eos_token:
             assert all(m["stopped_prompts"] > 0 for m in report.metadata["domains"].values())
 
