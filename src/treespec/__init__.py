@@ -8,15 +8,12 @@ the records into per-domain acceptance statistics.
 from .corpus import (
     DomainCorpus,
     PromptSet,
-    detokenize,
     load_corpora,
     load_domain_dir,
     sample_prompts,
     synthetic_corpora,
     synthetic_corpus,
-    tokenize,
     train_models,
-    write_prompt_manifest,
 )
 from .errors import InputError, UndefinedCorrelationError
 from .metrics import (
@@ -51,7 +48,6 @@ from .runner import (
     generate_step,
     parse_config_file,
     read_records_csv,
-    read_summary_json,
     render_tables,
     run_experiment,
     write_records_csv,
@@ -62,15 +58,12 @@ from .tree import (
     TreeNode,
     TreeParams,
     build_draft_tree,
-    format_tree,
-    root_to_leaf_paths,
     tree_attention_mask,
 )
 from .verify import (
     NodeScore,
     acceptance_prob,
     residual_dist,
-    residual_resample,
     score_tree,
     simulate_chain_acceptance,
 )

@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import load_corpora, synthetic_corpora
+from .corpus import SYNTHETIC_DOCS, load_corpora, synthetic_corpora
 from .errors import InputError
 from .metrics import summarize
 from .runner import (
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = run_p.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="directory with one subdirectory of *.txt files per domain")
     source.add_argument("--synthetic", action="store_true", help="use the bundled synthetic domains")
-    run_p.add_argument("--synthetic-docs", type=int, default=160, help="documents per synthetic domain")
+    run_p.add_argument("--synthetic-docs", type=int,
+                       help=f"documents per synthetic domain (default {SYNTHETIC_DOCS}; needs --synthetic)")
     run_p.add_argument("--config", help="flat key = value config file")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--formats", default=",".join(REPORT_FORMATS),
@@ -75,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.synthetic_docs is not None and not args.synthetic:
+        raise InputError("--synthetic-docs needs --synthetic, not --data")
     values = parse_config_file(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in CONFIG_KEYS}
     values.update((key, text) for key, text in flags.items() if text is not None)
@@ -83,7 +86,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     check_formats(formats)
 
     if args.synthetic:
-        corpora = synthetic_corpora(n_docs=args.synthetic_docs, seed=config.seed)
+        n_docs = SYNTHETIC_DOCS if args.synthetic_docs is None else args.synthetic_docs
+        corpora = synthetic_corpora(n_docs=n_docs, seed=config.seed)
     else:
         corpora = load_corpora(args.data)
 

@@ -11,7 +11,6 @@ pattern.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,25 +23,8 @@ from .model import NGramModel, Vocabulary
 
 UNK_TOKEN = "<unk>"
 END_TOKEN = "<end>"
-TOKENIZE_SCHEMES = ("whitespace", "character")
 SYNTHETIC_DOMAINS = ("chat", "code", "math", "reasoning")
-
-
-def tokenize(text: str, scheme: str = "whitespace") -> list[str]:
-    """Deterministic segmentation; empty text yields an empty sequence."""
-    if scheme == "whitespace":
-        return text.split()
-    if scheme == "character":
-        return list(text)
-    raise InputError(f"unknown tokenization scheme {scheme!r}")
-
-
-def detokenize(tokens: Sequence[str], scheme: str = "whitespace") -> str:
-    if scheme == "whitespace":
-        return " ".join(tokens)
-    if scheme == "character":
-        return "".join(tokens)
-    raise InputError(f"unknown tokenization scheme {scheme!r}")
+SYNTHETIC_DOCS = 160  # documents per synthetic domain in the reference run
 
 
 def build_vocabulary(token_docs: Iterable[Sequence[str]]) -> Vocabulary:
@@ -65,11 +47,10 @@ class DomainCorpus:
         cls,
         domain: str,
         texts: Sequence[str],
-        scheme: str = "whitespace",
         vocabulary: Vocabulary | None = None,
     ) -> "DomainCorpus":
-        """Tokenize and encode raw texts; unseen tokens map to the unknown index."""
-        token_docs = [tokenize(t, scheme) for t in texts]
+        """Split texts on whitespace and encode them; unseen tokens map to the unknown index."""
+        token_docs = [t.split() for t in texts]
         if vocabulary is None and not any(token_docs):
             raise InputError(f"domain {domain!r} has no tokens: every document is empty")
         vocab = vocabulary if vocabulary is not None else build_vocabulary(token_docs)
@@ -87,7 +68,6 @@ class PromptSet:
     """Seeded prompt sample; resampling with the same seed is identical."""
 
     prompts: list[tuple[int, ...]]
-    seed: int
     doc_indices: list[int]
 
 
@@ -106,7 +86,7 @@ def sample_prompts(corpus: DomainCorpus, n: int, seed: int, max_len: int = 512) 
     replace = len(corpus.documents) < n
     indices = [int(i) for i in rng.choice(len(corpus.documents), size=n, replace=replace)]
     prompts = [tuple(corpus.documents[i][:max_len]) for i in indices]
-    return PromptSet(prompts=prompts, seed=seed, doc_indices=indices)
+    return PromptSet(prompts=prompts, doc_indices=indices)
 
 
 def train_models(
@@ -122,20 +102,8 @@ def train_models(
     return draft, target
 
 
-def write_prompt_manifest(prompt_set: PromptSet, domain: str, path: str | Path) -> None:
-    """JSON-lines manifest: prompt_id, domain, token count per prompt."""
-    lines = [
-        json.dumps(
-            {"prompt_id": i, "domain": domain, "token_count": len(p)},
-            sort_keys=True,
-        )
-        for i, p in enumerate(prompt_set.prompts)
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_domain_dir(path: str | Path, domain: str | None = None, scheme: str = "whitespace") -> DomainCorpus:
-    """Read one domain: every *.txt file under ``path`` is one document."""
+def load_domain_dir(path: str | Path) -> DomainCorpus:
+    """Read one domain, named after its directory; each *.txt file in it is one document."""
     root = Path(path)
     files = sorted(root.glob("*.txt"))
     if not files:
@@ -146,16 +114,16 @@ def load_domain_dir(path: str | Path, domain: str | None = None, scheme: str = "
             texts.append(f.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise InputError(f"{f} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-    return DomainCorpus.from_texts(domain or root.name, texts, scheme)
+    return DomainCorpus.from_texts(root.name, texts)
 
 
-def load_corpora(root: str | Path, scheme: str = "whitespace") -> dict[str, DomainCorpus]:
+def load_corpora(root: str | Path) -> dict[str, DomainCorpus]:
     """Load every immediate subdirectory of ``root`` as one domain corpus."""
     base = Path(root)
     domains = sorted(p for p in base.iterdir() if p.is_dir())
     if not domains:
         raise InputError(f"no domain subdirectories under {base}")
-    return {p.name: load_domain_dir(p, p.name, scheme) for p in domains}
+    return {p.name: load_domain_dir(p) for p in domains}
 
 
 # --- synthetic domains -----------------------------------------------------
@@ -236,7 +204,7 @@ _EPISODE_GENERATORS = {
 
 
 def synthetic_corpus(
-    domain: str, n_docs: int = 160, seed: int = 42, doc_len: int = 600
+    domain: str, n_docs: int = SYNTHETIC_DOCS, seed: int = 42, doc_len: int = 600
 ) -> DomainCorpus:
     """Generate one deterministic synthetic domain corpus."""
     generator = _EPISODE_GENERATORS.get(domain)
@@ -254,6 +222,8 @@ def synthetic_corpus(
     return DomainCorpus.from_texts(domain, texts)
 
 
-def synthetic_corpora(n_docs: int = 160, seed: int = 42, doc_len: int = 600) -> dict[str, DomainCorpus]:
+def synthetic_corpora(
+    n_docs: int = SYNTHETIC_DOCS, seed: int = 42, doc_len: int = 600
+) -> dict[str, DomainCorpus]:
     """All four bundled synthetic domains, keyed by domain label."""
     return {d: synthetic_corpus(d, n_docs=n_docs, seed=seed, doc_len=doc_len) for d in SYNTHETIC_DOMAINS}

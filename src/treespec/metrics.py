@@ -272,7 +272,10 @@ def summarize(records: RecordTable | Sequence[NodeRecord]) -> dict[str, DomainSu
         alphas = table.alpha[mask]
         entropies = table.target_entropy[mask]
         per_depth = _per_depth_means(table.depth[mask], alphas)
-        chain = chain_probabilities(per_depth)
+        try:
+            chain = chain_probabilities(per_depth)
+        except InputError as exc:
+            raise InputError(f"domain {domain!r}: {exc}") from exc
         try:
             rho = _spearman(entropies, alphas)
         except UndefinedCorrelationError:

@@ -52,11 +52,6 @@ class Vocabulary:
     def get(self, token: str, default: int | None = None) -> int | None:
         return self._index.get(token, default)  # type: ignore[attr-defined]
 
-    def token_of(self, index: int) -> str:
-        if not 0 <= index < len(self.tokens):
-            raise InputError(f"token index {index} out of range")
-        return self.tokens[index]
-
 
 def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) -> np.ndarray:
     """Check that ``probs`` is a distribution (finite, non-negative, sums to 1 within 1e-9)."""

@@ -344,8 +344,8 @@ def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | P
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def read_records_csv(path: str | Path, validate: bool = True) -> RecordTable:
-    """Re-ingest a record file; optionally re-check per-row self-consistency.
+def read_records_csv(path: str | Path) -> RecordTable:
+    """Re-ingest a record file, re-checking each row's self-consistency.
 
     Rows are parsed ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct
     field text once. The first bad row is reported as ``path:line`` with the
@@ -360,9 +360,9 @@ def read_records_csv(path: str | Path, validate: bool = True) -> RecordTable:
             if header is None or tuple(header) != RECORD_FIELDS:
                 raise InputError(f"{path} is not a record file (unexpected header)")
             while rows := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
-                table = _parse_rows(rows, domains, validate)
+                table = _parse_rows(rows, domains)
                 if table is None:
-                    _raise_first_bad_row(path, validate)
+                    _raise_first_bad_row(path)
                 chunks.append(table)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
@@ -375,9 +375,7 @@ def read_records_csv(path: str | Path, validate: bool = True) -> RecordTable:
     )
 
 
-def _parse_rows(
-    rows: list[list[str]], domains: dict[str, int], validate: bool
-) -> RecordTable | None:
+def _parse_rows(rows: list[list[str]], domains: dict[str, int]) -> RecordTable | None:
     """Columns of raw CSV rows, or None if any row is bad.
 
     Domains are numbered into ``domains`` as they are met.
@@ -394,7 +392,7 @@ def _parse_rows(
         return None
     codes = _parse_column(domain, lambda name: domains.setdefault(name, len(domains)))
     table = RecordTable(domains, codes, **columns)
-    if validate and table.invalid_rows().any():
+    if table.invalid_rows().any():
         return None
     return table
 
@@ -406,7 +404,7 @@ def _parse_column(texts: Sequence[str], parse) -> np.ndarray:
     return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
 
 
-def _raise_first_bad_row(path: str | Path, validate: bool) -> NoReturn:
+def _raise_first_bad_row(path: str | Path) -> NoReturn:
     """Re-read ``path`` row by row and raise InputError at the first bad row."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -418,15 +416,11 @@ def _raise_first_bad_row(path: str | Path, validate: bool) -> NoReturn:
             try:
                 ints = [int(v) for v in row[1:1 + len(INT_FIELDS)]]
                 rec = NodeRecord(row[0], *ints, *(float(v) for v in row[1 + len(INT_FIELDS):]))
-            except ValueError as exc:
+                if any(not -(2**63) <= v < 2**63 for v in ints):
+                    raise InputError("integer field outside the int64 range")
+                rec.validate()
+            except ValueError as exc:  # InputError is one too
                 raise InputError(f"{where}: {exc}") from exc
-            if any(not -(2**63) <= v < 2**63 for v in ints):
-                raise InputError(f"{where}: integer field outside the int64 range")
-            if validate:
-                try:
-                    rec.validate()
-                except InputError as exc:
-                    raise InputError(f"{where}: {exc}") from exc
     raise InputError(f"{path}: unreadable record rows")
 
 
@@ -448,24 +442,6 @@ def write_summary_json(summaries: Mapping[str, DomainSummary], path: str | Path)
     """JSON object keyed by domain; an undefined correlation serializes as null."""
     payload = {domain: _summary_to_jsonable(s) for domain, s in sorted(summaries.items())}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def read_summary_json(path: str | Path) -> dict[str, DomainSummary]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    summaries: dict[str, DomainSummary] = {}
-    for domain, raw in payload.items():
-        rho = raw["spearman_rho"]
-        summaries[domain] = DomainSummary(
-            node_count=int(raw["node_count"]),
-            mean_alpha=float(raw["mean_alpha"]),
-            std_alpha=float(raw["std_alpha"]),
-            mean_entropy=float(raw["mean_entropy"]),
-            per_depth_alpha={int(d): float(v) for d, v in raw["per_depth_alpha"].items()},
-            chain_prob={int(d): float(v) for d, v in raw["chain_prob"].items()},
-            expected_len=float(raw["expected_len"]),
-            spearman_rho=math.nan if rho is None else float(rho),
-        )
-    return summaries
 
 
 # --- plain-text tables -------------------------------------------------------

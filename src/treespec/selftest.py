@@ -1,159 +1,181 @@
-"""Built-in oracle suites, runnable as ``treespec selftest``.
+"""Release oracle checks, run at full size by the acceptance suite and at
+compact size by ``treespec selftest``.
 
-Compact versions of the verification checks the test suite runs in full:
-rejection-sampling exactness, the chain-length law, rank-correlation
-equivalence against a quadratic oracle, tree structural invariants, and
-entropy bounds. Each check prints one PASS/FAIL line.
+Each check draws its cases from the generator it is given and returns what
+it measured; the caller holds the bound. Worst cases fold with numpy, which
+keeps a NaN where Python's ``max`` drops it, so a NaN fails every bound. The
+checks cover rejection-sampling exactness and its Monte Carlo, the chain-length
+law, rank correlation against a quadratic oracle, tree structural invariants
+with an ancestor-walk mask oracle, and closed-form entropies.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .metrics import average_ranks, spearman_rho
 from .model import NGramModel, Vocabulary, entropy_nats
 from .tree import TreeParams, build_draft_tree, tree_attention_mask
-from .verify import acceptance_prob, residual_dist, simulate_chain_acceptance
+from .verify import NodeScore, acceptance_prob, residual_dist, simulate_chain_acceptance
 
 
-def _random_dist(rng: np.random.Generator, size: int, sparse: bool = False) -> np.ndarray:
-    weights = rng.random(size)
-    if sparse and size > 2:
-        weights[rng.integers(0, size)] = 0.0
-    if weights.sum() <= 0:
-        weights[:] = 1.0
-    return weights / weights.sum()
+def check_sampler(rng: np.random.Generator, pairs: int, samples: int) -> tuple[float, float]:
+    """Accept-or-resample over random (target, draft) pairs of 2-5 tokens.
 
-
-def _check_exactness(rng: np.random.Generator, pairs: int = 20) -> tuple[bool, str]:
-    worst = 0.0
+    Returns the worst per-token deviation of the summed emitted mass from the
+    target (an alpha outside [0, 1] counts as deviation: it is no acceptance
+    probability, however the masses add up) and the worst total-variation
+    distance of ``samples`` draws of the same sampler from the target.
+    """
+    worst_exact = 0.0
+    worst_tv = 0.0
     for _ in range(pairs):
         size = int(rng.integers(2, 6))
-        target = _random_dist(rng, size, sparse=True)
-        draft = _random_dist(rng, size)
+        target_w = rng.random(size)
+        if size > 2 and rng.random() < 0.5:
+            target_w[rng.integers(0, size)] = 0.0
+        target = target_w / target_w.sum()
+        draft_w = rng.random(size)
+        draft = draft_w / draft_w.sum()
         alphas = np.array([acceptance_prob(float(t), float(d)) for t, d in zip(target, draft)])
+        residual = residual_dist(target, draft)
+
         reject_mass = float((draft * (1.0 - alphas)).sum())
-        emitted = draft * alphas + reject_mass * residual_dist(target, draft)
-        worst = max(worst, float(np.abs(emitted - target).max()))
-    return worst < 1e-12, f"max per-token deviation {worst:.3e}"
+        emitted = draft * alphas + reject_mass * residual
+        outside = np.abs(alphas - alphas.clip(0.0, 1.0)).max()
+        worst_exact = np.max([worst_exact, np.abs(emitted - target).max(), outside])
+
+        tokens = rng.choice(size, size=samples, p=draft)
+        accepted = rng.random(samples) < alphas[tokens]
+        tokens[~accepted] = rng.choice(size, size=int((~accepted).sum()), p=residual)
+        freq = np.bincount(tokens, minlength=size) / samples
+        worst_tv = np.maximum(worst_tv, 0.5 * np.abs(freq - target).sum())
+    return float(worst_exact), float(worst_tv)
 
 
-def _check_monte_carlo_tv(rng: np.random.Generator, samples: int = 200_000) -> tuple[bool, str]:
-    size = 5
-    target = _random_dist(rng, size)
-    draft = _random_dist(rng, size)
-    alphas = np.array([acceptance_prob(float(t), float(d)) for t, d in zip(target, draft)])
-    residual = residual_dist(target, draft)
-    tokens = rng.choice(size, size=samples, p=draft)
-    accepted = rng.random(samples) < alphas[tokens]
-    tokens[~accepted] = rng.choice(size, size=int((~accepted).sum()), p=residual)
-    freq = np.bincount(tokens, minlength=size) / samples
-    tv = 0.5 * float(np.abs(freq - target).sum())
-    return tv < 0.02, f"TV distance {tv:.4f}"
-
-
-def _check_chain_law(rng: np.random.Generator, trials: int = 200_000) -> tuple[bool, str]:
-    from .verify import NodeScore
-
+def check_chain_law(rng: np.random.Generator, trials: int) -> float:
+    """Mean accepted length of a 3-node chain at alpha 0.5; the law gives 0.875."""
     path = [NodeScore(i, 0.5, 0.5, 0.0) for i in range(3)]
-    total = sum(simulate_chain_acceptance(path, rng) for _ in range(trials))
-    mean = total / trials
-    return abs(mean - 0.875) < 0.01, f"mean accepted length {mean:.4f} vs 0.875"
+    return sum(simulate_chain_acceptance(path, rng) for _ in range(trials)) / trials
 
 
 def _naive_ranks(values: np.ndarray) -> np.ndarray:
-    return np.array(
-        [float((values < v).sum()) + ((values == v).sum() + 1) / 2.0 for v in values]
-    )
+    """O(n^2) average ranks: count below plus half the tie group, per element."""
+    below = (values[:, None] > values[None, :]).sum(axis=1)
+    ties = (values[:, None] == values[None, :]).sum(axis=1)
+    return below + (ties + 1) / 2.0
 
 
-def _check_spearman(rng: np.random.Generator, datasets: int = 10) -> tuple[bool, str]:
-    for _ in range(datasets):
-        n = int(rng.integers(3, 300))
-        x = np.round(rng.random(n), 1)
-        y = np.round(rng.random(n), 1)
+def check_ranks(rng: np.random.Generator, datasets: int) -> tuple[float, float]:
+    """Ranks and Spearman rho on tied random data (n in 3..1000, 2 decimals).
+
+    Returns the largest |average_ranks - naive ranks| and |rho - oracle rho|
+    over ``datasets`` samples that are not constant.
+    """
+    worst_rank = 0.0
+    worst_rho = 0.0
+    done = 0
+    while done < datasets:
+        n = int(rng.integers(3, 1001))
+        x = np.round(rng.random(n), 2)
+        y = np.round(rng.random(n), 2)
         if np.all(x == x[0]) or np.all(y == y[0]):
             continue
-        if not np.array_equal(average_ranks(x), _naive_ranks(x)):
-            return False, "rank vectors diverge"
+        done += 1
         rx, ry = _naive_ranks(x), _naive_ranks(y)
+        for values, oracle in ((x, rx), (y, ry)):
+            worst_rank = np.maximum(worst_rank, np.abs(average_ranks(values) - oracle).max())
         rx -= rx.mean()
         ry -= ry.mean()
-        oracle = float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
-        got = spearman_rho(zip(x.tolist(), y.tolist()))
-        if abs(got - oracle) > 1e-12:
-            return False, f"rho {got} vs oracle {oracle}"
-    return True, f"{datasets} datasets matched"
+        oracle_rho = float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
+        rho = spearman_rho(zip(x.tolist(), y.tolist()))
+        worst_rho = np.maximum(worst_rho, abs(rho - oracle_rho))
+    return float(worst_rank), float(worst_rho)
 
 
-def _check_trees(rng: np.random.Generator, builds: int = 100) -> tuple[bool, str]:
+def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
+    """Random n-gram trees (orders 1-3, max_nodes from root_top_k up).
+
+    Returns each violated invariant once, in the order first met: the node
+    budget, depth-1 count, depth and branch caps, and a mask row that is not
+    the whole context plus the node's ancestor walk.
+    """
+    violations: dict[str, None] = {}
     for _ in range(builds):
-        vocab = Vocabulary(tuple(f"t{i}" for i in range(int(rng.integers(2, 10)))))
-        doc = [int(t) for t in rng.integers(0, vocab.size, size=60)]
-        model = NGramModel.fit(vocab, [doc], order=2, smoothing=float(rng.uniform(0.05, 1.0)))
+        size = int(rng.integers(2, 9))
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+        doc = [int(t) for t in rng.integers(0, size, size=60)]
+        model = NGramModel.fit(
+            vocab, [doc], order=int(rng.integers(1, 4)), smoothing=float(rng.uniform(0.05, 1.0))
+        )
+        root_top_k = int(rng.integers(1, 5))
         params = TreeParams(
             max_depth=int(rng.integers(1, 5)),
             max_branch=int(rng.integers(1, 4)),
-            root_top_k=int(rng.integers(1, 5)),
-            max_nodes=int(rng.integers(4, 13)),
+            root_top_k=root_top_k,
+            max_nodes=int(rng.integers(root_top_k, 14)),
         )
-        if params.max_nodes < params.root_top_k:
-            continue
-        context = [int(t) for t in rng.integers(0, vocab.size, size=int(rng.integers(1, 6)))]
+        context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
         tree = build_draft_tree(model, context, params)
-        if len(tree.nodes) > params.max_nodes:
-            return False, "node budget exceeded"
-        if sum(1 for n in tree.nodes if n.depth == 1) > params.root_top_k:
-            return False, "too many depth-1 nodes"
-        if any(n.depth > params.max_depth for n in tree.nodes):
-            return False, "depth cap exceeded"
-        children = [0] * len(tree.nodes)
-        for node in tree.nodes:
+        nodes = tree.nodes
+
+        children = [0] * len(nodes)
+        for node in nodes:
             if node.parent is not None:
                 children[node.parent] += 1
+        if len(nodes) > params.max_nodes:
+            violations["node budget exceeded"] = None
+        if sum(1 for n in nodes if n.depth == 1) > params.root_top_k:
+            violations["too many depth-1 nodes"] = None
+        if any(n.depth > params.max_depth for n in nodes):
+            violations["depth cap exceeded"] = None
         if any(c > params.max_branch for c in children):
-            return False, "branch cap exceeded"
+            violations["branch cap exceeded"] = None
+
         mask = tree_attention_mask(tree)
         ctx_len = tree.context_len
-        for i in range(len(tree.nodes)):
-            visible = {j for j in range(len(tree.nodes)) if mask[ctx_len + i, ctx_len + j]}
-            chain, current = set(), i
+        for i in range(len(nodes)):
+            walk, current = set(), i
             while current is not None:
-                chain.add(current)
-                current = tree.nodes[current].parent
-            if visible != chain:
-                return False, "mask does not equal ancestor set"
-    return True, f"{builds} randomized builds satisfied all invariants"
+                walk.add(current)
+                current = nodes[current].parent
+            row = mask[ctx_len + i]
+            if not row[:ctx_len].all() or set(np.flatnonzero(row[ctx_len:]).tolist()) != walk:
+                violations["mask row is not context plus ancestor walk"] = None
+    return list(violations)
 
 
-def _check_entropy() -> tuple[bool, str]:
-    for size in (2, 3, 7, 33):
-        uniform = np.full(size, 1.0 / size)
-        if abs(entropy_nats(uniform) - math.log(size)) > 1e-12:
-            return False, f"uniform entropy off at |V|={size}"
-        one_hot = np.zeros(size)
-        one_hot[size // 2] = 1.0
-        if entropy_nats(one_hot) != 0.0:
-            return False, f"one-hot entropy nonzero at |V|={size}"
-    return True, "uniform and one-hot entropies exact"
+def check_entropy(sizes: Sequence[int]) -> tuple[float, float]:
+    """Largest |H(uniform) - ln n| and largest H(one-hot), over every one-hot position."""
+    uniform_dev = np.max([abs(entropy_nats(np.full(n, 1.0 / n)) - math.log(n)) for n in sizes])
+    one_hot = np.max([entropy_nats(row) for n in sizes for row in np.eye(n)])
+    return float(uniform_dev), float(one_hot)
 
 
 def run_selftest(seed: int = 42) -> bool:
-    """Run every check; prints one line per check, returns overall success."""
+    """Run every check at compact size; prints one line per check, returns overall success."""
     rng = np.random.default_rng(seed)
-    checks = [
-        ("rejection-sampling exactness", lambda: _check_exactness(rng)),
-        ("composite sampler monte carlo", lambda: _check_monte_carlo_tv(rng)),
-        ("chain-length law", lambda: _check_chain_law(rng)),
-        ("rank correlation vs naive oracle", lambda: _check_spearman(rng)),
-        ("tree invariants and mask oracle", lambda: _check_trees(rng)),
-        ("entropy bounds", _check_entropy),
+    pairs, builds, datasets = 10, 100, 10
+    exact, tv = check_sampler(rng, pairs, samples=200_000)
+    mean = check_chain_law(rng, trials=200_000)
+    rank_dev, rho_dev = check_ranks(rng, datasets)
+    violations = check_trees(rng, builds)
+    uniform_dev, one_hot = check_entropy((2, 3, 4, 7, 10, 33, 50))
+    results = [
+        ("rejection-sampling exactness", exact < 1e-12,
+         f"max per-token deviation {exact:.3e} over {pairs} pairs"),
+        ("composite sampler monte carlo", tv < 0.02, f"max TV distance {tv:.4f}"),
+        ("chain-length law", abs(mean - 0.875) < 0.01, f"mean accepted length {mean:.4f} vs 0.875"),
+        ("rank correlation vs naive oracle", rank_dev == 0.0 and rho_dev <= 1e-12,
+         f"{datasets} datasets, ranks off by {rank_dev:.2e}, max |rho - oracle| {rho_dev:.2e}"),
+        ("tree invariants and mask oracle", not violations,
+         f"{builds} randomized builds: {', '.join(violations) or 'all invariants hold'}"),
+        ("entropy bounds", uniform_dev <= 1e-12 and one_hot == 0.0,
+         f"uniform off by {uniform_dev:.2e}, one-hot {one_hot:.2e}"),
     ]
-    all_ok = True
-    for name, check in checks:
-        ok, detail = check()
-        all_ok &= ok
+    for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return all_ok
+    return all(ok for _, ok, _ in results)

@@ -71,17 +71,6 @@ class DraftTree:
                 prefix = () if node.parent is None else self.paths[node.parent]
                 self.paths.append(prefix + (node.token,))
 
-    def path_tokens(self, index: int) -> list[int]:
-        """Tokens from the depth-1 ancestor down to ``index`` inclusive."""
-        return list(self.paths[index])
-
-    def leaf_indices(self) -> list[int]:
-        has_child = [False] * len(self.nodes)
-        for node in self.nodes:
-            if node.parent is not None:
-                has_child[node.parent] = True
-        return [i for i, flag in enumerate(has_child) if not flag]
-
 
 def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTree:
     """Build one speculative tree over ``context`` with the draft model.
@@ -159,20 +148,3 @@ def tree_attention_mask(tree: DraftTree) -> np.ndarray:
             mask[row, ctx_len:] = mask[ctx_len + node.parent, ctx_len:]
         mask[row, row] = True
     return mask
-
-
-def root_to_leaf_paths(tree: DraftTree) -> list[list[int]]:
-    """Token paths from depth 1 to each leaf, in leaf insertion order."""
-    return [tree.path_tokens(i) for i in tree.leaf_indices()]
-
-
-def format_tree(tree: DraftTree) -> str:
-    """Plain-text adjacency dump: id, parent, token, depth, p_draft, cum_logp."""
-    lines = [f"# context_len={tree.context_len} nodes={len(tree.nodes)}"]
-    lines.append("id\tparent\ttoken\tdepth\tp_draft\tcum_logp")
-    for i, node in enumerate(tree.nodes):
-        parent = "-" if node.parent is None else str(node.parent)
-        lines.append(
-            f"{i}\t{parent}\t{node.token}\t{node.depth}\t{node.p_draft:.12g}\t{node.cum_logp:.12g}"
-        )
-    return "\n".join(lines) + "\n"

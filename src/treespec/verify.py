@@ -117,13 +117,3 @@ def residual_dist(
     if total <= 0.0:
         return t.copy()
     return residual / total
-
-
-def residual_resample(
-    target_dist: np.ndarray | Sequence[float],
-    draft_dist: np.ndarray | Sequence[float],
-    rng: np.random.Generator,
-) -> int:
-    """Sample a replacement token from the residual distribution."""
-    dist = residual_dist(target_dist, draft_dist)
-    return int(rng.choice(dist.shape[0], p=dist))

@@ -1,7 +1,8 @@
 """Acceptance gate: every release criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion. The full-scale criteria use the bundled synthetic domains at
+per criterion. The sampled oracle checks are the ones ``treespec selftest``
+runs, here at full size. The full-scale criteria use the bundled synthetic domains at
 the reference configuration (4 domains x 50 prompts x 64 tokens, 8-node
 trees, seed 42).
 """
@@ -13,23 +14,18 @@ import pytest
 
 from treespec import (
     GenerationConfig,
-    NGramModel,
-    Vocabulary,
-    acceptance_prob,
-    average_ranks,
-    build_draft_tree,
     chain_probabilities,
-    entropy_nats,
     expected_accepted_length,
-    residual_dist,
     run_experiment,
-    simulate_chain_acceptance,
-    spearman_rho,
-    tree_attention_mask,
     write_records_csv,
 )
-from treespec.tree import TreeParams
-from treespec.verify import NodeScore
+from treespec.selftest import (
+    check_chain_law,
+    check_entropy,
+    check_ranks,
+    check_sampler,
+    check_trees,
+)
 
 
 def check(name: str, ok: bool, detail: str = "") -> None:
@@ -70,35 +66,8 @@ def test_analytics_identity_vs_reference_fixture(reference_stats):
 
 
 def test_distribution_preservation():
-    rng = np.random.default_rng(42)
     pairs = 20
-    worst_exact = 0.0
-    worst_tv = 0.0
-    samples = 1_000_000
-    for _ in range(pairs):
-        size = int(rng.integers(2, 6))
-        target_w = rng.random(size)
-        if size > 2 and rng.random() < 0.5:
-            target_w[rng.integers(0, size)] = 0.0
-        target = target_w / target_w.sum()
-        draft_w = rng.random(size)
-        draft = draft_w / draft_w.sum()
-
-        alphas = np.array([acceptance_prob(float(t), float(d)) for t, d in zip(target, draft)])
-        residual = residual_dist(target, draft)
-
-        # exact summation of acceptance + residual mass per token
-        reject_mass = float((draft * (1.0 - alphas)).sum())
-        emitted = draft * alphas + reject_mass * residual
-        worst_exact = max(worst_exact, float(np.abs(emitted - target).max()))
-
-        # independent Monte-Carlo of the same composite sampler
-        tokens = rng.choice(size, size=samples, p=draft)
-        accepted = rng.random(samples) < alphas[tokens]
-        tokens[~accepted] = rng.choice(size, size=int((~accepted).sum()), p=residual)
-        freq = np.bincount(tokens, minlength=size) / samples
-        worst_tv = max(worst_tv, 0.5 * float(np.abs(freq - target).sum()))
-
+    worst_exact, worst_tv = check_sampler(np.random.default_rng(42), pairs, samples=1_000_000)
     check(
         "distribution preservation",
         worst_exact < 1e-12 and worst_tv < 0.01,
@@ -107,11 +76,7 @@ def test_distribution_preservation():
 
 
 def test_chain_length_law():
-    rng = np.random.default_rng(42)
-    trials = 1_000_000
-    path = [NodeScore(i, 0.5, 0.5, 0.0) for i in range(3)]
-    total = sum(simulate_chain_acceptance(path, rng) for _ in range(trials))
-    mean = total / trials
+    mean = check_chain_law(np.random.default_rng(42), trials=1_000_000)
     check(
         "chain-length law",
         abs(mean - 0.875) <= 0.01,
@@ -120,73 +85,23 @@ def test_chain_length_law():
 
 
 def test_spearman_oracle_equivalence():
-    rng = np.random.default_rng(42)
-    datasets = 0
-    worst = 0.0
-    while datasets < 100:
-        n = int(rng.integers(3, 1001))
-        x = np.round(rng.random(n), 2)  # forced ties
-        y = np.round(rng.random(n), 2)
-        if np.all(x == x[0]) or np.all(y == y[0]):
-            continue
-        datasets += 1
-        # naive O(n^2) oracle: count-below + half the tie group, per element
-        rx = (x[:, None] > x[None, :]).sum(axis=1) + ((x[:, None] == x[None, :]).sum(axis=1) + 1) / 2.0
-        ry = (y[:, None] > y[None, :]).sum(axis=1) + ((y[:, None] == y[None, :]).sum(axis=1) + 1) / 2.0
-        assert np.array_equal(average_ranks(x), rx), "rank vectors must match bitwise"
-        assert np.array_equal(average_ranks(y), ry), "rank vectors must match bitwise"
-        rxc = rx - rx.mean()
-        ryc = ry - ry.mean()
-        oracle = float((rxc * ryc).sum() / math.sqrt((rxc * rxc).sum() * (ryc * ryc).sum()))
-        worst = max(worst, abs(spearman_rho(list(zip(x.tolist(), y.tolist()))) - oracle))
+    worst_rank, worst = check_ranks(np.random.default_rng(42), datasets=100)
     check(
         "rank-correlation oracle equivalence",
-        worst <= 1e-12,
-        f"100 datasets, max |rho - oracle| = {worst:.2e}",
+        worst_rank == 0.0 and worst <= 1e-12,
+        f"100 datasets, max |rho - oracle| = {worst:.2e}"
+        + (f", rank vectors off by {worst_rank:.2e}" if worst_rank else ""),
     )
 
 
 def test_tree_invariant_suite():
-    rng = np.random.default_rng(42)
     builds = 1000
-    for _ in range(builds):
-        size = int(rng.integers(2, 9))
-        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
-        doc = [int(t) for t in rng.integers(0, size, size=60)]
-        model = NGramModel.fit(
-            vocab, [doc], order=int(rng.integers(1, 4)), smoothing=float(rng.uniform(0.05, 1.0))
-        )
-        root_top_k = int(rng.integers(1, 5))
-        params = TreeParams(
-            max_depth=int(rng.integers(1, 5)),
-            max_branch=int(rng.integers(1, 4)),
-            root_top_k=root_top_k,
-            max_nodes=int(rng.integers(root_top_k, 14)),
-        )
-        context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
-        tree = build_draft_tree(model, context, params)
-
-        assert len(tree.nodes) <= params.max_nodes
-        assert sum(1 for n in tree.nodes if n.depth == 1) <= params.root_top_k
-        assert max(n.depth for n in tree.nodes) <= params.max_depth
-        children = [0] * len(tree.nodes)
-        for node in tree.nodes:
-            if node.parent is not None:
-                children[node.parent] += 1
-        assert all(c <= params.max_branch for c in children)
-
-        mask = tree_attention_mask(tree)
-        ctx_len = tree.context_len
-        for i, node in enumerate(tree.nodes):
-            ancestors = set()
-            current = node.parent
-            while current is not None:
-                ancestors.add(current)
-                current = tree.nodes[current].parent
-            visible = {j for j in range(len(tree.nodes)) if mask[ctx_len + i, ctx_len + j]}
-            assert visible == ancestors | {i}
-            assert mask[ctx_len + i, :ctx_len].all()
-    check("tree invariant suite", True, f"{builds} randomized builds")
+    violations = check_trees(np.random.default_rng(42), builds)
+    check(
+        "tree invariant suite",
+        not violations,
+        f"{builds} randomized builds" + "".join(f", {v}" for v in violations),
+    )
 
 
 def test_count_arithmetic_full_run(default_report):
@@ -220,13 +135,8 @@ def test_count_arithmetic_early_stop(corpora):
 
 
 def test_entropy_checks(default_report):
-    closed_form_ok = True
-    for size in (2, 3, 4, 10, 50):
-        uniform = np.full(size, 1.0 / size)
-        closed_form_ok &= abs(entropy_nats(uniform) - math.log(size)) <= 1e-12
-        one_hot = np.zeros(size)
-        one_hot[0] = 1.0
-        closed_form_ok &= entropy_nats(one_hot) == 0.0
+    uniform_dev, one_hot = check_entropy((2, 3, 4, 10, 50))
+    closed_form_ok = uniform_dev <= 1e-12 and one_hot == 0.0
 
     vocab_sizes = {
         d: meta["vocab_size"] for d, meta in default_report.metadata["domains"].items()

@@ -1,9 +1,23 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
-from treespec import GenerationConfig, InputError, cli, read_records_csv
+from treespec import (
+    GenerationConfig,
+    InputError,
+    NodeRecord,
+    acceptance_prob,
+    average_ranks,
+    cli,
+    entropy_nats,
+    read_records_csv,
+    selftest,
+    tree_attention_mask,
+    write_records_csv,
+)
 from treespec.cli import main
 from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
 from treespec.runner import CONFIG_KEYS
@@ -30,6 +44,17 @@ NON_DEFAULT_VALUES = {
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def sibling_mask(tree):
+    """tree_attention_mask with a defect: nodes that share a parent see each other."""
+    mask = tree_attention_mask(tree)
+    ctx = tree.context_len
+    for i, a in enumerate(tree.nodes):
+        for j, b in enumerate(tree.nodes):
+            if a.parent == b.parent:
+                mask[ctx + i, ctx + j] = True
+    return mask
 
 
 class TestRun:
@@ -204,6 +229,28 @@ class TestRun:
         records = read_records_csv(out / "records.csv")
         assert {r.domain for r in records} == {"alpha", "beta"}
 
+    def test_synthetic_docs_with_data_exits_one(self, tmp_path, capsys):
+        # The data directory does not exist: a read would exit 2, not 1.
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", "--data", str(tmp_path / "missing"), "--synthetic-docs", "5", "--out", str(out)
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --synthetic-docs needs --synthetic, not --data\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, n_docs", [((), 160), (("--synthetic-docs", "3"), 3)])
+    def test_synthetic_docs_sets_documents_per_domain(self, tmp_path, monkeypatch, flags, n_docs):
+        seen = []
+
+        def spy(n_docs, seed):
+            seen.append(n_docs)
+            raise InputError("stop before the run")
+
+        monkeypatch.setattr(cli, "synthetic_corpora", spy)
+        assert run_cli("run", "--synthetic", *flags, "--out", str(tmp_path / "o")) == 1
+        assert seen == [n_docs]
+
 
 class TestAnalyzeAndTables:
     @pytest.fixture()
@@ -291,6 +338,21 @@ class TestAnalyzeAndTables:
         bad.write_text("wrong,header\n")
         assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "tables"])
+    def test_depth_gap_names_the_domain(self, tmp_path, capsys, command):
+        path = tmp_path / "records.csv"
+        rows = [
+            NodeRecord("code", 0, 0, 1, 0, 4, 0.5, 0.25, 0.5, 0.1),
+            NodeRecord("chat", 0, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
+            NodeRecord("chat", 0, 0, 3, 0, 6, 0.5, 0.5, 1.0, 0.2),
+        ]
+        write_records_csv(rows, path)
+        out = ["--out", str(tmp_path / "o")] if command == "analyze" else []
+        assert run_cli(command, "--records", str(path), *out) == 1
+        assert capsys.readouterr().err == (
+            "error: domain 'chat': depths must form a contiguous range 1..D, got [1, 3]\n"
+        )
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):
@@ -303,6 +365,32 @@ class TestSelftest:
         # It died with numpy's traceback from default_rng.
         assert run_cli("selftest", "--seed", "-1") == 1
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize("name, defect, check", [
+        ("acceptance_prob", lambda t, d: t / d, "rejection-sampling exactness"),
+        ("average_ranks", lambda values: average_ranks(values) + 1.0,
+         "rank correlation vs naive oracle"),
+        ("tree_attention_mask", sibling_mask, "tree invariants and mask oracle"),
+        ("simulate_chain_acceptance", lambda path, rng: len(path), "chain-length law"),
+        ("entropy_nats", lambda dist: entropy_nats(dist) + 1e-3, "entropy bounds"),
+        # NaN defects: each check must keep a NaN measure, not fold it away.
+        ("acceptance_prob", lambda t, d: math.nan if t == 0.0 else acceptance_prob(t, d),
+         "rejection-sampling exactness"),
+        ("average_ranks", lambda values: np.full(len(values), np.nan),
+         "rank correlation vs naive oracle"),
+        ("entropy_nats", lambda dist: math.nan if len(dist) == 33 else entropy_nats(dist),
+         "entropy bounds"),
+    ], ids=[
+        "unclipped-alpha", "ranks-off-by-one", "siblings-see-each-other", "never-rejects",
+        "entropy-offset", "nan-alpha", "nan-ranks", "nan-entropy",
+    ])
+    def test_each_check_fails_on_its_defect(self, monkeypatch, capsys, name, defect, check):
+        # Only the selftest module's binding is patched; the defects wrap the real functions.
+        monkeypatch.setattr(selftest, name, defect)
+        assert run_cli("selftest") == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  {check}:" in out
+        assert out.count("FAIL") == 1
 
 
 class TestUsageErrors:

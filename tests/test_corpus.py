@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,7 @@ from treespec import (
     sample_prompts,
     synthetic_corpora,
     synthetic_corpus,
-    tokenize,
-    detokenize,
     train_models,
-    write_prompt_manifest,
 )
 from treespec.corpus import END_TOKEN, UNK_TOKEN, build_vocabulary, load_corpora, load_domain_dir
 
@@ -29,26 +24,17 @@ FROZEN_DOC_INDICES = [
 
 class TestTokenize:
     def test_whitespace(self):
-        assert tokenize("a b a") == ["a", "b", "a"]
-
-    def test_character(self):
-        assert tokenize("ab", "character") == ["a", "b"]
+        corpus = DomainCorpus.from_texts("d", ["a b\ta\n b"])
+        assert corpus.vocabulary.tokens == (UNK_TOKEN, "a", "b")
+        assert corpus.documents == [(1, 2, 1, 2)]
 
     def test_empty(self):
-        assert tokenize("") == []
-        assert tokenize("", "character") == []
+        corpus = DomainCorpus.from_texts("d", ["a", "", " \n"])
+        assert corpus.documents == [(1,)]
 
     def test_deterministic(self):
         text = "def f ( x ) :\n  return x"
-        assert tokenize(text) == tokenize(text)
-
-    def test_round_trip_whitespace(self):
-        tokens = tokenize("alpha beta\tgamma\nalpha")
-        assert tokenize(detokenize(tokens)) == tokens
-
-    def test_unknown_scheme(self):
-        with pytest.raises(InputError):
-            tokenize("x", "bpe")
+        assert DomainCorpus.from_texts("d", [text]) == DomainCorpus.from_texts("d", [text])
 
 
 class TestVocabularyBuild:
@@ -194,16 +180,3 @@ class TestIO:
         (tmp_path / "empty").mkdir()
         with pytest.raises(InputError):
             load_domain_dir(tmp_path / "empty")
-
-    def test_manifest(self, tmp_path):
-        corpus = DomainCorpus.from_texts("d", ["a b c", "b c"])
-        prompts = sample_prompts(corpus, 2, seed=5, max_len=2)
-        path = tmp_path / "prompts.jsonl"
-        write_prompt_manifest(prompts, "d", path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["prompt_id"] for r in rows] == [0, 1]
-        assert all(r["domain"] == "d" for r in rows)
-        assert all(r["token_count"] == 2 for r in rows)
-        first_bytes = path.read_bytes()
-        write_prompt_manifest(prompts, "d", path)
-        assert path.read_bytes() == first_bytes

@@ -32,7 +32,6 @@ class TestVocabulary:
         assert WXYZ.size == 4
         for i, tok in enumerate(WXYZ.tokens):
             assert WXYZ.index_of(tok) == i
-            assert WXYZ.token_of(i) == tok
 
     def test_rejects_duplicates(self):
         with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from treespec import (
     generate_step,
     parse_config_file,
     read_records_csv,
-    read_summary_json,
     render_tables,
     run_experiment,
     sample_prompts,
@@ -34,6 +34,12 @@ from treespec import (
 from treespec import runner
 from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
 from treespec.runner import ExperimentReport
+
+
+SUMMARY_KEYS = (
+    "node_count", "mean_alpha", "std_alpha", "mean_entropy",
+    "per_depth_alpha", "chain_prob", "expected_len", "spearman_rho",
+)
 
 
 def summaries_equal(a, b):
@@ -321,7 +327,7 @@ class TestPersistence:
     def test_persisted_alpha_self_consistency(self, small_report, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(small_report.records, path)
-        for rec in read_records_csv(path, validate=True):
+        for rec in read_records_csv(path):
             assert abs(rec.alpha - min(1.0, rec.p_target / rec.p_draft)) <= 1e-9
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -336,12 +342,24 @@ class TestPersistence:
         path.write_text(f"{header}\nchat,0,0,1,0,5,0.5,0.25,0.9,0.1\n")
         with pytest.raises(InputError):
             read_records_csv(path)
-        assert len(read_records_csv(path, validate=False)) == 1
 
     def test_summary_json_round_trip(self, small_report, tmp_path):
         path = tmp_path / "summary.json"
         write_summary_json(small_report.summaries, path)
-        assert summaries_equal(read_summary_json(path), small_report.summaries)
+        expected = {
+            domain: {
+                "node_count": s.node_count,
+                "mean_alpha": s.mean_alpha,
+                "std_alpha": s.std_alpha,
+                "mean_entropy": s.mean_entropy,
+                "per_depth_alpha": {str(d): v for d, v in s.per_depth_alpha.items()},
+                "chain_prob": {str(d): v for d, v in s.chain_prob.items()},
+                "expected_len": s.expected_len,
+                "spearman_rho": None if math.isnan(s.spearman_rho) else s.spearman_rho,
+            }
+            for domain, s in small_report.summaries.items()
+        }
+        assert json.loads(path.read_text()) == expected
 
     def test_reference_summary_fixture_round_trip(self, reference_stats, tmp_path):
         summaries = {}
@@ -358,10 +376,13 @@ class TestPersistence:
             )
         path = tmp_path / "summary.json"
         write_summary_json(summaries, path)
-        loaded = read_summary_json(path)
-        assert summaries_equal(loaded, summaries)
+        loaded = json.loads(path.read_text())
+        assert loaded == {
+            name: {key: payload[key] for key in SUMMARY_KEYS}
+            for name, payload in reference_stats["domains"].items()
+        }
         chat = loaded["chat"]
-        assert (chat.node_count, chat.mean_alpha, chat.std_alpha, chat.mean_entropy) == (
+        assert tuple(chat[key] for key in SUMMARY_KEYS[:4]) == (
             24592,
             0.5650,
             0.4415,
@@ -470,9 +491,9 @@ class TestRecordCsv:
         seen = []
         parse_rows = runner._parse_rows
 
-        def spy(rows, domains, validate):
+        def spy(rows, domains):
             seen.append(len(rows))
-            return parse_rows(rows, domains, validate)
+            return parse_rows(rows, domains)
 
         monkeypatch.setattr(runner, "_parse_rows", spy)
         assert read_records_csv(path) == table
@@ -484,16 +505,21 @@ class TestRecordCsv:
     def test_first_bad_row_is_reported(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
         good = "chat,0,0,1,0,5,0.5,0.25,0.5,0.1"
-        rows = [good] * 12
-        rows[9] = "chat,0,0,1,0,5,0.5,0.25,0.75,0.1"  # line 11: alpha inconsistent
-        rows[10] = "chat,0,x,1,0,5,0.5,0.25,0.5,0.1"  # line 12: not an integer
-        rows[11] = "chat,0,0,1"  # line 13: too few fields
-        path = tmp_path / "bad.csv"
-        path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n")
-        with pytest.raises(InputError, match=f"{path}:11: alpha inconsistent"):
-            read_records_csv(path)
-        with pytest.raises(InputError, match=f"{path}:12: invalid literal"):
-            read_records_csv(path, validate=False)
+        bad_rows = {
+            11: ("chat,0,0,1,0,5,0.5,0.25,0.75,0.1", "alpha inconsistent"),
+            12: ("chat,0,x,1,0,5,0.5,0.25,0.5,0.1", "invalid literal"),
+            13: ("chat,0,0,1", "malformed row"),
+        }
+        # The file for line L also holds every bad row after L; L must be reported.
+        for line, (_, message) in bad_rows.items():
+            rows = [good] * 12
+            for later, (row, _) in bad_rows.items():
+                if later >= line:
+                    rows[later - 2] = row
+            path = tmp_path / f"bad{line}.csv"
+            path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n")
+            with pytest.raises(InputError, match=f"{path}:{line}: {message}"):
+                read_records_csv(path)
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -12,8 +12,6 @@ from treespec import (
     TreeParams,
     Vocabulary,
     build_draft_tree,
-    format_tree,
-    root_to_leaf_paths,
     tree_attention_mask,
 )
 
@@ -349,7 +347,7 @@ class TestMask:
             assert np.array_equal(tree_attention_mask(tree), oracle_mask(tree))
 
 
-# --- leaf paths ----------------------------------------------------------------
+# --- node paths ----------------------------------------------------------------
 
 
 def oracle_paths_dfs(tree: DraftTree):
@@ -373,36 +371,32 @@ def oracle_paths_dfs(tree: DraftTree):
     return paths
 
 
+def leaf_paths(tree: DraftTree):
+    """``tree.paths`` of the childless nodes, in insertion order."""
+    parents = {node.parent for node in tree.nodes}
+    return [list(path) for i, path in enumerate(tree.paths) if i not in parents]
+
+
 class TestPaths:
     def test_single_chain(self):
         draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0])
         tree = build_draft_tree(draft, [1], TreeParams(3, 2, 3, 8))
-        assert root_to_leaf_paths(tree) == [[0, 0, 0]]
+        assert tree.paths == [(0,), (0, 0), (0, 0, 0)]
+        assert leaf_paths(tree) == [[0, 0, 0]]
 
     def test_two_depth_one_leaves(self):
         draft = TableModel(WXYZ, [0.6, 0.4, 0.0, 0.0])
         tree = build_draft_tree(draft, [1], TreeParams(1, 2, 2, 8))
-        assert root_to_leaf_paths(tree) == [[0], [1]]
+        assert leaf_paths(tree) == [[0], [1]]
 
     def test_matches_dfs_oracle(self):
         rng = np.random.default_rng(505)
         for _ in range(60):
             model, context = random_model_and_context(rng)
             tree = build_draft_tree(model, context, random_params(rng))
-            got = root_to_leaf_paths(tree)
+            got = leaf_paths(tree)
             dfs = oracle_paths_dfs(tree)
-            assert sorted(map(tuple, got)) == sorted(tuple(p) for _, p in dfs)
-            # deterministic order: leaves in insertion order
-            leaf_order = sorted(dfs)  # dfs entries keyed by leaf index
-            assert got == [p for _, p in leaf_order]
-
-
-class TestDump:
-    def test_format_tree_layout(self):
-        tree = build_draft_tree(trigram_model(), [0, 1], TreeParams(3, 2, 3, 8))
-        text = format_tree(tree)
-        lines = text.strip().splitlines()
-        assert lines[1].split("\t") == ["id", "parent", "token", "depth", "p_draft", "cum_logp"]
-        assert len(lines) == 2 + len(tree.nodes)
-        first = lines[2].split("\t")
-        assert first[0] == "0" and first[1] == "-"
+            # leaves in insertion order; dfs entries are keyed by leaf index
+            assert got == [p for _, p in sorted(dfs)]
+            # a tree built by hand derives the same paths from its parent links
+            assert DraftTree(nodes=tree.nodes, context_len=tree.context_len).paths == tree.paths
