@@ -11,6 +11,7 @@ pattern.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,10 +28,17 @@ SYNTHETIC_DOMAINS = ("chat", "code", "math", "reasoning")
 SYNTHETIC_DOCS = 160  # documents per synthetic domain in the reference run
 
 
-def build_vocabulary(token_docs: Iterable[Sequence[str]]) -> Vocabulary:
-    """Unknown token at index 0, then all observed tokens in sorted order."""
-    seen = {t for doc in token_docs for t in doc}
+def build_vocabulary(domain: str, token_docs: Iterable[Sequence[str]]) -> Vocabulary:
+    """Unknown token at index 0, then all observed tokens in sorted order.
+
+    A domain with no tokens, or none but the unknown token, is rejected by name.
+    """
+    seen = set(itertools.chain.from_iterable(token_docs))
+    if not seen:
+        raise InputError(f"domain {domain!r} has no tokens: every document is empty")
     seen.discard(UNK_TOKEN)
+    if not seen:
+        raise InputError(f"domain {domain!r} has no tokens besides {UNK_TOKEN}")
     return Vocabulary((UNK_TOKEN, *sorted(seen)))
 
 
@@ -43,24 +51,19 @@ class DomainCorpus:
     vocabulary: Vocabulary
 
     @classmethod
-    def from_texts(
-        cls,
-        domain: str,
-        texts: Sequence[str],
-        vocabulary: Vocabulary | None = None,
-    ) -> "DomainCorpus":
-        """Split texts on whitespace and encode them; unseen tokens map to the unknown index."""
-        token_docs = [t.split() for t in texts]
-        if vocabulary is None and not any(token_docs):
-            raise InputError(f"domain {domain!r} has no tokens: every document is empty")
-        vocab = vocabulary if vocabulary is not None else build_vocabulary(token_docs)
-        unk = vocab.get(UNK_TOKEN, 0)
-        documents = [
-            tuple(vocab.get(t, unk) for t in doc)  # type: ignore[misc]
-            for doc in token_docs
-            if doc
-        ]
+    def from_tokens(cls, domain: str, token_docs: Iterable[Sequence[str]]) -> "DomainCorpus":
+        """Encode token lists over the vocabulary they span; empty documents are dropped."""
+        token_docs = [doc for doc in token_docs if doc]
+        vocab = build_vocabulary(domain, token_docs)
+        # Every token is in the vocabulary, so map needs no default and runs in C.
+        index = {token: i for i, token in enumerate(vocab.tokens)}.__getitem__
+        documents = [tuple(map(index, doc)) for doc in token_docs]
         return cls(domain=domain, documents=documents, vocabulary=vocab)
+
+    @classmethod
+    def from_texts(cls, domain: str, texts: Iterable[str]) -> "DomainCorpus":
+        """Split texts on whitespace and encode them with ``from_tokens``."""
+        return cls.from_tokens(domain, [t.split() for t in texts])
 
 
 @dataclass
@@ -213,13 +216,13 @@ def synthetic_corpus(
     if n_docs < 1 or doc_len < 1:
         raise InputError("n_docs and doc_len must be >= 1")
     rng = random.Random(f"{domain}-{seed}")
-    texts = []
+    token_docs = []
     for _ in range(n_docs):
         tokens: list[str] = []
         while len(tokens) < doc_len:
             tokens.extend(generator(rng))
-        texts.append(" ".join(tokens))
-    return DomainCorpus.from_texts(domain, texts)
+        token_docs.append(tokens)
+    return DomainCorpus.from_tokens(domain, token_docs)
 
 
 def synthetic_corpora(

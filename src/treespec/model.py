@@ -309,10 +309,10 @@ class NGramModel(LanguageModel):
             tokens.extend(row)
             weights.extend(row.values())
         columns = np.array(backs, dtype=np.int64).reshape(len(backs), span).T
-        ids = self._rank(columns, len(backs))
+        ids, n_contexts = self._rank(columns, len(backs))
         keys = np.repeat(ids, lengths) * size + np.array(tokens, dtype=np.int64)
         ascending = np.argsort(keys)
-        self._pack(keys[ascending], np.array(weights, dtype=np.int64)[ascending], len(backs))
+        self._pack(keys[ascending], np.array(weights, dtype=np.int64)[ascending], n_contexts)
 
     @classmethod
     def fit(
@@ -325,8 +325,8 @@ class NGramModel(LanguageModel):
         """Count successor statistics over ``documents`` (index sequences).
 
         The documents are flattened into one array; each level's context ids
-        come from one ``np.unique`` over all positions and the (context,
-        token) pairs are counted with one more.
+        are ranked over all positions at once and the (context, token) pairs
+        are counted in one more pass (``_distinct`` and ``_count`` say how).
         """
         model = cls.__new__(cls)
         model._setup(vocab, order, smoothing)
@@ -338,8 +338,8 @@ class NGramModel(LanguageModel):
         since_start = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         # Made one level at a time, so only one column is alive at once.
         columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, order))
-        ids = model._rank(columns, flat.size)
-        model._pack(*np.unique(ids * vocab.size + flat, return_counts=True), flat.size)
+        ids, n_contexts = model._rank(columns, flat.size)
+        model._pack(*_count(ids * vocab.size + flat, n_contexts * vocab.size), n_contexts)
         return model
 
     def _setup(self, vocab: Vocabulary, order: int, smoothing: float) -> None:
@@ -358,14 +358,18 @@ class NGramModel(LanguageModel):
         self._unseen = SparseRow(size, {}, self.smoothing, self.smoothing * size, None,
                                  self._entropies)
 
-    def _rank(self, columns: Iterable[np.ndarray], n: int) -> np.ndarray:
-        """Fill ``_levels`` and ``_first`` from each level's ``back`` column; the final ids."""
+    def _rank(self, columns: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, int]:
+        """Fill ``_levels`` and ``_first`` from each level's ``back`` column.
+
+        Returns the ``n`` rows' final ids and the number of contexts; with no
+        levels every row is the one context (), so there is none when n is 0.
+        """
         radix = self.vocab.size + 1
         ids = np.zeros(n, dtype=np.int64)
         self._levels = []
         parents = 1
         for back in columns:
-            codes, ids = np.unique(ids * radix + back, return_inverse=True)
+            codes, ids = _distinct(ids * radix + back, parents * radix)
             parent, children = np.divmod(codes, radix)
             starts = np.searchsorted(parent, np.arange(parents + 1))
             # Memoryviews index and slice to plain ints without a list of them.
@@ -375,14 +379,10 @@ class NGramModel(LanguageModel):
         if self._levels:
             first[self._levels[0][1]] = np.arange(len(self._levels[0][1]))
         self._first = memoryview(first)
-        return ids
+        return ids, parents if self._levels else min(n, 1)
 
-    def _pack(self, keys: np.ndarray, counts: np.ndarray, n: int) -> None:
-        """Fill the row columns from ascending ``context id * |V| + token`` keys.
-
-        ``n`` is the number of context rows ``_rank`` ranked.
-        """
-        n_contexts = len(self._levels[-1][1]) if self._levels else min(n, 1)
+    def _pack(self, keys: np.ndarray, counts: np.ndarray, n_contexts: int) -> None:
+        """Fill the row columns from ascending ``context id * |V| + token`` keys."""
         size = self.vocab.size
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
@@ -442,6 +442,30 @@ class NGramModel(LanguageModel):
         denom = self._totals[node] + self.smoothing * size
         row = dict(zip(self._tokens[start:stop], self._counts[start:stop]))
         return SparseRow(size, row, self.smoothing, denom, key, self._entropies)
+
+
+# Up to this many codes' worth of code space, a presence mask or a bincount
+# over the whole space ranks or counts codes faster than np.unique's sort;
+# beyond it, allocating and scanning the space costs more than the sort.
+_DENSE_SPACE_PER_CODE = 2
+
+
+def _distinct(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for int64 codes in [0, space)."""
+    if space > _DENSE_SPACE_PER_CODE * codes.size:
+        return np.unique(codes, return_inverse=True)
+    present = np.zeros(space, dtype=bool)
+    present[codes] = True
+    return np.flatnonzero(present), np.cumsum(present)[codes] - 1
+
+
+def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_counts=True)`` for int64 codes in [0, space)."""
+    if space > _DENSE_SPACE_PER_CODE * codes.size:
+        return np.unique(codes, return_counts=True)
+    counts = np.bincount(codes, minlength=space)
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys]
 
 
 def _check_tokens(tokens: Iterable, size: int) -> None:

@@ -191,6 +191,16 @@ class TestRun:
         )
         assert not out.exists()
 
+    def test_data_domain_of_unknown_tokens_exits_one(self, tmp_path, capsys):
+        for domain, text in (("alpha", "a b c a b"), ("beta", "<unk> <unk>")):
+            folder = tmp_path / "data" / domain
+            folder.mkdir(parents=True)
+            (folder / "doc.txt").write_text(text)
+        out = tmp_path / "o"
+        assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: domain 'beta' has no tokens besides <unk>\n"
+        assert not out.exists()
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 7\n# caf\xe9\n")

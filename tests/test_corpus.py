@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,15 @@ from treespec import (
     synthetic_corpus,
     train_models,
 )
-from treespec.corpus import END_TOKEN, UNK_TOKEN, build_vocabulary, load_corpora, load_domain_dir
+from treespec.corpus import (
+    _EPISODE_GENERATORS,
+    END_TOKEN,
+    SYNTHETIC_DOMAINS,
+    UNK_TOKEN,
+    build_vocabulary,
+    load_corpora,
+    load_domain_dir,
+)
 
 # Frozen output of the documented sampler (default_rng(42).choice over 200
 # docs, size 50, without replacement), recorded from a verified first run.
@@ -39,19 +49,20 @@ class TestTokenize:
 
 class TestVocabularyBuild:
     def test_unk_first_then_sorted(self):
-        vocab = build_vocabulary([["b", "a"], ["c", "a"]])
+        vocab = build_vocabulary("d", [["b", "a"], ["c", "a", UNK_TOKEN]])
         assert vocab.tokens == (UNK_TOKEN, "a", "b", "c")
-
-    def test_oov_maps_to_unk(self):
-        vocab = build_vocabulary([["a", "b"]])
-        corpus = DomainCorpus.from_texts("d", ["a zzz b"], vocabulary=vocab)
-        assert corpus.documents == [(1, 0, 2)]
 
     def test_no_tokens_names_the_domain(self):
         with pytest.raises(InputError, match="domain 'd' has no tokens: every document is empty"):
             DomainCorpus.from_texts("d", ["", "  \n\t"])
         with pytest.raises(InputError, match="domain 'd' has no tokens"):
             DomainCorpus.from_texts("d", [])
+        with pytest.raises(InputError, match=f"domain 'd' has no tokens besides {UNK_TOKEN}"):
+            DomainCorpus.from_texts("d", [f"{UNK_TOKEN} {UNK_TOKEN}", ""])
+
+    def test_unknown_token_keeps_index_zero(self):
+        corpus = DomainCorpus.from_tokens("d", [["b", UNK_TOKEN, "a"], []])
+        assert corpus.documents == [(2, 0, 1)]
 
     def test_blank_documents_dropped(self):
         corpus = DomainCorpus.from_texts("d", ["a b", "   ", "b"])
@@ -154,6 +165,23 @@ class TestSynthetic:
     def test_unknown_domain(self):
         with pytest.raises(InputError):
             synthetic_corpus("poetry")
+
+    def test_generator_tokens_survive_whitespace_split(self):
+        for domain, generator in _EPISODE_GENERATORS.items():
+            rng = random.Random(domain)
+            for _ in range(500):
+                for token in generator(rng):
+                    assert token and token.split() == [token], (domain, token)
+
+    @pytest.mark.parametrize("domain", SYNTHETIC_DOMAINS)
+    def test_tokens_encode_like_joined_text(self, domain):
+        # synthetic_corpus encodes the generators' token lists directly; the
+        # space-joined documents must read back to the same corpus.
+        for seed, n_docs in ((0, 1), (7, 3), (42, 20)):
+            corpus = synthetic_corpus(domain, n_docs=n_docs, seed=seed)
+            tokens = corpus.vocabulary.tokens
+            texts = [" ".join(tokens[i] for i in doc) for doc in corpus.documents]
+            assert DomainCorpus.from_texts(domain, texts) == corpus
 
 
 class TestIO:

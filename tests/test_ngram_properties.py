@@ -1,0 +1,137 @@
+"""Seeded property tests: NGramModel's count columns against an np.unique oracle.
+
+Each case draws a vocabulary of 2 to a few thousand tokens, an order from 1
+to 4 and either random documents (for ``fit``) or a random count mapping
+(for the constructor). ``fit`` and the constructor rank each level and count
+the pairs by dense counting when the level's code space is small next to the
+number of codes and by sorting otherwise; the cases fall on both sides, and
+every column must equal the one the oracle builds with ``np.unique`` alone.
+"""
+
+import numpy as np
+
+from treespec import NGramModel, Vocabulary
+from treespec import model as model_module
+
+CASES = 200
+
+
+def oracle_columns(size, order, backs, owner, tokens, weights):
+    """The columns of rows ``backs`` (rows x order - 1) whose pairs are (owner, token, weight).
+
+    Ids are ranked level by level and the pairs counted with ``np.unique``.
+    """
+    radix = size + 1
+    ids = np.zeros(len(backs), dtype=np.int64)
+    levels, parents = [], 1
+    for k in range(order - 1):
+        codes, ids = np.unique(ids * radix + backs[:, k], return_inverse=True)
+        parent, children = np.divmod(codes, radix)
+        levels.append((np.searchsorted(parent, np.arange(parents + 1)), children))
+        parents = codes.size
+    first = np.full(radix, -1)
+    if levels:
+        first[levels[0][1]] = np.arange(len(levels[0][1]))
+    keys, inverse = np.unique(ids[owner] * size + tokens, return_inverse=True)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(counts, inverse, weights)
+    n_contexts = parents if levels else min(len(backs), 1)
+    rows = keys // size
+    offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
+    totals = np.zeros(n_contexts, dtype=np.int64)
+    np.add.at(totals, rows, counts)
+    return {"levels": levels, "first": first, "offsets": offsets,
+            "tokens": keys - rows * size, "counts": counts, "totals": totals}
+
+
+def assert_columns(model, expected):
+    assert len(model._levels) == len(expected["levels"])
+    for (starts, children), (want_starts, want_children) in zip(model._levels, expected["levels"]):
+        assert np.array_equal(np.asarray(starts), want_starts)
+        assert np.array_equal(np.asarray(children), want_children)
+    for name in ("first", "offsets", "tokens", "counts", "totals"):
+        column = np.asarray(getattr(model, f"_{name}"))
+        assert column.dtype == np.int64, name
+        assert np.array_equal(column, expected[name]), name
+
+
+def random_vocab(rng):
+    size = int(np.exp(rng.uniform(np.log(2), np.log(3000))))
+    return Vocabulary(tuple(f"t{i}" for i in range(size)))
+
+
+def backs_of(context, span):
+    """Token k places back, plus one, for k = 1 .. span; 0 before the start."""
+    return [context[-k] + 1 if k <= len(context) else 0 for k in range(1, span + 1)]
+
+
+def is_sorted(space, n_codes):
+    """Whether the model ranks or counts ``n_codes`` codes by sorting, by its own rule."""
+    return space > model_module._DENSE_SPACE_PER_CODE * n_codes
+
+
+def level_sides(size, order, backs):
+    """(dense, sorted) tallies of the choices ``_rank`` makes for each level."""
+    radix = size + 1
+    ids, tally = np.zeros(len(backs), dtype=np.int64), [0, 0]
+    parents = 1
+    for k in range(order - 1):
+        tally[is_sorted(parents * radix, len(backs))] += 1
+        codes, ids = np.unique(ids * radix + backs[:, k], return_inverse=True)
+        parents = codes.size
+    return tally
+
+
+def test_fit_matches_the_unique_oracle():
+    rng = np.random.default_rng(4201)
+    tally, pair_tally = [0, 0], [0, 0]
+    for _ in range(CASES):
+        vocab = random_vocab(rng)
+        order = int(rng.integers(1, 5))
+        # Few token types repeat a lot (dense levels); many types in a short
+        # corpus leave the code space sparse (sorted levels).
+        types = int(rng.integers(1, vocab.size + 1))
+        documents = [
+            tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, 400))))
+            for _ in range(int(rng.integers(0, 8)))
+        ]
+        model = NGramModel.fit(vocab, documents, order, 0.1)
+        span = order - 1
+        flat = np.array([t for doc in documents for t in doc], dtype=np.int64)
+        backs = np.array([backs_of(doc[:i], span) for doc in documents for i in range(len(doc))],
+                         dtype=np.int64).reshape(flat.size, span)
+        expected = oracle_columns(vocab.size, order, backs, np.arange(flat.size), flat,
+                                  np.ones(flat.size, dtype=np.int64))
+        assert_columns(model, expected)
+        tally = np.add(tally, level_sides(vocab.size, order, backs))
+        n_contexts = len(expected["levels"][-1][1]) if expected["levels"] else 1
+        pair_tally[is_sorted(n_contexts * vocab.size, flat.size)] += 1
+    assert min(tally) >= 20 and min(pair_tally) >= 20, (tally, pair_tally)
+
+
+def test_constructor_matches_the_unique_oracle():
+    rng = np.random.default_rng(4202)
+    tally = [0, 0]
+    for _ in range(CASES):
+        vocab = random_vocab(rng)
+        order = int(rng.integers(1, 5))
+        span = order - 1
+        types = int(rng.integers(1, vocab.size + 1))
+        counts = {}
+        for _ in range(int(rng.integers(0, 300))):
+            length = int(rng.integers(0, span + 1))
+            context = tuple(int(t) for t in rng.integers(0, types, size=length))
+            n_successors = int(rng.integers(0, 6))
+            counts[context] = {
+                int(t): int(rng.integers(0, 5))
+                for t in rng.integers(0, vocab.size, size=n_successors)
+            }
+        model = NGramModel(vocab, order, counts, 0.1)
+        backs = np.array([backs_of(c, span) for c in counts], dtype=np.int64).reshape(len(counts), span)
+        lengths = [len(row) for row in counts.values()]
+        owner = np.repeat(np.arange(len(counts)), lengths)
+        tokens = np.array([t for row in counts.values() for t in row], dtype=np.int64)
+        weights = np.array([w for row in counts.values() for w in row.values()], dtype=np.int64)
+        assert_columns(model, oracle_columns(vocab.size, order, backs, owner, tokens, weights))
+        tally = np.add(tally, level_sides(vocab.size, order, backs))
+    assert min(tally) >= 20, tally
