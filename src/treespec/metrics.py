@@ -61,6 +61,13 @@ INT_FIELDS = RECORD_FIELDS[1:6]  # prompt_id .. token
 FLOAT_FIELDS = RECORD_FIELDS[6:]  # p_draft .. target_entropy
 
 
+def check_domain_names(domains: Iterable[str]) -> None:
+    """Reject a domain name holding a line break: a record file keeps each record on one line."""
+    for name in domains:
+        if "\r" in name or "\n" in name:
+            raise InputError(f"domain name {name!r} holds a line break")
+
+
 class RecordTable:
     """Node records held column-wise: one numpy array per NodeRecord field.
 
@@ -76,6 +83,7 @@ class RecordTable:
         self.domains = tuple(domains)
         if len(set(self.domains)) != len(self.domains):
             raise InputError(f"duplicate domain names: {self.domains}")
+        check_domain_names(self.domains)
         self.domain_code = np.asarray(domain_code, dtype=np.int64)
         for name in INT_FIELDS:
             setattr(self, name, np.asarray(columns.pop(name), dtype=np.int64))

@@ -11,9 +11,9 @@ step's rows once, the loop notes which memo entry every step used, and the
 columns are gathered in one pass at the end into a RecordTable that is
 summarized once and written as CSV and tables.
 
-Record files are CSV with a frozen column order (NodeRecord fields) and all
-floats at 17 significant digits, so a run is reproducible byte-for-byte and
-re-ingestion is lossless.
+Record files are CSV with a frozen column order (NodeRecord fields), one
+record per line and all floats at 17 significant digits, so a run is
+reproducible byte-for-byte and re-ingestion is lossless.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import io
 import itertools
 import json
 import math
+import operator
+import reprlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,6 +43,7 @@ from .metrics import (
     NodeRecord,
     RecordTable,
     as_table,
+    check_domain_names,
     depth_profile,
     position_effects,
     summarize,
@@ -205,6 +208,7 @@ def run_experiment(
     """
     if not corpora:
         raise InputError("need at least one domain corpus")
+    check_domain_names(corpora)
     if config.eos_token:
         missing = sorted(
             d for d, c in corpora.items() if c.vocabulary.get(config.eos_token) is None
@@ -347,20 +351,21 @@ def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | P
 def read_records_csv(path: str | Path) -> RecordTable:
     """Re-ingest a record file, re-checking each row's self-consistency.
 
-    Rows are parsed ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct
-    field text once. The first bad row is reported as ``path:line`` with the
-    message ``int``, ``float`` or ``NodeRecord.validate`` gives.
+    The writer puts one record on each line, and its nine numeric fields
+    never hold a comma or a quote, so each line is split at its last nine
+    commas; only the domain field may be quoted. Lines are parsed
+    ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct field text
+    once. The first bad row is reported as ``path:line`` with the message
+    ``int``, ``float``, ``_domain_name`` or ``NodeRecord.validate`` gives.
     """
     domains: dict[str, int] = {}
     chunks: list[RecordTable] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(header) != RECORD_FIELDS:
+            if handle.readline().rstrip("\r\n") != ",".join(RECORD_FIELDS):
                 raise InputError(f"{path} is not a record file (unexpected header)")
-            while rows := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
-                table = _parse_rows(rows, domains)
+            while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
+                table = _parse_rows(lines, domains)
                 if table is None:
                     _raise_first_bad_row(path)
                 chunks.append(table)
@@ -375,22 +380,38 @@ def read_records_csv(path: str | Path) -> RecordTable:
     )
 
 
-def _parse_rows(rows: list[list[str]], domains: dict[str, int]) -> RecordTable | None:
-    """Columns of raw CSV rows, or None if any row is bad.
+# A record line's fields: everything before its last nine commas is the
+# domain. The last field keeps the line end, which float ignores.
+_split_fields = operator.methodcaller("rsplit", ",", len(RECORD_FIELDS) - 1)
+
+
+def _domain_name(text: str) -> str:
+    """The domain a record line's first field names, if ``_csv_field`` writes it so."""
+    name = text[1:-1].replace('""', '"') if text.startswith('"') else text
+    if _csv_field(name) != text:
+        raise ValueError(f"domain field {reprlib.repr(text)} is not quoted as the writer quotes it")
+    return name
+
+
+def _parse_rows(lines: list[str], domains: dict[str, int]) -> RecordTable | None:
+    """Columns of record lines, or None if any line is bad.
 
     Domains are numbered into ``domains`` as they are met.
     """
-    if set(map(len, rows)) != {len(RECORD_FIELDS)}:
+    width = len(RECORD_FIELDS)
+    cells = list(itertools.chain.from_iterable(map(_split_fields, lines)))
+    if len(cells) != width * len(lines):  # a line splits into at most ``width`` fields
         return None
-    domain, *raw = zip(*rows)
     try:
         columns = {
-            name: _parse_column(texts, int if name in INT_FIELDS else float)
-            for name, texts in zip(RECORD_FIELDS[1:], raw)
+            name: _parse_column(cells[i::width], int if name in INT_FIELDS else float)
+            for i, name in enumerate(RECORD_FIELDS[1:], 1)
         }
+        codes = _parse_column(
+            cells[::width], lambda text: domains.setdefault(_domain_name(text), len(domains))
+        )
     except (ValueError, OverflowError):
         return None
-    codes = _parse_column(domain, lambda name: domains.setdefault(name, len(domains)))
     table = RecordTable(domains, codes, **columns)
     if table.invalid_rows().any():
         return None
@@ -405,17 +426,18 @@ def _parse_column(texts: Sequence[str], parse) -> np.ndarray:
 
 
 def _raise_first_bad_row(path: str | Path) -> NoReturn:
-    """Re-read ``path`` row by row and raise InputError at the first bad row."""
+    """Re-read ``path`` line by line and raise InputError at the first bad row."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
+        next(handle)
+        for lineno, line in enumerate(handle, 2):
+            where = f"{path}:{lineno}"
+            row = _split_fields(line)
             if len(row) != len(RECORD_FIELDS):
-                raise InputError(f"{where}: malformed row {row!r}")
+                raise InputError(f"{where}: malformed row of {len(row)} fields, not {len(RECORD_FIELDS)}")
             try:
                 ints = [int(v) for v in row[1:1 + len(INT_FIELDS)]]
-                rec = NodeRecord(row[0], *ints, *(float(v) for v in row[1 + len(INT_FIELDS):]))
+                floats = [float(v) for v in row[1 + len(INT_FIELDS):]]
+                rec = NodeRecord(_domain_name(row[0]), *ints, *floats)
                 if any(not -(2**63) <= v < 2**63 for v in ints):
                     raise InputError("integer field outside the int64 range")
                 rec.validate()

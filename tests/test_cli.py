@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,12 @@ from treespec import (
     tree_attention_mask,
     write_records_csv,
 )
+import treespec
 from treespec.cli import main
 from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
 from treespec.runner import CONFIG_KEYS
+
+SRC = Path(treespec.__file__).resolve().parent.parent
 
 # sha256 of the default reference run (`run --synthetic`), produced on numpy
 # 2.4.6, Python 3.11, x86-64 Linux. Another numpy or platform may round float
@@ -201,6 +208,16 @@ class TestRun:
         assert capsys.readouterr().err == "error: domain 'beta' has no tokens besides <unk>\n"
         assert not out.exists()
 
+    def test_data_domain_with_a_line_break_exits_one(self, tmp_path, capsys):
+        for domain in ("alpha", "a\nb"):
+            folder = tmp_path / "data" / domain
+            folder.mkdir(parents=True)
+            (folder / "doc.txt").write_text("a b c a b c")
+        out = tmp_path / "o"
+        assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: domain name 'a\\nb' holds a line break\n"
+        assert not out.exists()
+
     def test_non_utf8_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 7\n# caf\xe9\n")
@@ -347,6 +364,23 @@ class TestAnalyzeAndTables:
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,header\n")
         assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
+
+    @pytest.mark.parametrize("row, code, err", [
+        # A 200,000-character domain is a name the writer writes; csv.reader
+        # stopped at 131,072 characters with a traceback.
+        ("x" * 200_000 + ",0,0,1,0,5,0.5,0.25,0.5,0.1", 0, ""),
+        ("chat," + "1" * 200_000 + ",0,1,0,5,0.5,0.25,0.5,0.1", 1, "{path}:2: Exceeds the limit"),
+    ], ids=["domain", "prompt_id"])
+    def test_field_longer_than_csv_field_limit(self, tmp_path, row, code, err):
+        path = tmp_path / "long.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + row + "\n")
+        done = subprocess.run(
+            [sys.executable, "-m", "treespec", "tables", "--records", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == code
+        assert done.stderr.startswith(err and "error: " + err.format(path=path))
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("command", ["analyze", "tables"])
     def test_depth_gap_names_the_domain(self, tmp_path, capsys, command):

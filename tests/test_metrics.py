@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -523,6 +524,12 @@ class TestRecordTable:
             RecordTable(("a",), [1], **columns)
         with pytest.raises(InputError):
             RecordTable(("a", "a"), [0], **columns)
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb", "\r\n"])
+    def test_rejects_a_line_break_in_a_domain_name(self, name):
+        columns = {field: [0] for field in RECORD_FIELDS[1:]}
+        with pytest.raises(InputError, match=re.escape(f"domain name {name!r} holds a line break")):
+            RecordTable(("ok", name), [0], **columns)
 
     def test_invalid_rows_matches_validate(self):
         rng = np.random.default_rng(89)

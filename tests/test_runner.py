@@ -295,6 +295,12 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="chat, math"):
             run_experiment(config, corpora)
 
+    def test_line_break_in_a_domain_rejected_before_any_step(self, monkeypatch):
+        corpus = synthetic_corpus("chat", n_docs=2, seed=0)
+        monkeypatch.setattr(runner, "train_models", lambda *args: pytest.fail("a step ran"))
+        with pytest.raises(InputError, match=r"domain name 'a\\nb' holds a line break"):
+            run_experiment(GenerationConfig(prompts_per_domain=1), {"chat": corpus, "a\nb": corpus})
+
     def test_empty_corpora_rejected(self):
         with pytest.raises(InputError):
             run_experiment(GenerationConfig(), {})
@@ -520,6 +526,26 @@ class TestRecordCsv:
             path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n")
             with pytest.raises(InputError, match=f"{path}:{line}: {message}"):
                 read_records_csv(path)
+
+    @pytest.mark.parametrize("chunk_rows", [4, 8192])
+    @pytest.mark.parametrize("row, message", [
+        ('chat,"0",0,1,0,5,0.5,0.25,0.5,0.1', "invalid literal for int"),
+        ('chat,0,0,1,0,5,0.5,0.25,0.5,"0.1"', "could not convert string to float"),
+        ('"a\nb",0,0,1,0,5,0.5,0.25,0.5,0.1', "malformed row of 1 fields, not 10"),
+        ('"chat",0,0,1,0,5,0.5,0.25,0.5,0.1', "domain field '\"chat\"' is not quoted"),
+        ('ch"at,0,0,1,0,5,0.5,0.25,0.5,0.1', "domain field 'ch\"at' is not quoted"),
+        ('a,b,0,0,1,0,5,0.5,0.25,0.5,0.1', "domain field 'a,b' is not quoted"),
+    ])
+    def test_text_the_writer_never_writes_is_rejected(self, tmp_path, monkeypatch, chunk_rows,
+                                                      row, message):
+        # The writer writes none of these lines; csv.reader reads all but the
+        # last, so the first five are rejected on purpose.
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+        good = "chat,0,0,1,0,5,0.5,0.25,0.5,0.1"
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([",".join(RECORD_FIELDS), good, row, *[good] * 8]) + "\n")
+        with pytest.raises(InputError, match=f"{path}:3: {message}"):
+            read_records_csv(path)
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
         path = tmp_path / "records.csv"
