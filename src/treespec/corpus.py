@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import NGramModel, Vocabulary
+from .model import NGramModel, Vocabulary, _flat_documents
 
 UNK_TOKEN = "<unk>"
 END_TOKEN = "<end>"
@@ -95,13 +95,18 @@ def sample_prompts(corpus: DomainCorpus, n: int, seed: int, max_len: int = 512) 
 def train_models(
     corpus: DomainCorpus, draft_order: int, target_order: int, smoothing: float
 ) -> tuple[NGramModel, NGramModel]:
-    """Fit the (draft, target) pair on one corpus; both share its vocabulary."""
+    """Fit the (draft, target) pair on one corpus; both share its vocabulary.
+
+    The documents are flattened once, for both fits.
+    """
     if draft_order < 1 or target_order < 1:
         raise InputError("model orders must be >= 1")
     if draft_order >= target_order:
         raise InputError("draft_order must be strictly below target_order")
-    draft = NGramModel.fit(corpus.vocabulary, corpus.documents, draft_order, smoothing)
-    target = NGramModel.fit(corpus.vocabulary, corpus.documents, target_order, smoothing)
+    vocab = corpus.vocabulary
+    flat, since_start = _flat_documents(vocab, corpus.documents)
+    draft = NGramModel._fit_flat(vocab, flat, since_start, draft_order, smoothing)
+    target = NGramModel._fit_flat(vocab, flat, since_start, target_order, smoothing)
     return draft, target
 
 

@@ -11,6 +11,7 @@ probabilities multiply per-depth mean acceptance rates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -59,6 +60,11 @@ class NodeRecord:
 RECORD_FIELDS = tuple(f.name for f in fields(NodeRecord))
 INT_FIELDS = RECORD_FIELDS[1:6]  # prompt_id .. token
 FLOAT_FIELDS = RECORD_FIELDS[6:]  # p_draft .. target_entropy
+# A RecordTable's step columns (the last is the step's tree id), its tree
+# row columns, and its per-record columns.
+STEP_FIELDS = ("domain_code", "prompt_id", "step_index", "position_bin", "tree")
+TREE_FIELDS = ("depth", "token", *FLOAT_FIELDS)
+RECORD_COLUMNS = ("domain_code", *RECORD_FIELDS[1:])
 
 
 def check_domain_names(domains: Iterable[str]) -> None:
@@ -69,33 +75,152 @@ def check_domain_names(domains: Iterable[str]) -> None:
 
 
 class RecordTable:
-    """Node records held column-wise: one numpy array per NodeRecord field.
+    """Node records held as steps over distinct trees.
 
-    ``domains`` names the domains and ``domain_code`` gives each row's index
-    into it; the other columns are int64 (``INT_FIELDS``) or float64
-    (``FLOAT_FIELDS``). Iterating yields one NodeRecord per row.
+    A run verifies one draft tree per step and records one row per tree
+    node, and many steps verify equal trees. The table keeps that shape:
+
+    - ``steps`` maps each ``STEP_FIELDS`` name to one int64 entry per step:
+      its ``domain_code`` (an index into ``domains``), ``prompt_id``,
+      ``step_index`` and ``position_bin``, and ``tree``, its tree id.
+    - ``trees`` maps each ``TREE_FIELDS`` name to the rows of every distinct
+      tree, once: int64 ``depth`` and ``token``, float64 ``FLOAT_FIELDS``.
+      Tree t's rows are ``tree_offsets[t]:tree_offsets[t + 1]``.
+
+    The records are the steps in order, each giving one record per row of
+    its tree. A tree is its content: two are one tree when their rows are
+    equal, floats compared by bit pattern (so -0.0 and 0.0 differ), and tree
+    ids are numbered by first appearance in step order. A step is a maximal
+    run of records with equal step fields. So a table's steps and trees
+    follow from its records alone, however it was built.
+
+    Each per-record column (``domain_code`` and the ``RECORD_FIELDS`` after
+    ``domain``) is gathered from the steps and trees on first use and kept,
+    so every fold over it sees the records' values in record order.
+    Iterating yields one NodeRecord per record.
     """
 
-    __slots__ = ("domains", "domain_code", *INT_FIELDS, *FLOAT_FIELDS)
+    __slots__ = ("domains", "steps", "trees", "tree_offsets", "_length", "_columns", "_row_index")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, domains: Sequence[str], domain_code, **columns) -> None:
+        """Records from one column per record field; their steps and trees are found here."""
+        columns["domain_code"] = domain_code
+        unknown = set(columns) - set(RECORD_COLUMNS)
+        if unknown:
+            raise TypeError(f"unknown record columns: {sorted(unknown)}")
+        columns = {name: _array(name, columns[name]) for name in RECORD_COLUMNS}
+        n = columns["domain_code"].shape[0]
+        if any(columns[name].shape != (n,) for name in RECORD_COLUMNS):
+            raise InputError("record columns must be one-dimensional and of equal length")
+        self._set_records(domains, [columns[name] for name in STEP_FIELDS[:-1]], _row_bits(columns),
+                          lambda name, index: columns[name][index])
+        self._columns = columns
+
+    @classmethod
+    def from_codes(
+        cls,
+        domains: Sequence[str],
+        codes: Mapping[str, np.ndarray],
+        values: Mapping[str, np.ndarray],
+    ) -> RecordTable:
+        """Records given as one integer code per record and field.
+
+        ``codes`` maps each per-record column name to its codes: a code of
+        ``domain_code`` is an index into ``domains``, one of any other
+        column an index into ``values[name]``. Within a column, two records
+        must have equal codes exactly when their values are equal (floats by
+        bit pattern); steps and trees are then found from the codes alone.
+        """
+        def column(name: str, index: np.ndarray) -> np.ndarray:
+            picked = codes[name][index]
+            return picked if name == "domain_code" else values[name][picked]
+
+        table = cls.__new__(cls)
+        table._set_records(domains, [codes[name] for name in STEP_FIELDS[:-1]],
+                           _row_codes([codes[name] for name in TREE_FIELDS],
+                                      [len(values[name]) for name in TREE_FIELDS]),
+                           column)
+        table._columns = {}
+        return table
+
+    @classmethod
+    def from_steps(
+        cls,
+        domains: Sequence[str],
+        steps: Mapping[str, np.ndarray],
+        tree_offsets: np.ndarray,
+        trees: Mapping[str, np.ndarray],
+    ) -> RecordTable:
+        """Records of ``steps`` over candidate trees; equal candidates become one tree.
+
+        ``steps`` and ``trees`` are laid out as in the table, except that
+        ``steps["tree"]`` indexes candidate trees, which may repeat content
+        and need not all be used; candidate c's rows are
+        ``tree_offsets[c]:tree_offsets[c + 1]``. The table keeps one tree per
+        distinct content that a step uses, numbered by first use. Each step
+        used must have rows, and no two adjacent steps may share their step
+        fields (such steps are one step of the records).
+        """
+        offsets = np.asarray(tree_offsets, dtype=np.int64)
+        trees = {name: _array(name, trees[name]) for name in TREE_FIELDS}
+        steps = {name: np.asarray(steps[name], dtype=np.int64) for name in STEP_FIELDS}
+        tree = steps["tree"]
+        if (offsets.ndim != 1 or not offsets.size or offsets[0] != 0 or np.any(np.diff(offsets) < 0)
+                or any(trees[name].shape != (offsets[-1],) for name in TREE_FIELDS)):
+            raise InputError("tree offsets must rise from 0 to the number of tree rows")
+        if any(steps[name].shape != tree.shape for name in STEP_FIELDS) or tree.ndim != 1:
+            raise InputError("step columns must be one-dimensional and of equal length")
+        if tree.size and (tree.min() < 0 or tree.max() >= offsets.size - 1):
+            raise InputError("step tree outside the candidate trees")
+        if not _step_starts([steps[name] for name in STEP_FIELDS[:-1]]).all():
+            raise InputError("adjacent steps share their step fields")
+        content, _ = _number_blocks(_row_bits(trees), offsets)
+        tree_of_step, first_step = _first_appearance(content[tree])
+        lo, hi = offsets[tree[first_step]], offsets[tree[first_step] + 1]
+        if np.any(hi == lo):
+            raise InputError("a step's tree has no rows")
+        rows = _ranges(lo, hi)
+        table = cls.__new__(cls)
+        table._set_structure(domains, {**steps, "tree": tree_of_step},
+                             np.append(0, np.cumsum(hi - lo)),
+                             {name: trees[name][rows] for name in TREE_FIELDS})
+        table._columns = {}
+        return table
+
+    def _set_records(self, domains: Sequence[str], step_keys: list[np.ndarray],
+                     row_keys: np.ndarray, column) -> None:
+        """Find the steps and trees of a record sequence.
+
+        ``step_keys`` are per-record arrays that are equal exactly where the
+        step fields are, and the bytes of row i of ``row_keys`` tell record
+        i's tree fields apart. ``column(name, index)`` gives record column
+        ``name`` at the records ``index``.
+        """
+        starts = np.flatnonzero(_step_starts(step_keys))
+        bounds = np.append(starts, len(row_keys))
+        tree_of_step, first_step = _number_blocks(row_keys, bounds)
+        lo, hi = bounds[first_step], bounds[first_step + 1]
+        rows = _ranges(lo, hi)
+        steps = {name: _array(name, column(name, starts)) for name in STEP_FIELDS[:-1]}
+        self._set_structure(domains, {**steps, "tree": tree_of_step},
+                            np.append(0, np.cumsum(hi - lo)),
+                            {name: _array(name, column(name, rows)) for name in TREE_FIELDS})
+
+    def _set_structure(self, domains: Sequence[str], steps: dict[str, np.ndarray],
+                       tree_offsets: np.ndarray, trees: dict[str, np.ndarray]) -> None:
         self.domains = tuple(domains)
         if len(set(self.domains)) != len(self.domains):
             raise InputError(f"duplicate domain names: {self.domains}")
         check_domain_names(self.domains)
-        self.domain_code = np.asarray(domain_code, dtype=np.int64)
-        for name in INT_FIELDS:
-            setattr(self, name, np.asarray(columns.pop(name), dtype=np.int64))
-        for name in FLOAT_FIELDS:
-            setattr(self, name, np.asarray(columns.pop(name), dtype=np.float64))
-        if columns:
-            raise TypeError(f"unknown record columns: {sorted(columns)}")
-        n = self.domain_code.shape[0]
-        if any(getattr(self, name).shape != (n,) for name in RECORD_FIELDS[1:]):
-            raise InputError("record columns must be one-dimensional and of equal length")
-        if n and (self.domain_code.min() < 0 or self.domain_code.max() >= len(self.domains)):
+        codes = steps["domain_code"]
+        if codes.size and (codes.min() < 0 or codes.max() >= len(self.domains)):
             raise InputError("domain code outside the domain names")
+        self.steps = steps
+        self.tree_offsets = tree_offsets
+        self.trees = trees
+        self._length = int(self._step_sizes().sum())
+        self._row_index: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[NodeRecord]) -> RecordTable:
@@ -109,6 +234,28 @@ class RecordTable:
         columns = list(zip(*rows)) if rows else [()] * len(RECORD_FIELDS)
         return cls(codes, columns[0], **dict(zip(RECORD_FIELDS[1:], columns[1:])))
 
+    def _step_sizes(self) -> np.ndarray:
+        """The number of records each step gives: the row count of its tree."""
+        return np.diff(self.tree_offsets)[self.steps["tree"]]
+
+    def _column(self, name: str) -> np.ndarray:
+        """The per-record column ``name``, gathered on first use."""
+        column = self._columns.get(name)
+        if column is None:
+            if name in TREE_FIELDS:
+                column = self.trees[name][self._tree_rows()]
+            else:
+                column = np.repeat(self.steps[name], self._step_sizes())
+            self._columns[name] = column
+        return column
+
+    def _tree_rows(self) -> np.ndarray:
+        """Each record's row in ``trees``."""
+        if self._row_index is None:
+            tree = self.steps["tree"]
+            self._row_index = _ranges(self.tree_offsets[tree], self.tree_offsets[tree + 1])
+        return self._row_index
+
     def domain_masks(self) -> Iterator[tuple[str, np.ndarray]]:
         """(name, row mask) for every domain that has rows, in name order."""
         for name in sorted(self.domains):
@@ -117,26 +264,32 @@ class RecordTable:
                 yield name, mask
 
     def invalid_rows(self) -> np.ndarray:
-        """Row mask of what ``NodeRecord.validate`` rejects."""
-        p_draft, p_target, alpha = self.p_draft, self.p_target, self.alpha
-        bad = ~np.all([np.isfinite(getattr(self, name)) for name in FLOAT_FIELDS], axis=0)
-        bad |= (self.step_index < 0) | (self.depth < 1)
-        bad |= (self.position_bin != 0) & (self.position_bin != 1)
-        bad |= ~((alpha >= 0.0) & (alpha <= 1.0)) | (self.target_entropy < 0.0)
+        """Row mask of what ``NodeRecord.validate`` rejects.
+
+        Every check reads either a tree row or a step alone, so each is made
+        once per tree row and once per step.
+        """
+        trees, steps = self.trees, self.steps
+        p_draft, p_target, alpha = trees["p_draft"], trees["p_target"], trees["alpha"]
+        bad = ~np.all([np.isfinite(trees[name]) for name in FLOAT_FIELDS], axis=0)
+        bad |= trees["depth"] < 1
+        bad |= ~((alpha >= 0.0) & (alpha <= 1.0)) | (trees["target_entropy"] < 0.0)
         bad |= ~(p_draft > 0.0)
         # Rows with a non-finite value or p_draft <= 0 are flagged above; on
         # the rest np.minimum agrees with the scalar min(1.0, ratio).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratio = p_target / p_draft
             bad |= np.abs(alpha - np.minimum(ratio, 1.0)) > 1e-9
-        return bad
+        bins = steps["position_bin"]
+        bad_step = (steps["step_index"] < 0) | ((bins != 0) & (bins != 1))
+        return bad[self._tree_rows()] | np.repeat(bad_step, self._step_sizes())
 
     def __len__(self) -> int:
-        return self.domain_code.shape[0]
+        return self._length
 
     def __iter__(self) -> Iterator[NodeRecord]:
         names = self.domains
-        columns = [getattr(self, name).tolist() for name in RECORD_FIELDS[1:]]
+        columns = [self._column(name).tolist() for name in RECORD_FIELDS[1:]]
         for code, *values in zip(self.domain_code.tolist(), *columns):
             yield NodeRecord(names[code], *values)
 
@@ -152,12 +305,87 @@ class RecordTable:
             theirs = np.array(other.domains, dtype=object)[other.domain_code]
             same_domains = bool(np.all(ours == theirs))
         return same_domains and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
+            np.array_equal(self._column(name), other._column(name))
             for name in RECORD_FIELDS[1:]
         )
 
     def __repr__(self) -> str:
-        return f"RecordTable({len(self)} rows, domains={self.domains})"
+        return (f"RecordTable({len(self)} rows, {len(self.steps['tree'])} steps, "
+                f"{len(self.tree_offsets) - 1} trees, domains={self.domains})")
+
+
+for _name in RECORD_COLUMNS:
+    setattr(RecordTable, _name, property(functools.partial(RecordTable._column, name=_name),
+                                         doc=f"Per-record ``{_name}``, gathered on first use."))
+
+
+def _array(name: str, values) -> np.ndarray:
+    """``values`` as the dtype of record column ``name``: float64 or int64."""
+    return np.asarray(values, dtype=np.float64 if name in FLOAT_FIELDS else np.int64)
+
+
+def _row_bits(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The ``TREE_FIELDS`` of each row as one row of uint64 bit patterns."""
+    return np.stack([columns[name].view(np.uint64) for name in TREE_FIELDS], axis=1)
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(lo[i], hi[i])`` over i."""
+    sizes = hi - lo
+    return np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+
+
+def _step_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """Mask of the records that start a step: the first, and each whose keys differ
+    from the record before."""
+    n = keys[0].shape[0]
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
+    return starts
+
+
+def _number_blocks(keys: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number blocks of rows by content, in order of first appearance.
+
+    Block b is rows ``bounds[b]:bounds[b + 1]`` of ``keys``, an array whose
+    rows' bytes tell row contents apart. Returns each block's number and,
+    for each number, the first block that has it.
+    """
+    data = np.ascontiguousarray(keys).tobytes()
+    width = keys.itemsize * int(np.prod(keys.shape[1:]))
+    cuts = (np.asarray(bounds, dtype=np.int64) * width).tolist()
+    numbers: dict[bytes, int] = {}
+    blocks = [numbers.setdefault(data[lo:hi], len(numbers)) for lo, hi in zip(cuts[:-1], cuts[1:])]
+    block_numbers = np.array(blocks, dtype=np.int64)
+    return block_numbers, np.unique(block_numbers, return_index=True)[1]
+
+
+def _row_codes(codes: list[np.ndarray], sizes: list[int]) -> np.ndarray:
+    """One code per record for its codes in all of ``codes``, column k's below ``sizes[k]``.
+
+    The codes are mixed-radix numbers, renumbered densely whenever the next
+    column would take them past int64.
+    """
+    row = np.zeros(len(codes[0]), dtype=np.int64)
+    space = 1
+    for column, size in zip(codes, sizes):
+        if space * size >= 2**63:
+            distinct, row = np.unique(row, return_inverse=True)
+            space = len(distinct)
+        row = row * size + column
+        space *= size
+    return row
+
+
+def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``labels`` renumbered 0, 1, ... by first appearance, and where each number first appears."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse], first[order]
 
 
 def as_table(records: RecordTable | Iterable[NodeRecord]) -> RecordTable:

@@ -328,14 +328,16 @@ class NGramModel(LanguageModel):
         are ranked over all positions at once and the (context, token) pairs
         are counted in one more pass (``_distinct`` and ``_count`` say how).
         """
+        return cls._fit_flat(vocab, *_flat_documents(vocab, documents), order, smoothing)
+
+    @classmethod
+    def _fit_flat(
+        cls, vocab: Vocabulary, flat: np.ndarray, since_start: np.ndarray, order: int,
+        smoothing: float,
+    ) -> "NGramModel":
+        """``fit`` on documents given as ``_flat_documents`` gives them."""
         model = cls.__new__(cls)
         model._setup(vocab, order, smoothing)
-        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(documents), dtype=np.int64,
-                           count=int(lengths.sum()))
-        if flat.size and (flat.min() < 0 or flat.max() >= vocab.size):
-            raise InputError("document contains a token outside the model vocabulary")
-        since_start = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         # Made one level at a time, so only one column is alive at once.
         columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, order))
         ids, n_contexts = model._rank(columns, flat.size)
@@ -448,6 +450,19 @@ class NGramModel(LanguageModel):
 # over the whole space ranks or counts codes faster than np.unique's sort;
 # beyond it, allocating and scanning the space costs more than the sort.
 _DENSE_SPACE_PER_CODE = 2
+
+
+def _flat_documents(
+    vocab: Vocabulary, documents: Sequence[TokenSeq]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``documents`` as one int64 token array, range-checked, and each position's
+    distance from the start of its document."""
+    lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+    flat = np.fromiter(itertools.chain.from_iterable(documents), dtype=np.int64,
+                       count=int(lengths.sum()))
+    if flat.size and (flat.min() < 0 or flat.max() >= vocab.size):
+        raise InputError("document contains a token outside the model vocabulary")
+    return flat, np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _distinct(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:

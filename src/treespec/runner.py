@@ -6,14 +6,17 @@ the target's greedy bonus token and repeat. Acceptance is recorded
 analytically; committed text always follows the target, so the harness
 measures speculation quality without changing what gets generated.
 
-A run's records flow as columns: each domain's step memo keeps a distinct
-step's rows once, the loop notes which memo entry every step used, and the
-columns are gathered in one pass at the end into a RecordTable that is
-summarized once and written as CSV and tables.
+A run's records are kept as steps over distinct trees: each domain's step
+memo keeps a distinct window's rows once, the loop notes which memo entry
+every step used, and at the end the steps and memo rows become a
+RecordTable, in which memo entries with equal rows are one tree. It is
+summarized once and written as CSV and tables, and the CSV is written from
+the steps and trees, each tree's text built once.
 
 Record files are CSV with a frozen column order (NodeRecord fields), one
 record per line and all floats at 17 significant digits, so a run is
-reproducible byte-for-byte and re-ingestion is lossless.
+reproducible byte-for-byte and re-ingestion is lossless. Reading one finds
+the same steps and trees from the lines alone.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import json
 import math
 import operator
 import reprlib
+import struct
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +42,10 @@ from .errors import InputError
 from .metrics import (
     FLOAT_FIELDS,
     INT_FIELDS,
+    RECORD_COLUMNS,
     RECORD_FIELDS,
+    STEP_FIELDS,
+    TREE_FIELDS,
     DomainSummary,
     NodeRecord,
     RecordTable,
@@ -220,12 +227,12 @@ def run_experiment(
             )
     started = datetime.now(timezone.utc).isoformat()
     domains = sorted(corpora)
-    # Every distinct step's rows, once; a memo entry is (first row, row
-    # count, committed token).
+    # Every memo entry's rows, once: entry e's are rows[bounds[e]:bounds[e + 1]].
     rows: list[Row] = []
+    bounds = [0]
     # One entry per recorded step: (domain code, prompt_id, step_index,
-    # position_bin, first row, row count).
-    steps: list[tuple[int, int, int, int, int, int]] = []
+    # position_bin, memo entry).
+    steps: list[tuple[int, int, int, int, int]] = []
     domain_meta: dict[str, dict[str, object]] = {}
 
     for code, domain in enumerate(domains):
@@ -238,7 +245,7 @@ def run_experiment(
         )
         eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
         window = max(draft.context_window, target.context_window)
-        memo: dict[tuple[int, ...], tuple[int, int, int]] = {}
+        memo: dict[tuple[int, ...], tuple[int, int]] = {}  # window -> (entry, committed token)
         domain_records = 0
         trees = 0
         stopped_prompts = 0
@@ -251,14 +258,15 @@ def run_experiment(
                 entry = memo.get(key)
                 if entry is None:
                     step_rows, committed = generate_step(draft, target, key, config.tree)
-                    entry = memo[key] = (len(rows), len(step_rows), committed)
+                    entry = memo[key] = (len(bounds) - 1, committed)
                     rows.extend(step_rows)
-                first, count, committed = entry
+                    bounds.append(len(rows))
+                entry_id, committed = entry
                 if eos_index is not None and committed == eos_index:
                     stopped_prompts += 1
                     break
-                steps.append((code, prompt_id, step_index, position_bin, first, count))
-                domain_records += count
+                steps.append((code, prompt_id, step_index, position_bin, entry_id))
+                domain_records += bounds[entry_id + 1] - bounds[entry_id]
                 trees += 1
                 context.append(committed)
         domain_meta[domain] = {
@@ -269,7 +277,7 @@ def run_experiment(
             "vocab_size": corpus.vocabulary.size,
         }
 
-    records = _gather(domains, rows, steps)
+    records = _table(domains, rows, bounds, steps)
     metadata: dict[str, object] = {
         "config": config.flat_dict(),
         "config_hash": config.config_hash(),
@@ -281,29 +289,24 @@ def run_experiment(
     return ExperimentReport(records=records, summaries=summarize(records), metadata=metadata)
 
 
-def _gather(
+def _table(
     domains: Sequence[str],
     rows: Sequence[Row],
-    steps: Sequence[tuple[int, int, int, int, int, int]],
+    bounds: Sequence[int],
+    steps: Sequence[tuple[int, int, int, int, int]],
 ) -> RecordTable:
-    """Record columns: each step's memo rows, in step order, beside its own fields."""
-    step_cols = np.array(steps, dtype=np.int64).reshape(-1, 6).T
-    codes, prompt_ids, step_indices, bins, firsts, counts = step_cols
-    # Row i of the table is row (first + offset) of its step's memo entry.
-    step_starts = np.cumsum(counts) - counts
-    index = np.arange(int(counts.sum())) + np.repeat(firsts - step_starts, counts)
-    depths, tokens = np.array([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2).T
-    floats = np.array([r[2:] for r in rows], dtype=np.float64).reshape(-1, 4).T
-    return RecordTable(
-        domains,
-        np.repeat(codes, counts),
-        prompt_id=np.repeat(prompt_ids, counts),
-        step_index=np.repeat(step_indices, counts),
-        depth=depths[index],
-        position_bin=np.repeat(bins, counts),
-        token=tokens[index],
-        **{name: column[index] for name, column in zip(FLOAT_FIELDS, floats)},
-    )
+    """The run's steps over its memo entries, each list read in one flat pass.
+
+    Memo rows go through float64, which holds every depth and token (each
+    below 2**53) exactly.
+    """
+    step_columns = np.fromiter(itertools.chain.from_iterable(steps), np.int64,
+                               len(STEP_FIELDS) * len(steps)).reshape(-1, len(STEP_FIELDS)).T
+    tree_columns = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
+                               len(TREE_FIELDS) * len(rows)).reshape(-1, len(TREE_FIELDS)).T
+    trees = dict(zip(TREE_FIELDS, tree_columns))
+    trees["depth"], trees["token"] = (trees[name].astype(np.int64) for name in ("depth", "token"))
+    return RecordTable.from_steps(domains, dict(zip(STEP_FIELDS, step_columns)), bounds, trees)
 
 
 # --- persistence -------------------------------------------------------------
@@ -317,7 +320,7 @@ def _csv_field(text: str) -> str:
 
 
 def _cell_text(values: np.ndarray) -> list[str]:
-    """CSV text of a slice of an int or float column, each distinct value formatted once.
+    """CSV text of each value of an int or float column, each distinct value formatted once.
 
     Floats are told apart by bit pattern, so -0.0 and each NaN keep their
     own text; each is written as ``format(x, ".17g")``.
@@ -334,18 +337,42 @@ def _cell_text(values: np.ndarray) -> list[str]:
 def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | Path) -> None:
     """Frozen column order, floats at 17 significant digits, \\n line ends.
 
-    Rows are formatted and written ``_CSV_CHUNK_ROWS`` at a time.
+    Written from the table's steps and trees: each distinct value of a tree
+    column is formatted once, the tails ``depth,position_bin,token,...`` of
+    a tree's rows once per position bin it is written with, and each step's
+    ``domain,prompt_id,step_index,`` prefix once; a step's lines are its
+    prefix before each tail. Steps are written about ``_CSV_CHUNK_ROWS``
+    rows at a time.
     """
     table = as_table(records)
-    names = np.array([_csv_field(d) for d in table.domains], dtype=object)
-    columns = [getattr(table, name) for name in RECORD_FIELDS[1:]]
+    names = [_csv_field(d) for d in table.domains]
+    trees = table.trees
+    depths = _cell_text(trees["depth"])
+    rests = list(map(",".join, zip(*(_cell_text(trees[name]) for name in TREE_FIELDS[1:]))))
+    bounds = table.tree_offsets.tolist()
+    tails: dict[tuple[int, int], list[str]] = {}
+    lines: list[str] = []
+    rows = 0
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(RECORD_FIELDS) + "\n")
-        for lo in range(0, len(table), _CSV_CHUNK_ROWS):
-            rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-            cells = [names[table.domain_code[rows]].tolist()]
-            cells += [_cell_text(column[rows]) for column in columns]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for code, prompt_id, step_index, position_bin, tree in zip(
+            *(table.steps[name].tolist() for name in STEP_FIELDS)
+        ):
+            block = tails.get((tree, position_bin))
+            if block is None:
+                lo, hi = bounds[tree], bounds[tree + 1]
+                block = tails[tree, position_bin] = [
+                    f"{depth},{position_bin},{rest}"
+                    for depth, rest in zip(depths[lo:hi], rests[lo:hi])
+                ]
+            prefix = f"{names[code]},{prompt_id},{step_index},"
+            lines.append(prefix + ("\n" + prefix).join(block))
+            rows += len(block)
+            if rows >= _CSV_CHUNK_ROWS:
+                handle.write("\n".join(lines) + "\n")
+                lines, rows = [], 0
+        if lines:
+            handle.write("\n".join(lines) + "\n")
 
 
 def read_records_csv(path: str | Path) -> RecordTable:
@@ -353,31 +380,44 @@ def read_records_csv(path: str | Path) -> RecordTable:
 
     The writer puts one record on each line, and its nine numeric fields
     never hold a comma or a quote, so each line is split at its last nine
-    commas; only the domain field may be quoted. Lines are parsed
-    ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct field text
-    once. The first bad row is reported as ``path:line`` with the message
-    ``int``, ``float``, ``_domain_name`` or ``NodeRecord.validate`` gives.
+    commas; only the domain field may be quoted. Lines are read
+    ``_CSV_CHUNK_ROWS`` at a time into one integer code per field, each
+    distinct field text parsed once and equal values (floats by bit pattern)
+    given one code across the whole file; ``RecordTable.from_codes`` finds
+    the steps and trees from the codes. The first bad row is reported as
+    ``path:line`` with the message ``int``, ``float``, ``_domain_name`` or
+    ``NodeRecord.validate`` gives.
     """
-    domains: dict[str, int] = {}
-    chunks: list[RecordTable] = []
+    # Per field: text -> code, and value -> code, whose keys are the values in code order.
+    field_codes: list[tuple[dict[str, int], dict]] = [({}, {}) for _ in RECORD_FIELDS]
+    pieces: list[list[np.ndarray]] = [[] for _ in RECORD_FIELDS]  # per field, one per chunk
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             if handle.readline().rstrip("\r\n") != ",".join(RECORD_FIELDS):
                 raise InputError(f"{path} is not a record file (unexpected header)")
             while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
-                table = _parse_rows(lines, domains)
-                if table is None:
+                chunk = _parse_rows(lines, field_codes)
+                if chunk is None:
                     _raise_first_bad_row(path)
-                chunks.append(table)
+                for piece, codes in zip(pieces, chunk):
+                    piece.append(codes)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    if not chunks:
+    if not pieces[0]:
         return RecordTable.from_records(())
-    return RecordTable(
-        domains,
-        np.concatenate([c.domain_code for c in chunks]),
-        **{name: np.concatenate([getattr(c, name) for c in chunks]) for name in RECORD_FIELDS[1:]},
-    )
+    values = {
+        name: np.array(list(value_codes), dtype=np.uint64).view(np.float64)
+        if name in FLOAT_FIELDS else np.array(list(value_codes), dtype=np.int64)
+        for name, (_, value_codes) in zip(RECORD_FIELDS[1:], field_codes[1:])
+    }
+    codes = {}
+    for name, piece in zip(RECORD_COLUMNS, pieces):
+        codes[name] = np.concatenate(piece)
+        piece.clear()  # so that one field at a time is held twice
+    table = RecordTable.from_codes(list(field_codes[0][1]), codes, values)
+    if table.invalid_rows().any():
+        _raise_first_bad_row(path)
+    return table
 
 
 # A record line's fields: everything before its last nine commas is the
@@ -393,36 +433,53 @@ def _domain_name(text: str) -> str:
     return name
 
 
-def _parse_rows(lines: list[str], domains: dict[str, int]) -> RecordTable | None:
-    """Columns of record lines, or None if any line is bad.
+def _parse_int(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise OverflowError("integer field outside the int64 range")
+    return value
 
-    Domains are numbered into ``domains`` as they are met.
+
+def _float_bits(text: str) -> int:
+    """The bit pattern of ``float(text)``, which tells -0.0 from 0.0."""
+    return _DOUBLE_BITS.unpack(_DOUBLE.pack(float(text)))[0]
+
+
+_DOUBLE, _DOUBLE_BITS = struct.Struct("<d"), struct.Struct("<Q")
+_PARSERS = (_domain_name, *(_parse_int,) * len(INT_FIELDS), *(_float_bits,) * len(FLOAT_FIELDS))
+
+
+def _parse_rows(
+    lines: list[str], field_codes: list[tuple[dict[str, int], dict]]
+) -> list[np.ndarray] | None:
+    """One code array per field of record lines, or None if any line is bad.
+
+    ``field_codes`` holds each field's text -> code and value -> code maps,
+    which grow as new texts are met.
     """
     width = len(RECORD_FIELDS)
     cells = list(itertools.chain.from_iterable(map(_split_fields, lines)))
     if len(cells) != width * len(lines):  # a line splits into at most ``width`` fields
         return None
     try:
-        columns = {
-            name: _parse_column(cells[i::width], int if name in INT_FIELDS else float)
-            for i, name in enumerate(RECORD_FIELDS[1:], 1)
-        }
-        codes = _parse_column(
-            cells[::width], lambda text: domains.setdefault(_domain_name(text), len(domains))
-        )
+        return [_code_column(cells[i::width], parse, *field)
+                for i, (parse, field) in enumerate(zip(_PARSERS, field_codes))]
     except (ValueError, OverflowError):
         return None
-    table = RecordTable(domains, codes, **columns)
-    if table.invalid_rows().any():
-        return None
-    return table
 
 
-def _parse_column(texts: Sequence[str], parse) -> np.ndarray:
-    """``parse`` applied to each distinct text once, in order of first appearance."""
-    values = {text: parse(text) for text in dict.fromkeys(texts)}
-    dtype = np.float64 if parse is float else np.int64
-    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+def _code_column(
+    texts: Sequence[str], parse, text_codes: dict[str, int], value_codes: dict
+) -> np.ndarray:
+    """The code of each text's value; ``parse`` runs once per text not met before.
+
+    Codes are int32: a field with 2**31 distinct values needs as many lines,
+    whose codes alone would not fit in memory.
+    """
+    for text in dict.fromkeys(texts):
+        if text not in text_codes:
+            text_codes[text] = value_codes.setdefault(parse(text), len(value_codes))
+    return np.fromiter(map(text_codes.__getitem__, texts), np.int32, len(texts))
 
 
 def _raise_first_bad_row(path: str | Path) -> NoReturn:

@@ -10,7 +10,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.fixture(scope="session")
 def reference_stats():
-    return json.loads((FIXTURES / "reference_statistics.json").read_text())
+    return json.loads((FIXTURES / "reference_statistics.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

@@ -85,7 +85,7 @@ class TestRun:
     def test_non_utf8_document_exits_one(self, tmp_path, capsys):
         domain = tmp_path / "data" / "alpha"
         domain.mkdir(parents=True)
-        (domain / "good.txt").write_text("a b a b")
+        (domain / "good.txt").write_text("a b a b", encoding="utf-8")
         (domain / "latin1.txt").write_bytes("caf\xe9 au lait".encode("latin-1"))
         code = run_cli("run", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"))
         assert code == 1
@@ -112,21 +112,21 @@ class TestRun:
         )
         assert code == 0
         assert len(read_records_csv(out / "records.csv")) == 4
-        summary = json.loads((out / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert {s["node_count"] for s in summary.values()} == {1}
         assert {s["spearman_rho"] for s in summary.values()} == {None}
-        assert "n/a" in (out / "tables.txt").read_text()
+        assert "n/a" in (out / "tables.txt").read_text(encoding="utf-8")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 7\nmax_new_tokens = 2\nprompts_per_domain = 1\n")
+        cfg.write_text("seed = 7\nmax_new_tokens = 2\nprompts_per_domain = 1\n", encoding="utf-8")
         out = tmp_path / "out"
         code = run_cli(
             "run", "--synthetic", "--synthetic-docs", "10",
             "--config", str(cfg), "--out", str(out), "--seed", "11",
         )
         assert code == 0
-        meta = (out / "meta.json").read_text()
+        meta = (out / "meta.json").read_text(encoding="utf-8")
         assert '"seed": "11"' in meta
         assert '"max_new_tokens": "2"' in meta
 
@@ -141,7 +141,7 @@ class TestRun:
         monkeypatch.setattr(cli, "run_experiment", capture)
         value = NON_DEFAULT_VALUES[key]
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         base = ("run", "--synthetic", "--synthetic-docs", "2", "--out", str(tmp_path / "o"))
         assert run_cli(*base, "--" + key.replace("_", "-"), value) == 1
         assert run_cli(*base, "--config", str(cfg)) == 1
@@ -189,8 +189,8 @@ class TestRun:
         for domain, text in (("a", "x y x y"), ("b", "  \n")):
             folder = tmp_path / "data" / domain
             folder.mkdir(parents=True)
-            (folder / "doc1.txt").write_text(text)
-            (folder / "doc2.txt").write_text("" if domain == "b" else text)
+            (folder / "doc1.txt").write_text(text, encoding="utf-8")
+            (folder / "doc2.txt").write_text("" if domain == "b" else text, encoding="utf-8")
         out = tmp_path / "o"
         assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
         assert capsys.readouterr().err == (
@@ -202,7 +202,7 @@ class TestRun:
         for domain, text in (("alpha", "a b c a b"), ("beta", "<unk> <unk>")):
             folder = tmp_path / "data" / domain
             folder.mkdir(parents=True)
-            (folder / "doc.txt").write_text(text)
+            (folder / "doc.txt").write_text(text, encoding="utf-8")
         out = tmp_path / "o"
         assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: domain 'beta' has no tokens besides <unk>\n"
@@ -212,7 +212,7 @@ class TestRun:
         for domain in ("alpha", "a\nb"):
             folder = tmp_path / "data" / domain
             folder.mkdir(parents=True)
-            (folder / "doc.txt").write_text("a b c a b c")
+            (folder / "doc.txt").write_text("a b c a b c", encoding="utf-8")
         out = tmp_path / "o"
         assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: domain name 'a\\nb' holds a line break\n"
@@ -226,13 +226,13 @@ class TestRun:
 
     def test_unknown_config_key_exits_one(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("not_a_key = 1\n")
+        cfg.write_text("not_a_key = 1\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run_cli("run", "--synthetic", "--config", str(cfg), "--out", str(out)) == 1
 
     def test_unwritable_out_exits_two(self, tmp_path):
         blocker = tmp_path / "blocked"
-        blocker.write_text("a file, not a directory")
+        blocker.write_text("a file, not a directory", encoding="utf-8")
         code = run_cli(
             "run", "--synthetic", "--synthetic-docs", "10", "--out", str(blocker),
             "--prompts-per-domain", "1", "--max-new-tokens", "1",
@@ -246,7 +246,7 @@ class TestRun:
         for domain, text in (("alpha", "a b c a b c a b"), ("beta", "x y x y x y")):
             d = tmp_path / "data" / domain
             d.mkdir(parents=True)
-            (d / "doc.txt").write_text(text)
+            (d / "doc.txt").write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         code = run_cli(
             "run", "--data", str(tmp_path / "data"), "--out", str(out),
@@ -305,27 +305,28 @@ class TestAnalyzeAndTables:
     def test_tables_to_file(self, record_file, tmp_path):
         out = tmp_path / "tables.txt"
         assert run_cli("tables", "--records", str(record_file), "--out", str(out)) == 0
-        assert "Expected accepted length" in out.read_text()
+        assert "Expected accepted length" in out.read_text(encoding="utf-8")
 
     def test_analyze_one_data_row_exits_zero(self, record_file, tmp_path):
         one = tmp_path / "one.csv"
-        one.write_text("".join(record_file.read_text().splitlines(keepends=True)[:2]))
+        head = record_file.read_text(encoding="utf-8").splitlines(keepends=True)[:2]
+        one.write_text("".join(head), encoding="utf-8")
         out = tmp_path / "o"
         assert run_cli("analyze", "--records", str(one), "--out", str(out)) == 0
-        (summary,) = json.loads((out / "summary.json").read_text()).values()
+        (summary,) = json.loads((out / "summary.json").read_text(encoding="utf-8")).values()
         assert summary["node_count"] == 1 and summary["spearman_rho"] is None
-        assert "n/a" in (out / "tables.txt").read_text()
+        assert "n/a" in (out / "tables.txt").read_text(encoding="utf-8")
 
     def test_analyze_missing_file_exits_two(self, tmp_path):
         assert run_cli("analyze", "--records", str(tmp_path / "no.csv"), "--out", str(tmp_path)) == 2
 
     def test_analyze_non_numeric_field_exits_one(self, record_file, tmp_path, capsys):
-        lines = record_file.read_text().splitlines(keepends=True)
+        lines = record_file.read_text(encoding="utf-8").splitlines(keepends=True)
         fields = lines[2].split(",")
         fields[1] = "abc"
         lines[2] = ",".join(fields)
         bad = tmp_path / "bad.csv"
-        bad.write_text("".join(lines))
+        bad.write_text("".join(lines), encoding="utf-8")
         assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
         assert f"{bad}:3:" in capsys.readouterr().err
 
@@ -338,31 +339,31 @@ class TestAnalyzeAndTables:
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_analyze_non_finite_float_exits_one(self, record_file, tmp_path, capsys, field, value):
-        lines = record_file.read_text().splitlines(keepends=True)
+        lines = record_file.read_text(encoding="utf-8").splitlines(keepends=True)
         cells = lines[2].rstrip("\n").split(",")
         cells[RECORD_FIELDS.index(field)] = value
         lines[2] = ",".join(cells) + "\n"
         bad = tmp_path / "bad.csv"
-        bad.write_text("".join(lines))
+        bad.write_text("".join(lines), encoding="utf-8")
         out = tmp_path / "o"
         assert run_cli("analyze", "--records", str(bad), "--out", str(out)) == 1
         assert f"{bad}:3: {field} must be finite" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
     def test_analyze_inconsistent_alpha_names_line(self, record_file, tmp_path, capsys):
-        lines = record_file.read_text().splitlines(keepends=True)
+        lines = record_file.read_text(encoding="utf-8").splitlines(keepends=True)
         cells = lines[5].rstrip("\n").split(",")
         cells[RECORD_FIELDS.index("p_draft")] = "1e-300"
         cells[RECORD_FIELDS.index("alpha")] = "0.5"
         lines[5] = ",".join(cells) + "\n"
         bad = tmp_path / "bad.csv"
-        bad.write_text("".join(lines))
+        bad.write_text("".join(lines), encoding="utf-8")
         assert run_cli("tables", "--records", str(bad)) == 1
         assert f"{bad}:6: alpha inconsistent" in capsys.readouterr().err
 
     def test_analyze_corrupt_file_exits_one(self, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("wrong,header\n")
+        bad.write_text("wrong,header\n", encoding="utf-8")
         assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
 
     @pytest.mark.parametrize("row, code, err", [
@@ -373,10 +374,10 @@ class TestAnalyzeAndTables:
     ], ids=["domain", "prompt_id"])
     def test_field_longer_than_csv_field_limit(self, tmp_path, row, code, err):
         path = tmp_path / "long.csv"
-        path.write_text(",".join(RECORD_FIELDS) + "\n" + row + "\n")
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + row + "\n", encoding="utf-8")
         done = subprocess.run(
             [sys.executable, "-m", "treespec", "tables", "--records", str(path)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert done.returncode == code
         assert done.stderr.startswith(err and "error: " + err.format(path=path))

@@ -188,8 +188,8 @@ class TestIO:
     def test_load_domain_dir(self, tmp_path):
         d = tmp_path / "chat"
         d.mkdir()
-        (d / "b.txt").write_text("b b b")
-        (d / "a.txt").write_text("a a")
+        (d / "b.txt").write_text("b b b", encoding="utf-8")
+        (d / "a.txt").write_text("a a", encoding="utf-8")
         corpus = load_domain_dir(d)
         assert corpus.domain == "chat"
         assert len(corpus.documents) == 2
@@ -200,7 +200,7 @@ class TestIO:
         for name in ("alpha", "beta"):
             d = tmp_path / name
             d.mkdir()
-            (d / "doc.txt").write_text(f"{name} text here")
+            (d / "doc.txt").write_text(f"{name} text here", encoding="utf-8")
         corpora = load_corpora(tmp_path)
         assert sorted(corpora) == ["alpha", "beta"]
 

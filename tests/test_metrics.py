@@ -531,6 +531,43 @@ class TestRecordTable:
         with pytest.raises(InputError, match=re.escape(f"domain name {name!r} holds a line break")):
             RecordTable(("ok", name), [0], **columns)
 
+    def from_steps(self, tree, prompt_id=(0, 1, 2, 3), offsets=(0, 1, 2, 3, 3)):
+        # Candidate trees: c0 and c1 hold equal rows, c2 another, c3 none.
+        trees = {
+            "depth": [1, 1, 1], "token": [5, 5, 7], "p_draft": [0.5] * 3,
+            "p_target": [0.25, 0.25, 0.5], "alpha": [0.5, 0.5, 1.0], "target_entropy": [0.1, 0.1, 0.3],
+        }
+        n = len(tree)
+        steps = {"domain_code": [0] * n, "prompt_id": prompt_id[:n], "step_index": [0] * n,
+                 "position_bin": [0] * n, "tree": tree}
+        return RecordTable.from_steps(("d",), steps, offsets, trees)
+
+    def test_from_steps_keeps_one_tree_per_content_numbered_by_first_use(self):
+        table = self.from_steps([2, 1, 0, 2])
+        assert table.steps["tree"].tolist() == [0, 1, 1, 0]
+        assert table.tree_offsets.tolist() == [0, 1, 2]
+        assert table.trees["token"].tolist() == [7, 5]
+        assert list(table) == [
+            NodeRecord("d", 0, 0, 1, 0, 7, 0.5, 0.5, 1.0, 0.3),
+            NodeRecord("d", 1, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
+            NodeRecord("d", 2, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
+            NodeRecord("d", 3, 0, 1, 0, 7, 0.5, 0.5, 1.0, 0.3),
+        ]
+        rebuilt = RecordTable.from_records(list(table))
+        assert rebuilt == table
+        assert rebuilt.steps["tree"].tolist() == [0, 1, 1, 0]
+
+    @pytest.mark.parametrize("tree, prompt_id, offsets, message", [
+        ([0, 1], (0, 0), (0, 1, 2, 3, 3), "adjacent steps share their step fields"),
+        ([0, 3], (0, 1), (0, 1, 2, 3, 3), "a step's tree has no rows"),
+        ([0, 4], (0, 1), (0, 1, 2, 3, 3), "step tree outside the candidate trees"),
+        ([0], (0,), (0, 2, 1, 3), "tree offsets must rise"),
+        ([0], (0,), (0, 1, 2), "tree offsets must rise"),
+    ])
+    def test_from_steps_rejects(self, tree, prompt_id, offsets, message):
+        with pytest.raises(InputError, match=message):
+            self.from_steps(tree, prompt_id, offsets)
+
     def test_invalid_rows_matches_validate(self):
         rng = np.random.default_rng(89)
         specials = [0.0, -0.0, 1.0, 0.5, 2.0, -1e-9, 5e-324, 1e300, math.nan, math.inf, -math.inf]

@@ -4,8 +4,9 @@ The oracle reads a record file with ``csv.reader`` and checks each row with
 ``NodeRecord.validate``, one row at a time. Random tables, with -0.0,
 subnormals, 1e-300 and domain names holding commas, quotes, spaces and
 non-ASCII text, must survive ``write_records_csv`` -> ``read_records_csv``
-bit for bit. Each corrupted file (one line of a valid file changed) must
-give the oracle's table or be rejected at the oracle's line, where a
+bit for bit, come back with the same steps and trees, and be written again
+to the same bytes. Each corrupted file (one line of a valid file changed)
+must give the oracle's table or be rejected at the oracle's line, where a
 multi-line row counts from its first line.
 
 The reader splits each line at its last nine commas, so it rejects two
@@ -21,9 +22,18 @@ import re
 import numpy as np
 import pytest
 
-from treespec import InputError, NodeRecord, RecordTable, read_records_csv, write_records_csv
+from treespec import (
+    GenerationConfig,
+    InputError,
+    NodeRecord,
+    RecordTable,
+    read_records_csv,
+    run_experiment,
+    synthetic_corpora,
+    write_records_csv,
+)
 from treespec import runner
-from treespec.metrics import FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS
+from treespec.metrics import FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
 
 CASES = 150
 QUOTED_NUMBER = "quoted number"
@@ -111,6 +121,48 @@ def random_table(rng):
     )
 
 
+def random_tree(rng):
+    """1-3 valid tree rows: (depth, token, p_draft, p_target, alpha, target_entropy)."""
+    rows = []
+    for _ in range(int(rng.integers(1, 4))):
+        p_draft = float(rng.choice([v for v in FLOATS if v > 0]))
+        p_target = float(rng.choice(FLOATS))
+        rows.append((int(rng.integers(1, 3)), int(rng.integers(0, 3)), p_draft, p_target,
+                     min(1.0, p_target / p_draft), float(rng.choice(FLOATS))))
+    return rows
+
+
+def random_step_table(rng):
+    """Steps drawn from a few keys and a few trees, one of them twice under two ids.
+
+    One (domain, prompt_id, step_index) comes with both position bins, keys
+    repeat adjacently (their steps merge) and apart, and trees repeat.
+    """
+    names = random_names(rng)
+    trees = [random_tree(rng) for _ in range(int(rng.integers(1, 4)))]
+    trees.append(list(trees[0]))
+    keys = [(int(rng.integers(0, len(names))), int(rng.integers(0, 2)), int(rng.integers(0, 2)))
+            for _ in range(int(rng.integers(1, 4)))]
+    records = []
+    for _ in range(int(rng.integers(1, 12))):
+        code, prompt_id, step_index = keys[int(rng.integers(0, len(keys)))]
+        position_bin = int(rng.integers(0, 2))
+        for depth, *rest in trees[int(rng.integers(0, len(trees)))]:
+            records.append(NodeRecord(names[code], prompt_id, step_index, depth, position_bin, *rest))
+    return RecordTable.from_records(records)
+
+
+def structure(table):
+    """A table's steps, domains by name, and its trees, floats as bit patterns."""
+    steps = table.steps
+    return (
+        np.array(table.domains, dtype=object)[steps["domain_code"]].tolist(),
+        *(steps[name].tolist() for name in STEP_FIELDS[1:]),
+        table.tree_offsets.tolist(),
+        *(table.trees[name].tobytes() for name in TREE_FIELDS),
+    )
+
+
 def corrupt(rng, lines, kind):
     """``lines`` (header first, no line ends) with one line changed by ``kind``.
 
@@ -160,15 +212,84 @@ def corrupt(rng, lines, kind):
 def test_random_tables_round_trip_bit_for_bit(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
     rng = np.random.default_rng(5101)
-    path = tmp_path / "records.csv"
+    step_rng = np.random.default_rng(5103)
+    path, again = tmp_path / "records.csv", tmp_path / "again.csv"
     names_seen = set()
+    # Step tables that show what they are for: a key with both bins, a key
+    # in two steps apart, a tree in two steps.
+    shown = {"both bins": 0, "key apart": 0, "shared tree": 0}
     for _ in range(CASES):
-        table = random_table(rng)
-        names_seen.update(table.domains)
-        write_records_csv(table, path)
-        assert reader_outcome(path) == oracle_read(path) == rows_of(table)
+        for table in (random_table(rng), random_step_table(step_rng)):
+            names_seen.update(table.domains)
+            write_records_csv(table, path)
+            assert reader_outcome(path) == oracle_read(path) == rows_of(table)
+            back = read_records_csv(path)
+            assert structure(back) == structure(table)
+            write_records_csv(back, again)
+            assert again.read_bytes() == path.read_bytes()
+        names, prompts, indices, bins, trees = structure(table)[:5]
+        keys = list(zip(names, prompts, indices))
+        shown["both bins"] += any(len({b for k, b in zip(keys, bins) if k == key}) == 2 for key in keys)
+        steps = list(zip(keys, bins))
+        shown["key apart"] += any(steps.index(step) < i - 1 for i, step in enumerate(steps))
+        shown["shared tree"] += len(set(trees)) < len(trees)
     text = "".join(names_seen)
     assert all(c in text for c in ',"é数 ') and "" in names_seen
+    assert min(shown.values()) >= 10, shown
+
+
+def test_equal_values_written_apart_share_a_tree(tmp_path):
+    # A hand-edited file. 01 is 1, so lines 2 and 3 are one step; lines 5
+    # and 6 hold the same tree in other text (0.50, 0.0, 1.0, 0.10); -0.0
+    # is not 0, so lines 7 and 8 are another tree; and a change of bin
+    # starts a step (lines 9 and 10).
+    header = ",".join(RECORD_FIELDS)
+    lines = [
+        "chat,1,0,1,0,5,0.5,0.25,0.5,0",
+        "chat,01,0,2,0,6,0.5,0.5,1,0.1",
+        "chat,1,1,1,0,5,0.25,0.25,1,0",
+        "chat,1,2,1,1,5,0.50,0.25,0.5,0.0",
+        "chat,1,2,2,1,6,0.5,0.5,1.0,0.10",
+        "chat,1,3,1,1,5,0.5,0.25,0.5,-0.0",
+        "chat,1,3,2,1,6,0.5,0.5,1,0.1",
+        "chat,1,4,1,0,5,0.5,0.25,0.5,0",
+        "chat,1,4,2,1,6,0.5,0.5,1,0.1",
+    ]
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    table = read_records_csv(path)
+    assert table.steps["step_index"].tolist() == [0, 1, 2, 3, 4, 4]
+    assert table.steps["position_bin"].tolist() == [0, 0, 1, 1, 0, 1]
+    assert table.steps["tree"].tolist() == [0, 1, 0, 2, 3, 4]
+    assert np.diff(table.tree_offsets).tolist() == [2, 1, 2, 1, 1]
+    assert table.trees["depth"].tolist() == [1, 2, 1, 1, 2, 1, 2]
+    assert np.signbit(table.trees["target_entropy"]).tolist() == [0, 0, 0, 1, 0, 0, 0]
+    written = tmp_path / "written.csv"
+    write_records_csv(table, written)
+    r1, r2 = "5,0.5,0.25,0.5,0", "6,0.5,0.5,1,0.10000000000000001"
+    assert written.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"chat,1,0,1,0,{r1}", f"chat,1,0,2,0,{r2}",
+        "chat,1,1,1,0,5,0.25,0.25,1,0",
+        f"chat,1,2,1,1,{r1}", f"chat,1,2,2,1,{r2}",
+        f"chat,1,3,1,1,{r1[:-1]}-0", f"chat,1,3,2,1,{r2}",
+        f"chat,1,4,1,0,{r1}", f"chat,1,4,2,1,{r2}",
+    ]
+
+
+@pytest.mark.parametrize("size", ["smoke", "full"])
+def test_run_and_its_record_file_agree_on_steps_and_trees(tmp_path, size):
+    # The reference run, at the benchmark's smoke size and at full size.
+    if size == "smoke":
+        corpora = synthetic_corpora(n_docs=20)
+        config = GenerationConfig(prompts_per_domain=3, max_new_tokens=6)
+    else:
+        corpora, config = synthetic_corpora(), GenerationConfig()
+    records = run_experiment(config, corpora).records
+    path = tmp_path / "records.csv"
+    write_records_csv(records, path)
+    assert structure(read_records_csv(path)) == structure(records)
+    if size == "full":
+        assert (len(records.steps["tree"]), len(records.tree_offsets) - 1) == (12_800, 169)
 
 
 @pytest.mark.parametrize("chunk_rows", [4, 8192])

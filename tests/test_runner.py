@@ -13,6 +13,7 @@ from treespec import (
     NGramModel,
     NodeRecord,
     RecordTable,
+    TableModel,
     TreeParams,
     Vocabulary,
     build_draft_tree,
@@ -132,7 +133,8 @@ class TestConfig:
 
     def test_parse_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nseed = 9\n\nmax_new_tokens=16\neos_token = <end>\n")
+        path.write_text("# comment\nseed = 9\n\nmax_new_tokens=16\neos_token = <end>\n",
+                        encoding="utf-8")
         values = parse_config_file(path)
         config = config_from_mapping(values)
         assert config.seed == 9
@@ -141,13 +143,13 @@ class TestConfig:
 
     def test_parse_duplicate_key(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 1\n# again\nseed = 2\n")
+        path.write_text("seed = 1\n# again\nseed = 2\n", encoding="utf-8")
         with pytest.raises(InputError, match=r"run\.cfg:3: config key seed is set twice"):
             parse_config_file(path)
 
     def test_parse_bad_line(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed 9\n")
+        path.write_text("seed 9\n", encoding="utf-8")
         with pytest.raises(InputError):
             parse_config_file(path)
 
@@ -244,6 +246,31 @@ class TestRunExperiment:
         if eos_token:
             assert all(m["stopped_prompts"] > 0 for m in report.metadata["domains"].values())
 
+    def test_unseen_windows_with_equal_rows_share_a_tree(self, monkeypatch):
+        # Neither model has a row for the windows (1, 2) and (2, 1), so both
+        # give the default distributions and equal rows: two memo entries,
+        # one tree. The target's row for (3, 3) makes a second tree.
+        vocab = Vocabulary(("a", "b", "c", "d"))
+        draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4])
+        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(3, 3): [0.1, 0.1, 0.1, 0.7]})
+        draft.context_window = target.context_window = 2
+        monkeypatch.setattr(runner, "train_models", lambda *args: (draft, target))
+        windows = []
+
+        def recording_step(*args, **kwargs):
+            windows.append(tuple(args[2]))
+            return generate_step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "generate_step", recording_step)
+        corpus = DomainCorpus("d", [(1, 2), (2, 1), (3, 3)], vocab)
+        config = GenerationConfig(prompts_per_domain=3, max_new_tokens=1, prompt_truncation=2)
+        records = run_experiment(config, {"d": corpus}).records
+        prompts = sample_prompts(corpus, 3, config.seed, 2).prompts
+        assert sorted(windows) == sorted(prompts) == [(1, 2), (2, 1), (3, 3)]
+        tree_of = dict(zip(prompts, records.steps["tree"].tolist()))
+        assert tree_of[1, 2] == tree_of[2, 1] != tree_of[3, 3]
+        assert len(records.tree_offsets) - 1 == 2 and len(records) == 3 * 8
+
     def test_out_of_range_prompt_token_before_window_rejected(self):
         # Both prompts open on the same window, so the second one is a memo
         # hit; its token 99 must still be rejected.
@@ -338,14 +365,14 @@ class TestPersistence:
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("nope,columns\n1,2\n")
+        path.write_text("nope,columns\n1,2\n", encoding="utf-8")
         with pytest.raises(InputError):
             read_records_csv(path)
 
     def test_inconsistent_alpha_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         header = ",".join(RECORD_FIELDS)
-        path.write_text(f"{header}\nchat,0,0,1,0,5,0.5,0.25,0.9,0.1\n")
+        path.write_text(f"{header}\nchat,0,0,1,0,5,0.5,0.25,0.9,0.1\n", encoding="utf-8")
         with pytest.raises(InputError):
             read_records_csv(path)
 
@@ -365,7 +392,7 @@ class TestPersistence:
             }
             for domain, s in small_report.summaries.items()
         }
-        assert json.loads(path.read_text()) == expected
+        assert json.loads(path.read_text(encoding="utf-8")) == expected
 
     def test_reference_summary_fixture_round_trip(self, reference_stats, tmp_path):
         summaries = {}
@@ -382,7 +409,7 @@ class TestPersistence:
             )
         path = tmp_path / "summary.json"
         write_summary_json(summaries, path)
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded == {
             name: {key: payload[key] for key in SUMMARY_KEYS}
             for name, payload in reference_stats["domains"].items()
@@ -404,8 +431,8 @@ class TestPersistence:
     def test_emit_empty_report(self, tmp_path):
         report = ExperimentReport(records=[], summaries={}, metadata={})
         written = emit_report(report, tmp_path / "out")
-        assert written["csv"].read_text().strip() == ",".join(RECORD_FIELDS)
-        assert "Per-domain node statistics" in written["tables"].read_text()
+        assert written["csv"].read_text(encoding="utf-8").strip() == ",".join(RECORD_FIELDS)
+        assert "Per-domain node statistics" in written["tables"].read_text(encoding="utf-8")
 
     def test_emit_unknown_format(self, small_report, tmp_path):
         with pytest.raises(InputError):
@@ -523,7 +550,8 @@ class TestRecordCsv:
                 if later >= line:
                     rows[later - 2] = row
             path = tmp_path / f"bad{line}.csv"
-            path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n")
+            path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n",
+                            encoding="utf-8")
             with pytest.raises(InputError, match=f"{path}:{line}: {message}"):
                 read_records_csv(path)
 
@@ -543,7 +571,8 @@ class TestRecordCsv:
         monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
         good = "chat,0,0,1,0,5,0.5,0.25,0.5,0.1"
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join([",".join(RECORD_FIELDS), good, row, *[good] * 8]) + "\n")
+        path.write_text("\n".join([",".join(RECORD_FIELDS), good, row, *[good] * 8]) + "\n",
+                        encoding="utf-8")
         with pytest.raises(InputError, match=f"{path}:3: {message}"):
             read_records_csv(path)
 
@@ -554,6 +583,7 @@ class TestRecordCsv:
 
     def test_integer_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(",".join(RECORD_FIELDS) + "\nchat,0,0,1,0,99999999999999999999,0.5,0.25,0.5,0.1\n")
+        path.write_text(",".join(RECORD_FIELDS) + "\nchat,0,0,1,0,99999999999999999999,0.5,0.25,0.5,0.1\n",
+                        encoding="utf-8")
         with pytest.raises(InputError, match=f"{path}:2: integer field outside the int64 range"):
             read_records_csv(path)
