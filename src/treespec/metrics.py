@@ -113,34 +113,23 @@ class RecordTable:
         n = columns["domain_code"].shape[0]
         if any(columns[name].shape != (n,) for name in RECORD_COLUMNS):
             raise InputError("record columns must be one-dimensional and of equal length")
-        self._set_records(domains, [columns[name] for name in STEP_FIELDS[:-1]], _row_bits(columns),
-                          lambda name, index: columns[name][index])
+        self._set_records(domains, [columns])
         self._columns = columns
 
     @classmethod
-    def from_codes(
-        cls,
-        domains: Sequence[str],
-        codes: Mapping[str, np.ndarray],
-        values: Mapping[str, np.ndarray],
+    def from_chunks(
+        cls, domains: Sequence[str], chunks: Iterable[Mapping[str, np.ndarray]]
     ) -> RecordTable:
-        """Records given as one integer code per record and field.
+        """Records given as consecutive chunks, each one column per ``RECORD_COLUMNS`` name.
 
-        ``codes`` maps each per-record column name to its codes: a code of
-        ``domain_code`` is an index into ``domains``, one of any other
-        column an index into ``values[name]``. Within a column, two records
-        must have equal codes exactly when their values are equal (floats by
-        bit pattern); steps and trees are then found from the codes alone.
+        Only the steps and the rows of distinct trees are kept, so memory
+        grows with those and with one chunk, not with the records.
+        ``domains`` is read after the last chunk, so a reader may name
+        domains as it meets them.
         """
-        def column(name: str, index: np.ndarray) -> np.ndarray:
-            picked = codes[name][index]
-            return picked if name == "domain_code" else values[name][picked]
-
         table = cls.__new__(cls)
-        table._set_records(domains, [codes[name] for name in STEP_FIELDS[:-1]],
-                           _row_codes([codes[name] for name in TREE_FIELDS],
-                                      [len(values[name]) for name in TREE_FIELDS]),
-                           column)
+        table._set_records(domains, ({name: _array(name, chunk[name]) for name in RECORD_COLUMNS}
+                                     for chunk in chunks))
         table._columns = {}
         return table
 
@@ -175,7 +164,7 @@ class RecordTable:
             raise InputError("step tree outside the candidate trees")
         if not _step_starts([steps[name] for name in STEP_FIELDS[:-1]]).all():
             raise InputError("adjacent steps share their step fields")
-        content, _ = _number_blocks(_row_bits(trees), offsets)
+        content, _ = _number_blocks(_row_bits(trees), offsets, {})
         tree_of_step, first_step = _first_appearance(content[tree])
         lo, hi = offsets[tree[first_step]], offsets[tree[first_step] + 1]
         if np.any(hi == lo):
@@ -188,24 +177,48 @@ class RecordTable:
         table._columns = {}
         return table
 
-    def _set_records(self, domains: Sequence[str], step_keys: list[np.ndarray],
-                     row_keys: np.ndarray, column) -> None:
-        """Find the steps and trees of a record sequence.
+    def _set_records(self, domains: Sequence[str], chunks: Iterable[Mapping[str, np.ndarray]]) -> None:
+        """Find the steps and trees of records given as consecutive chunks of their columns.
 
-        ``step_keys`` are per-record arrays that are equal exactly where the
-        step fields are, and the bytes of row i of ``row_keys`` tell record
-        i's tree fields apart. ``column(name, index)`` gives record column
-        ``name`` at the records ``index``.
+        A step is keyed once the record that starts the next step is met;
+        until then its rows wait in ``open_rows``, a list of pieces joined
+        once, so a step that spans many chunks costs no more than its rows.
         """
-        starts = np.flatnonzero(_step_starts(step_keys))
-        bounds = np.append(starts, len(row_keys))
-        tree_of_step, first_step = _number_blocks(row_keys, bounds)
-        lo, hi = bounds[first_step], bounds[first_step + 1]
-        rows = _ranges(lo, hi)
-        steps = {name: _array(name, column(name, starts)) for name in STEP_FIELDS[:-1]}
-        self._set_structure(domains, {**steps, "tree": tree_of_step},
-                            np.append(0, np.cumsum(hi - lo)),
-                            {name: _array(name, column(name, rows)) for name in TREE_FIELDS})
+        numbers: dict[bytes, int] = {}  # tree content -> tree id
+        steps: list[dict[str, np.ndarray]] = []
+        trees: list[dict[str, np.ndarray]] = []
+        sizes: list[np.ndarray] = []
+
+        def close(rows: Mapping[str, np.ndarray], bounds: np.ndarray) -> None:
+            step, tree, size = _key_steps(rows, bounds, numbers)
+            steps.append(step)
+            trees.append(tree)
+            sizes.append(size)
+
+        open_rows: list[Mapping[str, np.ndarray]] = []
+        for chunk in chunks:
+            if not len(chunk["domain_code"]):
+                continue
+            starts = _step_starts([chunk[name] for name in STEP_FIELDS[:-1]])
+            if open_rows:
+                starts[0] = any(chunk[name][0] != open_rows[-1][name][-1] for name in STEP_FIELDS[:-1])
+            cuts = np.flatnonzero(starts)
+            if not cuts.size:
+                open_rows.append(chunk)
+                continue
+            held = sum(len(piece["domain_code"]) for piece in open_rows)
+            rows = _join([*open_rows, chunk])
+            bounds = np.append(0, cuts + held) if held else cuts
+            last = int(bounds[-1])  # the step that starts here may go on in the next chunk
+            if last:
+                close({name: column[:last] for name, column in rows.items()}, bounds)
+            open_rows = [{name: column[last:] for name, column in rows.items()}]
+        if open_rows:
+            rows = _join(open_rows)
+            close(rows, np.array([0, len(rows["domain_code"])]))
+        numbers.clear()  # its keys hold every tree row once more; free them before the joins
+        self._set_structure(domains, _join(steps, STEP_FIELDS),
+                            np.cumsum(np.concatenate([[0], *sizes])), _join(trees, TREE_FIELDS))
 
     def _set_structure(self, domains: Sequence[str], steps: dict[str, np.ndarray],
                        tree_offsets: np.ndarray, trees: dict[str, np.ndarray]) -> None:
@@ -346,37 +359,49 @@ def _step_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
     return starts
 
 
-def _number_blocks(keys: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number blocks of rows by content, in order of first appearance.
+def _number_blocks(
+    keys: np.ndarray, bounds: np.ndarray, numbers: dict[bytes, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Number blocks of rows by content, continuing ``numbers``.
 
     Block b is rows ``bounds[b]:bounds[b + 1]`` of ``keys``, an array whose
-    rows' bytes tell row contents apart. Returns each block's number and,
-    for each number, the first block that has it.
+    rows' bytes tell row contents apart; a block whose content is not in
+    ``numbers`` takes the next number. Returns each block's number and, for
+    each number new here, the first block that has it.
     """
     data = np.ascontiguousarray(keys).tobytes()
     width = keys.itemsize * int(np.prod(keys.shape[1:]))
     cuts = (np.asarray(bounds, dtype=np.int64) * width).tolist()
-    numbers: dict[bytes, int] = {}
+    known = len(numbers)
     blocks = [numbers.setdefault(data[lo:hi], len(numbers)) for lo, hi in zip(cuts[:-1], cuts[1:])]
     block_numbers = np.array(blocks, dtype=np.int64)
-    return block_numbers, np.unique(block_numbers, return_index=True)[1]
+    first = np.unique(block_numbers, return_index=True)[1]  # new numbers sort last
+    return block_numbers, first[len(first) - (len(numbers) - known):]
 
 
-def _row_codes(codes: list[np.ndarray], sizes: list[int]) -> np.ndarray:
-    """One code per record for its codes in all of ``codes``, column k's below ``sizes[k]``.
+def _key_steps(
+    rows: Mapping[str, np.ndarray], bounds: np.ndarray, numbers: dict[bytes, int]
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
+    """The steps ``rows[bounds[s]:bounds[s + 1]]`` with their tree ids from ``numbers``.
 
-    The codes are mixed-radix numbers, renumbered densely whenever the next
-    column would take them past int64.
+    Returns the step columns, the rows of the trees new to ``numbers`` and
+    each new tree's row count.
     """
-    row = np.zeros(len(codes[0]), dtype=np.int64)
-    space = 1
-    for column, size in zip(codes, sizes):
-        if space * size >= 2**63:
-            distinct, row = np.unique(row, return_inverse=True)
-            space = len(distinct)
-        row = row * size + column
-        space *= size
-    return row
+    tree, first = _number_blocks(_row_bits(rows), bounds, numbers)
+    lo, hi = bounds[first], bounds[first + 1]
+    new_rows = _ranges(lo, hi)
+    steps = {name: rows[name][bounds[:-1]] for name in STEP_FIELDS[:-1]}
+    steps["tree"] = tree
+    return steps, {name: rows[name][new_rows] for name in TREE_FIELDS}, hi - lo
+
+
+def _join(pieces: Sequence[Mapping[str, np.ndarray]], names: Sequence[str] = RECORD_COLUMNS
+          ) -> dict[str, np.ndarray]:
+    """Each column ``names`` of consecutive pieces, joined."""
+    if len(pieces) == 1:
+        return {name: pieces[0][name] for name in names}
+    return {name: np.concatenate([piece[name] for piece in pieces]) if pieces else _array(name, ())
+            for name in names}
 
 
 def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

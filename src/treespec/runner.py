@@ -29,20 +29,17 @@ import json
 import math
 import operator
 import reprlib
-import struct
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, NoReturn, Sequence, get_type_hints
+from typing import Iterator, Mapping, NoReturn, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
 from .corpus import DomainCorpus, sample_prompts, train_models
 from .errors import InputError
 from .metrics import (
-    FLOAT_FIELDS,
     INT_FIELDS,
-    RECORD_COLUMNS,
     RECORD_FIELDS,
     STEP_FIELDS,
     TREE_FIELDS,
@@ -380,41 +377,29 @@ def read_records_csv(path: str | Path) -> RecordTable:
 
     The writer puts one record on each line, and its nine numeric fields
     never hold a comma or a quote, so each line is split at its last nine
-    commas; only the domain field may be quoted. Lines are read
-    ``_CSV_CHUNK_ROWS`` at a time into one integer code per field, each
-    distinct field text parsed once and equal values (floats by bit pattern)
-    given one code across the whole file; ``RecordTable.from_codes`` finds
-    the steps and trees from the codes. The first bad row is reported as
-    ``path:line`` with the message ``int``, ``float``, ``_domain_name`` or
-    ``NodeRecord.validate`` gives.
+    commas; only the domain field may be quoted. Lines are parsed
+    ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct field text
+    once, and ``RecordTable.from_chunks`` keeps only their steps and
+    distinct trees. The first bad row is reported as ``path:line`` with the
+    message ``int``, ``float``, ``_domain_name`` or ``NodeRecord.validate``
+    gives.
     """
-    # Per field: text -> code, and value -> code, whose keys are the values in code order.
-    field_codes: list[tuple[dict[str, int], dict]] = [({}, {}) for _ in RECORD_FIELDS]
-    pieces: list[list[np.ndarray]] = [[] for _ in RECORD_FIELDS]  # per field, one per chunk
+    domains: dict[str, int] = {}
+
+    def chunks(handle: TextIO) -> Iterator[dict[str, np.ndarray]]:
+        while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
+            columns = _parse_rows(lines, domains)
+            if columns is None:
+                _raise_first_bad_row(path)
+            yield columns
+
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             if handle.readline().rstrip("\r\n") != ",".join(RECORD_FIELDS):
                 raise InputError(f"{path} is not a record file (unexpected header)")
-            while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
-                chunk = _parse_rows(lines, field_codes)
-                if chunk is None:
-                    _raise_first_bad_row(path)
-                for piece, codes in zip(pieces, chunk):
-                    piece.append(codes)
+            table = RecordTable.from_chunks(domains, chunks(handle))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    if not pieces[0]:
-        return RecordTable.from_records(())
-    values = {
-        name: np.array(list(value_codes), dtype=np.uint64).view(np.float64)
-        if name in FLOAT_FIELDS else np.array(list(value_codes), dtype=np.int64)
-        for name, (_, value_codes) in zip(RECORD_FIELDS[1:], field_codes[1:])
-    }
-    codes = {}
-    for name, piece in zip(RECORD_COLUMNS, pieces):
-        codes[name] = np.concatenate(piece)
-        piece.clear()  # so that one field at a time is held twice
-    table = RecordTable.from_codes(list(field_codes[0][1]), codes, values)
     if table.invalid_rows().any():
         _raise_first_bad_row(path)
     return table
@@ -433,53 +418,33 @@ def _domain_name(text: str) -> str:
     return name
 
 
-def _parse_int(text: str) -> int:
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise OverflowError("integer field outside the int64 range")
-    return value
+def _parse_rows(lines: list[str], domains: dict[str, int]) -> dict[str, np.ndarray] | None:
+    """One column per ``RECORD_COLUMNS`` name of record lines, or None if any line is bad.
 
-
-def _float_bits(text: str) -> int:
-    """The bit pattern of ``float(text)``, which tells -0.0 from 0.0."""
-    return _DOUBLE_BITS.unpack(_DOUBLE.pack(float(text)))[0]
-
-
-_DOUBLE, _DOUBLE_BITS = struct.Struct("<d"), struct.Struct("<Q")
-_PARSERS = (_domain_name, *(_parse_int,) * len(INT_FIELDS), *(_float_bits,) * len(FLOAT_FIELDS))
-
-
-def _parse_rows(
-    lines: list[str], field_codes: list[tuple[dict[str, int], dict]]
-) -> list[np.ndarray] | None:
-    """One code array per field of record lines, or None if any line is bad.
-
-    ``field_codes`` holds each field's text -> code and value -> code maps,
-    which grow as new texts are met.
+    Domains are numbered into ``domains`` as they are met.
     """
     width = len(RECORD_FIELDS)
     cells = list(itertools.chain.from_iterable(map(_split_fields, lines)))
     if len(cells) != width * len(lines):  # a line splits into at most ``width`` fields
         return None
     try:
-        return [_code_column(cells[i::width], parse, *field)
-                for i, (parse, field) in enumerate(zip(_PARSERS, field_codes))]
+        columns = {
+            name: _parse_column(cells[i::width], int if name in INT_FIELDS else float)
+            for i, name in enumerate(RECORD_FIELDS[1:], 1)
+        }
+        columns["domain_code"] = _parse_column(
+            cells[::width], lambda text: domains.setdefault(_domain_name(text), len(domains))
+        )
     except (ValueError, OverflowError):
         return None
+    return columns
 
 
-def _code_column(
-    texts: Sequence[str], parse, text_codes: dict[str, int], value_codes: dict
-) -> np.ndarray:
-    """The code of each text's value; ``parse`` runs once per text not met before.
-
-    Codes are int32: a field with 2**31 distinct values needs as many lines,
-    whose codes alone would not fit in memory.
-    """
-    for text in dict.fromkeys(texts):
-        if text not in text_codes:
-            text_codes[text] = value_codes.setdefault(parse(text), len(value_codes))
-    return np.fromiter(map(text_codes.__getitem__, texts), np.int32, len(texts))
+def _parse_column(texts: Sequence[str], parse) -> np.ndarray:
+    """``parse`` applied to each distinct text once, in order of first appearance."""
+    values = {text: parse(text) for text in dict.fromkeys(texts)}
+    dtype = np.float64 if parse is float else np.int64
+    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
 
 
 def _raise_first_bad_row(path: str | Path) -> NoReturn:

@@ -33,7 +33,9 @@ from treespec import (
     write_records_csv,
 )
 from treespec import runner
-from treespec.metrics import FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
+from treespec.metrics import (
+    FLOAT_FIELDS, INT_FIELDS, RECORD_COLUMNS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS,
+)
 
 CASES = 150
 QUOTED_NUMBER = "quoted number"
@@ -163,6 +165,49 @@ def structure(table):
     )
 
 
+def oracle_structure(rows):
+    """What ``structure`` gives for the records ``rows`` (as ``rows_of`` gives them), found
+    one row at a time: a step is a run of rows with equal step fields, a tree a step's rows."""
+    steps = []
+    for domain, prompt_id, step_index, depth, position_bin, token, *floats in rows:
+        key = (domain, prompt_id, step_index, position_bin)
+        if not steps or steps[-1][0] != key:
+            steps.append((key, []))
+        steps[-1][1].append((depth, token, *floats))
+    ids = {}
+    for _, tree in steps:
+        ids.setdefault(tuple(tree), len(ids))
+    columns = list(zip(*(row for tree in ids for row in tree)))
+    return (
+        *(list(column) for column in zip(*(key for key, _ in steps))),
+        [ids[tuple(tree)] for _, tree in steps],
+        np.cumsum([0, *map(len, ids)]).tolist(),
+        *(np.array(column, dtype=np.int64).tobytes() for column in columns[:2]),
+        *(np.array([float.fromhex(v) for v in column]).tobytes() for column in columns[2:]),
+    )
+
+
+def random_distinct_steps(rng, n_steps):
+    """Steps of 1-20 rows, nearly every row and tree new, a few trees met again."""
+    records = []
+    trees = []
+    for step in range(n_steps):
+        if trees and rng.random() < 0.1:
+            tree = trees[int(rng.integers(0, len(trees)))]
+        else:
+            size = int(rng.integers(1, 21))
+            p_draft = rng.uniform(0.01, 1.0, size)
+            p_target = p_draft * rng.uniform(0.0, 1.2, size)
+            tree = list(zip(rng.integers(1, 10**6, size).tolist(), rng.integers(0, 10**6, size).tolist(),
+                            p_draft.tolist(), p_target.tolist(),
+                            np.minimum(1.0, p_target / p_draft).tolist(),
+                            rng.uniform(0.0, 9.0, size).tolist()))
+            trees.append(tree)
+        for row in tree:
+            records.append(NodeRecord("d", step // 8, step % 8, row[0], int(step % 3 == 0), *row[1:]))
+    return RecordTable.from_records(records)
+
+
 def corrupt(rng, lines, kind):
     """``lines`` (header first, no line ends) with one line changed by ``kind``.
 
@@ -224,7 +269,7 @@ def test_random_tables_round_trip_bit_for_bit(tmp_path, monkeypatch, chunk_rows)
             write_records_csv(table, path)
             assert reader_outcome(path) == oracle_read(path) == rows_of(table)
             back = read_records_csv(path)
-            assert structure(back) == structure(table)
+            assert structure(back) == structure(table) == oracle_structure(oracle_read(path))
             write_records_csv(back, again)
             assert again.read_bytes() == path.read_bytes()
         names, prompts, indices, bins, trees = structure(table)[:5]
@@ -236,6 +281,34 @@ def test_random_tables_round_trip_bit_for_bit(tmp_path, monkeypatch, chunk_rows)
     text = "".join(names_seen)
     assert all(c in text for c in ',"é数 ') and "" in names_seen
     assert min(shown.values()) >= 10, shown
+
+
+@pytest.mark.parametrize("chunk_rows", [4, 7, 8192])
+def test_distinct_trees_round_trip(tmp_path, monkeypatch, chunk_rows):
+    # A file like a run on a large corpus: over 2,000 distinct values in each
+    # tree column, steps that span several chunks, and trees met again later.
+    monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+    table = random_distinct_steps(np.random.default_rng(5104), 400)
+    assert min(len(np.unique(table.trees[name])) for name in TREE_FIELDS[1:]) > 2_000
+    assert np.diff(table.tree_offsets).max() > 2 * 7
+    assert len(set(table.steps["tree"].tolist())) < len(table.steps["tree"])
+    path, again = tmp_path / "records.csv", tmp_path / "again.csv"
+    write_records_csv(table, path)
+    back = read_records_csv(path)
+    assert structure(back) == structure(table) == oracle_structure(oracle_read(path))
+    write_records_csv(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_any_chunking_gives_the_same_steps_and_trees():
+    rng = np.random.default_rng(5105)
+    for case in range(40):
+        table = random_step_table(rng) if case % 2 else random_distinct_steps(rng, 12)
+        columns = {name: table._column(name) for name in RECORD_COLUMNS}
+        cuts = np.sort(rng.integers(0, len(table) + 1, int(rng.integers(0, 8))))
+        chunks = [{name: column[lo:hi] for name, column in columns.items()}
+                  for lo, hi in zip([0, *cuts], [*cuts, len(table)])]  # some may be empty
+        assert structure(RecordTable.from_chunks(table.domains, chunks)) == oracle_structure(rows_of(table))
 
 
 def test_equal_values_written_apart_share_a_tree(tmp_path):
