@@ -19,13 +19,11 @@ from .errors import InputError, UndefinedCorrelationError
 from .metrics import (
     DepthProfile,
     DomainSummary,
-    NodeRecord,
     PositionEffects,
     RecordTable,
     average_ranks,
     chain_probabilities,
     depth_profile,
-    expected_accepted_length,
     position_effects,
     spearman_rho,
     summarize,
@@ -58,7 +56,6 @@ from .tree import (
     TreeNode,
     TreeParams,
     build_draft_tree,
-    tree_attention_mask,
 )
 from .verify import (
     NodeScore,

@@ -1,11 +1,11 @@
 """Aggregation of per-node observations into per-domain statistics.
 
-One NodeRecord is one observation row. A run's rows are held column-wise in
+One record is one speculative-node observation. A run's records are held in
 a RecordTable; everything downstream (summaries, depth profiles, chain
 probabilities, expected accepted length, position bins, rank correlation)
-is a pure fold over its columns. Groups are taken with order-preserving
-masks, so every mean sums the same values in the same order as a fold over
-the rows would. Standard deviations are population (divide by n); chain
+is a pure fold over its per-record columns. Groups are taken with
+order-preserving masks, so every mean sums the same values in the same
+order as a fold over the rows would. Standard deviations are population (divide by n); chain
 probabilities multiply per-depth mean acceptance rates.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -21,43 +21,9 @@ import numpy as np
 from .errors import InputError, UndefinedCorrelationError
 
 
-@dataclass(frozen=True, slots=True)
-class NodeRecord:
-    """One speculative-node observation."""
-
-    domain: str
-    prompt_id: int
-    step_index: int
-    depth: int
-    position_bin: int
-    token: int
-    p_draft: float
-    p_target: float
-    alpha: float
-    target_entropy: float
-
-    def validate(self) -> None:
-        """Range and self-consistency checks for persisted rows.
-
-        ``RecordTable.invalid_rows`` is the same check over columns; keep
-        the two in step.
-        """
-        for name in FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.step_index < 0 or self.depth < 1:
-            raise InputError("step_index must be >= 0 and depth >= 1")
-        if self.position_bin not in (0, 1):
-            raise InputError(f"position_bin must be 0 or 1, got {self.position_bin}")
-        if not 0.0 <= self.alpha <= 1.0 or self.target_entropy < 0.0:
-            raise InputError("alpha outside [0, 1] or negative entropy")
-        if self.p_draft <= 0.0:
-            raise InputError("p_draft must be positive for a proposed token")
-        if abs(self.alpha - min(1.0, self.p_target / self.p_draft)) > 1e-9:
-            raise InputError("alpha inconsistent with stored p_target / p_draft")
-
-
-RECORD_FIELDS = tuple(f.name for f in fields(NodeRecord))
+# A record's fields, in a record file's column order.
+RECORD_FIELDS = ("domain", "prompt_id", "step_index", "depth", "position_bin", "token",
+                 "p_draft", "p_target", "alpha", "target_entropy")
 INT_FIELDS = RECORD_FIELDS[1:6]  # prompt_id .. token
 FLOAT_FIELDS = RECORD_FIELDS[6:]  # p_draft .. target_entropy
 # A RecordTable's step columns (the last is the step's tree id), its tree
@@ -97,7 +63,6 @@ class RecordTable:
     Each per-record column (``domain_code`` and the ``RECORD_FIELDS`` after
     ``domain``) is gathered from the steps and trees on first use and kept,
     so every fold over it sees the records' values in record order.
-    Iterating yields one NodeRecord per record.
     """
 
     __slots__ = ("domains", "steps", "trees", "tree_offsets", "_length", "_columns", "_row_index")
@@ -235,18 +200,6 @@ class RecordTable:
         self._length = int(self._step_sizes().sum())
         self._row_index: np.ndarray | None = None
 
-    @classmethod
-    def from_records(cls, records: Iterable[NodeRecord]) -> RecordTable:
-        """Columns of a NodeRecord sequence, domains numbered by first appearance."""
-        codes: dict[str, int] = {}
-        rows = [
-            (codes.setdefault(r.domain, len(codes)), r.prompt_id, r.step_index, r.depth,
-             r.position_bin, r.token, r.p_draft, r.p_target, r.alpha, r.target_entropy)
-            for r in records
-        ]
-        columns = list(zip(*rows)) if rows else [()] * len(RECORD_FIELDS)
-        return cls(codes, columns[0], **dict(zip(RECORD_FIELDS[1:], columns[1:])))
-
     def _step_sizes(self) -> np.ndarray:
         """The number of records each step gives: the row count of its tree."""
         return np.diff(self.tree_offsets)[self.steps["tree"]]
@@ -276,35 +229,8 @@ class RecordTable:
             if mask.any():
                 yield name, mask
 
-    def invalid_rows(self) -> np.ndarray:
-        """Row mask of what ``NodeRecord.validate`` rejects.
-
-        Every check reads either a tree row or a step alone, so each is made
-        once per tree row and once per step.
-        """
-        trees, steps = self.trees, self.steps
-        p_draft, p_target, alpha = trees["p_draft"], trees["p_target"], trees["alpha"]
-        bad = ~np.all([np.isfinite(trees[name]) for name in FLOAT_FIELDS], axis=0)
-        bad |= trees["depth"] < 1
-        bad |= ~((alpha >= 0.0) & (alpha <= 1.0)) | (trees["target_entropy"] < 0.0)
-        bad |= ~(p_draft > 0.0)
-        # Rows with a non-finite value or p_draft <= 0 are flagged above; on
-        # the rest np.minimum agrees with the scalar min(1.0, ratio).
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = p_target / p_draft
-            bad |= np.abs(alpha - np.minimum(ratio, 1.0)) > 1e-9
-        bins = steps["position_bin"]
-        bad_step = (steps["step_index"] < 0) | ((bins != 0) & (bins != 1))
-        return bad[self._tree_rows()] | np.repeat(bad_step, self._step_sizes())
-
     def __len__(self) -> int:
         return self._length
-
-    def __iter__(self) -> Iterator[NodeRecord]:
-        names = self.domains
-        columns = [self._column(name).tolist() for name in RECORD_FIELDS[1:]]
-        for code, *values in zip(self.domain_code.tolist(), *columns):
-            yield NodeRecord(names[code], *values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordTable):
@@ -413,13 +339,6 @@ def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first[order]
 
 
-def as_table(records: RecordTable | Iterable[NodeRecord]) -> RecordTable:
-    """``records`` itself if it is a RecordTable, else its columns."""
-    if isinstance(records, RecordTable):
-        return records
-    return RecordTable.from_records(records)
-
-
 @dataclass
 class DomainSummary:
     """Aggregated statistics for one domain.
@@ -469,11 +388,6 @@ def chain_probabilities(per_depth_alpha: Mapping[int, float]) -> dict[int, float
     return chain
 
 
-def expected_accepted_length(per_depth_alpha: Mapping[int, float]) -> float:
-    """Expected accepted tokens per verification call: sum of chain probabilities."""
-    return sum(chain_probabilities(per_depth_alpha).values())
-
-
 def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions.
 
@@ -497,15 +411,9 @@ def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman_rho(pairs: Iterable[tuple[float, float]]) -> float:
-    """Spearman correlation: Pearson correlation of average-assigned ranks."""
-    data = list(pairs)
-    x = np.asarray([p[0] for p in data], dtype=np.float64)
-    y = np.asarray([p[1] for p in data], dtype=np.float64)
-    return _spearman(x, y)
-
-
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+def spearman_rho(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
+    """Spearman correlation of x and y: Pearson correlation of average-assigned ranks."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.shape[0] < 2:
         raise UndefinedCorrelationError("need at least 2 pairs for a correlation")
     if np.all(x == x[0]) or np.all(y == y[0]):
@@ -525,9 +433,8 @@ def _per_depth_means(depths: np.ndarray, alphas: np.ndarray) -> dict[int, float]
     }
 
 
-def summarize(records: RecordTable | Sequence[NodeRecord]) -> dict[str, DomainSummary]:
+def summarize(table: RecordTable) -> dict[str, DomainSummary]:
     """Per-domain counts, acceptance/entropy moments, chain law, and rank correlation."""
-    table = as_table(records)
     summaries: dict[str, DomainSummary] = {}
     for domain, mask in table.domain_masks():
         alphas = table.alpha[mask]
@@ -538,7 +445,7 @@ def summarize(records: RecordTable | Sequence[NodeRecord]) -> dict[str, DomainSu
         except InputError as exc:
             raise InputError(f"domain {domain!r}: {exc}") from exc
         try:
-            rho = _spearman(entropies, alphas)
+            rho = spearman_rho(entropies, alphas)
         except UndefinedCorrelationError:
             rho = math.nan
         summaries[domain] = DomainSummary(
@@ -554,9 +461,8 @@ def summarize(records: RecordTable | Sequence[NodeRecord]) -> dict[str, DomainSu
     return summaries
 
 
-def depth_profile(records: RecordTable | Sequence[NodeRecord]) -> DepthProfile:
+def depth_profile(table: RecordTable) -> DepthProfile:
     """Mean acceptance at each (domain, depth) cell, with per-domain deltas."""
-    table = as_table(records)
     bad = np.flatnonzero(table.depth < 1)
     if bad.size:
         raise InputError(f"record depth {table.depth[bad[0]]} out of range")
@@ -569,9 +475,8 @@ def depth_profile(records: RecordTable | Sequence[NodeRecord]) -> DepthProfile:
     return DepthProfile(cells=cells, delta=delta)
 
 
-def position_effects(records: RecordTable | Sequence[NodeRecord]) -> PositionEffects:
+def position_effects(table: RecordTable) -> PositionEffects:
     """Mean acceptance per (depth, bin) pooled over domains; delta is late minus early."""
-    table = as_table(records)
     bins = table.position_bin
     bad = np.flatnonzero((bins != 0) & (bins != 1))
     if bad.size:

@@ -13,7 +13,7 @@ RecordTable, in which memo entries with equal rows are one tree. It is
 summarized once and written as CSV and tables, and the CSV is written from
 the steps and trees, each tree's text built once.
 
-Record files are CSV with a frozen column order (NodeRecord fields), one
+Record files are CSV with a frozen column order (``RECORD_FIELDS``), one
 record per line and all floats at 17 significant digits, so a run is
 reproducible byte-for-byte and re-ingestion is lossless. Reading one finds
 the same steps and trees from the lines alone.
@@ -22,6 +22,7 @@ the same steps and trees from the lines alone.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -32,21 +33,20 @@ import reprlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, NoReturn, Sequence, TextIO, get_type_hints
+from typing import Iterator, Mapping, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
 from .corpus import DomainCorpus, sample_prompts, train_models
 from .errors import InputError
 from .metrics import (
+    FLOAT_FIELDS,
     INT_FIELDS,
     RECORD_FIELDS,
     STEP_FIELDS,
     TREE_FIELDS,
     DomainSummary,
-    NodeRecord,
     RecordTable,
-    as_table,
     check_domain_names,
     depth_profile,
     position_effects,
@@ -205,9 +205,9 @@ def run_experiment(
     contributes no records. Fully deterministic for a fixed config.
 
     A step's rows and committed token depend only on the last
-    max(draft, target) ``context_window`` tokens, so each domain keeps them
-    per window and calls ``generate_step`` on that window, and only for a
-    window it has not seen. A prompt's tokens are range-checked once, whole;
+    max(draft, target) ``context_window`` tokens (the whole context when
+    either window is None), so each domain keeps them per window and calls
+    ``generate_step`` on that window, and only for a window it has not seen. A prompt's tokens are range-checked once, whole;
     each window is checked again inside the step.
     """
     if not corpora:
@@ -241,7 +241,8 @@ def run_experiment(
             corpus, config.prompts_per_domain, config.seed, config.prompt_truncation
         )
         eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
-        window = max(draft.context_window, target.context_window)
+        windows = (draft.context_window, target.context_window)
+        window = None if None in windows else max(windows)
         memo: dict[tuple[int, ...], tuple[int, int]] = {}  # window -> (entry, committed token)
         domain_records = 0
         trees = 0
@@ -331,7 +332,7 @@ def _cell_text(values: np.ndarray) -> list[str]:
     return np.array(text, dtype=object)[inverse].tolist()
 
 
-def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | Path) -> None:
+def write_records_csv(table: RecordTable, path: str | Path) -> None:
     """Frozen column order, floats at 17 significant digits, \\n line ends.
 
     Written from the table's steps and trees: each distinct value of a tree
@@ -341,7 +342,6 @@ def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | P
     prefix before each tail. Steps are written about ``_CSV_CHUNK_ROWS``
     rows at a time.
     """
-    table = as_table(records)
     names = [_csv_field(d) for d in table.domains]
     trees = table.trees
     depths = _cell_text(trees["depth"])
@@ -373,41 +373,71 @@ def write_records_csv(records: RecordTable | Sequence[NodeRecord], path: str | P
 
 
 def read_records_csv(path: str | Path) -> RecordTable:
-    """Re-ingest a record file, re-checking each row's self-consistency.
+    """Re-ingest a record file, re-checking each record against ``_RULES``.
 
     The writer puts one record on each line, and its nine numeric fields
     never hold a comma or a quote, so each line is split at its last nine
-    commas; only the domain field may be quoted. Lines are parsed
-    ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct field text
-    once, and ``RecordTable.from_chunks`` keeps only their steps and
-    distinct trees. The first bad row is reported as ``path:line`` with the
-    message ``int``, ``float``, ``_domain_name`` or ``NodeRecord.validate``
-    gives.
+    commas; only the domain field may be quoted. Lines are parsed and
+    checked ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct field
+    text once, and ``RecordTable.from_chunks`` keeps only their steps and
+    distinct trees. The first bad line is reported as ``path:line`` with the
+    message ``int``, ``float``, ``_domain_name`` or the rule it breaks gives.
     """
     domains: dict[str, int] = {}
 
     def chunks(handle: TextIO) -> Iterator[dict[str, np.ndarray]]:
+        first_line = 2
         while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
-            columns = _parse_rows(lines, domains)
-            if columns is None:
-                _raise_first_bad_row(path)
-            yield columns
+            yield _parse_rows(lines, domains, path, first_line)
+            first_line += len(lines)
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             if handle.readline().rstrip("\r\n") != ",".join(RECORD_FIELDS):
                 raise InputError(f"{path} is not a record file (unexpected header)")
-            table = RecordTable.from_chunks(domains, chunks(handle))
+            return RecordTable.from_chunks(domains, chunks(handle))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    if table.invalid_rows().any():
-        _raise_first_bad_row(path)
-    return table
 
 
 # A record line's fields: everything before its last nine commas is the
 # domain. The last field keeps the line end, which float ignores.
 _split_fields = operator.methodcaller("rsplit", ",", len(RECORD_FIELDS) - 1)
+
+# The rules every record keeps, in check order; a record's rule code is the
+# 1-based index of the first it breaks. Each gives the column whose value
+# its message shows as ``{}``.
+_RULES = (
+    *((name, f"{name} must be finite, got {{!r}}") for name in FLOAT_FIELDS),
+    ("step_index", "step_index must be >= 0 and depth >= 1"),
+    ("position_bin", "position_bin must be 0 or 1, got {}"),
+    ("alpha", "alpha outside [0, 1] or negative entropy"),
+    ("p_draft", "p_draft must be positive for a proposed token"),
+    ("alpha", "alpha inconsistent with stored p_target / p_draft"),
+)
+
+
+def _rule_codes(columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Each record's rule code: the first of ``_RULES`` it breaks, or 0 if it keeps them all."""
+    p_draft, p_target, alpha = columns["p_draft"], columns["p_target"], columns["alpha"]
+    bins = columns["position_bin"]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        broken = [
+            *(~np.isfinite(columns[name]) for name in FLOAT_FIELDS),
+            (columns["step_index"] < 0) | (columns["depth"] < 1),
+            (bins != 0) & (bins != 1),
+            ~((alpha >= 0.0) & (alpha <= 1.0)) | (columns["target_entropy"] < 0.0),
+            ~(p_draft > 0.0),
+            # A record that reaches this rule has finite values and p_draft > 0,
+            # where np.minimum agrees with the scalar min(1.0, ratio).
+            np.abs(alpha - np.minimum(p_target / p_draft, 1.0)) > 1e-9,
+        ]
+    # Only the rows that break a rule are ranked: a reduction across the
+    # stacked masks costs more than the masks themselves.
+    rows = np.flatnonzero(functools.reduce(np.logical_or, broken))
+    codes = np.zeros(len(p_draft), dtype=np.int64)
+    codes[rows] = np.argmax([mask[rows] for mask in broken], axis=0) + 1
+    return codes
 
 
 def _domain_name(text: str) -> str:
@@ -418,54 +448,68 @@ def _domain_name(text: str) -> str:
     return name
 
 
-def _parse_rows(lines: list[str], domains: dict[str, int]) -> dict[str, np.ndarray] | None:
-    """One column per ``RECORD_COLUMNS`` name of record lines, or None if any line is bad.
+def _parse_rows(
+    lines: list[str], domains: dict[str, int], path: str | Path, first_line: int
+) -> dict[str, np.ndarray]:
+    """One column per ``RECORD_COLUMNS`` name of record lines, the first of them line ``first_line``.
 
-    Domains are numbered into ``domains`` as they are met.
+    Domains are numbered into ``domains`` as they are met. The first bad
+    line raises InputError with its first fault. A fault's rank orders a
+    line's faults: 0 for a wrong field count, the field's index for a text
+    an int or float field rejects, ``width`` for a domain not quoted as the
+    writer quotes it, ``width + 1`` for an int outside int64 and
+    ``width + 2`` for the first rule the line breaks.
     """
     width = len(RECORD_FIELDS)
     cells = list(itertools.chain.from_iterable(map(_split_fields, lines)))
+    faults: list[tuple[int, int, str]] = []  # (line index, rank, message)
     if len(cells) != width * len(lines):  # a line splits into at most ``width`` fields
-        return None
-    try:
-        columns = {
-            name: _parse_column(cells[i::width], int if name in INT_FIELDS else float)
-            for i, name in enumerate(RECORD_FIELDS[1:], 1)
-        }
-        columns["domain_code"] = _parse_column(
-            cells[::width], lambda text: domains.setdefault(_domain_name(text), len(domains))
-        )
-    except (ValueError, OverflowError):
-        return None
+        rows = list(map(_split_fields, lines))
+        short = next(i for i, row in enumerate(rows) if len(row) != width)
+        faults.append((short, 0, f"malformed row of {len(rows[short])} fields, not {width}"))
+        cells = cells[:short * width]
+    columns = {
+        name: _parse_column(cells[i::width], int if name in INT_FIELDS else float, i, faults)
+        for i, name in enumerate(RECORD_FIELDS[1:], 1)
+    }
+    columns["domain_code"] = _parse_column(
+        cells[::width], lambda text: domains.setdefault(_domain_name(text), len(domains)),
+        width, faults,
+    )
+    codes = _rule_codes(columns)
+    if codes.any():
+        row = int(np.flatnonzero(codes)[0])
+        name, message = _RULES[codes[row] - 1]
+        faults.append((row, width + 2, message.format(columns[name][row].item())))
+    if faults:
+        line, _, message = min(faults)
+        raise InputError(f"{path}:{first_line + line}: {message}")
     return columns
 
 
-def _parse_column(texts: Sequence[str], parse) -> np.ndarray:
-    """``parse`` applied to each distinct text once, in order of first appearance."""
-    values = {text: parse(text) for text in dict.fromkeys(texts)}
+def _parse_column(texts: Sequence[str], parse, rank: int, faults: list[tuple[int, int, str]]
+                  ) -> np.ndarray:
+    """``parse`` applied to each distinct text once, in order of first appearance.
+
+    A text that ``parse`` rejects, or whose int falls outside int64, reads
+    as 0, and the first line holding one joins ``faults``: at ``rank``, or
+    at the int64 rank (see ``_parse_rows``).
+    """
+    values: dict[str, int | float] = {}
+    bad: dict[str, tuple[int, str]] = {}
+    for text in dict.fromkeys(texts):
+        try:
+            values[text] = parse(text)
+        except ValueError as exc:
+            values[text], bad[text] = 0, (rank, str(exc))
+        if parse is int and not -(2**63) <= values[text] < 2**63:
+            values[text] = 0
+            bad[text] = (len(RECORD_FIELDS) + 1, "integer field outside the int64 range")
+    if bad:
+        line = next(i for i, text in enumerate(texts) if text in bad)
+        faults.append((line, *bad[texts[line]]))
     dtype = np.float64 if parse is float else np.int64
     return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
-
-
-def _raise_first_bad_row(path: str | Path) -> NoReturn:
-    """Re-read ``path`` line by line and raise InputError at the first bad row."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        next(handle)
-        for lineno, line in enumerate(handle, 2):
-            where = f"{path}:{lineno}"
-            row = _split_fields(line)
-            if len(row) != len(RECORD_FIELDS):
-                raise InputError(f"{where}: malformed row of {len(row)} fields, not {len(RECORD_FIELDS)}")
-            try:
-                ints = [int(v) for v in row[1:1 + len(INT_FIELDS)]]
-                floats = [float(v) for v in row[1 + len(INT_FIELDS):]]
-                rec = NodeRecord(_domain_name(row[0]), *ints, *floats)
-                if any(not -(2**63) <= v < 2**63 for v in ints):
-                    raise InputError("integer field outside the int64 range")
-                rec.validate()
-            except ValueError as exc:  # InputError is one too
-                raise InputError(f"{where}: {exc}") from exc
-    raise InputError(f"{path}: unreadable record rows")
 
 
 def _summary_to_jsonable(summary: DomainSummary) -> dict[str, object]:
@@ -503,15 +547,12 @@ def _rho_str(rho: float) -> str:
     return "n/a" if math.isnan(rho) else f"{rho:+.3f}"
 
 
-def render_tables(
-    records: RecordTable | Sequence[NodeRecord], summaries: Mapping[str, DomainSummary]
-) -> str:
+def render_tables(records: RecordTable, summaries: Mapping[str, DomainSummary]) -> str:
     """Six plain-text report tables over a record set and its summaries.
 
     ``summaries`` must be ``summarize(records)``; only headers are written
     when there are no records.
     """
-    records = as_table(records)
     domains = sorted(summaries)
     all_depths = sorted({d for s in summaries.values() for d in s.per_depth_alpha})
     out: list[str] = []

@@ -1,4 +1,4 @@
-"""Draft-tree construction and the tree-attention ancestor mask.
+"""Draft-tree construction.
 
 A draft tree holds candidate continuations of a committed context. Depth-1
 nodes are the top root candidates of the draft model; deeper nodes are
@@ -12,8 +12,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import InputError
 from .model import Dist, LanguageModel, TokenSeq, context_suffix, top_candidates
@@ -128,23 +126,3 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
                 heapq.heappush(frontier, (-child.cum_logp, child_index))
 
     return DraftTree(nodes=nodes, context_len=len(context), paths=paths)
-
-
-def tree_attention_mask(tree: DraftTree) -> np.ndarray:
-    """Boolean visibility matrix over context positions followed by tree nodes.
-
-    Context rows are causal (lower-triangular). Each node row sees the whole
-    committed context, its ancestor chain, and itself; sibling branches stay
-    mutually invisible.
-    """
-    ctx_len = tree.context_len
-    size = ctx_len + len(tree.nodes)
-    mask = np.zeros((size, size), dtype=bool)
-    mask[:ctx_len, :ctx_len] = np.tril(np.ones((ctx_len, ctx_len), dtype=bool))
-    for i, node in enumerate(tree.nodes):
-        row = ctx_len + i
-        mask[row, :ctx_len] = True
-        if node.parent is not None:
-            mask[row, ctx_len:] = mask[ctx_len + node.parent, ctx_len:]
-        mask[row, row] = True
-    return mask

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,17 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import record_table
 from treespec import (
     GenerationConfig,
     InputError,
-    NodeRecord,
     acceptance_prob,
     average_ranks,
+    build_draft_tree,
     cli,
     entropy_nats,
     read_records_csv,
     selftest,
-    tree_attention_mask,
     write_records_csv,
 )
 import treespec
@@ -53,15 +54,9 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def sibling_mask(tree):
-    """tree_attention_mask with a defect: nodes that share a parent see each other."""
-    mask = tree_attention_mask(tree)
-    ctx = tree.context_len
-    for i, a in enumerate(tree.nodes):
-        for j, b in enumerate(tree.nodes):
-            if a.parent == b.parent:
-                mask[ctx + i, ctx + j] = True
-    return mask
+def branch_cap_ignored(model, context, params):
+    """build_draft_tree with a defect: a node may have up to max_nodes children."""
+    return build_draft_tree(model, context, dataclasses.replace(params, max_branch=params.max_nodes))
 
 
 class TestRun:
@@ -254,7 +249,7 @@ class TestRun:
         )
         assert code == 0
         records = read_records_csv(out / "records.csv")
-        assert {r.domain for r in records} == {"alpha", "beta"}
+        assert {records.domains[code] for code in records.domain_code.tolist()} == {"alpha", "beta"}
 
     def test_synthetic_docs_with_data_exits_one(self, tmp_path, capsys):
         # The data directory does not exist: a read would exit 2, not 1.
@@ -387,11 +382,11 @@ class TestAnalyzeAndTables:
     def test_depth_gap_names_the_domain(self, tmp_path, capsys, command):
         path = tmp_path / "records.csv"
         rows = [
-            NodeRecord("code", 0, 0, 1, 0, 4, 0.5, 0.25, 0.5, 0.1),
-            NodeRecord("chat", 0, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
-            NodeRecord("chat", 0, 0, 3, 0, 6, 0.5, 0.5, 1.0, 0.2),
+            ("code", 0, 0, 1, 0, 4, 0.5, 0.25, 0.5, 0.1),
+            ("chat", 0, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
+            ("chat", 0, 0, 3, 0, 6, 0.5, 0.5, 1.0, 0.2),
         ]
-        write_records_csv(rows, path)
+        write_records_csv(record_table(rows), path)
         out = ["--out", str(tmp_path / "o")] if command == "analyze" else []
         assert run_cli(command, "--records", str(path), *out) == 1
         assert capsys.readouterr().err == (
@@ -415,7 +410,7 @@ class TestSelftest:
         ("acceptance_prob", lambda t, d: t / d, "rejection-sampling exactness"),
         ("average_ranks", lambda values: average_ranks(values) + 1.0,
          "rank correlation vs naive oracle"),
-        ("tree_attention_mask", sibling_mask, "tree invariants and mask oracle"),
+        ("build_draft_tree", branch_cap_ignored, "tree invariants"),
         ("simulate_chain_acceptance", lambda path, rng: len(path), "chain-length law"),
         ("entropy_nats", lambda dist: entropy_nats(dist) + 1e-3, "entropy bounds"),
         # NaN defects: each check must keep a NaN measure, not fold it away.
@@ -426,7 +421,7 @@ class TestSelftest:
         ("entropy_nats", lambda dist: math.nan if len(dist) == 33 else entropy_nats(dist),
          "entropy bounds"),
     ], ids=[
-        "unclipped-alpha", "ranks-off-by-one", "siblings-see-each-other", "never-rejects",
+        "unclipped-alpha", "ranks-off-by-one", "branch-cap-ignored", "never-rejects",
         "entropy-offset", "nan-alpha", "nan-ranks", "nan-entropy",
     ])
     def test_each_check_fails_on_its_defect(self, monkeypatch, capsys, name, defect, check):

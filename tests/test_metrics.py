@@ -4,19 +4,20 @@ import re
 import numpy as np
 import pytest
 
+from conftest import Row, record_table
 from treespec import (
     DomainSummary,
     InputError,
-    NodeRecord,
     RecordTable,
     UndefinedCorrelationError,
     average_ranks,
     chain_probabilities,
     depth_profile,
-    expected_accepted_length,
     position_effects,
+    read_records_csv,
     spearman_rho,
     summarize,
+    write_records_csv,
 )
 from treespec.metrics import FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS
 
@@ -32,7 +33,7 @@ def make_record(
     entropy=0.1,
 ):
     # p_draft 1.0 keeps alpha self-consistent for arbitrary synthetic alphas
-    return NodeRecord(
+    return Row(
         domain=domain,
         prompt_id=prompt_id,
         step_index=step_index,
@@ -74,18 +75,18 @@ def two_pass_mean_std(values):
 class TestSummarize:
     def test_two_records(self):
         records = [make_record(alpha=0.0), make_record(alpha=1.0)]
-        summary = summarize(records)["dom"]
+        summary = summarize(record_table(records))["dom"]
         assert summary.node_count == 2
         assert summary.mean_alpha == 0.5
         assert summary.std_alpha == 0.5
 
     def test_empty_input(self):
-        assert summarize([]) == {}
+        assert summarize(record_table([])) == {}
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(19)
         records = synthetic_records(rng)
-        summary = summarize(records)["dom"]
+        summary = summarize(record_table(records))["dom"]
         mean, std = two_pass_mean_std([r.alpha for r in records])
         assert summary.mean_alpha == pytest.approx(mean, abs=1e-12)
         assert summary.std_alpha == pytest.approx(std, abs=1e-12)
@@ -97,8 +98,8 @@ class TestSummarize:
         records = synthetic_records(rng, n=300)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        a = summarize(records)["dom"]
-        b = summarize(shuffled)["dom"]
+        a = summarize(record_table(records))["dom"]
+        b = summarize(record_table(shuffled))["dom"]
         assert a.node_count == b.node_count
         assert a.mean_alpha == pytest.approx(b.mean_alpha, abs=1e-12)
         assert a.std_alpha == pytest.approx(b.std_alpha, abs=1e-12)
@@ -111,26 +112,26 @@ class TestSummarize:
 
     def test_expected_len_is_sum_of_chain(self):
         rng = np.random.default_rng(29)
-        summary = summarize(synthetic_records(rng, n=500))["dom"]
+        summary = summarize(record_table(synthetic_records(rng, n=500)))["dom"]
         assert summary.expected_len == pytest.approx(sum(summary.chain_prob.values()), abs=1e-12)
         values = [summary.chain_prob[d] for d in sorted(summary.chain_prob)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_single_record_correlation_is_nan(self):
         two = [make_record(domain="two", alpha=a, entropy=a) for a in (0.2, 0.6)]
-        summaries = summarize([make_record(alpha=0.4), *two])
+        summaries = summarize(record_table([make_record(alpha=0.4), *two]))
         assert summaries["dom"].node_count == 1
         assert math.isnan(summaries["dom"].spearman_rho)
         assert summaries["two"].spearman_rho == 1.0
 
     def test_degenerate_correlation_is_nan(self):
         records = [make_record(alpha=0.4, entropy=e) for e in (0.1, 0.2, 0.3)]
-        assert math.isnan(summarize(records)["dom"].spearman_rho)
+        assert math.isnan(summarize(record_table(records))["dom"].spearman_rho)
 
 
 class TestDepthProfile:
     def test_single_cell(self):
-        profile = depth_profile([make_record(alpha=0.3), make_record(alpha=0.5)])
+        profile = depth_profile(record_table([make_record(alpha=0.3), make_record(alpha=0.5)]))
         assert profile.cells == {("dom", 1): pytest.approx(0.4)}
         assert profile.delta == {"dom": 0.0}
 
@@ -139,13 +140,13 @@ class TestDepthProfile:
         records = []
         for depth_str, alpha in per_depth.items():
             records += [make_record(depth=int(depth_str), alpha=alpha) for _ in range(10)]
-        profile = depth_profile(records)
+        profile = depth_profile(record_table(records))
         assert profile.delta["dom"] == pytest.approx(0.021, abs=1e-12)
 
     def test_group_by_oracle(self):
         rng = np.random.default_rng(31)
         records = synthetic_records(rng, n=400) + synthetic_records(rng, n=400, domain="other")
-        profile = depth_profile(records)
+        profile = depth_profile(record_table(records))
         groups = {}
         for rec in records:
             groups.setdefault((rec.domain, rec.depth), []).append(rec.alpha)
@@ -155,9 +156,9 @@ class TestDepthProfile:
             )
 
     def test_bad_depth_rejected(self):
-        bad = NodeRecord("d", 0, 0, 0, 0, 0, 1.0, 0.5, 0.5, 0.0)
+        bad = Row("d", 0, 0, 0, 0, 0, 1.0, 0.5, 0.5, 0.0)
         with pytest.raises(InputError):
-            depth_profile([bad])
+            depth_profile(record_table([bad]))
 
 
 class TestChainProbabilities:
@@ -185,21 +186,27 @@ class TestChainProbabilities:
             chain_probabilities({})
 
 
+def expected_len(per_depth):
+    """``summarize``'s E[L] for one record per depth at that depth's alpha."""
+    table = record_table([make_record(depth=d, alpha=alpha) for d, alpha in per_depth.items()])
+    return summarize(table)["dom"].expected_len
+
+
 class TestExpectedAcceptedLength:
     def test_reference_values(self, reference_stats):
         for name, payload in reference_stats["domains"].items():
             per_depth = {int(d): v for d, v in payload["per_depth_alpha"].items()}
-            assert expected_accepted_length(per_depth) == pytest.approx(
+            assert expected_len(per_depth) == pytest.approx(
                 payload["expected_len"], abs=2e-3
             ), name
 
     def test_math_row_terms(self):
         # 0.510 + 0.510*0.519 + 0.510*0.519*0.525 = 0.9137
-        value = expected_accepted_length({1: 0.510, 2: 0.519, 3: 0.525})
+        value = expected_len({1: 0.510, 2: 0.519, 3: 0.525})
         assert value == pytest.approx(0.9137, abs=5e-5)
 
     def test_all_zero(self):
-        assert expected_accepted_length({1: 0.0, 2: 0.0}) == 0.0
+        assert expected_len({1: 0.0, 2: 0.0}) == 0.0
 
     def test_identity_with_chain_sum(self):
         rng = np.random.default_rng(37)
@@ -207,7 +214,7 @@ class TestExpectedAcceptedLength:
             per_depth = {
                 d + 1: float(rng.random()) for d in range(int(rng.integers(1, 6)))
             }
-            assert expected_accepted_length(per_depth) == pytest.approx(
+            assert expected_len(per_depth) == pytest.approx(
                 sum(chain_probabilities(per_depth).values()), abs=1e-12
             )
 
@@ -216,7 +223,7 @@ class TestPositionEffects:
     def test_reference_depth_one_row(self):
         records = [make_record(depth=1, position_bin=0, alpha=0.520) for _ in range(5)]
         records += [make_record(depth=1, position_bin=1, alpha=0.548) for _ in range(5)]
-        effects = position_effects(records)
+        effects = position_effects(record_table(records))
         assert effects.delta[1] == pytest.approx(0.028, abs=1e-12)
 
     def test_identical_alphas_zero_delta(self):
@@ -225,13 +232,13 @@ class TestPositionEffects:
             for d in (1, 2, 3)
             for b in (0, 1)
         ]
-        effects = position_effects(records)
+        effects = position_effects(record_table(records))
         assert all(delta == 0.0 for delta in effects.delta.values())
 
     def test_group_by_oracle(self):
         rng = np.random.default_rng(41)
         records = synthetic_records(rng, n=600) + synthetic_records(rng, n=300, domain="b")
-        effects = position_effects(records)
+        effects = position_effects(record_table(records))
         groups = {}
         for rec in records:
             groups.setdefault((rec.depth, rec.position_bin), []).append(rec.alpha)
@@ -241,9 +248,9 @@ class TestPositionEffects:
             )
 
     def test_bad_bin_rejected(self):
-        bad = NodeRecord("d", 0, 0, 1, 2, 0, 1.0, 0.5, 0.5, 0.0)
+        bad = Row("d", 0, 0, 1, 2, 0, 1.0, 0.5, 0.5, 0.0)
         with pytest.raises(InputError):
-            position_effects([bad])
+            position_effects(record_table([bad]))
 
 
 def naive_ranks(values):
@@ -259,23 +266,23 @@ def naive_ranks(values):
 
 class TestSpearman:
     def test_perfectly_decreasing(self):
-        assert spearman_rho([(1, 0.9), (2, 0.5), (3, 0.1)]) == -1.0
+        assert spearman_rho(np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.5, 0.1])) == -1.0
 
     def test_identical_variables(self):
-        x = [0.3, 0.9, 0.1, 0.5]
-        assert spearman_rho(list(zip(x, x))) == 1.0
+        x = np.array([0.3, 0.9, 0.1, 0.5])
+        assert spearman_rho(x, x) == 1.0
 
     def test_negated(self):
-        x = [0.3, 0.9, 0.1, 0.5]
-        assert spearman_rho([(v, -v) for v in x]) == -1.0
+        x = np.array([0.3, 0.9, 0.1, 0.5])
+        assert spearman_rho(x, -x) == -1.0
 
     def test_all_tied_rejected(self):
         with pytest.raises(UndefinedCorrelationError):
-            spearman_rho([(1.0, 0.2), (1.0, 0.4), (1.0, 0.9)])
+            spearman_rho(np.array([1.0, 1.0, 1.0]), np.array([0.2, 0.4, 0.9]))
 
     def test_too_few_pairs(self):
         with pytest.raises(InputError):
-            spearman_rho([(1.0, 2.0)])
+            spearman_rho(np.array([1.0]), np.array([2.0]))
 
     def test_matches_naive_oracle_with_ties(self):
         rng = np.random.default_rng(43)
@@ -291,16 +298,14 @@ class TestSpearman:
             rx -= rx.mean()
             ry -= ry.mean()
             expected = float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
-            assert spearman_rho(list(zip(x.tolist(), y.tolist()))) == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert spearman_rho(x, y) == pytest.approx(expected, abs=1e-12)
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(47)
         x = rng.random(80)
         y = rng.random(80)
-        base = spearman_rho(list(zip(x, y)))
-        transformed = spearman_rho(list(zip(np.exp(x), y ** 3)))
+        base = spearman_rho(x, y)
+        transformed = spearman_rho(np.exp(x), y ** 3)
         assert transformed == pytest.approx(base, abs=1e-12)
 
     def test_bounds(self):
@@ -309,7 +314,7 @@ class TestSpearman:
             n = int(rng.integers(2, 100))
             x = rng.random(n)
             y = rng.random(n)
-            assert -1.0 <= spearman_rho(list(zip(x, y))) <= 1.0
+            assert -1.0 <= spearman_rho(x, y) <= 1.0
 
 
 class TestReferenceFixtureConsistency:
@@ -319,9 +324,7 @@ class TestReferenceFixtureConsistency:
             chain = chain_probabilities(per_depth)
             for depth_str, published in payload["chain_prob"].items():
                 assert chain[int(depth_str)] == pytest.approx(published, abs=1e-3), name
-            assert expected_accepted_length(per_depth) == pytest.approx(
-                payload["expected_len"], abs=2e-3
-            ), name
+            assert sum(chain.values()) == pytest.approx(payload["expected_len"], abs=2e-3), name
 
 
 # --- scalar oracles: the per-element implementations the folds replaced ---
@@ -356,7 +359,7 @@ def scalar_spearman(x, y):
 
 
 def scalar_summarize(records):
-    """Group NodeRecords one at a time and fold each domain's lists."""
+    """Group records one at a time and fold each domain's lists."""
     by_domain = {}
     for rec in records:
         by_domain.setdefault(rec.domain, []).append(rec)
@@ -423,9 +426,9 @@ class TestRanksAgainstScalarOracle:
             expected = scalar_spearman(x, y)
             if math.isnan(expected):
                 with pytest.raises(UndefinedCorrelationError):
-                    spearman_rho(zip(x.tolist(), y.tolist()))
+                    spearman_rho(x, y)
             else:
-                assert same_bits(spearman_rho(zip(x.tolist(), y.tolist())), expected)
+                assert same_bits(spearman_rho(x, y), expected)
 
 
 def random_records(rng):
@@ -466,14 +469,13 @@ class TestSummarizeAgainstScalarOracle:
         for _ in range(60):
             records = random_records(rng)
             expected = scalar_summarize(records)
-            assert_summaries_identical(summarize(records), expected)
-            assert_summaries_identical(summarize(RecordTable.from_records(records)), expected)
+            assert_summaries_identical(summarize(record_table(records)), expected)
 
     def test_depth_profile_cells_match_per_depth_alpha(self):
         rng = np.random.default_rng(73)
         for _ in range(20):
             records = random_records(rng)
-            profile = depth_profile(records)
+            profile = depth_profile(record_table(records))
             for domain, summary in scalar_summarize(records).items():
                 for depth, alpha in summary.per_depth_alpha.items():
                     assert same_bits(profile.cells[(domain, depth)], alpha)
@@ -485,35 +487,28 @@ class TestSummarizeAgainstScalarOracle:
             groups = {}
             for rec in records:
                 groups.setdefault((rec.depth, rec.position_bin), []).append(rec.alpha)
-            cells = position_effects(records).cells
+            cells = position_effects(record_table(records)).cells
             assert list(cells) == sorted(groups)
             for key, alphas in groups.items():
                 assert same_bits(cells[key], np.mean(alphas))
 
 
 class TestRecordTable:
-    def test_from_records_round_trip(self):
-        rng = np.random.default_rng(83)
-        records = random_records(rng)
-        table = RecordTable.from_records(records)
-        assert len(table) == len(records)
-        assert list(table) == records
+    def test_equality_ignores_domain_numbering(self):
+        records = [make_record(domain="b"), make_record(domain="a", alpha=0.25)]
+        table = record_table(records)
         assert table.domain_code.dtype == np.int64
         assert all(getattr(table, name).dtype == np.int64 for name in INT_FIELDS)
         assert all(getattr(table, name).dtype == np.float64 for name in FLOAT_FIELDS)
-
-    def test_equality_ignores_domain_numbering(self):
-        records = [make_record(domain="b"), make_record(domain="a", alpha=0.25)]
-        table = RecordTable.from_records(records)
         columns = {name: getattr(table, name) for name in RECORD_FIELDS[1:]}
         renumbered = RecordTable(("a", "b"), [1, 0], **columns)
         assert renumbered == table
         assert RecordTable(("a", "b"), [0, 1], **columns) != table
-        assert table != records  # compare rows with list(table)
+        assert table != records
 
     def test_empty(self):
-        table = RecordTable.from_records([])
-        assert len(table) == 0 and not table and list(table) == []
+        table = record_table([])
+        assert len(table) == 0 and not table
         assert summarize(table) == {}
 
     def test_rejects_ragged_columns_and_bad_codes(self):
@@ -547,13 +542,12 @@ class TestRecordTable:
         assert table.steps["tree"].tolist() == [0, 1, 1, 0]
         assert table.tree_offsets.tolist() == [0, 1, 2]
         assert table.trees["token"].tolist() == [7, 5]
-        assert list(table) == [
-            NodeRecord("d", 0, 0, 1, 0, 7, 0.5, 0.5, 1.0, 0.3),
-            NodeRecord("d", 1, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
-            NodeRecord("d", 2, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
-            NodeRecord("d", 3, 0, 1, 0, 7, 0.5, 0.5, 1.0, 0.3),
-        ]
-        rebuilt = RecordTable.from_records(list(table))
+        rebuilt = record_table([
+            ("d", 0, 0, 1, 0, 7, 0.5, 0.5, 1.0, 0.3),
+            ("d", 1, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
+            ("d", 2, 0, 1, 0, 5, 0.5, 0.25, 0.5, 0.1),
+            ("d", 3, 0, 1, 0, 7, 0.5, 0.5, 1.0, 0.3),
+        ])
         assert rebuilt == table
         assert rebuilt.steps["tree"].tolist() == [0, 1, 1, 0]
 
@@ -568,34 +562,12 @@ class TestRecordTable:
         with pytest.raises(InputError, match=message):
             self.from_steps(tree, prompt_id, offsets)
 
-    def test_invalid_rows_matches_validate(self):
-        rng = np.random.default_rng(89)
-        specials = [0.0, -0.0, 1.0, 0.5, 2.0, -1e-9, 5e-324, 1e300, math.nan, math.inf, -math.inf]
-        records = []
-        for _ in range(3000):
-            p_draft, p_target = (float(v) for v in rng.choice(specials, 2))
-            alpha = min(1.0, p_target / p_draft) if p_draft > 0 and rng.random() < 0.6 \
-                else float(rng.choice(specials))
-            records.append(NodeRecord(
-                "d", 0, int(rng.integers(-1, 3)), int(rng.integers(0, 3)),
-                int(rng.integers(-1, 3)), 0, p_draft, p_target, alpha,
-                float(rng.choice(specials)),
-            ))
-        expected = []
-        for rec in records:
-            try:
-                rec.validate()
-                expected.append(False)
-            except InputError:
-                expected.append(True)
-        assert RecordTable.from_records(records).invalid_rows().tolist() == expected
-        assert 0 < sum(expected) < len(expected)
-
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_validate_rejects_non_finite(self, name, value):
-        fields = dict(domain="d", prompt_id=0, step_index=0, depth=1, position_bin=0, token=0,
-                      p_draft=0.5, p_target=0.25, alpha=0.5, target_entropy=0.1)
-        fields[name] = value
-        with pytest.raises(InputError, match=f"{name} must be finite"):
-            NodeRecord(**fields).validate()
+    def test_validate_rejects_non_finite(self, tmp_path, name, value):
+        # The reader's record check names the field and its value.
+        row = Row("d", 0, 0, 1, 0, 0, 0.5, 0.25, 0.5, 0.1)._replace(**{name: value})
+        path = tmp_path / "records.csv"
+        write_records_csv(record_table([row]), path)
+        with pytest.raises(InputError, match=re.escape(f"{path}:2: {name} must be finite, got {value!r}")):
+            read_records_csv(path)

@@ -1,13 +1,14 @@
 """Seeded property tests: ``read_records_csv`` against a row-by-row csv.reader oracle.
 
-The oracle reads a record file with ``csv.reader`` and checks each row with
-``NodeRecord.validate``, one row at a time. Random tables, with -0.0,
-subnormals, 1e-300 and domain names holding commas, quotes, spaces and
-non-ASCII text, must survive ``write_records_csv`` -> ``read_records_csv``
-bit for bit, come back with the same steps and trees, and be written again
-to the same bytes. Each corrupted file (one line of a valid file changed)
-must give the oracle's table or be rejected at the oracle's line, where a
-multi-line row counts from its first line.
+The oracle reads a record file with ``csv.reader`` and checks each row
+against ``first_broken_rule``, its own scalar copy of the record rules, one
+row at a time. Random tables, with -0.0, subnormals, 1e-300 and domain
+names holding commas, quotes, spaces and non-ASCII text, must survive
+``write_records_csv`` -> ``read_records_csv`` bit for bit, come back with
+the same steps and trees, and be written again to the same bytes. Each
+corrupted file (one line of a valid file changed) must give the oracle's
+table or be rejected at the oracle's line, where a multi-line row counts
+from its first line.
 
 The reader splits each line at its last nine commas, so it rejects two
 kinds of text the writer never writes and csv.reader reads:
@@ -17,15 +18,16 @@ line). On those it must name the corrupted line.
 """
 
 import csv
+import math
 import re
 
 import numpy as np
 import pytest
 
+from conftest import Row, record_table, table_rows
 from treespec import (
     GenerationConfig,
     InputError,
-    NodeRecord,
     RecordTable,
     read_records_csv,
     run_experiment,
@@ -52,8 +54,26 @@ FLOATS = [-0.0, 0.0, 5e-324, 1.5e-310, 1e-300, 0.1 + 0.2, 0.25, 0.5, 1.0, 3.0, 1
 WIDTH = len(RECORD_FIELDS)
 
 
+def first_broken_rule(r):
+    """The message of the first record rule the Row ``r`` breaks, or None if it keeps them all."""
+    for name in FLOAT_FIELDS:
+        if not math.isfinite(getattr(r, name)):
+            return f"{name} must be finite, got {getattr(r, name)!r}"
+    if r.step_index < 0 or r.depth < 1:
+        return "step_index must be >= 0 and depth >= 1"
+    if r.position_bin not in (0, 1):
+        return f"position_bin must be 0 or 1, got {r.position_bin}"
+    if not 0.0 <= r.alpha <= 1.0 or r.target_entropy < 0.0:
+        return "alpha outside [0, 1] or negative entropy"
+    if r.p_draft <= 0.0:
+        return "p_draft must be positive for a proposed token"
+    if abs(r.alpha - min(1.0, r.p_target / r.p_draft)) > 1e-9:
+        return "alpha inconsistent with stored p_target / p_draft"
+    return None
+
+
 def oracle_read(path):
-    """The file as csv.reader and NodeRecord.validate read it: its rows, or the bad row's line."""
+    """The file as csv.reader and first_broken_rule read it: its rows, or the bad row's line."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         assert next(reader) == list(RECORD_FIELDS)
@@ -69,15 +89,16 @@ def oracle_read(path):
                 ints = [int(v) for v in row[1:1 + len(INT_FIELDS)]]
                 if any(not -(2**63) <= v < 2**63 for v in ints):
                     raise ValueError("integer field outside the int64 range")
-                record = NodeRecord(row[0], *ints, *(float(v) for v in row[1 + len(INT_FIELDS):]))
-                record.validate()
+                record = Row(row[0], *ints, *(float(v) for v in row[1 + len(INT_FIELDS):]))
             except ValueError:
+                return first_line
+            if first_broken_rule(record):
                 return first_line
             records.append(record)
 
 
 def rows_of(records):
-    """Each record as a tuple, floats as hex text so that -0.0 and 0.0 differ."""
+    """Each Row as a tuple, floats as hex text so that -0.0 and 0.0 differ."""
     return [
         (r.domain, *(getattr(r, name) for name in INT_FIELDS),
          *(getattr(r, name).hex() for name in FLOAT_FIELDS))
@@ -88,7 +109,7 @@ def rows_of(records):
 def reader_outcome(path):
     """The rows ``read_records_csv(path)`` gives, or the line its InputError names."""
     try:
-        return rows_of(read_records_csv(path))
+        return rows_of(table_rows(read_records_csv(path)))
     except InputError as exc:
         found = re.match(re.escape(str(path)) + r":(\d+): ", str(exc))
         assert found, f"no path:line in {exc}"
@@ -150,8 +171,8 @@ def random_step_table(rng):
         code, prompt_id, step_index = keys[int(rng.integers(0, len(keys)))]
         position_bin = int(rng.integers(0, 2))
         for depth, *rest in trees[int(rng.integers(0, len(trees)))]:
-            records.append(NodeRecord(names[code], prompt_id, step_index, depth, position_bin, *rest))
-    return RecordTable.from_records(records)
+            records.append(Row(names[code], prompt_id, step_index, depth, position_bin, *rest))
+    return record_table(records)
 
 
 def structure(table):
@@ -204,8 +225,8 @@ def random_distinct_steps(rng, n_steps):
                             rng.uniform(0.0, 9.0, size).tolist()))
             trees.append(tree)
         for row in tree:
-            records.append(NodeRecord("d", step // 8, step % 8, row[0], int(step % 3 == 0), *row[1:]))
-    return RecordTable.from_records(records)
+            records.append(Row("d", step // 8, step % 8, row[0], int(step % 3 == 0), *row[1:]))
+    return record_table(records)
 
 
 def corrupt(rng, lines, kind):
@@ -267,7 +288,7 @@ def test_random_tables_round_trip_bit_for_bit(tmp_path, monkeypatch, chunk_rows)
         for table in (random_table(rng), random_step_table(step_rng)):
             names_seen.update(table.domains)
             write_records_csv(table, path)
-            assert reader_outcome(path) == oracle_read(path) == rows_of(table)
+            assert reader_outcome(path) == oracle_read(path) == rows_of(table_rows(table))
             back = read_records_csv(path)
             assert structure(back) == structure(table) == oracle_structure(oracle_read(path))
             write_records_csv(back, again)
@@ -308,7 +329,8 @@ def test_any_chunking_gives_the_same_steps_and_trees():
         cuts = np.sort(rng.integers(0, len(table) + 1, int(rng.integers(0, 8))))
         chunks = [{name: column[lo:hi] for name, column in columns.items()}
                   for lo, hi in zip([0, *cuts], [*cuts, len(table)])]  # some may be empty
-        assert structure(RecordTable.from_chunks(table.domains, chunks)) == oracle_structure(rows_of(table))
+        assert structure(RecordTable.from_chunks(table.domains, chunks)) == oracle_structure(
+            rows_of(table_rows(table)))
 
 
 def test_equal_values_written_apart_share_a_tree(tmp_path):
@@ -390,3 +412,29 @@ def test_corrupted_files_match_the_oracle(tmp_path, monkeypatch, chunk_rows):
         reads = kind in ("CRLF line ends", "no final newline", QUOTED_NUMBER, LINE_BREAK_DOMAIN)
         shown[kind] += isinstance(want, list) == reads
     assert min(shown.values()) >= 1, shown
+
+
+def test_special_values_match_the_scalar_rules(tmp_path):
+    # Each record of special values, written alone as the writer writes it,
+    # is read back or rejected with the message of the first rule that
+    # first_broken_rule finds broken.
+    rng = np.random.default_rng(89)
+    specials = [0.0, -0.0, 1.0, 0.5, 2.0, -1e-9, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+    path = tmp_path / "records.csv"
+    rejected = 0
+    for _ in range(3000):
+        p_draft, p_target = (float(v) for v in rng.choice(specials, 2))
+        alpha = min(1.0, p_target / p_draft) if p_draft > 0 and rng.random() < 0.6 \
+            else float(rng.choice(specials))
+        record = Row("d", 0, int(rng.integers(-1, 3)), int(rng.integers(0, 3)),
+                     int(rng.integers(-1, 3)), 0, p_draft, p_target, alpha, float(rng.choice(specials)))
+        cells = [*map(str, record[:6]), *(format(v, ".17g") for v in record[6:])]
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + ",".join(cells) + "\n", encoding="utf-8")
+        message = first_broken_rule(record)
+        if message is None:
+            assert reader_outcome(path) == rows_of([record])
+        else:
+            with pytest.raises(InputError, match=re.escape(f"{path}:2: {message}")):
+                read_records_csv(path)
+            rejected += 1
+    assert 0 < rejected < 3000

@@ -1,17 +1,18 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import Row, record_table, table_rows
 from treespec import (
     DomainCorpus,
     DomainSummary,
     GenerationConfig,
     InputError,
     NGramModel,
-    NodeRecord,
     RecordTable,
     TableModel,
     TreeParams,
@@ -33,7 +34,7 @@ from treespec import (
     write_summary_json,
 )
 from treespec import runner
-from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
+from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
 from treespec.runner import ExperimentReport
 
 
@@ -180,6 +181,8 @@ class TestGenerateStep:
         tree = build_draft_tree(draft, context, TreeParams())
         scores, _ = score_tree(target, context, tree)
         assert len(rows) == len(scores)
+        table = record_table([Row("x", 4, 9, depth, 1, *rest) for depth, *rest in rows])
+        assert not runner._rule_codes({name: getattr(table, name) for name in RECORD_FIELDS[1:]}).any()
         for row, score in zip(rows, scores):
             node = tree.nodes[score.node_index]
             depth, token, p_draft, p_target, alpha, target_entropy = row
@@ -189,15 +192,14 @@ class TestGenerateStep:
             assert p_target == score.p_target
             assert alpha == score.alpha
             assert target_entropy == score.target_entropy
-            NodeRecord("x", 4, 9, depth, 1, *row[1:]).validate()
 
 
-def plain_loop(config, corpora):
+def plain_loop(config, corpora, models=train_models):
     """Reference loop: calls generate_step on the full context at every step, with no memo."""
     records = []
     for domain in sorted(corpora):
         corpus = corpora[domain]
-        draft, target = train_models(
+        draft, target = models(
             corpus, config.draft_order, config.target_order, config.smoothing
         )
         prompts = sample_prompts(
@@ -212,11 +214,11 @@ def plain_loop(config, corpora):
                 if committed == eos:
                     break
                 records.extend(
-                    NodeRecord(domain, prompt_id, step_index, depth, position_bin, *rest)
+                    Row(domain, prompt_id, step_index, depth, position_bin, *rest)
                     for depth, *rest in step_rows
                 )
                 context.append(committed)
-    return records
+    return record_table(records)
 
 
 class TestRunExperiment:
@@ -239,7 +241,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr("treespec.runner.generate_step", counting_step)
         report = run_experiment(config, corpora)
-        assert list(report.records) == expected
+        assert report.records == expected
         assert len(calls) < sum(m["trees"] for m in report.metadata["domains"].values())
         # Each step gets its window, the last target_order - 1 tokens, not the 40+ token context.
         assert {len(context) for context in calls} == {orders[1] - 1}
@@ -271,6 +273,24 @@ class TestRunExperiment:
         assert tree_of[1, 2] == tree_of[2, 1] != tree_of[3, 3]
         assert len(records.tree_offsets) - 1 == 2 and len(records) == 3 * 8
 
+    def test_models_that_read_every_token_key_the_whole_context(self, monkeypatch):
+        # A TableModel reads the whole context (its context_window is None).
+        # The target's row for (0, 1, 2) makes that prompt's steps differ from
+        # those of the prompt (1, 2), which ends in the same tokens.
+        vocab = Vocabulary(("a", "b", "c", "d"))
+        draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4])
+        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(0, 1, 2): [0.1, 0.1, 0.1, 0.7]})
+
+        def models(*args):
+            return draft, target
+
+        monkeypatch.setattr(runner, "train_models", models)
+        corpus = DomainCorpus("d", [(0, 1, 2), (1, 2)], vocab)
+        config = GenerationConfig(prompts_per_domain=2, max_new_tokens=3, prompt_truncation=3)
+        report = run_experiment(config, {"d": corpus})
+        assert report.records == plain_loop(config, {"d": corpus}, models)
+        assert len(report.records) == 2 * 3 * 8
+
     def test_out_of_range_prompt_token_before_window_rejected(self):
         # Both prompts open on the same window, so the second one is a memo
         # hit; its token 99 must still be rejected.
@@ -298,7 +318,7 @@ class TestRunExperiment:
         corpus = synthetic_corpus("code", n_docs=6, seed=8, doc_len=100)
         config = GenerationConfig(prompts_per_domain=1, max_new_tokens=64, prompt_truncation=40)
         report = run_experiment(config, {"code": corpus})
-        bins = {r.step_index: r.position_bin for r in report.records}
+        bins = dict(zip(report.records.step_index.tolist(), report.records.position_bin.tolist()))
         assert bins[31] == 0
         assert bins[32] == 1
         assert bins[0] == 0
@@ -360,8 +380,8 @@ class TestPersistence:
     def test_persisted_alpha_self_consistency(self, small_report, tmp_path):
         path = tmp_path / "records.csv"
         write_records_csv(small_report.records, path)
-        for rec in read_records_csv(path):
-            assert abs(rec.alpha - min(1.0, rec.p_target / rec.p_draft)) <= 1e-9
+        back = read_records_csv(path)
+        assert np.all(np.abs(back.alpha - np.minimum(1.0, back.p_target / back.p_draft)) <= 1e-9)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -429,7 +449,7 @@ class TestPersistence:
             assert path.exists() and path.stat().st_size > 0
 
     def test_emit_empty_report(self, tmp_path):
-        report = ExperimentReport(records=[], summaries={}, metadata={})
+        report = ExperimentReport(records=record_table([]), summaries={}, metadata={})
         written = emit_report(report, tmp_path / "out")
         assert written["csv"].read_text(encoding="utf-8").strip() == ",".join(RECORD_FIELDS)
         assert "Per-domain node statistics" in written["tables"].read_text(encoding="utf-8")
@@ -449,10 +469,11 @@ class TestPersistence:
         for domain, payload in reference_stats["domains"].items():
             for depth_str, alpha in payload["per_depth_alpha"].items():
                 records += [
-                    NodeRecord(domain, 0, 0, int(depth_str), 0, 0, 1.0, alpha, alpha, 0.1)
+                    Row(domain, 0, 0, int(depth_str), 0, 0, 1.0, alpha, alpha, 0.1)
                     for _ in range(4)
                 ]
-        text = render_tables(records, summarize(records))
+        table = record_table(records)
+        text = render_tables(table, summarize(table))
         depth_section = text.split("== Mean acceptance by tree depth ==")[1].splitlines()
         assert "delta" in depth_section[1]
         chat_row = next(line for line in depth_section if line.startswith("chat"))
@@ -490,7 +511,7 @@ class TestRecordCsv:
         path = tmp_path / "records.csv"
         write_records_csv(table, path)
         expected = [",".join(RECORD_FIELDS)]
-        for rec in table:
+        for rec in table_rows(table):
             ints = [rec.prompt_id, rec.step_index, rec.depth, rec.position_bin, rec.token]
             floats = [format(getattr(rec, name), ".17g") for name in FLOAT_FIELDS]
             domain = {"a,b": '"a,b"', 'q"t': '"q""t"'}.get(rec.domain, rec.domain)
@@ -499,11 +520,18 @@ class TestRecordCsv:
         assert "0.30000000000000004" in expected[1] and "-0" in expected[5].split(",")
 
     def test_same_bytes_as_a_list_of_records(self, tmp_path):
+        # The table built from its listed records, and built as a run builds
+        # it (each record its own step here), write the same bytes.
         table = awkward_table()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(table, a)
-        write_records_csv(list(table), b)
-        assert a.read_bytes() == b.read_bytes()
+        steps = {name: getattr(table, name) for name in STEP_FIELDS[:-1]}
+        steps["tree"] = np.arange(len(table))
+        trees = {name: getattr(table, name) for name in TREE_FIELDS}
+        built = [record_table(table_rows(table)),
+                 RecordTable.from_steps(table.domains, steps, np.arange(len(table) + 1), trees)]
+        write_records_csv(table, tmp_path / "a.csv")
+        for other in built:
+            write_records_csv(other, tmp_path / "b.csv")
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_write_read_round_trip(self, tmp_path):
         table = awkward_table()
@@ -524,9 +552,9 @@ class TestRecordCsv:
         seen = []
         parse_rows = runner._parse_rows
 
-        def spy(rows, domains):
+        def spy(rows, *args):
             seen.append(len(rows))
-            return parse_rows(rows, domains)
+            return parse_rows(rows, *args)
 
         monkeypatch.setattr(runner, "_parse_rows", spy)
         assert read_records_csv(path) == table
@@ -555,6 +583,38 @@ class TestRecordCsv:
             with pytest.raises(InputError, match=f"{path}:{line}: {message}"):
                 read_records_csv(path)
 
+    @pytest.mark.parametrize("rule_line, parse_line", [(3, 9), (9, 3)])
+    def test_a_fault_in_an_earlier_chunk_wins(self, tmp_path, monkeypatch, rule_line, parse_line):
+        # Lines 2-5 are the first chunk and lines 6-9 the second; a line that
+        # breaks a rule and a line that does not parse are each reported
+        # first when they come first.
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", 4)
+        rows = ["chat,0,0,1,0,5,0.5,0.25,0.5,0.1"] * 10
+        rows[rule_line - 2] = "chat,0,0,1,0,5,0.5,0.25,0.75,0.1"
+        rows[parse_line - 2] = "chat,0,x,1,0,5,0.5,0.25,0.5,0.1"
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        line, message = min((rule_line, "alpha inconsistent"), (parse_line, "invalid literal"))
+        with pytest.raises(InputError, match=f"{path}:{line}: {message}"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ('"x,0,x,1,0,5,0.5,y,0.75,0.1', "invalid literal for int() with base 10: 'x'"),
+        ('"x,0,0,1,0,5,0.5,y,0.75,0.1', "could not convert string to float: 'y'"),
+        ('"x,0,0,1,0,99999999999999999999,0.5,0.25,0.75,0.1', "domain field '\"x' is not quoted"),
+        ("chat,0,0,1,0,99999999999999999999,0.5,0.25,0.75,0.1", "integer field outside the int64"),
+        ("chat,0,-1,0,7,5,nan,0.25,inf,-1", "p_draft must be finite, got nan"),
+        ("chat,0,-1,0,7,5,0.5,0.25,0.75,-1", "step_index must be >= 0 and depth >= 1"),
+        ("chat,0,0,1,7,5,0.5,0.25,1.5,0.1", "position_bin must be 0 or 1, got 7"),
+        ("chat,0,0,1,0,5,0.5,0.25,1.5,0.1", "alpha outside [0, 1] or negative entropy"),
+        ("chat,0,0,1,0,5,-0.5,0.25,0.75,0.1", "p_draft must be positive for a proposed token"),
+    ])
+    def test_a_line_reports_its_first_fault(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match=re.escape(f"{path}:2: {message}")):
+            read_records_csv(path)
+
     @pytest.mark.parametrize("chunk_rows", [4, 8192])
     @pytest.mark.parametrize("row, message", [
         ('chat,"0",0,1,0,5,0.5,0.25,0.5,0.1', "invalid literal for int"),
@@ -578,8 +638,8 @@ class TestRecordCsv:
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_records_csv([], path)
-        assert read_records_csv(path) == RecordTable.from_records([])
+        write_records_csv(record_table([]), path)
+        assert read_records_csv(path) == record_table([])
 
     def test_integer_beyond_int64_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -8,11 +8,9 @@ from treespec import (
     InputError,
     NGramModel,
     TableModel,
-    TreeNode,
     TreeParams,
     Vocabulary,
     build_draft_tree,
-    tree_attention_mask,
 )
 
 WXYZ = Vocabulary(("w", "x", "y", "z"))
@@ -290,61 +288,6 @@ class TestInvariants:
                         continue
                     assert tree.nodes[other].cum_logp <= parent_clp + 1e-12
                 expanded.add(parent)
-
-
-# --- attention mask ----------------------------------------------------------
-
-
-def oracle_mask(tree: DraftTree) -> np.ndarray:
-    """Explicit per-node ancestor walk over parent links."""
-    ctx_len = tree.context_len
-    size = ctx_len + len(tree.nodes)
-    expected = np.zeros((size, size), dtype=bool)
-    for i in range(ctx_len):
-        expected[i, : i + 1] = True
-    for i, node in enumerate(tree.nodes):
-        visible = {i}
-        current = node.parent
-        while current is not None:
-            visible.add(current)
-            current = tree.nodes[current].parent
-        expected[ctx_len + i, :ctx_len] = True
-        for j in visible:
-            expected[ctx_len + i, ctx_len + j] = True
-    return expected
-
-
-class TestMask:
-    def test_single_node(self):
-        tree = DraftTree(nodes=[TreeNode(0, 1, None, 1.0, 0.0)], context_len=2)
-        mask = tree_attention_mask(tree)
-        assert mask.tolist() == [
-            [True, False, False],
-            [True, True, False],
-            [True, True, True],
-        ]
-
-    def test_sibling_isolation(self):
-        tree = DraftTree(
-            nodes=[TreeNode(0, 1, None, 0.5, math.log(0.5)), TreeNode(1, 1, None, 0.5, math.log(0.5))],
-            context_len=1,
-        )
-        mask = tree_attention_mask(tree)
-        assert not mask[1, 2]
-        assert not mask[2, 1]
-        assert mask[1, 1] and mask[2, 2]
-        assert mask[1, 0] and mask[2, 0]
-
-    def test_trigram_tree_matches_ancestor_walk(self):
-        tree = build_draft_tree(trigram_model(), [0, 1], TreeParams(3, 2, 3, 8))
-        assert np.array_equal(tree_attention_mask(tree), oracle_mask(tree))
-
-    def test_randomized_masks(self):
-        rng = np.random.default_rng(404)
-        for _ in range(100):
-            model, context = random_model_and_context(rng)
-            tree = build_draft_tree(model, context, random_params(rng))
-            assert np.array_equal(tree_attention_mask(tree), oracle_mask(tree))
 
 
 # --- node paths ----------------------------------------------------------------
