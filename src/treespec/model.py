@@ -174,15 +174,17 @@ class SparseRow:
     def _rank_top(self, k: int) -> list[tuple[int, float]]:
         _check_k(k, self.size)
         row = self.row
-        ranked = [(-p, token) for token, p in zip(row, self._row_probs())]
+        ranked = sorted(zip([-p for p in self._row_probs()], row))
         floor = -self.floor
-        token = extra = 0
-        while extra < k and token < self.size:
-            if token not in row:
-                ranked.append((floor, token))
-                extra += 1
-            token += 1
-        ranked.sort()
+        # Tokens outside the row rank after every row token above the floor.
+        if len(ranked) < k or ranked[k - 1][0] >= floor:
+            token = extra = 0
+            while extra < k and token < self.size:
+                if token not in row:
+                    ranked.append((floor, token))
+                    extra += 1
+                token += 1
+            ranked.sort()
         return [(token, -p) for p, token in ranked[:k]]
 
     def entropy(self) -> float:
@@ -213,11 +215,60 @@ class SparseRow:
 
 Dist = np.ndarray | SparseRow
 
+# Sparse rows whose entropies are computed together are laid out as
+# C-contiguous (rows x |V|) float64 blocks of at most this many entries.
+# Fewer rows than _ENTROPY_BLOCK_MIN take theirs one at a time: a block's
+# fixed numpy cost is about that of three single-row entropies.
+_ENTROPY_BLOCK = 1 << 16
+_ENTROPY_BLOCK_MIN = 4
+
+
+def entropies(dists: Sequence[Dist]) -> list[float]:
+    """``entropy_nats`` of each distribution.
+
+    When at least ``_ENTROPY_BLOCK_MIN`` distinct sparse rows among them
+    have a positive floor and no cached entropy yet, they get theirs a block
+    at a time: each block row is the dense array of p ln p terms that
+    ``SparseRow.entropy`` builds, and a row-wise sum of a C-contiguous block
+    adds each row as the sum of that 1-D array does, so the bits are the
+    same (a test holds it to that).
+    """
+    new = {id(d): d for d in dists
+           if isinstance(d, SparseRow) and d.floor > 0.0 and d.key not in d.entropies}
+    if len(new) >= _ENTROPY_BLOCK_MIN:
+        by_size: dict[int, list[SparseRow]] = {}
+        for row in new.values():
+            by_size.setdefault(row.size, []).append(row)
+        for size, rows in by_size.items():
+            per_block = max(1, _ENTROPY_BLOCK // size)
+            for start in range(0, len(rows), per_block):
+                _block_entropies(rows[start:start + per_block], size)
+    return [entropy_nats(d) for d in dists]
+
+
+def _block_entropies(rows: list[SparseRow], size: int) -> None:
+    """Cache the entropy of each of ``rows`` (positive floors, vocabulary ``size``)."""
+    lengths = [len(row.row) for row in rows]
+    n = sum(lengths)
+    tokens = np.fromiter(itertools.chain.from_iterable(row.row for row in rows), np.int64, n)
+    counts = np.fromiter(itertools.chain.from_iterable(row.row.values() for row in rows),
+                         np.float64, n)
+    smoothing = np.repeat([row.smoothing for row in rows], lengths)
+    denom = np.repeat([row.denom for row in rows], lengths)
+    # The row probabilities by the IEEE operations of ``SparseRow._row_probs``.
+    values = np.concatenate(((smoothing + counts) / denom, [row.floor for row in rows]))
+    terms = values * np.log(values)
+    block = np.empty((len(rows), size))
+    block[:] = terms[n:, None]
+    block[np.repeat(np.arange(len(rows)), lengths), tokens] = terms[:n]
+    for row, h in zip(rows, (-block.sum(axis=1) + 0.0).tolist()):
+        row.entropies[row.key] = h
+
 
 def context_suffix(context: TokenSeq, window: int | None) -> list[int]:
     """The last ``window`` tokens of ``context`` as ints; all of it when None."""
     start = 0 if window is None else max(0, len(context) - window)
-    return [int(t) for t in context[start:]]
+    return list(map(int, context[start:]))
 
 
 class LanguageModel(abc.ABC):
@@ -239,7 +290,15 @@ class LanguageModel(abc.ABC):
         """Next-token distribution given ``context``; deterministic per input."""
 
     def next_token_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
-        """Score many contexts in one invocation (the batched call boundary)."""
+        """Score many contexts in one invocation (the batched call boundary).
+
+        Subclasses serve the batch through ``_batch_dists`` and leave this
+        method alone, so every batch passes through this one boundary.
+        """
+        return self._batch_dists(contexts)
+
+    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
+        """``next_token_dists``; by default, one ``next_token_dist`` per context."""
         return [self.next_token_dist(c) for c in contexts]
 
     def check_context(self, context: TokenSeq) -> None:
@@ -259,24 +318,22 @@ class NGramModel(LanguageModel):
     distribution.
 
     Counts live in flat int64 columns. A context gets an id level by level:
-    at level k (1 .. order - 1) it is the rank of the pair (its level k - 1
-    id, ``back``) among the distinct pairs, where the level-0 id is 0 and
-    ``back`` is the token k places back plus one, or 0 past a document
-    start. Ids stay below the number of contexts, so a pair packs into one
-    int64 code at any order. ``_levels[k - 1]`` holds level k as a trie
-    layer: the children of level k - 1 id p are the ids
-    ``_levels[k - 1][0][p]`` up to ``[p + 1]``, whose ``back`` values,
-    ascending, are the same slice of ``_levels[k - 1][1]``. ``_first`` maps
-    a level-1 ``back`` straight to its id (-1 if none). The context with
-    final id c has the successors ``_tokens[_offsets[c]:_offsets[c + 1]]``
-    (ascending), their counts ``_counts`` over the same slice, and the sum
-    ``_totals[c]``.
+    at level k (1 .. order - 1) it is the rank of its code, the pair (its
+    level k - 1 id, ``back``) packed as ``parent * (|V| + 1) + back``, among
+    the distinct codes, where the level-0 id is 0 and ``back`` is the token
+    k places back plus one, or 0 past a document start. Ids stay below the
+    number of contexts, so a code fits one int64 at any order.
+    ``_levels[k - 1]`` holds level k's distinct codes, ascending, so an id
+    is its code's index there and a lookup is a binary search. The context
+    with final id c has the successors ``_tokens[_offsets[c]:_offsets[c +
+    1]]`` (ascending), their counts ``_counts`` over the same slice, and the
+    sum ``_totals[c]``.
 
     ``next_token_dist`` walks the levels once per distinct context and keeps
-    the ``SparseRow`` it builds. The entropy of each count row is computed
-    once and cached on the model, so that cache holds at most
-    ``len(counts) + 1`` entries (the extra one for contexts unseen in
-    training).
+    the ``SparseRow`` it builds; a batch walks all of its new contexts at
+    once (``_batch_dists``). The entropy of each count row is computed once
+    and cached on the model, so that cache holds at most ``len(counts) + 1``
+    entries (the extra one for contexts unseen in training).
     """
 
     def __init__(
@@ -361,7 +418,7 @@ class NGramModel(LanguageModel):
                                  self._entropies)
 
     def _rank(self, columns: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, int]:
-        """Fill ``_levels`` and ``_first`` from each level's ``back`` column.
+        """Fill ``_levels`` from each level's ``back`` column.
 
         Returns the ``n`` rows' final ids and the number of contexts; with no
         levels every row is the one context (), so there is none when n is 0.
@@ -372,15 +429,9 @@ class NGramModel(LanguageModel):
         parents = 1
         for back in columns:
             codes, ids = _distinct(ids * radix + back, parents * radix)
-            parent, children = np.divmod(codes, radix)
-            starts = np.searchsorted(parent, np.arange(parents + 1))
-            # Memoryviews index and slice to plain ints without a list of them.
-            self._levels.append((memoryview(starts), memoryview(children)))
+            # Memoryviews index to plain ints without a list of them.
+            self._levels.append(memoryview(codes))
             parents = codes.size
-        first = np.full(radix, -1)
-        if self._levels:
-            first[self._levels[0][1]] = np.arange(len(self._levels[0][1]))
-        self._first = memoryview(first)
         return ids, parents if self._levels else min(n, 1)
 
     def _pack(self, keys: np.ndarray, counts: np.ndarray, n_contexts: int) -> None:
@@ -404,9 +455,9 @@ class NGramModel(LanguageModel):
         """
         node = np.arange(len(self._totals))
         columns = []
-        for starts, children in reversed(self._levels):
-            columns.append(np.asarray(children)[node])
-            node = np.searchsorted(starts, node, side="right") - 1
+        for codes in reversed(self._levels):
+            node, back = np.divmod(np.asarray(codes)[node], self.vocab.size + 1)
+            columns.append(back)
         backs = np.stack(columns, axis=1).tolist() if columns else [[]] * len(self._totals)
         offsets, tokens = self._offsets.tolist(), self._tokens.tolist()
         counts = self._counts.tolist()
@@ -426,24 +477,94 @@ class NGramModel(LanguageModel):
 
     def _read_row(self, key: tuple[int, ...]) -> SparseRow:
         """The ``SparseRow`` of ``key``'s count row, found by walking the levels."""
-        n = len(key)
-        node = self._first[key[-1] + 1 if n else 0] if self._levels else 0
-        for k in range(2, self.order):
-            if node < 0:
+        n, radix = len(key), self.vocab.size + 1
+        node = 0
+        for k, codes in enumerate(self._levels, 1):
+            code = node * radix + (key[-k] + 1 if k <= n else 0)
+            node = bisect.bisect_left(codes, code)
+            if node == len(codes) or codes[node] != code:
                 return self._unseen
-            starts, children = self._levels[k - 1]
-            back = key[-k] + 1 if k <= n else 0
-            lo, hi = starts[node], starts[node + 1]
-            node = bisect.bisect_left(children, back, lo, hi)
-            if node == hi or children[node] != back:
-                return self._unseen
-        if not 0 <= node < len(self._totals):
+        if node >= len(self._totals):
             return self._unseen
         start, stop = self._offsets[node], self._offsets[node + 1]
-        size = self.vocab.size
-        denom = self._totals[node] + self.smoothing * size
         row = dict(zip(self._tokens[start:stop], self._counts[start:stop]))
+        return self._row(key, row, self._totals[node])
+
+    def _row(self, key: tuple[int, ...], row: dict[int, int], total: int) -> SparseRow:
+        """The ``SparseRow`` of ``key``'s successor counts ``row``, which sum to ``total``."""
+        size = self.vocab.size
+        denom = total + self.smoothing * size
         return SparseRow(size, row, self.smoothing, denom, key, self._entropies)
+
+    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[SparseRow]:
+        """``next_token_dists``: one range check for the batch, a dict hit per
+        context seen before, and one walk of the levels for the new ones."""
+        size, span = self.vocab.size, self.context_window
+        tokens = list(itertools.chain.from_iterable(contexts))
+        if tokens and (min(tokens) < 0 or max(tokens) >= size):
+            raise InputError("context contains a token outside the model vocabulary")
+        # A key of numpy ints finds the row of the same plain ints; a miss
+        # is looked up again as plain ints before it is read.
+        keys = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
+        rows = self._rows
+        dists = list(map(rows.get, keys))
+        if None in dists:
+            missed = [i for i, dist in enumerate(dists) if dist is None]
+            plain = {keys[i]: tuple(map(int, keys[i])) for i in missed}
+            new = [key for key in dict.fromkeys(plain.values()) if key not in rows]
+            if len(new) >= _ARRAY_WALK_MIN:
+                rows.update(zip(new, self._read_rows(new)))
+            else:
+                rows.update((key, self._read_row(key)) for key in new)
+            for i in missed:
+                dists[i] = rows[plain[keys[i]]]
+        return dists
+
+    def _read_rows(self, keys: list[tuple[int, ...]]) -> list[SparseRow]:
+        """``_read_row`` of each key, with each level searched for all keys at once.
+
+        A key's column k - 1 holds its ``back`` at level k; a key shorter
+        than the window is padded with -1, whose ``back`` is 0.
+        """
+        span, radix = self.order - 1, self.vocab.size + 1
+        node = np.zeros(len(keys), dtype=np.int64)
+        if span:
+            padded = np.array([key if len(key) == span else (-1,) * (span - len(key)) + key
+                               for key in keys], dtype=np.int64)
+            backs = padded[:, ::-1] + 1
+            for k, codes in enumerate(self._levels):
+                codes = np.asarray(codes)
+                if not codes.size:
+                    node[:] = -1
+                    break
+                want = node * radix + backs[:, k]
+                found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
+                # An unseen parent (-1) makes a negative code, which never matches.
+                node = np.where(codes[found] == want, found, -1)
+        seen = node[(node >= 0) & (node < len(self._totals))]
+        # Every seen row's successors and counts, gathered into two lists.
+        offsets = np.asarray(self._offsets)
+        starts, lengths = offsets[seen], offsets[seen + 1] - offsets[seen]
+        at = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                                        lengths)
+        tokens, counts = np.asarray(self._tokens)[at].tolist(), np.asarray(self._counts)[at].tolist()
+        found = iter(zip(lengths.tolist(), np.asarray(self._totals)[seen].tolist()))
+        rows, start = [], 0
+        for key, n in zip(keys, node.tolist()):
+            if not 0 <= n < len(self._totals):
+                rows.append(self._unseen)
+                continue
+            length, total = next(found)
+            stop = start + length
+            rows.append(self._row(key, dict(zip(tokens[start:stop], counts[start:stop])), total))
+            start = stop
+        return rows
+
+
+# A batch with fewer new contexts than this walks the levels one context at
+# a time: below it, the array walk's fixed numpy cost (about 60 us on a
+# 2-CPU VM) is more than the single walks it replaces.
+_ARRAY_WALK_MIN = 32
 
 
 # Up to this many codes' worth of code space, a presence mask or a bincount

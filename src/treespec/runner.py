@@ -52,9 +52,9 @@ from .metrics import (
     position_effects,
     summarize,
 )
-from .model import LanguageModel, context_suffix
-from .tree import TreeParams, build_draft_tree
-from .verify import score_tree
+from .model import LanguageModel
+from .tree import TreeParams, grow_trees
+from .verify import score_trees
 
 REPORT_FORMATS = ("csv", "json", "tables")
 
@@ -176,22 +176,25 @@ Row = tuple[int, int, float, float, float, float]
 
 
 def generate_step(
-    draft: LanguageModel, target: LanguageModel, context: Sequence[int], params: TreeParams
-) -> tuple[list[Row], int]:
-    """One generation step: build a tree, score it, return its rows + committed token.
+    draft: LanguageModel, target: LanguageModel, windows: Sequence[Sequence[int]],
+    params: TreeParams,
+) -> list[tuple[list[Row], int]]:
+    """One generation step for each window: its tree's rows and its committed token.
 
-    Each tree node gives one ``Row``, in node order. The committed token is
-    the target's greedy bonus token; the caller appends it to the context.
-    Both depend only on the last max(draft, target) ``context_window``
-    tokens of ``context``, so the caller may pass just those.
+    The trees are grown together and scored together (``grow_trees``,
+    ``score_trees``), so each round of the growth, and the scoring, make
+    one model call for all the windows. Each tree node gives one ``Row``, in
+    node order. The committed token is the target's greedy bonus token; the
+    caller appends it to the context. Both depend only on the last
+    max(draft, target) ``context_window`` tokens of a window's context, so
+    the caller may pass just those.
     """
-    tree = build_draft_tree(draft, context, params)
-    scores, bonus = score_tree(target, context, tree)
-    rows = [
-        (node.depth, node.token, node.p_draft, p_target, alpha, entropy)
-        for node, (_, p_target, alpha, entropy) in zip(tree.nodes, scores)
+    trees = grow_trees(draft, windows, params)
+    return [
+        (list(zip(tree.depths, tree.tokens, tree.p_draft, scores.p_target, scores.alpha,
+                  scores.target_entropy)), scores.bonus)
+        for tree, scores in zip(trees, score_trees(target, windows, trees))
     ]
-    return rows, bonus
 
 
 def run_experiment(
@@ -206,9 +209,12 @@ def run_experiment(
 
     A step's rows and committed token depend only on the last
     max(draft, target) ``context_window`` tokens (the whole context when
-    either window is None), so each domain keeps them per window and calls
-    ``generate_step`` on that window, and only for a window it has not seen. A prompt's tokens are range-checked once, whole;
-    each window is checked again inside the step.
+    either window is None), so each domain keeps them per window. The
+    prompts run in lockstep: wave w is step w of every prompt still live,
+    and one ``generate_step`` call serves the wave's distinct windows that
+    the memo has not seen. Steps are recorded prompt by prompt, as a loop
+    over one prompt at a time would record them. A prompt's tokens are
+    range-checked once, whole; each window is checked again inside the step.
     """
     if not corpora:
         raise InputError("need at least one domain corpus")
@@ -227,10 +233,9 @@ def run_experiment(
     # Every memo entry's rows, once: entry e's are rows[bounds[e]:bounds[e + 1]].
     rows: list[Row] = []
     bounds = [0]
-    # One entry per recorded step: (domain code, prompt_id, step_index,
-    # position_bin, memo entry).
-    steps: list[tuple[int, int, int, int, int]] = []
+    steps: list[dict[str, np.ndarray]] = []  # per domain: its step columns
     domain_meta: dict[str, dict[str, object]] = {}
+    bins = np.arange(config.max_new_tokens) * 2 >= config.max_new_tokens
 
     for code, domain in enumerate(domains):
         corpus = corpora[domain]
@@ -243,35 +248,51 @@ def run_experiment(
         eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
         windows = (draft.context_window, target.context_window)
         window = None if None in windows else max(windows)
-        memo: dict[tuple[int, ...], tuple[int, int]] = {}  # window -> (entry, committed token)
-        domain_records = 0
-        trees = 0
-        stopped_prompts = 0
-        for prompt_id, prompt in enumerate(prompt_set.prompts):
+        # A context's memo key: its last ``window`` tokens, all of them when None.
+        cut = slice(-window, None) if window else slice(None) if window is None else slice(0, 0)
+        memo: dict[tuple[int, ...], tuple[int, int]] = {}  # key -> (entry, committed token)
+        contexts = []
+        for prompt in prompt_set.prompts:
             draft.check_context(prompt)  # both models share the corpus vocabulary
-            context = list(prompt)
-            for step_index in range(config.max_new_tokens):
-                position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
-                key = tuple(context_suffix(context, window))
-                entry = memo.get(key)
-                if entry is None:
-                    step_rows, committed = generate_step(draft, target, key, config.tree)
-                    entry = memo[key] = (len(bounds) - 1, committed)
+            contexts.append(list(prompt))
+        # Each recorded step's prompt and memo entry, wave by wave.
+        prompt_ids: list[int] = []
+        entries: list[int] = []
+        per_wave: list[int] = []
+        live = list(range(len(contexts)))
+        for _ in range(config.max_new_tokens):
+            keys = [tuple(contexts[p][cut]) for p in live]
+            new = [key for key in dict.fromkeys(keys) if key not in memo]
+            if new:
+                for key, (step_rows, committed) in zip(
+                    new, generate_step(draft, target, new, config.tree)
+                ):
+                    memo[key] = (len(bounds) - 1, committed)
                     rows.extend(step_rows)
                     bounds.append(len(rows))
-                entry_id, committed = entry
-                if eos_index is not None and committed == eos_index:
-                    stopped_prompts += 1
-                    break
-                steps.append((code, prompt_id, step_index, position_bin, entry_id))
-                domain_records += bounds[entry_id + 1] - bounds[entry_id]
-                trees += 1
-                context.append(committed)
+            still = []
+            for p, key in zip(live, keys):
+                entry, committed = memo[key]
+                if committed != eos_index:
+                    contexts[p].append(committed)
+                    entries.append(entry)
+                    still.append(p)
+            prompt_ids.extend(still)
+            per_wave.append(len(still))
+            live = still
+        # Prompt by prompt: a stable sort keeps each prompt's steps in wave order.
+        prompt_id = np.array(prompt_ids, dtype=np.int64)
+        order = np.argsort(prompt_id, kind="stable")
+        step_index = np.repeat(np.arange(len(per_wave)), per_wave)[order]
+        tree = np.array(entries, dtype=np.int64)[order]
+        steps.append({"domain_code": np.full(tree.size, code), "prompt_id": prompt_id[order],
+                      "step_index": step_index, "position_bin": bins[step_index].astype(np.int64),
+                      "tree": tree})
         domain_meta[domain] = {
-            "records": domain_records,
-            "trees": trees,
+            "records": int(np.diff(bounds)[tree].sum()),
+            "trees": len(entries),
             "prompts": len(prompt_set.prompts),
-            "stopped_prompts": stopped_prompts,
+            "stopped_prompts": len(contexts) - len(live),
             "vocab_size": corpus.vocabulary.size,
         }
 
@@ -291,20 +312,19 @@ def _table(
     domains: Sequence[str],
     rows: Sequence[Row],
     bounds: Sequence[int],
-    steps: Sequence[tuple[int, int, int, int, int]],
+    steps: Sequence[Mapping[str, np.ndarray]],
 ) -> RecordTable:
-    """The run's steps over its memo entries, each list read in one flat pass.
+    """The run's steps, given as columns per domain, over its memo entries.
 
     Memo rows go through float64, which holds every depth and token (each
     below 2**53) exactly.
     """
-    step_columns = np.fromiter(itertools.chain.from_iterable(steps), np.int64,
-                               len(STEP_FIELDS) * len(steps)).reshape(-1, len(STEP_FIELDS)).T
+    step_columns = {name: np.concatenate([s[name] for s in steps]) for name in STEP_FIELDS}
     tree_columns = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
                                len(TREE_FIELDS) * len(rows)).reshape(-1, len(TREE_FIELDS)).T
     trees = dict(zip(TREE_FIELDS, tree_columns))
     trees["depth"], trees["token"] = (trees[name].astype(np.int64) for name in ("depth", "token"))
-    return RecordTable.from_steps(domains, dict(zip(STEP_FIELDS, step_columns)), bounds, trees)
+    return RecordTable.from_steps(domains, step_columns, bounds, trees)
 
 
 # --- persistence -------------------------------------------------------------
@@ -384,9 +404,10 @@ def read_records_csv(path: str | Path) -> RecordTable:
     message ``int``, ``float``, ``_domain_name`` or the rule it breaks gives.
     """
     domains: dict[str, int] = {}
+    first_line = 2  # of the chunk being read
 
     def chunks(handle: TextIO) -> Iterator[dict[str, np.ndarray]]:
-        first_line = 2
+        nonlocal first_line
         while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
             yield _parse_rows(lines, domains, path, first_line)
             first_line += len(lines)
@@ -397,7 +418,32 @@ def read_records_csv(path: str | Path) -> RecordTable:
                 raise InputError(f"{path} is not a record file (unexpected header)")
             return RecordTable.from_chunks(domains, chunks(handle))
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        raise _not_utf8(path, first_line, domains, exc) from exc
+
+
+def _not_utf8(
+    path: str | Path, first_line: int, domains: dict[str, int], exc: UnicodeDecodeError
+) -> InputError:
+    """The error for a record file with a byte that is not UTF-8, named at its line.
+
+    The decoder reads ahead, so the lines from ``first_line`` up to the bad
+    one were never parsed; they are parsed now, and the first bad line among
+    them is raised instead. The file is read again only on this path.
+    """
+    lines = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        for number, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                break
+            if number >= first_line:
+                lines.append(line)
+        else:  # the file changed since it was read
+            return InputError(f"{path} is not UTF-8 text: {exc.reason}")
+    if lines:
+        _parse_rows(lines, domains, path, first_line)
+    return InputError(f"{path}:{number}: not UTF-8 text: {exc.reason}")
 
 
 # A record line's fields: everything before its last nine commas is the

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Generator, NamedTuple, Sequence
 
 from .errors import InputError
 from .model import Dist, LanguageModel, TokenSeq, context_suffix, top_candidates
@@ -70,59 +71,132 @@ class DraftTree:
                 self.paths.append(prefix + (node.token,))
 
 
+class TreeColumns(NamedTuple):
+    """A draft tree as one list per ``TreeNode`` field, in insertion order,
+    with each node's path and the committed-context length.
+
+    ``grow_trees`` builds trees in this form; ``as_tree`` gives the
+    ``DraftTree`` and ``of`` the columns of one.
+    """
+
+    tokens: list[int]
+    depths: list[int]
+    parents: list[int | None]
+    p_draft: list[float]
+    cum_logp: list[float]
+    paths: list[tuple[int, ...]]
+    context_len: int
+
+    @classmethod
+    def of(cls, tree: DraftTree) -> TreeColumns:
+        nodes = tree.nodes
+        return cls([n.token for n in nodes], [n.depth for n in nodes], [n.parent for n in nodes],
+                   [n.p_draft for n in nodes], [n.cum_logp for n in nodes], list(tree.paths),
+                   tree.context_len)
+
+    def as_tree(self) -> DraftTree:
+        nodes = list(map(TreeNode, self.tokens, self.depths, self.parents, self.p_draft,
+                         self.cum_logp))
+        return DraftTree(nodes, self.context_len, list(self.paths))
+
+
 def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTree:
-    """Build one speculative tree over ``context`` with the draft model.
+    """Build one speculative tree over ``context``: ``grow_trees`` of one context."""
+    return grow_trees(draft, [context], params)[0].as_tree()
+
+
+def grow_trees(
+    draft: LanguageModel, contexts: Sequence[TokenSeq], params: TreeParams
+) -> list[TreeColumns]:
+    """Build one speculative tree per context with the draft model, in lockstep.
+
+    Each tree grows as ``_grow`` says, and asks for its distributions a
+    request at a time. Every round gathers the pending request of each
+    unfinished tree into one ``draft.next_token_dists`` call, so the trees
+    take as many model calls together as the one that asks most often.
+    """
+    growers = [_grow(draft, context, params) for context in contexts]
+    requests = [next(grower) for grower in growers]
+    trees: list[TreeColumns] = [None] * len(growers)  # type: ignore[list-item]
+    live = list(range(len(growers)))
+    while live:
+        dists = draft.next_token_dists([c for i in live for c in requests[i]])
+        still, start = [], 0
+        for i in live:
+            stop = start + len(requests[i])
+            try:
+                requests[i] = growers[i].send(dists[start:stop])
+                still.append(i)
+            except StopIteration as done:
+                trees[i] = done.value
+            start = stop
+        live = still
+    return trees
+
+
+def _grow(
+    draft: LanguageModel, context: TokenSeq, params: TreeParams
+) -> Generator[list[tuple[int, ...]], list[Dist], TreeColumns]:
+    """One tree's expansion; yields each list of contexts it needs scored and
+    is sent their distributions, in order.
 
     Depth-1 nodes are the ``root_top_k`` top candidates at the bare context;
     thereafter the unexpanded node with the highest cum_logp is expanded into
     its top ``max_branch`` children until ``max_nodes`` nodes exist, the depth
     cap stops expansion, or no expandable node remains. Zero-probability
     candidates are never materialized (they are not proposals). Each frontier
-    is rescored fresh over context + path, batched per depth wave; the
+    is rescored fresh over context + path, requested per depth wave; the
     context is range-checked once and then cut to the draft's window.
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
     draft.check_context(context)
-    base = context_suffix(context, draft.context_window)
+    base = tuple(context_suffix(context, draft.context_window))
     vocab_size = draft.vocab.size
+    max_nodes, max_depth = params.max_nodes, params.max_depth
+    tree = TreeColumns([], [], [], [], [], [], len(context))
+    tokens, depths, parents, probs, cum_logps, paths, _ = tree
 
-    nodes: list[TreeNode] = []
-    paths: list[tuple[int, ...]] = []  # per node: tokens from depth 1 down to it
-    root_dist = draft.next_token_dist(base)
+    (root_dist,) = yield [base]
     for token, prob in top_candidates(root_dist, min(params.root_top_k, vocab_size)):
-        if prob <= 0.0 or len(nodes) >= params.max_nodes:
+        if prob <= 0.0 or len(tokens) >= max_nodes:
             break
-        nodes.append(TreeNode(token, 1, None, prob, math.log(prob)))
+        tokens.append(token)
+        depths.append(1)
+        parents.append(None)
+        probs.append(prob)
+        cum_logps.append(math.log(prob))
         paths.append((token,))
 
     # Frontier of unexpanded expandable nodes, best cum_logp first, insertion
     # order on ties. Distributions are fetched lazily: the first pop at a
-    # depth scores every same-depth frontier path in one batched call.
-    frontier = [(-node.cum_logp, i) for i, node in enumerate(nodes) if node.depth < params.max_depth]
+    # depth requests every same-depth frontier path at once.
+    frontier = [(-cum_logp, i) for i, cum_logp in enumerate(cum_logps) if max_depth > 1]
     heapq.heapify(frontier)
     pending: dict[int, Dist] = {}
     branch = min(params.max_branch, vocab_size)
 
-    while frontier and len(nodes) < params.max_nodes:
+    while frontier and len(tokens) < max_nodes:
         _, index = heapq.heappop(frontier)
         if index not in pending:
-            depth = nodes[index].depth
+            depth = depths[index]
             wave = sorted(
-                {index}
-                | {j for _, j in frontier if nodes[j].depth == depth and j not in pending}
+                {index} | {j for _, j in frontier if depths[j] == depth and j not in pending}
             )
-            dists = draft.next_token_dists([[*base, *paths[j]] for j in wave])
+            dists = yield [base + paths[j] for j in wave]
             pending.update(zip(wave, dists))
-        parent = nodes[index]
+        depth, cum_logp, path = depths[index] + 1, cum_logps[index], paths[index]
         for token, prob in top_candidates(pending.pop(index), branch):
-            if prob <= 0.0 or len(nodes) >= params.max_nodes:
+            if prob <= 0.0 or len(tokens) >= max_nodes:
                 break
-            child = TreeNode(token, parent.depth + 1, index, prob, parent.cum_logp + math.log(prob))
-            child_index = len(nodes)
-            nodes.append(child)
-            paths.append(paths[index] + (token,))
-            if child.depth < params.max_depth:
-                heapq.heappush(frontier, (-child.cum_logp, child_index))
+            child_logp = cum_logp + math.log(prob)
+            if depth < max_depth:
+                heapq.heappush(frontier, (-child_logp, len(tokens)))
+            tokens.append(token)
+            depths.append(depth)
+            parents.append(index)
+            probs.append(prob)
+            cum_logps.append(child_logp)
+            paths.append(path + (token,))
 
-    return DraftTree(nodes=nodes, context_len=len(context), paths=paths)
+    return tree

@@ -10,6 +10,7 @@ acceptance analytically, but sampling is what makes the rule testable.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,11 +20,11 @@ from .model import (
     LanguageModel,
     TokenSeq,
     context_suffix,
-    entropy_nats,
+    entropies,
     top_candidates,
     validate_dist,
 )
-from .tree import DraftTree
+from .tree import DraftTree, TreeColumns
 
 
 class NodeScore(NamedTuple):
@@ -44,47 +45,93 @@ def acceptance_prob(p_target: float, p_draft: float) -> float:
     return min(1.0, p_target / p_draft)
 
 
+class TreeScores(NamedTuple):
+    """Verification of one tree: per node, in node order, then the bonus token."""
+
+    p_target: list[float]
+    alpha: list[float]
+    target_entropy: list[float]
+    bonus: int
+
+
 def score_tree(
     target: LanguageModel, context: TokenSeq, tree: DraftTree
 ) -> tuple[list[NodeScore], int]:
     """Score all tree nodes with the target model; also return the bonus token.
 
-    A node at depth d is scored on context + its (d-1)-token ancestor prefix.
-    All distinct prefixes, including the bare context, go through one batched
-    model invocation; the bonus token is the top candidate of the bare-context
-    row (ties to the lowest token index). Each node's ancestor prefix is read
-    from ``tree.paths``. The context is range-checked once and then cut to
-    the target's window.
+    ``score_trees`` of one tree, node by node.
     """
-    if tree.context_len != len(context):
-        raise InputError("tree was built over a context of different length")
-    target.check_context(context)
-    base = context_suffix(context, target.context_window)
+    (scores,) = score_trees(target, [context], [TreeColumns.of(tree)])
+    columns = zip(scores.p_target, scores.alpha, scores.target_entropy)
+    return [NodeScore(i, *values) for i, values in enumerate(columns)], scores.bonus
 
-    prefixes: list[tuple[int, ...]] = [()]
-    prefix_slot: dict[tuple[int, ...], int] = {(): 0}
-    node_slot: list[int] = []
-    for path in tree.paths:
-        ancestors = path[:-1]
-        slot = prefix_slot.get(ancestors)
-        if slot is None:
-            slot = len(prefixes)
-            prefixes.append(ancestors)
-            prefix_slot[ancestors] = slot
-        node_slot.append(slot)
 
-    dists = target.next_token_dists([[*base, *p] for p in prefixes])
-    entropies = [entropy_nats(d) for d in dists]
+def score_trees(
+    target: LanguageModel, contexts: Sequence[TokenSeq], trees: Sequence[TreeColumns]
+) -> list[TreeScores]:
+    """Score every node of each tree over its context, and find each bonus token.
 
-    scores = []
-    for i, node in enumerate(tree.nodes):
-        slot = node_slot[i]
-        p_target = float(dists[slot][node.token])
-        scores.append(
-            NodeScore(i, p_target, acceptance_prob(p_target, node.p_draft), entropies[slot])
-        )
-    bonus = top_candidates(dists[0], 1)[0][0]
-    return scores, bonus
+    A node at depth d is scored on context + its (d-1)-token ancestor prefix,
+    read from ``tree.paths``. Each tree's distinct prefixes, the bare context
+    first, go through one batched model invocation for all the trees; the
+    entropies of the rows it returns are taken together
+    (``model.entropies``) and the acceptance probabilities as one array
+    (``acceptance_probs``). The bonus token is the top candidate of the
+    bare-context row (ties to the lowest token index). Each context is
+    range-checked once and then cut to the target's window.
+    """
+    if len(contexts) != len(trees):
+        raise InputError("need one context per tree")
+    requests: list[tuple[int, ...]] = []
+    bare: list[int] = []  # per tree: its bare context's index into ``requests``
+    slots: list[int] = []  # per node of every tree: its prefix's index
+    for context, tree in zip(contexts, trees):
+        if tree.context_len != len(context):
+            raise InputError("tree was built over a context of different length")
+        target.check_context(context)
+        base = tuple(context_suffix(context, target.context_window))
+        prefix_slot: dict[tuple[int, ...], int] = {(): len(requests)}
+        bare.append(len(requests))
+        requests.append(base)
+        for path in tree.paths:
+            ancestors = path[:-1]
+            slot = prefix_slot.get(ancestors)
+            if slot is None:
+                slot = prefix_slot[ancestors] = len(requests)
+                requests.append(base + ancestors)
+            slots.append(slot)
+
+    dists = target.next_token_dists(requests)
+    row_entropies = entropies(dists)
+    tokens = itertools.chain.from_iterable(tree.tokens for tree in trees)
+    p_target = [float(dists[slot][token]) for slot, token in zip(slots, tokens)]
+    alpha = acceptance_probs(p_target, list(itertools.chain.from_iterable(
+        tree.p_draft for tree in trees)))
+    entropy = [row_entropies[slot] for slot in slots]
+
+    results = []
+    start = 0
+    for tree, slot in zip(trees, bare):
+        stop = start + len(tree.tokens)
+        results.append(TreeScores(p_target[start:stop], alpha[start:stop], entropy[start:stop],
+                                  top_candidates(dists[slot], 1)[0][0]))
+        start = stop
+    return results
+
+
+def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> list[float]:
+    """``acceptance_prob`` of each pair, checked and divided as arrays.
+
+    ``np.minimum(1, p_target / p_draft)`` is the scalar rule's IEEE
+    operation; the first pair that fails a check raises the scalar error.
+    """
+    pt = np.array(p_target, dtype=np.float64)
+    pd = np.array(p_draft, dtype=np.float64)
+    bad = ~((pt >= 0.0) & (pt <= 1.0) & (pd > 0.0) & (pd <= 1.0))
+    if bad.any():
+        first = int(np.argmax(bad))
+        acceptance_prob(p_target[first], p_draft[first])
+    return np.minimum(1.0, pt / pd).tolist()
 
 
 def simulate_chain_acceptance(

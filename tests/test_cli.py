@@ -327,9 +327,11 @@ class TestAnalyzeAndTables:
 
     def test_analyze_non_utf8_file_exits_one(self, record_file, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(record_file.read_bytes() + b"chat,0,0,1,0,\xff\n")
+        data = record_file.read_bytes()
+        bad.write_bytes(data + b"chat,0,0,1,0,\xff\n")
         assert run_cli("analyze", "--records", str(bad), "--out", str(tmp_path / "o")) == 1
-        assert "bad.csv is not UTF-8" in capsys.readouterr().err
+        line = data.count(b"\n") + 1
+        assert f"bad.csv:{line}: not UTF-8 text: invalid start byte" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

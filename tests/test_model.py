@@ -13,7 +13,8 @@ from treespec import (
     top_candidates,
     validate_dist,
 )
-from treespec.model import context_suffix
+from treespec import model as model_module
+from treespec.model import _dense_entropy, context_suffix, entropies
 
 AB = Vocabulary(("a", "b"))
 WXYZ = Vocabulary(("w", "x", "y", "z"))
@@ -193,6 +194,29 @@ class TestNextTokenDist:
         batched = model.next_token_dists(contexts)
         for ctx, dist in zip(contexts, batched):
             assert np.array_equal(dist, model.next_token_dist(ctx))
+
+    def test_batch_past_the_array_walk_matches_single(self):
+        # Enough new contexts for the array walk: short, full and longer than
+        # the window, unseen ones, numpy ints and repeats.
+        rng = np.random.default_rng(59)
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(30)))
+        docs = [[int(t) for t in rng.integers(0, 30, size=200)] for _ in range(3)]
+        model = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
+        twin = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
+        contexts = [list(rng.integers(0, 30, size=int(rng.integers(0, 6))))
+                    for _ in range(3 * model_module._ARRAY_WALK_MIN)]
+        contexts += contexts[:5] + [[int(t) for t in c] for c in contexts[5:10]]
+        batched = model.next_token_dists(contexts)
+        for context, dist in zip(contexts, batched):
+            assert_same_bits(dist, twin.next_token_dist(context))
+            assert dist.key == twin.next_token_dist(context).key
+            assert model.next_token_dist(context) is dist  # kept, not read again
+
+    @pytest.mark.parametrize("bad", [[4], [-1], [0, 1, 9]])
+    def test_batch_rejects_a_token_outside_the_vocabulary(self, bad):
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=2, smoothing=0.2)
+        with pytest.raises(InputError):
+            model.next_token_dists([[0], bad, [1]])
 
 
 class TestContextWindow:
@@ -450,6 +474,50 @@ class TestSparseRow:
         for step in (1, 2, 3, 9):
             parts = [np.log(values[i:i + step]) for i in range(0, values.size, step)]
             assert_same_bits(np.concatenate(parts), whole)
+
+    def test_row_sums_of_a_block_equal_one_dimensional_sums(self):
+        # ``entropies`` sums each row of a C-contiguous block where
+        # SparseRow.entropy sums a 1-D array; the bits agree only while
+        # numpy adds a block row as it adds the same values alone.
+        rng = np.random.default_rng(37)
+        for width in (129, 517, 3999, 4000, 8193):
+            block = rng.random((64, width)) * rng.choice([1e-6, 1.0, 1e6], size=(64, 1))
+            assert_same_bits(block.sum(axis=1), np.array([row.sum() for row in block]))
+
+    @pytest.mark.parametrize("size", [129, 517, 4000, 8193])
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    def test_batched_entropies_match_single_rows_and_dense(self, size, smoothing, monkeypatch):
+        # Three rows to a block, so a batch's rows split across block
+        # boundaries; unseen contexts share one row, and a row may repeat.
+        monkeypatch.setattr(model_module, "_ENTROPY_BLOCK", 3 * size)
+        blocks = []
+        block_entropies = model_module._block_entropies
+        monkeypatch.setattr(model_module, "_block_entropies",
+                            lambda rows, width: blocks.append(len(rows)) or block_entropies(rows, width))
+        rng = np.random.default_rng(size + int(10 * smoothing))
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+        counts = {}
+        for i, context in enumerate(rng.choice(size, size=11, replace=False)):
+            width = int(rng.integers(1, size + 1)) if i % 2 else int(rng.integers(1, 40))
+            tokens = rng.choice(size, size=width, replace=False)
+            high = 4 if i % 3 else 10_000  # ties and zero counts, or thousands of distinct terms
+            counts[(int(context),)] = {int(t): int(rng.integers(0, high)) for t in tokens}
+        unseen = [[t] for t in range(size) if (t,) not in counts][:2]
+        contexts = [list(key) for key in counts] + unseen + [list(next(iter(counts)))]
+        model = NGramModel(vocab, 2, counts, smoothing)
+        twin = NGramModel(vocab, 2, counts, smoothing)
+        for context, h in zip(contexts, entropies(model.next_token_dists(contexts))):
+            single = twin.next_token_dist(context)
+            assert h.hex() == single.entropy().hex() == _dense_entropy(np.asarray(single)).hex()
+        # At a positive floor every distinct row goes through a block.
+        assert sum(blocks) == (12 if smoothing else 0) and max(blocks, default=0) <= 3
+
+    def test_few_rows_take_entropies_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(model_module, "_block_entropies", lambda *args: pytest.fail("block"))
+        model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=2, smoothing=0.1)
+        rows = model.next_token_dists([[0], [1], [0]])
+        assert entropies([*rows, np.asarray(rows[0])]) == [
+            *(_dense_entropy(np.asarray(row)) for row in rows), _dense_entropy(np.asarray(rows[0]))]
 
     def test_entropy_cache_keyed_per_count_row(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=3, smoothing=0.1)

@@ -6,6 +6,8 @@ to 4 and either random documents (for ``fit``) or a random count mapping
 the pairs by dense counting when the level's code space is small next to the
 number of codes and by sorting otherwise; the cases fall on both sides, and
 every column must equal the one the oracle builds with ``np.unique`` alone.
+The array walk that serves a batch must find each context's row as the
+single walk does.
 """
 
 import numpy as np
@@ -26,12 +28,8 @@ def oracle_columns(size, order, backs, owner, tokens, weights):
     levels, parents = [], 1
     for k in range(order - 1):
         codes, ids = np.unique(ids * radix + backs[:, k], return_inverse=True)
-        parent, children = np.divmod(codes, radix)
-        levels.append((np.searchsorted(parent, np.arange(parents + 1)), children))
+        levels.append(codes)
         parents = codes.size
-    first = np.full(radix, -1)
-    if levels:
-        first[levels[0][1]] = np.arange(len(levels[0][1]))
     keys, inverse = np.unique(ids[owner] * size + tokens, return_inverse=True)
     counts = np.zeros(keys.size, dtype=np.int64)
     np.add.at(counts, inverse, weights)
@@ -40,16 +38,15 @@ def oracle_columns(size, order, backs, owner, tokens, weights):
     offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
     totals = np.zeros(n_contexts, dtype=np.int64)
     np.add.at(totals, rows, counts)
-    return {"levels": levels, "first": first, "offsets": offsets,
+    return {"levels": levels, "offsets": offsets,
             "tokens": keys - rows * size, "counts": counts, "totals": totals}
 
 
 def assert_columns(model, expected):
     assert len(model._levels) == len(expected["levels"])
-    for (starts, children), (want_starts, want_children) in zip(model._levels, expected["levels"]):
-        assert np.array_equal(np.asarray(starts), want_starts)
-        assert np.array_equal(np.asarray(children), want_children)
-    for name in ("first", "offsets", "tokens", "counts", "totals"):
+    for codes, want in zip(model._levels, expected["levels"]):
+        assert np.array_equal(np.asarray(codes), want)
+    for name in ("offsets", "tokens", "counts", "totals"):
         column = np.asarray(getattr(model, f"_{name}"))
         assert column.dtype == np.int64, name
         assert np.array_equal(column, expected[name]), name
@@ -104,7 +101,7 @@ def test_fit_matches_the_unique_oracle():
                                   np.ones(flat.size, dtype=np.int64))
         assert_columns(model, expected)
         tally = np.add(tally, level_sides(vocab.size, order, backs))
-        n_contexts = len(expected["levels"][-1][1]) if expected["levels"] else 1
+        n_contexts = len(expected["levels"][-1]) if expected["levels"] else 1
         pair_tally[is_sorted(n_contexts * vocab.size, flat.size)] += 1
     assert min(tally) >= 20 and min(pair_tally) >= 20, (tally, pair_tally)
 
@@ -135,3 +132,47 @@ def test_constructor_matches_the_unique_oracle():
         assert_columns(model, oracle_columns(vocab.size, order, backs, owner, tokens, weights))
         tally = np.add(tally, level_sides(vocab.size, order, backs))
     assert min(tally) >= 20, tally
+
+
+def random_model(rng, case):
+    """A model from ``fit`` (even cases) or from the constructor (odd ones), and its token types."""
+    vocab = random_vocab(rng)
+    order = int(rng.integers(1, 5))
+    types = int(rng.integers(1, vocab.size + 1))
+    if case % 2 == 0:
+        documents = [
+            tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, 400))))
+            for _ in range(int(rng.integers(0, 8)))
+        ]
+        return NGramModel.fit(vocab, documents, order, 0.1), types
+    counts = {}
+    for _ in range(int(rng.integers(0, 300))):
+        context = tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, order))))
+        counts[context] = {int(t): int(rng.integers(0, 5))
+                           for t in rng.integers(0, vocab.size, size=int(rng.integers(0, 6)))}
+    return NGramModel(vocab, order, counts, 0.1), types
+
+
+def test_array_walk_matches_the_single_walk():
+    # Every context the model holds, of each length up to its window, and
+    # random ones, mostly unseen: one token type more than the model saw.
+    rng = np.random.default_rng(4203)
+    unseen = 0
+    for case in range(CASES):
+        model, types = random_model(rng, case)
+        span = model.order - 1
+        keys = list(model.counts)
+        keys += [tuple(int(t) for t in rng.integers(0, min(types + 1, model.vocab.size),
+                                                     size=int(rng.integers(0, span + 1))))
+                 for _ in range(40)]
+        keys = list(dict.fromkeys(keys))
+        for key, row in zip(keys, model._read_rows(keys)):
+            single = model._read_row(key)
+            if single is model._unseen:
+                assert row is model._unseen
+                unseen += 1
+                continue
+            assert (row.key, row.denom, row.floor) == (single.key, single.denom, single.floor)
+            assert list(row.row.items()) == list(single.row.items())
+            assert all(type(v) is int for v in (*row.row, *row.row.values()))
+    assert unseen >= CASES

@@ -166,9 +166,9 @@ def test_generate_step_on_the_window_matches_the_full_context():
     rng = np.random.default_rng(4103)
     for _ in range(CASES):
         draft, target, params, context = random_case(rng)
-        rows, committed = generate_step(draft, target, context, params)
+        [(rows, committed)] = generate_step(draft, target, [context], params)
         window = context_suffix(context, step_window(draft, target))
-        assert generate_step(draft, target, window, params) == (rows, committed)
+        assert generate_step(draft, target, [window], params) == [(rows, committed)]
         tree = build_draft_tree(draft, context, params)
         scores, bonus = score_tree(target, context, tree)
         assert committed == bonus

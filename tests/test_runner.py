@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from treespec import (
     DomainSummary,
     GenerationConfig,
     InputError,
+    LanguageModel,
     NGramModel,
     RecordTable,
     TableModel,
@@ -160,7 +162,7 @@ class TestGenerateStep:
         vocab = Vocabulary(("a", "b", "c", "d"))
         doc = [0, 1, 2, 3, 0, 1, 2, 3, 0]
         model = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
-        rows, committed = generate_step(model, model, [0, 1], TreeParams())
+        [(rows, committed)] = generate_step(model, model, [(0, 1)], TreeParams())
         assert all(alpha == 1.0 for _, _, _, _, alpha, _ in rows)
         assert committed == int(np.argmax(model.next_token_dist([0, 1])))
 
@@ -168,7 +170,7 @@ class TestGenerateStep:
         corpus = synthetic_corpus("chat", n_docs=10, seed=3, doc_len=120)
         draft = NGramModel.fit(corpus.vocabulary, corpus.documents, 2, 0.1)
         target = NGramModel.fit(corpus.vocabulary, corpus.documents, 3, 0.1)
-        rows, _ = generate_step(draft, target, list(corpus.documents[0][:40]), TreeParams())
+        [(rows, _)] = generate_step(draft, target, [corpus.documents[0][:40]], TreeParams())
         assert len(rows) == 8
 
     def test_records_match_tree_and_scores(self):
@@ -177,7 +179,7 @@ class TestGenerateStep:
         draft = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
         target = NGramModel.fit(vocab, [doc], order=3, smoothing=0.3)
         context = [0, 1]
-        rows, _ = generate_step(draft, target, context, TreeParams())
+        [(rows, _)] = generate_step(draft, target, [context], TreeParams())
         tree = build_draft_tree(draft, context, TreeParams())
         scores, _ = score_tree(target, context, tree)
         assert len(rows) == len(scores)
@@ -210,7 +212,7 @@ def plain_loop(config, corpora, models=train_models):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
                 position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
-                step_rows, committed = generate_step(draft, target, context, config.tree)
+                [(step_rows, committed)] = generate_step(draft, target, [context], config.tree)
                 if committed == eos:
                     break
                 records.extend(
@@ -236,7 +238,7 @@ class TestRunExperiment:
         calls = []
 
         def counting_step(*args, **kwargs):
-            calls.append(args[2])
+            calls.extend(args[2])
             return generate_step(*args, **kwargs)
 
         monkeypatch.setattr("treespec.runner.generate_step", counting_step)
@@ -260,7 +262,7 @@ class TestRunExperiment:
         windows = []
 
         def recording_step(*args, **kwargs):
-            windows.append(tuple(args[2]))
+            windows.extend(args[2])
             return generate_step(*args, **kwargs)
 
         monkeypatch.setattr(runner, "generate_step", recording_step)
@@ -362,6 +364,97 @@ class TestRunExperiment:
         write_records_csv(first.records, a)
         write_records_csv(second.records, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def prompt_major_loop(config, corpora):
+    """Reference loop: one prompt at a time, generate_step on each new window alone.
+
+    Returns the table and each recorded step's window, keyed (domain,
+    prompt_id, step_index).
+    """
+    records, windows = [], {}
+    for domain in sorted(corpora):
+        corpus = corpora[domain]
+        draft, target = train_models(
+            corpus, config.draft_order, config.target_order, config.smoothing
+        )
+        prompts = sample_prompts(
+            corpus, config.prompts_per_domain, config.seed, config.prompt_truncation
+        )
+        eos = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
+        width = max(draft.context_window, target.context_window)
+        memo = {}
+        for prompt_id, prompt in enumerate(prompts.prompts):
+            context = list(prompt)
+            for step_index in range(config.max_new_tokens):
+                key = tuple(context[-width:])
+                if key not in memo:
+                    [memo[key]] = generate_step(draft, target, [key], config.tree)
+                step_rows, committed = memo[key]
+                if committed == eos:
+                    break
+                windows[domain, prompt_id, step_index] = key
+                position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
+                records.extend(
+                    Row(domain, prompt_id, step_index, depth, position_bin, *rest)
+                    for depth, *rest in step_rows
+                )
+                context.append(committed)
+    return record_table(records), windows
+
+
+class TestLockstep:
+    """run_experiment advances every prompt one step per wave; its table and
+    model traffic must equal those of one prompt at a time."""
+
+    def test_equals_prompt_major(self, monkeypatch):
+        corpora = {d: synthetic_corpus(d, n_docs=12, seed=9, doc_len=150) for d in ("chat", "math")}
+        config = GenerationConfig(prompts_per_domain=8, max_new_tokens=40, prompt_truncation=40,
+                                  eos_token="<end>")
+        plain = plain_loop(config, corpora)
+        scored = []
+        batch = LanguageModel.next_token_dists
+
+        def recording_batch(self, contexts):
+            scored.extend((self.order, tuple(context)) for context in contexts)
+            return batch(self, contexts)
+
+        monkeypatch.setattr(LanguageModel, "next_token_dists", recording_batch)
+        expected, windows = prompt_major_loop(config, corpora)
+        expected_scored = Counter(scored)
+        scored.clear()
+        report = run_experiment(config, corpora)
+        assert report.records == expected == plain
+        assert Counter(scored) == expected_scored
+
+        # The case covers prompts halted mid-run, at different waves, and a
+        # window that two prompts reach in the same wave.
+        lengths = Counter((domain, prompt_id) for domain, prompt_id, _ in windows)
+        assert all(m["stopped_prompts"] > 0 for m in report.metadata["domains"].values())
+        assert len(set(lengths.values())) > 2
+        shared = Counter((domain, step, key) for (domain, _, step), key in windows.items())
+        assert max(shared.values()) > 1
+
+    def test_one_step_call_per_wave_with_misses(self, monkeypatch):
+        # Two prompts share their window (2, 3) from the first wave on, so
+        # each wave asks for one window, once.
+        vocab = Vocabulary(("a", "b", "c", "d"))
+        corpus = DomainCorpus("d", [(1, 2, 3), (0, 2, 3)], vocab)
+        config = GenerationConfig(prompts_per_domain=2, max_new_tokens=3, prompt_truncation=3)
+        calls = []
+
+        def recording_step(*args, **kwargs):
+            calls.append(list(args[2]))
+            return generate_step(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "generate_step", recording_step)
+        report = run_experiment(config, {"d": corpus})
+        assert calls[0] == [(2, 3)]
+        assert all(len(windows) == 1 for windows in calls) and len(calls) <= 3
+        assert report.records == plain_loop(config, {"d": corpus})
+        steps = report.records.steps
+        assert steps["prompt_id"].tolist() == [0, 0, 0, 1, 1, 1]
+        assert steps["step_index"].tolist() == [0, 1, 2, 0, 1, 2]
 
 
 class TestPersistence:
@@ -646,4 +739,30 @@ class TestRecordCsv:
         path.write_text(",".join(RECORD_FIELDS) + "\nchat,0,0,1,0,99999999999999999999,0.5,0.25,0.5,0.1\n",
                         encoding="utf-8")
         with pytest.raises(InputError, match=f"{path}:2: integer field outside the int64 range"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("chunk_rows", [2, 8192])
+    @pytest.mark.parametrize("lines, expected", [
+        # A fault on an earlier line of the same chunk wins over the byte.
+        (["chat,0,0,1,0,5,0.5,0.25,0.5,0.1", "chat,0,1,1,0,5,0.5,0.25,0.9,0.1", b"chat,0,2,1,0,\xff"],
+         "3: alpha inconsistent with stored p_target / p_draft"),
+        (["chat,0,0,1,0,5,0.5,0.25,0.5,0.1", "chat,0,1,1,0,5,0.5,0.25,0.5,0.1", b"chat,0,2,1,0,\xff",
+          "chat,0,1,1,0,5,0.5,0.25,0.9,0.1"], "4: not UTF-8 text: invalid start byte"),
+        ([b"ch\xc3at,0,0,1,0,5,0.5,0.25,0.5,0.1"], "2: not UTF-8 text: invalid continuation byte"),
+    ])
+    def test_a_byte_that_is_not_utf8_is_named_at_its_line(self, tmp_path, monkeypatch, chunk_rows,
+                                                           lines, expected):
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(
+            line if isinstance(line, bytes) else line.encode() for line in [",".join(RECORD_FIELDS), *lines]
+        ) + b"\n")
+        with pytest.raises(InputError) as raised:
+            read_records_csv(path)
+        assert str(raised.value) == f"{path}:{expected}"
+
+    def test_a_header_that_is_not_utf8_is_named_at_line_one(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"dom\xffain\n")
+        with pytest.raises(InputError, match=f"{path}:1: not UTF-8 text"):
             read_records_csv(path)

@@ -1,0 +1,56 @@
+"""What the benchmark's tracer (``perfbench/tracing.py``) needs from the program.
+
+The benchmark lives outside ``tests/``, so these checks keep a change here
+from breaking it unseen:
+
+- it counts model batches and their contexts by patching
+  ``LanguageModel.next_token_dists``, so ``NGramModel`` must not override it;
+- its step time must equal the model, tree, verify and step self times, so
+  every model call of a run must happen inside ``generate_step``;
+- it keys each step call by ``tuple(windows[-w:])`` over the call's third
+  positional argument, so ``windows`` must be a list of tuples.
+"""
+
+from treespec import GenerationConfig, NGramModel, run_experiment, synthetic_corpus
+from treespec import model, runner
+
+
+def test_ngram_model_serves_batches_through_the_base_method():
+    assert "next_token_dists" not in vars(NGramModel)
+    assert "next_token_dist" in vars(NGramModel)
+
+
+def test_every_model_call_is_inside_a_step_and_windows_are_tuples(monkeypatch):
+    depth = [0]
+    step_calls = []
+    model_calls = []
+    step = runner.generate_step
+
+    def traced_step(*args, **kwargs):
+        windows = args[2]
+        assert type(windows) is list and windows
+        assert all(type(window) is tuple for window in windows)
+        hash(tuple(windows[-3:]))
+        step_calls.append(len(windows))
+        depth[0] += 1
+        try:
+            return step(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def traced(method):
+        def wrapper(self, *args, **kwargs):
+            model_calls.append(depth[0])
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(runner, "generate_step", traced_step)
+    monkeypatch.setattr(model.LanguageModel, "next_token_dists",
+                        traced(model.LanguageModel.next_token_dists))
+    monkeypatch.setattr(NGramModel, "next_token_dist", traced(NGramModel.next_token_dist))
+    corpora = {d: synthetic_corpus(d, n_docs=10, seed=3, doc_len=120) for d in ("chat", "math")}
+    config = GenerationConfig(prompts_per_domain=4, max_new_tokens=12, prompt_truncation=40,
+                              eos_token="<end>")
+    run_experiment(config, corpora)
+    assert step_calls and model_calls
+    assert all(model_calls), "a model call ran outside generate_step"

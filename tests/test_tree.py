@@ -218,9 +218,9 @@ class TestBuild:
         seen = []
 
         class Spy(NGramModel):
-            def next_token_dist(self, context):
-                seen.append(list(context))
-                return super().next_token_dist(context)
+            def next_token_dists(self, contexts):
+                seen.extend(list(context) for context in contexts)
+                return super().next_token_dists(contexts)
 
         params = TreeParams(3, 2, 3, 8)
         context = [3, 3, 2, 0, 1]
