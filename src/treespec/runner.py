@@ -2,9 +2,11 @@
 
 The measurement loop per prompt: build one draft tree over the current
 context, score it against the target, record one row per node, then commit
-the target's greedy bonus token and repeat. Acceptance is recorded
-analytically; committed text always follows the target, so the harness
-measures speculation quality without changing what gets generated.
+the target's greedy bonus token and repeat. A domain's prompts take these
+steps in lockstep, one wave per step, and each wave's new trees are built
+and scored together. Acceptance is recorded analytically; committed text
+always follows the target, so the harness measures speculation quality
+without changing what gets generated.
 
 A run's records are kept as steps over distinct trees: each domain's step
 memo keeps a distinct window's rows once, the loop notes which memo entry

@@ -1,11 +1,12 @@
 """Target-side verification of a draft tree.
 
-Scores every tree node against the target model in one batched call,
-computes the token-level acceptance probability min(1, p_target / p_draft)
-and the target entropy at each node's position, and extracts the greedy
-bonus token from the bare-context row of the same pass. The stochastic
-accept/resample primitives live here too; the measurement harness records
-acceptance analytically, but sampling is what makes the rule testable.
+Scores every node of one or many trees against the target model in one
+batched call, computes the token-level acceptance probability min(1,
+p_target / p_draft) and the target entropy at each node's position, and
+extracts each tree's greedy bonus token from its bare-context row of the
+same pass. The stochastic accept/resample primitives live here too; the
+measurement harness records acceptance analytically, but sampling is what
+makes the rule testable.
 """
 
 from __future__ import annotations
