@@ -53,14 +53,11 @@ from .runner import (
 )
 from .tree import (
     DraftTree,
-    TreeColumns,
-    TreeNode,
     TreeParams,
     build_draft_tree,
     grow_trees,
 )
 from .verify import (
-    NodeScore,
     TreeScores,
     acceptance_prob,
     residual_dist,

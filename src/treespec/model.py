@@ -329,11 +329,12 @@ class NGramModel(LanguageModel):
     1]]`` (ascending), their counts ``_counts`` over the same slice, and the
     sum ``_totals[c]``.
 
-    ``next_token_dist`` walks the levels once per distinct context and keeps
-    the ``SparseRow`` it builds; a batch walks all of its new contexts at
-    once (``_batch_dists``). The entropy of each count row is computed once
-    and cached on the model, so that cache holds at most ``len(counts) + 1``
-    entries (the extra one for contexts unseen in training).
+    The levels are walked once per distinct context and the ``SparseRow``
+    built is kept; a batch walks all of its new contexts at once
+    (``_batch_dists``), and ``next_token_dist`` is a batch of one. The
+    entropy of each count row is computed once and cached on the model, so
+    that cache holds at most ``len(counts) + 1`` entries (the extra one for
+    contexts unseen in training).
     """
 
     def __init__(
@@ -467,13 +468,7 @@ class NGramModel(LanguageModel):
         })
 
     def next_token_dist(self, context: TokenSeq) -> SparseRow:
-        self.check_context(context)
-        span = self.context_window
-        key = tuple(map(int, context[-span:])) if span else ()
-        dist = self._rows.get(key)
-        if dist is None:
-            dist = self._rows[key] = self._read_row(key)
-        return dist
+        return self._batch_dists([context])[0]
 
     def _read_row(self, key: tuple[int, ...]) -> SparseRow:
         """The ``SparseRow`` of ``key``'s count row, found by walking the levels."""

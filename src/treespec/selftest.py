@@ -19,7 +19,7 @@ import numpy as np
 from .metrics import average_ranks, spearman_rho
 from .model import NGramModel, Vocabulary, entropy_nats
 from .tree import TreeParams, build_draft_tree
-from .verify import NodeScore, acceptance_prob, residual_dist, simulate_chain_acceptance
+from .verify import acceptance_prob, residual_dist, simulate_chain_acceptance
 
 
 def check_sampler(rng: np.random.Generator, pairs: int, samples: int) -> tuple[float, float]:
@@ -58,8 +58,7 @@ def check_sampler(rng: np.random.Generator, pairs: int, samples: int) -> tuple[f
 
 def check_chain_law(rng: np.random.Generator, trials: int) -> float:
     """Mean accepted length of a 3-node chain at alpha 0.5; the law gives 0.875."""
-    path = [NodeScore(i, 0.5, 0.5, 0.0) for i in range(3)]
-    return sum(simulate_chain_acceptance(path, rng) for _ in range(trials)) / trials
+    return sum(simulate_chain_acceptance([0.5] * 3, rng) for _ in range(trials)) / trials
 
 
 def _naive_ranks(values: np.ndarray) -> np.ndarray:
@@ -119,17 +118,17 @@ def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
         )
         context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
         tree = build_draft_tree(model, context, params)
-        nodes = tree.nodes
+        depths = tree.depths
 
-        children = [0] * len(nodes)
-        for node in nodes:
-            if node.parent is not None:
-                children[node.parent] += 1
-        if len(nodes) > params.max_nodes:
+        children = [0] * len(depths)
+        for parent in tree.parents:
+            if parent is not None:
+                children[parent] += 1
+        if len(depths) > params.max_nodes:
             violations["node budget exceeded"] = None
-        if sum(1 for n in nodes if n.depth == 1) > params.root_top_k:
+        if depths.count(1) > params.root_top_k:
             violations["too many depth-1 nodes"] = None
-        if any(n.depth > params.max_depth for n in nodes):
+        if any(depth > params.max_depth for depth in depths):
             violations["depth cap exceeded"] = None
         if any(c > params.max_branch for c in children):
             violations["branch cap exceeded"] = None

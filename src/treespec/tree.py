@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, NamedTuple, Sequence
 
 from .errors import InputError
@@ -34,49 +34,14 @@ class TreeParams:
             raise InputError("max_nodes must be >= root_top_k")
 
 
-@dataclass
-class TreeNode:
-    """One speculative token.
+class DraftTree(NamedTuple):
+    """Speculative tokens as one list per field, in insertion order, plus the
+    committed-context length at build time.
 
-    ``parent`` is an index into the owning tree's node list (None at depth 1).
-    ``cum_logp`` accumulates ln(p_draft) along the root-to-node path; log
-    domain keeps long chains away from underflow.
-    """
-
-    token: int
-    depth: int
-    parent: int | None
-    p_draft: float
-    cum_logp: float
-
-
-@dataclass
-class DraftTree:
-    """Nodes in insertion order plus the committed-context length at build time.
-
-    ``paths[i]`` holds the tokens from node i's depth-1 ancestor down to node
-    i inclusive. ``build_draft_tree`` fills it as it grows the tree; a tree
-    built by hand gets it from the parent links.
-    """
-
-    nodes: list[TreeNode] = field(default_factory=list)
-    context_len: int = 0
-    paths: list[tuple[int, ...]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if len(self.paths) != len(self.nodes):
-            self.paths = []
-            for node in self.nodes:
-                prefix = () if node.parent is None else self.paths[node.parent]
-                self.paths.append(prefix + (node.token,))
-
-
-class TreeColumns(NamedTuple):
-    """A draft tree as one list per ``TreeNode`` field, in insertion order,
-    with each node's path and the committed-context length.
-
-    ``grow_trees`` builds trees in this form; ``as_tree`` gives the
-    ``DraftTree`` and ``of`` the columns of one.
+    ``parents[i]`` indexes node i's parent (None at depth 1). ``cum_logp[i]``
+    accumulates ln(p_draft) along the root-to-node path; log domain keeps
+    long chains away from underflow. ``paths[i]`` holds the tokens from node
+    i's depth-1 ancestor down to node i inclusive.
     """
 
     tokens: list[int]
@@ -87,27 +52,15 @@ class TreeColumns(NamedTuple):
     paths: list[tuple[int, ...]]
     context_len: int
 
-    @classmethod
-    def of(cls, tree: DraftTree) -> TreeColumns:
-        nodes = tree.nodes
-        return cls([n.token for n in nodes], [n.depth for n in nodes], [n.parent for n in nodes],
-                   [n.p_draft for n in nodes], [n.cum_logp for n in nodes], list(tree.paths),
-                   tree.context_len)
-
-    def as_tree(self) -> DraftTree:
-        nodes = list(map(TreeNode, self.tokens, self.depths, self.parents, self.p_draft,
-                         self.cum_logp))
-        return DraftTree(nodes, self.context_len, list(self.paths))
-
 
 def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTree:
     """Build one speculative tree over ``context``: ``grow_trees`` of one context."""
-    return grow_trees(draft, [context], params)[0].as_tree()
+    return grow_trees(draft, [context], params)[0]
 
 
 def grow_trees(
     draft: LanguageModel, contexts: Sequence[TokenSeq], params: TreeParams
-) -> list[TreeColumns]:
+) -> list[DraftTree]:
     """Build one speculative tree per context with the draft model, in lockstep.
 
     Each tree grows as ``_grow`` says, and asks for its distributions a
@@ -117,7 +70,7 @@ def grow_trees(
     """
     growers = [_grow(draft, context, params) for context in contexts]
     requests = [next(grower) for grower in growers]
-    trees: list[TreeColumns] = [None] * len(growers)  # type: ignore[list-item]
+    trees: list[DraftTree] = [None] * len(growers)  # type: ignore[list-item]
     live = list(range(len(growers)))
     while live:
         dists = draft.next_token_dists([c for i in live for c in requests[i]])
@@ -136,7 +89,7 @@ def grow_trees(
 
 def _grow(
     draft: LanguageModel, context: TokenSeq, params: TreeParams
-) -> Generator[list[tuple[int, ...]], list[Dist], TreeColumns]:
+) -> Generator[list[tuple[int, ...]], list[Dist], DraftTree]:
     """One tree's expansion; yields each list of contexts it needs scored and
     is sent their distributions, in order.
 
@@ -154,7 +107,7 @@ def _grow(
     base = tuple(context_suffix(context, draft.context_window))
     vocab_size = draft.vocab.size
     max_nodes, max_depth = params.max_nodes, params.max_depth
-    tree = TreeColumns([], [], [], [], [], [], len(context))
+    tree = DraftTree([], [], [], [], [], [], len(context))
     tokens, depths, parents, probs, cum_logps, paths, _ = tree
 
     (root_dist,) = yield [base]

@@ -25,16 +25,7 @@ from .model import (
     top_candidates,
     validate_dist,
 )
-from .tree import DraftTree, TreeColumns
-
-
-class NodeScore(NamedTuple):
-    """Verification result for one tree node (index into the tree's node list)."""
-
-    node_index: int
-    p_target: float
-    alpha: float
-    target_entropy: float
+from .tree import DraftTree
 
 
 def acceptance_prob(p_target: float, p_draft: float) -> float:
@@ -55,20 +46,13 @@ class TreeScores(NamedTuple):
     bonus: int
 
 
-def score_tree(
-    target: LanguageModel, context: TokenSeq, tree: DraftTree
-) -> tuple[list[NodeScore], int]:
-    """Score all tree nodes with the target model; also return the bonus token.
-
-    ``score_trees`` of one tree, node by node.
-    """
-    (scores,) = score_trees(target, [context], [TreeColumns.of(tree)])
-    columns = zip(scores.p_target, scores.alpha, scores.target_entropy)
-    return [NodeScore(i, *values) for i, values in enumerate(columns)], scores.bonus
+def score_tree(target: LanguageModel, context: TokenSeq, tree: DraftTree) -> TreeScores:
+    """Score all nodes of one tree and find its bonus token: ``score_trees`` of one tree."""
+    return score_trees(target, [context], [tree])[0]
 
 
 def score_trees(
-    target: LanguageModel, contexts: Sequence[TokenSeq], trees: Sequence[TreeColumns]
+    target: LanguageModel, contexts: Sequence[TokenSeq], trees: Sequence[DraftTree]
 ) -> list[TreeScores]:
     """Score every node of each tree over its context, and find each bonus token.
 
@@ -135,16 +119,14 @@ def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> lis
     return np.minimum(1.0, pt / pd).tolist()
 
 
-def simulate_chain_acceptance(
-    path_scores: Sequence[NodeScore], rng: np.random.Generator
-) -> int:
-    """Walk one root-to-leaf path, accepting each node independently w.p. alpha.
+def simulate_chain_acceptance(alphas: Sequence[float], rng: np.random.Generator) -> int:
+    """Walk one root-to-leaf path, accepting each node independently w.p. its alpha.
 
     Returns the accepted prefix length; stops at the first rejection.
     """
     accepted = 0
-    for score in path_scores:
-        if rng.random() >= score.alpha:
+    for alpha in alphas:
+        if rng.random() >= alpha:
             break
         accepted += 1
     return accepted

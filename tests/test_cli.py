@@ -413,7 +413,7 @@ class TestSelftest:
         ("average_ranks", lambda values: average_ranks(values) + 1.0,
          "rank correlation vs naive oracle"),
         ("build_draft_tree", branch_cap_ignored, "tree invariants"),
-        ("simulate_chain_acceptance", lambda path, rng: len(path), "chain-length law"),
+        ("simulate_chain_acceptance", lambda alphas, rng: len(alphas), "chain-length law"),
         ("entropy_nats", lambda dist: entropy_nats(dist) + 1e-3, "entropy bounds"),
         # NaN defects: each check must keep a NaN measure, not fold it away.
         ("acceptance_prob", lambda t, d: math.nan if t == 0.0 else acceptance_prob(t, d),

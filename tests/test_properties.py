@@ -20,7 +20,9 @@ from treespec import (
     build_draft_tree,
     entropy_nats,
     generate_step,
+    grow_trees,
     score_tree,
+    score_trees,
 )
 from treespec.model import context_suffix
 
@@ -129,17 +131,14 @@ def test_tree_respects_budget_depth_cap_and_best_first_order():
     for _ in range(CASES):
         draft, _, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
-        nodes = tree.nodes
-        assert 1 <= len(nodes) <= params.max_nodes
-        assert all(1 <= node.depth <= params.max_depth for node in nodes)
-        assert sum(node.parent is None for node in nodes) <= params.root_top_k
-        children = [sum(node.parent == i for node in nodes) for i in range(len(nodes))]
-        assert max(children) <= params.max_branch
+        parents = tree.parents
+        assert 1 <= len(parents) <= params.max_nodes
+        assert all(1 <= depth <= params.max_depth for depth in tree.depths)
+        assert parents.count(None) <= params.root_top_k
+        assert max(parents.count(i) for i in range(len(parents))) <= params.max_branch
         expected = oracle_tree(draft, context, params)
-        assert [
-            (node.token, node.depth, node.parent, node.p_draft, node.cum_logp, path)
-            for node, path in zip(nodes, tree.paths)
-        ] == expected
+        assert list(zip(tree.tokens, tree.depths, parents, tree.p_draft, tree.cum_logp,
+                        tree.paths)) == expected
 
 
 def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
@@ -147,19 +146,34 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
     for _ in range(CASES):
         draft, target, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
-        scores, bonus = score_tree(target, context, tree)
+        scores = score_tree(target, context, tree)
         base = tuple(context_suffix(context, target.context_window))
         prefixes = list(dict.fromkeys([(), *(path[:-1] for path in tree.paths)]))
         assert target.batches == [[base + prefix for prefix in prefixes]]
         assert target.scored == len(prefixes)
-        assert [score.node_index for score in scores] == list(range(len(tree.nodes)))
-        for node, path, score in zip(tree.nodes, tree.paths, scores):
+        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores.p_target, scores.alpha,
+                    scores.target_entropy, strict=True)
+        for token, p_draft, path, p_target, alpha, target_entropy in nodes:
             dist = dense(target, [*context, *path[:-1]])
-            assert score.p_target == float(dist[node.token])
-            assert score.alpha == min(1.0, score.p_target / node.p_draft)
-            assert 0.0 <= score.alpha <= 1.0
-            assert score.target_entropy == entropy_nats(dist)
-        assert bonus == ranked(dense(target, context), 1)[0][0]
+            assert p_target == float(dist[token])
+            assert alpha == min(1.0, p_target / p_draft)
+            assert 0.0 <= alpha <= 1.0
+            assert target_entropy == entropy_nats(dist)
+        assert scores.bonus == ranked(dense(target, context), 1)[0][0]
+
+
+def test_trees_grown_and_scored_in_lockstep_equal_one_at_a_time():
+    rng = np.random.default_rng(4104)
+    for _ in range(CASES):
+        draft, target, params, context = random_case(rng)
+        # Trees over other contexts may need fewer or more growth rounds.
+        other = rng.integers(0, draft.vocab.size, size=int(rng.integers(1, 9))).tolist()
+        contexts = [context, other, context[-1:]]
+        trees = grow_trees(draft, contexts, params)
+        assert trees == [build_draft_tree(draft, c, params) for c in contexts]
+        assert score_trees(target, contexts, trees) == [
+            score_tree(target, c, tree) for c, tree in zip(contexts, trees)
+        ]
 
 
 def test_generate_step_on_the_window_matches_the_full_context():
@@ -170,9 +184,7 @@ def test_generate_step_on_the_window_matches_the_full_context():
         window = context_suffix(context, step_window(draft, target))
         assert generate_step(draft, target, [window], params) == [(rows, committed)]
         tree = build_draft_tree(draft, context, params)
-        scores, bonus = score_tree(target, context, tree)
-        assert committed == bonus
-        assert rows == [
-            (node.depth, node.token, node.p_draft, *score[1:])
-            for node, score in zip(tree.nodes, scores)
-        ]
+        scores = score_tree(target, context, tree)
+        assert committed == scores.bonus
+        assert rows == list(zip(tree.depths, tree.tokens, tree.p_draft, scores.p_target,
+                                scores.alpha, scores.target_entropy))

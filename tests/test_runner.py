@@ -181,19 +181,17 @@ class TestGenerateStep:
         context = [0, 1]
         [(rows, _)] = generate_step(draft, target, [context], TreeParams())
         tree = build_draft_tree(draft, context, TreeParams())
-        scores, _ = score_tree(target, context, tree)
-        assert len(rows) == len(scores)
+        scores = score_tree(target, context, tree)
+        assert len(rows) == len(scores.alpha)
         table = record_table([Row("x", 4, 9, depth, 1, *rest) for depth, *rest in rows])
         assert not runner._rule_codes({name: getattr(table, name) for name in RECORD_FIELDS[1:]}).any()
-        for row, score in zip(rows, scores):
-            node = tree.nodes[score.node_index]
-            depth, token, p_draft, p_target, alpha, target_entropy = row
-            assert token == node.token
-            assert depth == node.depth
-            assert p_draft == node.p_draft
-            assert p_target == score.p_target
-            assert alpha == score.alpha
-            assert target_entropy == score.target_entropy
+        depth, token, p_draft, p_target, alpha, target_entropy = map(list, zip(*rows))
+        assert token == tree.tokens
+        assert depth == tree.depths
+        assert p_draft == tree.p_draft
+        assert p_target == scores.p_target
+        assert alpha == scores.alpha
+        assert target_entropy == scores.target_entropy
 
 
 def plain_loop(config, corpora, models=train_models):

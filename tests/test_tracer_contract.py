@@ -8,11 +8,52 @@ from breaking it unseen:
 - its step time must equal the model, tree, verify and step self times, so
   every model call of a run must happen inside ``generate_step``;
 - it keys each step call by ``tuple(windows[-w:])`` over the call's third
-  positional argument, so ``windows`` must be a list of tuples.
+  positional argument, so ``windows`` must be a list of tuples;
+- it patches each of its boundaries by name, so every one must exist;
+- its observer of ``build_draft_tree`` reads ``result.nodes``, which a
+  ``DraftTree`` does not have, so a run must not build its trees through
+  ``build_draft_tree`` (nor score them through ``score_tree``).
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from treespec import GenerationConfig, NGramModel, run_experiment, synthetic_corpus
-from treespec import model, runner
+from treespec import model, runner, tree, verify
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def small_run():
+    corpora = {d: synthetic_corpus(d, n_docs=10, seed=3, doc_len=120) for d in ("chat", "math")}
+    config = GenerationConfig(prompts_per_domain=4, max_new_tokens=12, prompt_truncation=40,
+                              eos_token="<end>")
+    return run_experiment(config, corpora)
+
+
+def test_every_tracer_boundary_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, span in tracing._BOUNDARIES:
+        assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_a_run_builds_and_scores_no_tree_one_at_a_time(monkeypatch):
+    calls = []
+    modules = [module for name, module in sys.modules.items()
+               if module is not None and (name == "treespec" or name.startswith("treespec."))]
+    for original in (tree.build_draft_tree, verify.score_tree):
+        def record(*args, name=original.__name__, **kwargs):
+            calls.append(name)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, record)
+    small_run()
+    assert calls == []
 
 
 def test_ngram_model_serves_batches_through_the_base_method():
@@ -48,9 +89,6 @@ def test_every_model_call_is_inside_a_step_and_windows_are_tuples(monkeypatch):
     monkeypatch.setattr(model.LanguageModel, "next_token_dists",
                         traced(model.LanguageModel.next_token_dists))
     monkeypatch.setattr(NGramModel, "next_token_dist", traced(NGramModel.next_token_dist))
-    corpora = {d: synthetic_corpus(d, n_docs=10, seed=3, doc_len=120) for d in ("chat", "math")}
-    config = GenerationConfig(prompts_per_domain=4, max_new_tokens=12, prompt_truncation=40,
-                              eos_token="<end>")
-    run_experiment(config, corpora)
+    small_run()
     assert step_calls and model_calls
     assert all(model_calls), "a model call ran outside generate_step"

@@ -119,7 +119,7 @@ def best_first_select(roots, params: TreeParams):
 
 
 def tree_tuples(tree: DraftTree):
-    return [(n.token, n.depth, n.parent, n.p_draft, n.cum_logp) for n in tree.nodes]
+    return list(zip(tree.tokens, tree.depths, tree.parents, tree.p_draft, tree.cum_logp))
 
 
 def random_model_and_context(rng):
@@ -159,14 +159,14 @@ class TestBuild:
         params = TreeParams(max_depth=1, max_branch=2, root_top_k=3, max_nodes=8)
         model = trigram_model()
         tree = build_draft_tree(model, [0, 1], params)
-        assert len(tree.nodes) == min(3, WXYZ.size)
-        assert all(n.depth == 1 for n in tree.nodes)
+        assert len(tree.tokens) == min(3, WXYZ.size)
+        assert tree.depths == [1] * len(tree.tokens)
 
     def test_depth_cap_small_vocab(self):
         vocab = Vocabulary(("a", "b"))
         model = NGramModel.fit(vocab, [[0, 1, 0]], order=1, smoothing=0.5)
         tree = build_draft_tree(model, [0], TreeParams(1, 2, 3, 8))
-        assert len(tree.nodes) == 2
+        assert len(tree.tokens) == 2
 
     def test_trigram_matches_enumeration_oracle(self):
         model = trigram_model()
@@ -183,9 +183,9 @@ class TestBuild:
     def test_trigram_known_roots(self):
         # At context (w, x): y has 3 of 4 counts, so p = 3.2/4.8 = 2/3.
         tree = build_draft_tree(trigram_model(), [0, 1], TreeParams(3, 2, 3, 8))
-        assert [n.token for n in tree.nodes[:3]] == [2, 3, 0]
-        assert tree.nodes[0].p_draft == pytest.approx(2 / 3, abs=1e-12)
-        assert len(tree.nodes) == 8
+        assert tree.tokens[:3] == [2, 3, 0]
+        assert tree.p_draft[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert len(tree.tokens) == 8
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(101)
@@ -244,23 +244,23 @@ class TestInvariants:
             model, context = random_model_and_context(rng)
             params = random_params(rng)
             tree = build_draft_tree(model, context, params)
-            assert 1 <= len(tree.nodes) <= params.max_nodes
-            assert sum(1 for n in tree.nodes if n.depth == 1) <= params.root_top_k
-            assert max(n.depth for n in tree.nodes) <= params.max_depth
-            children = [0] * len(tree.nodes)
-            for node in tree.nodes:
-                if node.parent is not None:
-                    children[node.parent] += 1
+            depths, parents, cum_logp = tree.depths, tree.parents, tree.cum_logp
+            assert 1 <= len(depths) <= params.max_nodes
+            assert depths.count(1) <= params.root_top_k
+            assert max(depths) <= params.max_depth
+            children = [0] * len(depths)
+            for parent in parents:
+                if parent is not None:
+                    children[parent] += 1
             assert all(c <= params.max_branch for c in children)
-            for i, node in enumerate(tree.nodes):
-                if node.parent is None:
-                    assert node.depth == 1
-                    assert node.cum_logp == pytest.approx(math.log(node.p_draft), abs=1e-12)
+            for i, (parent, p_draft) in enumerate(zip(parents, tree.p_draft)):
+                if parent is None:
+                    assert depths[i] == 1
+                    assert cum_logp[i] == pytest.approx(math.log(p_draft), abs=1e-12)
                 else:
-                    parent = tree.nodes[node.parent]
-                    assert node.depth == parent.depth + 1
-                    assert node.cum_logp == pytest.approx(
-                        parent.cum_logp + math.log(node.p_draft), abs=1e-12
+                    assert depths[i] == depths[parent] + 1
+                    assert cum_logp[i] == pytest.approx(
+                        cum_logp[parent] + math.log(p_draft), abs=1e-12
                     )
 
     def test_best_first_expansion_order(self):
@@ -274,19 +274,19 @@ class TestInvariants:
             tree = build_draft_tree(model, context, params)
             events = []
             seen = set()
-            for idx, node in enumerate(tree.nodes):
-                if node.parent is not None and node.parent not in seen:
-                    seen.add(node.parent)
-                    events.append((idx, node.parent))
+            for idx, parent in enumerate(tree.parents):
+                if parent is not None and parent not in seen:
+                    seen.add(parent)
+                    events.append((idx, parent))
             expanded = set()
             for created_at, parent in events:
-                parent_clp = tree.nodes[parent].cum_logp
+                parent_clp = tree.cum_logp[parent]
                 for other in range(created_at):
                     if other == parent or other in expanded:
                         continue
-                    if tree.nodes[other].depth >= params.max_depth:
+                    if tree.depths[other] >= params.max_depth:
                         continue
-                    assert tree.nodes[other].cum_logp <= parent_clp + 1e-12
+                    assert tree.cum_logp[other] <= parent_clp + 1e-12
                 expanded.add(parent)
 
 
@@ -294,29 +294,37 @@ class TestInvariants:
 
 
 def oracle_paths_dfs(tree: DraftTree):
-    children: dict[int, list[int]] = {i: [] for i in range(len(tree.nodes))}
-    for i, node in enumerate(tree.nodes):
-        if node.parent is not None:
-            children[node.parent].append(i)
+    children: dict[int, list[int]] = {i: [] for i in range(len(tree.parents))}
+    for i, parent in enumerate(tree.parents):
+        if parent is not None:
+            children[parent].append(i)
     paths = []
 
     def walk(index, acc):
-        acc = acc + [tree.nodes[index].token]
+        acc = acc + [tree.tokens[index]]
         if not children[index]:
             paths.append((index, acc))
             return
         for child in children[index]:
             walk(child, acc)
 
-    for i, node in enumerate(tree.nodes):
-        if node.parent is None:
+    for i, parent in enumerate(tree.parents):
+        if parent is None:
             walk(i, [])
+    return paths
+
+
+def paths_from_parents(tree: DraftTree):
+    """Each node's path rebuilt from the parent links, in insertion order."""
+    paths = []
+    for token, parent in zip(tree.tokens, tree.parents):
+        paths.append((() if parent is None else paths[parent]) + (token,))
     return paths
 
 
 def leaf_paths(tree: DraftTree):
     """``tree.paths`` of the childless nodes, in insertion order."""
-    parents = {node.parent for node in tree.nodes}
+    parents = set(tree.parents)
     return [list(path) for i, path in enumerate(tree.paths) if i not in parents]
 
 
@@ -341,5 +349,4 @@ class TestPaths:
             dfs = oracle_paths_dfs(tree)
             # leaves in insertion order; dfs entries are keyed by leaf index
             assert got == [p for _, p in sorted(dfs)]
-            # a tree built by hand derives the same paths from its parent links
-            assert DraftTree(nodes=tree.nodes, context_len=tree.context_len).paths == tree.paths
+            assert tree.paths == paths_from_parents(tree)

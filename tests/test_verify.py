@@ -6,7 +6,6 @@ import pytest
 from treespec import (
     InputError,
     NGramModel,
-    NodeScore,
     TableModel,
     TreeParams,
     Vocabulary,
@@ -65,19 +64,18 @@ class TestScoreTree:
         doc = [0, 1, 2, 3, 0, 1, 2, 0, 1]
         model = NGramModel.fit(ABCD, [doc], order=2, smoothing=0.4)
         tree = build_draft_tree(model, [0, 1], TreeParams(3, 2, 3, 8))
-        scores, _ = score_tree(model, [0, 1], tree)
-        assert len(scores) == len(tree.nodes)
-        assert all(s.alpha == 1.0 for s in scores)
+        scores = score_tree(model, [0, 1], tree)
+        assert len(scores.alpha) == len(tree.tokens)
+        assert all(alpha == 1.0 for alpha in scores.alpha)
 
     def test_one_hot_target(self):
         draft = TableModel(ABCD, [0.5, 0.5, 0.0, 0.0])
         target = TableModel(ABCD, [1.0, 0.0, 0.0, 0.0])
         tree = build_draft_tree(draft, [2], TreeParams(1, 2, 2, 8))
-        assert [tree.nodes[i].token for i in range(2)] == [0, 1]
-        scores, bonus = score_tree(target, [2], tree)
-        assert scores[0].p_target == 1.0 and scores[0].alpha == 1.0
-        assert scores[1].p_target == 0.0 and scores[1].alpha == 0.0
-        assert bonus == 0
+        assert tree.tokens == [0, 1]
+        scores = score_tree(target, [2], tree)
+        assert scores.p_target == [1.0, 0.0] and scores.alpha == [1.0, 0.0]
+        assert scores.bonus == 0
 
     def test_sequential_oracle_six_token_corpus(self):
         doc = [0, 1, 2, 0, 1, 3]
@@ -85,15 +83,15 @@ class TestScoreTree:
         target = NGramModel.fit(ABCD, [doc], order=3, smoothing=0.3)
         context = [0, 1]
         tree = build_draft_tree(draft, context, TreeParams(3, 2, 3, 8))
-        scores, bonus = score_tree(target, context, tree)
-        for score in scores:
-            node = tree.nodes[score.node_index]
-            prefix = context + list(tree.paths[score.node_index][:-1])
-            dist = target.next_token_dist(prefix)
-            assert score.p_target == float(dist[node.token])
-            assert score.alpha == min(1.0, score.p_target / node.p_draft)
-            assert score.target_entropy == entropy_nats(dist)
-        assert bonus == int(np.argmax(target.next_token_dist(context)))
+        scores = score_tree(target, context, tree)
+        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores.p_target, scores.alpha,
+                    scores.target_entropy, strict=True)
+        for token, p_draft, path, p_target, alpha, target_entropy in nodes:
+            dist = target.next_token_dist(context + list(path[:-1]))
+            assert p_target == float(dist[token])
+            assert alpha == min(1.0, p_target / p_draft)
+            assert target_entropy == entropy_nats(dist)
+        assert scores.bonus == int(np.argmax(target.next_token_dist(context)))
 
     def test_sequential_oracle_randomized(self):
         rng = np.random.default_rng(33)
@@ -105,14 +103,13 @@ class TestScoreTree:
             target = NGramModel.fit(vocab, [doc], order=3, smoothing=float(rng.uniform(0.05, 0.9)))
             context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
             tree = build_draft_tree(draft, context, TreeParams(3, 2, 3, 10))
-            scores, _ = score_tree(target, context, tree)
-            assert [s.node_index for s in scores] == list(range(len(tree.nodes)))
-            for score in scores:
-                node = tree.nodes[score.node_index]
-                prefix = context + list(tree.paths[score.node_index][:-1])
-                dist = target.next_token_dist(prefix)
-                assert score.p_target == float(dist[node.token])
-                assert score.target_entropy == entropy_nats(dist)
+            scores = score_tree(target, context, tree)
+            nodes = zip(tree.tokens, tree.paths, scores.p_target, scores.target_entropy,
+                        strict=True)
+            for token, path, p_target, target_entropy in nodes:
+                dist = target.next_token_dist(context + list(path[:-1]))
+                assert p_target == float(dist[token])
+                assert target_entropy == entropy_nats(dist)
 
     def test_out_of_range_token_before_window_rejected(self):
         model = NGramModel.fit(ABCD, [[0, 1, 2, 3]], order=2, smoothing=0.1)
@@ -127,21 +124,17 @@ class TestScoreTree:
             score_tree(draft, [0], tree)
 
 
-def make_path(alphas):
-    return [NodeScore(i, a, a, 0.0) for i, a in enumerate(alphas)]
-
-
 class TestChainSimulation:
     def test_all_accepted(self):
         rng = np.random.default_rng(1)
         assert all(
-            simulate_chain_acceptance(make_path([1.0, 1.0, 1.0]), rng) == 3 for _ in range(100)
+            simulate_chain_acceptance([1.0, 1.0, 1.0], rng) == 3 for _ in range(100)
         )
 
     def test_first_rejected(self):
         rng = np.random.default_rng(2)
         assert all(
-            simulate_chain_acceptance(make_path([0.0, 1.0, 1.0]), rng) == 0 for _ in range(100)
+            simulate_chain_acceptance([0.0, 1.0, 1.0], rng) == 0 for _ in range(100)
         )
 
     def test_expectation_matches_sum_of_products(self):
@@ -154,8 +147,7 @@ class TestChainSimulation:
                 running *= a
                 closed += running
             trials = 30_000
-            path = make_path(alphas)
-            samples = [simulate_chain_acceptance(path, rng) for _ in range(trials)]
+            samples = [simulate_chain_acceptance(alphas, rng) for _ in range(trials)]
             mean = sum(samples) / trials
             se = np.std(samples) / math.sqrt(trials)
             assert abs(mean - closed) <= 3 * se + 1e-9
@@ -221,11 +213,9 @@ class TestSparseMatchesTable:
             )
             context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
             tree = build_draft_tree(draft, context, params)
-            scores, bonus = score_tree(target, context, tree)
+            scores = score_tree(target, context, tree)
 
             asked = [context] + [context + list(path) for path in tree.paths]
             table_tree = build_draft_tree(self.as_table(draft, asked), context, params)
-            assert table_tree == tree  # nodes, context_len and paths
-            table_scores, table_bonus = score_tree(self.as_table(target, asked), context, tree)
-            assert table_scores == scores
-            assert table_bonus == bonus
+            assert table_tree == tree  # every column and context_len
+            assert score_tree(self.as_table(target, asked), context, tree) == scores
