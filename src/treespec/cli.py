@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``run`` executes the full experiment and writes reports,
-``analyze`` re-aggregates an existing record file, ``tables`` renders the
+``analyze`` re-aggregates an existing record file into the run's report
+files (summary, tables and its own meta), ``tables`` renders the
 plain-text report tables, and ``selftest`` runs the built-in oracle suites.
 Exit codes: 0 success, 1 input error, 2 I/O error.
 """
@@ -18,6 +19,7 @@ from .metrics import summarize
 from .runner import (
     CONFIG_KEYS,
     REPORT_FORMATS,
+    ExperimentReport,
     check_formats,
     config_from_mapping,
     emit_report,
@@ -25,7 +27,6 @@ from .runner import (
     read_records_csv,
     render_tables,
     run_experiment,
-    write_summary_json,
 )
 from .selftest import run_selftest
 
@@ -102,13 +103,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     records = read_records_csv(args.records)
     summaries = summarize(records)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_summary_json(summaries, out / "summary.json")
-    (out / "tables.txt").write_text(render_tables(records, summaries), encoding="utf-8")
+    metadata = {
+        "source": str(args.records),
+        "total_records": len(records),
+        "domains": {d: {"records": s.node_count} for d, s in sorted(summaries.items())},
+    }
+    written = emit_report(ExperimentReport(records, summaries, metadata), args.out, ("json", "tables"))
     print(f"analyzed {len(records)} records")
-    print(f"wrote {out / 'summary.json'}")
-    print(f"wrote {out / 'tables.txt'}")
+    for name, path in sorted(written.items()):
+        print(f"wrote {name}: {path}")
     return 0
 
 

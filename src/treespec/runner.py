@@ -18,7 +18,9 @@ the steps and trees, each tree's text built once.
 Record files are CSV with a frozen column order (``RECORD_FIELDS``), one
 record per line and all floats at 17 significant digits, so a run is
 reproducible byte-for-byte and re-ingestion is lossless. Reading one finds
-the same steps and trees from the lines alone.
+the same steps and trees from the lines alone: a step's lines share their
+``domain,prompt_id,step_index,`` prefix, so the reader splits each prefix
+once and parses each distinct line tail once per chunk of lines.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import io
 import itertools
 import json
 import math
-import operator
 import reprlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -44,6 +45,7 @@ from .errors import InputError
 from .metrics import (
     FLOAT_FIELDS,
     INT_FIELDS,
+    RECORD_COLUMNS,
     RECORD_FIELDS,
     STEP_FIELDS,
     TREE_FIELDS,
@@ -398,12 +400,16 @@ def read_records_csv(path: str | Path) -> RecordTable:
     """Re-ingest a record file, re-checking each record against ``_RULES``.
 
     The writer puts one record on each line, and its nine numeric fields
-    never hold a comma or a quote, so each line is split at its last nine
-    commas; only the domain field may be quoted. Lines are parsed and
-    checked ``_CSV_CHUNK_ROWS`` at a time into columns, each distinct field
-    text once, and ``RecordTable.from_chunks`` keeps only their steps and
-    distinct trees. The first bad line is reported as ``path:line`` with the
-    message ``int``, ``float``, ``_domain_name`` or the rule it breaks gives.
+    never hold a comma or a quote, so a line's fields are what splitting it
+    at its last nine commas gives; only the domain field may be quoted. It
+    writes a step as lines that share the prefix
+    ``domain,prompt_id,step_index,`` before the tails of its tree's rows, so
+    lines are read as prefixes over distinct tails (see ``_parse_rows``),
+    ``_CSV_CHUNK_ROWS`` at a time: each prefix and each distinct tail is
+    split and parsed once per chunk, and ``RecordTable.from_chunks`` keeps
+    only the chunks' steps and distinct trees. The first bad line is
+    reported as ``path:line`` with the message ``int``, ``float``,
+    ``_domain_name`` or the rule it breaks gives.
     """
     domains: dict[str, int] = {}
     first_line = 2  # of the chunk being read
@@ -448,9 +454,11 @@ def _not_utf8(
     return InputError(f"{path}:{number}: not UTF-8 text: {exc.reason}")
 
 
-# A record line's fields: everything before its last nine commas is the
-# domain. The last field keeps the line end, which float ignores.
-_split_fields = operator.methodcaller("rsplit", ",", len(RECORD_FIELDS) - 1)
+# A record line's fields: its prefix ``domain,prompt_id,step_index,`` and
+# its tail, the rest. The domain is everything before the line's last nine
+# commas, so the tail holds six; its last field keeps the line end, which
+# int and float ignore.
+_PREFIX_FIELDS, _TAIL_FIELDS = RECORD_FIELDS[:3], RECORD_FIELDS[3:]
 
 # The rules every record keeps, in check order; a record's rule code is the
 # 1-based index of the first it breaks. Each gives the column whose value
@@ -501,6 +509,15 @@ def _parse_rows(
 ) -> dict[str, np.ndarray]:
     """One column per ``RECORD_COLUMNS`` name of record lines, the first of them line ``first_line``.
 
+    A line that does not start with the previous line's prefix is split at
+    its last nine commas, which gives it a prefix; any other line keeps the
+    previous one. Either way the rest of the line is its tail. Every distinct
+    tail is checked to hold six commas, so the prefix's three fields and the
+    tail's seven are the fields ``rsplit`` would give: a prefix's
+    ``prompt_id`` and ``step_index`` hold no comma. Each prefix and each
+    distinct tail is parsed once, and the lines' columns are gathered from
+    them.
+
     Domains are numbered into ``domains`` as they are met. The first bad
     line raises InputError with its first fault. A fault's rank orders a
     line's faults: 0 for a wrong field count, the field's index for a text
@@ -509,21 +526,56 @@ def _parse_rows(
     ``width + 2`` for the first rule the line breaks.
     """
     width = len(RECORD_FIELDS)
-    cells = list(itertools.chain.from_iterable(map(_split_fields, lines)))
+    heads: list[str] = []  # each prefix's fields, in turn
+    starts: list[int] = []  # the index of each prefix's first line
+    line_tails: list[str] = []
     faults: list[tuple[int, int, str]] = []  # (line index, rank, message)
-    if len(cells) != width * len(lines):  # a line splits into at most ``width`` fields
-        rows = list(map(_split_fields, lines))
-        short = next(i for i, row in enumerate(rows) if len(row) != width)
-        faults.append((short, 0, f"malformed row of {len(rows[short])} fields, not {width}"))
-        cells = cells[:short * width]
-    columns = {
-        name: _parse_column(cells[i::width], int if name in INT_FIELDS else float, i, faults)
-        for i, name in enumerate(RECORD_FIELDS[1:], 1)
-    }
-    columns["domain_code"] = _parse_column(
-        cells[::width], lambda text: domains.setdefault(_domain_name(text), len(domains)),
-        width, faults,
-    )
+    prefix, cut = "\n\n", 0  # no line starts with two line breaks, so the first line is split
+    for line in lines:
+        if not line.startswith(prefix):
+            fields = line.rsplit(",", width - 1)
+            if len(fields) != width:
+                faults.append((len(line_tails), 0, f"malformed row of {len(fields)} fields, not {width}"))
+                break  # a later line's faults come after this one
+            starts.append(len(line_tails))
+            heads += fields[:len(_PREFIX_FIELDS)]
+            prefix = ",".join(fields[:len(_PREFIX_FIELDS)]) + ","
+            cut = len(prefix)
+        line_tails.append(line[cut:])
+    # Each distinct tail, in order of first appearance, maps to the index of
+    # its first line; a line's tail id is its tail's place in that order.
+    tails: dict[str, int] = {}
+    first_lines = np.fromiter(map(tails.setdefault, line_tails, itertools.count()), np.int64,
+                              len(line_tails))
+    firsts = list(tails.values())
+    commas = list(map(str.count, tails, itertools.repeat(",")))
+    if commas.count(len(_TAIL_FIELDS) - 1) != len(commas):
+        # The first line holding another count is split at its last nine
+        # commas as the first line of the rest. Its domain field then ends
+        # inside the quotes or runs past them, so the rest is rejected there
+        # unless the lines before it are.
+        at = next(first for first, n in zip(firsts, commas) if n != len(_TAIL_FIELDS) - 1)
+        parts = (_parse_rows(lines[:at], domains, path, first_line),
+                 _parse_rows(lines[at:], domains, path, first_line + at))
+        return {name: np.concatenate([part[name] for part in parts]) for name in RECORD_COLUMNS}
+    runs = np.diff([*starts, len(line_tails)])
+    ids = np.searchsorted(firsts, first_lines)
+    cells = ",".join(tails).split(",") if tails else []
+    columns = {}
+    for i, name in enumerate(RECORD_FIELDS):
+        if i == 0:
+            parse, rank = (lambda text: domains.setdefault(_domain_name(text), len(domains))), width
+        else:
+            parse, rank = int if name in INT_FIELDS else float, i
+        if name in _PREFIX_FIELDS:
+            values = _parse_column(heads[i::len(_PREFIX_FIELDS)], parse, rank, faults,
+                                   starts.__getitem__)
+            columns[name] = np.repeat(values, runs)
+        else:
+            values = _parse_column(cells[i - len(_PREFIX_FIELDS)::len(_TAIL_FIELDS)], parse, rank,
+                                   faults, firsts.__getitem__)
+            columns[name] = values[ids]
+    columns["domain_code"] = columns.pop("domain")
     codes = _rule_codes(columns)
     if codes.any():
         row = int(np.flatnonzero(codes)[0])
@@ -535,17 +587,18 @@ def _parse_rows(
     return columns
 
 
-def _parse_column(texts: Sequence[str], parse, rank: int, faults: list[tuple[int, int, str]]
-                  ) -> np.ndarray:
+def _parse_column(texts: Sequence[str], parse, rank: int, faults: list[tuple[int, int, str]],
+                  line_of) -> np.ndarray:
     """``parse`` applied to each distinct text once, in order of first appearance.
 
     A text that ``parse`` rejects, or whose int falls outside int64, reads
     as 0, and the first line holding one joins ``faults``: at ``rank``, or
-    at the int64 rank (see ``_parse_rows``).
+    at the int64 rank (see ``_parse_rows``). ``line_of`` gives the index of
+    the first line that holds ``texts[i]``.
     """
-    values: dict[str, int | float] = {}
+    values: dict[str, int | float] = dict.fromkeys(texts)
     bad: dict[str, tuple[int, str]] = {}
-    for text in dict.fromkeys(texts):
+    for text in values:
         try:
             values[text] = parse(text)
         except ValueError as exc:
@@ -554,8 +607,8 @@ def _parse_column(texts: Sequence[str], parse, rank: int, faults: list[tuple[int
             values[text] = 0
             bad[text] = (len(RECORD_FIELDS) + 1, "integer field outside the int64 range")
     if bad:
-        line = next(i for i, text in enumerate(texts) if text in bad)
-        faults.append((line, *bad[texts[line]]))
+        first = next(i for i, text in enumerate(texts) if text in bad)
+        faults.append((line_of(first), *bad[texts[first]]))
     dtype = np.float64 if parse is float else np.int64
     return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
 

@@ -284,12 +284,24 @@ class TestAnalyzeAndTables:
         ) == 0
         return out / "records.csv"
 
-    def test_analyze_matches_run_summary(self, record_file, tmp_path):
+    def test_analyze_matches_run_summary(self, record_file, tmp_path, capsys):
         out = tmp_path / "analysis"
         assert run_cli("analyze", "--records", str(record_file), "--out", str(out)) == 0
-        original = record_file.parent / "summary.json"
-        assert (out / "summary.json").read_bytes() == original.read_bytes()
-        assert (out / "tables.txt").exists()
+        for name in ("summary.json", "tables.txt"):
+            assert (out / name).read_bytes() == (record_file.parent / name).read_bytes()
+        run_meta = json.loads((record_file.parent / "meta.json").read_text(encoding="utf-8"))
+        meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+        assert meta == {
+            "source": str(record_file),
+            "total_records": run_meta["total_records"],
+            "domains": {d: {"records": info["records"]} for d, info in run_meta["domains"].items()},
+        }
+        assert capsys.readouterr().out.splitlines() == [
+            f"analyzed {run_meta['total_records']} records",
+            f"wrote json: {out / 'summary.json'}",
+            f"wrote meta: {out / 'meta.json'}",
+            f"wrote tables: {out / 'tables.txt'}",
+        ]
 
     def test_tables_to_stdout(self, record_file, capsys):
         assert run_cli("tables", "--records", str(record_file)) == 0

@@ -10,11 +10,13 @@ corrupted file (one line of a valid file changed) must give the oracle's
 table or be rejected at the oracle's line, where a multi-line row counts
 from its first line.
 
-The reader splits each line at its last nine commas, so it rejects two
-kinds of text the writer never writes and csv.reader reads:
-``QUOTED_NUMBER`` (a numeric field in quotes) and ``LINE_BREAK_DOMAIN`` (a
-quoted domain holding a line break, which the reader sees as a cut-short
-line). On those it must name the corrupted line.
+The reader reads each line's fields as splitting it at its last nine
+commas gives them, so it rejects two kinds of text the writer never writes
+and csv.reader reads: ``QUOTED_NUMBER`` (a numeric field in quotes) and
+``LINE_BREAK_DOMAIN`` (a quoted domain holding a line break, which the
+reader sees as a cut-short line). On those it must name the corrupted line.
+Named files (``PREFIX_CASES``) check the reader's split of a line into the
+previous line's prefix and a tail, at several chunk sizes.
 """
 
 import csv
@@ -438,3 +440,83 @@ def test_special_values_match_the_scalar_rules(tmp_path):
                 read_records_csv(path)
             rejected += 1
     assert 0 < rejected < 3000
+
+
+# Named files for the reader's prefix/tail split: a line that starts with the
+# previous line's ``domain,prompt_id,step_index,`` prefix is read as that
+# prefix and its tail, the rest of the line. Each case is a file's lines after
+# the header and, for a file the reader rejects, the line and message it gives.
+R1, R2 = "1,0,5,0.5,0.25,0.5,0.1", "2,0,6,0.5,0.5,1,0.2"
+BAD_TAIL = "1,0,5,0.5x,0.25,0.5,0.1"
+PREFIX_CASES = {
+    "quoted domain over several steps": (
+        [f'"a,""b",0,0,{R1}', f'"a,""b",0,0,{R2}', f'"a,""b",0,1,{R1}', f'"a,""b",0,1,{R2}',
+         f'"a,""b",1,0,{R1}', f"chat,1,0,{R1}", f'"a,""b",1,1,{R1}'],
+        None,
+    ),
+    # Lines 4-9 are one step; chunks of 4 and 7 lines cut it.
+    "step across a chunk boundary": (
+        [f"chat,0,0,{R1}", f"chat,0,0,{R2}",
+         *(f"chat,0,1,{depth},0,{depth},0.5,0.25,0.5,0.1" for depth in range(1, 7)),
+         f"chat,0,2,{R1}", f"chat,0,2,{R2}"],
+        None,
+    ),
+    "tail with a comma too many": (
+        [f"chat,0,0,{R1}", f"chat,0,0,{R2},7"],
+        (3, "invalid literal for int() with base 10: '0.5'"),
+    ),
+    "tail with a comma too many, only the domain bad": (
+        [f"chat,0,0,{R1}", "chat,0,0,1,0,5,7,0.5,0.25,0.5,0.1"],
+        (3, "domain field 'chat,0' is not quoted as the writer quotes it"),
+    ),
+    "tail with a comma too few": (
+        [f"chat,0,0,{R1}", "chat,0,0,2,0,6,0.5,0.5,1"],
+        (3, "malformed row of 9 fields, not 10"),
+    ),
+    "tail with a comma too few under a quoted domain": (
+        [f'"a,b",0,0,{R1}', '"a,b",0,0,2,0,6,0.5,0.5,1'],
+        (3, "invalid literal for int() with base 10: 'b\"'"),
+    ),
+    "bad float in a tail on lines 4 and 9": (
+        [f"chat,0,0,{R1}", f"chat,0,0,{R2}", f"chat,0,1,{BAD_TAIL}", f"chat,0,1,{R2}",
+         f"chat,0,2,{R1}", f"chat,0,2,{R2}", f"chat,0,3,{R2}", f"chat,0,4,{BAD_TAIL}"],
+        (4, "could not convert string to float: '0.5x'"),
+    ),
+    "line 4 of the above mended": (
+        [f"chat,0,0,{R1}", f"chat,0,0,{R2}", f"chat,0,1,{R1}", f"chat,0,1,{R2}",
+         f"chat,0,2,{R1}", f"chat,0,2,{R2}", f"chat,0,3,{R2}", f"chat,0,4,{BAD_TAIL}"],
+        (9, "could not convert string to float: '0.5x'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [4, 7, 8192])
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_prefix_and_tail_cases_match_the_oracle(tmp_path, monkeypatch, chunk_rows, case):
+    monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+    lines, rejected = PREFIX_CASES[case]
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([",".join(RECORD_FIELDS), *lines]) + "\n", encoding="utf-8")
+    assert reader_outcome(path) == oracle_read(path)
+    if rejected is None:
+        assert structure(read_records_csv(path)) == oracle_structure(oracle_read(path))
+    else:
+        line, message = rejected
+        with pytest.raises(InputError) as caught:
+            read_records_csv(path)
+        assert str(caught.value) == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("chunk_rows", [4, 7, 8192])
+def test_crlf_lines_with_a_repeated_tail(tmp_path, monkeypatch, chunk_rows):
+    # Each tail keeps its line end, so a tail written with CRLF and with LF is
+    # two texts that parse to one tree.
+    monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "records.csv"
+    lines = [",".join(RECORD_FIELDS), *(f"chat,0,{step},{tail}" for step in range(4) for tail in (R1, R2))]
+    text = "\r\n".join(lines) + "\r\n" + f"chat,1,0,{R1}\nchat,1,0,{R2}\n"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert reader_outcome(path) == oracle_read(path)
+    table = read_records_csv(path)
+    assert structure(table) == oracle_structure(oracle_read(path))
+    assert table.steps["tree"].tolist() == [0] * 5
