@@ -216,7 +216,10 @@ def run_experiment(
     either window is None), so each domain keeps them per window. The
     prompts run in lockstep: wave w is step w of every prompt still live,
     and one ``generate_step`` call serves the wave's distinct windows that
-    the memo has not seen. Steps are recorded prompt by prompt, as a loop
+    the memo has not seen; the waves end once no prompt is live, so the
+    cost follows the steps taken, not ``max_new_tokens``. A step's
+    position bin is 1 when ``2 * step_index >= max_new_tokens``, else 0.
+    Steps are recorded prompt by prompt, as a loop
     over one prompt at a time would record them. A prompt's tokens are
     range-checked once, whole; each window is checked again inside the step.
     """
@@ -239,7 +242,6 @@ def run_experiment(
     bounds = [0]
     steps: list[dict[str, np.ndarray]] = []  # per domain: its step columns
     domain_meta: dict[str, dict[str, object]] = {}
-    bins = np.arange(config.max_new_tokens) * 2 >= config.max_new_tokens
 
     for code, domain in enumerate(domains):
         corpus = corpora[domain]
@@ -264,7 +266,7 @@ def run_experiment(
         entries: list[int] = []
         per_wave: list[int] = []
         live = list(range(len(contexts)))
-        for _ in range(config.max_new_tokens):
+        while live and len(per_wave) < config.max_new_tokens:
             keys = [tuple(contexts[p][cut]) for p in live]
             new = [key for key in dict.fromkeys(keys) if key not in memo]
             if new:
@@ -289,9 +291,9 @@ def run_experiment(
         order = np.argsort(prompt_id, kind="stable")
         step_index = np.repeat(np.arange(len(per_wave)), per_wave)[order]
         tree = np.array(entries, dtype=np.int64)[order]
+        position_bin = (2 * step_index >= config.max_new_tokens).astype(np.int64)
         steps.append({"domain_code": np.full(tree.size, code), "prompt_id": prompt_id[order],
-                      "step_index": step_index, "position_bin": bins[step_index].astype(np.int64),
-                      "tree": tree})
+                      "step_index": step_index, "position_bin": position_bin, "tree": tree})
         domain_meta[domain] = {
             "records": int(np.diff(bounds)[tree].sum()),
             "trees": len(entries),
@@ -301,6 +303,9 @@ def run_experiment(
         }
 
     records = _table(domains, rows, bounds, steps)
+    for code, domain in enumerate(domains):
+        used = records.steps["tree"][records.steps["domain_code"] == code]
+        domain_meta[domain]["distinct_trees"] = int(np.unique(used).size)
     metadata: dict[str, object] = {
         "config": config.flat_dict(),
         "config_hash": config.config_hash(),

@@ -115,6 +115,28 @@ def test_count_arithmetic_full_run(default_report):
     )
 
 
+def test_distinct_trees_per_domain(default_report, default_csv_bytes):
+    # Recounted from the CSV text: a step's tree is its lines' depth and
+    # node fields, without the step's own fields or its position bin.
+    trees: dict[tuple[str, str, str], list[tuple[str, ...]]] = {}
+    for line in default_csv_bytes.decode("utf-8").splitlines()[1:]:
+        domain, prompt_id, step_index, depth, _, *node = line.split(",")
+        trees.setdefault((domain, prompt_id, step_index), []).append((depth, *node))
+    recount: dict[str, set] = {}
+    for (domain, _, _), rows in trees.items():
+        recount.setdefault(domain, set()).add(tuple(rows))
+    meta = default_report.metadata["domains"]
+    distinct = {d: info["distinct_trees"] for d, info in meta.items()}
+    steps = {d: info["trees"] for d, info in meta.items()}
+    check(
+        "distinct trees per domain",
+        distinct == {d: len(seen) for d, seen in recount.items()}
+        == {"chat": 25, "code": 41, "math": 69, "reasoning": 34}
+        and steps == {d: 3_200 for d in meta},
+        f"distinct trees {distinct} over steps {steps}",
+    )
+
+
 def test_count_arithmetic_early_stop(corpora):
     report = run_experiment(GenerationConfig(eos_token="<end>"), corpora)
     per_domain = {d: meta["records"] for d, meta in report.metadata["domains"].items()}

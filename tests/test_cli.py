@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -482,3 +483,37 @@ class TestUsageErrors:
             run_cli(*argv)
         assert exc.value.code == 0
         assert "usage: treespec" in capsys.readouterr().out
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused, and leaves it as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("outcome, code", [
+        (None, 0), (InputError("bad input"), 1), (OSError("disk gone"), 2),
+        (RuntimeError("a bug"), None),
+    ], ids=["success", "input-error", "io-error", "propagated"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "caller-disabled"])
+    def test_state_restored_on_every_exit(self, monkeypatch, capsys, outcome, code, enabled):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if outcome is not None:
+                raise outcome
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_tables", command)
+        (gc.enable if enabled else gc.disable)()
+        if code is None:
+            with pytest.raises(RuntimeError, match="a bug"):
+                run_cli("tables", "--records", "r.csv")
+        else:
+            assert run_cli("tables", "--records", "r.csv") == code
+        assert seen == [False]
+        assert gc.isenabled() is enabled

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -333,6 +334,22 @@ class TestRunExperiment:
         assert len(full.records) == 3 * 32 * 8
         assert len(stopped.records) < len(full.records)
         assert stopped.metadata["domains"]["chat"]["stopped_prompts"] > 0
+
+    def test_halted_run_ignores_the_token_cap(self):
+        # Every prompt halts by step 18, so a cap of 10**12 takes the same
+        # steps as one of 64; it allocated a cap-sized array and failed.
+        corpus = synthetic_corpus("chat", n_docs=20, seed=4)
+        short, long = (
+            run_experiment(GenerationConfig(prompts_per_domain=3, max_new_tokens=cap,
+                                            eos_token="<end>"), {"chat": corpus})
+            for cap in (64, 10**12)
+        )
+        assert long.metadata["domains"]["chat"]["stopped_prompts"] == 3
+        for name in STEP_FIELDS:
+            assert np.array_equal(long.records.steps[name], short.records.steps[name])
+        for name in TREE_FIELDS:
+            assert np.array_equal(long.records.trees[name], short.records.trees[name])
+        assert not long.records.position_bin.any()
 
     def test_unknown_eos_token_rejected(self):
         corpora = {d: synthetic_corpus(d, n_docs=6, seed=2, doc_len=100) for d in ("chat", "math")}
@@ -764,3 +781,27 @@ class TestRecordCsv:
         path.write_bytes(b"dom\xffain\n")
         with pytest.raises(InputError, match=f"{path}:1: not UTF-8 text"):
             read_records_csv(path)
+
+
+def test_pipeline_leaves_no_cycles_that_grow_with_the_run(tmp_path):
+    """The CLI pauses the cyclic collector for a whole command, which holds
+    memory bounded only while a run leaves the same cyclic garbage at any size."""
+    corpora = {d: synthetic_corpus(d, n_docs=12, seed=9, doc_len=150) for d in ("chat", "math")}
+
+    def cyclic_garbage(prompts):
+        config = GenerationConfig(prompts_per_domain=prompts, max_new_tokens=32,
+                                  prompt_truncation=40)
+        out = tmp_path / str(prompts)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            emit_report(run_experiment(config, corpora), out)
+            read_records_csv(out / "records.csv")
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    cyclic_garbage(2)  # first calls build caches that live on
+    assert cyclic_garbage(2) == cyclic_garbage(16)
