@@ -68,19 +68,6 @@ class RecordTable:
     __slots__ = ("domains", "steps", "trees", "tree_offsets", "_length", "_columns", "_row_index")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, domains: Sequence[str], domain_code, **columns) -> None:
-        """Records from one column per record field; their steps and trees are found here."""
-        columns["domain_code"] = domain_code
-        unknown = set(columns) - set(RECORD_COLUMNS)
-        if unknown:
-            raise TypeError(f"unknown record columns: {sorted(unknown)}")
-        columns = {name: _array(name, columns[name]) for name in RECORD_COLUMNS}
-        n = columns["domain_code"].shape[0]
-        if any(columns[name].shape != (n,) for name in RECORD_COLUMNS):
-            raise InputError("record columns must be one-dimensional and of equal length")
-        self._set_records(domains, [columns])
-        self._columns = columns
-
     @classmethod
     def from_chunks(
         cls, domains: Sequence[str], chunks: Iterable[Mapping[str, np.ndarray]]
@@ -93,8 +80,7 @@ class RecordTable:
         domains as it meets them.
         """
         table = cls.__new__(cls)
-        table._set_records(domains, ({name: _array(name, chunk[name]) for name in RECORD_COLUMNS}
-                                     for chunk in chunks))
+        table._set_records(domains, map(_record_columns, chunks))
         table._columns = {}
         return table
 
@@ -261,6 +247,15 @@ for _name in RECORD_COLUMNS:
 def _array(name: str, values) -> np.ndarray:
     """``values`` as the dtype of record column ``name``: float64 or int64."""
     return np.asarray(values, dtype=np.float64 if name in FLOAT_FIELDS else np.int64)
+
+
+def _record_columns(chunk: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``chunk``'s ``RECORD_COLUMNS`` as arrays; InputError unless 1-D and of equal length."""
+    columns = {name: _array(name, chunk[name]) for name in RECORD_COLUMNS}
+    shape = columns["domain_code"].shape
+    if len(shape) != 1 or any(column.shape != shape for column in columns.values()):
+        raise InputError("record columns must be one-dimensional and of equal length")
+    return columns
 
 
 def _row_bits(columns: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -9,7 +9,6 @@ tie-breaking is by ascending token index.
 from __future__ import annotations
 
 import abc
-import bisect
 import functools
 import itertools
 import math
@@ -112,23 +111,15 @@ class SparseRow:
     ``top`` order and the entropy equal their dense counterparts bit for
     bit. An empty ``row`` with ``floor`` 1 / size is the uniform fallback.
 
-    ``entropy`` is computed once per count row and kept in ``entropies``
-    (the model's cache) under ``key``: the row's context, or None for a
-    context unseen in training. Counts are assumed non-negative, as ``fit``
-    makes them. ``tops`` keeps ``top``'s rankings by k, made on first use.
+    The row keeps its entropy in ``h`` once computed and ``top``'s rankings
+    by k in ``tops``, made on first use; the model keeps one row per
+    context, so each is computed once per count row. Counts are assumed
+    non-negative, as ``fit`` makes them.
     """
 
-    __slots__ = ("size", "row", "smoothing", "denom", "floor", "key", "entropies", "tops")
+    __slots__ = ("size", "row", "smoothing", "denom", "floor", "h", "tops")
 
-    def __init__(
-        self,
-        size: int,
-        row: Mapping[int, int],
-        smoothing: float,
-        denom: float,
-        key: tuple[int, ...] | None,
-        entropies: dict,
-    ) -> None:
+    def __init__(self, size: int, row: Mapping[int, int], smoothing: float, denom: float) -> None:
         self.size = size
         if denom <= 0.0:
             row, self.floor = {}, 1.0 / size
@@ -137,8 +128,7 @@ class SparseRow:
         self.row = row
         self.smoothing = smoothing
         self.denom = denom
-        self.key = key
-        self.entropies = entropies
+        self.h: float | None = None
         self.tops: dict[int, tuple[tuple[int, float], ...]] | None = None
 
     def __getitem__(self, token: int) -> float:
@@ -188,66 +178,56 @@ class SparseRow:
         return [(token, -p) for p, token in ranked[:k]]
 
     def entropy(self) -> float:
-        """``entropy_nats`` of the dense vector, computed once per count row.
+        """``entropy_nats`` of the dense vector, computed once and kept in ``h``.
 
-        With a positive floor every entry is positive, so the dense sum runs
-        over all ``size`` p ln p terms in token order: the floor's term
-        outside the row and each row token's own term inside it. That array
-        is built from the row's few terms and summed the same way, which
-        gives the same bits without a vocabulary-sized log (np.log gives a
-        value the same result in any array; a test holds it to that). At a
-        zero floor the zero entries drop out of the dense sum, so the dense
-        vector is built.
+        A row with a positive floor is a block of one for ``_block_entropies``.
+        At a zero floor the zero entries drop out of the dense sum, so the
+        dense vector is built.
         """
-        h = self.entropies.get(self.key)
-        if h is None:
+        if self.h is None:
             if self.floor > 0.0:
-                values = np.array([*self._row_probs(), self.floor])
-                terms = values * np.log(values)
-                dense = np.full(self.size, terms[-1])
-                dense[list(self.row)] = terms[:-1]
-                h = float(-dense.sum()) + 0.0
+                _block_entropies([self], self.size)
             else:
-                h = _dense_entropy(self)
-            self.entropies[self.key] = h
-        return h
+                self.h = _dense_entropy(self)
+        return self.h
 
 
 Dist = np.ndarray | SparseRow
 
 # Sparse rows whose entropies are computed together are laid out as
 # C-contiguous (rows x |V|) float64 blocks of at most this many entries.
-# Fewer rows than _ENTROPY_BLOCK_MIN take theirs one at a time: a block's
-# fixed numpy cost is about that of three single-row entropies.
 _ENTROPY_BLOCK = 1 << 16
-_ENTROPY_BLOCK_MIN = 4
 
 
 def entropies(dists: Sequence[Dist]) -> list[float]:
     """``entropy_nats`` of each distribution.
 
-    When at least ``_ENTROPY_BLOCK_MIN`` distinct sparse rows among them
-    have a positive floor and no cached entropy yet, they get theirs a block
-    at a time: each block row is the dense array of p ln p terms that
-    ``SparseRow.entropy`` builds, and a row-wise sum of a C-contiguous block
-    adds each row as the sum of that 1-D array does, so the bits are the
-    same (a test holds it to that).
+    The distinct sparse rows among them that have a positive floor and no
+    entropy yet get theirs a block at a time (``_block_entropies``), and
+    each row keeps it, so a row is summed once however often it is asked.
     """
-    new = {id(d): d for d in dists
-           if isinstance(d, SparseRow) and d.floor > 0.0 and d.key not in d.entropies}
-    if len(new) >= _ENTROPY_BLOCK_MIN:
-        by_size: dict[int, list[SparseRow]] = {}
-        for row in new.values():
-            by_size.setdefault(row.size, []).append(row)
-        for size, rows in by_size.items():
-            per_block = max(1, _ENTROPY_BLOCK // size)
-            for start in range(0, len(rows), per_block):
-                _block_entropies(rows[start:start + per_block], size)
+    new = {id(d): d for d in dists if isinstance(d, SparseRow) and d.floor > 0.0 and d.h is None}
+    by_size: dict[int, list[SparseRow]] = {}
+    for row in new.values():
+        by_size.setdefault(row.size, []).append(row)
+    for size, rows in by_size.items():
+        per_block = max(1, _ENTROPY_BLOCK // size)
+        for start in range(0, len(rows), per_block):
+            _block_entropies(rows[start:start + per_block], size)
     return [entropy_nats(d) for d in dists]
 
 
 def _block_entropies(rows: list[SparseRow], size: int) -> None:
-    """Cache the entropy of each of ``rows`` (positive floors, vocabulary ``size``)."""
+    """Set ``h`` of each of ``rows`` (positive floors, vocabulary ``size``).
+
+    With a positive floor every dense entry is positive, so the dense sum
+    runs over all ``size`` p ln p terms in token order: the floor's term
+    outside the row and each row token's own term inside it. Each block row
+    is that array, built from the rows' few terms without a vocabulary-sized
+    log, and a row-wise sum of a C-contiguous block adds each row as the sum
+    of the dense 1-D array does, so the bits are the same (np.log gives a
+    value the same result in any array; tests hold numpy to both).
+    """
     lengths = [len(row.row) for row in rows]
     n = sum(lengths)
     tokens = np.fromiter(itertools.chain.from_iterable(row.row for row in rows), np.int64, n)
@@ -262,7 +242,7 @@ def _block_entropies(rows: list[SparseRow], size: int) -> None:
     block[:] = terms[n:, None]
     block[np.repeat(np.arange(len(rows)), lengths), tokens] = terms[:n]
     for row, h in zip(rows, (-block.sum(axis=1) + 0.0).tolist()):
-        row.entropies[row.key] = h
+        row.h = h
 
 
 def context_suffix(context: TokenSeq, window: int | None) -> list[int]:
@@ -329,12 +309,11 @@ class NGramModel(LanguageModel):
     1]]`` (ascending), their counts ``_counts`` over the same slice, and the
     sum ``_totals[c]``.
 
-    The levels are walked once per distinct context and the ``SparseRow``
-    built is kept; a batch walks all of its new contexts at once
-    (``_batch_dists``), and ``next_token_dist`` is a batch of one. The
-    entropy of each count row is computed once and cached on the model, so
-    that cache holds at most ``len(counts) + 1`` entries (the extra one for
-    contexts unseen in training).
+    A batch (``_batch_dists``; ``next_token_dist`` is a batch of one) walks
+    the levels once for all of its new contexts, one ``np.searchsorted`` per
+    level (``_read_rows``), and the ``SparseRow`` built for each is kept, so
+    a context is read once. Contexts unseen in training share one row. Each
+    row keeps its own entropy, so that is computed once per count row.
     """
 
     def __init__(
@@ -411,12 +390,9 @@ class NGramModel(LanguageModel):
         self.order = order
         self.context_window = order - 1
         self.smoothing = float(smoothing)
-        self._entropies: dict[tuple[int, ...] | None, float] = {}
         self._rows: dict[tuple[int, ...], SparseRow] = {}
         # Unseen contexts share one row; () is the real document-start row.
-        size = vocab.size
-        self._unseen = SparseRow(size, {}, self.smoothing, self.smoothing * size, None,
-                                 self._entropies)
+        self._unseen = SparseRow(vocab.size, {}, self.smoothing, self.smoothing * vocab.size)
 
     def _rank(self, columns: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, int]:
         """Fill ``_levels`` from each level's ``back`` column.
@@ -430,7 +406,6 @@ class NGramModel(LanguageModel):
         parents = 1
         for back in columns:
             codes, ids = _distinct(ids * radix + back, parents * radix)
-            # Memoryviews index to plain ints without a list of them.
             self._levels.append(memoryview(codes))
             parents = codes.size
         return ids, parents if self._levels else min(n, 1)
@@ -470,62 +445,40 @@ class NGramModel(LanguageModel):
     def next_token_dist(self, context: TokenSeq) -> SparseRow:
         return self._batch_dists([context])[0]
 
-    def _read_row(self, key: tuple[int, ...]) -> SparseRow:
-        """The ``SparseRow`` of ``key``'s count row, found by walking the levels."""
-        n, radix = len(key), self.vocab.size + 1
-        node = 0
-        for k, codes in enumerate(self._levels, 1):
-            code = node * radix + (key[-k] + 1 if k <= n else 0)
-            node = bisect.bisect_left(codes, code)
-            if node == len(codes) or codes[node] != code:
-                return self._unseen
-        if node >= len(self._totals):
-            return self._unseen
-        start, stop = self._offsets[node], self._offsets[node + 1]
-        row = dict(zip(self._tokens[start:stop], self._counts[start:stop]))
-        return self._row(key, row, self._totals[node])
-
-    def _row(self, key: tuple[int, ...], row: dict[int, int], total: int) -> SparseRow:
-        """The ``SparseRow`` of ``key``'s successor counts ``row``, which sum to ``total``."""
-        size = self.vocab.size
-        denom = total + self.smoothing * size
-        return SparseRow(size, row, self.smoothing, denom, key, self._entropies)
-
     def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[SparseRow]:
         """``next_token_dists``: one range check for the batch, a dict hit per
-        context seen before, and one walk of the levels for the new ones."""
+        context seen before, and one ``_read_rows`` for the new ones."""
         size, span = self.vocab.size, self.context_window
         tokens = list(itertools.chain.from_iterable(contexts))
         if tokens and (min(tokens) < 0 or max(tokens) >= size):
             raise InputError("context contains a token outside the model vocabulary")
         # A key of numpy ints finds the row of the same plain ints; a miss
-        # is looked up again as plain ints before it is read.
+        # is looked up again as plain ints (InputError if a token is not an
+        # integer) before it is read.
         keys = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
         rows = self._rows
         dists = list(map(rows.get, keys))
         if None in dists:
             missed = [i for i, dist in enumerate(dists) if dist is None]
-            plain = {keys[i]: tuple(map(int, keys[i])) for i in missed}
+            plain = {keys[i]: _int_key(keys[i]) for i in missed}
             new = [key for key in dict.fromkeys(plain.values()) if key not in rows]
-            if len(new) >= _ARRAY_WALK_MIN:
-                rows.update(zip(new, self._read_rows(new)))
-            else:
-                rows.update((key, self._read_row(key)) for key in new)
+            rows.update(zip(new, self._read_rows(new)))
             for i in missed:
                 dists[i] = rows[plain[keys[i]]]
         return dists
 
     def _read_rows(self, keys: list[tuple[int, ...]]) -> list[SparseRow]:
-        """``_read_row`` of each key, with each level searched for all keys at once.
+        """The ``SparseRow`` of each key's count row, each level searched for all keys at once.
 
         A key's column k - 1 holds its ``back`` at level k; a key shorter
-        than the window is padded with -1, whose ``back`` is 0.
+        than the window is padded with -1, whose ``back`` is 0. A key that
+        leaves the levels gets the shared unseen row.
         """
-        span, radix = self.order - 1, self.vocab.size + 1
+        span, radix, size = self.order - 1, self.vocab.size + 1, self.vocab.size
         node = np.zeros(len(keys), dtype=np.int64)
         if span:
             padded = np.array([key if len(key) == span else (-1,) * (span - len(key)) + key
-                               for key in keys], dtype=np.int64)
+                               for key in keys], dtype=np.int64).reshape(len(keys), span)
             backs = padded[:, ::-1] + 1
             for k, codes in enumerate(self._levels):
                 codes = np.asarray(codes)
@@ -536,7 +489,8 @@ class NGramModel(LanguageModel):
                 found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
                 # An unseen parent (-1) makes a negative code, which never matches.
                 node = np.where(codes[found] == want, found, -1)
-        seen = node[(node >= 0) & (node < len(self._totals))]
+        n_rows = len(self._totals)
+        seen = node[(node >= 0) & (node < n_rows)]
         # Every seen row's successors and counts, gathered into two lists.
         offsets = np.asarray(self._offsets)
         starts, lengths = offsets[seen], offsets[seen + 1] - offsets[seen]
@@ -544,22 +498,18 @@ class NGramModel(LanguageModel):
                                                         lengths)
         tokens, counts = np.asarray(self._tokens)[at].tolist(), np.asarray(self._counts)[at].tolist()
         found = iter(zip(lengths.tolist(), np.asarray(self._totals)[seen].tolist()))
+        smoothing = self.smoothing
         rows, start = [], 0
-        for key, n in zip(keys, node.tolist()):
-            if not 0 <= n < len(self._totals):
+        for n in node.tolist():
+            if not 0 <= n < n_rows:
                 rows.append(self._unseen)
                 continue
             length, total = next(found)
             stop = start + length
-            rows.append(self._row(key, dict(zip(tokens[start:stop], counts[start:stop])), total))
+            rows.append(SparseRow(size, dict(zip(tokens[start:stop], counts[start:stop])),
+                                  smoothing, total + smoothing * size))
             start = stop
         return rows
-
-
-# A batch with fewer new contexts than this walks the levels one context at
-# a time: below it, the array walk's fixed numpy cost (about 60 us on a
-# 2-CPU VM) is more than the single walks it replaces.
-_ARRAY_WALK_MIN = 32
 
 
 # Up to this many codes' worth of code space, a presence mask or a bincount
@@ -599,6 +549,17 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts[keys]
 
 
+def _int_key(key: tuple) -> tuple[int, ...]:
+    """``key`` as plain ints; InputError unless each of its tokens is an integer."""
+    try:
+        plain = tuple(map(int, key))
+    except (TypeError, ValueError, OverflowError):
+        plain = None
+    if plain != key:
+        raise InputError(f"context {key!r} holds a token that is not an integer")
+    return plain
+
+
 def _check_tokens(tokens: Iterable, size: int) -> None:
     for token in tokens:
         if not isinstance(token, numbers.Integral) or not 0 <= token < size:
@@ -626,4 +587,4 @@ class TableModel(LanguageModel):
 
     def next_token_dist(self, context: TokenSeq) -> np.ndarray:
         self.check_context(context)
-        return self.table.get(tuple(int(t) for t in context), self.default)
+        return self.table.get(_int_key(tuple(context)), self.default)

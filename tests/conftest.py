@@ -18,7 +18,8 @@ def record_table(rows):
     codes = {}
     columns = list(zip(*rows)) or [()] * len(RECORD_FIELDS)
     domain_code = [codes.setdefault(name, len(codes)) for name in columns[0]]
-    return RecordTable(codes, domain_code, **dict(zip(RECORD_FIELDS[1:], columns[1:])))
+    return RecordTable.from_chunks(
+        codes, [dict(zip(RECORD_FIELDS[1:], columns[1:]), domain_code=domain_code)])
 
 
 def table_rows(table):

@@ -501,9 +501,9 @@ class TestRecordTable:
         assert all(getattr(table, name).dtype == np.int64 for name in INT_FIELDS)
         assert all(getattr(table, name).dtype == np.float64 for name in FLOAT_FIELDS)
         columns = {name: getattr(table, name) for name in RECORD_FIELDS[1:]}
-        renumbered = RecordTable(("a", "b"), [1, 0], **columns)
+        renumbered = RecordTable.from_chunks(("a", "b"), [{**columns, "domain_code": [1, 0]}])
         assert renumbered == table
-        assert RecordTable(("a", "b"), [0, 1], **columns) != table
+        assert RecordTable.from_chunks(("a", "b"), [{**columns, "domain_code": [0, 1]}]) != table
         assert table != records
 
     def test_empty(self):
@@ -514,17 +514,17 @@ class TestRecordTable:
     def test_rejects_ragged_columns_and_bad_codes(self):
         columns = {name: [0] for name in RECORD_FIELDS[1:]}
         with pytest.raises(InputError):
-            RecordTable(("a",), [0, 0], **columns)
+            RecordTable.from_chunks(("a",), [{**columns, "domain_code": [0, 0]}])
         with pytest.raises(InputError):
-            RecordTable(("a",), [1], **columns)
+            RecordTable.from_chunks(("a",), [{**columns, "domain_code": [1]}])
         with pytest.raises(InputError):
-            RecordTable(("a", "a"), [0], **columns)
+            RecordTable.from_chunks(("a", "a"), [{**columns, "domain_code": [0]}])
 
     @pytest.mark.parametrize("name", ["a\nb", "a\rb", "\r\n"])
     def test_rejects_a_line_break_in_a_domain_name(self, name):
         columns = {field: [0] for field in RECORD_FIELDS[1:]}
         with pytest.raises(InputError, match=re.escape(f"domain name {name!r} holds a line break")):
-            RecordTable(("ok", name), [0], **columns)
+            RecordTable.from_chunks(("ok", name), [{**columns, "domain_code": [0]}])
 
     def from_steps(self, tree, prompt_id=(0, 1, 2, 3), offsets=(0, 1, 2, 3, 3)):
         # Candidate trees: c0 and c1 hold equal rows, c2 another, c3 none.

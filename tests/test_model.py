@@ -195,21 +195,21 @@ class TestNextTokenDist:
         for ctx, dist in zip(contexts, batched):
             assert np.array_equal(dist, model.next_token_dist(ctx))
 
-    def test_batch_past_the_array_walk_matches_single(self):
-        # Enough new contexts for the array walk: short, full and longer than
-        # the window, unseen ones, numpy ints and repeats.
+    def test_large_batch_matches_single(self):
+        # Short, full and longer than the window, unseen ones, numpy ints
+        # and repeats, all new in one batch.
         rng = np.random.default_rng(59)
         vocab = Vocabulary(tuple(f"t{i}" for i in range(30)))
         docs = [[int(t) for t in rng.integers(0, 30, size=200)] for _ in range(3)]
         model = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
         twin = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
-        contexts = [list(rng.integers(0, 30, size=int(rng.integers(0, 6))))
-                    for _ in range(3 * model_module._ARRAY_WALK_MIN)]
+        contexts = [list(rng.integers(0, 30, size=int(rng.integers(0, 6)))) for _ in range(96)]
         contexts += contexts[:5] + [[int(t) for t in c] for c in contexts[5:10]]
         batched = model.next_token_dists(contexts)
         for context, dist in zip(contexts, batched):
-            assert_same_bits(dist, twin.next_token_dist(context))
-            assert dist.key == twin.next_token_dist(context).key
+            single = twin.next_token_dist(context)
+            assert_same_bits(dist, single)
+            assert (dist.row, dist.denom) == (single.row, single.denom)
             assert model.next_token_dist(context) is dist  # kept, not read again
 
     @pytest.mark.parametrize("bad", [[4], [-1], [0, 1, 9]])
@@ -217,6 +217,20 @@ class TestNextTokenDist:
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=2, smoothing=0.2)
         with pytest.raises(InputError):
             model.next_token_dists([[0], bad, [1]])
+
+    @pytest.mark.parametrize("bad", [[1.5], [0, 2.5], [float("nan")], [2, float("nan")]])
+    def test_rejects_a_token_that_is_not_an_integer(self, bad):
+        # On a first call, and again once the context of the same ints is
+        # known; numpy ints are integers.
+        plain = [0 if math.isnan(t) else int(t) for t in bad]
+        for model in (NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=3, smoothing=0.2),
+                      TableModel(WXYZ, [0.25] * 4, {tuple(plain): [0.7, 0.1, 0.1, 0.1]})):
+            for _ in range(2):
+                with pytest.raises(InputError, match="not an integer"):
+                    model.next_token_dist(bad)
+                with pytest.raises(InputError, match="not an integer"):
+                    model.next_token_dists([plain, bad])
+                assert model.next_token_dist(np.array(plain)) is model.next_token_dist(plain)
 
 
 class TestContextWindow:
@@ -293,7 +307,6 @@ class TestCountStore:
             assert_same_bits(packed.next_token_dist(context), dense)
             assert top_candidates(dist, min(3, size)) == top_candidates(dense, min(3, size))
             assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
-        assert len(model._entropies) <= len(model.counts) + 1
 
     def test_random_shapes(self):
         rng = np.random.default_rng(43)
@@ -466,7 +479,7 @@ class TestSparseRow:
                     assert top_candidates(dist, 40) == top_candidates(dense, 40)
 
     def test_log_does_not_depend_on_array_length(self):
-        # SparseRow.entropy takes its p ln p terms from a short array and the
+        # _block_entropies takes its p ln p terms from a short array and the
         # dense path from a vocabulary-sized one; their bits agree only while
         # np.log gives a value the same result wherever it sits.
         values = np.random.default_rng(31).random(20_000) + 1e-12
@@ -476,9 +489,9 @@ class TestSparseRow:
             assert_same_bits(np.concatenate(parts), whole)
 
     def test_row_sums_of_a_block_equal_one_dimensional_sums(self):
-        # ``entropies`` sums each row of a C-contiguous block where
-        # SparseRow.entropy sums a 1-D array; the bits agree only while
-        # numpy adds a block row as it adds the same values alone.
+        # _block_entropies sums each row of a C-contiguous block where the
+        # dense path sums a 1-D array; the bits agree only while numpy adds
+        # a block row as it adds the same values alone.
         rng = np.random.default_rng(37)
         for width in (129, 517, 3999, 4000, 8193):
             block = rng.random((64, width)) * rng.choice([1e-6, 1.0, 1e6], size=(64, 1))
@@ -493,7 +506,7 @@ class TestSparseRow:
         blocks = []
         block_entropies = model_module._block_entropies
         monkeypatch.setattr(model_module, "_block_entropies",
-                            lambda rows, width: blocks.append(len(rows)) or block_entropies(rows, width))
+                            lambda rows, width: blocks.append(rows) or block_entropies(rows, width))
         rng = np.random.default_rng(size + int(10 * smoothing))
         vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
         counts = {}
@@ -505,27 +518,37 @@ class TestSparseRow:
         unseen = [[t] for t in range(size) if (t,) not in counts][:2]
         contexts = [list(key) for key in counts] + unseen + [list(next(iter(counts)))]
         model = NGramModel(vocab, 2, counts, smoothing)
+        dists = model.next_token_dists(contexts)
+        hs = entropies(dists)
+        # Every distinct row with a positive floor goes through a block once
+        # (at smoothing 0, only the uniform fallbacks have one).
+        positive = {id(d): d for d in dists if d.floor > 0.0}
+        assert sorted(id(row) for rows in blocks for row in rows) == sorted(positive)
+        if smoothing:
+            assert len(positive) == 12
+        assert max(map(len, blocks)) <= 3
         twin = NGramModel(vocab, 2, counts, smoothing)
-        for context, h in zip(contexts, entropies(model.next_token_dists(contexts))):
+        for context, h in zip(contexts, hs):
             single = twin.next_token_dist(context)
             assert h.hex() == single.entropy().hex() == _dense_entropy(np.asarray(single)).hex()
-        # At a positive floor every distinct row goes through a block.
-        assert sum(blocks) == (12 if smoothing else 0) and max(blocks, default=0) <= 3
 
-    def test_few_rows_take_entropies_one_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(model_module, "_block_entropies", lambda *args: pytest.fail("block"))
-        model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=2, smoothing=0.1)
-        rows = model.next_token_dists([[0], [1], [0]])
-        assert entropies([*rows, np.asarray(rows[0])]) == [
-            *(_dense_entropy(np.asarray(row)) for row in rows), _dense_entropy(np.asarray(rows[0]))]
-
-    def test_entropy_cache_keyed_per_count_row(self):
+    def test_each_row_enters_a_block_once(self, monkeypatch):
+        entered = []
+        block_entropies = model_module._block_entropies
+        monkeypatch.setattr(model_module, "_block_entropies",
+                            lambda rows, width: entered.extend(rows) or block_entropies(rows, width))
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=3, smoothing=0.1)
-        for context in ([2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]):
-            entropy_nats(model.next_token_dist(context))
-        # [2, 2] and [3, 0] are unseen and share one entry; [2, 0, 1] reads (0, 1).
-        assert set(model._entropies) == {None, (), (0,), (0, 1)}
-        assert len(model._entropies) <= len(model.counts) + 1
+        rows = model.next_token_dists([[2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]])
+        # [2, 2], [3, 0] and [1, 1] are unseen and share one row; [2, 0, 1] reads (0, 1).
+        assert rows[0] is rows[1] is model.next_token_dist([1, 1])
+        assert rows[5] is rows[4]
+        dense = [_dense_entropy(np.asarray(row)) for row in rows]
+        assert entropy_nats(rows[3]) == dense[3]  # a block of one
+        for _ in range(2):
+            assert entropies([*rows, np.asarray(rows[0])]) == [*dense, dense[0]]
+            assert [entropy_nats(row) for row in rows] == dense
+        assert len(entered) == len({id(row) for row in rows}) == 4
+        assert {id(row) for row in entered} == {id(row) for row in rows}
 
     def test_top_repeats_and_hands_out_copies(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=2, smoothing=0.1)

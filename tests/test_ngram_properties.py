@@ -153,26 +153,30 @@ def random_model(rng, case):
     return NGramModel(vocab, order, counts, 0.1), types
 
 
-def test_array_walk_matches_the_single_walk():
-    # Every context the model holds, of each length up to its window, and
-    # random ones, mostly unseen: one token type more than the model saw.
+def test_level_walk_matches_the_decoded_counts():
+    # ``counts`` decodes each row's context by divmod over the levels; the
+    # level walk must find that row for every context the model holds, for
+    # their shorter suffixes and for random keys, mostly unseen: one token
+    # type more than the model saw.
     rng = np.random.default_rng(4203)
     unseen = 0
     for case in range(CASES):
         model, types = random_model(rng, case)
-        span = model.order - 1
-        keys = list(model.counts)
-        keys += [tuple(int(t) for t in rng.integers(0, min(types + 1, model.vocab.size),
+        span, size = model.order - 1, model.vocab.size
+        held = model.counts
+        keys = list(held) + [key[1:] for key in held if key]
+        keys += [tuple(int(t) for t in rng.integers(0, min(types + 1, size),
                                                      size=int(rng.integers(0, span + 1))))
                  for _ in range(40)]
         keys = list(dict.fromkeys(keys))
-        for key, row in zip(keys, model._read_rows(keys)):
-            single = model._read_row(key)
-            if single is model._unseen:
+        assert model._read_rows([]) == []
+        for key, row in zip(keys, model._read_rows(keys), strict=True):
+            expected = held.get(key)
+            if expected is None:
                 assert row is model._unseen
                 unseen += 1
                 continue
-            assert (row.key, row.denom, row.floor) == (single.key, single.denom, single.floor)
-            assert list(row.row.items()) == list(single.row.items())
+            assert list(row.row.items()) == list(expected.items())
+            assert row.denom == sum(expected.values()) + 0.1 * size
             assert all(type(v) is int for v in (*row.row, *row.row.values()))
     assert unseen >= CASES

@@ -131,9 +131,8 @@ def random_table(rng):
     p_draft = [float(v) for v in rng.choice([v for v in FLOATS if v > 0], n)]
     p_target = [float(v) for v in rng.choice(FLOATS, n)]
     big = np.array([0, 1, 7, 2**31, 2**63 - 1, -(2**63)], dtype=np.int64)
-    return RecordTable(
-        names,
-        rng.integers(0, len(names), n),
+    return RecordTable.from_chunks(names, [dict(
+        domain_code=rng.integers(0, len(names), n),
         prompt_id=rng.choice(big, n),
         step_index=rng.choice(big[big >= 0], n),
         depth=rng.choice(big[big >= 1], n),
@@ -143,7 +142,7 @@ def random_table(rng):
         p_target=p_target,
         alpha=[min(1.0, t / d) for t, d in zip(p_target, p_draft)],
         target_entropy=rng.choice(FLOATS, n),
-    )
+    )])
 
 
 def random_tree(rng):

@@ -598,9 +598,8 @@ def awkward_table():
     n = len(AWKWARD)
     p_draft = [v if v > 0 else 0.5 for v in AWKWARD]
     p_target = AWKWARD[3:] + AWKWARD[:3]
-    return RecordTable(
-        ("chat", "a,b", 'q"t'),
-        [i % 3 for i in range(n)],
+    return RecordTable.from_chunks(("chat", "a,b", 'q"t'), [dict(
+        domain_code=[i % 3 for i in range(n)],
         prompt_id=range(n),
         step_index=[0, 1, 2, 3, 0, 1, 2, 3],
         depth=[1, 2, 1, 2, 3, 1, 2, 1],
@@ -610,7 +609,7 @@ def awkward_table():
         p_target=p_target,
         alpha=[min(1.0, t / d) for t, d in zip(p_target, p_draft)],
         target_entropy=AWKWARD,
-    )
+    )])
 
 
 class TestRecordCsv:
@@ -654,7 +653,8 @@ class TestRecordCsv:
         base = awkward_table()
         reps = 100_000 // len(base)
         columns = {name: np.tile(getattr(base, name), reps) for name in RECORD_FIELDS[1:]}
-        table = RecordTable(base.domains, np.tile(base.domain_code, reps), **columns)
+        columns["domain_code"] = np.tile(base.domain_code, reps)
+        table = RecordTable.from_chunks(base.domains, [columns])
         path = tmp_path / "records.csv"
         write_records_csv(table, path)
         seen = []
