@@ -32,7 +32,6 @@ from .model import (
     LanguageModel,
     NGramModel,
     SparseRow,
-    TableModel,
     Vocabulary,
     entropy_nats,
     top_candidates,

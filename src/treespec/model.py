@@ -12,7 +12,6 @@ import abc
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -245,12 +244,6 @@ def _block_entropies(rows: list[SparseRow], size: int) -> None:
         row.h = h
 
 
-def context_suffix(context: TokenSeq, window: int | None) -> list[int]:
-    """The last ``window`` tokens of ``context`` as ints; all of it when None."""
-    start = 0 if window is None else max(0, len(context) - window)
-    return list(map(int, context[start:]))
-
-
 class LanguageModel(abc.ABC):
     """Yields a normalized next-token distribution for any token context.
 
@@ -281,10 +274,17 @@ class LanguageModel(abc.ABC):
         """``next_token_dists``; by default, one ``next_token_dist`` per context."""
         return [self.next_token_dist(c) for c in contexts]
 
-    def check_context(self, context: TokenSeq) -> None:
-        """Raise InputError unless every token of ``context`` is in the vocabulary."""
-        if len(context) and (min(context) < 0 or max(context) >= self.vocab.size):
+    def window(self, context: TokenSeq) -> tuple[int, ...]:
+        """The last ``context_window`` tokens of ``context`` as ints, all of them when None.
+
+        InputError unless every token of the whole context is an integer
+        (``_int_key``) in the vocabulary.
+        """
+        tokens = _int_key(tuple(context))
+        if tokens and (min(tokens) < 0 or max(tokens) >= self.vocab.size):
             raise InputError("context contains a token outside the model vocabulary")
+        span = self.context_window
+        return tokens if span is None else tokens[max(0, len(tokens) - span):]
 
 
 class NGramModel(LanguageModel):
@@ -316,41 +316,6 @@ class NGramModel(LanguageModel):
     row keeps its own entropy, so that is computed once per count row.
     """
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        order: int,
-        counts: Mapping[tuple[int, ...], Mapping[int, int]],
-        smoothing: float,
-    ) -> None:
-        """Pack ``counts`` (context tuple -> {token: count}) into the columns.
-
-        Contexts may be shorter than ``order - 1`` but not longer, every token
-        must be in the vocabulary and every count a non-negative integer.
-        """
-        self._setup(vocab, order, smoothing)
-        span, size = order - 1, vocab.size
-        backs, lengths, tokens, weights = [], [], [], []
-        for context, row in counts.items():
-            context = tuple(context)
-            if len(context) > span:
-                raise InputError(f"context {context} is longer than order - 1 = {span}")
-            _check_tokens(context, size)
-            _check_tokens(row, size)
-            for count in row.values():
-                if not isinstance(count, numbers.Integral) or count < 0:
-                    raise InputError(f"count {count!r} after context {context} is not "
-                                     "a non-negative integer")
-            backs.append([context[-k] + 1 if k <= len(context) else 0 for k in range(1, order)])
-            lengths.append(len(row))
-            tokens.extend(row)
-            weights.extend(row.values())
-        columns = np.array(backs, dtype=np.int64).reshape(len(backs), span).T
-        ids, n_contexts = self._rank(columns, len(backs))
-        keys = np.repeat(ids, lengths) * size + np.array(tokens, dtype=np.int64)
-        ascending = np.argsort(keys)
-        self._pack(keys[ascending], np.array(weights, dtype=np.int64)[ascending], n_contexts)
-
     @classmethod
     def fit(
         cls,
@@ -373,26 +338,23 @@ class NGramModel(LanguageModel):
         smoothing: float,
     ) -> "NGramModel":
         """``fit`` on documents given as ``_flat_documents`` gives them."""
-        model = cls.__new__(cls)
-        model._setup(vocab, order, smoothing)
+        if order < 1:
+            raise InputError("order must be >= 1")
+        if not 0 <= smoothing < math.inf:
+            raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
+        model = cls()
+        model.vocab = vocab
+        model.order = order
+        model.context_window = order - 1
+        model.smoothing = float(smoothing)
+        model._rows = {}  # context -> its SparseRow, once read
+        # Unseen contexts share one row; () is the real document-start row.
+        model._unseen = SparseRow(vocab.size, {}, model.smoothing, model.smoothing * vocab.size)
         # Made one level at a time, so only one column is alive at once.
         columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, order))
         ids, n_contexts = model._rank(columns, flat.size)
         model._pack(*_count(ids * vocab.size + flat, n_contexts * vocab.size), n_contexts)
         return model
-
-    def _setup(self, vocab: Vocabulary, order: int, smoothing: float) -> None:
-        if order < 1:
-            raise InputError("order must be >= 1")
-        if not 0 <= smoothing < math.inf:
-            raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
-        self.vocab = vocab
-        self.order = order
-        self.context_window = order - 1
-        self.smoothing = float(smoothing)
-        self._rows: dict[tuple[int, ...], SparseRow] = {}
-        # Unseen contexts share one row; () is the real document-start row.
-        self._unseen = SparseRow(vocab.size, {}, self.smoothing, self.smoothing * vocab.size)
 
     def _rank(self, columns: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, int]:
         """Fill ``_levels`` from each level's ``back`` column.
@@ -415,8 +377,7 @@ class NGramModel(LanguageModel):
         size = self.vocab.size
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
-        # Differences of running sums give an empty row (a context given
-        # with no successors) a total of 0.
+        # Differences of running sums give a row with no successors a total of 0.
         cumulative = np.concatenate(([0], np.cumsum(counts)))
         self._offsets = memoryview(offsets)
         self._tokens = memoryview(keys - rows * size)
@@ -558,33 +519,3 @@ def _int_key(key: tuple) -> tuple[int, ...]:
     if plain != key:
         raise InputError(f"context {key!r} holds a token that is not an integer")
     return plain
-
-
-def _check_tokens(tokens: Iterable, size: int) -> None:
-    for token in tokens:
-        if not isinstance(token, numbers.Integral) or not 0 <= token < size:
-            raise InputError(f"token {token!r} outside the model vocabulary of {size}")
-
-
-class TableModel(LanguageModel):
-    """Hand-built model: explicit distributions per exact context tuple.
-
-    Contexts absent from the table get ``default``. Useful for constructing
-    worked examples and oracle tests with known probabilities.
-    """
-
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        default: np.ndarray | Sequence[float],
-        table: Mapping[tuple[int, ...], np.ndarray | Sequence[float]] | None = None,
-    ) -> None:
-        self.vocab = vocab
-        self.default = validate_dist(default, vocab.size)
-        self.table = {
-            tuple(ctx): validate_dist(d, vocab.size) for ctx, d in (table or {}).items()
-        }
-
-    def next_token_dist(self, context: TokenSeq) -> np.ndarray:
-        self.check_context(context)
-        return self.table.get(_int_key(tuple(context)), self.default)

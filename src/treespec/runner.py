@@ -220,8 +220,9 @@ def run_experiment(
     cost follows the steps taken, not ``max_new_tokens``. A step's
     position bin is 1 when ``2 * step_index >= max_new_tokens``, else 0.
     Steps are recorded prompt by prompt, as a loop
-    over one prompt at a time would record them. A prompt's tokens are
-    range-checked once, whole; each window is checked again inside the step.
+    over one prompt at a time would record them. Prompts are prefixes of
+    the corpus documents, which ``train_models`` range-checks over the same
+    vocabulary; each window is checked again inside the step.
     """
     if not corpora:
         raise InputError("need at least one domain corpus")
@@ -257,10 +258,7 @@ def run_experiment(
         # A context's memo key: its last ``window`` tokens, all of them when None.
         cut = slice(-window, None) if window else slice(None) if window is None else slice(0, 0)
         memo: dict[tuple[int, ...], tuple[int, int]] = {}  # key -> (entry, committed token)
-        contexts = []
-        for prompt in prompt_set.prompts:
-            draft.check_context(prompt)  # both models share the corpus vocabulary
-            contexts.append(list(prompt))
+        contexts = [list(prompt) for prompt in prompt_set.prompts]
         # Each recorded step's prompt and memo entry, wave by wave.
         prompt_ids: list[int] = []
         entries: list[int] = []

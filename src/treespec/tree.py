@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Generator, NamedTuple, Sequence
 
 from .errors import InputError
-from .model import Dist, LanguageModel, TokenSeq, context_suffix, top_candidates
+from .model import Dist, LanguageModel, TokenSeq, top_candidates
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,11 @@ def _grow(
     cap stops expansion, or no expandable node remains. Zero-probability
     candidates are never materialized (they are not proposals). Each frontier
     is rescored fresh over context + path, requested per depth wave; the
-    context is range-checked once and then cut to the draft's window.
+    context is checked once and cut to the draft's window (``draft.window``).
     """
     if len(context) == 0:
         raise InputError("context must be non-empty")
-    draft.check_context(context)
-    base = tuple(context_suffix(context, draft.context_window))
+    base = draft.window(context)
     vocab_size = draft.vocab.size
     max_nodes, max_depth = params.max_nodes, params.max_depth
     tree = DraftTree([], [], [], [], [], [], len(context))

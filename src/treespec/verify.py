@@ -17,14 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import (
-    LanguageModel,
-    TokenSeq,
-    context_suffix,
-    entropies,
-    top_candidates,
-    validate_dist,
-)
+from .model import LanguageModel, TokenSeq, entropies, top_candidates, validate_dist
 from .tree import DraftTree
 
 
@@ -63,7 +56,7 @@ def score_trees(
     (``model.entropies``) and the acceptance probabilities as one array
     (``acceptance_probs``). The bonus token is the top candidate of the
     bare-context row (ties to the lowest token index). Each context is
-    range-checked once and then cut to the target's window.
+    checked once and cut to the target's window (``target.window``).
     """
     if len(contexts) != len(trees):
         raise InputError("need one context per tree")
@@ -73,8 +66,7 @@ def score_trees(
     for context, tree in zip(contexts, trees):
         if tree.context_len != len(context):
             raise InputError("tree was built over a context of different length")
-        target.check_context(context)
-        base = tuple(context_suffix(context, target.context_window))
+        base = target.window(context)
         prefix_slot: dict[tuple[int, ...], int] = {(): len(requests)}
         bare.append(len(requests))
         requests.append(base)

@@ -2,9 +2,10 @@ import json
 from collections import namedtuple
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from treespec import RecordTable, synthetic_corpora
+from treespec import LanguageModel, NGramModel, RecordTable, synthetic_corpora
 from treespec.metrics import RECORD_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -26,6 +27,54 @@ def table_rows(table):
     """Each record of ``table`` as a Row."""
     columns = [getattr(table, name).tolist() for name in RECORD_FIELDS[1:]]
     return [Row(table.domains[code], *values) for code, *values in zip(table.domain_code.tolist(), *columns)]
+
+
+def ngram_model(vocab, order, counts, smoothing):
+    """An NGramModel holding exactly ``counts`` (context tuple -> {token: count}).
+
+    Contexts may be shorter than ``order - 1``. The model fits no documents,
+    then its columns are packed from the mapping with ``fit``'s own
+    ``_rank`` and ``_pack``. Nothing is checked: test data is valid by
+    construction.
+    """
+    model = NGramModel.fit(vocab, [], order, smoothing)
+    backs = [[context[-k] + 1 if k <= len(context) else 0 for k in range(1, order)]
+             for context in counts]
+    columns = np.array(backs, dtype=np.int64).reshape(len(backs), order - 1).T
+    ids, n_contexts = model._rank(columns, len(backs))
+    lengths = [len(row) for row in counts.values()]
+    tokens = np.array([t for row in counts.values() for t in row], dtype=np.int64)
+    weights = np.array([c for row in counts.values() for c in row.values()], dtype=np.int64)
+    keys = np.repeat(ids, lengths) * vocab.size + tokens
+    ascending = np.argsort(keys)
+    model._pack(keys[ascending], weights[ascending], n_contexts)
+    return model
+
+
+class TableModel(LanguageModel):
+    """Hand-built model: an explicit dense distribution per exact window.
+
+    It reads the last ``context_window`` tokens (all of them when None), and
+    a window absent from ``table`` gets ``default``. It keeps each batch of
+    contexts it is asked in ``batches`` and counts the contexts it scores in
+    ``scored``. Distributions are taken as given.
+    """
+
+    def __init__(self, vocab, default, table=None, context_window=None):
+        self.vocab = vocab
+        self.context_window = context_window
+        self.default = np.asarray(default, dtype=np.float64)
+        self.table = {tuple(c): np.asarray(d, dtype=np.float64) for c, d in (table or {}).items()}
+        self.batches = []
+        self.scored = 0
+
+    def next_token_dist(self, context):
+        self.scored += 1
+        return self.table.get(self.window(context), self.default)
+
+    def _batch_dists(self, contexts):
+        self.batches.append([tuple(c) for c in contexts])
+        return super()._batch_dists(contexts)
 
 
 @pytest.fixture(scope="session")

@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import TableModel, ngram_model
 from treespec import (
     InputError,
     NGramModel,
-    TableModel,
     Vocabulary,
     entropy_nats,
     top_candidates,
     validate_dist,
 )
 from treespec import model as model_module
-from treespec.model import _dense_entropy, context_suffix, entropies
+from treespec.model import _dense_entropy, entropies
 
 AB = Vocabulary(("a", "b"))
 WXYZ = Vocabulary(("w", "x", "y", "z"))
@@ -48,22 +48,38 @@ class TestVocabulary:
 
 
 class TestCheckContext:
-    model = TableModel(WXYZ, [0.25, 0.25, 0.25, 0.25])
+    """``window`` checks the whole context and returns the model's window of it."""
+
+    model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=3, smoothing=0.2)
 
     @pytest.mark.parametrize(
-        "context",
-        [[], (), [0, 3, 1], (3,), [np.int64(2), np.int32(0)], np.array([1, 2, 3])],
+        "context, window",
+        [([], ()), ((), ()), ([0, 3, 1], (3, 1)), ((3,), (3,)),
+         ([np.int64(2), np.int32(0)], (2, 0)), (np.array([1, 2, 3]), (2, 3))],
     )
-    def test_in_vocabulary_accepted(self, context):
-        self.model.check_context(context)
+    def test_in_vocabulary_accepted(self, context, window):
+        got = self.model.window(context)
+        assert got == window
+        assert all(type(t) is int for t in got)
 
     @pytest.mark.parametrize(
         "context",
-        [[-1], [0, 1, -5], [4], [0, 99], [np.int64(4)], np.array([0, -1]), np.array([7])],
+        [[-1], [0, 1, -5], [4], [0, 99], [np.int64(4)], np.array([0, -1]), np.array([7]),
+         [99, 0, 1], [-1, 2, 3, 0]],
     )
     def test_outside_vocabulary_rejected(self, context):
+        # Anywhere in the context, before the window too.
         with pytest.raises(InputError, match="outside the model vocabulary"):
-            self.model.check_context(context)
+            self.model.window(context)
+
+    @pytest.mark.parametrize(
+        "context",
+        [[1.5], [0, 1.5], [1.5, 0, 1], [float("nan")], [2, float("nan")], [float("nan"), 0, 1],
+         ["1"], [None, 0, 1]],
+    )
+    def test_token_that_is_not_an_integer_rejected(self, context):
+        with pytest.raises(InputError, match="not an integer"):
+            self.model.window(context)
 
 
 class TestValidateDist:
@@ -86,10 +102,6 @@ class TestValidateDist:
     def test_rejects_non_finite(self, value):
         with pytest.raises(InputError, match="non-finite"):
             validate_dist([value, 1.0])
-        with pytest.raises(InputError, match="non-finite"):
-            TableModel(AB, [value, 1.0])
-        with pytest.raises(InputError, match="non-finite"):
-            TableModel(AB, [0.5, 0.5], {(0,): [1.0, value]})
 
 
 class TestNextTokenDist:
@@ -115,39 +127,14 @@ class TestNextTokenDist:
     def test_rejects_bad_smoothing(self, smoothing):
         with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
             NGramModel.fit(AB, [[0, 1, 0]], order=2, smoothing=smoothing)
-        with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
-            NGramModel(AB, 2, {(0,): {1: 1}}, smoothing)
 
-    def test_successor_outside_vocabulary_rejected(self):
-        # It used to score token 5 at 0.917 in a two-token vocabulary.
-        with pytest.raises(InputError, match="token 5 outside the model vocabulary of 2"):
-            NGramModel(AB, 2, {(0,): {5: 1}}, 0.1)
-        with pytest.raises(InputError, match="token -1 outside"):
-            NGramModel(AB, 2, {(0,): {-1: 1}}, 0.1)
-
-    def test_context_token_outside_vocabulary_rejected(self):
-        with pytest.raises(InputError, match="token 2 outside the model vocabulary of 2"):
-            NGramModel(AB, 3, {(0, 2): {1: 1}}, 0.1)
-
-    def test_negative_count_rejected(self):
-        # It used to give a uniform row.
-        with pytest.raises(InputError, match=r"count -3 after context \(0,\) is not"):
-            NGramModel(AB, 2, {(0,): {1: -3}}, 0.1)
-
-    @pytest.mark.parametrize("count", [1.5, 2.0, "3", None])
-    def test_non_integer_count_rejected(self, count):
-        with pytest.raises(InputError, match="not a non-negative integer"):
-            NGramModel(AB, 2, {(0,): {0: 1, 1: count}}, 0.1)
-
-    def test_context_longer_than_window_rejected(self):
-        with pytest.raises(InputError, match=r"context \(0, 1\) is longer than order - 1 = 1"):
-            NGramModel(AB, 2, {(0, 1): {1: 1}}, 0.1)
-        with pytest.raises(InputError, match="longer than order - 1 = 0"):
-            NGramModel(AB, 1, {(0,): {1: 1}}, 0.1)
+    def test_rejects_bad_order(self):
+        with pytest.raises(InputError, match="order must be >= 1"):
+            NGramModel.fit(AB, [[0, 1, 0]], order=0, smoothing=0.1)
 
     def test_empty_row_kept(self):
         for order, context in ((1, ()), (2, (0,))):
-            model = NGramModel(AB, order, {context: {}}, 0.0)
+            model = ngram_model(AB, order, {context: {}}, 0.0)
             assert model.counts == {context: {}}
             assert np.array_equal(model.next_token_dist(list(context)), [0.5, 0.5])
 
@@ -242,16 +229,18 @@ class TestContextWindow:
     def test_table_model_reads_whole_context(self):
         assert TableModel(WXYZ, [0.25] * 4).context_window is None
 
-    def test_context_suffix(self):
-        assert context_suffix([4, 5, 6, 7], 2) == [6, 7]
-        assert context_suffix([5, 6], 3) == [5, 6]  # shorter than the window
-        assert context_suffix([5, 6, 7], 0) == []
-        assert context_suffix((5, np.int64(6)), None) == [5, 6]
+    def test_window_is_the_last_context_window_tokens(self):
+        for order, context, window in ((3, [0, 1, 2, 3], (2, 3)),
+                                       (4, [2, 3], (2, 3)),  # shorter than the window
+                                       (1, [1, 2, 3], ())):
+            model = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=order, smoothing=0.1)
+            assert model.window(context) == window
+        assert TableModel(WXYZ, [0.25] * 4).window((1, np.int64(2))) == (1, 2)
 
     def test_short_context_scored_like_full(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 1, 2, 0, 1, 3]], order=4, smoothing=0.1)
         for context in ([1], [0, 1], [2, 0, 1], [3, 2, 0, 1]):
-            suffix = context_suffix(context, model.context_window)
+            suffix = model.window(context)
             assert np.array_equal(model.next_token_dist(suffix), model.next_token_dist(context))
 
     def test_fit_matches_position_loop(self):
@@ -290,7 +279,7 @@ class TestCountStore:
         expected = position_loop_counts(docs, order)
         assert model.counts == expected
         assert len(model.counts) == len(expected)
-        packed = NGramModel(vocab, order, expected, smoothing)
+        packed = ngram_model(vocab, order, expected, smoothing)
         assert packed.counts == expected
         span = order - 1
         contexts = [list(key) for key in expected]
@@ -443,7 +432,7 @@ class TestSparseRow:
             order = int(rng.integers(1, 5))
             vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
             counts = random_counts(rng, size, order)
-            model = NGramModel(vocab, order, counts, smoothing)
+            model = ngram_model(vocab, order, counts, smoothing)
             contexts = [[], *(list(key) for key in counts)]
             for _ in range(100):
                 unseen = [int(t) for t in rng.integers(0, size, size=order - 1)]
@@ -471,7 +460,7 @@ class TestSparseRow:
         for size in (129, 517, 4000, 8193):
             vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
             for smoothing, high in itertools.product((1e-3, 0.1, 1.0), (4, 10_000)):
-                model = NGramModel(vocab, 2, random_counts(rng, size, 2, high), smoothing)
+                model = ngram_model(vocab, 2, random_counts(rng, size, 2, high), smoothing)
                 for context in [[], *(list(key) for key in model.counts)]:
                     dist = model.next_token_dist(context)
                     dense = dense_dist(model, context)
@@ -517,7 +506,7 @@ class TestSparseRow:
             counts[(int(context),)] = {int(t): int(rng.integers(0, high)) for t in tokens}
         unseen = [[t] for t in range(size) if (t,) not in counts][:2]
         contexts = [list(key) for key in counts] + unseen + [list(next(iter(counts)))]
-        model = NGramModel(vocab, 2, counts, smoothing)
+        model = ngram_model(vocab, 2, counts, smoothing)
         dists = model.next_token_dists(contexts)
         hs = entropies(dists)
         # Every distinct row with a positive floor goes through a block once
@@ -527,7 +516,7 @@ class TestSparseRow:
         if smoothing:
             assert len(positive) == 12
         assert max(map(len, blocks)) <= 3
-        twin = NGramModel(vocab, 2, counts, smoothing)
+        twin = ngram_model(vocab, 2, counts, smoothing)
         for context, h in zip(contexts, hs):
             single = twin.next_token_dist(context)
             assert h.hex() == single.entropy().hex() == _dense_entropy(np.asarray(single)).hex()

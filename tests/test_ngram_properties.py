@@ -2,16 +2,18 @@
 
 Each case draws a vocabulary of 2 to a few thousand tokens, an order from 1
 to 4 and either random documents (for ``fit``) or a random count mapping
-(for the constructor). ``fit`` and the constructor rank each level and count
-the pairs by dense counting when the level's code space is small next to the
-number of codes and by sorting otherwise; the cases fall on both sides, and
-every column must equal the one the oracle builds with ``np.unique`` alone.
-The array walk that serves a batch must find each context's row as the
-single walk does.
+(for the test-side builder ``ngram_model``, which packs it with ``fit``'s
+``_rank`` and ``_pack``). Both rank each level and count the pairs by dense
+counting when the level's code space is small next to the number of codes
+and by sorting otherwise; the cases fall on both sides, and every column
+must equal the one the oracle builds with ``np.unique`` alone. The level
+walk that serves a batch must find each context's row as ``counts``
+decodes it.
 """
 
 import numpy as np
 
+from conftest import ngram_model
 from treespec import NGramModel, Vocabulary
 from treespec import model as model_module
 
@@ -123,7 +125,7 @@ def test_constructor_matches_the_unique_oracle():
                 int(t): int(rng.integers(0, 5))
                 for t in rng.integers(0, vocab.size, size=n_successors)
             }
-        model = NGramModel(vocab, order, counts, 0.1)
+        model = ngram_model(vocab, order, counts, 0.1)
         backs = np.array([backs_of(c, span) for c in counts], dtype=np.int64).reshape(len(counts), span)
         lengths = [len(row) for row in counts.values()]
         owner = np.repeat(np.arange(len(counts)), lengths)
@@ -135,7 +137,7 @@ def test_constructor_matches_the_unique_oracle():
 
 
 def random_model(rng, case):
-    """A model from ``fit`` (even cases) or from the constructor (odd ones), and its token types."""
+    """A model from ``fit`` (even cases) or from ``ngram_model`` (odd ones), and its token types."""
     vocab = random_vocab(rng)
     order = int(rng.integers(1, 5))
     types = int(rng.integers(1, vocab.size + 1))
@@ -150,7 +152,7 @@ def random_model(rng, case):
         context = tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, order))))
         counts[context] = {int(t): int(rng.integers(0, 5))
                            for t in rng.integers(0, vocab.size, size=int(rng.integers(0, 6)))}
-    return NGramModel(vocab, order, counts, 0.1), types
+    return ngram_model(vocab, order, counts, 0.1), types
 
 
 def test_level_walk_matches_the_decoded_counts():

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
+from conftest import TableModel
 from treespec import (
-    TableModel,
     TreeParams,
     Vocabulary,
     build_draft_tree,
@@ -24,30 +24,8 @@ from treespec import (
     score_tree,
     score_trees,
 )
-from treespec.model import context_suffix
 
 CASES = 300
-
-
-class WindowTable(TableModel):
-    """A TableModel that reads only the last ``window`` tokens (all of them when None).
-
-    It counts its batched calls and every context it scores.
-    """
-
-    def __init__(self, vocab, default, table, window):
-        super().__init__(vocab, default, table)
-        self.context_window = window
-        self.batches = []
-        self.scored = 0
-
-    def next_token_dist(self, context):
-        self.scored += 1
-        return super().next_token_dist(context_suffix(context, self.context_window))
-
-    def next_token_dists(self, contexts):
-        self.batches.append([tuple(c) for c in contexts])
-        return super().next_token_dists(contexts)
 
 
 def random_dist(rng, size):
@@ -70,7 +48,7 @@ def random_model(rng, vocab):
         for context in itertools.product(range(vocab.size), repeat=n)
         if rng.random() < 0.8
     }
-    return WindowTable(vocab, random_dist(rng, vocab.size), table, window)
+    return TableModel(vocab, random_dist(rng, vocab.size), table, window)
 
 
 def random_case(rng):
@@ -147,7 +125,7 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
         draft, target, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
         scores = score_tree(target, context, tree)
-        base = tuple(context_suffix(context, target.context_window))
+        base = target.window(context)
         prefixes = list(dict.fromkeys([(), *(path[:-1] for path in tree.paths)]))
         assert target.batches == [[base + prefix for prefix in prefixes]]
         assert target.scored == len(prefixes)
@@ -181,7 +159,8 @@ def test_generate_step_on_the_window_matches_the_full_context():
     for _ in range(CASES):
         draft, target, params, context = random_case(rng)
         [(rows, committed)] = generate_step(draft, target, [context], params)
-        window = context_suffix(context, step_window(draft, target))
+        span = step_window(draft, target)
+        window = context if span is None else context[-span:]
         assert generate_step(draft, target, [window], params) == [(rows, committed)]
         tree = build_draft_tree(draft, context, params)
         scores = score_tree(target, context, tree)

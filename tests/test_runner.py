@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Row, record_table, table_rows
+from conftest import Row, TableModel, record_table, table_rows
 from treespec import (
     DomainCorpus,
     DomainSummary,
@@ -17,7 +17,6 @@ from treespec import (
     LanguageModel,
     NGramModel,
     RecordTable,
-    TableModel,
     TreeParams,
     Vocabulary,
     build_draft_tree,
@@ -254,9 +253,8 @@ class TestRunExperiment:
         # give the default distributions and equal rows: two memo entries,
         # one tree. The target's row for (3, 3) makes a second tree.
         vocab = Vocabulary(("a", "b", "c", "d"))
-        draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4])
-        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(3, 3): [0.1, 0.1, 0.1, 0.7]})
-        draft.context_window = target.context_window = 2
+        draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4], context_window=2)
+        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(3, 3): [0.1, 0.1, 0.1, 0.7]}, 2)
         monkeypatch.setattr(runner, "train_models", lambda *args: (draft, target))
         windows = []
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import TableModel, ngram_model
 from treespec import (
     DraftTree,
     InputError,
     NGramModel,
-    TableModel,
     TreeParams,
     Vocabulary,
     build_draft_tree,
+    grow_trees,
 )
 
 WXYZ = Vocabulary(("w", "x", "y", "z"))
@@ -31,7 +32,7 @@ TRIGRAM_COUNTS = {
 
 
 def trigram_model(smoothing=0.2):
-    return NGramModel(WXYZ, 3, TRIGRAM_COUNTS, smoothing)
+    return ngram_model(WXYZ, 3, TRIGRAM_COUNTS, smoothing)
 
 
 # --- independent oracle ------------------------------------------------------
@@ -209,22 +210,38 @@ class TestBuild:
         with pytest.raises(InputError):
             build_draft_tree(trigram_model(), [], TreeParams())
 
-    def test_out_of_range_token_before_window_rejected(self):
+    @pytest.mark.parametrize("context", [[99, 0, 1], [-1, 0, 1], [0, 1, 4]])
+    def test_out_of_range_token_rejected(self, context):
+        # Before the window too, where the model never reads it.
         bigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=2, smoothing=0.1)
-        with pytest.raises(InputError):
-            build_draft_tree(bigram, [99, 0, 1], TreeParams())
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            build_draft_tree(bigram, context, TreeParams())
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            grow_trees(bigram, [[0, 1], context], TreeParams())
+
+    @pytest.mark.parametrize("context", [[0, 1.5], [1.5, 0, 1], [0, float("nan")],
+                                         [float("nan"), 0, 1]])
+    def test_token_that_is_not_an_integer_rejected(self, context):
+        # [0, 1.5] used to grow the tree of [0, 1].
+        bigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=2, smoothing=0.1)
+        with pytest.raises(InputError, match="not an integer"):
+            build_draft_tree(bigram, context, TreeParams())
+        with pytest.raises(InputError, match="not an integer"):
+            grow_trees(bigram, [[0, 1], context], TreeParams())
 
     def test_model_sees_window_plus_path_only(self):
         seen = []
+        spy = trigram_model()
+        batch = spy.next_token_dists
 
-        class Spy(NGramModel):
-            def next_token_dists(self, contexts):
-                seen.extend(list(context) for context in contexts)
-                return super().next_token_dists(contexts)
+        def recording_batch(contexts):
+            seen.extend(list(context) for context in contexts)
+            return batch(contexts)
 
+        spy.next_token_dists = recording_batch
         params = TreeParams(3, 2, 3, 8)
         context = [3, 3, 2, 0, 1]
-        tree = build_draft_tree(Spy(WXYZ, 3, TRIGRAM_COUNTS, 0.2), context, params)
+        tree = build_draft_tree(spy, context, params)
         assert tree.context_len == len(context)
         assert seen[0] == [0, 1]
         assert all(c[:2] == [0, 1] and len(c) <= 2 + 2 for c in seen)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import TableModel
 from treespec import (
     InputError,
     NGramModel,
-    TableModel,
     TreeParams,
     Vocabulary,
     acceptance_prob,
@@ -14,6 +14,7 @@ from treespec import (
     entropy_nats,
     residual_dist,
     score_tree,
+    score_trees,
     simulate_chain_acceptance,
 )
 
@@ -111,11 +112,26 @@ class TestScoreTree:
                 assert p_target == float(dist[token])
                 assert target_entropy == entropy_nats(dist)
 
-    def test_out_of_range_token_before_window_rejected(self):
+    @pytest.mark.parametrize("context", [[99, 0, 1], [-1, 0, 1], [0, 1, 4]])
+    def test_out_of_range_token_rejected(self, context):
+        # Before the window too, where the model never reads it.
         model = NGramModel.fit(ABCD, [[0, 1, 2, 3]], order=2, smoothing=0.1)
         tree = build_draft_tree(model, [0, 0, 1], TreeParams())
-        with pytest.raises(InputError):
-            score_tree(model, [99, 0, 1], tree)
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            score_tree(model, context, tree)
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            score_trees(model, [[0, 0, 1], context], [tree, tree])
+
+    @pytest.mark.parametrize("context", [[0, 1.5], [1.5, 1], [0, float("nan")],
+                                         [float("nan"), 1]])
+    def test_token_that_is_not_an_integer_rejected(self, context):
+        # [0, 1.5] used to be scored as [0, 1].
+        model = NGramModel.fit(ABCD, [[0, 1, 2, 3]], order=2, smoothing=0.1)
+        tree = build_draft_tree(model, [0, 1], TreeParams())
+        with pytest.raises(InputError, match="not an integer"):
+            score_tree(model, context, tree)
+        with pytest.raises(InputError, match="not an integer"):
+            score_trees(model, [[0, 1], context], [tree, tree])
 
     def test_context_length_mismatch(self):
         draft = TableModel(ABCD, [0.25] * 4)
