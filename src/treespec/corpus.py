@@ -6,7 +6,10 @@ stylistically distinct domains (chat, code, math, reasoning) so the whole
 pipeline can run and be tested without any external data. Synthetic
 documents are streams of short episodes, each terminated by an explicit
 end-of-sequence token, which gives the trained models a learnable stopping
-pattern.
+pattern. Their draws go through ``getrandbits`` by ``random``'s own rejection
+rule, so the documents equal what ``randint``, ``choice`` and ``sample`` would
+give from the same seeded generator; the tests hold them to an oracle written
+with those methods.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -142,6 +145,23 @@ def load_corpora(root: str | Path) -> dict[str, DomainCorpus]:
 # naturally. The "." token appears only directly before END_TOKEN, giving
 # n-gram models an unambiguous stopping cue.
 
+# Every bounded draw is one _below call: random's own rejection rule for
+# randrange, choice and sample (Random._randbelow_with_getrandbits) applied to
+# getrandbits. The episodes therefore equal what those methods give from the
+# same generator, without their call stack: randint(a, b) is
+# a + _below(bits, b - a + 1), choice(seq) is seq[_below(bits, len(seq))], and
+# sample(seq, 2) draws again from the pool whose vacancy took its last item.
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n): n.bit_length() bits, drawn again while >= n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 _CHAT_GREETINGS = ["hello", "hi", "hey", "greetings"]
 _CHAT_TOPICS = ["books", "chess", "cooking", "films", "gardens", "music", "travel", "weather"]
 _CHAT_MOODS = ["busy", "cheerful", "fine", "great"]
@@ -149,12 +169,16 @@ _CHAT_OPINIONS = ["interesting", "popular", "relaxing", "tricky"]
 
 
 def _chat_episode(rng: random.Random) -> list[str]:
-    ep = ["user", ":", rng.choice(_CHAT_GREETINGS), "how", "are", "you", "today", "?"]
-    ep += ["assistant", ":", "i", "am", rng.choice(_CHAT_MOODS), ",", "thank", "you", "for", "asking"]
+    bits = rng.getrandbits
+    greeting = _CHAT_GREETINGS[_below(bits, len(_CHAT_GREETINGS))]
+    mood = _CHAT_MOODS[_below(bits, len(_CHAT_MOODS))]
+    ep = ["user", ":", greeting, "how", "are", "you", "today", "?"]
+    ep += ["assistant", ":", "i", "am", mood, ",", "thank", "you", "for", "asking"]
     if rng.random() < 0.4:
-        topic = rng.choice(_CHAT_TOPICS)
+        topic = _CHAT_TOPICS[_below(bits, len(_CHAT_TOPICS))]
+        opinion = _CHAT_OPINIONS[_below(bits, len(_CHAT_OPINIONS))]
         ep += ["user", ":", "tell", "me", "about", topic, "please", "?"]
-        ep += ["assistant", ":", topic, "is", "quite", rng.choice(_CHAT_OPINIONS), ",", "i", "enjoy", "it"]
+        ep += ["assistant", ":", topic, "is", "quite", opinion, ",", "i", "enjoy", "it"]
     ep += ["user", ":", "thanks", "for", "the", "chat", "goodbye", ".", END_TOKEN]
     return ep
 
@@ -162,29 +186,34 @@ def _chat_episode(rng: random.Random) -> list[str]:
 _CODE_NAMES = ["calc", "delta", "fold", "gain", "mix", "norm", "scale", "shift"]
 _CODE_ARGS = ["a", "b", "n", "x", "y"]
 _CODE_OPS = ["+", "-", "*"]
+# The text of every number an episode can hold; math's largest is (9 + 9) * 4**3.
+_NUMBER_TEXT = tuple(map(str, range((9 + 9) * 4**3 + 1)))
 
 
 def _code_episode(rng: random.Random) -> list[str]:
-    name = rng.choice(_CODE_NAMES)
-    arg = rng.choice(_CODE_ARGS)
-    op = rng.choice(_CODE_OPS)
-    const = str(rng.randint(1, 9))
+    bits = rng.getrandbits
+    name = _CODE_NAMES[_below(bits, len(_CODE_NAMES))]
+    arg = _CODE_ARGS[_below(bits, len(_CODE_ARGS))]
+    op = _CODE_OPS[_below(bits, len(_CODE_OPS))]
+    const = _NUMBER_TEXT[1 + _below(bits, 9)]  # randint(1, 9)
     ep = ["def", name, "(", arg, ")", ":", "return", arg, op, const, "<nl>"]
-    for _ in range(rng.randint(2, 4)):
-        ep += ["print", "(", name, "(", str(rng.randint(1, 9)), ")", ")", "<nl>"]
+    for _ in range(2 + _below(bits, 3)):  # randint(2, 4)
+        ep += ["print", "(", name, "(", _NUMBER_TEXT[1 + _below(bits, 9)], ")", ")", "<nl>"]
     ep += ["#", "module", "done", ".", END_TOKEN]
     return ep
 
 
 def _math_episode(rng: random.Random) -> list[str]:
-    a, b = rng.randint(1, 9), rng.randint(1, 9)
+    bits = rng.getrandbits
+    a = 1 + _below(bits, 9)  # randint(1, 9)
+    b = 1 + _below(bits, 9)
     total = a + b
-    ep = ["solve", "the", "sum", str(a), "+", str(b), "=", str(total)]
-    for _ in range(rng.randint(1, 3)):
-        c = rng.randint(2, 4)
-        ep += [",", "then", str(total), "*", str(c), "=", str(total * c)]
-        total = total * c
-    ep += [",", "the", "answer", "is", str(total), ".", END_TOKEN]
+    ep = ["solve", "the", "sum", _NUMBER_TEXT[a], "+", _NUMBER_TEXT[b], "=", _NUMBER_TEXT[total]]
+    for _ in range(1 + _below(bits, 3)):  # randint(1, 3)
+        c = 2 + _below(bits, 3)  # randint(2, 4)
+        ep += [",", "then", _NUMBER_TEXT[total], "*", _NUMBER_TEXT[c], "=", _NUMBER_TEXT[total * c]]
+        total *= c
+    ep += [",", "the", "answer", "is", _NUMBER_TEXT[total], ".", END_TOKEN]
     return ep
 
 
@@ -193,13 +222,19 @@ _REASON_ITEMS = ["apples", "books", "coins", "pears"]
 
 
 def _reasoning_episode(rng: random.Random) -> list[str]:
-    who, other = rng.sample(_REASON_NAMES, 2)
-    item = rng.choice(_REASON_ITEMS)
-    n = rng.randint(5, 12)
-    k = rng.randint(1, 4)
-    ep = ["if", who, "has", str(n), item, "and", "gives", str(k), "to", other, ","]
-    ep += ["then", who, "keeps", str(n - k), item, ","]
-    ep += ["so", "the", "answer", "is", str(n - k), ".", END_TOKEN]
+    bits = rng.getrandbits
+    last = len(_REASON_NAMES) - 1
+    first = _below(bits, last + 1)  # sample(_REASON_NAMES, 2)
+    second = _below(bits, last)
+    who = _REASON_NAMES[first]
+    other = _REASON_NAMES[last if second == first else second]
+    item = _REASON_ITEMS[_below(bits, len(_REASON_ITEMS))]
+    n = 5 + _below(bits, 8)  # randint(5, 12)
+    k = 1 + _below(bits, 4)  # randint(1, 4)
+    keeps = _NUMBER_TEXT[n - k]
+    ep = ["if", who, "has", _NUMBER_TEXT[n], item, "and", "gives", _NUMBER_TEXT[k], "to", other, ","]
+    ep += ["then", who, "keeps", keeps, item, ","]
+    ep += ["so", "the", "answer", "is", keeps, ".", END_TOKEN]
     return ep
 
 

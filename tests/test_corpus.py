@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -13,10 +14,20 @@ from treespec import (
     train_models,
 )
 from treespec.corpus import (
+    _CHAT_GREETINGS,
+    _CHAT_MOODS,
+    _CHAT_OPINIONS,
+    _CHAT_TOPICS,
+    _CODE_ARGS,
+    _CODE_NAMES,
+    _CODE_OPS,
     _EPISODE_GENERATORS,
+    _REASON_ITEMS,
+    _REASON_NAMES,
     END_TOKEN,
     SYNTHETIC_DOMAINS,
     UNK_TOKEN,
+    _below,
     build_vocabulary,
     load_corpora,
     load_domain_dir,
@@ -30,6 +41,124 @@ FROZEN_DOC_INDICES = [
     100, 119, 81, 158, 118, 11, 124, 79, 160, 97, 41, 156, 136, 117, 31, 63,
     21, 15, 155,
 ]
+
+
+# sha256 of repr((vocabulary tokens, documents)) per domain, keyed by
+# (seed, n_docs, doc_len): the reference shape and one off it. Recorded from
+# the generators that drew through random's randint, choice and sample.
+GOLDEN_CORPORA = {
+    (42, 160, 600): {
+        "chat": "ddd8a0da4e9de5548f7c068e0bbac5e2ce9320a128f3aed848fa63bd40de686a",
+        "code": "86edf67fee6a999e3328e74c1db8cb525024257aa7d6ea06dac3549cd481aadc",
+        "math": "3343401425580d9484386cd8f633f0e01a5c523d30f52a0509d6a61ec58f556e",
+        "reasoning": "b78fb50dd9213b6b93c62cab78129584241610c3b2d551183a28835a7cb50609",
+    },
+    (7, 20, 300): {
+        "chat": "b5fc6e81ec5dde58b5405c1f6540a43fd6c80de790a63d779fe32cf97d723ac6",
+        "code": "d031c2f5ee5b42b3d9eff3cc4c361785e6fca83001e198657b04824c64445be9",
+        "math": "a4a5ec90e8f6f503fd46d7ae9d9c758d43629364243c3c287c482b6d6fc035b4",
+        "reasoning": "abc29866660ac8a036902db09f469ea322bd4b7aa94f892b1145488943aba278",
+    },
+}
+
+
+def _corpus_digest(corpus):
+    return hashlib.sha256(repr((corpus.vocabulary.tokens, corpus.documents)).encode()).hexdigest()
+
+
+# The episode generators as written with random's own methods: the oracle
+# that the getrandbits draws in treespec.corpus must equal, draw for draw.
+def _oracle_chat(rng):
+    ep = ["user", ":", rng.choice(_CHAT_GREETINGS), "how", "are", "you", "today", "?"]
+    ep += ["assistant", ":", "i", "am", rng.choice(_CHAT_MOODS), ",", "thank", "you", "for", "asking"]
+    if rng.random() < 0.4:
+        topic = rng.choice(_CHAT_TOPICS)
+        ep += ["user", ":", "tell", "me", "about", topic, "please", "?"]
+        ep += ["assistant", ":", topic, "is", "quite", rng.choice(_CHAT_OPINIONS), ",", "i", "enjoy", "it"]
+    ep += ["user", ":", "thanks", "for", "the", "chat", "goodbye", ".", END_TOKEN]
+    return ep
+
+
+def _oracle_code(rng):
+    name = rng.choice(_CODE_NAMES)
+    arg = rng.choice(_CODE_ARGS)
+    op = rng.choice(_CODE_OPS)
+    const = str(rng.randint(1, 9))
+    ep = ["def", name, "(", arg, ")", ":", "return", arg, op, const, "<nl>"]
+    for _ in range(rng.randint(2, 4)):
+        ep += ["print", "(", name, "(", str(rng.randint(1, 9)), ")", ")", "<nl>"]
+    ep += ["#", "module", "done", ".", END_TOKEN]
+    return ep
+
+
+def _oracle_math(rng):
+    a, b = rng.randint(1, 9), rng.randint(1, 9)
+    total = a + b
+    ep = ["solve", "the", "sum", str(a), "+", str(b), "=", str(total)]
+    for _ in range(rng.randint(1, 3)):
+        c = rng.randint(2, 4)
+        ep += [",", "then", str(total), "*", str(c), "=", str(total * c)]
+        total = total * c
+    ep += [",", "the", "answer", "is", str(total), ".", END_TOKEN]
+    return ep
+
+
+def _oracle_reasoning(rng):
+    who, other = rng.sample(_REASON_NAMES, 2)
+    item = rng.choice(_REASON_ITEMS)
+    n = rng.randint(5, 12)
+    k = rng.randint(1, 4)
+    ep = ["if", who, "has", str(n), item, "and", "gives", str(k), "to", other, ","]
+    ep += ["then", who, "keeps", str(n - k), item, ","]
+    ep += ["so", "the", "answer", "is", str(n - k), ".", END_TOKEN]
+    return ep
+
+
+ORACLE_GENERATORS = {
+    "chat": _oracle_chat,
+    "code": _oracle_code,
+    "math": _oracle_math,
+    "reasoning": _oracle_reasoning,
+}
+
+
+class TestDraws:
+    @pytest.mark.parametrize("domain", SYNTHETIC_DOMAINS)
+    def test_generators_match_the_random_method_oracle(self, domain):
+        generator, oracle = _EPISODE_GENERATORS[domain], ORACLE_GENERATORS[domain]
+        for seed in range(200):
+            rng, expected_rng = random.Random(f"{domain}-{seed}"), random.Random(f"{domain}-{seed}")
+            for _ in range(20):
+                assert generator(rng) == oracle(expected_rng), (domain, seed)
+            assert rng.getstate() == expected_rng.getstate(), (domain, seed)
+
+    # Every n up to 64 takes the redraw branch wherever n is not a power of
+    # two; the large n need more than one 32-bit word per draw.
+    @pytest.mark.parametrize("n", [*range(1, 65), 1000, 2**32 + 1, 3 * 2**60 + 5])
+    def test_below_matches_randint_and_choice(self, n):
+        seq = range(n)
+        for seed in range(3):
+            rng, expected = random.Random(seed), random.Random(seed)
+            bits = rng.getrandbits
+            for _ in range(50):
+                assert -3 + _below(bits, n) == expected.randint(-3, n - 4)
+                assert seq[_below(bits, n)] == expected.choice(seq)
+            assert rng.getstate() == expected.getstate()
+
+    # random.sample(seq, 2) swaps within a pool while len(seq) <= 21, which
+    # covers the reasoning generator's names.
+    @pytest.mark.parametrize("n", range(2, 22))
+    def test_pool_swap_matches_sample(self, n):
+        seq = [f"t{i}" for i in range(n)]
+        for seed in range(3):
+            rng, expected = random.Random(seed), random.Random(seed)
+            bits = rng.getrandbits
+            for _ in range(50):
+                first = _below(bits, n)
+                second = _below(bits, n - 1)
+                pair = [seq[first], seq[n - 1 if second == first else second]]
+                assert pair == expected.sample(seq, 2)
+            assert rng.getstate() == expected.getstate()
 
 
 class TestTokenize:
@@ -150,11 +279,11 @@ class TestSynthetic:
         corpora = synthetic_corpora(n_docs=5, seed=9)
         assert sorted(corpora) == ["chat", "code", "math", "reasoning"]
 
-    def test_deterministic(self):
-        a = synthetic_corpus("code", n_docs=8, seed=11)
-        b = synthetic_corpus("code", n_docs=8, seed=11)
-        assert a.documents == b.documents
-        assert a.vocabulary.tokens == b.vocabulary.tokens
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_CORPORA))
+    def test_golden_corpora(self, shape):
+        seed, n_docs, doc_len = shape
+        corpora = synthetic_corpora(n_docs=n_docs, seed=seed, doc_len=doc_len)
+        assert {d: _corpus_digest(c) for d, c in corpora.items()} == GOLDEN_CORPORA[shape]
 
     def test_doc_length_and_end_token(self):
         corpus = synthetic_corpus("reasoning", n_docs=4, seed=13, doc_len=300)
