@@ -5,8 +5,11 @@ a RecordTable; everything downstream (summaries, depth profiles, chain
 probabilities, expected accepted length, position bins, rank correlation)
 is a pure fold over its per-record columns. Groups are taken with
 order-preserving masks, so every mean sums the same values in the same
-order as a fold over the rows would. Standard deviations are population (divide by n); chain
-probabilities multiply per-depth mean acceptance rates.
+order as a fold over the rows would. Rank correlation ranks each distinct
+tree row once, weighted by the records that use it, which gives every
+record the rank a per-record ranking would. Standard deviations are
+population (divide by n); chain probabilities multiply per-depth mean
+acceptance rates.
 """
 
 from __future__ import annotations
@@ -69,22 +72,6 @@ class RecordTable:
     __hash__ = None  # type: ignore[assignment]
 
     @classmethod
-    def from_chunks(
-        cls, domains: Sequence[str], chunks: Iterable[Mapping[str, np.ndarray]]
-    ) -> RecordTable:
-        """Records given as consecutive chunks, each one column per ``RECORD_COLUMNS`` name.
-
-        Only the steps and the rows of distinct trees are kept, so memory
-        grows with those and with one chunk, not with the records.
-        ``domains`` is read after the last chunk, so a reader may name
-        domains as it meets them.
-        """
-        table = cls.__new__(cls)
-        table._set_records(domains, map(_record_columns, chunks))
-        table._columns = {}
-        return table
-
-    @classmethod
     def from_steps(
         cls,
         domains: Sequence[str],
@@ -115,7 +102,7 @@ class RecordTable:
             raise InputError("step tree outside the candidate trees")
         if not _step_starts([steps[name] for name in STEP_FIELDS[:-1]]).all():
             raise InputError("adjacent steps share their step fields")
-        content, _ = _number_blocks(_row_bits(trees), offsets, {})
+        content, _ = _number_blocks(_row_bits(trees).tobytes(), 8 * len(TREE_FIELDS), offsets, {})
         tree_of_step, first_step = _first_appearance(content[tree])
         lo, hi = offsets[tree[first_step]], offsets[tree[first_step] + 1]
         if np.any(hi == lo):
@@ -127,49 +114,6 @@ class RecordTable:
                              {name: trees[name][rows] for name in TREE_FIELDS})
         table._columns = {}
         return table
-
-    def _set_records(self, domains: Sequence[str], chunks: Iterable[Mapping[str, np.ndarray]]) -> None:
-        """Find the steps and trees of records given as consecutive chunks of their columns.
-
-        A step is keyed once the record that starts the next step is met;
-        until then its rows wait in ``open_rows``, a list of pieces joined
-        once, so a step that spans many chunks costs no more than its rows.
-        """
-        numbers: dict[bytes, int] = {}  # tree content -> tree id
-        steps: list[dict[str, np.ndarray]] = []
-        trees: list[dict[str, np.ndarray]] = []
-        sizes: list[np.ndarray] = []
-
-        def close(rows: Mapping[str, np.ndarray], bounds: np.ndarray) -> None:
-            step, tree, size = _key_steps(rows, bounds, numbers)
-            steps.append(step)
-            trees.append(tree)
-            sizes.append(size)
-
-        open_rows: list[Mapping[str, np.ndarray]] = []
-        for chunk in chunks:
-            if not len(chunk["domain_code"]):
-                continue
-            starts = _step_starts([chunk[name] for name in STEP_FIELDS[:-1]])
-            if open_rows:
-                starts[0] = any(chunk[name][0] != open_rows[-1][name][-1] for name in STEP_FIELDS[:-1])
-            cuts = np.flatnonzero(starts)
-            if not cuts.size:
-                open_rows.append(chunk)
-                continue
-            held = sum(len(piece["domain_code"]) for piece in open_rows)
-            rows = _join([*open_rows, chunk])
-            bounds = np.append(0, cuts + held) if held else cuts
-            last = int(bounds[-1])  # the step that starts here may go on in the next chunk
-            if last:
-                close({name: column[:last] for name, column in rows.items()}, bounds)
-            open_rows = [{name: column[last:] for name, column in rows.items()}]
-        if open_rows:
-            rows = _join(open_rows)
-            close(rows, np.array([0, len(rows["domain_code"])]))
-        numbers.clear()  # its keys hold every tree row once more; free them before the joins
-        self._set_structure(domains, _join(steps, STEP_FIELDS),
-                            np.cumsum(np.concatenate([[0], *sizes])), _join(trees, TREE_FIELDS))
 
     def _set_structure(self, domains: Sequence[str], steps: dict[str, np.ndarray],
                        tree_offsets: np.ndarray, trees: dict[str, np.ndarray]) -> None:
@@ -249,15 +193,6 @@ def _array(name: str, values) -> np.ndarray:
     return np.asarray(values, dtype=np.float64 if name in FLOAT_FIELDS else np.int64)
 
 
-def _record_columns(chunk: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """``chunk``'s ``RECORD_COLUMNS`` as arrays; InputError unless 1-D and of equal length."""
-    columns = {name: _array(name, chunk[name]) for name in RECORD_COLUMNS}
-    shape = columns["domain_code"].shape
-    if len(shape) != 1 or any(column.shape != shape for column in columns.values()):
-        raise InputError("record columns must be one-dimensional and of equal length")
-    return columns
-
-
 def _row_bits(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """The ``TREE_FIELDS`` of each row as one row of uint64 bit patterns."""
     return np.stack([columns[name].view(np.uint64) for name in TREE_FIELDS], axis=1)
@@ -281,48 +216,22 @@ def _step_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _number_blocks(
-    keys: np.ndarray, bounds: np.ndarray, numbers: dict[bytes, int]
+    data: bytes, width: int, bounds: np.ndarray, numbers: dict[bytes, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Number blocks of rows by content, continuing ``numbers``.
 
-    Block b is rows ``bounds[b]:bounds[b + 1]`` of ``keys``, an array whose
-    rows' bytes tell row contents apart; a block whose content is not in
-    ``numbers`` takes the next number. Returns each block's number and, for
-    each number new here, the first block that has it.
+    ``data`` holds rows of ``width`` bytes whose bytes tell row contents
+    apart, and block b is rows ``bounds[b]:bounds[b + 1]``; a block whose
+    content is not in ``numbers`` takes the next number. Returns each
+    block's number and, for each number new here, the first block that has
+    it.
     """
-    data = np.ascontiguousarray(keys).tobytes()
-    width = keys.itemsize * int(np.prod(keys.shape[1:]))
     cuts = (np.asarray(bounds, dtype=np.int64) * width).tolist()
     known = len(numbers)
     blocks = [numbers.setdefault(data[lo:hi], len(numbers)) for lo, hi in zip(cuts[:-1], cuts[1:])]
     block_numbers = np.array(blocks, dtype=np.int64)
     first = np.unique(block_numbers, return_index=True)[1]  # new numbers sort last
     return block_numbers, first[len(first) - (len(numbers) - known):]
-
-
-def _key_steps(
-    rows: Mapping[str, np.ndarray], bounds: np.ndarray, numbers: dict[bytes, int]
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray]:
-    """The steps ``rows[bounds[s]:bounds[s + 1]]`` with their tree ids from ``numbers``.
-
-    Returns the step columns, the rows of the trees new to ``numbers`` and
-    each new tree's row count.
-    """
-    tree, first = _number_blocks(_row_bits(rows), bounds, numbers)
-    lo, hi = bounds[first], bounds[first + 1]
-    new_rows = _ranges(lo, hi)
-    steps = {name: rows[name][bounds[:-1]] for name in STEP_FIELDS[:-1]}
-    steps["tree"] = tree
-    return steps, {name: rows[name][new_rows] for name in TREE_FIELDS}, hi - lo
-
-
-def _join(pieces: Sequence[Mapping[str, np.ndarray]], names: Sequence[str] = RECORD_COLUMNS
-          ) -> dict[str, np.ndarray]:
-    """Each column ``names`` of consecutive pieces, joined."""
-    if len(pieces) == 1:
-        return {name: pieces[0][name] for name in names}
-    return {name: np.concatenate([piece[name] for piece in pieces]) if pieces else _array(name, ())
-            for name in names}
 
 
 def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,19 +300,29 @@ def average_ranks(values: Sequence[float] | np.ndarray) -> np.ndarray:
     (start + stop) / 2 + 1.
     """
     arr = np.asarray(values, dtype=np.float64)
-    n = arr.shape[0]
-    order = np.argsort(arr, kind="stable")
-    ordered = arr[order]
+    return _weighted_ranks(arr, np.ones(arr.shape[0], dtype=np.int64))[0]
+
+
+def _weighted_ranks(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """``average_ranks`` of ``values[i]`` repeated ``weights[i]`` times, one rank per i.
+
+    Every weight is positive; copies of one value are one tie, and the
+    ranks come from ``average_ranks``'s own expression. Also returns the
+    number of ties.
+    """
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
     run_start = np.empty(n, dtype=bool)
     run_start[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    stops = np.empty_like(starts)
-    stops[:-1] = starts[1:] - 1
-    stops[-1:] = n - 1
+    firsts = np.flatnonzero(run_start)
+    sizes = np.add.reduceat(weights[order], firsts)
+    stops = np.cumsum(sizes) - 1
+    starts = stops - sizes + 1
     ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat((starts + stops) / 2.0 + 1.0, stops - starts + 1)
-    return ranks
+    ranks[order] = np.repeat((starts + stops) / 2.0 + 1.0, np.diff(np.append(firsts, n)))
+    return ranks, firsts.shape[0]
 
 
 def spearman_rho(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
@@ -413,24 +332,59 @@ def spearman_rho(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarra
         raise UndefinedCorrelationError("need at least 2 pairs for a correlation")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedCorrelationError("correlation undefined: a variable is all-tied")
-    rx = average_ranks(x)
-    ry = average_ranks(y)
+    return _rank_correlation(average_ranks(x), average_ranks(y))
+
+
+def _rank_correlation(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two rank arrays, clipped to [-1, 1]; both are changed in place."""
     rx -= rx.mean()
     ry -= ry.mean()
     rho = float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
     return max(-1.0, min(1.0, rho))
 
 
+def _tree_row_rho(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> float:
+    """``spearman_rho(x[rows], y[rows])``, NaN where undefined, for values held per tree row.
+
+    Each distinct row is ranked once, weighted by the records that use it;
+    ranks are integers or halves, so each record's rank, and the sums over
+    them, are the ones ``spearman_rho`` would compute. Values that hold a
+    NaN are ranked per record, where each NaN is a tie of its own.
+    """
+    weights = np.bincount(rows, minlength=x.shape[0])
+    used = np.flatnonzero(weights)
+    if np.isnan(x[used]).any() or np.isnan(y[used]).any():
+        try:
+            return spearman_rho(x[rows], y[rows])
+        except UndefinedCorrelationError:
+            return math.nan
+    rank_x, ties_x = _weighted_ranks(x[used], weights[used])
+    rank_y, ties_y = _weighted_ranks(y[used], weights[used])
+    if rows.shape[0] < 2 or ties_x == 1 or ties_y == 1:
+        return math.nan
+    per_row = np.empty((2, x.shape[0]), dtype=np.float64)
+    per_row[0, used], per_row[1, used] = rank_x, rank_y
+    return _rank_correlation(per_row[0][rows], per_row[1][rows])
+
+
+def _distinct_ints(values: np.ndarray) -> list[int]:
+    """The distinct values of an int array, ascending.
+
+    Found by a sort: np.unique takes a hash path for ints that is many
+    times slower.
+    """
+    ordered = np.sort(values)
+    return ordered[np.append(True, ordered[1:] != ordered[:-1])].tolist() if ordered.size else []
+
+
 def _per_depth_means(depths: np.ndarray, alphas: np.ndarray) -> dict[int, float]:
-    return {
-        int(d): float(alphas[depths == d].mean())
-        for d in sorted(np.unique(depths))
-    }
+    return {d: float(alphas[depths == d].mean()) for d in _distinct_ints(depths)}
 
 
 def summarize(table: RecordTable) -> dict[str, DomainSummary]:
     """Per-domain counts, acceptance/entropy moments, chain law, and rank correlation."""
     summaries: dict[str, DomainSummary] = {}
+    rows = table._tree_rows()
     for domain, mask in table.domain_masks():
         alphas = table.alpha[mask]
         entropies = table.target_entropy[mask]
@@ -439,10 +393,7 @@ def summarize(table: RecordTable) -> dict[str, DomainSummary]:
             chain = chain_probabilities(per_depth)
         except InputError as exc:
             raise InputError(f"domain {domain!r}: {exc}") from exc
-        try:
-            rho = spearman_rho(entropies, alphas)
-        except UndefinedCorrelationError:
-            rho = math.nan
+        rho = _tree_row_rho(table.trees["target_entropy"], table.trees["alpha"], rows[mask])
         summaries[domain] = DomainSummary(
             node_count=alphas.shape[0],
             mean_alpha=float(alphas.mean()),
@@ -477,7 +428,7 @@ def position_effects(table: RecordTable) -> PositionEffects:
     if bad.size:
         raise InputError(f"position_bin {bins[bad[0]]} out of range")
     cells: dict[tuple[int, int], float] = {}
-    for depth in np.unique(table.depth).tolist():
+    for depth in _distinct_ints(table.depth):
         at_depth = table.depth == depth
         for position_bin in (0, 1):
             mask = at_depth & (bins == position_bin)

@@ -326,10 +326,14 @@ class NGramModel(LanguageModel):
     ) -> "NGramModel":
         """Count successor statistics over ``documents`` (index sequences).
 
-        The documents are flattened into one array; each level's context ids
-        are ranked over all positions at once and the (context, token) pairs
-        are counted in one more pass (``_distinct`` and ``_count`` say how).
+        Each token must be an integer, by the rule ``window`` applies to a
+        context. The documents are flattened into one array; each level's
+        context ids are ranked over all positions at once and the (context,
+        token) pairs are counted in one more pass (``_distinct`` and
+        ``_count`` say how).
         """
+        if _plain_ints(tuple(itertools.chain.from_iterable(documents))) is None:
+            raise InputError("a document holds a token that is not an integer")
         return cls._fit_flat(vocab, *_flat_documents(vocab, documents), order, smoothing)
 
     @classmethod
@@ -510,12 +514,18 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts[keys]
 
 
+def _plain_ints(values: tuple) -> tuple[int, ...] | None:
+    """``values`` as plain ints, or None unless each value is an integer: equal to its ``int``."""
+    try:
+        plain = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return plain if plain == values else None
+
+
 def _int_key(key: tuple) -> tuple[int, ...]:
     """``key`` as plain ints; InputError unless each of its tokens is an integer."""
-    try:
-        plain = tuple(map(int, key))
-    except (TypeError, ValueError, OverflowError):
-        plain = None
-    if plain != key:
+    plain = _plain_ints(key)
+    if plain is None:
         raise InputError(f"context {key!r} holds a token that is not an integer")
     return plain

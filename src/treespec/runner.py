@@ -20,7 +20,8 @@ record per line and all floats at 17 significant digits, so a run is
 reproducible byte-for-byte and re-ingestion is lossless. Reading one finds
 the same steps and trees from the lines alone: a step's lines share their
 ``domain,prompt_id,step_index,`` prefix, so the reader splits each prefix
-once and parses each distinct line tail once per chunk of lines.
+once, parses each distinct line tail once per file, and builds the table
+with ``RecordTable.from_steps`` from steps kept as sequences of tails.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import reprlib
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, TextIO, get_type_hints
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -45,12 +46,14 @@ from .errors import InputError
 from .metrics import (
     FLOAT_FIELDS,
     INT_FIELDS,
-    RECORD_COLUMNS,
     RECORD_FIELDS,
     STEP_FIELDS,
     TREE_FIELDS,
     DomainSummary,
     RecordTable,
+    _array,
+    _number_blocks,
+    _ranges,
     check_domain_names,
     depth_profile,
     position_effects,
@@ -303,7 +306,7 @@ def run_experiment(
     records = _table(domains, rows, bounds, steps)
     for code, domain in enumerate(domains):
         used = records.steps["tree"][records.steps["domain_code"] == code]
-        domain_meta[domain]["distinct_trees"] = int(np.unique(used).size)
+        domain_meta[domain]["distinct_trees"] = int(np.count_nonzero(np.bincount(used)))
     metadata: dict[str, object] = {
         "config": config.flat_dict(),
         "config_hash": config.config_hash(),
@@ -407,33 +410,31 @@ def read_records_csv(path: str | Path) -> RecordTable:
     at its last nine commas gives; only the domain field may be quoted. It
     writes a step as lines that share the prefix
     ``domain,prompt_id,step_index,`` before the tails of its tree's rows, so
-    lines are read as prefixes over distinct tails (see ``_parse_rows``),
-    ``_CSV_CHUNK_ROWS`` at a time: each prefix and each distinct tail is
-    split and parsed once per chunk, and ``RecordTable.from_chunks`` keeps
-    only the chunks' steps and distinct trees. The first bad line is
-    reported as ``path:line`` with the message ``int``, ``float``,
-    ``_domain_name`` or the rule it breaks gives.
+    lines are read as prefixes over distinct tails, ``_CSV_CHUNK_ROWS`` at a
+    time (see ``_RecordReader``): each run of lines with one prefix has its
+    prefix parsed once, each distinct tail is parsed and checked once, and a
+    step is kept as the sequence of its lines' tails. The table is built
+    from those steps with ``RecordTable.from_steps``, which makes tails that
+    parse to equal rows one tree. The first bad line is reported as
+    ``path:line`` with the message ``int``, ``float``, ``_domain_name`` or the
+    rule it breaks gives.
     """
-    domains: dict[str, int] = {}
+    reader = _RecordReader(path)
     first_line = 2  # of the chunk being read
-
-    def chunks(handle: TextIO) -> Iterator[dict[str, np.ndarray]]:
-        nonlocal first_line
-        while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
-            yield _parse_rows(lines, domains, path, first_line)
-            first_line += len(lines)
-
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             if handle.readline().rstrip("\r\n") != ",".join(RECORD_FIELDS):
                 raise InputError(f"{path} is not a record file (unexpected header)")
-            return RecordTable.from_chunks(domains, chunks(handle))
+            while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
+                reader.read(lines, first_line)
+                first_line += len(lines)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, first_line, domains, exc) from exc
+        raise _not_utf8(path, first_line, reader, exc) from exc
+    return reader.table()
 
 
 def _not_utf8(
-    path: str | Path, first_line: int, domains: dict[str, int], exc: UnicodeDecodeError
+    path: str | Path, first_line: int, reader: _RecordReader, exc: UnicodeDecodeError
 ) -> InputError:
     """The error for a record file with a byte that is not UTF-8, named at its line.
 
@@ -453,7 +454,7 @@ def _not_utf8(
         else:  # the file changed since it was read
             return InputError(f"{path} is not UTF-8 text: {exc.reason}")
     if lines:
-        _parse_rows(lines, domains, path, first_line)
+        reader.read(lines, first_line)
     return InputError(f"{path}:{number}: not UTF-8 text: {exc.reason}")
 
 
@@ -465,7 +466,7 @@ _PREFIX_FIELDS, _TAIL_FIELDS = RECORD_FIELDS[:3], RECORD_FIELDS[3:]
 
 # The rules every record keeps, in check order; a record's rule code is the
 # 1-based index of the first it breaks. Each gives the column whose value
-# its message shows as ``{}``.
+# its message shows as ``{}``. Only ``_STEP_RULE`` reads a prefix field.
 _RULES = (
     *((name, f"{name} must be finite, got {{!r}}") for name in FLOAT_FIELDS),
     ("step_index", "step_index must be >= 0 and depth >= 1"),
@@ -474,24 +475,29 @@ _RULES = (
     ("p_draft", "p_draft must be positive for a proposed token"),
     ("alpha", "alpha inconsistent with stored p_target / p_draft"),
 )
+_STEP_RULE = len(FLOAT_FIELDS) + 1
 
 
-def _rule_codes(columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Each record's rule code: the first of ``_RULES`` it breaks, or 0 if it keeps them all."""
-    p_draft, p_target, alpha = columns["p_draft"], columns["p_target"], columns["alpha"]
-    bins = columns["position_bin"]
+def _rule_codes(tails: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Each tail's rule code: the first of ``_RULES`` it breaks, or 0 if it keeps them all.
+
+    A tail breaks ``_STEP_RULE`` when its depth is below 1; a line whose
+    step_index is negative breaks it too, which the caller checks.
+    """
+    p_draft, p_target, alpha = tails["p_draft"], tails["p_target"], tails["alpha"]
+    bins = tails["position_bin"]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         broken = [
-            *(~np.isfinite(columns[name]) for name in FLOAT_FIELDS),
-            (columns["step_index"] < 0) | (columns["depth"] < 1),
+            *(~np.isfinite(tails[name]) for name in FLOAT_FIELDS),
+            tails["depth"] < 1,
             (bins != 0) & (bins != 1),
-            ~((alpha >= 0.0) & (alpha <= 1.0)) | (columns["target_entropy"] < 0.0),
+            ~((alpha >= 0.0) & (alpha <= 1.0)) | (tails["target_entropy"] < 0.0),
             ~(p_draft > 0.0),
-            # A record that reaches this rule has finite values and p_draft > 0,
+            # A tail that reaches this rule has finite values and p_draft > 0,
             # where np.minimum agrees with the scalar min(1.0, ratio).
             np.abs(alpha - np.minimum(p_target / p_draft, 1.0)) > 1e-9,
         ]
-    # Only the rows that break a rule are ranked: a reduction across the
+    # Only the tails that break a rule are ranked: a reduction across the
     # stacked masks costs more than the masks themselves.
     rows = np.flatnonzero(functools.reduce(np.logical_or, broken))
     codes = np.zeros(len(p_draft), dtype=np.int64)
@@ -507,112 +513,210 @@ def _domain_name(text: str) -> str:
     return name
 
 
-def _parse_rows(
-    lines: list[str], domains: dict[str, int], path: str | Path, first_line: int
-) -> dict[str, np.ndarray]:
-    """One column per ``RECORD_COLUMNS`` name of record lines, the first of them line ``first_line``.
+class _RecordReader:
+    """The steps and trees of a record file, read one chunk of lines at a time.
 
-    A line that does not start with the previous line's prefix is split at
-    its last nine commas, which gives it a prefix; any other line keeps the
-    previous one. Either way the rest of the line is its tail. Every distinct
-    tail is checked to hold six commas, so the prefix's three fields and the
-    tail's seven are the fields ``rsplit`` would give: a prefix's
-    ``prompt_id`` and ``step_index`` hold no comma. Each prefix and each
-    distinct tail is parsed once, and the lines' columns are gathered from
-    them.
+    Each line is split at its last nine commas into a prefix and a tail. A
+    run of lines with one prefix text has its prefix fields parsed once, and
+    each distinct tail text is parsed and checked once while the reader
+    knows it. Its dict of tail texts is emptied after a chunk once it holds
+    more than half a chunk of them: a file whose steps repeat a few trees
+    has each tail parsed once, and one of mostly distinct tails keeps few
+    texts. A step is a run of lines whose parsed prefix and position bin
+    agree, kept as the sequence of its lines' tail ids; steps with equal
+    sequences share one candidate tree.
 
-    Domains are numbered into ``domains`` as they are met. The first bad
-    line raises InputError with its first fault. A fault's rank orders a
-    line's faults: 0 for a wrong field count, the field's index for a text
-    an int or float field rejects, ``width`` for a domain not quoted as the
-    writer quotes it, ``width + 1`` for an int outside int64 and
-    ``width + 2`` for the first rule the line breaks.
+    Faults are ranked as a line's fields are: 0 for a wrong field count, the
+    field's index for a text an int or float field rejects, ``width`` for a
+    domain not quoted as the writer quotes it, ``width + 1`` for an int
+    outside int64 and ``width + 2`` for the first rule the line breaks. A
+    chunk raises InputError for its first bad line, with that line's first
+    fault.
     """
-    width = len(RECORD_FIELDS)
-    heads: list[str] = []  # each prefix's fields, in turn
-    starts: list[int] = []  # the index of each prefix's first line
-    line_tails: list[str] = []
-    faults: list[tuple[int, int, str]] = []  # (line index, rank, message)
-    prefix, cut = "\n\n", 0  # no line starts with two line breaks, so the first line is split
-    for line in lines:
-        if not line.startswith(prefix):
-            fields = line.rsplit(",", width - 1)
-            if len(fields) != width:
-                faults.append((len(line_tails), 0, f"malformed row of {len(fields)} fields, not {width}"))
-                break  # a later line's faults come after this one
-            starts.append(len(line_tails))
-            heads += fields[:len(_PREFIX_FIELDS)]
-            prefix = ",".join(fields[:len(_PREFIX_FIELDS)]) + ","
-            cut = len(prefix)
-        line_tails.append(line[cut:])
-    # Each distinct tail, in order of first appearance, maps to the index of
-    # its first line; a line's tail id is its tail's place in that order.
-    tails: dict[str, int] = {}
-    first_lines = np.fromiter(map(tails.setdefault, line_tails, itertools.count()), np.int64,
-                              len(line_tails))
-    firsts = list(tails.values())
-    commas = list(map(str.count, tails, itertools.repeat(",")))
-    if commas.count(len(_TAIL_FIELDS) - 1) != len(commas):
-        # The first line holding another count is split at its last nine
-        # commas as the first line of the rest. Its domain field then ends
-        # inside the quotes or runs past them, so the rest is rejected there
-        # unless the lines before it are.
-        at = next(first for first, n in zip(firsts, commas) if n != len(_TAIL_FIELDS) - 1)
-        parts = (_parse_rows(lines[:at], domains, path, first_line),
-                 _parse_rows(lines[at:], domains, path, first_line + at))
-        return {name: np.concatenate([part[name] for part in parts]) for name in RECORD_COLUMNS}
-    runs = np.diff([*starts, len(line_tails)])
-    ids = np.searchsorted(firsts, first_lines)
-    cells = ",".join(tails).split(",") if tails else []
-    columns = {}
-    for i, name in enumerate(RECORD_FIELDS):
-        if i == 0:
-            parse, rank = (lambda text: domains.setdefault(_domain_name(text), len(domains))), width
-        else:
-            parse, rank = int if name in INT_FIELDS else float, i
-        if name in _PREFIX_FIELDS:
-            values = _parse_column(heads[i::len(_PREFIX_FIELDS)], parse, rank, faults,
-                                   starts.__getitem__)
-            columns[name] = np.repeat(values, runs)
-        else:
-            values = _parse_column(cells[i - len(_PREFIX_FIELDS)::len(_TAIL_FIELDS)], parse, rank,
-                                   faults, firsts.__getitem__)
-            columns[name] = values[ids]
-    columns["domain_code"] = columns.pop("domain")
-    codes = _rule_codes(columns)
-    if codes.any():
-        row = int(np.flatnonzero(codes)[0])
-        name, message = _RULES[codes[row] - 1]
-        faults.append((row, width + 2, message.format(columns[name][row].item())))
-    if faults:
-        line, _, message = min(faults)
-        raise InputError(f"{path}:{first_line + line}: {message}")
-    return columns
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self.domains: dict[str, int] = {}  # numbered as met
+        self.known: dict[str, int] = {}  # tail text -> the number of the first line that held it
+        empty = np.zeros(0, dtype=np.int64)
+        # Each chunk's new tails, parsed, and each parsed tail's first line
+        # number and position bin; a tail is then known by its index here.
+        self.tails = [{name: _array(name, ()) for name in _TAIL_FIELDS}]
+        self.tail_ids = empty
+        self.bins = empty
+        self.keys = [empty.reshape(4, 0)]  # per chunk: the step fields of the steps it starts
+        self.trees = [empty]  # per chunk: the candidate tree of each step it ends
+        self.numbers: dict[bytes, int] = {}  # a step's tail ids -> its candidate tree
+        # Per chunk: the tail ids of its new candidate trees, and their sizes.
+        self.candidates = [empty]
+        self.sizes = [np.zeros(1, dtype=np.int64)]
+        self.open: list[np.ndarray] = []  # tail ids of the lines of the step left open
+        self.open_key: np.ndarray | None = None  # that step's fields
+
+    def read(self, lines: list[str], first_line: int) -> None:
+        """Take the record lines ``lines``, the first of them line ``first_line`` of the file.
+
+        A line that does not start with the previous line's prefix is split
+        at its last nine commas, which gives it a prefix; any other line
+        keeps the previous one. Either way the rest of the line is its tail.
+        Every new tail is checked to hold six commas, so the prefix's three
+        fields and the tail's seven are the fields ``rsplit`` would give: a
+        prefix's ``prompt_id`` and ``step_index`` hold no comma.
+        """
+        width = len(RECORD_FIELDS)
+        heads: list[str] = []  # each run's prefix fields, in turn
+        runs: list[int] = []  # the index of each run's first line
+        line_tails: list[str] = []
+        faults: list[tuple[int, int, str]] = []  # (line index, rank, message)
+        prefix, cut = "\n\n", 0  # no line starts with two line breaks, so the first line is split
+        for line in lines:
+            if not line.startswith(prefix):
+                fields = line.rsplit(",", width - 1)
+                if len(fields) != width:
+                    faults.append((len(line_tails), 0, f"malformed row of {len(fields)} fields, not {width}"))
+                    break  # a later line's faults come after this one
+                runs.append(len(line_tails))
+                heads += fields[:len(_PREFIX_FIELDS)]
+                prefix = ",".join(fields[:len(_PREFIX_FIELDS)]) + ","
+                cut = len(prefix)
+            line_tails.append(line[cut:])
+        n = len(line_tails)
+
+        # A line's tail id is the number of the first line that held its text.
+        line_ids = np.fromiter(map(self.known.setdefault, line_tails, itertools.count(first_line)),
+                               np.int64, n)
+        new = np.flatnonzero(line_ids == np.arange(first_line, first_line + n))  # first lines of new tails
+        new_firsts = new.tolist()
+        texts = list(map(line_tails.__getitem__, new_firsts))
+        cells = ",".join(texts).split(",") if texts else []
+        # Only a tail's last field ends with a line end (the file's last line
+        # may have none), so each tail holds six commas when every seventh
+        # cell but the last ends with one.
+        if len(cells) != len(_TAIL_FIELDS) * len(texts) or not all(
+                map(str.endswith, cells[len(_TAIL_FIELDS) - 1:-1:len(_TAIL_FIELDS)], itertools.repeat(("\n", "\r")))):
+            # The first line holding another count is split at its last nine
+            # commas as the first line of the rest. Its domain field then ends
+            # inside the quotes or runs past them, so the rest is rejected there
+            # unless the lines before it are.
+            at = next(line for line, text in zip(new_firsts, texts) if text.count(",") != len(_TAIL_FIELDS) - 1)
+            for text in texts:  # unknown again, as the rest is read anew
+                del self.known[text]
+            self.read(lines[:at], first_line)
+            self.read(lines[at:], first_line + at)
+            return
+        tails = {
+            name: _parse_column(cells[i::len(_TAIL_FIELDS)], int if name in INT_FIELDS else float,
+                                len(_PREFIX_FIELDS) + i, faults, new_firsts)
+            for i, name in enumerate(_TAIL_FIELDS)
+        }
+
+        domain, prompt_id, step_index = (
+            _parse_column(heads[i::len(_PREFIX_FIELDS)], parse, rank, faults, runs)
+            for i, (parse, rank) in enumerate([(self._domain_code, width), (int, 1), (int, 2)])
+        )
+
+        # The first line to break a rule, with the first rule it breaks: its
+        # tail's, or the step rule if its step_index is negative.
+        broken = []  # (line index, rule code, message)
+        tail_codes = _rule_codes(tails)
+        for bad in np.flatnonzero(tail_codes)[:1].tolist():
+            name, message = _RULES[tail_codes[bad] - 1]
+            value = tails[name][bad].item() if name in tails else None
+            broken.append((new_firsts[bad], int(tail_codes[bad]), message.format(value)))
+        for run in np.flatnonzero(step_index < 0)[:1].tolist():
+            broken.append((runs[run], _STEP_RULE, _RULES[_STEP_RULE - 1][1]))
+        if broken:
+            line, _, message = min(broken)
+            faults.append((line, width + 2, message))
+        if faults:
+            line, _, message = min(faults)
+            raise InputError(f"{self.path}:{first_line + line}: {message}")
+
+        if len(self.known) > _CSV_CHUNK_ROWS // 2:
+            self.known.clear()  # so a file of mostly distinct tails keeps few texts
+        self.tails.append(tails)
+        self.tail_ids = np.concatenate([self.tail_ids, new + first_line])
+        self.bins = np.concatenate([self.bins, tails["position_bin"]])
+        line_ids = np.searchsorted(self.tail_ids, line_ids)
+        self._steps(line_ids, np.array(runs), np.stack([domain, prompt_id, step_index]))
+
+    def _domain_code(self, text: str) -> int:
+        return self.domains.setdefault(_domain_name(text), len(self.domains))
+
+    def _steps(self, line_ids: np.ndarray, runs: np.ndarray, run_keys: np.ndarray) -> None:
+        """Find the steps of a chunk's lines, given each line's tail id and each run's prefix fields.
+
+        A step starts at a run whose prefix fields differ from the run
+        before's, or at a line whose position bin differs from the line
+        before's.
+        """
+        bins = self.bins[line_ids]
+        changed = np.ones(runs.size, dtype=bool)
+        changed[1:] = (run_keys[:, 1:] != run_keys[:, :-1]).any(axis=0)
+        if self.open_key is not None:
+            changed[0] = bool((run_keys[:, 0] != self.open_key[:-1]).any()) or bins[0] != self.open_key[-1]
+        starts = np.zeros(line_ids.size, dtype=bool)
+        starts[runs] = changed
+        starts[1:] |= bins[1:] != bins[:-1]
+        cuts = np.flatnonzero(starts)
+        held = sum(piece.size for piece in self.open)
+        self.open.append(line_ids)
+        if cuts.size:
+            keys = np.concatenate([run_keys[:, np.searchsorted(runs, cuts, side="right") - 1], bins[None, cuts]])
+            self.keys.append(keys)
+            self.open_key = keys[:, -1]
+            ends = cuts + held
+            self._close(ends[ends > 0])
+
+    def _close(self, ends: np.ndarray) -> None:
+        """End the steps held open at ``ends``, positions in the held lines; the last step stays open."""
+        if not ends.size:
+            return
+        ids = np.concatenate(self.open)
+        bounds = np.append(0, ends)
+        tree, first = _number_blocks(ids.tobytes(), ids.itemsize, bounds, self.numbers)
+        self.trees.append(tree)
+        self.candidates.append(ids[_ranges(bounds[first], bounds[first + 1])])
+        self.sizes.append(bounds[first + 1] - bounds[first])
+        self.open = [ids[ends[-1]:].copy()]
+
+    def table(self) -> RecordTable:
+        """The table of the lines read, once the last chunk is read."""
+        if self.open:
+            self._close(np.array([sum(piece.size for piece in self.open)]))
+        steps = dict(zip(STEP_FIELDS, np.concatenate(self.keys, axis=1)))
+        steps["tree"] = np.concatenate(self.trees)
+        rows = np.concatenate(self.candidates)
+        # Each column of the parsed tails is let go once it is gathered.
+        trees = {name: np.concatenate([tails.pop(name) for tails in self.tails])[rows] for name in TREE_FIELDS}
+        return RecordTable.from_steps(tuple(self.domains), steps, np.cumsum(np.concatenate(self.sizes)), trees)
 
 
-def _parse_column(texts: Sequence[str], parse, rank: int, faults: list[tuple[int, int, str]],
-                  line_of) -> np.ndarray:
-    """``parse`` applied to each distinct text once, in order of first appearance.
+def _parse_column(texts: list[str], parse, rank: int, faults: list[tuple[int, int, str]],
+                  lines: Sequence[int]) -> np.ndarray:
+    """``parse`` applied to each distinct text once; ``texts[i]`` is on line ``lines[i]``.
 
     A text that ``parse`` rejects, or whose int falls outside int64, reads
     as 0, and the first line holding one joins ``faults``: at ``rank``, or
-    at the int64 rank (see ``_parse_rows``). ``line_of`` gives the index of
-    the first line that holds ``texts[i]``.
+    at the int64 rank (see ``_RecordReader``).
     """
-    values: dict[str, int | float] = dict.fromkeys(texts)
-    bad: dict[str, tuple[int, str]] = {}
-    for text in values:
+    dtype = np.float64 if parse is float else np.int64
+    distinct = dict.fromkeys(texts)
+    try:
+        values = dict(zip(distinct, map(parse, distinct)))
+        return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+    except (ValueError, OverflowError):
+        pass
+    values, bad = {}, {}
+    for text in distinct:
         try:
             values[text] = parse(text)
         except ValueError as exc:
             values[text], bad[text] = 0, (rank, str(exc))
         if parse is int and not -(2**63) <= values[text] < 2**63:
-            values[text] = 0
-            bad[text] = (len(RECORD_FIELDS) + 1, "integer field outside the int64 range")
-    if bad:
-        first = next(i for i, text in enumerate(texts) if text in bad)
-        faults.append((line_of(first), *bad[texts[first]]))
-    dtype = np.float64 if parse is float else np.int64
+            values[text], bad[text] = 0, (len(RECORD_FIELDS) + 1, "integer field outside the int64 range")
+    first = next(i for i, text in enumerate(texts) if text in bad)
+    faults.append((lines[first], *bad[texts[first]]))
     return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treespec import LanguageModel, NGramModel, RecordTable, synthetic_corpora
-from treespec.metrics import RECORD_FIELDS
+from treespec.metrics import FLOAT_FIELDS, RECORD_COLUMNS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,13 +14,29 @@ FIXTURES = Path(__file__).parent / "fixtures"
 Row = namedtuple("Row", RECORD_FIELDS)
 
 
+def column_table(domains, columns):
+    """A RecordTable of records given as one column per RECORD_COLUMNS name.
+
+    Built through ``RecordTable.from_steps``: each maximal run of records
+    with equal step fields is a step, whose rows are its own candidate tree.
+    """
+    columns = {name: np.asarray(columns[name], dtype=np.float64 if name in FLOAT_FIELDS else np.int64)
+               for name in RECORD_COLUMNS}
+    keys = [columns[name] for name in STEP_FIELDS[:-1]]
+    n = len(keys[0])
+    starts = np.flatnonzero(np.append(n > 0, np.any([key[1:] != key[:-1] for key in keys], axis=0)))
+    steps = {name: key[starts] for name, key in zip(STEP_FIELDS, keys)}
+    steps["tree"] = np.arange(starts.size)
+    trees = {name: columns[name] for name in TREE_FIELDS}
+    return RecordTable.from_steps(domains, steps, np.append(starts, n), trees)
+
+
 def record_table(rows):
     """A RecordTable of rows of RECORD_FIELDS values, domains numbered by first appearance."""
     codes = {}
     columns = list(zip(*rows)) or [()] * len(RECORD_FIELDS)
     domain_code = [codes.setdefault(name, len(codes)) for name in columns[0]]
-    return RecordTable.from_chunks(
-        codes, [dict(zip(RECORD_FIELDS[1:], columns[1:]), domain_code=domain_code)])
+    return column_table(tuple(codes), dict(zip(RECORD_FIELDS[1:], columns[1:]), domain_code=domain_code))
 
 
 def table_rows(table):

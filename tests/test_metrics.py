@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import Row, record_table
+from conftest import Row, column_table, record_table
 from treespec import (
     DomainSummary,
     InputError,
@@ -501,9 +503,9 @@ class TestRecordTable:
         assert all(getattr(table, name).dtype == np.int64 for name in INT_FIELDS)
         assert all(getattr(table, name).dtype == np.float64 for name in FLOAT_FIELDS)
         columns = {name: getattr(table, name) for name in RECORD_FIELDS[1:]}
-        renumbered = RecordTable.from_chunks(("a", "b"), [{**columns, "domain_code": [1, 0]}])
+        renumbered = column_table(("a", "b"), {**columns, "domain_code": [1, 0]})
         assert renumbered == table
-        assert RecordTable.from_chunks(("a", "b"), [{**columns, "domain_code": [0, 1]}]) != table
+        assert column_table(("a", "b"), {**columns, "domain_code": [0, 1]}) != table
         assert table != records
 
     def test_empty(self):
@@ -511,20 +513,18 @@ class TestRecordTable:
         assert len(table) == 0 and not table
         assert summarize(table) == {}
 
-    def test_rejects_ragged_columns_and_bad_codes(self):
-        columns = {name: [0] for name in RECORD_FIELDS[1:]}
-        with pytest.raises(InputError):
-            RecordTable.from_chunks(("a",), [{**columns, "domain_code": [0, 0]}])
-        with pytest.raises(InputError):
-            RecordTable.from_chunks(("a",), [{**columns, "domain_code": [1]}])
-        with pytest.raises(InputError):
-            RecordTable.from_chunks(("a", "a"), [{**columns, "domain_code": [0]}])
+    def test_rejects_bad_codes_and_duplicate_domains(self):
+        columns = {name: [1] for name in RECORD_FIELDS[1:]}
+        with pytest.raises(InputError, match="domain code outside the domain names"):
+            column_table(("a",), {**columns, "domain_code": [1]})
+        with pytest.raises(InputError, match="duplicate domain names"):
+            column_table(("a", "a"), {**columns, "domain_code": [0]})
 
     @pytest.mark.parametrize("name", ["a\nb", "a\rb", "\r\n"])
     def test_rejects_a_line_break_in_a_domain_name(self, name):
         columns = {field: [0] for field in RECORD_FIELDS[1:]}
         with pytest.raises(InputError, match=re.escape(f"domain name {name!r} holds a line break")):
-            RecordTable.from_chunks(("ok", name), [{**columns, "domain_code": [0]}])
+            column_table(("ok", name), {**columns, "domain_code": [0]})
 
     def from_steps(self, tree, prompt_id=(0, 1, 2, 3), offsets=(0, 1, 2, 3, 3)):
         # Candidate trees: c0 and c1 hold equal rows, c2 another, c3 none.
@@ -557,6 +557,7 @@ class TestRecordTable:
         ([0, 4], (0, 1), (0, 1, 2, 3, 3), "step tree outside the candidate trees"),
         ([0], (0,), (0, 2, 1, 3), "tree offsets must rise"),
         ([0], (0,), (0, 1, 2), "tree offsets must rise"),
+        ([0, 1], (0,), (0, 1, 2, 3, 3), "step columns must be one-dimensional and of equal length"),
     ])
     def test_from_steps_rejects(self, tree, prompt_id, offsets, message):
         with pytest.raises(InputError, match=message):
@@ -571,3 +572,99 @@ class TestRecordTable:
         write_records_csv(record_table([row]), path)
         with pytest.raises(InputError, match=re.escape(f"{path}:2: {name} must be finite, got {value!r}")):
             read_records_csv(path)
+
+
+# --- per-record oracle over tables whose steps share trees --------------------
+
+# alpha and entropy levels: -0.0 ties 0.0, and halves tie in sums.
+TIED = [-0.0, 0.0, 0.25, 0.5, 1.0]
+
+
+def spec_table(spec):
+    """The table of ``spec`` = (domain count, trees, steps) through ``from_steps``.
+
+    Each tree is a list of (alpha, entropy) rows at depths 1, 2, ...; each
+    step is (domain code, tree, position bin) and takes the next step_index.
+    """
+    domains, trees, steps = spec
+    rows = [(depth, alpha, entropy) for tree in trees for depth, (alpha, entropy) in enumerate(tree, 1)]
+    depth, alpha, entropy = (list(column) for column in zip(*rows))
+    n = len(steps)
+    codes, tree, bins = (list(column) for column in zip(*steps))
+    return RecordTable.from_steps(
+        tuple(f"d{i}" for i in range(domains)),
+        {"domain_code": codes, "prompt_id": [0] * n, "step_index": range(n), "position_bin": bins,
+         "tree": tree},
+        np.cumsum([0, *map(len, trees)]),
+        {"depth": depth, "token": [0] * len(rows), "p_draft": [1.0] * len(rows), "p_target": alpha,
+         "alpha": alpha, "target_entropy": entropy},
+    )
+
+
+def oracle_means(groups, values):
+    """Mean of ``values`` per distinct group label, labels from np.unique."""
+    return {int(g): float(values[groups == g].mean()) for g in np.unique(groups)}
+
+
+def assert_matches_per_record_oracle(table):
+    summaries = summarize(table)
+    profile = depth_profile(table)
+    assert list(summaries) == sorted({table.domains[c] for c in table.domain_code.tolist()})
+    for domain, got in summaries.items():
+        mask = table.domain_code == table.domains.index(domain)
+        alphas, entropies, depths = table.alpha[mask], table.target_entropy[mask], table.depth[mask]
+        per_depth = oracle_means(depths, alphas)
+        try:
+            rho = spearman_rho(entropies, alphas)
+        except UndefinedCorrelationError:
+            rho = math.nan
+        chain = chain_probabilities(per_depth)
+        assert got.node_count == alphas.size
+        for have, want in [(got.mean_alpha, alphas.mean()), (got.std_alpha, alphas.std()),
+                           (got.mean_entropy, entropies.mean()), (got.spearman_rho, rho),
+                           (got.expected_len, sum(chain.values()))]:
+            assert same_bits(have, want), (domain, have, want)
+        assert list(got.per_depth_alpha) == list(per_depth)
+        assert all(same_bits(got.per_depth_alpha[d], a) for d, a in per_depth.items())
+        assert all(same_bits(got.chain_prob[d], p) for d, p in chain.items())
+        assert all(same_bits(profile.cells[(domain, d)], a) for d, a in per_depth.items())
+        assert same_bits(profile.delta[domain], per_depth[max(per_depth)] - per_depth[min(per_depth)])
+    cells = {}
+    for depth in np.unique(table.depth).tolist():
+        for position_bin in (0, 1):
+            mask = (table.depth == depth) & (table.position_bin == position_bin)
+            if mask.any():
+                cells[(depth, position_bin)] = float(table.alpha[mask].mean())
+    effects = position_effects(table)
+    assert list(effects.cells) == list(cells)
+    assert all(same_bits(effects.cells[key], value) for key, value in cells.items())
+
+
+@st.composite
+def shared_tree_specs(draw):
+    """Up to three domains over one to four trees, each used by many steps."""
+    row = st.tuples(st.sampled_from(TIED + [0.75]), st.sampled_from(TIED + [2.5]))
+    trees = draw(st.lists(st.lists(row, min_size=1, max_size=4), min_size=1, max_size=4))
+    if draw(st.booleans()):  # one NaN, in alpha or entropy
+        t = draw(st.integers(0, len(trees) - 1))
+        r = draw(st.integers(0, len(trees[t]) - 1))
+        alpha, entropy = trees[t][r]
+        trees[t][r] = (math.nan, entropy) if draw(st.booleans()) else (alpha, math.nan)
+    domains = draw(st.integers(1, 3))
+    step = st.tuples(st.integers(0, domains - 1), st.integers(0, len(trees) - 1), st.integers(0, 1))
+    steps = draw(st.lists(step, min_size=1, max_size=60))
+    return domains, trees, steps
+
+
+class TestAnalyticsAgainstPerRecordOracle:
+    # Each domain's ranks come from its distinct tree rows; the oracle ranks
+    # every record, as summarize did before.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(shared_tree_specs())
+    @example((2, [[(0.0, -0.0), (-0.0, 0.0), (0.5, 0.0)], [(-0.0, 0.25)]],
+              [(0, 0, 0), (1, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0)]))  # -0.0 ties 0.0
+    @example((1, [[(0.5, 0.25), (math.nan, 1.0)], [(1.0, 0.0)]], [(0, 0, 0), (0, 1, 1), (0, 0, 1)]))
+    @example((2, [[(0.5, 0.25)], [(1.0, 0.0), (0.25, 0.5)]], [(0, 1, 0), (1, 0, 1), (0, 1, 1)]))  # d1: one record
+    @example((1, [[(0.5, 0.25), (0.5, 1.0)], [(0.5, 0.0)]], [(0, 0, 0), (0, 1, 0), (0, 0, 1)]))  # alpha all tied
+    def test_summaries_and_profiles(self, spec):
+        assert_matches_per_record_oracle(spec_table(spec))

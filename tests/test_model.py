@@ -142,6 +142,23 @@ class TestNextTokenDist:
         with pytest.raises(InputError, match="outside the model vocabulary"):
             NGramModel.fit(AB, [[0, 1], [1, 2]], order=2, smoothing=0.1)
 
+    @pytest.mark.parametrize("documents", [
+        [[0, 1.5, 2]], [[0, 1], [2, 0.5]], [[float("nan")]], [["1"]], [[0, None]],
+    ])
+    def test_fit_token_that_is_not_an_integer_rejected(self, documents):
+        # The rule window applies to a context: 1.5 is not counted as 1.
+        abc = Vocabulary(("a", "b", "c"))
+        with pytest.raises(InputError, match="a document holds a token that is not an integer"):
+            NGramModel.fit(abc, documents, 2, 0.1)
+        with pytest.raises(InputError, match="not an integer"):
+            NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).window(documents[-1])
+
+    def test_fit_takes_integer_tokens_of_any_type(self):
+        abc = Vocabulary(("a", "b", "c"))
+        plain = NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).counts
+        assert NGramModel.fit(abc, [[0, 1.0, np.int64(2)]], 2, 0.1).counts == plain
+        assert NGramModel.fit(abc, [np.array([0, 1, 2])], 2, 0.1).counts == plain
+
     def test_unknown_token_in_context(self):
         model = NGramModel.fit(AB, [[0, 1]], order=2, smoothing=0.1)
         with pytest.raises(InputError):

@@ -26,11 +26,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import Row, record_table, table_rows
+from conftest import Row, column_table, record_table, table_rows
 from treespec import (
     GenerationConfig,
     InputError,
-    RecordTable,
     read_records_csv,
     run_experiment,
     synthetic_corpora,
@@ -38,7 +37,7 @@ from treespec import (
 )
 from treespec import runner
 from treespec.metrics import (
-    FLOAT_FIELDS, INT_FIELDS, RECORD_COLUMNS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS,
+    FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS,
 )
 
 CASES = 150
@@ -131,7 +130,7 @@ def random_table(rng):
     p_draft = [float(v) for v in rng.choice([v for v in FLOATS if v > 0], n)]
     p_target = [float(v) for v in rng.choice(FLOATS, n)]
     big = np.array([0, 1, 7, 2**31, 2**63 - 1, -(2**63)], dtype=np.int64)
-    return RecordTable.from_chunks(names, [dict(
+    return column_table(names, dict(
         domain_code=rng.integers(0, len(names), n),
         prompt_id=rng.choice(big, n),
         step_index=rng.choice(big[big >= 0], n),
@@ -142,7 +141,7 @@ def random_table(rng):
         p_target=p_target,
         alpha=[min(1.0, t / d) for t, d in zip(p_target, p_draft)],
         target_entropy=rng.choice(FLOATS, n),
-    )])
+    ))
 
 
 def random_tree(rng):
@@ -322,16 +321,14 @@ def test_distinct_trees_round_trip(tmp_path, monkeypatch, chunk_rows):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_any_chunking_gives_the_same_steps_and_trees():
+def test_any_chunking_gives_the_same_steps_and_trees(tmp_path, monkeypatch):
     rng = np.random.default_rng(5105)
+    path = tmp_path / "records.csv"
     for case in range(40):
         table = random_step_table(rng) if case % 2 else random_distinct_steps(rng, 12)
-        columns = {name: table._column(name) for name in RECORD_COLUMNS}
-        cuts = np.sort(rng.integers(0, len(table) + 1, int(rng.integers(0, 8))))
-        chunks = [{name: column[lo:hi] for name, column in columns.items()}
-                  for lo, hi in zip([0, *cuts], [*cuts, len(table)])]  # some may be empty
-        assert structure(RecordTable.from_chunks(table.domains, chunks)) == oracle_structure(
-            rows_of(table_rows(table)))
+        write_records_csv(table, path)
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", int(rng.integers(1, len(table) + 2)))
+        assert structure(read_records_csv(path)) == oracle_structure(rows_of(table_rows(table)))
 
 
 def test_equal_values_written_apart_share_a_tree(tmp_path):

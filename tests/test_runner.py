@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Row, TableModel, record_table, table_rows
+from conftest import Row, TableModel, column_table, record_table, table_rows
 from treespec import (
     DomainCorpus,
     DomainSummary,
@@ -596,7 +596,7 @@ def awkward_table():
     n = len(AWKWARD)
     p_draft = [v if v > 0 else 0.5 for v in AWKWARD]
     p_target = AWKWARD[3:] + AWKWARD[:3]
-    return RecordTable.from_chunks(("chat", "a,b", 'q"t'), [dict(
+    return column_table(("chat", "a,b", 'q"t'), dict(
         domain_code=[i % 3 for i in range(n)],
         prompt_id=range(n),
         step_index=[0, 1, 2, 3, 0, 1, 2, 3],
@@ -607,7 +607,15 @@ def awkward_table():
         p_target=p_target,
         alpha=[min(1.0, t / d) for t, d in zip(p_target, p_draft)],
         target_entropy=AWKWARD,
-    )])
+    ))
+
+
+def same_structure(a, b):
+    """Whether two tables hold the same steps, tree ids and tree rows, floats by bit pattern."""
+    return (a.domains == b.domains
+            and all(np.array_equal(a.steps[name], b.steps[name]) for name in STEP_FIELDS)
+            and np.array_equal(a.tree_offsets, b.tree_offsets)
+            and all(a.trees[name].tobytes() == b.trees[name].tobytes() for name in TREE_FIELDS))
 
 
 class TestRecordCsv:
@@ -647,26 +655,55 @@ class TestRecordCsv:
         for name in FLOAT_FIELDS:  # -0.0 keeps its sign
             assert getattr(back, name).tobytes() == getattr(table, name).tobytes()
 
-    def test_large_file_read_in_chunks(self, tmp_path, monkeypatch):
-        base = awkward_table()
-        reps = 100_000 // len(base)
-        columns = {name: np.tile(getattr(base, name), reps) for name in RECORD_FIELDS[1:]}
-        columns["domain_code"] = np.tile(base.domain_code, reps)
-        table = RecordTable.from_chunks(base.domains, [columns])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7])
+    def test_steps_and_repeated_tails_across_chunks(self, tmp_path, monkeypatch, chunk_rows):
+        # Steps of one to three rows over three trees, in both bins and three
+        # domains: steps, and tails met again, straddle every chunk boundary.
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+        rows = table_rows(awkward_table())
+        trees = [rows[0:3], rows[3:5], rows[5:6]]
+        names = ("chat", "a,b", 'q"t')
+        table = record_table([
+            Row(names[step % 3], step // 5, step, row.depth, step // 2 % 2, *row[5:])
+            for step in range(40) for row in trees[(0, 1, 0, 2, 2, 1, 0)[step % 7]]
+        ])
+        assert len(table.tree_offsets) == 4 and len(table.steps["tree"]) == 40
         path = tmp_path / "records.csv"
         write_records_csv(table, path)
-        seen = []
-        parse_rows = runner._parse_rows
+        back = read_records_csv(path)
+        assert back == table
+        assert same_structure(back, table)
 
-        def spy(rows, *args):
-            seen.append(len(rows))
-            return parse_rows(rows, *args)
-
-        monkeypatch.setattr(runner, "_parse_rows", spy)
-        assert read_records_csv(path) == table
-        assert sum(seen) == len(table) == 100_000
-        assert max(seen) == runner._CSV_CHUNK_ROWS
-        assert len(seen) == -(-len(table) // runner._CSV_CHUNK_ROWS)
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 8192])
+    def test_tails_are_one_tree_when_they_parse_to_equal_bits(self, tmp_path, monkeypatch, chunk_rows):
+        # Lines 2-3 and 4-5 are one tree written in other text (+1, 5e-1,
+        # 1.0); -0.0 is not 0, so lines 6-7 are another. Prefixes 01 and 1
+        # make lines 8-9 one step, whose tails are those of lines 2-3 with
+        # the other bin: with chunks of three lines, line 2's tail returns in
+        # the third chunk, once with each bin.
+        monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
+        lines = [
+            "chat,0,0,1,0,5,0.5,0.25,0.5,0", "chat,0,0,2,0,6,0.5,0.5,1,0.1",
+            "chat,0,1,+1,0,5,5e-1,0.25,0.5,0", "chat,0,1,2,0,6,0.5,0.5,1.0,0.1",
+            "chat,0,2,1,0,5,0.5,0.25,0.5,-0.0", "chat,0,2,2,0,6,0.5,0.5,1,0.1",
+            "chat,01,3,1,1,5,0.5,0.25,0.5,0", "chat,1,3,2,1,6,0.5,0.5,1,0.1",
+            "chat,1,4,1,0,5,0.5,0.25,0.5,0", "chat,1,4,2,0,6,0.5,0.5,1,0.1",
+        ]
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join([",".join(RECORD_FIELDS), *lines]) + "\n", encoding="utf-8")
+        table = read_records_csv(path)
+        assert table.steps["prompt_id"].tolist() == [0, 0, 0, 1, 1]
+        assert table.steps["position_bin"].tolist() == [0, 0, 0, 1, 0]
+        assert table.steps["tree"].tolist() == [0, 0, 1, 0, 0]
+        assert table.tree_offsets.tolist() == [0, 2, 4]
+        assert np.signbit(table.trees["target_entropy"]).tolist() == [False, False, True, False]
+        assert table == record_table([
+            Row("chat", prompt_id, step_index, depth, position_bin, 4 + depth, 0.5, 0.25 * depth,
+                0.5 * depth, entropy if depth == 1 else 0.1)
+            for prompt_id, step_index, position_bin, entropy in [
+                (0, 0, 0, 0.0), (0, 1, 0, 0.0), (0, 2, 0, -0.0), (1, 3, 1, 0.0), (1, 4, 0, 0.0)]
+            for depth in (1, 2)
+        ])
 
     @pytest.mark.parametrize("chunk_rows", [4, 8192])
     def test_first_bad_row_is_reported(self, tmp_path, monkeypatch, chunk_rows):
