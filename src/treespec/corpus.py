@@ -90,7 +90,11 @@ def sample_prompts(corpus: DomainCorpus, n: int, seed: int, max_len: int = 512) 
         raise InputError("n and max_len must be >= 1")
     rng = np.random.default_rng(seed)
     replace = len(corpus.documents) < n
-    indices = [int(i) for i in rng.choice(len(corpus.documents), size=n, replace=replace)]
+    try:
+        chosen = rng.choice(len(corpus.documents), size=n, replace=replace)
+    except (ValueError, OverflowError, MemoryError) as exc:  # n too large for one array
+        raise InputError(f"cannot draw {n} prompts from domain {corpus.domain!r}: {exc}") from exc
+    indices = [int(i) for i in chosen]
     prompts = [tuple(corpus.documents[i][:max_len]) for i in indices]
     return PromptSet(prompts=prompts, doc_indices=indices)
 

@@ -102,33 +102,28 @@ class RecordTable:
             raise InputError("step tree outside the candidate trees")
         if not _step_starts([steps[name] for name in STEP_FIELDS[:-1]]).all():
             raise InputError("adjacent steps share their step fields")
-        content, _ = _number_blocks(_row_bits(trees).tobytes(), 8 * len(TREE_FIELDS), offsets, {})
+        content, _ = _number_blocks(_row_bits(trees).tobytes(), 8 * len(TREE_FIELDS), offsets)
         tree_of_step, first_step = _first_appearance(content[tree])
         lo, hi = offsets[tree[first_step]], offsets[tree[first_step] + 1]
         if np.any(hi == lo):
             raise InputError("a step's tree has no rows")
+        domains = tuple(domains)
+        if len(set(domains)) != len(domains):
+            raise InputError(f"duplicate domain names: {domains}")
+        check_domain_names(domains)
+        codes = steps["domain_code"]
+        if codes.size and (codes.min() < 0 or codes.max() >= len(domains)):
+            raise InputError("domain code outside the domain names")
         rows = _ranges(lo, hi)
         table = cls.__new__(cls)
-        table._set_structure(domains, {**steps, "tree": tree_of_step},
-                             np.append(0, np.cumsum(hi - lo)),
-                             {name: trees[name][rows] for name in TREE_FIELDS})
+        table.domains = domains
+        table.steps = {**steps, "tree": tree_of_step}
+        table.tree_offsets = np.append(0, np.cumsum(hi - lo))
+        table.trees = {name: trees[name][rows] for name in TREE_FIELDS}
+        table._length = int(table._step_sizes().sum())
+        table._row_index = None
         table._columns = {}
         return table
-
-    def _set_structure(self, domains: Sequence[str], steps: dict[str, np.ndarray],
-                       tree_offsets: np.ndarray, trees: dict[str, np.ndarray]) -> None:
-        self.domains = tuple(domains)
-        if len(set(self.domains)) != len(self.domains):
-            raise InputError(f"duplicate domain names: {self.domains}")
-        check_domain_names(self.domains)
-        codes = steps["domain_code"]
-        if codes.size and (codes.min() < 0 or codes.max() >= len(self.domains)):
-            raise InputError("domain code outside the domain names")
-        self.steps = steps
-        self.tree_offsets = tree_offsets
-        self.trees = trees
-        self._length = int(self._step_sizes().sum())
-        self._row_index: np.ndarray | None = None
 
     def _step_sizes(self) -> np.ndarray:
         """The number of records each step gives: the row count of its tree."""
@@ -215,23 +210,18 @@ def _step_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
     return starts
 
 
-def _number_blocks(
-    data: bytes, width: int, bounds: np.ndarray, numbers: dict[bytes, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Number blocks of rows by content, continuing ``numbers``.
+def _number_blocks(data: bytes, width: int, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number blocks of rows by content, 0, 1, ... in order of first appearance.
 
     ``data`` holds rows of ``width`` bytes whose bytes tell row contents
-    apart, and block b is rows ``bounds[b]:bounds[b + 1]``; a block whose
-    content is not in ``numbers`` takes the next number. Returns each
-    block's number and, for each number new here, the first block that has
-    it.
+    apart, and block b is rows ``bounds[b]:bounds[b + 1]``. Returns each
+    block's number and, for each number, the first block that has it.
     """
     cuts = (np.asarray(bounds, dtype=np.int64) * width).tolist()
-    known = len(numbers)
+    numbers: dict[bytes, int] = {}
     blocks = [numbers.setdefault(data[lo:hi], len(numbers)) for lo, hi in zip(cuts[:-1], cuts[1:])]
     block_numbers = np.array(blocks, dtype=np.int64)
-    first = np.unique(block_numbers, return_index=True)[1]  # new numbers sort last
-    return block_numbers, first[len(first) - (len(numbers) - known):]
+    return block_numbers, np.unique(block_numbers, return_index=True)[1]
 
 
 def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

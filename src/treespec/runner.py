@@ -20,8 +20,9 @@ record per line and all floats at 17 significant digits, so a run is
 reproducible byte-for-byte and re-ingestion is lossless. Reading one finds
 the same steps and trees from the lines alone: a step's lines share their
 ``domain,prompt_id,step_index,`` prefix, so the reader splits each prefix
-once, parses each distinct line tail once per file, and builds the table
-with ``RecordTable.from_steps`` from steps kept as sequences of tails.
+once and parses each distinct line tail once per file, chunk by chunk. After
+the last chunk it finds and numbers the steps, each a sequence of tails, in
+one pass, and builds the table with ``RecordTable.from_steps``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .metrics import (
     _array,
     _number_blocks,
     _ranges,
+    _step_starts,
     check_domain_names,
     depth_profile,
     position_effects,
@@ -332,9 +334,7 @@ def _table(
     step_columns = {name: np.concatenate([s[name] for s in steps]) for name in STEP_FIELDS}
     tree_columns = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
                                len(TREE_FIELDS) * len(rows)).reshape(-1, len(TREE_FIELDS)).T
-    trees = dict(zip(TREE_FIELDS, tree_columns))
-    trees["depth"], trees["token"] = (trees[name].astype(np.int64) for name in ("depth", "token"))
-    return RecordTable.from_steps(domains, step_columns, bounds, trees)
+    return RecordTable.from_steps(domains, step_columns, bounds, dict(zip(TREE_FIELDS, tree_columns)))
 
 
 # --- persistence -------------------------------------------------------------
@@ -412,10 +412,11 @@ def read_records_csv(path: str | Path) -> RecordTable:
     ``domain,prompt_id,step_index,`` before the tails of its tree's rows, so
     lines are read as prefixes over distinct tails, ``_CSV_CHUNK_ROWS`` at a
     time (see ``_RecordReader``): each run of lines with one prefix has its
-    prefix parsed once, each distinct tail is parsed and checked once, and a
-    step is kept as the sequence of its lines' tails. The table is built
-    from those steps with ``RecordTable.from_steps``, which makes tails that
-    parse to equal rows one tree. The first bad line is reported as
+    prefix parsed once, and each distinct tail is parsed and checked once.
+    After the last chunk the steps are found and numbered in one pass, each
+    kept as the sequence of its lines' tails, and the table is built from
+    them with ``RecordTable.from_steps``, which makes tails that parse to
+    equal rows one tree. The first bad line is reported as
     ``path:line`` with the message ``int``, ``float``, ``_domain_name`` or the
     rule it breaks gives.
     """
@@ -522,9 +523,11 @@ class _RecordReader:
     knows it. Its dict of tail texts is emptied after a chunk once it holds
     more than half a chunk of them: a file whose steps repeat a few trees
     has each tail parsed once, and one of mostly distinct tails keeps few
-    texts. A step is a run of lines whose parsed prefix and position bin
-    agree, kept as the sequence of its lines' tail ids; steps with equal
-    sequences share one candidate tree.
+    texts. Across chunks it keeps only the domain numbering, that dict, and
+    what each chunk appends: its parsed new tails, each one's first line
+    number, each line's tail (the first line number of its text), and each
+    run's first line number and prefix fields. ``table`` then finds and
+    numbers every step at once.
 
     Faults are ranked as a line's fields are: 0 for a wrong field count, the
     field's index for a text an int or float field rejects, ``width`` for a
@@ -539,19 +542,11 @@ class _RecordReader:
         self.domains: dict[str, int] = {}  # numbered as met
         self.known: dict[str, int] = {}  # tail text -> the number of the first line that held it
         empty = np.zeros(0, dtype=np.int64)
-        # Each chunk's new tails, parsed, and each parsed tail's first line
-        # number and position bin; a tail is then known by its index here.
-        self.tails = [{name: _array(name, ()) for name in _TAIL_FIELDS}]
-        self.tail_ids = empty
-        self.bins = empty
-        self.keys = [empty.reshape(4, 0)]  # per chunk: the step fields of the steps it starts
-        self.trees = [empty]  # per chunk: the candidate tree of each step it ends
-        self.numbers: dict[bytes, int] = {}  # a step's tail ids -> its candidate tree
-        # Per chunk: the tail ids of its new candidate trees, and their sizes.
-        self.candidates = [empty]
-        self.sizes = [np.zeros(1, dtype=np.int64)]
-        self.open: list[np.ndarray] = []  # tail ids of the lines of the step left open
-        self.open_key: np.ndarray | None = None  # that step's fields
+        self.tails = [{name: _array(name, ()) for name in _TAIL_FIELDS}]  # per chunk: its new tails, parsed
+        self.firsts = [empty]  # per chunk: the first line number of each new tail
+        self.line_tails = [empty]  # per chunk: the first line number of each line's text
+        self.runs = [empty]  # per chunk: the line number of each run's first line
+        self.heads = [empty.reshape(len(_PREFIX_FIELDS), 0)]  # per chunk: each run's prefix fields
 
     def read(self, lines: list[str], first_line: int) -> None:
         """Take the record lines ``lines``, the first of them line ``first_line`` of the file.
@@ -635,61 +630,44 @@ class _RecordReader:
         if len(self.known) > _CSV_CHUNK_ROWS // 2:
             self.known.clear()  # so a file of mostly distinct tails keeps few texts
         self.tails.append(tails)
-        self.tail_ids = np.concatenate([self.tail_ids, new + first_line])
-        self.bins = np.concatenate([self.bins, tails["position_bin"]])
-        line_ids = np.searchsorted(self.tail_ids, line_ids)
-        self._steps(line_ids, np.array(runs), np.stack([domain, prompt_id, step_index]))
+        self.firsts.append(new + first_line)
+        self.line_tails.append(line_ids)
+        self.runs.append(np.array(runs, dtype=np.int64) + first_line)
+        self.heads.append(np.stack([domain, prompt_id, step_index]))
 
     def _domain_code(self, text: str) -> int:
         return self.domains.setdefault(_domain_name(text), len(self.domains))
 
-    def _steps(self, line_ids: np.ndarray, runs: np.ndarray, run_keys: np.ndarray) -> None:
-        """Find the steps of a chunk's lines, given each line's tail id and each run's prefix fields.
+    def table(self) -> RecordTable:
+        """The table of the lines read, once the last chunk is read; called once.
 
         A step starts at a run whose prefix fields differ from the run
         before's, or at a line whose position bin differs from the line
-        before's.
+        before's. It is kept as the sequence of its lines' tails, and steps
+        with equal sequences share one candidate tree.
         """
-        bins = self.bins[line_ids]
-        changed = np.ones(runs.size, dtype=bool)
-        changed[1:] = (run_keys[:, 1:] != run_keys[:, :-1]).any(axis=0)
-        if self.open_key is not None:
-            changed[0] = bool((run_keys[:, 0] != self.open_key[:-1]).any()) or bins[0] != self.open_key[-1]
-        starts = np.zeros(line_ids.size, dtype=bool)
-        starts[runs] = changed
-        starts[1:] |= bins[1:] != bins[:-1]
+        firsts = np.concatenate(self.firsts)
+        # Each line's tail as an index into the parsed tails; the per-chunk
+        # ids are let go at once, which lowers the read's peak memory.
+        ids = np.searchsorted(firsts, np.concatenate(self.line_tails))
+        self.line_tails.clear()
+        tails = {name: np.concatenate([chunk[name] for chunk in self.tails]) for name in _TAIL_FIELDS}
+        bins = tails["position_bin"]
+        # A run's index among the lines; the file's first line holds a new tail.
+        runs = np.concatenate(self.runs) - firsts[:1]
+        heads = np.concatenate(self.heads, axis=1)
+        starts = np.zeros(ids.size, dtype=bool)
+        starts[runs] = _step_starts(heads)
+        starts[1:] |= bins[ids[1:]] != bins[ids[:-1]]
         cuts = np.flatnonzero(starts)
-        held = sum(piece.size for piece in self.open)
-        self.open.append(line_ids)
-        if cuts.size:
-            keys = np.concatenate([run_keys[:, np.searchsorted(runs, cuts, side="right") - 1], bins[None, cuts]])
-            self.keys.append(keys)
-            self.open_key = keys[:, -1]
-            ends = cuts + held
-            self._close(ends[ends > 0])
-
-    def _close(self, ends: np.ndarray) -> None:
-        """End the steps held open at ``ends``, positions in the held lines; the last step stays open."""
-        if not ends.size:
-            return
-        ids = np.concatenate(self.open)
-        bounds = np.append(0, ends)
-        tree, first = _number_blocks(ids.tobytes(), ids.itemsize, bounds, self.numbers)
-        self.trees.append(tree)
-        self.candidates.append(ids[_ranges(bounds[first], bounds[first + 1])])
-        self.sizes.append(bounds[first + 1] - bounds[first])
-        self.open = [ids[ends[-1]:].copy()]
-
-    def table(self) -> RecordTable:
-        """The table of the lines read, once the last chunk is read."""
-        if self.open:
-            self._close(np.array([sum(piece.size for piece in self.open)]))
-        steps = dict(zip(STEP_FIELDS, np.concatenate(self.keys, axis=1)))
-        steps["tree"] = np.concatenate(self.trees)
-        rows = np.concatenate(self.candidates)
-        # Each column of the parsed tails is let go once it is gathered.
-        trees = {name: np.concatenate([tails.pop(name) for tails in self.tails])[rows] for name in TREE_FIELDS}
-        return RecordTable.from_steps(tuple(self.domains), steps, np.cumsum(np.concatenate(self.sizes)), trees)
+        steps = dict(zip(STEP_FIELDS, heads[:, np.searchsorted(runs, cuts, side="right") - 1]))
+        steps["position_bin"] = bins[ids[cuts]]
+        bounds = np.append(cuts, ids.size)
+        steps["tree"], first = _number_blocks(ids.tobytes(), ids.itemsize, bounds)
+        lo, hi = bounds[first], bounds[first + 1]
+        rows = ids[_ranges(lo, hi)]
+        trees = {name: tails[name][rows] for name in TREE_FIELDS}
+        return RecordTable.from_steps(tuple(self.domains), steps, np.append(0, np.cumsum(hi - lo)), trees)
 
 
 def _parse_column(texts: list[str], parse, rank: int, faults: list[tuple[int, int, str]],

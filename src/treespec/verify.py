@@ -108,7 +108,10 @@ def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> lis
     if bad.any():
         first = int(np.argmax(bad))
         acceptance_prob(p_target[first], p_draft[first])
-    return np.minimum(1.0, pt / pd).tolist()
+    # A subnormal p_draft (from a tiny smoothing) can send the ratio to inf,
+    # as the scalar division does, and both then keep the token with 1.0.
+    with np.errstate(over="ignore"):
+        return np.minimum(1.0, pt / pd).tolist()
 
 
 def simulate_chain_acceptance(alphas: Sequence[float], rng: np.random.Generator) -> int:

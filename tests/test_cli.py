@@ -1,15 +1,20 @@
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import record_table
 from treespec import (
@@ -53,6 +58,15 @@ NON_DEFAULT_VALUES = {
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def write_data_tree(root):
+    """A --data tree of two domains, each of two short documents."""
+    for domain, docs in (("alpha", ["a b c a b c a", "b c a b"]), ("beta", ["x y z x y", "z y x"])):
+        folder = root / domain
+        folder.mkdir(parents=True)
+        for i, text in enumerate(docs):
+            (folder / f"doc{i}.txt").write_text(text, encoding="utf-8")
 
 
 def branch_cap_ignored(model, context, params):
@@ -274,6 +288,20 @@ class TestRun:
         assert run_cli("run", "--synthetic", *flags, "--out", str(tmp_path / "o")) == 1
         assert seen == [n_docs]
 
+    @pytest.mark.parametrize("n", [2**63, 2**63 - 1], ids=["2**63", "2**63-1"])
+    def test_prompt_count_too_large_for_an_array_exits_one(self, tmp_path, capsys, n):
+        # numpy refuses an array of n indices before it allocates one.
+        out = tmp_path / "o"
+        assert run_cli("run", "--synthetic", "--synthetic-docs", "2", "--out", str(out),
+                       "--prompts-per-domain", str(n)) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot draw {n} prompts from domain 'chat': ")
+        write_data_tree(tmp_path / "data")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"prompts_per_domain = {n}\n", encoding="utf-8")
+        assert run_cli("run", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot draw {n} prompts from domain 'alpha': ")
+        assert not out.exists()
+
 
 class TestAnalyzeAndTables:
     @pytest.fixture()
@@ -483,6 +511,57 @@ class TestUsageErrors:
             run_cli(*argv)
         assert exc.value.code == 0
         assert "usage: treespec" in capsys.readouterr().out
+
+
+# Config values that parse in surprising ways: int() takes '٣', '1_0', '+3'
+# and '-0', float() takes 'nan', 'inf' and '1e-320', and '' is no eos_token.
+ODD_VALUES = ("", "nan", "inf", "1e-320", "٣", "1_0", "+3", "-0")
+# Every generated value is one of these or an integer from 0 to 8, so no
+# count, order or tree limit exceeds 10 ('1_0') and every run stays small.
+CONFIG_VALUES = st.one_of(st.sampled_from(ODD_VALUES + ("0.25", "a", "x")), st.integers(0, 8).map(str))
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(list(CONFIG_KEYS)), CONFIG_VALUES),
+    st.sampled_from(["", "# a comment", "no equals sign", "unknown_key = 1"]),
+)
+
+
+def tree_paths(root):
+    return {path.relative_to(root) for path in root.rglob("*")}
+
+
+class TestGeneratedInputs:
+    """``run`` keeps the error contract for generated config files and flag values.
+
+    Each run reads a two-domain --data tree of four short documents, with at
+    most four config lines and four flags; exit 0, 1 or 2, never an
+    exception, and nothing written outside --out.
+    """
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.none() | st.lists(CONFIG_LINES, max_size=4).map("\n".join),
+           st.dictionaries(st.sampled_from(list(CONFIG_KEYS)), CONFIG_VALUES, max_size=4),
+           st.sampled_from(["csv,json,tables", "json", "csv,cvs", ""]))
+    @example("smoothing = 1e-320\nseed = ٣\nmax_new_tokens = 1_0",
+             {"prompts_per_domain": "+3", "eos_token": ""}, "csv,json,tables")
+    @example(None, {"smoothing": "nan", "max_depth": "-0"}, "csv")
+    @example("max_nodes = inf", {"seed": "-0"}, "tables")
+    def test_run_exits_by_the_contract(self, config, flags, formats):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_data_tree(root / "data")
+            argv = ["run", "--data", str(root / "data"), "--out", str(root / "out"), "--formats", formats]
+            if config is not None:
+                (root / "run.cfg").write_text(config, encoding="utf-8")
+                argv += ["--config", str(root / "run.cfg")]
+            for key, value in flags.items():
+                argv += ["--" + key.replace("_", "-"), value]
+            before = tree_paths(root)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            assert {path for path in tree_paths(root) - before if path.parts[0] != "out"} == set()
 
 
 class TestCollector:

@@ -17,6 +17,7 @@ from treespec import (
     score_trees,
     simulate_chain_acceptance,
 )
+from treespec.verify import acceptance_probs
 
 ABCD = Vocabulary(("a", "b", "c", "d"))
 
@@ -47,6 +48,11 @@ class TestAcceptanceProb:
             acceptance_prob(1.5, 0.5)
         with pytest.raises(InputError):
             acceptance_prob(0.5, 1.5)
+
+    def test_subnormal_draft_keeps_the_token(self):
+        # 0.25 / 5e-321 overflows to inf; the array rule must say so without a warning.
+        assert acceptance_probs([0.25, 1e-320], [5e-321, 0.5]) == [
+            acceptance_prob(0.25, 5e-321), acceptance_prob(1e-320, 0.5)] == [1.0, 2e-320]
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(21)
