@@ -62,7 +62,6 @@ from .verify import (
     residual_dist,
     score_tree,
     score_trees,
-    simulate_chain_acceptance,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import NGramModel, Vocabulary, _flat_documents
+from .model import NGramModel, Vocabulary
 
 UNK_TOKEN = "<unk>"
 END_TOKEN = "<end>"
@@ -59,7 +59,7 @@ class DomainCorpus:
         token_docs = [doc for doc in token_docs if doc]
         vocab = build_vocabulary(domain, token_docs)
         # Every token is in the vocabulary, so map needs no default and runs in C.
-        index = {token: i for i, token in enumerate(vocab.tokens)}.__getitem__
+        index = vocab._index.__getitem__  # type: ignore[attr-defined]
         documents = [tuple(map(index, doc)) for doc in token_docs]
         return cls(domain=domain, documents=documents, vocabulary=vocab)
 
@@ -104,17 +104,15 @@ def train_models(
 ) -> tuple[NGramModel, NGramModel]:
     """Fit the (draft, target) pair on one corpus; both share its vocabulary.
 
-    The documents are flattened once, for both fits.
+    The documents are flattened and their context levels ranked once
+    (``NGramModel._fit_orders``, which also rejects an order below 1): the
+    draft is counted from the target's lower levels and holds the same
+    level objects.
     """
-    if draft_order < 1 or target_order < 1:
-        raise InputError("model orders must be >= 1")
     if draft_order >= target_order:
         raise InputError("draft_order must be strictly below target_order")
-    vocab = corpus.vocabulary
-    flat, since_start = _flat_documents(vocab, corpus.documents)
-    draft = NGramModel._fit_flat(vocab, flat, since_start, draft_order, smoothing)
-    target = NGramModel._fit_flat(vocab, flat, since_start, target_order, smoothing)
-    return draft, target
+    orders = (draft_order, target_order)
+    return tuple(NGramModel._fit_orders(corpus.vocabulary, corpus.documents, orders, smoothing))
 
 
 def load_domain_dir(path: str | Path) -> DomainCorpus:

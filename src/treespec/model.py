@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -317,76 +317,66 @@ class NGramModel(LanguageModel):
     """
 
     @classmethod
-    def fit(
-        cls,
-        vocab: Vocabulary,
-        documents: Sequence[TokenSeq],
-        order: int,
-        smoothing: float,
-    ) -> "NGramModel":
+    def fit(cls, vocab: Vocabulary, documents: Sequence[TokenSeq], order: int,
+            smoothing: float) -> "NGramModel":
         """Count successor statistics over ``documents`` (index sequences).
 
         Each token must be an integer, by the rule ``window`` applies to a
-        context. The documents are flattened into one array; each level's
-        context ids are ranked over all positions at once and the (context,
-        token) pairs are counted in one more pass (``_distinct`` and
-        ``_count`` say how).
+        context. The model is ``_fit_orders`` at this one order.
         """
         if _plain_ints(tuple(itertools.chain.from_iterable(documents))) is None:
             raise InputError("a document holds a token that is not an integer")
-        return cls._fit_flat(vocab, *_flat_documents(vocab, documents), order, smoothing)
+        return cls._fit_orders(vocab, documents, (order,), smoothing)[0]
 
     @classmethod
-    def _fit_flat(
-        cls, vocab: Vocabulary, flat: np.ndarray, since_start: np.ndarray, order: int,
-        smoothing: float,
-    ) -> "NGramModel":
-        """``fit`` on documents given as ``_flat_documents`` gives them."""
-        if order < 1:
+    def _fit_orders(cls, vocab: Vocabulary, documents: Sequence[TokenSeq], orders: Sequence[int],
+                    smoothing: float) -> list["NGramModel"]:
+        """``fit`` at each of the ascending ``orders``, from one ranking of the levels.
+
+        The documents are flattened into one range-checked array, and each
+        level's context ids are ranked over all positions at once up to the
+        highest order (``_ranked_levels``). After level k - 1 the order-k model
+        counts its (context, token) pairs in one pass (``_count``) and keeps
+        ``_levels[:k - 1]``, the very level objects every higher order holds.
+        """
+        if orders[0] < 1:
             raise InputError("order must be >= 1")
         if not 0 <= smoothing < math.inf:
             raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
-        model = cls()
-        model.vocab = vocab
-        model.order = order
-        model.context_window = order - 1
+        size = vocab.size
+        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(documents), dtype=np.int64,
+                           count=int(lengths.sum()))
+        if flat.size and (flat.min() < 0 or flat.max() >= size):
+            raise InputError("document contains a token outside the model vocabulary")
+        since_start = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        # Made one level at a time, so only one column is alive at once.
+        columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, orders[-1]))
+        return [cls._packed(vocab, order, smoothing, levels,
+                            *_count(ids * size + flat, n_contexts * size), n_contexts)
+                for order, (levels, ids, n_contexts)
+                in enumerate(_ranked_levels(columns, flat.size, size + 1), 1) if order in orders]
+
+    @classmethod
+    def _packed(cls, vocab: Vocabulary, order: int, smoothing: float, levels: list[memoryview],
+                keys: np.ndarray, counts: np.ndarray, n_contexts: int) -> "NGramModel":
+        """The model of ``levels`` and ascending ``context id * |V| + token`` keys' counts."""
+        model, size = cls(), vocab.size
+        model.vocab, model.order, model.context_window = vocab, order, order - 1
         model.smoothing = float(smoothing)
         model._rows = {}  # context -> its SparseRow, once read
         # Unseen contexts share one row; () is the real document-start row.
-        model._unseen = SparseRow(vocab.size, {}, model.smoothing, model.smoothing * vocab.size)
-        # Made one level at a time, so only one column is alive at once.
-        columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, order))
-        ids, n_contexts = model._rank(columns, flat.size)
-        model._pack(*_count(ids * vocab.size + flat, n_contexts * vocab.size), n_contexts)
-        return model
-
-    def _rank(self, columns: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, int]:
-        """Fill ``_levels`` from each level's ``back`` column.
-
-        Returns the ``n`` rows' final ids and the number of contexts; with no
-        levels every row is the one context (), so there is none when n is 0.
-        """
-        radix = self.vocab.size + 1
-        ids = np.zeros(n, dtype=np.int64)
-        self._levels = []
-        parents = 1
-        for back in columns:
-            codes, ids = _distinct(ids * radix + back, parents * radix)
-            self._levels.append(memoryview(codes))
-            parents = codes.size
-        return ids, parents if self._levels else min(n, 1)
-
-    def _pack(self, keys: np.ndarray, counts: np.ndarray, n_contexts: int) -> None:
-        """Fill the row columns from ascending ``context id * |V| + token`` keys."""
-        size = self.vocab.size
+        model._unseen = SparseRow(size, {}, model.smoothing, model.smoothing * size)
+        model._levels = levels
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
         # Differences of running sums give a row with no successors a total of 0.
         cumulative = np.concatenate(([0], np.cumsum(counts)))
-        self._offsets = memoryview(offsets)
-        self._tokens = memoryview(keys - rows * size)
-        self._counts = memoryview(counts)
-        self._totals = memoryview(cumulative[offsets[1:]] - cumulative[offsets[:-1]])
+        model._offsets = memoryview(offsets)
+        model._tokens = memoryview(keys - rows * size)
+        model._counts = memoryview(counts)
+        model._totals = memoryview(cumulative[offsets[1:]] - cumulative[offsets[:-1]])
+        return model
 
     @functools.cached_property
     def counts(self) -> Mapping[tuple[int, ...], dict[int, int]]:
@@ -483,17 +473,18 @@ class NGramModel(LanguageModel):
 _DENSE_SPACE_PER_CODE = 2
 
 
-def _flat_documents(
-    vocab: Vocabulary, documents: Sequence[TokenSeq]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``documents`` as one int64 token array, range-checked, and each position's
-    distance from the start of its document."""
-    lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-    flat = np.fromiter(itertools.chain.from_iterable(documents), dtype=np.int64,
-                       count=int(lengths.sum()))
-    if flat.size and (flat.min() < 0 or flat.max() >= vocab.size):
-        raise InputError("document contains a token outside the model vocabulary")
-    return flat, np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+def _ranked_levels(columns: Iterable[np.ndarray], n: int,
+                   radix: int) -> Iterator[tuple[list[memoryview], np.ndarray, int]]:
+    """Yield (the levels so far, the ``n`` rows' ids, the number of contexts) at level 0, where
+    every row is the one context () (none when n is 0), then after ranking each ``back`` column.
+    """
+    ids = np.zeros(n, dtype=np.int64)
+    levels: list[memoryview] = []
+    yield levels, ids, min(n, 1)
+    for back in columns:
+        codes, ids = _distinct(ids * radix + back, (len(levels[-1]) if levels else 1) * radix)
+        levels = [*levels, memoryview(codes)]  # a new list: the yielded ones stay as they are
+        yield levels, ids, codes.size
 
 
 def _distinct(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:

@@ -114,19 +114,6 @@ def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> lis
         return np.minimum(1.0, pt / pd).tolist()
 
 
-def simulate_chain_acceptance(alphas: Sequence[float], rng: np.random.Generator) -> int:
-    """Walk one root-to-leaf path, accepting each node independently w.p. its alpha.
-
-    Returns the accepted prefix length; stops at the first rejection.
-    """
-    accepted = 0
-    for alpha in alphas:
-        if rng.random() >= alpha:
-            break
-        accepted += 1
-    return accepted
-
-
 def residual_dist(
     target_dist: np.ndarray | Sequence[float], draft_dist: np.ndarray | Sequence[float]
 ) -> np.ndarray:

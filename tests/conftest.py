@@ -7,6 +7,7 @@ import pytest
 
 from treespec import LanguageModel, NGramModel, RecordTable, synthetic_corpora
 from treespec.metrics import FLOAT_FIELDS, RECORD_COLUMNS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
+from treespec.model import _ranked_levels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,23 +49,21 @@ def table_rows(table):
 def ngram_model(vocab, order, counts, smoothing):
     """An NGramModel holding exactly ``counts`` (context tuple -> {token: count}).
 
-    Contexts may be shorter than ``order - 1``. The model fits no documents,
-    then its columns are packed from the mapping with ``fit``'s own
-    ``_rank`` and ``_pack``. Nothing is checked: test data is valid by
-    construction.
+    Contexts may be shorter than ``order - 1``. The contexts are ranked with
+    ``fit``'s own ``_ranked_levels`` and the columns packed with its
+    ``_packed``. Nothing is checked: test data is valid by construction.
     """
-    model = NGramModel.fit(vocab, [], order, smoothing)
     backs = [[context[-k] + 1 if k <= len(context) else 0 for k in range(1, order)]
              for context in counts]
     columns = np.array(backs, dtype=np.int64).reshape(len(backs), order - 1).T
-    ids, n_contexts = model._rank(columns, len(backs))
+    *_, (levels, ids, n_contexts) = _ranked_levels(columns, len(backs), vocab.size + 1)
     lengths = [len(row) for row in counts.values()]
     tokens = np.array([t for row in counts.values() for t in row], dtype=np.int64)
     weights = np.array([c for row in counts.values() for c in row.values()], dtype=np.int64)
     keys = np.repeat(ids, lengths) * vocab.size + tokens
     ascending = np.argsort(keys)
-    model._pack(keys[ascending], weights[ascending], n_contexts)
-    return model
+    return NGramModel._packed(vocab, order, smoothing, levels, keys[ascending], weights[ascending],
+                              n_contexts)
 
 
 class TableModel(LanguageModel):

@@ -73,11 +73,12 @@ def test_distribution_preservation():
 
 
 def test_chain_length_law():
-    mean = check_chain_law(np.random.default_rng(42), trials=1_000_000)
+    profiles = 10
+    worst = check_chain_law(np.random.default_rng(42), profiles, trials=1_000_000)
     check(
         "chain-length law",
-        abs(mean - 0.875) <= 0.01,
-        f"mean accepted length {mean:.5f} vs closed form 0.875",
+        worst < 5.0,
+        f"{profiles} alpha profiles: mean accepted length off E[L] by <= {worst:.2f} standard errors",
     )
 
 

@@ -23,8 +23,8 @@ from treespec import (
     acceptance_prob,
     average_ranks,
     build_draft_tree,
+    chain_probabilities,
     cli,
-    entropy_nats,
     read_records_csv,
     selftest,
     write_records_csv,
@@ -32,6 +32,7 @@ from treespec import (
 import treespec
 from treespec.cli import main
 from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
+from treespec.model import entropies
 from treespec.runner import CONFIG_KEYS
 
 SRC = Path(treespec.__file__).resolve().parent.parent
@@ -454,18 +455,20 @@ class TestSelftest:
         ("average_ranks", lambda values: average_ranks(values) + 1.0,
          "rank correlation vs naive oracle"),
         ("build_draft_tree", branch_cap_ignored, "tree invariants"),
-        ("simulate_chain_acceptance", lambda alphas, rng: len(alphas), "chain-length law"),
-        ("entropy_nats", lambda dist: entropy_nats(dist) + 1e-3, "entropy bounds"),
+        ("chain_probabilities", dict, "chain-length law"),
+        ("entropies", lambda dists: [h + 1e-3 for h in entropies(dists)], "entropy bounds"),
         # NaN defects: each check must keep a NaN measure, not fold it away.
         ("acceptance_prob", lambda t, d: math.nan if t == 0.0 else acceptance_prob(t, d),
          "rejection-sampling exactness"),
         ("average_ranks", lambda values: np.full(len(values), np.nan),
          "rank correlation vs naive oracle"),
-        ("entropy_nats", lambda dist: math.nan if len(dist) == 33 else entropy_nats(dist),
-         "entropy bounds"),
+        ("chain_probabilities", lambda alphas: {**chain_probabilities(alphas), 1: math.nan},
+         "chain-length law"),
+        ("entropies", lambda dists: [math.nan if d.size == 33 else h
+                                     for d, h in zip(dists, entropies(dists))], "entropy bounds"),
     ], ids=[
-        "unclipped-alpha", "ranks-off-by-one", "branch-cap-ignored", "never-rejects",
-        "entropy-offset", "nan-alpha", "nan-ranks", "nan-entropy",
+        "unclipped-alpha", "ranks-off-by-one", "branch-cap-ignored", "chain-without-products",
+        "entropy-offset", "nan-alpha", "nan-ranks", "nan-chain", "nan-entropy",
     ])
     def test_each_check_fails_on_its_defect(self, monkeypatch, capsys, name, defect, check):
         # Only the selftest module's binding is patched; the defects wrap the real functions.
@@ -529,13 +532,44 @@ def tree_paths(root):
     return {path.relative_to(root) for path in root.rglob("*")}
 
 
-class TestGeneratedInputs:
-    """``run`` keeps the error contract for generated config files and flag values.
+# Byte edits of a record file: CSV syntax, bytes that are not UTF-8 or that
+# split a UTF-8 letter, and numbers that overflow a float or an int64.
+RECORD_EDITS = (",", '"', "\r", "\n", "\xff", "\x00", "\xc3", "\x85", "nan", "1e309",
+                "12345678901234567890")
+# Domain names and document text that a --data tree may hold.
+DOMAIN_NAMES = st.text(st.sampled_from("ab ,\"'éλ"), min_size=1, max_size=5)
+DOCUMENTS = st.text(st.sampled_from(["a", "b", "é", " ", "\t", "\n", "\u200b"]), max_size=12)
 
-    Each run reads a two-domain --data tree of four short documents, with at
-    most four config lines and four flags; exit 0, 1 or 2, never an
-    exception, and nothing written outside --out.
+
+def edit_bytes(data, edits):
+    """``data`` with each (at, replace, text) edit: ``text`` put over or before byte at."""
+    for at, replace, text in edits:
+        at %= len(data) + 1
+        data = data[:at] + text.encode("latin-1") + data[at + replace:]
+    return data
+
+
+class TestGeneratedInputs:
+    """Each command keeps the error contract for generated inputs.
+
+    ``run`` gets generated config files and flag values over a two-domain
+    --data tree of four short documents (at most four config lines and four
+    flags), and generated --data trees of at most three domains of at most
+    three 12-character documents, run at two prompts of four tokens.
+    ``analyze`` and ``tables`` get up to four byte edits of a four-line
+    records.csv. Exit 0, 1 or 2, never an exception, and nothing written
+    outside --out.
     """
+
+    @staticmethod
+    def exits_by_the_contract(root, argv):
+        before = tree_paths(root)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        assert {path for path in tree_paths(root) - before if path.parts[0] != "out"} == set()
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.none() | st.lists(CONFIG_LINES, max_size=4).map("\n".join),
@@ -555,13 +589,46 @@ class TestGeneratedInputs:
                 argv += ["--config", str(root / "run.cfg")]
             for key, value in flags.items():
                 argv += ["--" + key.replace("_", "-"), value]
-            before = tree_paths(root)
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2)
-            assert "Traceback" not in err.getvalue()
-            assert {path for path in tree_paths(root) - before if path.parts[0] != "out"} == set()
+            self.exits_by_the_contract(root, argv)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.dictionaries(DOMAIN_NAMES, st.lists(DOCUMENTS, max_size=3), min_size=1, max_size=3),
+           st.booleans())
+    @example({"a b": ["a\tb a", ""], 'c,"é\'': ["\u200ba b\u200b a"]}, False)
+    @example({"λ": ["a b a b"]}, True)
+    def test_run_on_generated_data_trees(self, domains, txt_directory):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, documents in domains.items():
+                (root / "data" / name).mkdir(parents=True)
+                for i, text in enumerate(documents):
+                    (root / "data" / name / f"doc{i}.txt").write_text(text, encoding="utf-8")
+            if txt_directory:
+                (root / "data" / next(iter(domains)) / "folder.txt").mkdir()
+            self.exits_by_the_contract(root, [
+                "run", "--data", str(root / "data"), "--out", str(root / "out"),
+                "--prompts-per-domain", "2", "--max-new-tokens", "4",
+            ])
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["analyze", "tables"]),
+           st.lists(st.tuples(st.integers(0, 1 << 10), st.booleans(), st.sampled_from(RECORD_EDITS)),
+                    max_size=4))
+    @example("analyze", [(30, True, "\xc3"), (31, True, "\x85")])
+    @example("tables", [(200, True, "1e309"), (40, False, "\r")])
+    def test_record_files_exit_by_the_contract(self, command, edits):
+        rows = [
+            ("chat", 0, 0, 1, 0, 4, 0.5, 0.25, 0.5, 0.1),
+            ("chat", 0, 0, 2, 0, 5, 0.5, 0.5, 1.0, 0.2),
+            ("code", 1, 3, 1, 1, 6, 0.25, 0.125, 0.5, 0.3),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            path = root / "records.csv"
+            write_records_csv(record_table(rows), path)
+            path.write_bytes(edit_bytes(path.read_bytes(), edits))
+            self.exits_by_the_contract(root, [command, "--records", str(path), "--out",
+                                              str(root / "out")])
 
 
 class TestCollector:

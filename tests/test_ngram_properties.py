@@ -1,20 +1,22 @@
 """Seeded property tests: NGramModel's count columns against an np.unique oracle.
 
 Each case draws a vocabulary of 2 to a few thousand tokens, an order from 1
-to 4 and either random documents (for ``fit``) or a random count mapping
-(for the test-side builder ``ngram_model``, which packs it with ``fit``'s
-``_rank`` and ``_pack``). Both rank each level and count the pairs by dense
-counting when the level's code space is small next to the number of codes
-and by sorting otherwise; the cases fall on both sides, and every column
-must equal the one the oracle builds with ``np.unique`` alone. The level
-walk that serves a batch must find each context's row as ``counts``
-decodes it.
+to 4 and either random documents (for ``fit`` and ``train_models``) or a
+random count mapping (for the test-side builder ``ngram_model``, which
+ranks it with ``fit``'s ``_ranked_levels`` and packs it with ``_packed``).
+Both rank each level and count the pairs by dense counting when the level's
+code space is small next to the number of codes and by sorting otherwise;
+the cases fall on both sides, and every column must equal the one the
+oracle builds with ``np.unique`` alone. ``train_models`` ranks the levels
+once for both of its models, so the draft must hold the target's own lower
+level objects. The level walk that serves a batch must find each context's
+row as ``counts`` decodes it.
 """
 
 import numpy as np
 
 from conftest import ngram_model
-from treespec import NGramModel, Vocabulary
+from treespec import DomainCorpus, NGramModel, Vocabulary, train_models
 from treespec import model as model_module
 
 CASES = 200
@@ -70,7 +72,7 @@ def is_sorted(space, n_codes):
 
 
 def level_sides(size, order, backs):
-    """(dense, sorted) tallies of the choices ``_rank`` makes for each level."""
+    """(dense, sorted) tallies of the choices ``_ranked_levels`` makes for each level."""
     radix = size + 1
     ids, tally = np.zeros(len(backs), dtype=np.int64), [0, 0]
     parents = 1
@@ -79,6 +81,21 @@ def level_sides(size, order, backs):
         codes, ids = np.unique(ids * radix + backs[:, k], return_inverse=True)
         parents = codes.size
     return tally
+
+
+def random_documents(rng, types, max_len=400):
+    return [tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, max_len))))
+            for _ in range(int(rng.integers(0, 8)))]
+
+
+def fit_oracle(size, order, documents):
+    """``oracle_columns`` of every position of ``documents``, each a pair of weight one."""
+    span = order - 1
+    flat = np.array([t for doc in documents for t in doc], dtype=np.int64)
+    backs = np.array([backs_of(doc[:i], span) for doc in documents for i in range(len(doc))],
+                     dtype=np.int64).reshape(flat.size, span)
+    return backs, oracle_columns(size, order, backs, np.arange(flat.size), flat,
+                                 np.ones(flat.size, dtype=np.int64))
 
 
 def test_fit_matches_the_unique_oracle():
@@ -90,22 +107,41 @@ def test_fit_matches_the_unique_oracle():
         # Few token types repeat a lot (dense levels); many types in a short
         # corpus leave the code space sparse (sorted levels).
         types = int(rng.integers(1, vocab.size + 1))
-        documents = [
-            tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, 400))))
-            for _ in range(int(rng.integers(0, 8)))
-        ]
+        documents = random_documents(rng, types)
         model = NGramModel.fit(vocab, documents, order, 0.1)
-        span = order - 1
-        flat = np.array([t for doc in documents for t in doc], dtype=np.int64)
-        backs = np.array([backs_of(doc[:i], span) for doc in documents for i in range(len(doc))],
-                         dtype=np.int64).reshape(flat.size, span)
-        expected = oracle_columns(vocab.size, order, backs, np.arange(flat.size), flat,
-                                  np.ones(flat.size, dtype=np.int64))
+        backs, expected = fit_oracle(vocab.size, order, documents)
         assert_columns(model, expected)
         tally = np.add(tally, level_sides(vocab.size, order, backs))
         n_contexts = len(expected["levels"][-1]) if expected["levels"] else 1
-        pair_tally[is_sorted(n_contexts * vocab.size, flat.size)] += 1
+        pair_tally[is_sorted(n_contexts * vocab.size, len(backs))] += 1
     assert min(tally) >= 20 and min(pair_tally) >= 20, (tally, pair_tally)
+
+
+def test_train_models_matches_direct_fits_at_every_order_pair():
+    # One ranking pass serves both orders: each model equals a direct fit
+    # and the oracle column for column, and the draft's levels are the
+    # target's first draft_order - 1 objects. Every third case holds only
+    # documents shorter than 5 tokens, so some are shorter than the target
+    # order, or than both orders.
+    rng = np.random.default_rng(4204)
+    pairs = [(d, t) for t in range(2, 5) for d in range(1, t)]
+    for case in range(60):
+        vocab = random_vocab(rng)
+        types = int(rng.integers(1, vocab.size + 1))
+        documents = random_documents(rng, types, max_len=5 if case % 3 == 0 else 200)
+        corpus = DomainCorpus("d", documents, vocab)
+        for draft_order, target_order in pairs:
+            draft, target = train_models(corpus, draft_order, target_order, 0.1)
+            for model, order in ((draft, draft_order), (target, target_order)):
+                assert model.order == order
+                expected = fit_oracle(vocab.size, order, documents)[1]
+                assert_columns(model, expected)
+                direct = NGramModel.fit(vocab, documents, order, 0.1)
+                assert_columns(model, {"levels": direct._levels, **{
+                    name: np.asarray(getattr(direct, f"_{name}"))
+                    for name in ("offsets", "tokens", "counts", "totals")}})
+            assert len(draft._levels) == draft_order - 1
+            assert all(mine is theirs for mine, theirs in zip(draft._levels, target._levels))
 
 
 def test_constructor_matches_the_unique_oracle():
@@ -142,11 +178,7 @@ def random_model(rng, case):
     order = int(rng.integers(1, 5))
     types = int(rng.integers(1, vocab.size + 1))
     if case % 2 == 0:
-        documents = [
-            tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, 400))))
-            for _ in range(int(rng.integers(0, 8)))
-        ]
-        return NGramModel.fit(vocab, documents, order, 0.1), types
+        return NGramModel.fit(vocab, random_documents(rng, types), order, 0.1), types
     counts = {}
     for _ in range(int(rng.integers(0, 300))):
         context = tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, order))))

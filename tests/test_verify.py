@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from treespec import (
     residual_dist,
     score_tree,
     score_trees,
-    simulate_chain_acceptance,
 )
 from treespec.verify import acceptance_probs
 
@@ -144,35 +142,6 @@ class TestScoreTree:
         tree = build_draft_tree(draft, [0, 1], TreeParams())
         with pytest.raises(InputError):
             score_tree(draft, [0], tree)
-
-
-class TestChainSimulation:
-    def test_all_accepted(self):
-        rng = np.random.default_rng(1)
-        assert all(
-            simulate_chain_acceptance([1.0, 1.0, 1.0], rng) == 3 for _ in range(100)
-        )
-
-    def test_first_rejected(self):
-        rng = np.random.default_rng(2)
-        assert all(
-            simulate_chain_acceptance([0.0, 1.0, 1.0], rng) == 0 for _ in range(100)
-        )
-
-    def test_expectation_matches_sum_of_products(self):
-        rng = np.random.default_rng(77)
-        for _ in range(5):
-            alphas = [float(a) for a in rng.uniform(0.2, 0.95, size=int(rng.integers(1, 5)))]
-            closed = 0.0
-            running = 1.0
-            for a in alphas:
-                running *= a
-                closed += running
-            trials = 30_000
-            samples = [simulate_chain_acceptance(alphas, rng) for _ in range(trials)]
-            mean = sum(samples) / trials
-            se = np.std(samples) / math.sqrt(trials)
-            assert abs(mean - closed) <= 3 * se + 1e-9
 
 
 class TestResidual:
