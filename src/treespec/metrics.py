@@ -1,11 +1,11 @@
 """Aggregation of per-node observations into per-domain statistics.
 
 One record is one speculative-node observation. A run's records are held in
-a RecordTable; everything downstream (summaries, depth profiles, chain
-probabilities, expected accepted length, position bins, rank correlation)
-is a pure fold over its per-record columns. Groups are taken with
-order-preserving masks, so every mean sums the same values in the same
-order as a fold over the rows would. Rank correlation ranks each distinct
+a RecordTable; everything downstream (summaries, chain probabilities,
+expected accepted length, position bins, rank correlation) is a pure fold
+over its per-record columns, and depth profiles are read off the
+summaries. Groups are taken with order-preserving masks, so every mean
+sums the same values in the same order as a fold over the rows would. Rank correlation ranks each distinct
 tree row once, weighted by the records that use it, which gives every
 record the rank a per-record ranking would. Standard deviations are
 population (divide by n); chain probabilities multiply per-depth mean
@@ -367,10 +367,6 @@ def _distinct_ints(values: np.ndarray) -> list[int]:
     return ordered[np.append(True, ordered[1:] != ordered[:-1])].tolist() if ordered.size else []
 
 
-def _per_depth_means(depths: np.ndarray, alphas: np.ndarray) -> dict[int, float]:
-    return {d: float(alphas[depths == d].mean()) for d in _distinct_ints(depths)}
-
-
 def summarize(table: RecordTable) -> dict[str, DomainSummary]:
     """Per-domain counts, acceptance/entropy moments, chain law, and rank correlation."""
     summaries: dict[str, DomainSummary] = {}
@@ -378,7 +374,8 @@ def summarize(table: RecordTable) -> dict[str, DomainSummary]:
     for domain, mask in table.domain_masks():
         alphas = table.alpha[mask]
         entropies = table.target_entropy[mask]
-        per_depth = _per_depth_means(table.depth[mask], alphas)
+        depths = table.depth[mask]
+        per_depth = {d: float(alphas[depths == d].mean()) for d in _distinct_ints(depths)}
         try:
             chain = chain_probabilities(per_depth)
         except InputError as exc:
@@ -397,15 +394,12 @@ def summarize(table: RecordTable) -> dict[str, DomainSummary]:
     return summaries
 
 
-def depth_profile(table: RecordTable) -> DepthProfile:
-    """Mean acceptance at each (domain, depth) cell, with per-domain deltas."""
-    bad = np.flatnonzero(table.depth < 1)
-    if bad.size:
-        raise InputError(f"record depth {table.depth[bad[0]]} out of range")
+def depth_profile(summaries: Mapping[str, DomainSummary]) -> DepthProfile:
+    """Mean acceptance at each (domain, depth) cell, with per-domain deltas, from ``per_depth_alpha``."""
     cells: dict[tuple[str, int], float] = {}
     delta: dict[str, float] = {}
-    for domain, mask in table.domain_masks():
-        per_depth = _per_depth_means(table.depth[mask], table.alpha[mask])
+    for domain, summary in summaries.items():
+        per_depth = summary.per_depth_alpha
         cells.update(((domain, depth), alpha) for depth, alpha in per_depth.items())
         delta[domain] = per_depth[max(per_depth)] - per_depth[min(per_depth)]
     return DepthProfile(cells=cells, delta=delta)

@@ -405,58 +405,44 @@ def write_records_csv(table: RecordTable, path: str | Path) -> None:
 def read_records_csv(path: str | Path) -> RecordTable:
     """Re-ingest a record file, re-checking each record against ``_RULES``.
 
-    The writer puts one record on each line, and its nine numeric fields
-    never hold a comma or a quote, so a line's fields are what splitting it
-    at its last nine commas gives; only the domain field may be quoted. It
-    writes a step as lines that share the prefix
-    ``domain,prompt_id,step_index,`` before the tails of its tree's rows, so
-    lines are read as prefixes over distinct tails, ``_CSV_CHUNK_ROWS`` at a
-    time (see ``_RecordReader``): each run of lines with one prefix has its
-    prefix parsed once, and each distinct tail is parsed and checked once.
-    After the last chunk the steps are found and numbered in one pass, each
-    kept as the sequence of its lines' tails, and the table is built from
-    them with ``RecordTable.from_steps``, which makes tails that parse to
-    equal rows one tree. The first bad line is reported as
-    ``path:line`` with the message ``int``, ``float``, ``_domain_name`` or the
-    rule it breaks gives.
+    The file is read once, with ``errors="surrogateescape"``, so a byte that
+    is not UTF-8 reaches the reader as a lone surrogate. A first line that is
+    not the header makes the file ``not a record file`` (or line 1 not UTF-8
+    text) whatever the later lines hold. The writer puts one record on each
+    line, and its nine numeric fields never hold a comma or a quote, so a
+    line's fields are what splitting it at its last nine commas gives; only
+    the domain field may be quoted. It writes a step as lines that share the
+    prefix ``domain,prompt_id,step_index,`` before the tails of its tree's
+    rows, so lines are read as prefixes over distinct tails,
+    ``_CSV_CHUNK_ROWS`` at a time (see ``_RecordReader``): each run of lines
+    with one prefix has its prefix parsed once, and each distinct tail is
+    parsed and checked once. After the last chunk the steps are found and
+    numbered in one pass, each kept as the sequence of its lines' tails, and
+    the table is built from them with ``RecordTable.from_steps``, which makes
+    tails that parse to equal rows one tree. The first bad line is reported
+    as ``path:line`` with its first fault, ranked as ``_RecordReader`` ranks them.
     """
     reader = _RecordReader(path)
-    first_line = 2  # of the chunk being read
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            if handle.readline().rstrip("\r\n") != ",".join(RECORD_FIELDS):
-                raise InputError(f"{path} is not a record file (unexpected header)")
-            while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
-                reader.read(lines, first_line)
-                first_line += len(lines)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, first_line, reader, exc) from exc
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        header = handle.readline()
+        if header.rstrip("\r\n") != ",".join(RECORD_FIELDS):
+            fault = _not_utf8(header)
+            raise InputError(f"{path}:1: {fault}" if fault
+                             else f"{path} is not a record file (unexpected header)")
+        first_line = 2  # of the chunk being read
+        while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
+            reader.read(lines, first_line)
+            first_line += len(lines)
     return reader.table()
 
 
-def _not_utf8(
-    path: str | Path, first_line: int, reader: _RecordReader, exc: UnicodeDecodeError
-) -> InputError:
-    """The error for a record file with a byte that is not UTF-8, named at its line.
-
-    The decoder reads ahead, so the lines from ``first_line`` up to the bad
-    one were never parsed; they are parsed now, and the first bad line among
-    them is raised instead. The file is read again only on this path.
-    """
-    lines = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        for number, line in enumerate(handle, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                break
-            if number >= first_line:
-                lines.append(line)
-        else:  # the file changed since it was read
-            return InputError(f"{path} is not UTF-8 text: {exc.reason}")
-    if lines:
-        reader.read(lines, first_line)
-    return InputError(f"{path}:{number}: not UTF-8 text: {exc.reason}")
+def _not_utf8(line: str) -> str:
+    """Why ``line``, read with surrogateescape, is not UTF-8 (``not UTF-8 text: <reason>``), or ''."""
+    try:
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"not UTF-8 text: {exc.reason}"
+    return ""
 
 
 # A record line's fields: its prefix ``domain,prompt_id,step_index,`` and
@@ -529,12 +515,12 @@ class _RecordReader:
     run's first line number and prefix fields. ``table`` then finds and
     numbers every step at once.
 
-    Faults are ranked as a line's fields are: 0 for a wrong field count, the
-    field's index for a text an int or float field rejects, ``width`` for a
-    domain not quoted as the writer quotes it, ``width + 1`` for an int
-    outside int64 and ``width + 2`` for the first rule the line breaks. A
-    chunk raises InputError for its first bad line, with that line's first
-    fault.
+    Faults are ranked as a line's fields are: -1 for a byte that is not
+    UTF-8 (a lone surrogate), 0 for a wrong field count, the field's index
+    for a text an int or float field rejects, ``width`` for a domain not
+    quoted as the writer quotes it, ``width + 1`` for an int outside int64
+    and ``width + 2`` for the first rule the line breaks. A chunk raises
+    InputError for its first bad line, with that line's first fault.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -599,6 +585,14 @@ class _RecordReader:
             self.read(lines[:at], first_line)
             self.read(lines[at:], first_line + at)
             return
+        # Every byte of a line lies in its run's prefix or in its tail, so the
+        # new prefixes, the new tails and the malformed line the loop may
+        # have stopped at hold every byte not checked before.
+        try:
+            "".join(itertools.chain(heads, texts, lines[n:n + 1])).encode("utf-8")
+        except UnicodeEncodeError:
+            at = next(i for i, line in enumerate(lines) if _not_utf8(line))
+            faults.append((at, -1, _not_utf8(lines[at])))
         tails = {
             name: _parse_column(cells[i::len(_TAIL_FIELDS)], int if name in INT_FIELDS else float,
                                 len(_PREFIX_FIELDS) + i, faults, new_firsts)
@@ -775,15 +769,14 @@ def render_tables(records: RecordTable, summaries: Mapping[str, DomainSummary]) 
     out.append("")
 
     out.append("== Mean acceptance by tree depth ==")
-    profile = depth_profile(records) if records else None
+    profile = depth_profile(summaries)
     out.append(f"{'domain':<12}" + "".join(f"{'d=' + str(d):>8}" for d in all_depths) + f"{'delta':>8}")
-    if profile is not None:
-        for domain in domains:
-            cells = "".join(
-                f"{profile.cells[(domain, d)]:>8.3f}" if (domain, d) in profile.cells else f"{'-':>8}"
-                for d in all_depths
-            )
-            out.append(f"{domain:<12}{cells}{profile.delta[domain]:>+8.3f}")
+    for domain in domains:
+        cells = "".join(
+            f"{profile.cells[(domain, d)]:>8.3f}" if (domain, d) in profile.cells else f"{'-':>8}"
+            for d in all_depths
+        )
+        out.append(f"{domain:<12}{cells}{profile.delta[domain]:>+8.3f}")
     out.append("")
 
     out.append("== Mean acceptance by depth and position bin ==")

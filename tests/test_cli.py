@@ -558,7 +558,8 @@ class TestGeneratedInputs:
     three 12-character documents, run at two prompts of four tokens.
     ``analyze`` and ``tables`` get up to four byte edits of a four-line
     records.csv. Exit 0, 1 or 2, never an exception, and nothing written
-    outside --out.
+    outside --out; a record file whose first line is not the header is
+    rejected for that line, whatever the later lines hold.
     """
 
     @staticmethod
@@ -570,6 +571,7 @@ class TestGeneratedInputs:
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
         assert {path for path in tree_paths(root) - before if path.parts[0] != "out"} == set()
+        return err.getvalue()
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.none() | st.lists(CONFIG_LINES, max_size=4).map("\n".join),
@@ -616,6 +618,7 @@ class TestGeneratedInputs:
                     max_size=4))
     @example("analyze", [(30, True, "\xc3"), (31, True, "\x85")])
     @example("tables", [(200, True, "1e309"), (40, False, "\r")])
+    @example("analyze", [(0, True, ","), (150, False, "\xff")])
     def test_record_files_exit_by_the_contract(self, command, edits):
         rows = [
             ("chat", 0, 0, 1, 0, 4, 0.5, 0.25, 0.5, 0.1),
@@ -626,9 +629,14 @@ class TestGeneratedInputs:
             root = Path(tmp)
             path = root / "records.csv"
             write_records_csv(record_table(rows), path)
-            path.write_bytes(edit_bytes(path.read_bytes(), edits))
-            self.exits_by_the_contract(root, [command, "--records", str(path), "--out",
-                                              str(root / "out")])
+            data = edit_bytes(path.read_bytes(), edits)
+            path.write_bytes(data)
+            err = self.exits_by_the_contract(root, [command, "--records", str(path), "--out",
+                                                    str(root / "out")])
+            # The reader's first line ends at the first \r or \n.
+            if data.replace(b"\r", b"\n").split(b"\n", 1)[0] != ",".join(RECORD_FIELDS).encode():
+                assert (err == f"error: {path} is not a record file (unexpected header)\n"
+                        or err.startswith(f"error: {path}:1: not UTF-8 text: ")), err
 
 
 class TestCollector:

@@ -130,10 +130,15 @@ class TestSummarize:
         records = [make_record(alpha=0.4, entropy=e) for e in (0.1, 0.2, 0.3)]
         assert math.isnan(summarize(record_table(records))["dom"].spearman_rho)
 
+    def test_bad_depth_rejected(self):
+        bad = Row("d", 0, 0, 0, 0, 0, 1.0, 0.5, 0.5, 0.0)
+        with pytest.raises(InputError, match=r"domain 'd': depths must form a contiguous range 1..D, got \[0\]"):
+            summarize(record_table([bad]))
+
 
 class TestDepthProfile:
     def test_single_cell(self):
-        profile = depth_profile(record_table([make_record(alpha=0.3), make_record(alpha=0.5)]))
+        profile = depth_profile(summarize(record_table([make_record(alpha=0.3), make_record(alpha=0.5)])))
         assert profile.cells == {("dom", 1): pytest.approx(0.4)}
         assert profile.delta == {"dom": 0.0}
 
@@ -142,13 +147,13 @@ class TestDepthProfile:
         records = []
         for depth_str, alpha in per_depth.items():
             records += [make_record(depth=int(depth_str), alpha=alpha) for _ in range(10)]
-        profile = depth_profile(record_table(records))
+        profile = depth_profile(summarize(record_table(records)))
         assert profile.delta["dom"] == pytest.approx(0.021, abs=1e-12)
 
     def test_group_by_oracle(self):
         rng = np.random.default_rng(31)
         records = synthetic_records(rng, n=400) + synthetic_records(rng, n=400, domain="other")
-        profile = depth_profile(record_table(records))
+        profile = depth_profile(summarize(record_table(records)))
         groups = {}
         for rec in records:
             groups.setdefault((rec.domain, rec.depth), []).append(rec.alpha)
@@ -156,11 +161,6 @@ class TestDepthProfile:
             assert profile.cells[key] == pytest.approx(
                 math.fsum(alphas) / len(alphas), abs=1e-12
             )
-
-    def test_bad_depth_rejected(self):
-        bad = Row("d", 0, 0, 0, 0, 0, 1.0, 0.5, 0.5, 0.0)
-        with pytest.raises(InputError):
-            depth_profile(record_table([bad]))
 
 
 class TestChainProbabilities:
@@ -473,15 +473,6 @@ class TestSummarizeAgainstScalarOracle:
             expected = scalar_summarize(records)
             assert_summaries_identical(summarize(record_table(records)), expected)
 
-    def test_depth_profile_cells_match_per_depth_alpha(self):
-        rng = np.random.default_rng(73)
-        for _ in range(20):
-            records = random_records(rng)
-            profile = depth_profile(record_table(records))
-            for domain, summary in scalar_summarize(records).items():
-                for depth, alpha in summary.per_depth_alpha.items():
-                    assert same_bits(profile.cells[(domain, depth)], alpha)
-
     def test_position_cells_match_scalar_groups(self):
         rng = np.random.default_rng(79)
         for _ in range(20):
@@ -608,7 +599,7 @@ def oracle_means(groups, values):
 
 def assert_matches_per_record_oracle(table):
     summaries = summarize(table)
-    profile = depth_profile(table)
+    profile = depth_profile(summaries)
     assert list(summaries) == sorted({table.domains[c] for c in table.domain_code.tolist()})
     for domain, got in summaries.items():
         mask = table.domain_code == table.domains.index(domain)

@@ -44,6 +44,7 @@ SUMMARY_KEYS = (
     "node_count", "mean_alpha", "std_alpha", "mean_entropy",
     "per_depth_alpha", "chain_prob", "expected_len", "spearman_rho",
 )
+RECORD_HEADER = ",".join(RECORD_FIELDS)
 
 
 def summaries_equal(a, b):
@@ -791,25 +792,54 @@ class TestRecordCsv:
         with pytest.raises(InputError, match=f"{path}:2: integer field outside the int64 range"):
             read_records_csv(path)
 
-    @pytest.mark.parametrize("chunk_rows", [2, 8192])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 8192])
     @pytest.mark.parametrize("lines, expected", [
         # A fault on an earlier line of the same chunk wins over the byte.
-        (["chat,0,0,1,0,5,0.5,0.25,0.5,0.1", "chat,0,1,1,0,5,0.5,0.25,0.9,0.1", b"chat,0,2,1,0,\xff"],
-         "3: alpha inconsistent with stored p_target / p_draft"),
-        (["chat,0,0,1,0,5,0.5,0.25,0.5,0.1", "chat,0,1,1,0,5,0.5,0.25,0.5,0.1", b"chat,0,2,1,0,\xff",
-          "chat,0,1,1,0,5,0.5,0.25,0.9,0.1"], "4: not UTF-8 text: invalid start byte"),
-        ([b"ch\xc3at,0,0,1,0,5,0.5,0.25,0.5,0.1"], "2: not UTF-8 text: invalid continuation byte"),
+        ([RECORD_HEADER, "chat,0,0,1,0,5,0.5,0.25,0.5,0.1", "chat,0,1,1,0,5,0.5,0.25,0.9,0.1",
+          b"chat,0,2,1,0,\xff\n"], ":3: alpha inconsistent with stored p_target / p_draft"),
+        ([RECORD_HEADER, "chat,0,0,1,0,5,0.5,0.25,0.5,0.1", "chat,0,1,1,0,5,0.5,0.25,0.5,0.1",
+          b"chat,0,2,1,0,\xff\n", "chat,0,1,1,0,5,0.5,0.25,0.9,0.1"], ":4: not UTF-8 text: invalid start byte"),
+        ([RECORD_HEADER, b"ch\xc3at,0,0,1,0,5,0.5,0.25,0.5,0.1\n"], ":2: not UTF-8 text: invalid continuation byte"),
+        # A first line that is not the header wins over every later fault.
+        (["not,a,record,header", "chat,0,0,1,0,5,0.5,0.25,0.9,0.1", b"\xff\n"],
+         " is not a record file (unexpected header)"),
+        # The byte in a continuation line's new tail, in the domain of a new
+        # run whose tail is known, and on a line of eight fields.
+        ([RECORD_HEADER, "chat,0,0,1,0,5,0.5,0.25,0.5,0.1", b"chat,0,0,2,0,\xff5,0.5,0.25,0.5,0.1\n"],
+         ":3: not UTF-8 text: invalid start byte"),
+        ([RECORD_HEADER, "chat,0,0,1,0,5,0.5,0.25,0.5,0.1", b"ch\xffat,0,1,1,0,5,0.5,0.25,0.5,0.1\n"],
+         ":3: not UTF-8 text: invalid start byte"),
+        ([RECORD_HEADER, "chat,0,0,1,0,5,0.5,0.25,0.5,0.1", b"chat,0,1,1,0,5,0.5,\xff0.25\n"],
+         ":3: not UTF-8 text: invalid start byte"),
+        ([RECORD_HEADER, "chat,0,0,1,0,5,0.5,0.25,0.5,0.1", b"chat,0,1,1,0,5,0.5,0.25,0.5,0.1\xe2\x82"],
+         ":3: not UTF-8 text: unexpected end of data"),
+        ([RECORD_HEADER, "é,0,0,1,0,5,0.5,0.25,0.5,0.1", "é,0,1,1,0,5,0.5,0.25,0.5,0.1"], ("é",)),
     ])
     def test_a_byte_that_is_not_utf8_is_named_at_its_line(self, tmp_path, monkeypatch, chunk_rows,
                                                            lines, expected):
+        # Each text line ends with a line break; bytes are written as given.
         monkeypatch.setattr(runner, "_CSV_CHUNK_ROWS", chunk_rows)
         path = tmp_path / "bad.csv"
-        path.write_bytes(b"\n".join(
-            line if isinstance(line, bytes) else line.encode() for line in [",".join(RECORD_FIELDS), *lines]
-        ) + b"\n")
-        with pytest.raises(InputError) as raised:
+        path.write_bytes(b"".join(line if isinstance(line, bytes) else (line + "\n").encode() for line in lines))
+        try:
+            got = read_records_csv(path).domains
+        except InputError as exc:
+            got = str(exc).removeprefix(str(path))
+        assert got == expected
+
+    def test_a_file_with_a_bad_byte_is_opened_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def spy(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "open", spy, raising=False)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"{RECORD_HEADER}\nchat,0,0,1,0,5,0.5,0.25,0.5,0.1\n".encode() + b"ch\xffat,0,1\n")
+        with pytest.raises(InputError, match=f"{path}:3: not UTF-8 text"):
             read_records_csv(path)
-        assert str(raised.value) == f"{path}:{expected}"
+        assert opened == [path]
 
     def test_a_header_that_is_not_utf8_is_named_at_line_one(self, tmp_path):
         path = tmp_path / "bad.csv"
