@@ -2,11 +2,13 @@
 
 The measurement loop per prompt: build one draft tree over the current
 context, score it against the target, record one row per node, then commit
-the target's greedy bonus token and repeat. A domain's prompts take these
-steps in lockstep, one wave per step, and each wave's new trees are built
-and scored together. Acceptance is recorded analytically; committed text
-always follows the target, so the harness measures speculation quality
-without changing what gets generated.
+the target's greedy token and repeat. Acceptance is recorded analytically;
+committed text always follows the target, so the harness measures
+speculation quality without changing what gets generated, and no tree
+changes a prompt's windows. So each domain's steps run in two phases: the
+greedy trajectory first, wave by wave over the prompts in lockstep, then
+one batch that grows and scores the trees of every distinct window the
+trajectory met.
 
 A run's records are kept as steps over distinct trees: each domain's step
 memo keeps a distinct window's rows once, the loop notes which memo entry
@@ -61,7 +63,7 @@ from .metrics import (
     position_effects,
     summarize,
 )
-from .model import LanguageModel
+from .model import LanguageModel, top_candidates
 from .tree import TreeParams, grow_trees
 from .verify import score_trees
 
@@ -180,30 +182,89 @@ class ExperimentReport:
     metadata: dict[str, object]
 
 
-# One node's memo row: (depth, token, p_draft, p_target, alpha, target_entropy).
-Row = tuple[int, int, float, float, float, float]
+# The most windows one speculation batch grows and scores together, which
+# bounds the trees and scores held at once.
+_SPECULATION_BATCH = 4096
 
 
 def generate_step(
-    draft: LanguageModel, target: LanguageModel, windows: Sequence[Sequence[int]],
-    params: TreeParams,
-) -> list[tuple[list[Row], int]]:
-    """One generation step for each window: its tree's rows and its committed token.
+    draft: LanguageModel, target: LanguageModel, prompts: Sequence[tuple[int, ...]],
+    params: TreeParams, max_new_tokens: int, eos_index: int | None = None,
+) -> tuple[dict[str, np.ndarray], list[int], dict[str, np.ndarray], dict[str, int]]:
+    """Every step of one domain's prompts: the greedy trajectory, then each window's tree.
 
-    The trees are grown together and scored together (``grow_trees``,
-    ``score_trees``), so each round of the growth, and the scoring, make
-    one model call for all the windows. Each tree node gives one ``Row``, in
-    node order. The committed token is the target's greedy bonus token; the
-    caller appends it to the context. Both depend only on the last
-    max(draft, target) ``context_window`` tokens of a window's context, so
-    the caller may pass just those.
+    A step's tree and committed token depend only on its window, the last
+    max(draft, target, 1) ``context_window`` tokens of its context (the
+    whole context when either window is None), and the committed token,
+    the top candidate of the target's row at the window, not on the tree.
+    So the trajectory runs first, in lockstep: wave w is step w of every
+    prompt still live, each window not seen before becomes the next memo
+    entry, and one bare-window ``target.next_token_dists`` call per wave
+    gives the new windows their tokens. A prompt leaves when it commits
+    ``eos_index`` (that step is not recorded) or after ``max_new_tokens``
+    steps. Then the entries' windows are speculated, up to
+    ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows one tree per
+    distinct draft window (``draft.window``; an empty one grows on its first
+    window) and ``score_trees`` scores each window's tree. Each node gives
+    one row, written straight into the ``TREE_FIELDS`` columns.
+
+    Returns the steps (``prompt_id``, ``step_index`` and ``tree``, the memo
+    entry) prompt by prompt, the rows per entry, the row columns and the
+    counts ``stopped_prompts``, ``speculated_windows`` and ``grown_trees``.
     """
-    trees = grow_trees(draft, windows, params)
-    return [
-        (list(zip(tree.depths, tree.tokens, tree.p_draft, scores.p_target, scores.alpha,
-                  scores.target_entropy)), scores.bonus)
-        for tree, scores in zip(trees, score_trees(target, windows, trees))
-    ]
+    windows = (draft.context_window, target.context_window)
+    suffix = slice(None) if None in windows else slice(-max(*windows, 1), None)
+    memo: dict[tuple[int, ...], tuple[int, int]] = {}  # window -> (entry, committed token)
+    contexts = [list(prompt) for prompt in prompts]
+    prompt_ids: list[int] = []
+    entries: list[int] = []
+    per_wave: list[int] = []
+    live = list(range(len(contexts)))
+    while live and len(per_wave) < max_new_tokens:
+        keys = [tuple(contexts[p][suffix]) for p in live]
+        new = [key for key in dict.fromkeys(keys) if key not in memo]
+        for key, row in zip(new, target.next_token_dists(new) if new else ()):
+            memo[key] = (len(memo), top_candidates(row, 1)[0][0])
+        still = []
+        for p, key in zip(live, keys):
+            entry, committed = memo[key]
+            if committed != eos_index:
+                contexts[p].append(committed)
+                entries.append(entry)
+                still.append(p)
+        prompt_ids.extend(still)
+        per_wave.append(len(still))
+        live = still
+
+    seen = list(memo)  # every window, in entry order
+    sizes: list[int] = []
+    batches: dict[str, list[np.ndarray]] = {name: [] for name in TREE_FIELDS}
+    grown = 0
+    for start in range(0, len(seen), _SPECULATION_BATCH):
+        batch = seen[start:start + _SPECULATION_BATCH]
+        drafts = [draft.window(key) for key in batch]
+        firsts: dict[tuple[int, ...], tuple[int, ...]] = {}  # draft window -> what it grows on
+        for cut, key in zip(drafts, batch):
+            firsts.setdefault(cut, cut or key)
+        grown_on = dict(zip(firsts, grow_trees(draft, list(firsts.values()), params)))
+        trees = [grown_on[cut]._replace(context_len=len(key)) for cut, key in zip(drafts, batch)]
+        scores = score_trees(target, batch, trees)
+        grown += len(firsts)
+        sizes += [len(tree.tokens) for tree in trees]
+        per_tree = [(tree.depths, tree.tokens, tree.p_draft, *tree_scores)
+                    for tree, tree_scores in zip(trees, scores)]
+        for name, values in zip(TREE_FIELDS, zip(*per_tree)):
+            batches[name].append(np.fromiter(itertools.chain.from_iterable(values), np.float64,
+                                             sum(sizes[start:])))
+    # Prompt by prompt: a stable sort keeps each prompt's steps in wave order.
+    order = np.argsort(np.array(prompt_ids, dtype=np.int64), kind="stable")
+    steps = {"prompt_id": np.array(prompt_ids, dtype=np.int64)[order],
+             "step_index": np.repeat(np.arange(len(per_wave)), per_wave)[order],
+             "tree": np.array(entries, dtype=np.int64)[order]}
+    counts = {"stopped_prompts": len(contexts) - len(live), "speculated_windows": len(seen),
+              "grown_trees": grown}
+    return steps, sizes, {name: np.concatenate([np.zeros(0), *arrays])
+                          for name, arrays in batches.items()}, counts
 
 
 def run_experiment(
@@ -211,23 +272,17 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the full measurement loop over every domain and sampled prompt.
 
-    Per domain: train the (draft, target) pair, sample prompts, then generate
-    up to ``max_new_tokens`` steps per prompt. When an end-of-sequence token
-    is configured and committed, the prompt halts and the halting step
-    contributes no records. Fully deterministic for a fixed config.
-
-    A step's rows and committed token depend only on the last
-    max(draft, target) ``context_window`` tokens (the whole context when
-    either window is None), so each domain keeps them per window. The
-    prompts run in lockstep: wave w is step w of every prompt still live,
-    and one ``generate_step`` call serves the wave's distinct windows that
-    the memo has not seen; the waves end once no prompt is live, so the
-    cost follows the steps taken, not ``max_new_tokens``. A step's
-    position bin is 1 when ``2 * step_index >= max_new_tokens``, else 0.
-    Steps are recorded prompt by prompt, as a loop
-    over one prompt at a time would record them. Prompts are prefixes of
-    the corpus documents, which ``train_models`` range-checks over the same
-    vocabulary; each window is checked again inside the step.
+    Per domain: train the (draft, target) pair, sample prompts, then take
+    up to ``max_new_tokens`` steps per prompt in one ``generate_step`` call,
+    which keys a step memo by window, so the cost follows the distinct
+    windows and the steps taken, not ``max_new_tokens``. When an
+    end-of-sequence token is configured and committed, the prompt halts and
+    the halting step contributes no records. A step's position bin is 1
+    when ``2 * step_index >= max_new_tokens``, else 0. Steps are recorded
+    prompt by prompt, as a loop over one prompt at a time would record them.
+    Prompts are prefixes of the corpus documents, which ``train_models``
+    range-checks over the same vocabulary; each window is checked again
+    inside the step. Fully deterministic for a fixed config.
     """
     if not corpora:
         raise InputError("need at least one domain corpus")
@@ -243,69 +298,39 @@ def run_experiment(
             )
     started = datetime.now(timezone.utc).isoformat()
     domains = sorted(corpora)
-    # Every memo entry's rows, once: entry e's are rows[bounds[e]:bounds[e + 1]].
-    rows: list[Row] = []
-    bounds = [0]
+    sizes: list[int] = []  # rows per memo entry, every domain's entries in turn
+    rows: list[dict[str, np.ndarray]] = []  # per domain: its memo rows' columns
     steps: list[dict[str, np.ndarray]] = []  # per domain: its step columns
     domain_meta: dict[str, dict[str, object]] = {}
 
     for code, domain in enumerate(domains):
         corpus = corpora[domain]
-        draft, target = train_models(
-            corpus, config.draft_order, config.target_order, config.smoothing
-        )
-        prompt_set = sample_prompts(
-            corpus, config.prompts_per_domain, config.seed, config.prompt_truncation
-        )
         eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
-        windows = (draft.context_window, target.context_window)
-        window = None if None in windows else max(windows)
-        # A context's memo key: its last ``window`` tokens, all of them when None.
-        cut = slice(-window, None) if window else slice(None) if window is None else slice(0, 0)
-        memo: dict[tuple[int, ...], tuple[int, int]] = {}  # key -> (entry, committed token)
-        contexts = [list(prompt) for prompt in prompt_set.prompts]
-        # Each recorded step's prompt and memo entry, wave by wave.
-        prompt_ids: list[int] = []
-        entries: list[int] = []
-        per_wave: list[int] = []
-        live = list(range(len(contexts)))
-        while live and len(per_wave) < config.max_new_tokens:
-            keys = [tuple(contexts[p][cut]) for p in live]
-            new = [key for key in dict.fromkeys(keys) if key not in memo]
-            if new:
-                for key, (step_rows, committed) in zip(
-                    new, generate_step(draft, target, new, config.tree)
-                ):
-                    memo[key] = (len(bounds) - 1, committed)
-                    rows.extend(step_rows)
-                    bounds.append(len(rows))
-            still = []
-            for p, key in zip(live, keys):
-                entry, committed = memo[key]
-                if committed != eos_index:
-                    contexts[p].append(committed)
-                    entries.append(entry)
-                    still.append(p)
-            prompt_ids.extend(still)
-            per_wave.append(len(still))
-            live = still
-        # Prompt by prompt: a stable sort keeps each prompt's steps in wave order.
-        prompt_id = np.array(prompt_ids, dtype=np.int64)
-        order = np.argsort(prompt_id, kind="stable")
-        step_index = np.repeat(np.arange(len(per_wave)), per_wave)[order]
-        tree = np.array(entries, dtype=np.int64)[order]
-        position_bin = (2 * step_index >= config.max_new_tokens).astype(np.int64)
-        steps.append({"domain_code": np.full(tree.size, code), "prompt_id": prompt_id[order],
-                      "step_index": step_index, "position_bin": position_bin, "tree": tree})
+        # The models and their row caches are let go once the domain's steps
+        # are taken, before the next domain's models are fitted.
+        domain_steps, domain_sizes, domain_rows, counts = generate_step(
+            *train_models(corpus, config.draft_order, config.target_order, config.smoothing),
+            sample_prompts(corpus, config.prompts_per_domain, config.seed,
+                           config.prompt_truncation).prompts,
+            config.tree, config.max_new_tokens, eos_index,
+        )
+        tree = domain_steps["tree"] + len(sizes)
+        sizes += domain_sizes
+        rows.append(domain_rows)
+        steps.append({**domain_steps, "domain_code": np.full(tree.size, code), "tree": tree,
+                      "position_bin": (2 * domain_steps["step_index"] >= config.max_new_tokens)
+                      .astype(np.int64)})
         domain_meta[domain] = {
-            "records": int(np.diff(bounds)[tree].sum()),
-            "trees": len(entries),
-            "prompts": len(prompt_set.prompts),
-            "stopped_prompts": len(contexts) - len(live),
+            "records": int(np.array(domain_sizes, dtype=np.int64)[domain_steps["tree"]].sum()),
+            "trees": tree.size,
+            "prompts": config.prompts_per_domain,
             "vocab_size": corpus.vocabulary.size,
+            **counts,
         }
 
-    records = _table(domains, rows, bounds, steps)
+    records = RecordTable.from_steps(
+        domains, {name: np.concatenate([s[name] for s in steps]) for name in STEP_FIELDS},
+        np.cumsum([0, *sizes]), {name: np.concatenate([r[name] for r in rows]) for name in TREE_FIELDS})
     for code, domain in enumerate(domains):
         used = records.steps["tree"][records.steps["domain_code"] == code]
         domain_meta[domain]["distinct_trees"] = int(np.count_nonzero(np.bincount(used)))
@@ -318,23 +343,6 @@ def run_experiment(
         "domains": domain_meta,
     }
     return ExperimentReport(records=records, summaries=summarize(records), metadata=metadata)
-
-
-def _table(
-    domains: Sequence[str],
-    rows: Sequence[Row],
-    bounds: Sequence[int],
-    steps: Sequence[Mapping[str, np.ndarray]],
-) -> RecordTable:
-    """The run's steps, given as columns per domain, over its memo entries.
-
-    Memo rows go through float64, which holds every depth and token (each
-    below 2**53) exactly.
-    """
-    step_columns = {name: np.concatenate([s[name] for s in steps]) for name in STEP_FIELDS}
-    tree_columns = np.fromiter(itertools.chain.from_iterable(rows), np.float64,
-                               len(TREE_FIELDS) * len(rows)).reshape(-1, len(TREE_FIELDS)).T
-    return RecordTable.from_steps(domains, step_columns, bounds, dict(zip(TREE_FIELDS, tree_columns)))
 
 
 # --- persistence -------------------------------------------------------------

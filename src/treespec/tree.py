@@ -4,7 +4,9 @@ A draft tree holds candidate continuations of a committed context. Depth-1
 nodes are the top root candidates of the draft model; deeper nodes are
 top-branch children of expanded nodes. Expansion is best-first by cumulative
 path log-probability so a small node budget still populates every depth,
-with ties broken by insertion order for determinism.
+with ties broken by insertion order for determinism. A tree reads only the
+draft's window of its context (``draft.window``), so the runner grows one
+tree per distinct draft window.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Target-side verification of a draft tree.
 
 Scores every node of one or many trees against the target model in one
-batched call, computes the token-level acceptance probability min(1,
-p_target / p_draft) and the target entropy at each node's position, and
-extracts each tree's greedy bonus token from its bare-context row of the
-same pass. The stochastic accept/resample primitives live here too; the
-measurement harness records acceptance analytically, but sampling is what
-makes the rule testable.
+batched call and computes the token-level acceptance probability min(1,
+p_target / p_draft) and the target entropy at each node's position. No
+token is committed here: the runner's trajectory commits the target's
+greedy token before any tree is scored. The stochastic accept/resample
+primitives live here too; the measurement harness records acceptance
+analytically, but sampling is what makes the rule testable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, entropies, top_candidates, validate_dist
+from .model import LanguageModel, TokenSeq, entropies, validate_dist
 from .tree import DraftTree
 
 
@@ -31,44 +31,40 @@ def acceptance_prob(p_target: float, p_draft: float) -> float:
 
 
 class TreeScores(NamedTuple):
-    """Verification of one tree: per node, in node order, then the bonus token."""
+    """Verification of one tree: per node, in node order."""
 
     p_target: list[float]
     alpha: list[float]
     target_entropy: list[float]
-    bonus: int
 
 
 def score_tree(target: LanguageModel, context: TokenSeq, tree: DraftTree) -> TreeScores:
-    """Score all nodes of one tree and find its bonus token: ``score_trees`` of one tree."""
+    """Score all nodes of one tree: ``score_trees`` of one tree."""
     return score_trees(target, [context], [tree])[0]
 
 
 def score_trees(
     target: LanguageModel, contexts: Sequence[TokenSeq], trees: Sequence[DraftTree]
 ) -> list[TreeScores]:
-    """Score every node of each tree over its context, and find each bonus token.
+    """Score every node of each tree over its context.
 
     A node at depth d is scored on context + its (d-1)-token ancestor prefix,
     read from ``tree.paths``. Each tree's distinct prefixes, the bare context
     first, go through one batched model invocation for all the trees; the
     entropies of the rows it returns are taken together
     (``model.entropies``) and the acceptance probabilities as one array
-    (``acceptance_probs``). The bonus token is the top candidate of the
-    bare-context row (ties to the lowest token index). Each context is
-    checked once and cut to the target's window (``target.window``).
+    (``acceptance_probs``). Each context is checked once and cut to the
+    target's window (``target.window``).
     """
     if len(contexts) != len(trees):
         raise InputError("need one context per tree")
     requests: list[tuple[int, ...]] = []
-    bare: list[int] = []  # per tree: its bare context's index into ``requests``
     slots: list[int] = []  # per node of every tree: its prefix's index
     for context, tree in zip(contexts, trees):
         if tree.context_len != len(context):
             raise InputError("tree was built over a context of different length")
         base = target.window(context)
         prefix_slot: dict[tuple[int, ...], int] = {(): len(requests)}
-        bare.append(len(requests))
         requests.append(base)
         for path in tree.paths:
             ancestors = path[:-1]
@@ -88,10 +84,9 @@ def score_trees(
 
     results = []
     start = 0
-    for tree, slot in zip(trees, bare):
+    for tree in trees:
         stop = start + len(tree.tokens)
-        results.append(TreeScores(p_target[start:stop], alpha[start:stop], entropy[start:stop],
-                                  top_candidates(dists[slot], 1)[0][0]))
+        results.append(TreeScores(p_target[start:stop], alpha[start:stop], entropy[start:stop]))
         start = stop
     return results
 

@@ -138,6 +138,20 @@ def test_distinct_trees_per_domain(default_report, default_csv_bytes):
     )
 
 
+def test_speculated_windows_and_grown_trees_per_domain(default_report):
+    # Each distinct step window is grown and scored once, and each distinct
+    # draft window (the window's last token) grows one tree.
+    meta = default_report.metadata["domains"]
+    windows = {d: info["speculated_windows"] for d, info in meta.items()}
+    grown = {d: info["grown_trees"] for d, info in meta.items()}
+    check(
+        "speculated windows and grown trees per domain",
+        windows == {"chat": 25, "code": 41, "math": 69, "reasoning": 34}
+        and grown == {"chat": 20, "code": 23, "math": 27, "reasoning": 25},
+        f"speculated windows {windows}, grown trees {grown}",
+    )
+
+
 def test_count_arithmetic_early_stop(corpora):
     report = run_experiment(GenerationConfig(eos_token="<end>"), corpora)
     per_domain = {d: meta["records"] for d, meta in report.metadata["domains"].items()}

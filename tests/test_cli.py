@@ -47,6 +47,30 @@ REFERENCE_SHA256 = {
     "tables.txt": "9641a75d5cba823794fe18d40fb9217479b6cfd22f6b871fe081b009031b81c7",
 }
 
+# sha256 of two more configurations, made as REFERENCE_SHA256 was. The first
+# has a draft that reads no context and 26 prompts that halt on the end
+# token; the second has unsmoothed models and 16-node depth-4 trees.
+PINNED_RUNS = {
+    "eos_unigram_draft": (
+        ["--eos-token", "<end>", "--draft-order", "1", "--target-order", "4",
+         "--prompts-per-domain", "12", "--max-new-tokens", "40"],
+        {
+            "records.csv": "f6ef2d79161010c3ee6f1fc15d3f75a57bb9c91280b8ca9a84c2eb806be2dce1",
+            "summary.json": "0e3aec0bf871ef442a12f59b9fa73c611ee3966456845e7f7429e768b7206df0",
+            "tables.txt": "1619021f9507be685ebfcbc18b400c28fe8325ebd26b6e12f0107a5e62da6a71",
+        },
+    ),
+    "unsmoothed_wide_trees": (
+        ["--smoothing", "0", "--max-nodes", "16", "--max-depth", "4", "--root-top-k", "4",
+         "--prompts-per-domain", "10", "--max-new-tokens", "24"],
+        {
+            "records.csv": "1cca98fa553da55ea0244ba5d64004f08e814af7752c93bf441b82005ff8147e",
+            "summary.json": "b04969b9d6b7f7b35007ce06c90c1f6b785d63fdbf5b1b6e678935e94feb6112",
+            "tables.txt": "fee6c13f006aa12621404acdf34e286120530605a281fa55a5ebd4ee25cf4304",
+        },
+    ),
+}
+
 # A value other than the default for every config key; each is valid with the
 # other keys at their defaults.
 NON_DEFAULT_VALUES = {
@@ -83,6 +107,15 @@ class TestRun:
             for name in REFERENCE_SHA256
         }
         assert digests == REFERENCE_SHA256
+
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_run_matches_pinned_hashes(self, name, tmp_path):
+        flags, pinned = PINNED_RUNS[name]
+        assert run_cli("run", "--synthetic", *flags, "--out", str(tmp_path)) == 0
+        digests = {
+            file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in pinned
+        }
+        assert digests == pinned
 
     def test_eos_token_in_no_vocabulary_exits_one(self, tmp_path, capsys):
         code = run_cli(

@@ -4,8 +4,8 @@ Each case draws a small vocabulary, a draft and a target table model that
 read a random number of trailing tokens (or the whole context), random tree
 limits and a random context. Distributions have zero entries and exact ties,
 so the p <= 0 cut and the index tie-break are exercised. The tree, its scores
-and the step are checked against re-computations that score one context at a
-time over dense vectors.
+and a domain's steps are checked against re-computations that score one
+context at a time over dense vectors.
 """
 
 import itertools
@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from conftest import TableModel
+from treespec.metrics import TREE_FIELDS
 from treespec import (
     TreeParams,
     Vocabulary,
@@ -98,12 +99,6 @@ def oracle_tree(draft, context, params):
     return nodes
 
 
-def step_window(draft, target):
-    """The tokens a step reads; at least one, since a tree needs a non-empty context."""
-    windows = (draft.context_window, target.context_window)
-    return None if None in windows else max(*windows, 1)
-
-
 def test_tree_respects_budget_depth_cap_and_best_first_order():
     rng = np.random.default_rng(4101)
     for _ in range(CASES):
@@ -137,7 +132,6 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
             assert alpha == min(1.0, p_target / p_draft)
             assert 0.0 <= alpha <= 1.0
             assert target_entropy == entropy_nats(dist)
-        assert scores.bonus == ranked(dense(target, context), 1)[0][0]
 
 
 def test_trees_grown_and_scored_in_lockstep_equal_one_at_a_time():
@@ -154,16 +148,42 @@ def test_trees_grown_and_scored_in_lockstep_equal_one_at_a_time():
         ]
 
 
-def test_generate_step_on_the_window_matches_the_full_context():
+def oracle_steps(draft, target, prompt, params, max_new_tokens, eos_index):
+    """Each step of one prompt on its full context, with no memo: its tree's rows, as
+    ``(depth, token, p_draft, p_target, alpha, target_entropy)`` tuples, until the
+    target's top token is ``eos_index`` or ``max_new_tokens`` steps are taken."""
+    context, steps = list(prompt), []
+    for _ in range(max_new_tokens):
+        committed = ranked(dense(target, context), 1)[0][0]
+        if committed == eos_index:
+            break
+        rows = []
+        for token, depth, _, p_draft, _, path in oracle_tree(draft, context, params):
+            dist = dense(target, [*context, *path[:-1]])
+            p_target = float(dist[token])
+            rows.append((depth, token, p_draft, p_target, min(1.0, p_target / p_draft),
+                         entropy_nats(dist)))
+        steps.append(rows)
+        context.append(committed)
+    return steps
+
+
+def test_generate_step_commits_the_target_top_token_and_records_each_step_tree():
     rng = np.random.default_rng(4103)
     for _ in range(CASES):
         draft, target, params, context = random_case(rng)
-        [(rows, committed)] = generate_step(draft, target, [context], params)
-        span = step_window(draft, target)
-        window = context if span is None else context[-span:]
-        assert generate_step(draft, target, [window], params) == [(rows, committed)]
-        tree = build_draft_tree(draft, context, params)
-        scores = score_tree(target, context, tree)
-        assert committed == scores.bonus
-        assert rows == list(zip(tree.depths, tree.tokens, tree.p_draft, scores.p_target,
-                                scores.alpha, scores.target_entropy))
+        other = rng.integers(0, draft.vocab.size, size=int(rng.integers(1, 9))).tolist()
+        prompts = [tuple(context), tuple(other), tuple(context)]
+        max_new_tokens = int(rng.integers(1, 5))
+        eos_index = [None, *range(target.vocab.size)][rng.integers(target.vocab.size + 1)]
+        steps, sizes, columns, counts = generate_step(draft, target, prompts, params,
+                                                      max_new_tokens, eos_index)
+        offsets = np.cumsum([0, *sizes]).tolist()
+        rows = [list(zip(*(columns[name][offsets[e]:offsets[e + 1]].tolist()
+                           for name in TREE_FIELDS))) for e in range(len(sizes))]
+        expected = [oracle_steps(draft, target, p, params, max_new_tokens, eos_index)
+                    for p in prompts]
+        assert steps["prompt_id"].tolist() == [p for p, s in enumerate(expected) for _ in s]
+        assert steps["step_index"].tolist() == [i for s in expected for i in range(len(s))]
+        assert [rows[e] for e in steps["tree"].tolist()] == [r for s in expected for r in s]
+        assert counts["stopped_prompts"] == sum(len(s) < max_new_tokens for s in expected)

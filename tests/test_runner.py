@@ -14,7 +14,6 @@ from treespec import (
     DomainSummary,
     GenerationConfig,
     InputError,
-    LanguageModel,
     NGramModel,
     RecordTable,
     TreeParams,
@@ -23,12 +22,14 @@ from treespec import (
     config_from_mapping,
     emit_report,
     generate_step,
+    grow_trees,
     parse_config_file,
     read_records_csv,
     render_tables,
     run_experiment,
     sample_prompts,
     score_tree,
+    score_trees,
     summarize,
     synthetic_corpus,
     train_models,
@@ -158,21 +159,43 @@ class TestConfig:
             parse_config_file(path)
 
 
+def oracle_step(draft, target, context, params):
+    """One step on ``context`` with no memo: its tree's rows, as ``(depth, token, p_draft,
+    p_target, alpha, target_entropy)`` tuples from ``grow_trees`` and ``score_trees``, and
+    the target's argmax, the token it commits."""
+    [tree] = grow_trees(draft, [context], params)
+    [scores] = score_trees(target, [context], [tree])
+    rows = list(zip(tree.depths, tree.tokens, tree.p_draft, *scores))
+    return rows, int(np.argmax(target.next_token_dist(context)))
+
+
+def committed_token(draft, target, context, params):
+    """The token ``generate_step`` commits at ``context``, read as the one end token that halts it."""
+    [token] = [t for t in range(target.vocab.size)
+               if generate_step(draft, target, [tuple(context)], params, 1, t)[3]["stopped_prompts"]]
+    return token
+
+
+def step_rows(columns, lo, hi):
+    """Rows ``lo:hi`` of ``generate_step``'s row columns as tuples, depth and token as ints."""
+    depth, token, *floats = (columns[name][lo:hi].tolist() for name in TREE_FIELDS)
+    return list(zip(map(int, depth), map(int, token), *floats))
+
+
 class TestGenerateStep:
     def test_identical_models_accept_everything(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
         doc = [0, 1, 2, 3, 0, 1, 2, 3, 0]
         model = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
-        [(rows, committed)] = generate_step(model, model, [(0, 1)], TreeParams())
-        assert all(alpha == 1.0 for _, _, _, _, alpha, _ in rows)
-        assert committed == int(np.argmax(model.next_token_dist([0, 1])))
+        _, _, rows, _ = generate_step(model, model, [(0, 1)], TreeParams(), 1)
+        assert rows["alpha"].size and np.all(rows["alpha"] == 1.0)
 
     def test_full_tree_yields_max_nodes_records(self):
         corpus = synthetic_corpus("chat", n_docs=10, seed=3, doc_len=120)
         draft = NGramModel.fit(corpus.vocabulary, corpus.documents, 2, 0.1)
         target = NGramModel.fit(corpus.vocabulary, corpus.documents, 3, 0.1)
-        [(rows, _)] = generate_step(draft, target, [corpus.documents[0][:40]], TreeParams())
-        assert len(rows) == 8
+        _, sizes, _, _ = generate_step(draft, target, [corpus.documents[0][:40]], TreeParams(), 1)
+        assert sizes == [8]
 
     def test_records_match_tree_and_scores(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
@@ -180,23 +203,60 @@ class TestGenerateStep:
         draft = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
         target = NGramModel.fit(vocab, [doc], order=3, smoothing=0.3)
         context = [0, 1]
-        [(rows, _)] = generate_step(draft, target, [context], TreeParams())
-        tree = build_draft_tree(draft, context, TreeParams())
-        scores = score_tree(target, context, tree)
-        assert len(rows) == len(scores.alpha)
+        steps, sizes, columns, _ = generate_step(draft, target, [tuple(context)], TreeParams(), 1)
+        assert steps["tree"].tolist() == [0]
+        rows = step_rows(columns, 0, sizes[0])
         table = record_table([Row("x", 4, 9, depth, 1, *rest) for depth, *rest in rows])
         assert not runner._rule_codes({name: getattr(table, name) for name in RECORD_FIELDS[1:]}).any()
-        depth, token, p_draft, p_target, alpha, target_entropy = map(list, zip(*rows))
-        assert token == tree.tokens
-        assert depth == tree.depths
-        assert p_draft == tree.p_draft
-        assert p_target == scores.p_target
-        assert alpha == scores.alpha
-        assert target_entropy == scores.target_entropy
+        tree = build_draft_tree(draft, context, TreeParams())
+        scores = score_tree(target, context, tree)
+        assert rows == list(zip(tree.depths, tree.tokens, tree.p_draft, scores.p_target,
+                                scores.alpha, scores.target_entropy))
+
+    def test_commits_the_targets_argmax(self):
+        doc = [0, 1, 2, 0, 1, 3]
+        vocab = Vocabulary(("a", "b", "c", "d"))
+        draft = NGramModel.fit(vocab, [doc], order=2, smoothing=0.3)
+        target = NGramModel.fit(vocab, [doc], order=3, smoothing=0.3)
+        for context in ([0, 1], [1, 2], [3], [2, 2, 0]):
+            assert committed_token(draft, target, context, TreeParams(3, 2, 3, 8)) == int(
+                np.argmax(target.next_token_dist(context)))
+
+    def test_one_hot_target_commits_its_token_whatever_the_tree(self):
+        vocab = Vocabulary(("a", "b", "c", "d"))
+        draft = TableModel(vocab, [0.5, 0.5, 0.0, 0.0])
+        target = TableModel(vocab, [1.0, 0.0, 0.0, 0.0])
+        assert committed_token(draft, target, [2], TreeParams(1, 2, 2, 8)) == 0
+        steps, _, rows, counts = generate_step(draft, target, [(2,)], TreeParams(1, 2, 2, 8), 3)
+        assert steps["step_index"].tolist() == [0, 1, 2] and counts["stopped_prompts"] == 0
+        assert rows["token"].tolist() == [0, 1] * 3 and rows["alpha"].tolist() == [1.0, 0.0] * 3
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_a_speculation_batch_holds_at_most_the_batch_windows(self, batch, monkeypatch):
+        corpora = {d: synthetic_corpus(d, n_docs=12, seed=9, doc_len=150) for d in ("chat", "math")}
+        config = GenerationConfig(prompts_per_domain=4, max_new_tokens=8, prompt_truncation=40)
+        whole = run_experiment(config, corpora)
+        grown, scored = [], []
+
+        def spy(calls, function):
+            def recording(model, contexts, *args):
+                calls.append(len(contexts))
+                return function(model, contexts, *args)
+            return recording
+
+        monkeypatch.setattr(runner, "_SPECULATION_BATCH", batch)
+        monkeypatch.setattr(runner, "grow_trees", spy(grown, grow_trees))
+        monkeypatch.setattr(runner, "score_trees", spy(scored, score_trees))
+        report = run_experiment(config, corpora)
+        assert report.records == whole.records
+        windows = [m["speculated_windows"] for m in report.metadata["domains"].values()]
+        assert windows == [m["speculated_windows"] for m in whole.metadata["domains"].values()]
+        assert max(grown) <= batch and max(scored) == batch
+        assert sum(scored) == sum(windows) and len(scored) == sum(-(-n // batch) for n in windows)
 
 
 def plain_loop(config, corpora, models=train_models):
-    """Reference loop: calls generate_step on the full context at every step, with no memo."""
+    """Reference loop: ``oracle_step`` on the full context at every step, with no memo."""
     records = []
     for domain in sorted(corpora):
         corpus = corpora[domain]
@@ -211,7 +271,7 @@ def plain_loop(config, corpora, models=train_models):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
                 position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
-                [(step_rows, committed)] = generate_step(draft, target, [context], config.tree)
+                step_rows, committed = oracle_step(draft, target, context, config.tree)
                 if committed == eos:
                     break
                 records.extend(
@@ -234,18 +294,26 @@ class TestRunExperiment:
             draft_order=orders[0], target_order=orders[1], eos_token=eos_token,
         )
         expected = plain_loop(config, corpora)
-        calls = []
+        grown, scored = [], []
 
-        def counting_step(*args, **kwargs):
-            calls.extend(args[2])
-            return generate_step(*args, **kwargs)
+        def recording_grow(draft, contexts, params):
+            grown.extend(contexts)
+            return grow_trees(draft, contexts, params)
 
-        monkeypatch.setattr("treespec.runner.generate_step", counting_step)
+        def recording_score(target, contexts, trees):
+            scored.extend(contexts)
+            return score_trees(target, contexts, trees)
+
+        monkeypatch.setattr(runner, "grow_trees", recording_grow)
+        monkeypatch.setattr(runner, "score_trees", recording_score)
         report = run_experiment(config, corpora)
         assert report.records == expected
-        assert len(calls) < sum(m["trees"] for m in report.metadata["domains"].values())
-        # Each step gets its window, the last target_order - 1 tokens, not the 40+ token context.
-        assert {len(context) for context in calls} == {orders[1] - 1}
+        assert len(scored) < sum(m["trees"] for m in report.metadata["domains"].values())
+        # Each step is scored on its window, the last target_order - 1 tokens,
+        # not on the 40+ token context, and each tree grows on its draft
+        # window, or on the first full window when the draft reads no token.
+        assert {len(context) for context in scored} == {orders[1] - 1}
+        assert {len(context) for context in grown} == {orders[0] - 1 or orders[1] - 1}
         if eos_token:
             assert all(m["stopped_prompts"] > 0 for m in report.metadata["domains"].values())
 
@@ -259,11 +327,11 @@ class TestRunExperiment:
         monkeypatch.setattr(runner, "train_models", lambda *args: (draft, target))
         windows = []
 
-        def recording_step(*args, **kwargs):
-            windows.extend(args[2])
-            return generate_step(*args, **kwargs)
+        def recording_score(target, contexts, trees):
+            windows.extend(contexts)
+            return score_trees(target, contexts, trees)
 
-        monkeypatch.setattr(runner, "generate_step", recording_step)
+        monkeypatch.setattr(runner, "score_trees", recording_score)
         corpus = DomainCorpus("d", [(1, 2), (2, 1), (3, 3)], vocab)
         config = GenerationConfig(prompts_per_domain=3, max_new_tokens=1, prompt_truncation=2)
         records = run_experiment(config, {"d": corpus}).records
@@ -381,12 +449,12 @@ class TestRunExperiment:
 
 
 def prompt_major_loop(config, corpora):
-    """Reference loop: one prompt at a time, generate_step on each new window alone.
+    """Reference loop: one prompt at a time, ``oracle_step`` on each new window alone.
 
-    Returns the table and each recorded step's window, keyed (domain,
-    prompt_id, step_index).
+    Returns the table, each recorded step's window, keyed (domain,
+    prompt_id, step_index), and each domain's windows in the order first met.
     """
-    records, windows = [], {}
+    records, windows, memos = [], {}, {}
     for domain in sorted(corpora):
         corpus = corpora[domain]
         draft, target = train_models(
@@ -397,13 +465,13 @@ def prompt_major_loop(config, corpora):
         )
         eos = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
         width = max(draft.context_window, target.context_window)
-        memo = {}
+        memo = memos[domain] = {}
         for prompt_id, prompt in enumerate(prompts.prompts):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
                 key = tuple(context[-width:])
                 if key not in memo:
-                    [memo[key]] = generate_step(draft, target, [key], config.tree)
+                    memo[key] = oracle_step(draft, target, key, config.tree)
                 step_rows, committed = memo[key]
                 if committed == eos:
                     break
@@ -414,32 +482,26 @@ def prompt_major_loop(config, corpora):
                     for depth, *rest in step_rows
                 )
                 context.append(committed)
-    return record_table(records), windows
+    return record_table(records), windows, {domain: list(memo) for domain, memo in memos.items()}
 
 
 class TestLockstep:
-    """run_experiment advances every prompt one step per wave; its table and
-    model traffic must equal those of one prompt at a time."""
+    """run_experiment takes every step of a domain in one generate_step call,
+    the trajectory first; its table must equal that of one prompt at a time,
+    and each distinct window must be grown and scored once."""
 
-    def test_equals_prompt_major(self, monkeypatch):
+    def lockstep_case(self):
         corpora = {d: synthetic_corpus(d, n_docs=12, seed=9, doc_len=150) for d in ("chat", "math")}
         config = GenerationConfig(prompts_per_domain=8, max_new_tokens=40, prompt_truncation=40,
                                   eos_token="<end>")
+        return corpora, config
+
+    def test_equals_prompt_major(self):
+        corpora, config = self.lockstep_case()
         plain = plain_loop(config, corpora)
-        scored = []
-        batch = LanguageModel.next_token_dists
-
-        def recording_batch(self, contexts):
-            scored.extend((self.order, tuple(context)) for context in contexts)
-            return batch(self, contexts)
-
-        monkeypatch.setattr(LanguageModel, "next_token_dists", recording_batch)
-        expected, windows = prompt_major_loop(config, corpora)
-        expected_scored = Counter(scored)
-        scored.clear()
+        expected, windows, _ = prompt_major_loop(config, corpora)
         report = run_experiment(config, corpora)
         assert report.records == expected == plain
-        assert Counter(scored) == expected_scored
 
         # The case covers prompts halted mid-run, at different waves, and a
         # window that two prompts reach in the same wave.
@@ -449,23 +511,49 @@ class TestLockstep:
         shared = Counter((domain, step, key) for (domain, _, step), key in windows.items())
         assert max(shared.values()) > 1
 
-    def test_one_step_call_per_wave_with_misses(self, monkeypatch):
-        # Two prompts share their window (2, 3) from the first wave on, so
-        # each wave asks for one window, once.
+    def test_one_step_call_per_domain_and_each_window_once(self, monkeypatch):
+        corpora, config = self.lockstep_case()
+        _, _, memos = prompt_major_loop(config, corpora)
+        steps, grown, scored = [], [], []
+        step = runner.generate_step
+
+        def recording_step(*args, **kwargs):
+            steps.append(args[2])
+            grown.append([])
+            scored.append([])
+            return step(*args, **kwargs)
+
+        def recording_grow(draft, contexts, params):
+            grown[-1].extend(contexts)
+            return grow_trees(draft, contexts, params)
+
+        def recording_score(target, contexts, trees):
+            scored[-1].extend(contexts)
+            return score_trees(target, contexts, trees)
+
+        monkeypatch.setattr(runner, "generate_step", recording_step)
+        monkeypatch.setattr(runner, "grow_trees", recording_grow)
+        monkeypatch.setattr(runner, "score_trees", recording_score)
+        report = run_experiment(config, corpora)
+        domains = sorted(corpora)
+        assert steps == [sample_prompts(corpora[d], 8, config.seed, 40).prompts for d in domains]
+        # Every window the steps meet, those that halt a prompt too, is scored
+        # once, and each distinct draft window (the last token) grows once.
+        assert [sorted(windows) for windows in scored] == [sorted(memos[d]) for d in domains]
+        assert [sorted(windows) for windows in grown] == [
+            sorted({key[-1:] for key in memos[d]}) for d in domains]
+        for d, meta in report.metadata["domains"].items():
+            assert (meta["speculated_windows"], meta["grown_trees"]) == (
+                len(memos[d]), len({key[-1:] for key in memos[d]}))
+
+    def test_steps_are_recorded_prompt_by_prompt(self):
+        # Two prompts share their window (2, 3) from the first wave on.
         vocab = Vocabulary(("a", "b", "c", "d"))
         corpus = DomainCorpus("d", [(1, 2, 3), (0, 2, 3)], vocab)
         config = GenerationConfig(prompts_per_domain=2, max_new_tokens=3, prompt_truncation=3)
-        calls = []
-
-        def recording_step(*args, **kwargs):
-            calls.append(list(args[2]))
-            return generate_step(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "generate_step", recording_step)
         report = run_experiment(config, {"d": corpus})
-        assert calls[0] == [(2, 3)]
-        assert all(len(windows) == 1 for windows in calls) and len(calls) <= 3
         assert report.records == plain_loop(config, {"d": corpus})
+        assert report.metadata["domains"]["d"]["speculated_windows"] <= 3
         steps = report.records.steps
         assert steps["prompt_id"].tolist() == [0, 0, 0, 1, 1, 1]
         assert steps["step_index"].tolist() == [0, 1, 2, 0, 1, 2]

@@ -6,9 +6,11 @@ from breaking it unseen:
 - it counts model batches and their contexts by patching
   ``LanguageModel.next_token_dists``, so ``NGramModel`` must not override it;
 - its step time must equal the model, tree, verify and step self times, so
-  every model call of a run must happen inside ``generate_step``;
-- it keys each step call by ``tuple(windows[-w:])`` over the call's third
-  positional argument, so ``windows`` must be a list of tuples;
+  every model call of a run must happen inside ``generate_step``, which
+  takes all of one domain's steps, the trajectory's target calls too;
+- it keys each step call by ``tuple(prompts[-w:])`` over the call's third
+  positional argument, the domain's prompts, so ``prompts`` must be a list
+  of tuples;
 - it patches each of its boundaries by name, so every one must exist;
 - its observer of ``build_draft_tree`` reads ``result.nodes``, which a
   ``DraftTree`` does not have, so a run must not build its trees through
@@ -68,11 +70,11 @@ def test_every_model_call_is_inside_a_step_and_windows_are_tuples(monkeypatch):
     step = runner.generate_step
 
     def traced_step(*args, **kwargs):
-        windows = args[2]
-        assert type(windows) is list and windows
-        assert all(type(window) is tuple for window in windows)
-        hash(tuple(windows[-3:]))
-        step_calls.append(len(windows))
+        prompts = args[2]
+        assert type(prompts) is list and prompts
+        assert all(type(prompt) is tuple for prompt in prompts)
+        hash(tuple(prompts[-3:]))
+        step_calls.append(len(prompts))
         depth[0] += 1
         try:
             return step(*args, **kwargs)
@@ -90,5 +92,6 @@ def test_every_model_call_is_inside_a_step_and_windows_are_tuples(monkeypatch):
                         traced(model.LanguageModel.next_token_dists))
     monkeypatch.setattr(NGramModel, "next_token_dist", traced(NGramModel.next_token_dist))
     small_run()
-    assert step_calls and model_calls
+    assert step_calls == [4, 4], "one generate_step call per domain"
+    assert model_calls
     assert all(model_calls), "a model call ran outside generate_step"

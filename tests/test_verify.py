@@ -80,7 +80,6 @@ class TestScoreTree:
         assert tree.tokens == [0, 1]
         scores = score_tree(target, [2], tree)
         assert scores.p_target == [1.0, 0.0] and scores.alpha == [1.0, 0.0]
-        assert scores.bonus == 0
 
     def test_sequential_oracle_six_token_corpus(self):
         doc = [0, 1, 2, 0, 1, 3]
@@ -96,7 +95,6 @@ class TestScoreTree:
             assert p_target == float(dist[token])
             assert alpha == min(1.0, p_target / p_draft)
             assert target_entropy == entropy_nats(dist)
-        assert scores.bonus == int(np.argmax(target.next_token_dist(context)))
 
     def test_sequential_oracle_randomized(self):
         rng = np.random.default_rng(33)
