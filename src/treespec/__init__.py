@@ -57,7 +57,6 @@ from .tree import (
     grow_trees,
 )
 from .verify import (
-    TreeScores,
     acceptance_prob,
     residual_dist,
     score_tree,

@@ -258,9 +258,9 @@ class LanguageModel(abc.ABC):
     vocab: Vocabulary
     context_window: int | None = None
 
-    @abc.abstractmethod
     def next_token_dist(self, context: TokenSeq) -> Dist:
-        """Next-token distribution given ``context``; deterministic per input."""
+        """Next-token distribution given ``context``: a batch of one."""
+        return self._batch_dists([context])[0]
 
     def next_token_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
         """Score many contexts in one invocation (the batched call boundary).
@@ -270,9 +270,9 @@ class LanguageModel(abc.ABC):
         """
         return self._batch_dists(contexts)
 
+    @abc.abstractmethod
     def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
-        """``next_token_dists``; by default, one ``next_token_dist`` per context."""
-        return [self.next_token_dist(c) for c in contexts]
+        """The next-token distribution of each context; deterministic per input."""
 
     def window(self, context: TokenSeq) -> tuple[int, ...]:
         """The last ``context_window`` tokens of ``context`` as ints, all of them when None.
@@ -396,9 +396,6 @@ class NGramModel(LanguageModel):
             tuple(t - 1 for t in back if t): dict(zip(tokens[start:stop], counts[start:stop]))
             for back, start, stop in zip(backs, offsets, offsets[1:])
         })
-
-    def next_token_dist(self, context: TokenSeq) -> SparseRow:
-        return self._batch_dists([context])[0]
 
     def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[SparseRow]:
         """``next_token_dists``: one range check for the batch, a dict hit per

@@ -198,15 +198,15 @@ def generate_step(
     whole context when either window is None), and the committed token,
     the top candidate of the target's row at the window, not on the tree.
     So the trajectory runs first, in lockstep: wave w is step w of every
-    prompt still live, each window not seen before becomes the next memo
-    entry, and one bare-window ``target.next_token_dists`` call per wave
-    gives the new windows their tokens. A prompt leaves when it commits
-    ``eos_index`` (that step is not recorded) or after ``max_new_tokens``
-    steps. Then the entries' windows are speculated, up to
+    prompt still live, and one bare-window ``target.next_token_dists`` call
+    per wave gives the windows not seen before their tokens. A prompt leaves
+    when it commits ``eos_index`` (that step is not recorded) or after
+    ``max_new_tokens`` steps; every other new window becomes the next memo
+    entry. Then the entries' windows are speculated, up to
     ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows one tree per
     distinct draft window (``draft.window``; an empty one grows on its first
     window) and ``score_trees`` scores each window's tree. Each node gives
-    one row, written straight into the ``TREE_FIELDS`` columns.
+    one row: its tree's ``depth``, ``token`` and ``p_draft`` and its scores.
 
     Returns the steps (``prompt_id``, ``step_index`` and ``tree``, the memo
     entry) prompt by prompt, the rows per entry, the row columns and the
@@ -214,7 +214,8 @@ def generate_step(
     """
     windows = (draft.context_window, target.context_window)
     suffix = slice(None) if None in windows else slice(-max(*windows, 1), None)
-    memo: dict[tuple[int, ...], tuple[int, int]] = {}  # window -> (entry, committed token)
+    memo: dict[tuple[int, ...], tuple[int, int] | None] = {}  # window -> (entry, token) or None
+    seen: list[tuple[int, ...]] = []  # every entry's window, in entry order
     contexts = [list(prompt) for prompt in prompts]
     prompt_ids: list[int] = []
     entries: list[int] = []
@@ -224,11 +225,14 @@ def generate_step(
         keys = [tuple(contexts[p][suffix]) for p in live]
         new = [key for key in dict.fromkeys(keys) if key not in memo]
         for key, row in zip(new, target.next_token_dists(new) if new else ()):
-            memo[key] = (len(memo), top_candidates(row, 1)[0][0])
+            committed = top_candidates(row, 1)[0][0]
+            memo[key] = None if committed == eos_index else (len(seen), committed)
+            if memo[key] is not None:
+                seen.append(key)
         still = []
         for p, key in zip(live, keys):
-            entry, committed = memo[key]
-            if committed != eos_index:
+            if memo[key] is not None:
+                entry, committed = memo[key]
                 contexts[p].append(committed)
                 entries.append(entry)
                 still.append(p)
@@ -236,7 +240,6 @@ def generate_step(
         per_wave.append(len(still))
         live = still
 
-    seen = list(memo)  # every window, in entry order
     sizes: list[int] = []
     batches: dict[str, list[np.ndarray]] = {name: [] for name in TREE_FIELDS}
     grown = 0
@@ -247,15 +250,14 @@ def generate_step(
         for cut, key in zip(drafts, batch):
             firsts.setdefault(cut, cut or key)
         grown_on = dict(zip(firsts, grow_trees(draft, list(firsts.values()), params)))
-        trees = [grown_on[cut]._replace(context_len=len(key)) for cut, key in zip(drafts, batch)]
-        scores = score_trees(target, batch, trees)
+        trees = [grown_on[cut] for cut in drafts]
         grown += len(firsts)
         sizes += [len(tree.tokens) for tree in trees]
-        per_tree = [(tree.depths, tree.tokens, tree.p_draft, *tree_scores)
-                    for tree, tree_scores in zip(trees, scores)]
-        for name, values in zip(TREE_FIELDS, zip(*per_tree)):
-            batches[name].append(np.fromiter(itertools.chain.from_iterable(values), np.float64,
-                                             sum(sizes[start:])))
+        for name, attr in (("depth", "depths"), ("token", "tokens"), ("p_draft", "p_draft")):
+            values = itertools.chain.from_iterable(getattr(tree, attr) for tree in trees)
+            batches[name].append(np.fromiter(values, np.float64, sum(sizes[start:])))
+        for name, column in score_trees(target, batch, trees).items():
+            batches[name].append(column)
     # Prompt by prompt: a stable sort keeps each prompt's steps in wave order.
     order = np.argsort(np.array(prompt_ids, dtype=np.int64), kind="stable")
     steps = {"prompt_id": np.array(prompt_ids, dtype=np.int64)[order],

@@ -5,8 +5,8 @@ nodes are the top root candidates of the draft model; deeper nodes are
 top-branch children of expanded nodes. Expansion is best-first by cumulative
 path log-probability so a small node budget still populates every depth,
 with ties broken by insertion order for determinism. A tree reads only the
-draft's window of its context (``draft.window``), so the runner grows one
-tree per distinct draft window.
+draft's window of its context (``draft.window``), so contexts that share one
+get equal trees and the runner grows one tree per distinct draft window.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ class TreeParams:
 
 
 class DraftTree(NamedTuple):
-    """Speculative tokens as one list per field, in insertion order, plus the
-    committed-context length at build time.
+    """Speculative tokens as one list per field, in insertion order.
 
     ``parents[i]`` indexes node i's parent (None at depth 1). ``cum_logp[i]``
     accumulates ln(p_draft) along the root-to-node path; log domain keeps
@@ -52,7 +51,6 @@ class DraftTree(NamedTuple):
     p_draft: list[float]
     cum_logp: list[float]
     paths: list[tuple[int, ...]]
-    context_len: int
 
 
 def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTree:
@@ -108,8 +106,8 @@ def _grow(
     base = draft.window(context)
     vocab_size = draft.vocab.size
     max_nodes, max_depth = params.max_nodes, params.max_depth
-    tree = DraftTree([], [], [], [], [], [], len(context))
-    tokens, depths, parents, probs, cum_logps, paths, _ = tree
+    tree = DraftTree([], [], [], [], [], [])
+    tokens, depths, parents, probs, cum_logps, paths = tree
 
     (root_dist,) = yield [base]
     for token, prob in top_candidates(root_dist, min(params.root_top_k, vocab_size)):

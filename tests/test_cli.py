@@ -47,10 +47,20 @@ REFERENCE_SHA256 = {
     "tables.txt": "9641a75d5cba823794fe18d40fb9217479b6cfd22f6b871fe081b009031b81c7",
 }
 
-# sha256 of two more configurations, made as REFERENCE_SHA256 was. The first
-# has a draft that reads no context and 26 prompts that halt on the end
-# token; the second has unsmoothed models and 16-node depth-4 trees.
+# sha256 of three more configurations, made as REFERENCE_SHA256 was. The
+# first is the reference run with prompts that halt on the end token, at
+# different steps; the second has a draft that reads no context and 26
+# prompts that halt on the end token; the third has unsmoothed models and
+# 16-node depth-4 trees.
 PINNED_RUNS = {
+    "eos_reference": (
+        ["--eos-token", "<end>"],
+        {
+            "records.csv": "c9736bf6f8d11470920e3797b98b1fb6beee30406f00c97263540dafd15afe32",
+            "summary.json": "fe40b1a35bb13cfc320ae23e3aa87dd50c84a9299d211c178d7006268e214618",
+            "tables.txt": "5916ce278abb311f754a29acc00a00f7b1e7fd265ef7b62cdc44b4465dc32e1b",
+        },
+    ),
     "eos_unigram_draft": (
         ["--eos-token", "<end>", "--draft-order", "1", "--target-order", "4",
          "--prompts-per-domain", "12", "--max-new-tokens", "40"],
@@ -116,6 +126,16 @@ class TestRun:
             file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in pinned
         }
         assert digests == pinned
+
+    def test_early_stopped_run_speculates_only_the_windows_steps_record(self, tmp_path):
+        # A window whose committed token is the end token halts its prompt,
+        # so no step records it and it is neither grown nor scored.
+        assert run_cli("run", "--synthetic", "--eos-token", "<end>", "--out", str(tmp_path)) == 0
+        domains = json.loads((tmp_path / "meta.json").read_text(encoding="utf-8"))["domains"]
+        counts = {domain: (meta["speculated_windows"], meta["distinct_trees"], meta["grown_trees"])
+                  for domain, meta in domains.items()}
+        assert counts == {"chat": (22, 22, 18), "code": (41, 41, 23), "math": (62, 62, 23),
+                          "reasoning": (25, 25, 17)}
 
     def test_eos_token_in_no_vocabulary_exits_one(self, tmp_path, capsys):
         code = run_cli(

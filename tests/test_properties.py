@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from conftest import TableModel
+from conftest import TableModel, score_lists
 from treespec.metrics import TREE_FIELDS
 from treespec import (
     TreeParams,
@@ -119,13 +119,13 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
     for _ in range(CASES):
         draft, target, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
-        scores = score_tree(target, context, tree)
+        scores = score_lists(score_tree(target, context, tree))
         base = target.window(context)
         prefixes = list(dict.fromkeys([(), *(path[:-1] for path in tree.paths)]))
         assert target.batches == [[base + prefix for prefix in prefixes]]
         assert target.scored == len(prefixes)
-        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores.p_target, scores.alpha,
-                    scores.target_entropy, strict=True)
+        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores["p_target"], scores["alpha"],
+                    scores["target_entropy"], strict=True)
         for token, p_draft, path, p_target, alpha, target_entropy in nodes:
             dist = dense(target, [*context, *path[:-1]])
             assert p_target == float(dist[token])
@@ -143,9 +143,30 @@ def test_trees_grown_and_scored_in_lockstep_equal_one_at_a_time():
         contexts = [context, other, context[-1:]]
         trees = grow_trees(draft, contexts, params)
         assert trees == [build_draft_tree(draft, c, params) for c in contexts]
-        assert score_trees(target, contexts, trees) == [
-            score_tree(target, c, tree) for c, tree in zip(contexts, trees)
-        ]
+        singles = [score_lists(score_tree(target, c, tree)) for c, tree in zip(contexts, trees)]
+        assert score_lists(score_trees(target, contexts, trees)) == {
+            name: [value for single in singles for value in single[name]] for name in singles[0]
+        }
+
+
+def test_contexts_that_share_a_draft_window_share_one_tree():
+    rng = np.random.default_rng(4105)
+    shared_cases = 0
+    for _ in range(CASES):
+        draft, target, params, context = random_case(rng)
+        size = draft.vocab.size
+        longer = [[*rng.integers(0, size, size=int(rng.integers(1, 5))).tolist(), *context]
+                  for _ in range(3)]
+        contexts = [c for c in [context, *longer] if draft.window(c) == draft.window(context)]
+        shared_cases += len(contexts) > 1
+        # A tree depends on its draft window alone, not on what comes before it.
+        trees = grow_trees(draft, contexts, params)
+        assert trees == [trees[0]] * len(contexts)
+        # So the shared tree scores over each full context as that context's own tree.
+        for c in contexts:
+            assert score_lists(score_tree(target, c, trees[0])) == score_lists(
+                score_tree(target, c, build_draft_tree(draft, c, params)))
+    assert shared_cases > CASES // 3
 
 
 def oracle_steps(draft, target, prompt, params, max_new_tokens, eos_index):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Row, TableModel, column_table, record_table, table_rows
+from conftest import Row, TableModel, column_table, record_table, score_lists, table_rows
 from treespec import (
     DomainCorpus,
     DomainSummary,
@@ -164,8 +164,8 @@ def oracle_step(draft, target, context, params):
     p_target, alpha, target_entropy)`` tuples from ``grow_trees`` and ``score_trees``, and
     the target's argmax, the token it commits."""
     [tree] = grow_trees(draft, [context], params)
-    [scores] = score_trees(target, [context], [tree])
-    rows = list(zip(tree.depths, tree.tokens, tree.p_draft, *scores))
+    scores = score_lists(score_trees(target, [context], [tree]))
+    rows = list(zip(tree.depths, tree.tokens, tree.p_draft, *scores.values()))
     return rows, int(np.argmax(target.next_token_dist(context)))
 
 
@@ -209,9 +209,9 @@ class TestGenerateStep:
         table = record_table([Row("x", 4, 9, depth, 1, *rest) for depth, *rest in rows])
         assert not runner._rule_codes({name: getattr(table, name) for name in RECORD_FIELDS[1:]}).any()
         tree = build_draft_tree(draft, context, TreeParams())
-        scores = score_tree(target, context, tree)
-        assert rows == list(zip(tree.depths, tree.tokens, tree.p_draft, scores.p_target,
-                                scores.alpha, scores.target_entropy))
+        scores = score_lists(score_tree(target, context, tree))
+        assert rows == list(zip(tree.depths, tree.tokens, tree.p_draft, scores["p_target"],
+                                scores["alpha"], scores["target_entropy"]))
 
     def test_commits_the_targets_argmax(self):
         doc = [0, 1, 2, 0, 1, 3]
@@ -452,9 +452,10 @@ def prompt_major_loop(config, corpora):
     """Reference loop: one prompt at a time, ``oracle_step`` on each new window alone.
 
     Returns the table, each recorded step's window, keyed (domain,
-    prompt_id, step_index), and each domain's windows in the order first met.
+    prompt_id, step_index), and each domain's recorded windows in the order
+    first met.
     """
-    records, windows, memos = [], {}, {}
+    records, windows, recorded = [], {}, {}
     for domain in sorted(corpora):
         corpus = corpora[domain]
         draft, target = train_models(
@@ -465,7 +466,7 @@ def prompt_major_loop(config, corpora):
         )
         eos = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
         width = max(draft.context_window, target.context_window)
-        memo = memos[domain] = {}
+        memo = {}
         for prompt_id, prompt in enumerate(prompts.prompts):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
@@ -482,7 +483,8 @@ def prompt_major_loop(config, corpora):
                     for depth, *rest in step_rows
                 )
                 context.append(committed)
-    return record_table(records), windows, {domain: list(memo) for domain, memo in memos.items()}
+        recorded[domain] = [key for key, (_, committed) in memo.items() if committed != eos]
+    return record_table(records), windows, recorded
 
 
 class TestLockstep:
@@ -513,7 +515,7 @@ class TestLockstep:
 
     def test_one_step_call_per_domain_and_each_window_once(self, monkeypatch):
         corpora, config = self.lockstep_case()
-        _, _, memos = prompt_major_loop(config, corpora)
+        _, _, recorded = prompt_major_loop(config, corpora)
         steps, grown, scored = [], [], []
         step = runner.generate_step
 
@@ -537,14 +539,15 @@ class TestLockstep:
         report = run_experiment(config, corpora)
         domains = sorted(corpora)
         assert steps == [sample_prompts(corpora[d], 8, config.seed, 40).prompts for d in domains]
-        # Every window the steps meet, those that halt a prompt too, is scored
-        # once, and each distinct draft window (the last token) grows once.
-        assert [sorted(windows) for windows in scored] == [sorted(memos[d]) for d in domains]
+        # Every window a step records is scored once, and each of their
+        # distinct draft windows (the last token) grows once; a window that
+        # halts a prompt is recorded by no step and neither grown nor scored.
+        assert [sorted(windows) for windows in scored] == [sorted(recorded[d]) for d in domains]
         assert [sorted(windows) for windows in grown] == [
-            sorted({key[-1:] for key in memos[d]}) for d in domains]
+            sorted({key[-1:] for key in recorded[d]}) for d in domains]
         for d, meta in report.metadata["domains"].items():
             assert (meta["speculated_windows"], meta["grown_trees"]) == (
-                len(memos[d]), len({key[-1:] for key in memos[d]}))
+                len(recorded[d]), len({key[-1:] for key in recorded[d]}))
 
     def test_steps_are_recorded_prompt_by_prompt(self):
         # Two prompts share their window (2, 3) from the first wave on.

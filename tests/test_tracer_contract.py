@@ -5,6 +5,9 @@ from breaking it unseen:
 
 - it counts model batches and their contexts by patching
   ``LanguageModel.next_token_dists``, so ``NGramModel`` must not override it;
+- it counts single-context calls by patching ``NGramModel.next_token_dist``,
+  which ``NGramModel`` inherits as a batch of one: ``_batch_dists`` is the
+  one method a model implements, and a run makes no single-context call;
 - its step time must equal the model, tree, verify and step self times, so
   every model call of a run must happen inside ``generate_step``, which
   takes all of one domain's steps, the trajectory's target calls too;
@@ -21,7 +24,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from treespec import GenerationConfig, NGramModel, run_experiment, synthetic_corpus
+from treespec import GenerationConfig, LanguageModel, NGramModel, run_experiment, synthetic_corpus
 from treespec import model, runner, tree, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -34,10 +37,15 @@ def small_run():
     return run_experiment(config, corpora)
 
 
-def test_every_tracer_boundary_resolves():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_tracer_boundary_resolves():
+    tracing = load_tracing()
     for owner, attr, span in tracing._BOUNDARIES:
         assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
 
@@ -60,7 +68,27 @@ def test_a_run_builds_and_scores_no_tree_one_at_a_time(monkeypatch):
 
 def test_ngram_model_serves_batches_through_the_base_method():
     assert "next_token_dists" not in vars(NGramModel)
-    assert "next_token_dist" in vars(NGramModel)
+    assert "_batch_dists" in vars(NGramModel)
+    assert "next_token_dist" not in vars(NGramModel)
+    assert NGramModel.next_token_dist is LanguageModel.next_token_dist
+
+
+def test_tracer_counts_batches_and_no_single_context_call():
+    tracer = load_tracing().Tracer(keep_spans=False)
+    own = set(vars(NGramModel))
+    tracer.install()
+    try:
+        small_run()
+    finally:
+        tracer.uninstall()
+        # uninstall sets each patched method back on its class, so the
+        # inherited next_token_dist would stay on NGramModel as its own.
+        for attr in set(vars(NGramModel)) - own:
+            delattr(NGramModel, attr)
+    metrics = tracer.op_metrics()
+    assert metrics["model.dist.calls"] == 0
+    assert metrics["model.batch.calls"] > 0 and metrics["model.contexts_scored"] > 0
+    assert metrics["runner.step.calls"] == 2
 
 
 def test_every_model_call_is_inside_a_step_and_windows_are_tuples(monkeypatch):

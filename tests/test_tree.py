@@ -242,7 +242,6 @@ class TestBuild:
         params = TreeParams(3, 2, 3, 8)
         context = [3, 3, 2, 0, 1]
         tree = build_draft_tree(spy, context, params)
-        assert tree.context_len == len(context)
         assert seen[0] == [0, 1]
         assert all(c[:2] == [0, 1] and len(c) <= 2 + 2 for c in seen)
         assert tree_tuples(tree) == tree_tuples(build_draft_tree(trigram_model(), [0, 1], params))

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import TableModel
+from conftest import TableModel, score_lists
 from treespec import (
     InputError,
     NGramModel,
@@ -49,7 +49,7 @@ class TestAcceptanceProb:
 
     def test_subnormal_draft_keeps_the_token(self):
         # 0.25 / 5e-321 overflows to inf; the array rule must say so without a warning.
-        assert acceptance_probs([0.25, 1e-320], [5e-321, 0.5]) == [
+        assert acceptance_probs([0.25, 1e-320], [5e-321, 0.5]).tolist() == [
             acceptance_prob(0.25, 5e-321), acceptance_prob(1e-320, 0.5)] == [1.0, 2e-320]
 
     def test_monotone_in_target(self):
@@ -70,16 +70,16 @@ class TestScoreTree:
         model = NGramModel.fit(ABCD, [doc], order=2, smoothing=0.4)
         tree = build_draft_tree(model, [0, 1], TreeParams(3, 2, 3, 8))
         scores = score_tree(model, [0, 1], tree)
-        assert len(scores.alpha) == len(tree.tokens)
-        assert all(alpha == 1.0 for alpha in scores.alpha)
+        assert len(scores["alpha"]) == len(tree.tokens)
+        assert all(alpha == 1.0 for alpha in scores["alpha"])
 
     def test_one_hot_target(self):
         draft = TableModel(ABCD, [0.5, 0.5, 0.0, 0.0])
         target = TableModel(ABCD, [1.0, 0.0, 0.0, 0.0])
         tree = build_draft_tree(draft, [2], TreeParams(1, 2, 2, 8))
         assert tree.tokens == [0, 1]
-        scores = score_tree(target, [2], tree)
-        assert scores.p_target == [1.0, 0.0] and scores.alpha == [1.0, 0.0]
+        scores = score_lists(score_tree(target, [2], tree))
+        assert scores["p_target"] == [1.0, 0.0] and scores["alpha"] == [1.0, 0.0]
 
     def test_sequential_oracle_six_token_corpus(self):
         doc = [0, 1, 2, 0, 1, 3]
@@ -87,9 +87,9 @@ class TestScoreTree:
         target = NGramModel.fit(ABCD, [doc], order=3, smoothing=0.3)
         context = [0, 1]
         tree = build_draft_tree(draft, context, TreeParams(3, 2, 3, 8))
-        scores = score_tree(target, context, tree)
-        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores.p_target, scores.alpha,
-                    scores.target_entropy, strict=True)
+        scores = score_lists(score_tree(target, context, tree))
+        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores["p_target"], scores["alpha"],
+                    scores["target_entropy"], strict=True)
         for token, p_draft, path, p_target, alpha, target_entropy in nodes:
             dist = target.next_token_dist(context + list(path[:-1]))
             assert p_target == float(dist[token])
@@ -106,8 +106,8 @@ class TestScoreTree:
             target = NGramModel.fit(vocab, [doc], order=3, smoothing=float(rng.uniform(0.05, 0.9)))
             context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
             tree = build_draft_tree(draft, context, TreeParams(3, 2, 3, 10))
-            scores = score_tree(target, context, tree)
-            nodes = zip(tree.tokens, tree.paths, scores.p_target, scores.target_entropy,
+            scores = score_lists(score_tree(target, context, tree))
+            nodes = zip(tree.tokens, tree.paths, scores["p_target"], scores["target_entropy"],
                         strict=True)
             for token, path, p_target, target_entropy in nodes:
                 dist = target.next_token_dist(context + list(path[:-1]))
@@ -134,12 +134,6 @@ class TestScoreTree:
             score_tree(model, context, tree)
         with pytest.raises(InputError, match="not an integer"):
             score_trees(model, [[0, 1], context], [tree, tree])
-
-    def test_context_length_mismatch(self):
-        draft = TableModel(ABCD, [0.25] * 4)
-        tree = build_draft_tree(draft, [0, 1], TreeParams())
-        with pytest.raises(InputError):
-            score_tree(draft, [0], tree)
 
 
 class TestResidual:
@@ -202,9 +196,9 @@ class TestSparseMatchesTable:
             )
             context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
             tree = build_draft_tree(draft, context, params)
-            scores = score_tree(target, context, tree)
+            scores = score_lists(score_tree(target, context, tree))
 
             asked = [context] + [context + list(path) for path in tree.paths]
             table_tree = build_draft_tree(self.as_table(draft, asked), context, params)
-            assert table_tree == tree  # every column and context_len
-            assert score_tree(self.as_table(target, asked), context, tree) == scores
+            assert table_tree == tree  # every column
+            assert score_lists(score_tree(self.as_table(target, asked), context, tree)) == scores
