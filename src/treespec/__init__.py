@@ -51,7 +51,7 @@ from .runner import (
     write_summary_json,
 )
 from .tree import (
-    DraftTree,
+    DraftTrees,
     TreeParams,
     build_draft_tree,
     grow_trees,

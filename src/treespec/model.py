@@ -110,10 +110,12 @@ class SparseRow:
     ``top`` order and the entropy equal their dense counterparts bit for
     bit. An empty ``row`` with ``floor`` 1 / size is the uniform fallback.
 
-    The row keeps its entropy in ``h`` once computed and ``top``'s rankings
-    by k in ``tops``, made on first use; the model keeps one row per
-    context, so each is computed once per count row. Counts are assumed
-    non-negative, as ``fit`` makes them.
+    ``row`` lists its tokens in rank order: descending probability, then
+    ascending token (``NGramModel`` lays its rows out so), so ``top`` reads
+    its first k. The row keeps its entropy in ``h`` once computed and
+    ``top``'s rankings by k in ``tops``, made on first use; the model keeps
+    one row per context, so each is computed once per count row. Counts are
+    assumed non-negative, as ``fit`` makes them.
     """
 
     __slots__ = ("size", "row", "smoothing", "denom", "floor", "h", "tops")
@@ -149,9 +151,10 @@ class SparseRow:
     def top(self, k: int) -> list[tuple[int, float]]:
         """``top_candidates`` of the dense vector, from the row alone.
 
-        Tokens outside the row all sit at the floor and tie by index, so the
-        k lowest-index ones are the only ones that can make the top k. Each
-        k is ranked once and kept as a tuple; every call returns a new list.
+        The row's first k tokens lead it. Tokens outside the row all sit at
+        the floor and tie by index, so the k lowest-index ones are the only
+        ones that can join them. Each k is ranked once and kept as a tuple;
+        every call returns a new list.
         """
         if self.tops is None:
             self.tops = {}
@@ -162,30 +165,30 @@ class SparseRow:
 
     def _rank_top(self, k: int) -> list[tuple[int, float]]:
         _check_k(k, self.size)
-        row = self.row
-        ranked = sorted(zip([-p for p in self._row_probs()], row))
-        floor = -self.floor
+        smoothing, denom, floor = self.smoothing, self.denom, self.floor
+        ranked = [(token, (smoothing + count) / denom)
+                  for token, count in itertools.islice(self.row.items(), k)]
         # Tokens outside the row rank after every row token above the floor.
-        if len(ranked) < k or ranked[k - 1][0] >= floor:
-            token = extra = 0
-            while extra < k and token < self.size:
+        if len(ranked) < k or ranked[-1][1] <= floor:
+            row, extra = self.row, []
+            for token in range(self.size):
+                if len(extra) == k:
+                    break
                 if token not in row:
-                    ranked.append((floor, token))
-                    extra += 1
-                token += 1
-            ranked.sort()
-        return [(token, -p) for p, token in ranked[:k]]
+                    extra.append((token, floor))
+            ranked = sorted(ranked + extra, key=lambda item: (-item[1], item[0]))[:k]
+        return ranked
 
     def entropy(self) -> float:
         """``entropy_nats`` of the dense vector, computed once and kept in ``h``.
 
-        A row with a positive floor is a block of one for ``_block_entropies``.
+        A row with a positive floor is a block of one (``_set_entropies``).
         At a zero floor the zero entries drop out of the dense sum, so the
         dense vector is built.
         """
         if self.h is None:
             if self.floor > 0.0:
-                _block_entropies([self], self.size)
+                _set_entropies([self])
             else:
                 self.h = _dense_entropy(self)
         return self.h
@@ -202,45 +205,75 @@ def entropies(dists: Sequence[Dist]) -> list[float]:
     """``entropy_nats`` of each distribution.
 
     The distinct sparse rows among them that have a positive floor and no
-    entropy yet get theirs a block at a time (``_block_entropies``), and
-    each row keeps it, so a row is summed once however often it is asked.
+    entropy yet get theirs a block at a time (``_set_entropies``), and each
+    row keeps it, so a row is summed once however often it is asked.
     """
-    new = {id(d): d for d in dists if isinstance(d, SparseRow) and d.floor > 0.0 and d.h is None}
-    by_size: dict[int, list[SparseRow]] = {}
-    for row in new.values():
-        by_size.setdefault(row.size, []).append(row)
-    for size, rows in by_size.items():
-        per_block = max(1, _ENTROPY_BLOCK // size)
-        for start in range(0, len(rows), per_block):
-            _block_entropies(rows[start:start + per_block], size)
+    _set_entropies({id(d): d for d in dists
+                    if isinstance(d, SparseRow) and d.floor > 0.0 and d.h is None}.values())
     return [entropy_nats(d) for d in dists]
 
 
-def _block_entropies(rows: list[SparseRow], size: int) -> None:
-    """Set ``h`` of each of ``rows`` (positive floors, vocabulary ``size``).
+class _Block(list):
+    """Rows of one size whose entropies are summed together, with what
+    ``_block_entropies`` reads: each row's p ln p terms (``row_terms`` at
+    ``tokens`` of block row ``at``, ``floor_terms`` elsewhere) and the
+    buffers it fills."""
+
+    __slots__ = ("at", "tokens", "row_terms", "floor_terms", "block", "sums")
+
+
+def _set_entropies(rows: Iterable[SparseRow]) -> None:
+    """Set ``h`` of each of ``rows`` (positive floors), the rows of each size
+    in C-contiguous (rows x |V|) float64 blocks of at most ``_ENTROPY_BLOCK``
+    entries, one ``_block_entropies`` call each.
 
     With a positive floor every dense entry is positive, so the dense sum
-    runs over all ``size`` p ln p terms in token order: the floor's term
-    outside the row and each row token's own term inside it. Each block row
-    is that array, built from the rows' few terms without a vocabulary-sized
-    log, and a row-wise sum of a C-contiguous block adds each row as the sum
-    of the dense 1-D array does, so the bits are the same (np.log gives a
-    value the same result in any array; tests hold numpy to both).
+    runs over all |V| p ln p terms in token order: the floor's term outside
+    the row and each row token's own term inside it. The terms of all the
+    rows of a size are computed in one pass from their few values, without
+    a vocabulary-sized log (np.log gives a value the same result in any
+    array; tests hold numpy to both).
     """
-    lengths = [len(row.row) for row in rows]
-    n = sum(lengths)
-    tokens = np.fromiter(itertools.chain.from_iterable(row.row for row in rows), np.int64, n)
-    counts = np.fromiter(itertools.chain.from_iterable(row.row.values() for row in rows),
-                         np.float64, n)
-    smoothing = np.repeat([row.smoothing for row in rows], lengths)
-    denom = np.repeat([row.denom for row in rows], lengths)
-    # The row probabilities by the IEEE operations of ``SparseRow._row_probs``.
-    values = np.concatenate(((smoothing + counts) / denom, [row.floor for row in rows]))
-    terms = values * np.log(values)
-    block = np.empty((len(rows), size))
-    block[:] = terms[n:, None]
-    block[np.repeat(np.arange(len(rows)), lengths), tokens] = terms[:n]
-    for row, h in zip(rows, (-block.sum(axis=1) + 0.0).tolist()):
+    by_size: dict[int, list[SparseRow]] = {}
+    for row in rows:
+        by_size.setdefault(row.size, []).append(row)
+    for size, rows in by_size.items():
+        per_block = max(1, _ENTROPY_BLOCK // size)
+        lengths = [len(row.row) for row in rows]
+        n = sum(lengths)
+        tokens = np.fromiter(itertools.chain.from_iterable(row.row for row in rows), np.int64, n)
+        counts = np.fromiter(itertools.chain.from_iterable(row.row.values() for row in rows),
+                             np.float64, n)
+        smoothing = np.repeat([row.smoothing for row in rows], lengths)
+        denom = np.repeat([row.denom for row in rows], lengths)
+        # The row probabilities by the IEEE operations of ``SparseRow._row_probs``.
+        values = np.concatenate(((smoothing + counts) / denom, [row.floor for row in rows]))
+        terms = values * np.log(values)
+        at = np.repeat(np.arange(len(rows)) % per_block, lengths)
+        ends = np.cumsum([0, *lengths])
+        block = np.empty((min(per_block, len(rows)), size))
+        sums = np.empty(block.shape[0])
+        for first in range(0, len(rows), per_block):
+            last = min(first + per_block, len(rows))
+            part = _Block(rows[first:last])
+            part.at, part.tokens = at[ends[first]:ends[last]], tokens[ends[first]:ends[last]]
+            part.row_terms = terms[ends[first]:ends[last]]
+            part.floor_terms, part.block, part.sums = terms[n + first:n + last], block, sums
+            _block_entropies(part, size)
+
+
+def _block_entropies(rows: _Block, size: int) -> None:
+    """Set ``h`` of each of ``rows``: lay their dense p ln p rows out in
+    ``rows.block`` and sum each one.
+
+    A row-wise sum of a C-contiguous block adds each row as the sum of the
+    dense 1-D array does, so the bits are the same.
+    """
+    block = rows.block[:len(rows)]
+    block[:] = rows.floor_terms[:, None]
+    block[rows.at, rows.tokens] = rows.row_terms
+    sums = np.sum(block, axis=1, out=rows.sums[:len(rows)])
+    for row, h in zip(rows, (-sums + 0.0).tolist()):
         row.h = h
 
 
@@ -404,15 +437,16 @@ class NGramModel(LanguageModel):
         tokens = list(itertools.chain.from_iterable(contexts))
         if tokens and (min(tokens) < 0 or max(tokens) >= size):
             raise InputError("context contains a token outside the model vocabulary")
-        # A key of numpy ints finds the row of the same plain ints; a miss
-        # is looked up again as plain ints (InputError if a token is not an
-        # integer) before it is read.
+        # A key of numpy ints finds the row of the same plain ints; unless the
+        # batch holds plain ints alone, a miss is looked up again as plain ints
+        # (InputError if a token is not an integer) before it is read.
         keys = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
         rows = self._rows
         dists = list(map(rows.get, keys))
         if None in dists:
             missed = [i for i, dist in enumerate(dists) if dist is None]
-            plain = {keys[i]: _int_key(keys[i]) for i in missed}
+            as_ints = _int_key if set(map(type, tokens)) - {int} else tuple
+            plain = {keys[i]: as_ints(keys[i]) for i in missed}
             new = [key for key in dict.fromkeys(plain.values()) if key not in rows]
             rows.update(zip(new, self._read_rows(new)))
             for i in missed:
@@ -443,14 +477,22 @@ class NGramModel(LanguageModel):
                 node = np.where(codes[found] == want, found, -1)
         n_rows = len(self._totals)
         seen = node[(node >= 0) & (node < n_rows)]
-        # Every seen row's successors and counts, gathered into two lists.
+        # Every seen row's successors and counts, gathered into two lists in
+        # rank order: descending probability, by the IEEE operations of
+        # ``SparseRow``, then ascending token, as a stable sort of ascending
+        # tokens leaves equal probabilities.
         offsets = np.asarray(self._offsets)
         starts, lengths = offsets[seen], offsets[seen + 1] - offsets[seen]
+        totals = np.asarray(self._totals)[seen]
+        smoothing = self.smoothing
         at = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
                                                         lengths)
-        tokens, counts = np.asarray(self._tokens)[at].tolist(), np.asarray(self._counts)[at].tolist()
-        found = iter(zip(lengths.tolist(), np.asarray(self._totals)[seen].tolist()))
-        smoothing = self.smoothing
+        counts = np.asarray(self._counts)[at]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero denom makes an empty row
+            probs = (smoothing + counts) / np.repeat(totals + smoothing * size, lengths)
+        order = np.lexsort((-probs, np.repeat(np.arange(seen.size), lengths)))
+        tokens, counts = np.asarray(self._tokens)[at[order]].tolist(), counts[order].tolist()
+        found = iter(zip(lengths.tolist(), totals.tolist()))
         rows, start = [], 0
         for n in node.tolist():
             if not 0 <= n < n_rows:

@@ -205,8 +205,9 @@ def generate_step(
     entry. Then the entries' windows are speculated, up to
     ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows one tree per
     distinct draft window (``draft.window``; an empty one grows on its first
-    window) and ``score_trees`` scores each window's tree. Each node gives
-    one row: its tree's ``depth``, ``token`` and ``p_draft`` and its scores.
+    window), ``DraftTrees.take`` gathers each window's tree and
+    ``score_trees`` scores them. Each node gives one row: its ``depth``,
+    ``token`` and ``p_draft`` columns and its scores.
 
     Returns the steps (``prompt_id``, ``step_index`` and ``tree``, the memo
     entry) prompt by prompt, the rows per entry, the row columns and the
@@ -249,13 +250,14 @@ def generate_step(
         firsts: dict[tuple[int, ...], tuple[int, ...]] = {}  # draft window -> what it grows on
         for cut, key in zip(drafts, batch):
             firsts.setdefault(cut, cut or key)
-        grown_on = dict(zip(firsts, grow_trees(draft, list(firsts.values()), params)))
-        trees = [grown_on[cut] for cut in drafts]
+        tree_of = {cut: i for i, cut in enumerate(firsts)}
+        trees = grow_trees(draft, list(firsts.values()), params).take(
+            [tree_of[cut] for cut in drafts])
         grown += len(firsts)
-        sizes += [len(tree.tokens) for tree in trees]
-        for name, attr in (("depth", "depths"), ("token", "tokens"), ("p_draft", "p_draft")):
-            values = itertools.chain.from_iterable(getattr(tree, attr) for tree in trees)
-            batches[name].append(np.fromiter(values, np.float64, sum(sizes[start:])))
+        sizes += np.diff(trees.offsets).tolist()
+        for name, column in (("depth", trees.depths), ("token", trees.tokens),
+                             ("p_draft", trees.p_draft)):
+            batches[name].append(column.astype(np.float64))
         for name, column in score_trees(target, batch, trees).items():
             batches[name].append(column)
     # Prompt by prompt: a stable sort keeps each prompt's steps in wave order.

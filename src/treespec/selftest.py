@@ -132,11 +132,11 @@ def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
         )
         context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
         tree = build_draft_tree(model, context, params)
-        depths = tree.depths
+        depths = tree.depths.tolist()
 
         children = [0] * len(depths)
-        for parent in tree.parents:
-            if parent is not None:
+        for parent in tree.parents.tolist():
+            if parent != -1:
                 children[parent] += 1
         if len(depths) > params.max_nodes:
             violations["node budget exceeded"] = None

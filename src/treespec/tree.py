@@ -7,14 +7,19 @@ path log-probability so a small node budget still populates every depth,
 with ties broken by insertion order for determinism. A tree reads only the
 draft's window of its context (``draft.window``), so contexts that share one
 get equal trees and the runner grows one tree per distinct draft window.
+
+Trees are grown and held a batch at a time, as node columns: the nodes of
+every tree in turn, each tree's in insertion order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from dataclasses import dataclass
-from typing import Generator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .model import Dist, LanguageModel, TokenSeq, top_candidates
@@ -36,119 +41,144 @@ class TreeParams:
             raise InputError("max_nodes must be >= root_top_k")
 
 
-class DraftTree(NamedTuple):
-    """Speculative tokens as one list per field, in insertion order.
+class DraftTrees(NamedTuple):
+    """The nodes of a batch of trees as columns; tree i's nodes are
+    ``offsets[i]:offsets[i + 1]``, in insertion order.
 
-    ``parents[i]`` indexes node i's parent (None at depth 1). ``cum_logp[i]``
-    accumulates ln(p_draft) along the root-to-node path; log domain keeps
-    long chains away from underflow. ``paths[i]`` holds the tokens from node
-    i's depth-1 ancestor down to node i inclusive.
+    ``parents`` indexes a node's parent within its own tree (-1 at depth 1).
+    ``cum_logp`` accumulates ln(p_draft) along the root-to-node path; log
+    domain keeps long chains away from underflow. ``tokens``, ``depths``,
+    ``parents`` and ``offsets`` are int64, ``p_draft`` and ``cum_logp``
+    float64.
     """
 
-    tokens: list[int]
-    depths: list[int]
-    parents: list[int | None]
-    p_draft: list[float]
-    cum_logp: list[float]
-    paths: list[tuple[int, ...]]
+    tokens: np.ndarray
+    depths: np.ndarray
+    parents: np.ndarray
+    p_draft: np.ndarray
+    cum_logp: np.ndarray
+    offsets: np.ndarray
+
+    def take(self, which: Sequence[int] | np.ndarray) -> DraftTrees:
+        """The trees at the indices ``which``, in that order; an index may repeat."""
+        which = np.asarray(which, dtype=np.intp)
+        starts = self.offsets[which]
+        sizes = self.offsets[which + 1] - starts
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        nodes = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
+        return DraftTrees(*(column[nodes] for column in self[:-1]), offsets)
 
 
-def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTree:
+def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTrees:
     """Build one speculative tree over ``context``: ``grow_trees`` of one context."""
-    return grow_trees(draft, [context], params)[0]
+    return grow_trees(draft, [context], params)
 
 
 def grow_trees(
     draft: LanguageModel, contexts: Sequence[TokenSeq], params: TreeParams
-) -> list[DraftTree]:
-    """Build one speculative tree per context with the draft model, in lockstep.
-
-    Each tree grows as ``_grow`` says, and asks for its distributions a
-    request at a time. Every round gathers the pending request of each
-    unfinished tree into one ``draft.next_token_dists`` call, so the trees
-    take as many model calls together as the one that asks most often.
-    """
-    growers = [_grow(draft, context, params) for context in contexts]
-    requests = [next(grower) for grower in growers]
-    trees: list[DraftTree] = [None] * len(growers)  # type: ignore[list-item]
-    live = list(range(len(growers)))
-    while live:
-        dists = draft.next_token_dists([c for i in live for c in requests[i]])
-        still, start = [], 0
-        for i in live:
-            stop = start + len(requests[i])
-            try:
-                requests[i] = growers[i].send(dists[start:stop])
-                still.append(i)
-            except StopIteration as done:
-                trees[i] = done.value
-            start = stop
-        live = still
-    return trees
-
-
-def _grow(
-    draft: LanguageModel, context: TokenSeq, params: TreeParams
-) -> Generator[list[tuple[int, ...]], list[Dist], DraftTree]:
-    """One tree's expansion; yields each list of contexts it needs scored and
-    is sent their distributions, in order.
+) -> DraftTrees:
+    """Build one speculative tree per context with the draft model, all at once.
 
     Depth-1 nodes are the ``root_top_k`` top candidates at the bare context;
-    thereafter the unexpanded node with the highest cum_logp is expanded into
-    its top ``max_branch`` children until ``max_nodes`` nodes exist, the depth
-    cap stops expansion, or no expandable node remains. Zero-probability
-    candidates are never materialized (they are not proposals). Each frontier
-    is rescored fresh over context + path, requested per depth wave; the
-    context is checked once and cut to the draft's window (``draft.window``).
+    thereafter the unexpanded node with the highest cum_logp (the first one
+    on ties) is expanded into its top ``max_branch`` children until
+    ``max_nodes`` nodes exist, the depth cap stops expansion, or no
+    expandable node remains. A candidate with probability <= 0 ends its
+    parent's expansion (it is not a proposal). Each context is checked once
+    and cut to the draft's window (``draft.window``).
+
+    The trees grow in rounds over (trees x width) arrays: the first round
+    places every tree's roots, and each later one pops every live tree's
+    best frontier node, asks one ``draft.next_token_dists`` call for those
+    nodes' contexts (window + path) alone, ranks each distinct row once and
+    writes the children. The width grows as trees fill; it is never sized by
+    ``max_nodes``.
     """
-    if len(context) == 0:
-        raise InputError("context must be non-empty")
-    base = draft.window(context)
+    bases = []
+    for context in contexts:
+        if len(context) == 0:
+            raise InputError("context must be non-empty")
+        bases.append(draft.window(context))
+    n = len(bases)
     vocab_size = draft.vocab.size
-    max_nodes, max_depth = params.max_nodes, params.max_depth
-    tree = DraftTree([], [], [], [], [], [])
-    tokens, depths, parents, probs, cum_logps, paths = tree
+    # No tree outgrows int64, nor gets deeper than its node count.
+    max_nodes = min(params.max_nodes, sys.maxsize)
+    max_depth = min(params.max_depth, max_nodes)
+    k, branch = min(params.root_top_k, vocab_size), min(params.max_branch, vocab_size)
+    width = min(k + branch, max_nodes)
+    count = np.zeros(n, dtype=np.int64)
+    tokens, depths, parents = (np.zeros((n, width), dtype=np.int64) for _ in range(3))
+    p_draft, cum_logp = np.zeros((n, width)), np.zeros((n, width))
+    # cum_logp of each node that awaits expansion, -inf elsewhere.
+    frontier = np.full((n, width), -np.inf)
+    asked: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # expanded node -> its context
 
-    (root_dist,) = yield [base]
-    for token, prob in top_candidates(root_dist, min(params.root_top_k, vocab_size)):
-        if prob <= 0.0 or len(tokens) >= max_nodes:
-            break
-        tokens.append(token)
-        depths.append(1)
-        parents.append(None)
-        probs.append(prob)
-        cum_logps.append(math.log(prob))
-        paths.append((token,))
+    # The first round expands each tree's bare context (-1) into its roots.
+    live, popped = np.arange(n), np.full(n, -1)
+    parent_depth, parent_logp = np.zeros(n, dtype=np.int64), np.zeros(n)
+    requests = bases
+    while live.size:
+        which, ranked_tokens, ranked_probs, ranked_logps, usable = _rank(
+            draft.next_token_dists(requests), k)
+        placed = np.minimum(usable[which], max_nodes - count[live])
+        stops = count[live] + placed
+        if int(stops.max()) > width:
+            grow = max(int(stops.max()), 2 * width) - width
+            tokens, depths, parents, p_draft, cum_logp = (
+                np.pad(column, ((0, 0), (0, grow)))
+                for column in (tokens, depths, parents, p_draft, cum_logp))
+            frontier = np.pad(frontier, ((0, 0), (0, grow)), constant_values=-np.inf)
+            width += grow
+        # Each popped node's children: tree ``tree``, column ``at``, candidate
+        # ``rank`` of ranked row ``row``.
+        tree, row = np.repeat(live, placed), np.repeat(which, placed)
+        rank = np.arange(row.size) - np.repeat(np.cumsum(placed) - placed, placed)
+        at = np.repeat(count[live], placed) + rank
+        child_depth = np.repeat(parent_depth + 1, placed)
+        child_logp = np.repeat(parent_logp, placed) + ranked_logps[row, rank]
+        tokens[tree, at] = ranked_tokens[row, rank]
+        depths[tree, at] = child_depth
+        parents[tree, at] = np.repeat(popped, placed)
+        p_draft[tree, at] = ranked_probs[row, rank]
+        cum_logp[tree, at] = child_logp
+        frontier[tree, at] = np.where(child_depth < max_depth, child_logp, -np.inf)
+        count[live] = stops
 
-    # Frontier of unexpanded expandable nodes, best cum_logp first, insertion
-    # order on ties. Distributions are fetched lazily: the first pop at a
-    # depth requests every same-depth frontier path at once.
-    frontier = [(-cum_logp, i) for i, cum_logp in enumerate(cum_logps) if max_depth > 1]
-    heapq.heapify(frontier)
-    pending: dict[int, Dist] = {}
-    branch = min(params.max_branch, vocab_size)
+        k = branch
+        frontier[live[stops >= max_nodes]] = -np.inf  # a full tree expands no more
+        best = frontier.argmax(axis=1)  # the first of equal bests, as a heap pops them
+        live = np.flatnonzero(frontier[np.arange(n), best] > -np.inf)
+        popped = best[live]
+        frontier[live, popped] = -np.inf
+        parent_depth, parent_logp = depths[live, popped], cum_logp[live, popped]
+        requests = []
+        for t, node, parent, token in zip(live.tolist(), popped.tolist(),
+                                          parents[live, popped].tolist(),
+                                          tokens[live, popped].tolist()):
+            requests.append((bases[t] if parent < 0 else asked[t][parent]) + (token,))
+            asked[t][node] = requests[-1]
 
-    while frontier and len(tokens) < max_nodes:
-        _, index = heapq.heappop(frontier)
-        if index not in pending:
-            depth = depths[index]
-            wave = sorted(
-                {index} | {j for _, j in frontier if depths[j] == depth and j not in pending}
-            )
-            dists = yield [base + paths[j] for j in wave]
-            pending.update(zip(wave, dists))
-        depth, cum_logp, path = depths[index] + 1, cum_logps[index], paths[index]
-        for token, prob in top_candidates(pending.pop(index), branch):
-            if prob <= 0.0 or len(tokens) >= max_nodes:
-                break
-            child_logp = cum_logp + math.log(prob)
-            if depth < max_depth:
-                heapq.heappush(frontier, (-child_logp, len(tokens)))
-            tokens.append(token)
-            depths.append(depth)
-            parents.append(index)
-            probs.append(prob)
-            cum_logps.append(child_logp)
-            paths.append(path + (token,))
+    filled = np.arange(width) < count[:, None]
+    offsets = np.concatenate(([0], np.cumsum(count)))
+    return DraftTrees(tokens[filled], depths[filled], parents[filled], p_draft[filled],
+                      cum_logp[filled], offsets)
 
-    return tree
+
+def _rank(dists: Sequence[Dist], k: int) -> tuple[np.ndarray, ...]:
+    """Each distinct distribution's ``top_candidates`` of k, ranked once.
+
+    Returns each dist's distinct row, the rows' tokens, probabilities and
+    their ``math.log`` as (rows x k) arrays (0 where a probability is <= 0),
+    and how many of each row's candidates come before its first
+    probability <= 0.
+    """
+    index: dict[int, int] = {}
+    which = [index.setdefault(id(dist), len(index)) for dist in dists]
+    distinct = {id(dist): dist for dist in dists}.values()
+    tokens, probs = zip(*[pair for dist in distinct for pair in top_candidates(dist, k)])
+    logps = [0.0 if p <= 0.0 else math.log(p) for p in probs]
+    probs = np.array(probs, dtype=np.float64).reshape(-1, k)
+    ends = probs <= 0.0
+    return (np.array(which, dtype=np.intp), np.array(tokens, dtype=np.int64).reshape(-1, k), probs,
+            np.array(logps, dtype=np.float64).reshape(-1, k),
+            np.where(ends.any(axis=1), ends.argmax(axis=1), k))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import LanguageModel, TokenSeq, entropies, validate_dist
-from .tree import DraftTree
+from .tree import DraftTrees
 
 
 def acceptance_prob(p_target: float, p_draft: float) -> float:
@@ -30,20 +30,22 @@ def acceptance_prob(p_target: float, p_draft: float) -> float:
     return min(1.0, p_target / p_draft)
 
 
-def score_tree(target: LanguageModel, context: TokenSeq, tree: DraftTree) -> dict[str, np.ndarray]:
+def score_tree(target: LanguageModel, context: TokenSeq, tree: DraftTrees) -> dict[str, np.ndarray]:
     """Score all nodes of one tree: ``score_trees`` of one tree."""
-    return score_trees(target, [context], [tree])
+    return score_trees(target, [context], tree)
 
 
 def score_trees(
-    target: LanguageModel, contexts: Sequence[TokenSeq], trees: Sequence[DraftTree]
+    target: LanguageModel, contexts: Sequence[TokenSeq], trees: DraftTrees
 ) -> dict[str, np.ndarray]:
     """Score every node of each tree over its context.
 
     A node at depth d is scored on context + its (d-1)-token ancestor prefix,
-    read from ``tree.paths``. Each tree's distinct prefixes, the bare context
-    first, go through one batched model invocation for all the trees; the
-    entropies of the rows it returns are taken together
+    the context its parent was expanded on. Each tree asks for its bare
+    context first, then for each node with children, in the order they were
+    expanded: a node's children follow one another, so each run of equal
+    ``parents`` is one expansion. One batched model invocation serves all the
+    trees; the entropies of the rows it returns are taken together
     (``model.entropies``) and the acceptance probabilities as one array
     (``acceptance_probs``). Each context is checked once and cut to the
     target's window (``target.window``); a tree may be scored over any
@@ -51,30 +53,35 @@ def score_trees(
     columns ``p_target``, ``alpha`` and ``target_entropy``, one value per
     node of every tree in order.
     """
-    if len(contexts) != len(trees):
+    offsets = trees.offsets
+    if len(contexts) != offsets.size - 1:
         raise InputError("need one context per tree")
+    tree_of = np.repeat(np.arange(len(contexts)), np.diff(offsets))
+    child = trees.parents >= 0
+    parent = np.where(child, trees.parents + offsets[tree_of], -1)  # an index into the batch
+    first = child & (parent != np.concatenate(([-1], parent[:-1])))  # a run's first child
+    expanded = parent[first]
+    # Requests go tree by tree: the bare context, then each expanded node's context.
+    per_tree = np.bincount(tree_of[expanded], minlength=len(contexts))
+    node_slot = (np.arange(len(contexts)) + np.cumsum(per_tree) - per_tree)[tree_of]
+    node_slot[child] = (np.cumsum(first) + tree_of)[child]
+
     requests: list[tuple[int, ...]] = []
-    slots: list[int] = []  # per node of every tree: its prefix's index
-    for context, tree in zip(contexts, trees):
+    asked: dict[int, tuple[int, ...]] = {}  # expanded node -> its context
+    rows = zip(expanded.tolist(), parent[expanded].tolist(), trees.tokens[expanded].tolist())
+    for context, n_expanded in zip(contexts, per_tree.tolist()):
         base = target.window(context)
-        prefix_slot: dict[tuple[int, ...], int] = {(): len(requests)}
         requests.append(base)
-        for path in tree.paths:
-            ancestors = path[:-1]
-            slot = prefix_slot.get(ancestors)
-            if slot is None:
-                slot = prefix_slot[ancestors] = len(requests)
-                requests.append(base + ancestors)
-            slots.append(slot)
+        for node, above, token in itertools.islice(rows, n_expanded):
+            requests.append((base if above < 0 else asked[above]) + (token,))
+            asked[node] = requests[-1]
 
     dists = target.next_token_dists(requests)
-    tokens = itertools.chain.from_iterable(tree.tokens for tree in trees)
-    p_target = np.fromiter((dists[slot][token] for slot, token in zip(slots, tokens)),
+    slots = node_slot.tolist()
+    p_target = np.fromiter((dists[slot][token] for slot, token in zip(slots, trees.tokens.tolist())),
                            np.float64, len(slots))
-    p_draft = np.fromiter(itertools.chain.from_iterable(tree.p_draft for tree in trees),
-                          np.float64, len(slots))
-    return {"p_target": p_target, "alpha": acceptance_probs(p_target, p_draft),
-            "target_entropy": np.array(entropies(dists))[np.array(slots, dtype=np.intp)]}
+    return {"p_target": p_target, "alpha": acceptance_probs(p_target, trees.p_draft),
+            "target_entropy": np.array(entropies(dists))[node_slot]}
 
 
 def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> np.ndarray:

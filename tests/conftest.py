@@ -71,6 +71,19 @@ def score_lists(scores):
     return {name: column.tolist() for name, column in scores.items()}
 
 
+def tree_lists(trees):
+    """``grow_trees``' columns as lists, which compare with ``==``."""
+    return {name: column.tolist() for name, column in trees._asdict().items()}
+
+
+def node_paths(tree):
+    """Each node's tokens from its depth-1 ancestor down, for one grown tree."""
+    paths = []
+    for token, parent in zip(tree.tokens.tolist(), tree.parents.tolist()):
+        paths.append((() if parent == -1 else paths[parent]) + (token,))
+    return paths
+
+
 class TableModel(LanguageModel):
     """Hand-built model: an explicit dense distribution per exact window.
 

@@ -646,6 +646,24 @@ class TestGeneratedInputs:
                 argv += ["--" + key.replace("_", "-"), value]
             self.exits_by_the_contract(root, argv)
 
+    def test_limits_past_int64_grow_the_largest_tree_they_allow(self, tmp_path):
+        # Generated limits stay at 10 or below. At 10**21 the tree limits
+        # still run, and grow what the same run grows at the largest tree
+        # that max_depth 2 allows over 4 tokens: 4 roots of 4 children each.
+        write_data_tree(tmp_path / "data")
+        written = []
+        for root_top_k, max_branch, max_nodes in ((str(10**21),) * 3, ("4", "4", "20")):
+            out = tmp_path / f"out{len(written)}"
+            assert run_cli("run", "--data", str(tmp_path / "data"), "--out", str(out),
+                           "--prompts-per-domain", "2", "--max-new-tokens", "4", "--max-depth", "2",
+                           "--root-top-k", root_top_k, "--max-branch", max_branch,
+                           "--max-nodes", max_nodes) == 0
+            meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
+            assert [domain["vocab_size"] for domain in meta["domains"].values()] == [4, 4]
+            written.append({name: (out / name).read_bytes()
+                            for name in ("records.csv", "summary.json", "tables.txt")})
+        assert written[0] == written[1]
+
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.dictionaries(DOMAIN_NAMES, st.lists(DOCUMENTS, max_size=3), min_size=1, max_size=3),
            st.booleans())

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from conftest import TableModel, score_lists
+from conftest import TableModel, node_paths, score_lists, tree_lists
 from treespec.metrics import TREE_FIELDS
 from treespec import (
     TreeParams,
@@ -79,7 +79,7 @@ def ranked(dist, k):
 def oracle_tree(draft, context, params):
     """Best-first expansion, one context at a time: (token, depth, parent, p, cum_logp, path)."""
     nodes = [
-        (token, 1, None, p, math.log(p), (token,))
+        (token, 1, -1, p, math.log(p), (token,))
         for token, p in ranked(dense(draft, context), params.root_top_k)
     ][: params.max_nodes]
     expanded = set()
@@ -104,14 +104,14 @@ def test_tree_respects_budget_depth_cap_and_best_first_order():
     for _ in range(CASES):
         draft, _, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
-        parents = tree.parents
+        parents = tree.parents.tolist()
         assert 1 <= len(parents) <= params.max_nodes
         assert all(1 <= depth <= params.max_depth for depth in tree.depths)
-        assert parents.count(None) <= params.root_top_k
+        assert parents.count(-1) <= params.root_top_k
         assert max(parents.count(i) for i in range(len(parents))) <= params.max_branch
         expected = oracle_tree(draft, context, params)
-        assert list(zip(tree.tokens, tree.depths, parents, tree.p_draft, tree.cum_logp,
-                        tree.paths)) == expected
+        assert list(zip(*(column.tolist() for column in tree[:-1]),
+                        node_paths(tree))) == expected
 
 
 def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
@@ -121,11 +121,12 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
         tree = build_draft_tree(draft, context, params)
         scores = score_lists(score_tree(target, context, tree))
         base = target.window(context)
-        prefixes = list(dict.fromkeys([(), *(path[:-1] for path in tree.paths)]))
+        paths = node_paths(tree)
+        prefixes = list(dict.fromkeys([(), *(path[:-1] for path in paths)]))
         assert target.batches == [[base + prefix for prefix in prefixes]]
         assert target.scored == len(prefixes)
-        nodes = zip(tree.tokens, tree.p_draft, tree.paths, scores["p_target"], scores["alpha"],
-                    scores["target_entropy"], strict=True)
+        nodes = zip(tree.tokens.tolist(), tree.p_draft.tolist(), paths, scores["p_target"],
+                    scores["alpha"], scores["target_entropy"], strict=True)
         for token, p_draft, path, p_target, alpha, target_entropy in nodes:
             dist = dense(target, [*context, *path[:-1]])
             assert p_target == float(dist[token])
@@ -142,8 +143,10 @@ def test_trees_grown_and_scored_in_lockstep_equal_one_at_a_time():
         other = rng.integers(0, draft.vocab.size, size=int(rng.integers(1, 9))).tolist()
         contexts = [context, other, context[-1:]]
         trees = grow_trees(draft, contexts, params)
-        assert trees == [build_draft_tree(draft, c, params) for c in contexts]
-        singles = [score_lists(score_tree(target, c, tree)) for c, tree in zip(contexts, trees)]
+        assert [tree_lists(trees.take([i])) for i in range(len(contexts))] == [
+            tree_lists(build_draft_tree(draft, c, params)) for c in contexts]
+        singles = [score_lists(score_tree(target, c, trees.take([i])))
+                   for i, c in enumerate(contexts)]
         assert score_lists(score_trees(target, contexts, trees)) == {
             name: [value for single in singles for value in single[name]] for name in singles[0]
         }
@@ -161,10 +164,10 @@ def test_contexts_that_share_a_draft_window_share_one_tree():
         shared_cases += len(contexts) > 1
         # A tree depends on its draft window alone, not on what comes before it.
         trees = grow_trees(draft, contexts, params)
-        assert trees == [trees[0]] * len(contexts)
+        assert tree_lists(trees) == tree_lists(trees.take([0] * len(contexts)))
         # So the shared tree scores over each full context as that context's own tree.
         for c in contexts:
-            assert score_lists(score_tree(target, c, trees[0])) == score_lists(
+            assert score_lists(score_tree(target, c, trees.take([0]))) == score_lists(
                 score_tree(target, c, build_draft_tree(draft, c, params)))
     assert shared_cases > CASES // 3
 

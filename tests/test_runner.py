@@ -163,9 +163,10 @@ def oracle_step(draft, target, context, params):
     """One step on ``context`` with no memo: its tree's rows, as ``(depth, token, p_draft,
     p_target, alpha, target_entropy)`` tuples from ``grow_trees`` and ``score_trees``, and
     the target's argmax, the token it commits."""
-    [tree] = grow_trees(draft, [context], params)
-    scores = score_lists(score_trees(target, [context], [tree]))
-    rows = list(zip(tree.depths, tree.tokens, tree.p_draft, *scores.values()))
+    tree = grow_trees(draft, [context], params)
+    scores = score_lists(score_trees(target, [context], tree))
+    rows = list(zip(tree.depths.tolist(), tree.tokens.tolist(), tree.p_draft.tolist(),
+                    *scores.values()))
     return rows, int(np.argmax(target.next_token_dist(context)))
 
 

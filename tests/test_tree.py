@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TableModel, ngram_model
+from conftest import TableModel, ngram_model, tree_lists
 from treespec import (
-    DraftTree,
+    DraftTrees,
     InputError,
     NGramModel,
     TreeParams,
@@ -98,7 +98,7 @@ def best_first_select(roots, params: TreeParams):
     for root in roots:
         if len(selected) >= params.max_nodes:
             break
-        selected.append([root, None, False])
+        selected.append([root, -1, False])
     while len(selected) < params.max_nodes:
         frontier = [
             (i, entry)
@@ -119,8 +119,8 @@ def best_first_select(roots, params: TreeParams):
     ]
 
 
-def tree_tuples(tree: DraftTree):
-    return list(zip(tree.tokens, tree.depths, tree.parents, tree.p_draft, tree.cum_logp))
+def tree_tuples(tree: DraftTrees):
+    return list(zip(*(column.tolist() for column in tree[:-1])))
 
 
 def random_model_and_context(rng):
@@ -151,7 +151,7 @@ class TestBuild:
         draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0])
         tree = build_draft_tree(draft, [1], TreeParams(3, 2, 3, 8))
         assert tree_tuples(tree) == [
-            (0, 1, None, 1.0, 0.0),
+            (0, 1, -1, 1.0, 0.0),
             (0, 2, 0, 1.0, 0.0),
             (0, 3, 1, 1.0, 0.0),
         ]
@@ -161,7 +161,7 @@ class TestBuild:
         model = trigram_model()
         tree = build_draft_tree(model, [0, 1], params)
         assert len(tree.tokens) == min(3, WXYZ.size)
-        assert tree.depths == [1] * len(tree.tokens)
+        assert tree.depths.tolist() == [1] * len(tree.tokens)
 
     def test_depth_cap_small_vocab(self):
         vocab = Vocabulary(("a", "b"))
@@ -184,7 +184,7 @@ class TestBuild:
     def test_trigram_known_roots(self):
         # At context (w, x): y has 3 of 4 counts, so p = 3.2/4.8 = 2/3.
         tree = build_draft_tree(trigram_model(), [0, 1], TreeParams(3, 2, 3, 8))
-        assert tree.tokens[:3] == [2, 3, 0]
+        assert tree.tokens[:3].tolist() == [2, 3, 0]
         assert tree.p_draft[0] == pytest.approx(2 / 3, abs=1e-12)
         assert len(tree.tokens) == 8
 
@@ -204,7 +204,7 @@ class TestBuild:
         params = TreeParams(3, 2, 3, 8)
         first = build_draft_tree(model, [0, 1, 2], params)
         second = build_draft_tree(model, [0, 1, 2], params)
-        assert first == second
+        assert tree_lists(first) == tree_lists(second)
 
     def test_empty_context_rejected(self):
         with pytest.raises(InputError):
@@ -246,6 +246,28 @@ class TestBuild:
         assert all(c[:2] == [0, 1] and len(c) <= 2 + 2 for c in seen)
         assert tree_tuples(tree) == tree_tuples(build_draft_tree(trigram_model(), [0, 1], params))
 
+    def test_growth_asks_only_for_the_rows_it_expands(self):
+        # With every probability positive each expanded node gets a child, so
+        # the draft is asked once for each tree's window and once for each
+        # node with children, never for a node that stays a leaf.
+        rng = np.random.default_rng(404)
+        for _ in range(80):
+            size = int(rng.integers(2, 6))
+            vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+            window = int(rng.integers(0, 3))
+            table = {tuple(rng.integers(0, size, size=window).tolist()): rng.random(size) + 0.01
+                     for _ in range(8)}
+            draft = TableModel(vocab, np.ones(size), {c: d / d.sum() for c, d in table.items()},
+                               window)
+            contexts = [rng.integers(0, size, size=int(rng.integers(1, 5))).tolist()
+                        for _ in range(int(rng.integers(1, 5)))]
+            trees = grow_trees(draft, contexts, random_params(rng))
+            tree_of = np.repeat(np.arange(len(contexts)), np.diff(trees.offsets))
+            expanded = {(t, parent) for t, parent in zip(tree_of.tolist(), trees.parents.tolist())
+                        if parent != -1}
+            assert draft.batches[0] == [draft.window(c) for c in contexts]
+            assert sum(map(len, draft.batches)) == len(contexts) + len(expanded)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(InputError):
             TreeParams(max_depth=0)
@@ -260,17 +282,17 @@ class TestInvariants:
             model, context = random_model_and_context(rng)
             params = random_params(rng)
             tree = build_draft_tree(model, context, params)
-            depths, parents, cum_logp = tree.depths, tree.parents, tree.cum_logp
+            depths, parents, cum_logp = tree.depths.tolist(), tree.parents.tolist(), tree.cum_logp
             assert 1 <= len(depths) <= params.max_nodes
             assert depths.count(1) <= params.root_top_k
             assert max(depths) <= params.max_depth
             children = [0] * len(depths)
             for parent in parents:
-                if parent is not None:
+                if parent != -1:
                     children[parent] += 1
             assert all(c <= params.max_branch for c in children)
             for i, (parent, p_draft) in enumerate(zip(parents, tree.p_draft)):
-                if parent is None:
+                if parent == -1:
                     assert depths[i] == 1
                     assert cum_logp[i] == pytest.approx(math.log(p_draft), abs=1e-12)
                 else:
@@ -290,8 +312,8 @@ class TestInvariants:
             tree = build_draft_tree(model, context, params)
             events = []
             seen = set()
-            for idx, parent in enumerate(tree.parents):
-                if parent is not None and parent not in seen:
+            for idx, parent in enumerate(tree.parents.tolist()):
+                if parent != -1 and parent not in seen:
                     seen.add(parent)
                     events.append((idx, parent))
             expanded = set()
@@ -309,10 +331,10 @@ class TestInvariants:
 # --- node paths ----------------------------------------------------------------
 
 
-def oracle_paths_dfs(tree: DraftTree):
+def oracle_paths_dfs(tree: DraftTrees):
     children: dict[int, list[int]] = {i: [] for i in range(len(tree.parents))}
-    for i, parent in enumerate(tree.parents):
-        if parent is not None:
+    for i, parent in enumerate(tree.parents.tolist()):
+        if parent != -1:
             children[parent].append(i)
     paths = []
 
@@ -324,31 +346,31 @@ def oracle_paths_dfs(tree: DraftTree):
         for child in children[index]:
             walk(child, acc)
 
-    for i, parent in enumerate(tree.parents):
-        if parent is None:
+    for i, parent in enumerate(tree.parents.tolist()):
+        if parent == -1:
             walk(i, [])
     return paths
 
 
-def paths_from_parents(tree: DraftTree):
+def paths_from_parents(tree: DraftTrees):
     """Each node's path rebuilt from the parent links, in insertion order."""
     paths = []
-    for token, parent in zip(tree.tokens, tree.parents):
-        paths.append((() if parent is None else paths[parent]) + (token,))
+    for token, parent in zip(tree.tokens.tolist(), tree.parents.tolist()):
+        paths.append((() if parent == -1 else paths[parent]) + (token,))
     return paths
 
 
-def leaf_paths(tree: DraftTree):
-    """``tree.paths`` of the childless nodes, in insertion order."""
-    parents = set(tree.parents)
-    return [list(path) for i, path in enumerate(tree.paths) if i not in parents]
+def leaf_paths(tree: DraftTrees):
+    """The paths of the childless nodes, in insertion order."""
+    parents = set(tree.parents.tolist())
+    return [list(path) for i, path in enumerate(paths_from_parents(tree)) if i not in parents]
 
 
 class TestPaths:
     def test_single_chain(self):
         draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0])
         tree = build_draft_tree(draft, [1], TreeParams(3, 2, 3, 8))
-        assert tree.paths == [(0,), (0, 0), (0, 0, 0)]
+        assert paths_from_parents(tree) == [(0,), (0, 0), (0, 0, 0)]
         assert leaf_paths(tree) == [[0, 0, 0]]
 
     def test_two_depth_one_leaves(self):
@@ -365,4 +387,3 @@ class TestPaths:
             dfs = oracle_paths_dfs(tree)
             # leaves in insertion order; dfs entries are keyed by leaf index
             assert got == [p for _, p in sorted(dfs)]
-            assert tree.paths == paths_from_parents(tree)
