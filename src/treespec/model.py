@@ -72,9 +72,7 @@ def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) 
 
 def entropy_nats(dist: Dist | Sequence[float]) -> float:
     """Shannon entropy -sum(p ln p) in nats, with 0 ln 0 taken as 0."""
-    if isinstance(dist, SparseRow):
-        return dist.entropy()
-    return _dense_entropy(dist)
+    return entropies([dist])[0]
 
 
 def _dense_entropy(dist: np.ndarray | Sequence[float]) -> float:
@@ -102,96 +100,50 @@ def _check_k(k: int, size: int) -> None:
 
 
 class SparseRow:
-    """An n-gram next-token distribution held as its successor-count row.
-
-    Token t has probability (smoothing + row[t]) / denom if t is in ``row``
-    and ``floor`` (smoothing / denom) otherwise, by the same IEEE operations
-    that fill the dense vector ``np.asarray(self)``; every value, the
-    ``top`` order and the entropy equal their dense counterparts bit for
-    bit. An empty ``row`` with ``floor`` 1 / size is the uniform fallback.
+    """A next-token distribution over ``size`` tokens held as the few that
+    stand out: token t has probability ``row[t]`` if t is in ``row`` and
+    ``floor`` otherwise. ``np.asarray(self)`` is the dense vector of those
+    values; ``dist[t]``, ``top`` and the entropy equal their dense
+    counterparts bit for bit.
 
     ``row`` lists its tokens in rank order: descending probability, then
     ascending token (``NGramModel`` lays its rows out so), so ``top`` reads
-    its first k. The row keeps its entropy in ``h`` once computed and
-    ``top``'s rankings by k in ``tops``, made on first use; the model keeps
-    one row per context, so each is computed once per count row. Counts are
-    assumed non-negative, as ``fit`` makes them.
+    its first k. A row with a positive floor lists positive probabilities.
+    The row keeps its entropy in ``h`` once ``entropies`` computes it; the
+    model keeps one row per context, so each is computed once per count row.
     """
 
-    __slots__ = ("size", "row", "smoothing", "denom", "floor", "h", "tops")
+    __slots__ = ("size", "row", "floor", "h")
 
-    def __init__(self, size: int, row: Mapping[int, int], smoothing: float, denom: float) -> None:
-        self.size = size
-        if denom <= 0.0:
-            row, self.floor = {}, 1.0 / size
-        else:
-            self.floor = smoothing / denom
-        self.row = row
-        self.smoothing = smoothing
-        self.denom = denom
+    def __init__(self, size: int, row: Mapping[int, float], floor: float) -> None:
+        self.size, self.row, self.floor = size, row, floor
         self.h: float | None = None
-        self.tops: dict[int, tuple[tuple[int, float], ...]] | None = None
 
     def __getitem__(self, token: int) -> float:
         if not 0 <= token < self.size:
             raise IndexError(f"token {token} out of range for vocabulary of {self.size}")
-        count = self.row.get(token)
-        return self.floor if count is None else (self.smoothing + count) / self.denom
-
-    def _row_probs(self) -> list[float]:
-        """The row tokens' probabilities, in row order."""
-        smoothing, denom = self.smoothing, self.denom
-        return [(smoothing + count) / denom for count in self.row.values()]
+        return self.row.get(token, self.floor)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         probs = np.full(self.size, self.floor)
-        probs[list(self.row)] = self._row_probs()
+        probs[list(self.row)] = list(self.row.values())
         return probs if dtype is None else probs.astype(dtype, copy=False)
 
     def top(self, k: int) -> list[tuple[int, float]]:
-        """``top_candidates`` of the dense vector, from the row alone.
+        """``top_candidates`` of the dense vector, from the row alone, as a new list.
 
         The row's first k tokens lead it. Tokens outside the row all sit at
         the floor and tie by index, so the k lowest-index ones are the only
-        ones that can join them. Each k is ranked once and kept as a tuple;
-        every call returns a new list.
+        ones that can join them, and only when the k-th is not above the floor.
         """
-        if self.tops is None:
-            self.tops = {}
-        ranked = self.tops.get(k)
-        if ranked is None:
-            ranked = self.tops[k] = tuple(self._rank_top(k))
-        return list(ranked)
-
-    def _rank_top(self, k: int) -> list[tuple[int, float]]:
         _check_k(k, self.size)
-        smoothing, denom, floor = self.smoothing, self.denom, self.floor
-        ranked = [(token, (smoothing + count) / denom)
-                  for token, count in itertools.islice(self.row.items(), k)]
-        # Tokens outside the row rank after every row token above the floor.
+        row, floor = self.row, self.floor
+        ranked = list(itertools.islice(row.items(), k))
         if len(ranked) < k or ranked[-1][1] <= floor:
-            row, extra = self.row, []
-            for token in range(self.size):
-                if len(extra) == k:
-                    break
-                if token not in row:
-                    extra.append((token, floor))
-            ranked = sorted(ranked + extra, key=lambda item: (-item[1], item[0]))[:k]
+            extra = itertools.islice((token for token in range(self.size) if token not in row), k)
+            ranked = sorted(ranked + [(token, floor) for token in extra],
+                            key=lambda item: (-item[1], item[0]))[:k]
         return ranked
-
-    def entropy(self) -> float:
-        """``entropy_nats`` of the dense vector, computed once and kept in ``h``.
-
-        A row with a positive floor is a block of one (``_set_entropies``).
-        At a zero floor the zero entries drop out of the dense sum, so the
-        dense vector is built.
-        """
-        if self.h is None:
-            if self.floor > 0.0:
-                _set_entropies([self])
-            else:
-                self.h = _dense_entropy(self)
-        return self.h
 
 
 Dist = np.ndarray | SparseRow
@@ -204,35 +156,31 @@ _ENTROPY_BLOCK = 1 << 16
 def entropies(dists: Sequence[Dist]) -> list[float]:
     """``entropy_nats`` of each distribution.
 
-    The distinct sparse rows among them that have a positive floor and no
-    entropy yet get theirs a block at a time (``_set_entropies``), and each
-    row keeps it, so a row is summed once however often it is asked.
+    A sparse row keeps its entropy in ``h``, so a row is summed once however
+    often it is asked. The distinct new rows with a positive floor get theirs
+    together (``_set_entropies``); at a zero floor the zero entries drop out
+    of the dense sum, so the dense vector is built.
     """
-    _set_entropies({id(d): d for d in dists
-                    if isinstance(d, SparseRow) and d.floor > 0.0 and d.h is None}.values())
-    return [entropy_nats(d) for d in dists]
-
-
-class _Block(list):
-    """Rows of one size whose entropies are summed together, with what
-    ``_block_entropies`` reads: each row's p ln p terms (``row_terms`` at
-    ``tokens`` of block row ``at``, ``floor_terms`` elsewhere) and the
-    buffers it fills."""
-
-    __slots__ = ("at", "tokens", "row_terms", "floor_terms", "block", "sums")
+    new = {id(d): d for d in dists if isinstance(d, SparseRow) and d.h is None}.values()
+    _set_entropies([d for d in new if d.floor > 0.0])
+    for d in new:
+        if d.h is None:
+            d.h = _dense_entropy(d)
+    return [d.h if isinstance(d, SparseRow) else _dense_entropy(d) for d in dists]
 
 
 def _set_entropies(rows: Iterable[SparseRow]) -> None:
     """Set ``h`` of each of ``rows`` (positive floors), the rows of each size
-    in C-contiguous (rows x |V|) float64 blocks of at most ``_ENTROPY_BLOCK``
-    entries, one ``_block_entropies`` call each.
+    laid out in one reused C-contiguous (rows x |V|) float64 block of at most
+    ``_ENTROPY_BLOCK`` entries at a time and summed row-wise.
 
     With a positive floor every dense entry is positive, so the dense sum
     runs over all |V| p ln p terms in token order: the floor's term outside
     the row and each row token's own term inside it. The terms of all the
     rows of a size are computed in one pass from their few values, without
     a vocabulary-sized log (np.log gives a value the same result in any
-    array; tests hold numpy to both).
+    array), and a row-wise sum of a C-contiguous block adds each row as the
+    sum of the dense 1-D array does (tests hold numpy to both).
     """
     by_size: dict[int, list[SparseRow]] = {}
     for row in rows:
@@ -242,39 +190,21 @@ def _set_entropies(rows: Iterable[SparseRow]) -> None:
         lengths = [len(row.row) for row in rows]
         n = sum(lengths)
         tokens = np.fromiter(itertools.chain.from_iterable(row.row for row in rows), np.int64, n)
-        counts = np.fromiter(itertools.chain.from_iterable(row.row.values() for row in rows),
-                             np.float64, n)
-        smoothing = np.repeat([row.smoothing for row in rows], lengths)
-        denom = np.repeat([row.denom for row in rows], lengths)
-        # The row probabilities by the IEEE operations of ``SparseRow._row_probs``.
-        values = np.concatenate(((smoothing + counts) / denom, [row.floor for row in rows]))
+        values = np.fromiter(itertools.chain(
+            itertools.chain.from_iterable(row.row.values() for row in rows),
+            (row.floor for row in rows)), np.float64, n + len(rows))
         terms = values * np.log(values)
         at = np.repeat(np.arange(len(rows)) % per_block, lengths)
-        ends = np.cumsum([0, *lengths])
-        block = np.empty((min(per_block, len(rows)), size))
-        sums = np.empty(block.shape[0])
+        ends = np.cumsum([0, *lengths]).tolist()
+        buffer = np.empty((min(per_block, len(rows)), size))
         for first in range(0, len(rows), per_block):
-            last = min(first + per_block, len(rows))
-            part = _Block(rows[first:last])
-            part.at, part.tokens = at[ends[first]:ends[last]], tokens[ends[first]:ends[last]]
-            part.row_terms = terms[ends[first]:ends[last]]
-            part.floor_terms, part.block, part.sums = terms[n + first:n + last], block, sums
-            _block_entropies(part, size)
-
-
-def _block_entropies(rows: _Block, size: int) -> None:
-    """Set ``h`` of each of ``rows``: lay their dense p ln p rows out in
-    ``rows.block`` and sum each one.
-
-    A row-wise sum of a C-contiguous block adds each row as the sum of the
-    dense 1-D array does, so the bits are the same.
-    """
-    block = rows.block[:len(rows)]
-    block[:] = rows.floor_terms[:, None]
-    block[rows.at, rows.tokens] = rows.row_terms
-    sums = np.sum(block, axis=1, out=rows.sums[:len(rows)])
-    for row, h in zip(rows, (-sums + 0.0).tolist()):
-        row.h = h
+            part = rows[first:first + per_block]
+            start, stop = ends[first], ends[first + len(part)]
+            block = buffer[:len(part)]
+            block[:] = terms[n + first:n + first + len(part), None]
+            block[at[start:stop], tokens[start:stop]] = terms[start:stop]
+            for row, h in zip(part, (-block.sum(axis=1) + 0.0).tolist()):
+                row.h = h
 
 
 class LanguageModel(abc.ABC):
@@ -344,9 +274,12 @@ class NGramModel(LanguageModel):
 
     A batch (``_batch_dists``; ``next_token_dist`` is a batch of one) walks
     the levels once for all of its new contexts, one ``np.searchsorted`` per
-    level (``_read_rows``), and the ``SparseRow`` built for each is kept, so
-    a context is read once. Contexts unseen in training share one row. Each
-    row keeps its own entropy, so that is computed once per count row.
+    level, and computes and ranks all of their successors' probabilities in
+    one numpy pass (``_read_rows``). The ``SparseRow`` built for each, those
+    probabilities over the floor smoothing / (total + smoothing * |V|), is
+    kept, so a context is read once. Contexts unseen in training share one
+    row. Each row keeps its own entropy, so that is computed once per count
+    row.
     """
 
     @classmethod
@@ -399,7 +332,7 @@ class NGramModel(LanguageModel):
         model.smoothing = float(smoothing)
         model._rows = {}  # context -> its SparseRow, once read
         # Unseen contexts share one row; () is the real document-start row.
-        model._unseen = SparseRow(size, {}, model.smoothing, model.smoothing * size)
+        model._unseen = _smoothed_row(size, {}, model.smoothing, model.smoothing * size)
         model._levels = levels
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
@@ -477,33 +410,37 @@ class NGramModel(LanguageModel):
                 node = np.where(codes[found] == want, found, -1)
         n_rows = len(self._totals)
         seen = node[(node >= 0) & (node < n_rows)]
-        # Every seen row's successors and counts, gathered into two lists in
-        # rank order: descending probability, by the IEEE operations of
-        # ``SparseRow``, then ascending token, as a stable sort of ascending
-        # tokens leaves equal probabilities.
+        # Every seen row's successors and probabilities, gathered into two
+        # lists in rank order: descending probability, then ascending token,
+        # as a stable sort of ascending tokens leaves equal probabilities.
         offsets = np.asarray(self._offsets)
         starts, lengths = offsets[seen], offsets[seen + 1] - offsets[seen]
-        totals = np.asarray(self._totals)[seen]
         smoothing = self.smoothing
+        denoms = np.asarray(self._totals)[seen] + smoothing * size
         at = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
                                                         lengths)
-        counts = np.asarray(self._counts)[at]
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero denom makes an empty row
-            probs = (smoothing + counts) / np.repeat(totals + smoothing * size, lengths)
+            probs = (smoothing + np.asarray(self._counts)[at]) / np.repeat(denoms, lengths)
         order = np.lexsort((-probs, np.repeat(np.arange(seen.size), lengths)))
-        tokens, counts = np.asarray(self._tokens)[at[order]].tolist(), counts[order].tolist()
-        found = iter(zip(lengths.tolist(), totals.tolist()))
+        tokens, probs = np.asarray(self._tokens)[at[order]].tolist(), probs[order].tolist()
+        found = iter(zip(lengths.tolist(), denoms.tolist()))
         rows, start = [], 0
         for n in node.tolist():
             if not 0 <= n < n_rows:
                 rows.append(self._unseen)
                 continue
-            length, total = next(found)
+            length, denom = next(found)
             stop = start + length
-            rows.append(SparseRow(size, dict(zip(tokens[start:stop], counts[start:stop])),
-                                  smoothing, total + smoothing * size))
+            rows.append(_smoothed_row(size, dict(zip(tokens[start:stop], probs[start:stop])),
+                                      smoothing, denom))
             start = stop
         return rows
+
+
+def _smoothed_row(size: int, row: dict[int, float], smoothing: float, denom: float) -> SparseRow:
+    """The ``SparseRow`` of ``row``'s probabilities over the floor smoothing / denom;
+    the uniform row when ``denom`` is not positive."""
+    return SparseRow(size, row, smoothing / denom) if denom > 0.0 else SparseRow(size, {}, 1.0 / size)
 
 
 # Up to this many codes' worth of code space, a presence mask or a bincount

@@ -150,14 +150,14 @@ def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
 
 
 def check_entropy(sizes: Sequence[int]) -> tuple[float, float]:
-    """``entropies`` of count rows, the path ``score_trees`` takes, per size n: a uniform
-    row with a positive floor and half its tokens held at count 0 (the block sum) and
-    each one-hot row with a zero floor (the dense sum).
+    """``entropies`` of sparse rows, the path ``score_trees`` takes, per size n: a uniform
+    row with a positive floor and half its tokens listed at it (the block sum) and each
+    one-hot row with a zero floor (the dense sum).
 
     Returns the largest |H(uniform) - ln n| and the largest H(one-hot).
     """
-    uniform = [SparseRow(n, dict.fromkeys(range(0, n, 2), 0), 1.0, float(n)) for n in sizes]
-    one_hot = [SparseRow(n, {t: t + 1}, 0.0, t + 1.0) for n in sizes for t in range(n)]
+    uniform = [SparseRow(n, dict.fromkeys(range(0, n, 2), 1.0 / n), 1.0 / n) for n in sizes]
+    one_hot = [SparseRow(n, {t: 1.0}, 0.0) for n in sizes for t in range(n)]
     h = entropies(uniform + one_hot)
     uniform_dev = np.max(np.abs(np.subtract(h[:len(sizes)], [math.log(n) for n in sizes])))
     return float(uniform_dev), float(np.max(h[len(sizes):]))

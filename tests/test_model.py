@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import TableModel, ngram_model
 from treespec import (
     InputError,
     NGramModel,
+    SparseRow,
     Vocabulary,
     entropy_nats,
     top_candidates,
@@ -213,7 +215,8 @@ class TestNextTokenDist:
         for context, dist in zip(contexts, batched):
             single = twin.next_token_dist(context)
             assert_same_bits(dist, single)
-            assert (dist.row, dist.denom) == (single.row, single.denom)
+            assert (dist.row, dist.floor) == (single.row, single.floor)
+            assert_smoothed_counts(dist, model.counts.get(model.window(context)), 0.1)
             assert model.next_token_dist(context) is dist  # kept, not read again
 
     @pytest.mark.parametrize("bad", [[4], [-1], [0, 1, 9]])
@@ -307,7 +310,7 @@ class TestCountStore:
         for context in contexts:
             row = expected.get(tuple(context[-span:]) if span else ())
             dist = model.next_token_dist(context)
-            assert dist.denom == (sum(row.values()) if row else 0) + smoothing * size
+            assert_smoothed_counts(dist, row, smoothing)
             dense = dense_dist(model, context)
             assert_same_bits(dist, dense)
             assert_same_bits(packed.next_token_dist(context), dense)
@@ -421,6 +424,34 @@ def dense_dist(model, context):
     return probs
 
 
+def assert_smoothed_counts(dist, row, smoothing):
+    """``dist`` holds (smoothing + count) / denom of each token of the count
+    ``row`` (None for an unseen context) and the floor smoothing / denom, bit
+    for bit; with no mass (denom 0), no tokens and the floor 1 / |V|."""
+    row = row or {}
+    denom = sum(row.values()) + smoothing * dist.size
+    if denom <= 0.0:
+        assert (dist.row, dist.floor) == ({}, 1.0 / dist.size)
+        return
+    assert {t: p.hex() for t, p in dist.row.items()} == {
+        t: ((smoothing + count) / denom).hex() for t, count in row.items()}
+    assert dist.floor.hex() == (smoothing / denom).hex()
+
+
+def spy_on_set_entropies(monkeypatch):
+    """The rows ``_set_entropies`` is handed from now on, in order."""
+    summed = []
+    set_entropies = model_module._set_entropies
+
+    def spy(rows):
+        rows = list(rows)
+        summed.extend(rows)
+        set_entropies(rows)
+
+    monkeypatch.setattr(model_module, "_set_entropies", spy)
+    return summed
+
+
 def random_counts(rng, size, order, high=4):
     """Rows of counts in [0, high), so at the default high tokens tie within
     a row and (at count 0) with the floor; rows run from one token to every
@@ -485,7 +516,7 @@ class TestSparseRow:
                     assert top_candidates(dist, 40) == top_candidates(dense, 40)
 
     def test_log_does_not_depend_on_array_length(self):
-        # _block_entropies takes its p ln p terms from a short array and the
+        # _set_entropies takes its p ln p terms from a short array and the
         # dense path from a vocabulary-sized one; their bits agree only while
         # np.log gives a value the same result wherever it sits.
         values = np.random.default_rng(31).random(20_000) + 1e-12
@@ -495,7 +526,7 @@ class TestSparseRow:
             assert_same_bits(np.concatenate(parts), whole)
 
     def test_row_sums_of_a_block_equal_one_dimensional_sums(self):
-        # _block_entropies sums each row of a C-contiguous block where the
+        # _set_entropies sums each row of a C-contiguous block where the
         # dense path sums a 1-D array; the bits agree only while numpy adds
         # a block row as it adds the same values alone.
         rng = np.random.default_rng(37)
@@ -509,10 +540,7 @@ class TestSparseRow:
         # Three rows to a block, so a batch's rows split across block
         # boundaries; unseen contexts share one row, and a row may repeat.
         monkeypatch.setattr(model_module, "_ENTROPY_BLOCK", 3 * size)
-        blocks = []
-        block_entropies = model_module._block_entropies
-        monkeypatch.setattr(model_module, "_block_entropies",
-                            lambda rows, width: blocks.append(rows) or block_entropies(rows, width))
+        summed = spy_on_set_entropies(monkeypatch)
         rng = np.random.default_rng(size + int(10 * smoothing))
         vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
         counts = {}
@@ -526,23 +554,41 @@ class TestSparseRow:
         model = ngram_model(vocab, 2, counts, smoothing)
         dists = model.next_token_dists(contexts)
         hs = entropies(dists)
-        # Every distinct row with a positive floor goes through a block once
-        # (at smoothing 0, only the uniform fallbacks have one).
+        # Every distinct row with a positive floor is summed once (at
+        # smoothing 0, only the uniform fallbacks have one).
         positive = {id(d): d for d in dists if d.floor > 0.0}
-        assert sorted(id(row) for rows in blocks for row in rows) == sorted(positive)
+        assert sorted(id(row) for row in summed) == sorted(positive)
         if smoothing:
             assert len(positive) == 12
-        assert max(map(len, blocks)) <= 3
         twin = ngram_model(vocab, 2, counts, smoothing)
         for context, h in zip(contexts, hs):
             single = twin.next_token_dist(context)
-            assert h.hex() == single.entropy().hex() == _dense_entropy(np.asarray(single)).hex()
+            assert h.hex() == entropy_nats(single).hex() == _dense_entropy(np.asarray(single)).hex()
+
+    def test_entropy_blocks_stay_within_the_bound(self, monkeypatch):
+        # Sixty narrow rows at |V| = 4000 and three rows to a block: the
+        # block buffer, not the rows' few values, sets the peak, and it
+        # holds three rows, not sixty.
+        size = 4000
+        monkeypatch.setattr(model_module, "_ENTROPY_BLOCK", 3 * size)
+        rng = np.random.default_rng(61)
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+        counts = {(c,): {int(t): int(rng.integers(1, 5)) for t in rng.choice(size, 8, replace=False)}
+                  for c in range(60)}
+        dists = ngram_model(vocab, 2, counts, 0.1).next_token_dists([[c] for c in range(60)])
+        dense = [_dense_entropy(np.asarray(d)) for d in dists]
+        tracemalloc.start()
+        try:
+            hs = entropies(dists)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hs == dense
+        block = 3 * size * np.dtype(np.float64).itemsize
+        assert block <= peak < 2 * block
 
     def test_each_row_enters_a_block_once(self, monkeypatch):
-        entered = []
-        block_entropies = model_module._block_entropies
-        monkeypatch.setattr(model_module, "_block_entropies",
-                            lambda rows, width: entered.extend(rows) or block_entropies(rows, width))
+        entered = spy_on_set_entropies(monkeypatch)
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=3, smoothing=0.1)
         rows = model.next_token_dists([[2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]])
         # [2, 2], [3, 0] and [1, 1] are unseen and share one row; [2, 0, 1] reads (0, 1).
@@ -568,12 +614,28 @@ class TestSparseRow:
             assert dist.top(k) == top_candidates(dense, k)
             assert top_candidates(dist, k) == top_candidates(dense, k)
             assert dist.top(k) is not dist.top(k)
-        assert sorted(dist.tops) == [1, 3, 4]
-        # The row is cached on the model, so a later lookup reuses its rankings.
-        assert model.next_token_dist([0]).tops is dist.tops
         with pytest.raises(InputError):
             dist.top(5)
-        assert 5 not in dist.tops
+
+    @pytest.mark.parametrize("size, row, floor, dense", [
+        # The last listed probability equals the floor, so it ties with
+        # tokens 0 and 2 outside the row, which rank before it.
+        (6, {3: 0.4, 1: 0.2, 5: 0.1}, 0.1, [0.1, 0.2, 0.1, 0.4, 0.1, 0.1]),
+        # Ties inside the row, listed by ascending token.
+        (5, {1: 0.3, 3: 0.3, 0: 0.2}, 0.1, [0.2, 0.3, 0.1, 0.3, 0.1]),
+        # A zero floor: tokens outside the row have probability 0.
+        (5, {4: 0.5, 1: 0.25, 3: 0.25}, 0.0, [0.0, 0.25, 0.0, 0.25, 0.5]),
+    ])
+    def test_hand_built_rows_match_their_dense_vectors(self, size, row, floor, dense):
+        dist = SparseRow(size, row, floor)
+        assert_same_bits(dist, dense)
+        dense = np.asarray(dist)
+        assert [dist[t] for t in range(size)] == dense.tolist()
+        for k in range(1, size + 1):
+            assert top_candidates(dist, k) == top_candidates(dense, k)
+        for _ in range(2):  # computed, then kept
+            assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
+        assert entropies([dist, dense]) == [entropy_nats(dense)] * 2
 
     def test_token_out_of_range(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)

@@ -210,10 +210,13 @@ def test_level_walk_matches_the_decoded_counts():
                 assert row is model._unseen
                 unseen += 1
                 continue
-            # The row lists its tokens in rank order: descending probability, then ascending token.
+            # The row lists its tokens' probabilities in rank order: descending
+            # probability, then ascending token.
             denom = sum(expected.values()) + 0.1 * size
             assert list(row.row.items()) == sorted(
-                expected.items(), key=lambda item: (-(0.1 + item[1]) / denom, item[0]))
-            assert row.denom == denom
-            assert all(type(v) is int for v in (*row.row, *row.row.values()))
+                ((token, (0.1 + count) / denom) for token, count in expected.items()),
+                key=lambda item: (-item[1], item[0]))
+            assert row.floor == 0.1 / denom
+            assert all(type(t) is int for t in row.row)
+            assert all(type(p) is float for p in row.row.values())
     assert unseen >= CASES

@@ -15,9 +15,9 @@ from breaking it unseen:
   positional argument, the domain's prompts, so ``prompts`` must be a list
   of tuples;
 - it patches each of its boundaries by name, so every one must exist;
-- its observer of ``build_draft_tree`` reads ``result.nodes``, which a
-  ``DraftTree`` does not have, so a run must not build its trees through
-  ``build_draft_tree`` (nor score them through ``score_tree``).
+- its observer of ``build_draft_tree`` reads ``result.nodes``, which the
+  ``DraftTrees`` it returns does not have, so a run must not build its
+  trees through ``build_draft_tree`` (nor score them through ``score_tree``).
 """
 
 import importlib.util
