@@ -31,7 +31,7 @@ from .metrics import (
 from .model import (
     LanguageModel,
     NGramModel,
-    SparseRow,
+    RowBatch,
     Vocabulary,
     entropy_nats,
     top_candidates,

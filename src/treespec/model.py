@@ -1,17 +1,19 @@
 """Language-model interface and deterministic n-gram reference models.
 
 Everything here is desk-scale and exactly reproducible: models are plain
-count tables, distributions are numpy vectors over a fixed vocabulary (an
-n-gram model's are ``SparseRow`` values with the same numbers), and all
-tie-breaking is by ascending token index.
+count tables, a batch of distributions over a fixed vocabulary is one
+``RowBatch`` of rank-ordered sparse rows (one distribution is a numpy
+vector), and all tie-breaking is by ascending token index.
 """
 
 from __future__ import annotations
 
 import abc
+import copy
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -70,24 +72,18 @@ def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) 
     return arr
 
 
-def entropy_nats(dist: Dist | Sequence[float]) -> float:
-    """Shannon entropy -sum(p ln p) in nats, with 0 ln 0 taken as 0."""
-    return entropies([dist])[0]
-
-
-def _dense_entropy(dist: np.ndarray | Sequence[float]) -> float:
+def entropy_nats(dist: np.ndarray | Sequence[float]) -> float:
+    """Shannon entropy -sum(p ln p) in nats of a dense vector, with 0 ln 0 taken as 0."""
     arr = np.asarray(dist, dtype=np.float64)
     pos = arr[arr > 0.0]
     return float(-(pos * np.log(pos)).sum()) + 0.0
 
 
-def top_candidates(dist: Dist | Sequence[float], k: int) -> list[tuple[int, float]]:
-    """The k highest-probability (token, probability) pairs, descending.
+def top_candidates(dist: np.ndarray | Sequence[float], k: int) -> list[tuple[int, float]]:
+    """The k highest-probability (token, probability) pairs of a dense vector, descending.
 
     Ties are broken by ascending token index so results are reproducible.
     """
-    if isinstance(dist, SparseRow):
-        return dist.top(k)
     arr = np.asarray(dist, dtype=np.float64)
     _check_k(k, arr.shape[0])
     order = np.argsort(-arr, kind="stable")[:k]
@@ -99,112 +95,139 @@ def _check_k(k: int, size: int) -> None:
         raise InputError(f"k={k} out of range for vocabulary of {size}")
 
 
-class SparseRow:
-    """A next-token distribution over ``size`` tokens held as the few that
-    stand out: token t has probability ``row[t]`` if t is in ``row`` and
-    ``floor`` otherwise. ``np.asarray(self)`` is the dense vector of those
-    values; ``dist[t]``, ``top`` and the entropy equal their dense
-    counterparts bit for bit.
-
-    ``row`` lists its tokens in rank order: descending probability, then
-    ascending token (``NGramModel`` lays its rows out so), so ``top`` reads
-    its first k. A row with a positive floor lists positive probabilities.
-    The row keeps its entropy in ``h`` once ``entropies`` computes it; the
-    model keeps one row per context, so each is computed once per count row.
-    """
-
-    __slots__ = ("size", "row", "floor", "h")
-
-    def __init__(self, size: int, row: Mapping[int, float], floor: float) -> None:
-        self.size, self.row, self.floor = size, row, floor
-        self.h: float | None = None
-
-    def __getitem__(self, token: int) -> float:
-        if not 0 <= token < self.size:
-            raise IndexError(f"token {token} out of range for vocabulary of {self.size}")
-        return self.row.get(token, self.floor)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        probs = np.full(self.size, self.floor)
-        probs[list(self.row)] = list(self.row.values())
-        return probs if dtype is None else probs.astype(dtype, copy=False)
-
-    def top(self, k: int) -> list[tuple[int, float]]:
-        """``top_candidates`` of the dense vector, from the row alone, as a new list.
-
-        The row's first k tokens lead it. Tokens outside the row all sit at
-        the floor and tie by index, so the k lowest-index ones are the only
-        ones that can join them, and only when the k-th is not above the floor.
-        """
-        _check_k(k, self.size)
-        row, floor = self.row, self.floor
-        ranked = list(itertools.islice(row.items(), k))
-        if len(ranked) < k or ranked[-1][1] <= floor:
-            extra = itertools.islice((token for token in range(self.size) if token not in row), k)
-            ranked = sorted(ranked + [(token, floor) for token in extra],
-                            key=lambda item: (-item[1], item[0]))[:k]
-        return ranked
-
-
-Dist = np.ndarray | SparseRow
-
-# Sparse rows whose entropies are computed together are laid out as
-# C-contiguous (rows x |V|) float64 blocks of at most this many entries.
+# Rows whose entropies are summed together are laid out as C-contiguous
+# (rows x |V|) float64 blocks of at most this many entries.
 _ENTROPY_BLOCK = 1 << 16
 
 
-def entropies(dists: Sequence[Dist]) -> list[float]:
-    """``entropy_nats`` of each distribution.
+class RowBatch:
+    """Next-token distributions over ``size`` tokens, held as the tokens that stand out.
 
-    A sparse row keeps its entropy in ``h``, so a row is summed once however
-    often it is asked. The distinct new rows with a positive floor get theirs
-    together (``_set_entropies``); at a zero floor the zero entries drop out
-    of the dense sum, so the dense vector is built.
+    Row r lists ``tokens[offsets[r]:offsets[r + 1]]`` and their ``probs`` in
+    rank order (descending probability, then ascending token); every other
+    token has the probability ``floors[r]``, and context i has row
+    ``index[i]``. ``top``, ``prob`` and ``entropies`` equal ``top_candidates``,
+    indexing and ``entropy_nats`` of the dense vectors (``dense``) bit for
+    bit, each over the distinct rows at once. ``h[0]`` keeps each row's
+    entropy once computed (NaN until then); the batches an ``NGramModel``
+    cuts from its store share that list, so a row is summed once.
+
+    The constructor ranks each row itself; with no ``index``, context i is
+    row i. A dense vector is a row that lists every token over a floor of 0.
     """
-    new = {id(d): d for d in dists if isinstance(d, SparseRow) and d.h is None}.values()
-    _set_entropies([d for d in new if d.floor > 0.0])
-    for d in new:
-        if d.h is None:
-            d.h = _dense_entropy(d)
-    return [d.h if isinstance(d, SparseRow) else _dense_entropy(d) for d in dists]
+
+    __slots__ = ("size", "offsets", "tokens", "probs", "floors", "index", "h")
+
+    def __init__(self, size: int, offsets: Sequence[int], tokens: Sequence[int],
+                 probs: Sequence[float], floors: Sequence[float],
+                 index: Sequence[int] | None = None) -> None:
+        self.size = size
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.floors = np.asarray(floors, dtype=np.float64)
+        tokens, probs = np.asarray(tokens, dtype=np.int64), np.asarray(probs, dtype=np.float64)
+        rows = np.repeat(np.arange(self.floors.size), np.diff(self.offsets))
+        order = np.lexsort((tokens, -probs, rows))
+        self.tokens, self.probs = tokens[order], probs[order]
+        self.index = np.arange(self.floors.size) if index is None else np.asarray(index, np.int64)
+        self.h = [np.full(self.floors.size, np.nan)]
+
+    def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The dense vectors of ``rows``, each context's row when None, as a (rows x size) array."""
+        rows = self.index if rows is None else rows
+        at, lengths = _gather(self.offsets, rows)
+        vectors = np.repeat(self.floors[rows, None], self.size, axis=1)
+        vectors[np.repeat(np.arange(rows.size), lengths), self.tokens[at]] = self.probs[at]
+        return vectors
+
+    def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``top_candidates`` of k of each distinct row, each ranked once: each context's
+        position among the distinct rows, and their (rows x k) tokens and probabilities.
+
+        A row's first k entries lead it. The tokens it does not list all sit at
+        the floor and tie by index, so only a row with fewer than k entries
+        above its floor merges in its k lowest-index unlisted tokens.
+        """
+        _check_k(k, self.size)
+        rows, which = _distinct(self.index, self.floors.size, dense=True)
+        starts, ranks = self.offsets[rows], np.arange(k)
+        listed = ranks < (lengths := self.offsets[rows + 1] - starts)[:, None]
+        tokens, probs = np.zeros((rows.size, k), dtype=np.int64), np.zeros((rows.size, k))
+        at = (starts[:, None] + ranks)[listed]
+        tokens[listed], probs[listed] = self.tokens[at], self.probs[at]
+        short = (lengths < self.size) & ~(listed[:, -1] & (probs[:, -1] > self.floors[rows]))
+        for i in np.flatnonzero(short).tolist():
+            taken = set(self.tokens[starts[i]:starts[i] + lengths[i]].tolist())
+            extra = itertools.islice((t for t in range(self.size) if t not in taken), k)
+            floor = float(self.floors[rows[i]])
+            ranked = sorted([*zip(tokens[i].tolist(), probs[i].tolist())][:lengths[i]]
+                            + [(t, floor) for t in extra], key=lambda item: (-item[1], item[0]))
+            tokens[i], probs[i] = zip(*ranked[:k])
+        return which, tokens, probs
+
+    def prob(self, contexts: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """The probability of each ``tokens[i]`` at context ``contexts[i]``, as float64: its row's
+        entry, found by one search over the distinct rows' (row, token) keys, or else its floor."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.size:
+            raise IndexError(f"a token is out of range for vocabulary of {self.size}")
+        rows = self.index[contexts]
+        distinct, local = _distinct(rows, self.floors.size, dense=True)
+        at, lengths = _gather(self.offsets, distinct)
+        keys = np.repeat(np.arange(distinct.size), lengths) * self.size + self.tokens[at]
+        order = np.argsort(keys)
+        # A last key past every wanted one, so that each search lands on a key.
+        keys = np.append(keys[order], distinct.size * self.size)
+        want = local * self.size + tokens
+        found = np.searchsorted(keys, want)
+        return np.where(keys[found] == want, np.append(self.probs[at[order]], 0.0)[found],
+                        self.floors[rows])
+
+    def entropies(self) -> np.ndarray:
+        """Each context's ``entropy_nats``, as float64; a row is summed once and kept in ``h``."""
+        rows, _ = _distinct(self.index, self.floors.size, dense=True)
+        _set_entropies(self, rows[np.isnan(self.h[0][rows])])
+        return self.h[0][self.index]
 
 
-def _set_entropies(rows: Iterable[SparseRow]) -> None:
-    """Set ``h`` of each of ``rows`` (positive floors), the rows of each size
-    laid out in one reused C-contiguous (rows x |V|) float64 block of at most
-    ``_ENTROPY_BLOCK`` entries at a time and summed row-wise.
+def _set_entropies(batch: RowBatch, rows: np.ndarray) -> None:
+    """Set the entropy (``batch.h[0]``) of each of the distinct ``rows``.
 
-    With a positive floor every dense entry is positive, so the dense sum
-    runs over all |V| p ln p terms in token order: the floor's term outside
-    the row and each row token's own term inside it. The terms of all the
-    rows of a size are computed in one pass from their few values, without
-    a vocabulary-sized log (np.log gives a value the same result in any
-    array), and a row-wise sum of a C-contiguous block adds each row as the
-    sum of the dense 1-D array does (tests hold numpy to both).
+    A row whose floor and entries are all positive sums all |V| p ln p terms
+    of its dense vector in token order. Its terms are computed in one pass
+    without a vocabulary-sized log (np.log gives a value the same result in
+    any array) and laid out in one reused C-contiguous (rows x |V|) block of
+    at most ``_ENTROPY_BLOCK`` entries, summed row-wise as the dense 1-D sum
+    adds them (tests hold numpy to both). Any other row sums its dense
+    vector, where its zero entries drop out.
     """
-    by_size: dict[int, list[SparseRow]] = {}
-    for row in rows:
-        by_size.setdefault(row.size, []).append(row)
-    for size, rows in by_size.items():
-        per_block = max(1, _ENTROPY_BLOCK // size)
-        lengths = [len(row.row) for row in rows]
-        n = sum(lengths)
-        tokens = np.fromiter(itertools.chain.from_iterable(row.row for row in rows), np.int64, n)
-        values = np.fromiter(itertools.chain(
-            itertools.chain.from_iterable(row.row.values() for row in rows),
-            (row.floor for row in rows)), np.float64, n + len(rows))
-        terms = values * np.log(values)
-        at = np.repeat(np.arange(len(rows)) % per_block, lengths)
-        ends = np.cumsum([0, *lengths]).tolist()
-        buffer = np.empty((min(per_block, len(rows)), size))
-        for first in range(0, len(rows), per_block):
-            part = rows[first:first + per_block]
-            start, stop = ends[first], ends[first + len(part)]
-            block = buffer[:len(part)]
-            block[:] = terms[n + first:n + first + len(part), None]
-            block[at[start:stop], tokens[start:stop]] = terms[start:stop]
-            for row, h in zip(part, (-block.sum(axis=1) + 0.0).tolist()):
-                row.h = h
+    at, lengths = _gather(batch.offsets, rows)
+    positive = batch.floors[rows] > 0.0
+    positive[np.repeat(np.arange(rows.size), lengths)[batch.probs[at] <= 0.0]] = False
+    h = batch.h[0]
+    for row in rows[~positive]:
+        h[row] = entropy_nats(batch.dense(row[None])[0])
+    rows, size = rows[positive], batch.size
+    at, lengths = _gather(batch.offsets, rows)
+    values, floors = batch.probs[at], batch.floors[rows]
+    terms, floor_terms = values * np.log(values), floors * np.log(floors)
+    per_block = max(1, _ENTROPY_BLOCK // size)
+    local, tokens = np.repeat(np.arange(rows.size) % per_block, lengths), batch.tokens[at]
+    ends = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    buffer = np.empty((min(per_block, rows.size), size))
+    for first in range(0, rows.size, per_block):
+        last = min(first + per_block, rows.size)
+        block, part = buffer[:last - first], slice(ends[first], ends[last])
+        block[:] = floor_terms[first:last, None]
+        block[local[part], tokens[part]] = terms[part]
+        h[rows[first:last]] = -block.sum(axis=1) + 0.0
+
+
+def _gather(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of ``rows``' entries under CSR ``offsets``, row after row, and their lengths."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    return np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                                      lengths), lengths
 
 
 class LanguageModel(abc.ABC):
@@ -221,11 +244,11 @@ class LanguageModel(abc.ABC):
     vocab: Vocabulary
     context_window: int | None = None
 
-    def next_token_dist(self, context: TokenSeq) -> Dist:
-        """Next-token distribution given ``context``: a batch of one."""
-        return self._batch_dists([context])[0]
+    def next_token_dist(self, context: TokenSeq) -> np.ndarray:
+        """Next-token distribution given ``context`` as a dense vector: a batch of one."""
+        return self._batch_dists([context]).dense()[0]
 
-    def next_token_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
+    def next_token_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
         """Score many contexts in one invocation (the batched call boundary).
 
         Subclasses serve the batch through ``_batch_dists`` and leave this
@@ -234,8 +257,9 @@ class LanguageModel(abc.ABC):
         return self._batch_dists(contexts)
 
     @abc.abstractmethod
-    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[Dist]:
-        """The next-token distribution of each context; deterministic per input."""
+    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
+        """The next-token distribution of each context, as one ``RowBatch`` with
+        an ``index`` entry per context; deterministic per input."""
 
     def window(self, context: TokenSeq) -> tuple[int, ...]:
         """The last ``context_window`` tokens of ``context`` as ints, all of them when None.
@@ -272,14 +296,12 @@ class NGramModel(LanguageModel):
     1]]`` (ascending), their counts ``_counts`` over the same slice, and the
     sum ``_totals[c]``.
 
-    A batch (``_batch_dists``; ``next_token_dist`` is a batch of one) walks
-    the levels once for all of its new contexts, one ``np.searchsorted`` per
-    level, and computes and ranks all of their successors' probabilities in
-    one numpy pass (``_read_rows``). The ``SparseRow`` built for each, those
-    probabilities over the floor smoothing / (total + smoothing * |V|), is
-    kept, so a context is read once. Contexts unseen in training share one
-    row. Each row keeps its own entropy, so that is computed once per count
-    row.
+    A batch (``_batch_dists``) walks the levels once for all of its new
+    contexts, one ``np.searchsorted`` per level, and computes and ranks their
+    successors' probabilities, over the floor smoothing / (total + smoothing
+    * |V|), in one numpy pass (``_read_rows``) appended to one ``RowBatch``,
+    ``_store``, so a context is read and its entropy summed once. A batch is
+    the store with the contexts' rows as ``index``; unseen contexts share row 0.
     """
 
     @classmethod
@@ -330,9 +352,10 @@ class NGramModel(LanguageModel):
         model, size = cls(), vocab.size
         model.vocab, model.order, model.context_window = vocab, order, order - 1
         model.smoothing = float(smoothing)
-        model._rows = {}  # context -> its SparseRow, once read
-        # Unseen contexts share one row; () is the real document-start row.
-        model._unseen = _smoothed_row(size, {}, model.smoothing, model.smoothing * size)
+        model._rows, model._lock = {}, threading.Lock()  # context -> its row in _store, once read
+        # Unseen contexts share row 0; () is the real document-start row.
+        s = model.smoothing
+        model._store = RowBatch(size, [0, 0], [], [], [s / (s * size) if s else 1.0 / size])
         model._levels = levels
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
@@ -363,9 +386,9 @@ class NGramModel(LanguageModel):
             for back, start, stop in zip(backs, offsets, offsets[1:])
         })
 
-    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> list[SparseRow]:
-        """``next_token_dists``: one range check for the batch, a dict hit per
-        context seen before, and one ``_read_rows`` for the new ones."""
+    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
+        """``next_token_dists``: one range check, a dict hit per context seen before and one
+        ``_read_rows`` for the new ones; the store's columns, with the contexts' rows as index."""
         size, span = self.vocab.size, self.context_window
         tokens = list(itertools.chain.from_iterable(contexts))
         if tokens and (min(tokens) < 0 or max(tokens) >= size):
@@ -375,23 +398,28 @@ class NGramModel(LanguageModel):
         # (InputError if a token is not an integer) before it is read.
         keys = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
         rows = self._rows
-        dists = list(map(rows.get, keys))
-        if None in dists:
-            missed = [i for i, dist in enumerate(dists) if dist is None]
-            as_ints = _int_key if set(map(type, tokens)) - {int} else tuple
-            plain = {keys[i]: as_ints(keys[i]) for i in missed}
-            new = [key for key in dict.fromkeys(plain.values()) if key not in rows]
-            rows.update(zip(new, self._read_rows(new)))
-            for i in missed:
-                dists[i] = rows[plain[keys[i]]]
-        return dists
+        with self._lock:  # an append replaces the store's columns one by one
+            ids = list(map(rows.get, keys))
+            if None in ids:
+                missed = [i for i, row in enumerate(ids) if row is None]
+                as_ints = _int_key if set(map(type, tokens)) - {int} else tuple
+                plain = {keys[i]: as_ints(keys[i]) for i in missed}
+                new = [key for key in dict.fromkeys(plain.values()) if key not in rows]
+                rows.update(zip(new, self._read_rows(new)))
+                for i in missed:
+                    ids[i] = rows[plain[keys[i]]]
+            batch = copy.copy(self._store)
+        batch.index = np.array(ids, dtype=np.int64)
+        return batch
 
-    def _read_rows(self, keys: list[tuple[int, ...]]) -> list[SparseRow]:
-        """The ``SparseRow`` of each key's count row, each level searched for all keys at once.
+    def _read_rows(self, keys: list[tuple[int, ...]]) -> list[int]:
+        """Append each key's count row to the store, each level searched for all keys
+        at once, and return the keys' rows there.
 
         A key's column k - 1 holds its ``back`` at level k; a key shorter
         than the window is padded with -1, whose ``back`` is 0. A key that
-        leaves the levels gets the shared unseen row.
+        leaves the levels, or whose row has no mass (possible only at
+        smoothing 0), gets the shared unseen row 0: the uniform row then.
         """
         span, radix, size = self.order - 1, self.vocab.size + 1, self.vocab.size
         node = np.zeros(len(keys), dtype=np.int64)
@@ -408,39 +436,26 @@ class NGramModel(LanguageModel):
                 found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
                 # An unseen parent (-1) makes a negative code, which never matches.
                 node = np.where(codes[found] == want, found, -1)
-        n_rows = len(self._totals)
-        seen = node[(node >= 0) & (node < n_rows)]
-        # Every seen row's successors and probabilities, gathered into two
-        # lists in rank order: descending probability, then ascending token,
-        # as a stable sort of ascending tokens leaves equal probabilities.
-        offsets = np.asarray(self._offsets)
-        starts, lengths = offsets[seen], offsets[seen + 1] - offsets[seen]
-        smoothing = self.smoothing
-        denoms = np.asarray(self._totals)[seen] + smoothing * size
-        at = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
-                                                        lengths)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero denom makes an empty row
-            probs = (smoothing + np.asarray(self._counts)[at]) / np.repeat(denoms, lengths)
+        smoothing, denoms = self.smoothing, np.zeros(node.size)
+        held = (node >= 0) & (node < len(self._totals))
+        denoms[held] = np.asarray(self._totals)[node[held]] + smoothing * size
+        mass = denoms > 0.0
+        seen, denoms = node[mass], denoms[mass]
+        # Every seen row's successors and probabilities, in rank order:
+        # descending probability, then ascending token, as a stable sort of
+        # ascending tokens leaves equal probabilities.
+        at, lengths = _gather(np.asarray(self._offsets), seen)
+        probs = (smoothing + np.asarray(self._counts)[at]) / np.repeat(denoms, lengths)
         order = np.lexsort((-probs, np.repeat(np.arange(seen.size), lengths)))
-        tokens, probs = np.asarray(self._tokens)[at[order]].tolist(), probs[order].tolist()
-        found = iter(zip(lengths.tolist(), denoms.tolist()))
-        rows, start = [], 0
-        for n in node.tolist():
-            if not 0 <= n < n_rows:
-                rows.append(self._unseen)
-                continue
-            length, denom = next(found)
-            stop = start + length
-            rows.append(_smoothed_row(size, dict(zip(tokens[start:stop], probs[start:stop])),
-                                      smoothing, denom))
-            start = stop
-        return rows
-
-
-def _smoothed_row(size: int, row: dict[int, float], smoothing: float, denom: float) -> SparseRow:
-    """The ``SparseRow`` of ``row``'s probabilities over the floor smoothing / denom;
-    the uniform row when ``denom`` is not positive."""
-    return SparseRow(size, row, smoothing / denom) if denom > 0.0 else SparseRow(size, {}, 1.0 / size)
+        store = self._store
+        ids = np.zeros(node.size, dtype=np.int64)
+        ids[mass] = store.floors.size + np.arange(seen.size)
+        store.offsets = np.concatenate((store.offsets, store.offsets[-1] + np.cumsum(lengths)))
+        store.tokens = np.concatenate((store.tokens, np.asarray(self._tokens)[at[order]]))
+        store.probs = np.concatenate((store.probs, probs[order]))
+        store.floors = np.concatenate((store.floors, smoothing / denoms))
+        store.h[0] = np.concatenate((store.h[0], np.full(seen.size, np.nan)))
+        return ids.tolist()
 
 
 # Up to this many codes' worth of code space, a presence mask or a bincount
@@ -463,9 +478,10 @@ def _ranked_levels(columns: Iterable[np.ndarray], n: int,
         yield levels, ids, codes.size
 
 
-def _distinct(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(codes, return_inverse=True)`` for int64 codes in [0, space)."""
-    if space > _DENSE_SPACE_PER_CODE * codes.size:
+def _distinct(codes: np.ndarray, space: int, dense: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for int64 codes in [0, space), by a presence
+    mask when ``dense`` (a batch's rows, each one read) or the space is small next to the codes."""
+    if not dense and space > _DENSE_SPACE_PER_CODE * codes.size:
         return np.unique(codes, return_inverse=True)
     present = np.zeros(space, dtype=bool)
     present[codes] = True

@@ -63,7 +63,7 @@ from .metrics import (
     position_effects,
     summarize,
 )
-from .model import LanguageModel, top_candidates
+from .model import LanguageModel
 from .tree import TreeParams, grow_trees
 from .verify import score_trees
 
@@ -225,11 +225,12 @@ def generate_step(
     while live and len(per_wave) < max_new_tokens:
         keys = [tuple(contexts[p][suffix]) for p in live]
         new = [key for key in dict.fromkeys(keys) if key not in memo]
-        for key, row in zip(new, target.next_token_dists(new) if new else ()):
-            committed = top_candidates(row, 1)[0][0]
-            memo[key] = None if committed == eos_index else (len(seen), committed)
-            if memo[key] is not None:
-                seen.append(key)
+        if new:
+            which, tops, _ = target.next_token_dists(new).top(1)
+            for key, committed in zip(new, tops[which, 0].tolist()):
+                memo[key] = None if committed == eos_index else (len(seen), committed)
+                if memo[key] is not None:
+                    seen.append(key)
         still = []
         for p, key in zip(live, keys):
             if memo[key] is not None:

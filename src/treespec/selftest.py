@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import average_ranks, chain_probabilities, spearman_rho
-from .model import NGramModel, SparseRow, Vocabulary, entropies
+from .model import NGramModel, RowBatch, Vocabulary
 from .tree import TreeParams, build_draft_tree
 from .verify import acceptance_prob, residual_dist
 
@@ -150,17 +150,17 @@ def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
 
 
 def check_entropy(sizes: Sequence[int]) -> tuple[float, float]:
-    """``entropies`` of sparse rows, the path ``score_trees`` takes, per size n: a uniform
-    row with a positive floor and half its tokens listed at it (the block sum) and each
-    one-hot row with a zero floor (the dense sum).
+    """``RowBatch.entropies``, the path ``score_trees`` takes, of one batch per size n: a
+    uniform row with a positive floor and half its tokens listed at it (the block sum)
+    and each one-hot row with a zero floor (the dense sum).
 
     Returns the largest |H(uniform) - ln n| and the largest H(one-hot).
     """
-    uniform = [SparseRow(n, dict.fromkeys(range(0, n, 2), 1.0 / n), 1.0 / n) for n in sizes]
-    one_hot = [SparseRow(n, {t: 1.0}, 0.0) for n in sizes for t in range(n)]
-    h = entropies(uniform + one_hot)
-    uniform_dev = np.max(np.abs(np.subtract(h[:len(sizes)], [math.log(n) for n in sizes])))
-    return float(uniform_dev), float(np.max(h[len(sizes):]))
+    hs = [RowBatch(n, [0, *range(n - n // 2, 2 * n - n // 2 + 1)], [*range(0, n, 2), *range(n)],
+                   [1.0 / n] * (n - n // 2) + [1.0] * n, [1.0 / n] + [0.0] * n).entropies()
+          for n in sizes]
+    uniform_dev = np.max([abs(h[0] - math.log(n)) for h, n in zip(hs, sizes)])
+    return float(uniform_dev), float(np.max(np.concatenate([h[1:] for h in hs])))
 
 
 def run_selftest(seed: int = 42) -> bool:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import Dist, LanguageModel, TokenSeq, top_candidates
+from .model import LanguageModel, TokenSeq
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,12 @@ def grow_trees(
     parent_depth, parent_logp = np.zeros(n, dtype=np.int64), np.zeros(n)
     requests = bases
     while live.size:
-        which, ranked_tokens, ranked_probs, ranked_logps, usable = _rank(
-            draft.next_token_dists(requests), k)
+        # A row's candidates end at its first probability <= 0, whose log is taken as 0.
+        which, ranked_tokens, ranked_probs = draft.next_token_dists(requests).top(k)
+        ends = ranked_probs <= 0.0
+        ranked_logps = np.zeros(ranked_probs.shape)
+        ranked_logps[~ends] = list(map(math.log, ranked_probs[~ends].tolist()))
+        usable = np.where(ends.any(axis=1), ends.argmax(axis=1), k)
         placed = np.minimum(usable[which], max_nodes - count[live])
         stops = count[live] + placed
         if int(stops.max()) > width:
@@ -163,22 +167,3 @@ def grow_trees(
     return DraftTrees(tokens[filled], depths[filled], parents[filled], p_draft[filled],
                       cum_logp[filled], offsets)
 
-
-def _rank(dists: Sequence[Dist], k: int) -> tuple[np.ndarray, ...]:
-    """Each distinct distribution's ``top_candidates`` of k, ranked once.
-
-    Returns each dist's distinct row, the rows' tokens, probabilities and
-    their ``math.log`` as (rows x k) arrays (0 where a probability is <= 0),
-    and how many of each row's candidates come before its first
-    probability <= 0.
-    """
-    index: dict[int, int] = {}
-    which = [index.setdefault(id(dist), len(index)) for dist in dists]
-    distinct = {id(dist): dist for dist in dists}.values()
-    tokens, probs = zip(*[pair for dist in distinct for pair in top_candidates(dist, k)])
-    logps = [0.0 if p <= 0.0 else math.log(p) for p in probs]
-    probs = np.array(probs, dtype=np.float64).reshape(-1, k)
-    ends = probs <= 0.0
-    return (np.array(which, dtype=np.intp), np.array(tokens, dtype=np.int64).reshape(-1, k), probs,
-            np.array(logps, dtype=np.float64).reshape(-1, k),
-            np.where(ends.any(axis=1), ends.argmax(axis=1), k))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, entropies, validate_dist
+from .model import LanguageModel, TokenSeq, validate_dist
 from .tree import DraftTrees
 
 
@@ -45,10 +45,10 @@ def score_trees(
     context first, then for each node with children, in the order they were
     expanded: a node's children follow one another, so each run of equal
     ``parents`` is one expansion. One batched model invocation serves all the
-    trees; the entropies of the rows it returns are taken together
-    (``model.entropies``) and the acceptance probabilities as one array
-    (``acceptance_probs``). Each context is checked once and cut to the
-    target's window (``target.window``); a tree may be scored over any
+    trees; the ``RowBatch`` it returns gives every node's ``p_target`` in one
+    gather and its rows' entropies together, and the acceptance probabilities
+    are one array (``acceptance_probs``). Each context is checked once and
+    cut to the target's window (``target.window``); a tree may be scored over any
     context that ends in the draft window it grew on. Returns the float64
     columns ``p_target``, ``alpha`` and ``target_entropy``, one value per
     node of every tree in order.
@@ -76,12 +76,10 @@ def score_trees(
             requests.append((base if above < 0 else asked[above]) + (token,))
             asked[node] = requests[-1]
 
-    dists = target.next_token_dists(requests)
-    slots = node_slot.tolist()
-    p_target = np.fromiter((dists[slot][token] for slot, token in zip(slots, trees.tokens.tolist())),
-                           np.float64, len(slots))
+    rows = target.next_token_dists(requests)
+    p_target = rows.prob(node_slot, trees.tokens)
     return {"p_target": p_target, "alpha": acceptance_probs(p_target, trees.p_draft),
-            "target_entropy": np.array(entropies(dists))[node_slot]}
+            "target_entropy": rows.entropies()[node_slot]}
 
 
 def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> np.ndarray:

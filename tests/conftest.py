@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treespec import LanguageModel, NGramModel, RecordTable, synthetic_corpora
+from treespec import LanguageModel, NGramModel, RecordTable, RowBatch, synthetic_corpora
 from treespec.metrics import FLOAT_FIELDS, RECORD_COLUMNS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
 from treespec.model import _ranked_levels
 
@@ -91,7 +91,9 @@ class TableModel(LanguageModel):
     a window absent from ``table`` gets ``default``. It keeps each batch of
     contexts it is asked in ``batches`` (``next_token_dist`` asks a batch of
     one) and counts the contexts it scores in ``scored``. Distributions are
-    taken as given.
+    taken as given: a batch is one ``RowBatch`` of the dense vectors, a row
+    per context listing every token over a floor of 0, which the batch's
+    constructor ranks.
     """
 
     def __init__(self, vocab, default, table=None, context_window=None):
@@ -105,7 +107,10 @@ class TableModel(LanguageModel):
     def _batch_dists(self, contexts):
         self.batches.append([tuple(c) for c in contexts])
         self.scored += len(contexts)
-        return [self.table.get(self.window(c), self.default) for c in contexts]
+        vectors = [self.table.get(self.window(c), self.default) for c in contexts]
+        size, n = self.vocab.size, len(vectors)
+        return RowBatch(size, np.arange(n + 1) * size, np.tile(np.arange(size), n),
+                        np.concatenate([np.zeros(0), *vectors]), np.zeros(n))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -32,7 +33,7 @@ from treespec import (
 import treespec
 from treespec.cli import main
 from treespec.metrics import FLOAT_FIELDS, RECORD_FIELDS
-from treespec.model import entropies
+from treespec.model import RowBatch
 from treespec.runner import CONFIG_KEYS
 
 SRC = Path(treespec.__file__).resolve().parent.parent
@@ -104,9 +105,52 @@ def write_data_tree(root):
             (folder / f"doc{i}.txt").write_text(text, encoding="utf-8")
 
 
+def write_markov_data(root, seed=11, types=3000, docs=40, doc_len=200):
+    """A --data tree of two domains drawn from one seeded Markov chain of
+    ``types`` word types, each with 1 to 6 successors (a tenth of the steps
+    jump to any type), so a context often has fewer successors than a
+    4-token root."""
+    rng = random.Random(seed)
+    words = [f"w{i:04d}" for i in range(types)]
+    successors = [rng.sample(range(types), rng.randint(1, 6)) for _ in range(types)]
+    for domain in ("left", "right"):
+        folder = root / domain
+        folder.mkdir(parents=True)
+        for doc in range(docs):
+            token, tokens = rng.randrange(types), []
+            for _ in range(doc_len):
+                tokens.append(words[token])
+                token = rng.choice(successors[token]) if rng.random() < 0.9 else rng.randrange(types)
+            (folder / f"doc{doc:02d}.txt").write_text(" ".join(tokens) + "\n", encoding="utf-8")
+
+
+# sha256 of a --data run over write_markov_data's corpus, made as
+# REFERENCE_SHA256 was. Each domain's vocabulary holds over 2,400 types, so
+# the target's rows fill several entropy blocks of 2**16 terms.
+LARGE_VOCABULARY_SHA256 = {
+    "records.csv": "f889a9d274eec78982c4fad7718b755750f0a763270fc529dfb587bb9a81385d",
+    "summary.json": "ad2e037d36d68a2ed1896e3485a30f73badbaaa27a34902c745c5af0938ddf2c",
+    "tables.txt": "a7850e69438fff922aa36773610110557e2da6312da0151a11b866558a2eb082",
+}
+
+
 def branch_cap_ignored(model, context, params):
     """build_draft_tree with a defect: a node may have up to max_nodes children."""
     return build_draft_tree(model, context, dataclasses.replace(params, max_branch=params.max_nodes))
+
+
+class OffsetEntropies(RowBatch):
+    """RowBatch with a defect: every entropy is 1e-3 too high."""
+
+    def entropies(self):
+        return super().entropies() + 1e-3
+
+
+class NanEntropies(RowBatch):
+    """RowBatch with a defect: every entropy over 33 tokens is NaN."""
+
+    def entropies(self):
+        return np.full(self.index.size, math.nan) if self.size == 33 else super().entropies()
 
 
 class TestRun:
@@ -126,6 +170,22 @@ class TestRun:
             file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in pinned
         }
         assert digests == pinned
+
+    def test_large_vocabulary_data_run_matches_pinned_hashes(self, tmp_path):
+        write_markov_data(tmp_path / "data")
+        config = tmp_path / "config.txt"
+        config.write_text("max_depth = 4\nroot_top_k = 4\nmax_nodes = 16\ntarget_order = 4\n"
+                          "prompts_per_domain = 40\nmax_new_tokens = 8\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--data", str(tmp_path / "data"), "--config", str(config),
+                       "--out", str(out)) == 0
+        domains = json.loads((out / "meta.json").read_text(encoding="utf-8"))["domains"]
+        assert {d: meta["vocab_size"] for d, meta in domains.items()} == {"left": 2444, "right": 2434}
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in LARGE_VOCABULARY_SHA256
+        }
+        assert digests == LARGE_VOCABULARY_SHA256
 
     def test_early_stopped_run_speculates_only_the_windows_steps_record(self, tmp_path):
         # A window whose committed token is the end token halts its prompt,
@@ -509,7 +569,7 @@ class TestSelftest:
          "rank correlation vs naive oracle"),
         ("build_draft_tree", branch_cap_ignored, "tree invariants"),
         ("chain_probabilities", dict, "chain-length law"),
-        ("entropies", lambda dists: [h + 1e-3 for h in entropies(dists)], "entropy bounds"),
+        ("RowBatch", OffsetEntropies, "entropy bounds"),
         # NaN defects: each check must keep a NaN measure, not fold it away.
         ("acceptance_prob", lambda t, d: math.nan if t == 0.0 else acceptance_prob(t, d),
          "rejection-sampling exactness"),
@@ -517,8 +577,7 @@ class TestSelftest:
          "rank correlation vs naive oracle"),
         ("chain_probabilities", lambda alphas: {**chain_probabilities(alphas), 1: math.nan},
          "chain-length law"),
-        ("entropies", lambda dists: [math.nan if d.size == 33 else h
-                                     for d, h in zip(dists, entropies(dists))], "entropy bounds"),
+        ("RowBatch", NanEntropies, "entropy bounds"),
     ], ids=[
         "unclipped-alpha", "ranks-off-by-one", "branch-cap-ignored", "chain-without-products",
         "entropy-offset", "nan-alpha", "nan-ranks", "nan-chain", "nan-entropy",

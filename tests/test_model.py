@@ -9,14 +9,13 @@ from conftest import TableModel, ngram_model
 from treespec import (
     InputError,
     NGramModel,
-    SparseRow,
+    RowBatch,
     Vocabulary,
     entropy_nats,
     top_candidates,
     validate_dist,
 )
 from treespec import model as model_module
-from treespec.model import _dense_entropy, entropies
 
 AB = Vocabulary(("a", "b"))
 WXYZ = Vocabulary(("w", "x", "y", "z"))
@@ -198,7 +197,7 @@ class TestNextTokenDist:
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=2, smoothing=0.2)
         contexts = [[0], [1, 2], [3, 3, 3]]
         batched = model.next_token_dists(contexts)
-        for ctx, dist in zip(contexts, batched):
+        for ctx, dist in zip(contexts, batched.dense()):
             assert np.array_equal(dist, model.next_token_dist(ctx))
 
     def test_large_batch_matches_single(self):
@@ -211,13 +210,16 @@ class TestNextTokenDist:
         twin = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
         contexts = [list(rng.integers(0, 30, size=int(rng.integers(0, 6)))) for _ in range(96)]
         contexts += contexts[:5] + [[int(t) for t in c] for c in contexts[5:10]]
-        batched = model.next_token_dists(contexts)
-        for context, dist in zip(contexts, batched):
-            single = twin.next_token_dist(context)
-            assert_same_bits(dist, single)
-            assert (dist.row, dist.floor) == (single.row, single.floor)
-            assert_smoothed_counts(dist, model.counts.get(model.window(context)), 0.1)
-            assert model.next_token_dist(context) is dist  # kept, not read again
+        batch = model.next_token_dists(contexts)
+        read = len(model._store.floors)
+        for i, (context, dense) in enumerate(zip(contexts, batch.dense())):
+            single = twin.next_token_dists([context])
+            assert_same_bits(dense, single.dense()[0])
+            assert row_of(batch, i) == row_of(single, 0)
+            assert_smoothed_counts(batch, i, model.counts.get(model.window(context)), 0.1)
+            # Kept, not read again.
+            assert model.next_token_dists([context]).index.tolist() == [batch.index[i]]
+        assert len(model._store.floors) == read
 
     @pytest.mark.parametrize("bad", [[4], [-1], [0, 1, 9]])
     def test_batch_rejects_a_token_outside_the_vocabulary(self, bad):
@@ -237,7 +239,9 @@ class TestNextTokenDist:
                     model.next_token_dist(bad)
                 with pytest.raises(InputError, match="not an integer"):
                     model.next_token_dists([plain, bad])
-                assert model.next_token_dist(np.array(plain)) is model.next_token_dist(plain)
+                as_numpy, as_plain = (model.next_token_dists([c]) for c in (np.array(plain), plain))
+                assert as_numpy.index.tolist() == as_plain.index.tolist()
+                assert_same_bits(as_numpy.dense(), as_plain.dense())
 
 
 class TestContextWindow:
@@ -309,13 +313,13 @@ class TestCountStore:
                      for _ in range(10)]
         for context in contexts:
             row = expected.get(tuple(context[-span:]) if span else ())
-            dist = model.next_token_dist(context)
-            assert_smoothed_counts(dist, row, smoothing)
+            batch = model.next_token_dists([context])
+            assert_smoothed_counts(batch, 0, row, smoothing)
             dense = dense_dist(model, context)
-            assert_same_bits(dist, dense)
+            assert_same_bits(model.next_token_dist(context), dense)
             assert_same_bits(packed.next_token_dist(context), dense)
-            assert top_candidates(dist, min(3, size)) == top_candidates(dense, min(3, size))
-            assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
+            assert top_lists(batch, min(3, size))[0] == top_candidates(dense, min(3, size))
+            assert batch.entropies()[0].hex() == entropy_nats(dense).hex()
 
     def test_random_shapes(self):
         rng = np.random.default_rng(43)
@@ -363,6 +367,8 @@ class TestTopCandidates:
         for dist in ([0.5, 0.3, 0.2], model.next_token_dist([0])):
             with pytest.raises(InputError):
                 top_candidates(dist, k)
+        with pytest.raises(InputError):
+            model.next_token_dists([[0]]).top(k)
 
     def test_full_k_is_permutation(self):
         rng = np.random.default_rng(3)
@@ -405,11 +411,11 @@ class TestEntropy:
             assert 0.0 <= h <= math.log(size) + 1e-12
 
 
-# --- sparse rows against the dense builder ------------------------------------
+# --- row batches against the dense builder -----------------------------------
 
 
 def dense_dist(model, context):
-    """The dense builder NGramModel used before SparseRow, kept as the oracle."""
+    """The dense builder NGramModel used before its rows were sparse, kept as the oracle."""
     key = tuple(int(t) for t in context[-(model.order - 1):]) if model.order > 1 else ()
     row = model.counts.get(key)
     size = model.vocab.size
@@ -424,18 +430,34 @@ def dense_dist(model, context):
     return probs
 
 
-def assert_smoothed_counts(dist, row, smoothing):
-    """``dist`` holds (smoothing + count) / denom of each token of the count
-    ``row`` (None for an unseen context) and the floor smoothing / denom, bit
-    for bit; with no mass (denom 0), no tokens and the floor 1 / |V|."""
+def row_of(batch, i):
+    """Context i's row of ``batch``: its (token, probability) entries in order and its floor."""
+    row = batch.index[i]
+    start, stop = batch.offsets[row], batch.offsets[row + 1]
+    return list(zip(batch.tokens[start:stop].tolist(), batch.probs[start:stop].tolist())), \
+        float(batch.floors[row])
+
+
+def top_lists(batch, k):
+    """``batch.top(k)`` as one list of (token, probability) pairs per context."""
+    which, tokens, probs = batch.top(k)
+    return [list(zip(tokens[w].tolist(), probs[w].tolist())) for w in which.tolist()]
+
+
+def assert_smoothed_counts(batch, i, row, smoothing):
+    """Context i's row of ``batch`` holds (smoothing + count) / denom of each
+    token of the count ``row`` (None for an unseen context) and the floor
+    smoothing / denom, bit for bit; with no mass (denom 0), no tokens and
+    the floor 1 / |V|."""
     row = row or {}
-    denom = sum(row.values()) + smoothing * dist.size
+    denom = sum(row.values()) + smoothing * batch.size
+    entries, floor = row_of(batch, i)
     if denom <= 0.0:
-        assert (dist.row, dist.floor) == ({}, 1.0 / dist.size)
+        assert (entries, floor) == ([], 1.0 / batch.size)
         return
-    assert {t: p.hex() for t, p in dist.row.items()} == {
+    assert {t: p.hex() for t, p in entries} == {
         t: ((smoothing + count) / denom).hex() for t, count in row.items()}
-    assert dist.floor.hex() == (smoothing / denom).hex()
+    assert floor.hex() == (smoothing / denom).hex()
 
 
 def spy_on_set_entropies(monkeypatch):
@@ -443,10 +465,9 @@ def spy_on_set_entropies(monkeypatch):
     summed = []
     set_entropies = model_module._set_entropies
 
-    def spy(rows):
-        rows = list(rows)
-        summed.extend(rows)
-        set_entropies(rows)
+    def spy(batch, rows):
+        summed.extend(rows.tolist())
+        set_entropies(batch, rows)
 
     monkeypatch.setattr(model_module, "_set_entropies", spy)
     return summed
@@ -471,7 +492,7 @@ def assert_same_bits(a, b):
     assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 
 
-class TestSparseRow:
+class TestRowBatch:
     @pytest.mark.parametrize("smoothing", [0.0, 1e-3, 0.1, 1.0])
     def test_matches_dense_builder_bit_for_bit(self, smoothing):
         rng = np.random.default_rng(int(smoothing * 1000) + 17)
@@ -485,21 +506,21 @@ class TestSparseRow:
             for _ in range(100):
                 unseen = [int(t) for t in rng.integers(0, size, size=order - 1)]
                 if tuple(unseen) not in counts:
-                    # First, so that its cached entropy cannot stand in for
+                    # First, so that its kept entropy cannot stand in for
                     # the () row's.
                     contexts.insert(0, unseen)
                     break
             for context in contexts:
-                dist = model.next_token_dist(context)
+                batch = model.next_token_dists([context])
                 dense = dense_dist(model, context)
-                assert_same_bits(dist, dense)
-                assert_same_bits(validate_dist(dist, size), dense)
-                assert [dist[t] for t in range(size)] == [float(p) for p in dense]
+                assert_same_bits(batch.dense()[0], dense)
+                assert_same_bits(validate_dist(model.next_token_dist(context), size), dense)
+                assert_same_bits(batch.prob(np.zeros(size, dtype=np.int64), np.arange(size)), dense)
                 for k in range(1, size + 1):
-                    assert top_candidates(dist, k) == top_candidates(dense, k)
-                assert top_candidates(dist, 1)[0][0] == int(np.argmax(dense))
-                assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
-                assert entropy_nats(dist).hex() == entropy_nats(dense).hex()  # cached
+                    assert top_lists(batch, k) == [top_candidates(dense, k)]
+                assert batch.top(1)[1][0, 0] == int(np.argmax(dense))
+                assert batch.entropies()[0].hex() == entropy_nats(dense).hex()
+                assert batch.entropies()[0].hex() == entropy_nats(dense).hex()  # kept
 
     def test_entropy_matches_dense_at_large_vocabularies(self):
         # Past 128 entries numpy's pairwise sum splits the array into blocks;
@@ -509,11 +530,11 @@ class TestSparseRow:
             vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
             for smoothing, high in itertools.product((1e-3, 0.1, 1.0), (4, 10_000)):
                 model = ngram_model(vocab, 2, random_counts(rng, size, 2, high), smoothing)
-                for context in [[], *(list(key) for key in model.counts)]:
-                    dist = model.next_token_dist(context)
-                    dense = dense_dist(model, context)
-                    assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
-                    assert top_candidates(dist, 40) == top_candidates(dense, 40)
+                contexts = [[], *(list(key) for key in model.counts)]
+                batch = model.next_token_dists(contexts)
+                dense = [dense_dist(model, context) for context in contexts]
+                assert [h.hex() for h in batch.entropies()] == [entropy_nats(d).hex() for d in dense]
+                assert top_lists(batch, 40) == [top_candidates(d, 40) for d in dense]
 
     def test_log_does_not_depend_on_array_length(self):
         # _set_entropies takes its p ln p terms from a short array and the
@@ -552,18 +573,15 @@ class TestSparseRow:
         unseen = [[t] for t in range(size) if (t,) not in counts][:2]
         contexts = [list(key) for key in counts] + unseen + [list(next(iter(counts)))]
         model = ngram_model(vocab, 2, counts, smoothing)
-        dists = model.next_token_dists(contexts)
-        hs = entropies(dists)
-        # Every distinct row with a positive floor is summed once (at
-        # smoothing 0, only the uniform fallbacks have one).
-        positive = {id(d): d for d in dists if d.floor > 0.0}
-        assert sorted(id(row) for row in summed) == sorted(positive)
-        if smoothing:
-            assert len(positive) == 12
+        batch = model.next_token_dists(contexts)
+        hs = batch.entropies()
+        # Every distinct row is summed once; at smoothing 0 only the uniform
+        # fallback has a positive floor.
+        assert sorted(summed) == sorted(set(batch.index.tolist()))
+        assert np.count_nonzero(batch.floors[summed] > 0.0) == (12 if smoothing else 1)
         twin = ngram_model(vocab, 2, counts, smoothing)
         for context, h in zip(contexts, hs):
-            single = twin.next_token_dist(context)
-            assert h.hex() == entropy_nats(single).hex() == _dense_entropy(np.asarray(single)).hex()
+            assert h.hex() == entropy_nats(twin.next_token_dist(context)).hex()
 
     def test_entropy_blocks_stay_within_the_bound(self, monkeypatch):
         # Sixty narrow rows at |V| = 4000 and three rows to a block: the
@@ -575,78 +593,79 @@ class TestSparseRow:
         vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
         counts = {(c,): {int(t): int(rng.integers(1, 5)) for t in rng.choice(size, 8, replace=False)}
                   for c in range(60)}
-        dists = ngram_model(vocab, 2, counts, 0.1).next_token_dists([[c] for c in range(60)])
-        dense = [_dense_entropy(np.asarray(d)) for d in dists]
+        batch = ngram_model(vocab, 2, counts, 0.1).next_token_dists([[c] for c in range(60)])
+        dense = [entropy_nats(vector) for vector in batch.dense()]
         tracemalloc.start()
         try:
-            hs = entropies(dists)
+            hs = batch.entropies()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert hs == dense
+        assert hs.tolist() == dense
         block = 3 * size * np.dtype(np.float64).itemsize
         assert block <= peak < 2 * block
 
-    def test_each_row_enters_a_block_once(self, monkeypatch):
-        entered = spy_on_set_entropies(monkeypatch)
+    def test_each_row_is_summed_once_per_model(self, monkeypatch):
+        summed = spy_on_set_entropies(monkeypatch)
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=3, smoothing=0.1)
-        rows = model.next_token_dists([[2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]])
-        # [2, 2], [3, 0] and [1, 1] are unseen and share one row; [2, 0, 1] reads (0, 1).
-        assert rows[0] is rows[1] is model.next_token_dist([1, 1])
-        assert rows[5] is rows[4]
-        dense = [_dense_entropy(np.asarray(row)) for row in rows]
-        assert entropy_nats(rows[3]) == dense[3]  # a block of one
+        batch = model.next_token_dists([[2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]])
+        # [2, 2], [3, 0] and [1, 1] are unseen and share row 0; [2, 0, 1] reads (0, 1).
+        assert batch.index[0] == batch.index[1] == 0
+        assert model.next_token_dists([[1, 1]]).index.tolist() == [0]
+        assert batch.index[5] == batch.index[4]
+        dense = [entropy_nats(vector) for vector in batch.dense()]
         for _ in range(2):
-            assert entropies([*rows, np.asarray(rows[0])]) == [*dense, dense[0]]
-            assert [entropy_nats(row) for row in rows] == dense
-        assert len(entered) == len({id(row) for row in rows}) == 4
-        assert {id(row) for row in entered} == {id(row) for row in rows}
+            assert batch.entropies().tolist() == dense
+        # A later batch takes its kept rows' entropies and sums only its new row.
+        later = model.next_token_dists([[0, 1], [1, 2], [2, 2]])
+        assert later.entropies().tolist() == [dense[4], entropy_nats(later.dense()[1]), dense[0]]
+        assert sorted(summed) == sorted({*batch.index.tolist(), later.index[1]})
+        assert len(summed) == 5
 
-    def test_top_repeats_and_hands_out_copies(self):
+    def test_top_hands_out_new_arrays(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=2, smoothing=0.1)
-        dist = model.next_token_dist([0])
+        batch = model.next_token_dists([[0]])
         dense = dense_dist(model, [0])
         for k in (1, 3, 4):
-            first = dist.top(k)
-            assert first == top_candidates(dense, k)
-            first.append((99, 2.0))
-            first[0] = (99, 2.0)
-            assert dist.top(k) == top_candidates(dense, k)
-            assert top_candidates(dist, k) == top_candidates(dense, k)
-            assert dist.top(k) is not dist.top(k)
+            _, tokens, probs = batch.top(k)
+            assert top_lists(batch, k) == [top_candidates(dense, k)]
+            tokens[0], probs[0] = 99, 2.0
+            assert top_lists(batch, k) == [top_candidates(dense, k)]
         with pytest.raises(InputError):
-            dist.top(5)
+            batch.top(5)
 
     @pytest.mark.parametrize("size, row, floor, dense", [
         # The last listed probability equals the floor, so it ties with
         # tokens 0 and 2 outside the row, which rank before it.
         (6, {3: 0.4, 1: 0.2, 5: 0.1}, 0.1, [0.1, 0.2, 0.1, 0.4, 0.1, 0.1]),
-        # Ties inside the row, listed by ascending token.
-        (5, {1: 0.3, 3: 0.3, 0: 0.2}, 0.1, [0.2, 0.3, 0.1, 0.3, 0.1]),
+        # Ties inside the row, given out of rank order.
+        (5, {3: 0.3, 0: 0.2, 1: 0.3}, 0.1, [0.2, 0.3, 0.1, 0.3, 0.1]),
         # A zero floor: tokens outside the row have probability 0.
-        (5, {4: 0.5, 1: 0.25, 3: 0.25}, 0.0, [0.0, 0.25, 0.0, 0.25, 0.5]),
+        (5, {1: 0.25, 4: 0.5, 3: 0.25}, 0.0, [0.0, 0.25, 0.0, 0.25, 0.5]),
+        # A listed probability under the floor, given before a higher one.
+        (3, {0: 0.2, 1: 0.5}, 0.3, [0.2, 0.5, 0.3]),
+        # A listed zero under a positive floor.
+        (4, {2: 0.0, 0: 0.5}, 0.25, [0.5, 0.25, 0.0, 0.25]),
     ])
     def test_hand_built_rows_match_their_dense_vectors(self, size, row, floor, dense):
-        dist = SparseRow(size, row, floor)
-        assert_same_bits(dist, dense)
-        dense = np.asarray(dist)
-        assert [dist[t] for t in range(size)] == dense.tolist()
+        batch = RowBatch(size, [0, len(row)], list(row), list(row.values()), [floor])
+        assert_same_bits(batch.dense()[0], dense)
+        assert_same_bits(batch.prob(np.zeros(size, dtype=np.int64), np.arange(size)), dense)
         for k in range(1, size + 1):
-            assert top_candidates(dist, k) == top_candidates(dense, k)
+            assert top_lists(batch, k) == [top_candidates(dense, k)]
         for _ in range(2):  # computed, then kept
-            assert entropy_nats(dist).hex() == entropy_nats(dense).hex()
-        assert entropies([dist, dense]) == [entropy_nats(dense)] * 2
+            assert batch.entropies()[0].hex() == entropy_nats(dense).hex()
+
+    def test_constructor_ranks_the_rows_it_is_given(self):
+        # It used to trust the caller's order and rank (2, 0.3) first.
+        batch = RowBatch(3, [0, 2], [0, 1], [0.2, 0.5], [0.3])
+        assert top_lists(batch, 1) == [[(1, 0.5)]]
+        assert row_of(batch, 0) == ([(1, 0.5), (0, 0.2)], 0.3)
 
     def test_token_out_of_range(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)
-        dist = model.next_token_dist([0])
-        assert dist[np.int64(1)] == dense_dist(model, [0])[1]
+        batch = model.next_token_dists([[0]])
+        assert batch.prob([0], [np.int64(1)])[0] == dense_dist(model, [0])[1]
         for token in (4, -1):
             with pytest.raises(IndexError):
-                dist[token]
-
-    def test_asarray_dtype(self):
-        model = NGramModel.fit(WXYZ, [[0, 1, 2]], order=2, smoothing=0.1)
-        dist = model.next_token_dist([0])
-        assert np.asarray(dist, dtype=np.float32).dtype == np.float32
-        assert_same_bits(np.asarray(dist, dtype=np.float64), dense_dist(model, [0]))
+                batch.prob([0], [token])

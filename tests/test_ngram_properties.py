@@ -10,13 +10,16 @@ the cases fall on both sides, and every column must equal the one the
 oracle builds with ``np.unique`` alone. ``train_models`` ranks the levels
 once for both of its models, so the draft must hold the target's own lower
 level objects. The level walk that serves a batch must find each context's
-row as ``counts`` decodes it.
+row as ``counts`` decodes it, and every ``RowBatch`` a model serves, or the
+constructor ranks, must give the top candidates, probabilities and
+entropies of its dense vectors bit for bit.
 """
 
 import numpy as np
 
 from conftest import ngram_model
-from treespec import DomainCorpus, NGramModel, Vocabulary, train_models
+from treespec import DomainCorpus, NGramModel, RowBatch, Vocabulary, entropy_nats, top_candidates
+from treespec import train_models
 from treespec import model as model_module
 
 CASES = 200
@@ -204,19 +207,129 @@ def test_level_walk_matches_the_decoded_counts():
                  for _ in range(40)]
         keys = list(dict.fromkeys(keys))
         assert model._read_rows([]) == []
+        store = model._store
         for key, row in zip(keys, model._read_rows(keys), strict=True):
             expected = held.get(key)
             if expected is None:
-                assert row is model._unseen
+                assert row == 0
                 unseen += 1
                 continue
             # The row lists its tokens' probabilities in rank order: descending
             # probability, then ascending token.
             denom = sum(expected.values()) + 0.1 * size
-            assert list(row.row.items()) == sorted(
-                ((token, (0.1 + count) / denom) for token, count in expected.items()),
-                key=lambda item: (-item[1], item[0]))
-            assert row.floor == 0.1 / denom
-            assert all(type(t) is int for t in row.row)
-            assert all(type(p) is float for p in row.row.values())
+            start, stop = store.offsets[row], store.offsets[row + 1]
+            assert list(zip(store.tokens[start:stop].tolist(), store.probs[start:stop].tolist())) \
+                == sorted(((token, (0.1 + count) / denom) for token, count in expected.items()),
+                          key=lambda item: (-item[1], item[0]))
+            assert store.floors[row] == 0.1 / denom
+        assert store.offsets.size == store.floors.size + 1 == store.h[0].size + 1
+        assert store.tokens.dtype == np.int64 and store.probs.dtype == np.float64
     assert unseen >= CASES
+
+
+def dense_oracle(model, key):
+    """The dense vector of ``key``'s count row, built from ``counts`` token by token."""
+    row = model.counts.get(key, {})
+    size, smoothing = model.vocab.size, model.smoothing
+    denom = sum(row.values()) + smoothing * size
+    if denom <= 0.0:
+        return np.full(size, 1.0 / size)
+    probs = np.full(size, smoothing / denom)
+    for token, count in row.items():
+        probs[token] = (smoothing + count) / denom
+    return probs
+
+
+def assert_matches_dense(batch, vectors):
+    """Context i of ``batch`` against its dense vector ``vectors[i]``: the dense
+    vector itself, every k's top candidates, every token's probability and the
+    entropy, bit for bit. Each distinct row is ranked once per ``top``."""
+    vectors = np.asarray(vectors, dtype=np.float64).reshape(batch.index.size, batch.size)
+    assert np.array_equal(batch.dense().view(np.uint64), vectors.view(np.uint64))
+    n, size = batch.index.size, batch.size
+    contexts = np.repeat(np.arange(n), size)
+    probs = batch.prob(contexts, np.tile(np.arange(size), n))
+    assert np.array_equal(probs.view(np.uint64), vectors.reshape(-1).view(np.uint64))
+    for k in range(1, size + 1):
+        which, tokens, ranked = batch.top(k)
+        assert tokens.shape == ranked.shape == (len(set(batch.index.tolist())), k)
+        assert which.tolist() == [sorted(set(batch.index.tolist())).index(r) for r in batch.index]
+        for w, vector in zip(which.tolist(), vectors):
+            assert list(zip(tokens[w].tolist(), ranked[w].tolist())) == top_candidates(vector, k)
+    assert [h.hex() for h in batch.entropies()] == [entropy_nats(v).hex() for v in vectors]
+
+
+def test_model_batches_match_their_dense_vectors(monkeypatch):
+    # Small vocabularies, so that every k is checked. Counts from 0 tie
+    # entries with each other and with the floor; smoothing 0 gives zero
+    # floors and rows with no mass. Each case asks two batches of repeated,
+    # unseen and short contexts, half of them of numpy ints, so the second
+    # serves rows the first read.
+    summed = []
+    set_entropies = model_module._set_entropies
+
+    def spy(batch, rows):
+        summed.extend(rows.tolist())
+        set_entropies(batch, rows)
+
+    monkeypatch.setattr(model_module, "_set_entropies", spy)
+    rng = np.random.default_rng(4205)
+    tally = dict.fromkeys(("unseen", "zero floor", "last at floor", "tie", "kept"), 0)
+    for case in range(CASES):
+        size = int(rng.integers(2, 24))
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+        order = int(rng.integers(1, 5))
+        types = int(rng.integers(1, size + 1))
+        counts = {}
+        for _ in range(int(rng.integers(0, 12))):
+            context = tuple(int(t) for t in rng.integers(0, types, size=int(rng.integers(0, order))))
+            counts[context] = {int(t): int(rng.integers(0, 4))
+                               for t in rng.integers(0, size, size=int(rng.integers(0, size + 1)))}
+        model = ngram_model(vocab, order, counts, float(rng.choice([0.0, 0.1, 1.0])))
+        held = list(model.counts)
+        summed.clear()
+        read = set()
+        for _ in range(2):
+            contexts = [list(held[i]) for i in rng.integers(0, len(held), size=6)] if held else []
+            contexts += [rng.integers(0, size, size=int(rng.integers(0, order + 1))).tolist()
+                         for _ in range(6)]
+            contexts = [np.array(c, dtype=np.int64) if i % 2 else c for i, c in enumerate(contexts)]
+            batch = model.next_token_dists(contexts)
+            keys = [model.window(c) for c in contexts]
+            assert_matches_dense(batch, [dense_oracle(model, key) for key in keys])
+            assert len(set(batch.index.tolist())) == len({model._rows[key] for key in keys})
+            rows = set(batch.index.tolist())
+            ends = batch.offsets[1:][batch.offsets[1:] > batch.offsets[:-1]] - 1
+            at_floor = batch.probs[ends] == batch.floors[batch.offsets[1:] > batch.offsets[:-1]]
+            owner = np.repeat(np.arange(batch.floors.size), np.diff(batch.offsets))
+            same = (batch.probs[1:] == batch.probs[:-1]) & (owner[1:] == owner[:-1])
+            tally["unseen"] += 0 in rows
+            tally["zero floor"] += bool((batch.floors[batch.index] == 0.0).any())
+            tally["last at floor"] += bool(at_floor.any())
+            tally["tie"] += bool(same.any())
+            tally["kept"] += bool(rows & read)
+            read |= rows
+        # Each row of the model is summed once, in whichever batch first asks.
+        assert len(summed) == len(set(summed))
+    assert min(tally.values()) >= 20, tally
+
+
+def test_constructed_batches_match_their_dense_vectors():
+    # The constructor ranks rows given in any order: ties, probabilities
+    # at, above and below the floor, zeros under a positive floor, zero
+    # floors, empty rows and rows that list every token; contexts share rows.
+    rng = np.random.default_rng(4206)
+    for _ in range(CASES):
+        size = int(rng.integers(2, 16))
+        n_rows = int(rng.integers(1, 6))
+        floors = rng.choice([0.0, 0.1, 0.25], size=n_rows)
+        rows = [rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False)
+                for _ in range(n_rows)]
+        values = [rng.choice([0.0, 0.1, 0.25, 0.4], size=row.size) for row in rows]
+        index = rng.integers(0, n_rows, size=int(rng.integers(1, 8)))
+        batch = RowBatch(size, np.cumsum([0] + [row.size for row in rows]),
+                         np.concatenate(rows), np.concatenate(values), floors, index)
+        vectors = np.repeat(floors[:, None], size, axis=1)
+        for r, (row, value) in enumerate(zip(rows, values)):
+            vectors[r, row] = value
+        assert_matches_dense(batch, vectors[index])
