@@ -296,24 +296,23 @@ class NGramModel(LanguageModel):
     1]]`` (ascending), their counts ``_counts`` over the same slice, and the
     sum ``_totals[c]``.
 
-    A batch (``_batch_dists``) walks the levels once for all of its new
-    contexts, one ``np.searchsorted`` per level, and computes and ranks their
-    successors' probabilities, over the floor smoothing / (total + smoothing
-    * |V|), in one numpy pass (``_read_rows``) appended to one ``RowBatch``,
-    ``_store``, so a context is read and its entropy summed once. A batch is
-    the store with the contexts' rows as ``index``; unseen contexts share row 0.
+    A batch (``_batch_dists``) walks the levels once for all of its
+    contexts, one ``np.searchsorted`` per level, which gives each its id.
+    ``_row_of[c]`` is context c's row in one ``RowBatch``, ``_store`` (-1
+    until read); its last slot, the id of every unseen context, holds the
+    shared row 0. The ids a batch has not read before are read once, in id
+    order: their successors' probabilities, over the floor smoothing /
+    (total + smoothing * |V|), are computed and ranked in one numpy pass
+    (``_read_rows``) appended to the store, so a context is read and its
+    entropy summed once. A batch is the store with the contexts' rows as
+    ``index``.
     """
 
     @classmethod
     def fit(cls, vocab: Vocabulary, documents: Sequence[TokenSeq], order: int,
             smoothing: float) -> "NGramModel":
-        """Count successor statistics over ``documents`` (index sequences).
-
-        Each token must be an integer, by the rule ``window`` applies to a
-        context. The model is ``_fit_orders`` at this one order.
-        """
-        if _plain_ints(tuple(itertools.chain.from_iterable(documents))) is None:
-            raise InputError("a document holds a token that is not an integer")
+        """Count successor statistics over ``documents`` (index sequences): ``_fit_orders``
+        at this one order."""
         return cls._fit_orders(vocab, documents, (order,), smoothing)[0]
 
     @classmethod
@@ -321,11 +320,12 @@ class NGramModel(LanguageModel):
                     smoothing: float) -> list["NGramModel"]:
         """``fit`` at each of the ascending ``orders``, from one ranking of the levels.
 
-        The documents are flattened into one range-checked array, and each
-        level's context ids are ranked over all positions at once up to the
-        highest order (``_ranked_levels``). After level k - 1 the order-k model
-        counts its (context, token) pairs in one pass (``_count``) and keeps
-        ``_levels[:k - 1]``, the very level objects every higher order holds.
+        The documents are flattened into one range-checked array, each token an
+        integer by the rule ``window`` applies to a context (``_int_key``), and
+        each level's context ids are ranked over all positions at once up to
+        the highest order (``_ranked_levels``). After level k - 1 the order-k
+        model counts its (context, token) pairs in one pass (``_count``) and
+        keeps ``_levels[:k - 1]``, the very level objects every higher order holds.
         """
         if orders[0] < 1:
             raise InputError("order must be >= 1")
@@ -333,9 +333,21 @@ class NGramModel(LanguageModel):
             raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
         size = vocab.size
         lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-        flat = np.fromiter(itertools.chain.from_iterable(documents), dtype=np.int64,
-                           count=int(lengths.sum()))
-        if flat.size and (flat.min() < 0 or flat.max() >= size):
+        tokens = itertools.chain.from_iterable(documents)
+        # The sum is a plain int only when every token is an int or a bool;
+        # numpy ints that overflow it are checked token by token too.
+        with np.errstate(over="ignore"):
+            try:
+                plain = type(sum(map(sum, documents))) is int
+            except TypeError:
+                plain = False
+        if not plain:
+            tokens = _int_key(tuple(tokens), "a document")
+        try:
+            flat = np.fromiter(tokens, dtype=np.int64, count=int(lengths.sum()))
+        except OverflowError:  # a token past int64 is outside the vocabulary too
+            flat = None
+        if flat is None or flat.size and (flat.min() < 0 or flat.max() >= size):
             raise InputError("document contains a token outside the model vocabulary")
         since_start = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         # Made one level at a time, so only one column is alive at once.
@@ -352,10 +364,12 @@ class NGramModel(LanguageModel):
         model, size = cls(), vocab.size
         model.vocab, model.order, model.context_window = vocab, order, order - 1
         model.smoothing = float(smoothing)
-        model._rows, model._lock = {}, threading.Lock()  # context -> its row in _store, once read
+        model._lock = threading.Lock()
         # Unseen contexts share row 0; () is the real document-start row.
         s = model.smoothing
         model._store = RowBatch(size, [0, 0], [], [], [s / (s * size) if s else 1.0 / size])
+        model._row_of = np.full(n_contexts + 1, -1, dtype=np.int64)
+        model._row_of[-1] = 0
         model._levels = levels
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
@@ -387,60 +401,46 @@ class NGramModel(LanguageModel):
         })
 
     def _batch_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
-        """``next_token_dists``: one range check, a dict hit per context seen before and one
-        ``_read_rows`` for the new ones; the store's columns, with the contexts' rows as index."""
+        """``next_token_dists``: one range check, one level walk that gives each context its id
+        (a window shorter than the span is padded with -1, whose ``back`` is 0) and one
+        ``_read_rows`` of the ids not read before; the store's columns, with the contexts' rows
+        as index. An unseen context's id is -1, ``_row_of``'s last slot; a model of no
+        contexts has empty levels and that one slot, so it walks none of them."""
         size, span = self.vocab.size, self.context_window
         tokens = list(itertools.chain.from_iterable(contexts))
         if tokens and (min(tokens) < 0 or max(tokens) >= size):
             raise InputError("context contains a token outside the model vocabulary")
-        # A key of numpy ints finds the row of the same plain ints; unless the
-        # batch holds plain ints alone, a miss is looked up again as plain ints
-        # (InputError if a token is not an integer) before it is read.
-        keys = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
-        rows = self._rows
+        windows = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
+        if set(map(type, tokens)) - {int}:  # InputError if a token is not an integer
+            windows = list(map(_int_key, windows))
+        pad = (-1,) * span
+        backs = np.array([pad[len(w):] + w for w in windows],
+                         dtype=np.int64).reshape(len(windows), span)[:, ::-1] + 1
+        ids = np.zeros(len(windows), dtype=np.int64)
+        for k, codes in enumerate(self._levels if len(self._totals) else ()):
+            codes = np.asarray(codes)
+            want = ids * (size + 1) + backs[:, k]
+            found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
+            # An unseen parent (-1) makes a negative code, which never matches.
+            ids = np.where(codes[found] == want, found, -1)
         with self._lock:  # an append replaces the store's columns one by one
-            ids = list(map(rows.get, keys))
-            if None in ids:
-                missed = [i for i, row in enumerate(ids) if row is None]
-                as_ints = _int_key if set(map(type, tokens)) - {int} else tuple
-                plain = {keys[i]: as_ints(keys[i]) for i in missed}
-                new = [key for key in dict.fromkeys(plain.values()) if key not in rows]
-                rows.update(zip(new, self._read_rows(new)))
-                for i in missed:
-                    ids[i] = rows[plain[keys[i]]]
+            row_of = self._row_of
+            new = np.sort(ids[row_of[ids] < 0])
+            if new.size:
+                new = new[np.append(True, new[1:] != new[:-1])]
+                row_of[new] = self._read_rows(new)
             batch = copy.copy(self._store)
-        batch.index = np.array(ids, dtype=np.int64)
+            batch.index = row_of[ids]
         return batch
 
-    def _read_rows(self, keys: list[tuple[int, ...]]) -> list[int]:
-        """Append each key's count row to the store, each level searched for all keys
-        at once, and return the keys' rows there.
-
-        A key's column k - 1 holds its ``back`` at level k; a key shorter
-        than the window is padded with -1, whose ``back`` is 0. A key that
-        leaves the levels, or whose row has no mass (possible only at
-        smoothing 0), gets the shared unseen row 0: the uniform row then.
-        """
-        span, radix, size = self.order - 1, self.vocab.size + 1, self.vocab.size
-        node = np.zeros(len(keys), dtype=np.int64)
-        if span:
-            padded = np.array([key if len(key) == span else (-1,) * (span - len(key)) + key
-                               for key in keys], dtype=np.int64).reshape(len(keys), span)
-            backs = padded[:, ::-1] + 1
-            for k, codes in enumerate(self._levels):
-                codes = np.asarray(codes)
-                if not codes.size:
-                    node[:] = -1
-                    break
-                want = node * radix + backs[:, k]
-                found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
-                # An unseen parent (-1) makes a negative code, which never matches.
-                node = np.where(codes[found] == want, found, -1)
-        smoothing, denoms = self.smoothing, np.zeros(node.size)
-        held = (node >= 0) & (node < len(self._totals))
-        denoms[held] = np.asarray(self._totals)[node[held]] + smoothing * size
+    def _read_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Append the count rows of the ascending, distinct context ``ids`` to the store, in
+        that order, and return their rows there; a row with no mass (possible only at
+        smoothing 0) gets the shared unseen row 0: the uniform row then."""
+        smoothing, size = self.smoothing, self.vocab.size
+        denoms = np.asarray(self._totals)[ids] + smoothing * size
         mass = denoms > 0.0
-        seen, denoms = node[mass], denoms[mass]
+        seen, denoms = ids[mass], denoms[mass]
         # Every seen row's successors and probabilities, in rank order:
         # descending probability, then ascending token, as a stable sort of
         # ascending tokens leaves equal probabilities.
@@ -448,14 +448,14 @@ class NGramModel(LanguageModel):
         probs = (smoothing + np.asarray(self._counts)[at]) / np.repeat(denoms, lengths)
         order = np.lexsort((-probs, np.repeat(np.arange(seen.size), lengths)))
         store = self._store
-        ids = np.zeros(node.size, dtype=np.int64)
-        ids[mass] = store.floors.size + np.arange(seen.size)
+        rows = np.zeros(ids.size, dtype=np.int64)
+        rows[mass] = store.floors.size + np.arange(seen.size)
         store.offsets = np.concatenate((store.offsets, store.offsets[-1] + np.cumsum(lengths)))
         store.tokens = np.concatenate((store.tokens, np.asarray(self._tokens)[at[order]]))
         store.probs = np.concatenate((store.probs, probs[order]))
         store.floors = np.concatenate((store.floors, smoothing / denoms))
         store.h[0] = np.concatenate((store.h[0], np.full(seen.size, np.nan)))
-        return ids.tolist()
+        return rows
 
 
 # Up to this many codes' worth of code space, a presence mask or a bincount
@@ -497,18 +497,13 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts[keys]
 
 
-def _plain_ints(values: tuple) -> tuple[int, ...] | None:
-    """``values`` as plain ints, or None unless each value is an integer: equal to its ``int``."""
+def _int_key(key: tuple, owner: str | None = None) -> tuple[int, ...]:
+    """``key`` as plain ints; InputError, naming ``owner`` (the context ``key`` when None),
+    unless each of its tokens is an integer: equal to its ``int``."""
     try:
-        plain = tuple(map(int, values))
+        plain = tuple(map(int, key))
     except (TypeError, ValueError, OverflowError):
-        return None
-    return plain if plain == values else None
-
-
-def _int_key(key: tuple) -> tuple[int, ...]:
-    """``key`` as plain ints; InputError unless each of its tokens is an integer."""
-    plain = _plain_ints(key)
-    if plain is None:
-        raise InputError(f"context {key!r} holds a token that is not an integer")
+        plain = None
+    if plain != key:
+        raise InputError(f"{owner or f'context {key!r}'} holds a token that is not an integer")
     return plain

@@ -1,5 +1,8 @@
+import concurrent.futures
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,18 +10,26 @@ import pytest
 
 from conftest import TableModel, ngram_model
 from treespec import (
+    DomainCorpus,
     InputError,
     NGramModel,
     RowBatch,
     Vocabulary,
     entropy_nats,
     top_candidates,
+    train_models,
     validate_dist,
 )
 from treespec import model as model_module
 
 AB = Vocabulary(("a", "b"))
 WXYZ = Vocabulary(("w", "x", "y", "z"))
+
+
+def fits(vocab):
+    """The order-2 model of some documents, by ``NGramModel.fit`` and by ``train_models``."""
+    return (lambda documents: NGramModel.fit(vocab, documents, 2, 0.1),
+            lambda documents: train_models(DomainCorpus("d", documents, vocab), 1, 2, 0.1)[1])
 
 
 def hand_count_bigram(corpus, context_token, successor, smoothing, vocab_size):
@@ -140,25 +151,32 @@ class TestNextTokenDist:
             assert np.array_equal(model.next_token_dist(list(context)), [0.5, 0.5])
 
     def test_fit_token_outside_vocabulary_rejected(self):
-        with pytest.raises(InputError, match="outside the model vocabulary"):
-            NGramModel.fit(AB, [[0, 1], [1, 2]], order=2, smoothing=0.1)
+        # Past int64 too, through both entry points.
+        for documents in ([[0, 1], [1, 2]], [[0, 2**70]], [[-2**70, 1]]):
+            for fit in fits(AB):
+                with pytest.raises(InputError, match="outside the model vocabulary"):
+                    fit(documents)
 
     @pytest.mark.parametrize("documents", [
-        [[0, 1.5, 2]], [[0, 1], [2, 0.5]], [[float("nan")]], [["1"]], [[0, None]],
+        [[0, 1.5, 2]], [(0, 1.5, 2)], [[0, 1], [2, 0.5]], [[float("nan")]], [["1"]], [[0, None]],
+        [[np.int64(2**62)] * 4 + [0.5]],
     ])
     def test_fit_token_that_is_not_an_integer_rejected(self, documents):
-        # The rule window applies to a context: 1.5 is not counted as 1.
+        # The rule window applies to a context: 1.5 is not counted as 1, nor
+        # "1" as 1, by fit or by train_models.
         abc = Vocabulary(("a", "b", "c"))
-        with pytest.raises(InputError, match="a document holds a token that is not an integer"):
-            NGramModel.fit(abc, documents, 2, 0.1)
+        for fit in fits(abc):
+            with pytest.raises(InputError, match="a document holds a token that is not an integer"):
+                fit(documents)
         with pytest.raises(InputError, match="not an integer"):
             NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).window(documents[-1])
 
     def test_fit_takes_integer_tokens_of_any_type(self):
         abc = Vocabulary(("a", "b", "c"))
         plain = NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).counts
-        assert NGramModel.fit(abc, [[0, 1.0, np.int64(2)]], 2, 0.1).counts == plain
-        assert NGramModel.fit(abc, [np.array([0, 1, 2])], 2, 0.1).counts == plain
+        for documents in ([[0, 1.0, np.int64(2)]], [np.array([0, 1, 2])], [[0, True, 2]]):
+            for fit in fits(abc):
+                assert fit(documents).counts == plain
 
     def test_unknown_token_in_context(self):
         model = NGramModel.fit(AB, [[0, 1]], order=2, smoothing=0.1)
@@ -220,6 +238,40 @@ class TestNextTokenDist:
             # Kept, not read again.
             assert model.next_token_dists([context]).index.tolist() == [batch.index[i]]
         assert len(model._store.floors) == read
+
+    def test_concurrent_batches_match_a_serial_model(self):
+        # Four threads send overlapping batches to one fresh model at once.
+        # Each batch equals a serial twin's, and the store ends with row 0
+        # and one row per context id read, as the twin's does.
+        rng = np.random.default_rng(61)
+        vocab = Vocabulary(tuple(f"t{i}" for i in range(30)))
+        docs = [[int(t) for t in rng.integers(0, 30, size=300)] for _ in range(3)]
+        model, twin = (NGramModel.fit(vocab, docs, order=3, smoothing=0.1) for _ in range(2))
+        pool = [[int(t) for t in rng.integers(0, 30, size=int(rng.integers(0, 4)))]
+                for _ in range(300)]
+        batches = [[[pool[i] for i in rng.integers(0, len(pool), size=24)] for _ in range(25)]
+                   for _ in range(4)]
+        start = threading.Barrier(len(batches))
+
+        def send(mine):
+            start.wait(timeout=10)
+            return [model.next_token_dists(contexts).dense() for contexts in mine]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(batches)) as threads:
+                served = list(threads.map(send, batches))
+        finally:
+            sys.setswitchinterval(interval)
+        for mine, dense in zip(batches, served):
+            for contexts, got in zip(mine, dense):
+                assert_same_bits(got, twin.next_token_dists(contexts).dense())
+        read = model._row_of[:-1] >= 0
+        assert np.array_equal(read, twin._row_of[:-1] >= 0)
+        assert sorted(model._row_of[:-1][read].tolist()) == list(range(1, model._store.floors.size))
+        store = model._store
+        assert store.offsets.size == store.floors.size + 1 == store.h[0].size + 1
 
     @pytest.mark.parametrize("bad", [[4], [-1], [0, 1, 9]])
     def test_batch_rejects_a_token_outside_the_vocabulary(self, bad):

@@ -191,24 +191,41 @@ def random_model(rng, case):
 
 
 def test_level_walk_matches_the_decoded_counts():
-    # ``counts`` decodes each row's context by divmod over the levels; the
-    # level walk must find that row for every context the model holds, for
-    # their shorter suffixes and for random keys, mostly unseen: one token
-    # type more than the model saw.
+    # ``counts`` decodes each row's context by divmod over the levels, in
+    # context id order; the level walk must find that row for every context
+    # the model holds, for their shorter suffixes and for random keys, mostly
+    # unseen: one token type more than the model saw. A first batch of plain
+    # ints asks for some of the keys; a second asks for every key as plain
+    # ints, numpy ints and floats equal to ints, which share one row, and
+    # appends rows only for the ids the first did not read, in id order.
+    # Unseen keys get row 0 and add no row.
     rng = np.random.default_rng(4203)
     unseen = 0
     for case in range(CASES):
         model, types = random_model(rng, case)
         span, size = model.order - 1, model.vocab.size
         held = model.counts
+        ids = {key: i for i, key in enumerate(held)}
         keys = list(held) + [key[1:] for key in held if key]
         keys += [tuple(int(t) for t in rng.integers(0, min(types + 1, size),
                                                      size=int(rng.integers(0, span + 1))))
                  for _ in range(40)]
         keys = list(dict.fromkeys(keys))
-        assert model._read_rows([]) == []
         store = model._store
-        for key, row in zip(keys, model._read_rows(keys), strict=True):
+        assert model.next_token_dists([]).index.size == 0 and store.floors.size == 1
+        first = [keys[i] for i in rng.permutation(len(keys))[:len(keys) // 2]]
+        rows = dict(zip(first, model.next_token_dists(first).index.tolist()))
+        read = {ids[key] for key in first if key in ids}
+        assert store.floors.size == 1 + len(read)
+        forms = [form for key in keys for form in (key, np.array(key, dtype=np.int64),
+                                                   [float(t) for t in key])]
+        index = model.next_token_dists(forms).index.reshape(len(keys), 3)
+        assert (index == index[:, :1]).all()
+        new = sorted({ids[key] for key in keys if key in ids} - read)
+        assert model._row_of[new].tolist() == list(range(1 + len(read), store.floors.size))
+        assert store.floors.size == 1 + len(held)
+        for key, row in zip(keys, index[:, 0].tolist(), strict=True):
+            assert rows.get(key, row) == row
             expected = held.get(key)
             if expected is None:
                 assert row == 0
@@ -263,8 +280,10 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
     # Small vocabularies, so that every k is checked. Counts from 0 tie
     # entries with each other and with the floor; smoothing 0 gives zero
     # floors and rows with no mass. Each case asks two batches of repeated,
-    # unseen and short contexts, half of them of numpy ints, so the second
-    # serves rows the first read.
+    # unseen and short contexts, as plain ints, numpy ints and floats equal to
+    # ints, so the second serves rows the first read. Each context's row is
+    # its context id's row in the cache: row 0 when it is unseen or has no
+    # mass, and a batch appends one row for each other id not read before.
     summed = []
     set_entropies = model_module._set_entropies
 
@@ -287,17 +306,27 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
                                for t in rng.integers(0, size, size=int(rng.integers(0, size + 1)))}
         model = ngram_model(vocab, order, counts, float(rng.choice([0.0, 0.1, 1.0])))
         held = list(model.counts)
+        ids = {key: i for i, key in enumerate(held)}
+        massless = {key for key, row in model.counts.items()
+                    if sum(row.values()) + model.smoothing * size <= 0}
         summed.clear()
-        read = set()
+        read, ids_read = set(), set()
         for _ in range(2):
             contexts = [list(held[i]) for i in rng.integers(0, len(held), size=6)] if held else []
             contexts += [rng.integers(0, size, size=int(rng.integers(0, order + 1))).tolist()
                          for _ in range(6)]
-            contexts = [np.array(c, dtype=np.int64) if i % 2 else c for i, c in enumerate(contexts)]
+            contexts = [(c, np.array(c, dtype=np.int64), [float(t) for t in c])[i % 3]
+                        for i, c in enumerate(contexts)]
+            stored = model._store.floors.size
             batch = model.next_token_dists(contexts)
             keys = [model.window(c) for c in contexts]
             assert_matches_dense(batch, [dense_oracle(model, key) for key in keys])
-            assert len(set(batch.index.tolist())) == len({model._rows[key] for key in keys})
+            found = [-1 if key in massless else ids.get(key, -1) for key in keys]
+            assert batch.index.tolist() == model._row_of[found].tolist()
+            assert [row for row, i in zip(batch.index.tolist(), found) if i < 0] == \
+                [0] * found.count(-1)
+            assert model._store.floors.size - stored == len(set(found) - {-1} - ids_read)
+            ids_read |= set(found)
             rows = set(batch.index.tolist())
             ends = batch.offsets[1:][batch.offsets[1:] > batch.offsets[:-1]] - 1
             at_floor = batch.probs[ends] == batch.floors[batch.offsets[1:] > batch.offsets[:-1]]
