@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, UndefinedCorrelationError
+from .model import _ranges, _sorted_distinct
 
 
 # A record's fields, in a record file's column order.
@@ -193,12 +194,6 @@ def _row_bits(columns: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.stack([columns[name].view(np.uint64) for name in TREE_FIELDS], axis=1)
 
 
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(lo[i], hi[i])`` over i."""
-    sizes = hi - lo
-    return np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-
-
 def _step_starts(keys: Sequence[np.ndarray]) -> np.ndarray:
     """Mask of the records that start a step: the first, and each whose keys differ
     from the record before."""
@@ -357,16 +352,6 @@ def _tree_row_rho(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> float:
     return _rank_correlation(per_row[0][rows], per_row[1][rows])
 
 
-def _distinct_ints(values: np.ndarray) -> list[int]:
-    """The distinct values of an int array, ascending.
-
-    Found by a sort: np.unique takes a hash path for ints that is many
-    times slower.
-    """
-    ordered = np.sort(values)
-    return ordered[np.append(True, ordered[1:] != ordered[:-1])].tolist() if ordered.size else []
-
-
 def summarize(table: RecordTable) -> dict[str, DomainSummary]:
     """Per-domain counts, acceptance/entropy moments, chain law, and rank correlation."""
     summaries: dict[str, DomainSummary] = {}
@@ -375,7 +360,7 @@ def summarize(table: RecordTable) -> dict[str, DomainSummary]:
         alphas = table.alpha[mask]
         entropies = table.target_entropy[mask]
         depths = table.depth[mask]
-        per_depth = {d: float(alphas[depths == d].mean()) for d in _distinct_ints(depths)}
+        per_depth = {d: float(alphas[depths == d].mean()) for d in _sorted_distinct(depths).tolist()}
         try:
             chain = chain_probabilities(per_depth)
         except InputError as exc:
@@ -412,7 +397,7 @@ def position_effects(table: RecordTable) -> PositionEffects:
     if bad.size:
         raise InputError(f"position_bin {bins[bad[0]]} out of range")
     cells: dict[tuple[int, int], float] = {}
-    for depth in _distinct_ints(table.depth):
+    for depth in _sorted_distinct(table.depth).tolist():
         at_depth = table.depth == depth
         for position_bin in (0, 1):
             mask = at_depth & (bins == position_bin)

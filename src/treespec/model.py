@@ -166,10 +166,11 @@ class RowBatch:
 
     def prob(self, contexts: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """The probability of each ``tokens[i]`` at context ``contexts[i]``, as float64: its row's
-        entry, found by one search over the distinct rows' (row, token) keys, or else its floor."""
+        entry, found by one search over the distinct rows' (row, token) keys, or else its floor;
+        InputError for a token outside the vocabulary."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.size:
-            raise IndexError(f"a token is out of range for vocabulary of {self.size}")
+            raise InputError("a scored token is outside the model vocabulary")
         rows = self.index[contexts]
         distinct, local = _distinct(rows, self.floors.size, dense=True)
         at, lengths = _gather(self.offsets, distinct)
@@ -222,12 +223,26 @@ def _set_entropies(batch: RowBatch, rows: np.ndarray) -> None:
         h[rows[first:last]] = -block.sum(axis=1) + 0.0
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(lo[i], hi[i])`` over i."""
+    sizes = hi - lo
+    return np.arange(int(sizes.sum())) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+
+
 def _gather(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of ``rows``' entries under CSR ``offsets``, row after row, and their lengths."""
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    return np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths),
-                                                      lengths), lengths
+    starts, stops = offsets[rows], offsets[rows + 1]
+    return _ranges(starts, stops), stops - starts
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of an int array, ascending.
+
+    Found by a sort: np.unique takes a hash path for ints that is many
+    times slower.
+    """
+    ordered = np.sort(values)
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
 
 
 class LanguageModel(abc.ABC):
@@ -261,17 +276,21 @@ class LanguageModel(abc.ABC):
         """The next-token distribution of each context, as one ``RowBatch`` with
         an ``index`` entry per context; deterministic per input."""
 
-    def window(self, context: TokenSeq) -> tuple[int, ...]:
-        """The last ``context_window`` tokens of ``context`` as ints, all of them when None.
+    def windows(self, contexts: Sequence[TokenSeq]) -> list[tuple[int, ...]]:
+        """Each context's last ``context_window`` tokens as plain ints: all of them when None.
 
-        InputError unless every token of the whole context is an integer
-        (``_int_key``) in the vocabulary.
+        InputError unless every token of every whole context is an integer
+        (``_int_key``, which names the first context that holds one that is
+        not) in the vocabulary.
         """
-        tokens = _int_key(tuple(context))
+        contexts = [tuple(context) for context in contexts]
+        tokens = list(itertools.chain.from_iterable(contexts))
+        if set(map(type, tokens)) - {int}:
+            contexts = list(map(_int_key, contexts))
         if tokens and (min(tokens) < 0 or max(tokens) >= self.vocab.size):
             raise InputError("context contains a token outside the model vocabulary")
         span = self.context_window
-        return tokens if span is None else tokens[max(0, len(tokens) - span):]
+        return contexts if span is None else [c[max(0, len(c) - span):] for c in contexts]
 
 
 class NGramModel(LanguageModel):
@@ -321,7 +340,7 @@ class NGramModel(LanguageModel):
         """``fit`` at each of the ascending ``orders``, from one ranking of the levels.
 
         The documents are flattened into one range-checked array, each token an
-        integer by the rule ``window`` applies to a context (``_int_key``), and
+        integer by the rule ``windows`` applies to a context (``_int_key``), and
         each level's context ids are ranked over all positions at once up to
         the highest order (``_ranked_levels``). After level k - 1 the order-k
         model counts its (context, token) pairs in one pass (``_count``) and
@@ -401,18 +420,13 @@ class NGramModel(LanguageModel):
         })
 
     def _batch_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
-        """``next_token_dists``: one range check, one level walk that gives each context its id
+        """``next_token_dists``: the contexts' ``windows``, one level walk that gives each its id
         (a window shorter than the span is padded with -1, whose ``back`` is 0) and one
         ``_read_rows`` of the ids not read before; the store's columns, with the contexts' rows
         as index. An unseen context's id is -1, ``_row_of``'s last slot; a model of no
         contexts has empty levels and that one slot, so it walks none of them."""
         size, span = self.vocab.size, self.context_window
-        tokens = list(itertools.chain.from_iterable(contexts))
-        if tokens and (min(tokens) < 0 or max(tokens) >= size):
-            raise InputError("context contains a token outside the model vocabulary")
-        windows = [tuple(c[-span:]) for c in contexts] if span else [()] * len(contexts)
-        if set(map(type, tokens)) - {int}:  # InputError if a token is not an integer
-            windows = list(map(_int_key, windows))
+        windows = self.windows(contexts)
         pad = (-1,) * span
         backs = np.array([pad[len(w):] + w for w in windows],
                          dtype=np.int64).reshape(len(windows), span)[:, ::-1] + 1
@@ -425,9 +439,8 @@ class NGramModel(LanguageModel):
             ids = np.where(codes[found] == want, found, -1)
         with self._lock:  # an append replaces the store's columns one by one
             row_of = self._row_of
-            new = np.sort(ids[row_of[ids] < 0])
+            new = _sorted_distinct(ids[row_of[ids] < 0])
             if new.size:
-                new = new[np.append(True, new[1:] != new[:-1])]
                 row_of[new] = self._read_rows(new)
             batch = copy.copy(self._store)
             batch.index = row_of[ids]

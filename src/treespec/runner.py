@@ -56,14 +56,13 @@ from .metrics import (
     RecordTable,
     _array,
     _number_blocks,
-    _ranges,
     _step_starts,
     check_domain_names,
     depth_profile,
     position_effects,
     summarize,
 )
-from .model import LanguageModel
+from .model import LanguageModel, _ranges
 from .tree import TreeParams, grow_trees
 from .verify import score_trees
 
@@ -204,7 +203,7 @@ def generate_step(
     ``max_new_tokens`` steps; every other new window becomes the next memo
     entry. Then the entries' windows are speculated, up to
     ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows one tree per
-    distinct draft window (``draft.window``; an empty one grows on its first
+    distinct draft window (``draft.windows``; an empty one grows on its first
     window), ``DraftTrees.take`` gathers each window's tree and
     ``score_trees`` scores them. Each node gives one row: its ``depth``,
     ``token`` and ``p_draft`` columns and its scores.
@@ -247,7 +246,7 @@ def generate_step(
     grown = 0
     for start in range(0, len(seen), _SPECULATION_BATCH):
         batch = seen[start:start + _SPECULATION_BATCH]
-        drafts = [draft.window(key) for key in batch]
+        drafts = draft.windows(batch)
         firsts: dict[tuple[int, ...], tuple[int, ...]] = {}  # draft window -> what it grows on
         for cut, key in zip(drafts, batch):
             firsts.setdefault(cut, cut or key)
@@ -256,10 +255,8 @@ def generate_step(
             [tree_of[cut] for cut in drafts])
         grown += len(firsts)
         sizes += np.diff(trees.offsets).tolist()
-        for name, column in (("depth", trees.depths), ("token", trees.tokens),
-                             ("p_draft", trees.p_draft)):
-            batches[name].append(column.astype(np.float64))
-        for name, column in score_trees(target, batch, trees).items():
+        for name, column in {"depth": trees.depths, "token": trees.tokens, "p_draft": trees.p_draft,
+                             **score_trees(target, batch, trees)}.items():
             batches[name].append(column)
     # Prompt by prompt: a stable sort keeps each prompt's steps in wave order.
     order = np.argsort(np.array(prompt_ids, dtype=np.int64), kind="stable")
@@ -268,7 +265,7 @@ def generate_step(
              "tree": np.array(entries, dtype=np.int64)[order]}
     counts = {"stopped_prompts": len(contexts) - len(live), "speculated_windows": len(seen),
               "grown_trees": grown}
-    return steps, sizes, {name: np.concatenate([np.zeros(0), *arrays])
+    return steps, sizes, {name: np.concatenate([_array(name, ()), *arrays])
                           for name, arrays in batches.items()}, counts
 
 

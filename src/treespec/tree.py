@@ -5,7 +5,7 @@ nodes are the top root candidates of the draft model; deeper nodes are
 top-branch children of expanded nodes. Expansion is best-first by cumulative
 path log-probability so a small node budget still populates every depth,
 with ties broken by insertion order for determinism. A tree reads only the
-draft's window of its context (``draft.window``), so contexts that share one
+draft's window of its context (``draft.windows``), so contexts that share one
 get equal trees and the runner grows one tree per distinct draft window.
 
 Trees are grown and held a batch at a time, as node columns: the nodes of
@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq
+from .model import LanguageModel, TokenSeq, _ranges
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,10 @@ class DraftTrees(NamedTuple):
     def take(self, which: Sequence[int] | np.ndarray) -> DraftTrees:
         """The trees at the indices ``which``, in that order; an index may repeat."""
         which = np.asarray(which, dtype=np.intp)
-        starts = self.offsets[which]
-        sizes = self.offsets[which + 1] - starts
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        nodes = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-        return DraftTrees(*(column[nodes] for column in self[:-1]), offsets)
+        lo, hi = self.offsets[which], self.offsets[which + 1]
+        nodes = _ranges(lo, hi)
+        return DraftTrees(*(column[nodes] for column in self[:-1]),
+                          np.concatenate(([0], np.cumsum(hi - lo))))
 
 
 def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams) -> DraftTrees:
@@ -84,8 +83,8 @@ def grow_trees(
     on ties) is expanded into its top ``max_branch`` children until
     ``max_nodes`` nodes exist, the depth cap stops expansion, or no
     expandable node remains. A candidate with probability <= 0 ends its
-    parent's expansion (it is not a proposal). Each context is checked once
-    and cut to the draft's window (``draft.window``).
+    parent's expansion (it is not a proposal). The contexts are checked and
+    cut to the draft's window in one ``draft.windows`` call.
 
     The trees grow in rounds over (trees x width) arrays: the first round
     places every tree's roots, and each later one pops every live tree's
@@ -94,11 +93,9 @@ def grow_trees(
     writes the children. The width grows as trees fill; it is never sized by
     ``max_nodes``.
     """
-    bases = []
-    for context in contexts:
-        if len(context) == 0:
-            raise InputError("context must be non-empty")
-        bases.append(draft.window(context))
+    if not all(map(len, contexts)):
+        raise InputError("context must be non-empty")
+    bases = draft.windows(contexts)
     n = len(bases)
     vocab_size = draft.vocab.size
     # No tree outgrows int64, nor gets deeper than its node count.

@@ -47,11 +47,11 @@ def score_trees(
     ``parents`` is one expansion. One batched model invocation serves all the
     trees; the ``RowBatch`` it returns gives every node's ``p_target`` in one
     gather and its rows' entropies together, and the acceptance probabilities
-    are one array (``acceptance_probs``). Each context is checked once and
-    cut to the target's window (``target.window``); a tree may be scored over any
-    context that ends in the draft window it grew on. Returns the float64
-    columns ``p_target``, ``alpha`` and ``target_entropy``, one value per
-    node of every tree in order.
+    are one array (``acceptance_probs``). The contexts are checked and cut to
+    the target's window in one ``target.windows`` call; a tree may be scored
+    over any context that ends in the draft window it grew on. Returns the
+    float64 columns ``p_target``, ``alpha`` and ``target_entropy``, one value
+    per node of every tree in order.
     """
     offsets = trees.offsets
     if len(contexts) != offsets.size - 1:
@@ -69,8 +69,7 @@ def score_trees(
     requests: list[tuple[int, ...]] = []
     asked: dict[int, tuple[int, ...]] = {}  # expanded node -> its context
     rows = zip(expanded.tolist(), parent[expanded].tolist(), trees.tokens[expanded].tolist())
-    for context, n_expanded in zip(contexts, per_tree.tolist()):
-        base = target.window(context)
+    for base, n_expanded in zip(target.windows(contexts), per_tree.tolist()):
         requests.append(base)
         for node, above, token in itertools.islice(rows, n_expanded):
             requests.append((base if above < 0 else asked[above]) + (token,))

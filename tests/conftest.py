@@ -107,7 +107,7 @@ class TableModel(LanguageModel):
     def _batch_dists(self, contexts):
         self.batches.append([tuple(c) for c in contexts])
         self.scored += len(contexts)
-        vectors = [self.table.get(self.window(c), self.default) for c in contexts]
+        vectors = [self.table.get(window, self.default) for window in self.windows(contexts)]
         size, n = self.vocab.size, len(vectors)
         return RowBatch(size, np.arange(n + 1) * size, np.tile(np.arange(size), n),
                         np.concatenate([np.zeros(0), *vectors]), np.zeros(n))

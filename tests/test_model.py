@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import math
 import sys
@@ -60,19 +61,34 @@ class TestVocabulary:
 
 
 class TestCheckContext:
-    """``window`` checks the whole context and returns the model's window of it."""
+    """``windows`` checks every whole context and returns the model's window of each; a batch,
+    of many contexts or of one, applies the same rule."""
 
-    model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=3, smoothing=0.2)
+    trigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=3, smoothing=0.2)
+    unigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=1, smoothing=0.2)  # span 0
+    table = TableModel(WXYZ, [0.25] * 4)  # span None
+
+    def calls(self, context):
+        """Each way ``context`` reaches each model's rule, after a good context."""
+        for model in (self.trigram, self.unigram, self.table):
+            yield functools.partial(model.windows, [[0], context])
+            yield functools.partial(model.next_token_dists, [[0], context])
+            yield functools.partial(model.next_token_dist, context)
 
     @pytest.mark.parametrize(
         "context, window",
         [([], ()), ((), ()), ([0, 3, 1], (3, 1)), ((3,), (3,)),
-         ([np.int64(2), np.int32(0)], (2, 0)), (np.array([1, 2, 3]), (2, 3))],
+         ([np.int64(2), np.int32(0)], (2, 0)), (np.array([1, 2, 3]), (2, 3)), ([True, 1], (1, 1))],
     )
     def test_in_vocabulary_accepted(self, context, window):
-        got = self.model.window(context)
-        assert got == window
-        assert all(type(t) is int for t in got)
+        whole = tuple(map(int, context))
+        for model, want in ((self.trigram, window), (self.unigram, ()), (self.table, whole)):
+            got = model.windows([[0], context])
+            assert got == [model.windows([[0]])[0], want]
+            assert all(type(t) is int for t in got[1])
+            dense = model.next_token_dist(want)
+            assert np.array_equal(model.next_token_dist(context), dense)
+            assert np.array_equal(model.next_token_dists([[0], context]).dense()[1], dense)
 
     @pytest.mark.parametrize(
         "context",
@@ -81,17 +97,21 @@ class TestCheckContext:
     )
     def test_outside_vocabulary_rejected(self, context):
         # Anywhere in the context, before the window too.
-        with pytest.raises(InputError, match="outside the model vocabulary"):
-            self.model.window(context)
+        for call in self.calls(context):
+            with pytest.raises(InputError, match="outside the model vocabulary"):
+                call()
 
     @pytest.mark.parametrize(
         "context",
         [[1.5], [0, 1.5], [1.5, 0, 1], [float("nan")], [2, float("nan")], [float("nan"), 0, 1],
-         ["1"], [None, 0, 1]],
+         ["1"], [None, 0, 1], ["a", 0, 1], [0, 1, "x"]],
     )
     def test_token_that_is_not_an_integer_rejected(self, context):
-        with pytest.raises(InputError, match="not an integer"):
-            self.model.window(context)
+        # Before the window too; the message names the context.
+        for call in self.calls(context):
+            with pytest.raises(InputError, match="not an integer") as caught:
+                call()
+            assert repr(tuple(context)) in str(caught.value)
 
 
 class TestValidateDist:
@@ -169,7 +189,7 @@ class TestNextTokenDist:
             with pytest.raises(InputError, match="a document holds a token that is not an integer"):
                 fit(documents)
         with pytest.raises(InputError, match="not an integer"):
-            NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).window(documents[-1])
+            NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).windows(documents[-1:])
 
     def test_fit_takes_integer_tokens_of_any_type(self):
         abc = Vocabulary(("a", "b", "c"))
@@ -230,11 +250,12 @@ class TestNextTokenDist:
         contexts += contexts[:5] + [[int(t) for t in c] for c in contexts[5:10]]
         batch = model.next_token_dists(contexts)
         read = len(model._store.floors)
-        for i, (context, dense) in enumerate(zip(contexts, batch.dense())):
+        for i, (context, window, dense) in enumerate(zip(contexts, model.windows(contexts),
+                                                         batch.dense())):
             single = twin.next_token_dists([context])
             assert_same_bits(dense, single.dense()[0])
             assert row_of(batch, i) == row_of(single, 0)
-            assert_smoothed_counts(batch, i, model.counts.get(model.window(context)), 0.1)
+            assert_smoothed_counts(batch, i, model.counts.get(window), 0.1)
             # Kept, not read again.
             assert model.next_token_dists([context]).index.tolist() == [batch.index[i]]
         assert len(model._store.floors) == read
@@ -306,17 +327,18 @@ class TestContextWindow:
         assert TableModel(WXYZ, [0.25] * 4).context_window is None
 
     def test_window_is_the_last_context_window_tokens(self):
-        for order, context, window in ((3, [0, 1, 2, 3], (2, 3)),
-                                       (4, [2, 3], (2, 3)),  # shorter than the window
-                                       (1, [1, 2, 3], ())):
+        contexts = [[0, 1, 2, 3], [2, 3], [1]]  # longer than, as long as and shorter than 2
+        for order, windows in ((3, [(2, 3), (2, 3), (1,)]), (4, [(1, 2, 3), (2, 3), (1,)]),
+                               (1, [(), (), ()])):
             model = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=order, smoothing=0.1)
-            assert model.window(context) == window
-        assert TableModel(WXYZ, [0.25] * 4).window((1, np.int64(2))) == (1, 2)
+            assert model.windows(contexts) == windows
+            assert model.windows([]) == []
+        assert TableModel(WXYZ, [0.25] * 4).windows([(1, np.int64(2)), [3]]) == [(1, 2), (3,)]
 
     def test_short_context_scored_like_full(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 1, 2, 0, 1, 3]], order=4, smoothing=0.1)
         for context in ([1], [0, 1], [2, 0, 1], [3, 2, 0, 1]):
-            suffix = model.window(context)
+            [suffix] = model.windows([context])
             assert np.array_equal(model.next_token_dist(suffix), model.next_token_dist(context))
 
     def test_fit_matches_position_loop(self):
@@ -719,5 +741,5 @@ class TestRowBatch:
         batch = model.next_token_dists([[0]])
         assert batch.prob([0], [np.int64(1)])[0] == dense_dist(model, [0])[1]
         for token in (4, -1):
-            with pytest.raises(IndexError):
+            with pytest.raises(InputError, match="outside the model vocabulary"):
                 batch.prob([0], [token])

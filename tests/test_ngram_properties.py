@@ -319,7 +319,7 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
                         for i, c in enumerate(contexts)]
             stored = model._store.floors.size
             batch = model.next_token_dists(contexts)
-            keys = [model.window(c) for c in contexts]
+            keys = model.windows(contexts)
             assert_matches_dense(batch, [dense_oracle(model, key) for key in keys])
             found = [-1 if key in massless else ids.get(key, -1) for key in keys]
             assert batch.index.tolist() == model._row_of[found].tolist()

@@ -120,7 +120,7 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
         draft, target, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
         scores = score_lists(score_tree(target, context, tree))
-        base = target.window(context)
+        [base] = target.windows([context])
         paths = node_paths(tree)
         prefixes = list(dict.fromkeys([(), *(path[:-1] for path in paths)]))
         assert target.batches == [[base + prefix for prefix in prefixes]]
@@ -160,7 +160,8 @@ def test_contexts_that_share_a_draft_window_share_one_tree():
         size = draft.vocab.size
         longer = [[*rng.integers(0, size, size=int(rng.integers(1, 5))).tolist(), *context]
                   for _ in range(3)]
-        contexts = [c for c in [context, *longer] if draft.window(c) == draft.window(context)]
+        cuts = draft.windows([context, *longer])
+        contexts = [c for c, cut in zip([context, *longer], cuts) if cut == cuts[0]]
         shared_cases += len(contexts) > 1
         # A tree depends on its draft window alone, not on what comes before it.
         trees = grow_trees(draft, contexts, params)

@@ -265,7 +265,7 @@ class TestBuild:
             tree_of = np.repeat(np.arange(len(contexts)), np.diff(trees.offsets))
             expanded = {(t, parent) for t, parent in zip(tree_of.tolist(), trees.parents.tolist())
                         if parent != -1}
-            assert draft.batches[0] == [draft.window(c) for c in contexts]
+            assert draft.batches[0] == draft.windows(contexts)
             assert sum(map(len, draft.batches)) == len(contexts) + len(expanded)
 
     def test_invalid_params_rejected(self):

@@ -114,11 +114,15 @@ class TestScoreTree:
                 assert p_target == float(dist[token])
                 assert target_entropy == entropy_nats(dist)
 
-    @pytest.mark.parametrize("context", [[99, 0, 1], [-1, 0, 1], [0, 1, 4]])
-    def test_out_of_range_token_rejected(self, context):
-        # Before the window too, where the model never reads it.
+    @pytest.mark.parametrize("draft_size, context",
+                             [(4, [99, 0, 1]), (4, [-1, 0, 1]), (4, [0, 1, 4]), (5, [0, 1])])
+    def test_out_of_range_token_rejected(self, draft_size, context):
+        # Before the window too, where the model never reads it; or a draft
+        # of 5 tokens grows a root token 4, which no context holds.
+        draft_vocab = Vocabulary(tuple("abcde"[:draft_size]))
+        draft = NGramModel.fit(draft_vocab, [[0, 1, draft_size - 1]], order=2, smoothing=0.1)
         model = NGramModel.fit(ABCD, [[0, 1, 2, 3]], order=2, smoothing=0.1)
-        tree = build_draft_tree(model, [0, 0, 1], TreeParams())
+        tree = build_draft_tree(draft, [0, 0, 1], TreeParams(max_depth=1))
         with pytest.raises(InputError, match="outside the model vocabulary"):
             score_tree(model, context, tree)
         with pytest.raises(InputError, match="outside the model vocabulary"):
