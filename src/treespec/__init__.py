@@ -7,7 +7,6 @@ the records into per-domain acceptance statistics.
 
 from .corpus import (
     DomainCorpus,
-    PromptSet,
     load_corpora,
     load_domain_dir,
     sample_prompts,
@@ -34,8 +33,6 @@ from .model import (
     RowBatch,
     Vocabulary,
     entropy_nats,
-    top_candidates,
-    validate_dist,
 )
 from .runner import (
     ExperimentReport,
@@ -57,8 +54,6 @@ from .tree import (
     grow_trees,
 )
 from .verify import (
-    acceptance_prob,
-    residual_dist,
     score_tree,
     score_trees,
 )

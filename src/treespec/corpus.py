@@ -69,15 +69,9 @@ class DomainCorpus:
         return cls.from_tokens(domain, [t.split() for t in texts])
 
 
-@dataclass
-class PromptSet:
-    """Seeded prompt sample; resampling with the same seed is identical."""
-
-    prompts: list[tuple[int, ...]]
-    doc_indices: list[int]
-
-
-def sample_prompts(corpus: DomainCorpus, n: int, seed: int, max_len: int = 512) -> PromptSet:
+def sample_prompts(
+    corpus: DomainCorpus, n: int, seed: int, max_len: int = 512
+) -> list[tuple[int, ...]]:
     """Draw n prompts from the corpus documents, truncated to max_len tokens.
 
     Sampling uses numpy's default_rng(seed).choice over document indices,
@@ -88,15 +82,15 @@ def sample_prompts(corpus: DomainCorpus, n: int, seed: int, max_len: int = 512) 
         raise InputError(f"domain {corpus.domain!r} has no documents")
     if n < 1 or max_len < 1:
         raise InputError("n and max_len must be >= 1")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     replace = len(corpus.documents) < n
     try:
         chosen = rng.choice(len(corpus.documents), size=n, replace=replace)
     except (ValueError, OverflowError, MemoryError) as exc:  # n too large for one array
         raise InputError(f"cannot draw {n} prompts from domain {corpus.domain!r}: {exc}") from exc
-    indices = [int(i) for i in chosen]
-    prompts = [tuple(corpus.documents[i][:max_len]) for i in indices]
-    return PromptSet(prompts=prompts, doc_indices=indices)
+    return [tuple(corpus.documents[i][:max_len]) for i in chosen.tolist()]
 
 
 def train_models(

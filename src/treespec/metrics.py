@@ -313,6 +313,8 @@ def _weighted_ranks(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray
 def spearman_rho(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
     """Spearman correlation of x and y: Pearson correlation of average-assigned ranks."""
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.shape[0] != y.shape[0]:
+        raise InputError(f"x has {x.shape[0]} values but y has {y.shape[0]}")
     if x.shape[0] < 2:
         raise UndefinedCorrelationError("need at least 2 pairs for a correlation")
     if np.all(x == x[0]) or np.all(y == y[0]):

@@ -53,46 +53,11 @@ class Vocabulary:
         return self._index.get(token, default)  # type: ignore[attr-defined]
 
 
-def validate_dist(probs: np.ndarray | Sequence[float], size: int | None = None) -> np.ndarray:
-    """Check that ``probs`` is a distribution (finite, non-negative, sums to 1 within 1e-9)."""
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InputError("distribution must be one-dimensional")
-    if size is not None and arr.shape[0] != size:
-        raise InputError(f"distribution has length {arr.shape[0]}, expected {size}")
-    if arr.shape[0] < 1:
-        raise InputError("distribution must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("distribution has non-finite entries")
-    if np.any(arr < 0.0):
-        raise InputError("distribution has negative entries")
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise InputError(f"distribution sums to {total!r}, not 1")
-    return arr
-
-
 def entropy_nats(dist: np.ndarray | Sequence[float]) -> float:
     """Shannon entropy -sum(p ln p) in nats of a dense vector, with 0 ln 0 taken as 0."""
     arr = np.asarray(dist, dtype=np.float64)
     pos = arr[arr > 0.0]
     return float(-(pos * np.log(pos)).sum()) + 0.0
-
-
-def top_candidates(dist: np.ndarray | Sequence[float], k: int) -> list[tuple[int, float]]:
-    """The k highest-probability (token, probability) pairs of a dense vector, descending.
-
-    Ties are broken by ascending token index so results are reproducible.
-    """
-    arr = np.asarray(dist, dtype=np.float64)
-    _check_k(k, arr.shape[0])
-    order = np.argsort(-arr, kind="stable")[:k]
-    return [(int(i), float(arr[i])) for i in order]
-
-
-def _check_k(k: int, size: int) -> None:
-    if not 1 <= k <= size:
-        raise InputError(f"k={k} out of range for vocabulary of {size}")
 
 
 # Rows whose entropies are summed together are laid out as C-contiguous
@@ -106,11 +71,12 @@ class RowBatch:
     Row r lists ``tokens[offsets[r]:offsets[r + 1]]`` and their ``probs`` in
     rank order (descending probability, then ascending token); every other
     token has the probability ``floors[r]``, and context i has row
-    ``index[i]``. ``top``, ``prob`` and ``entropies`` equal ``top_candidates``,
-    indexing and ``entropy_nats`` of the dense vectors (``dense``) bit for
-    bit, each over the distinct rows at once. ``h[0]`` keeps each row's
-    entropy once computed (NaN until then); the batches an ``NGramModel``
-    cuts from its store share that list, so a row is summed once.
+    ``index[i]``. ``top`` equals a stable descending sort of the dense
+    vectors (``dense``), ``prob`` their indexing and ``entropies`` their
+    ``entropy_nats``, bit for bit, each over the distinct rows at once.
+    ``h[0]`` keeps each row's entropy once computed (NaN until then); the
+    batches an ``NGramModel`` cuts from its store share that list, so a row
+    is summed once.
 
     The constructor ranks each row itself; with no ``index``, context i is
     row i. A dense vector is a row that lists every token over a floor of 0.
@@ -140,14 +106,16 @@ class RowBatch:
         return vectors
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``top_candidates`` of k of each distinct row, each ranked once: each context's
-        position among the distinct rows, and their (rows x k) tokens and probabilities.
+        """The k most probable tokens of each distinct row, ties by ascending token, each
+        row ranked once: each context's position among the distinct rows, and their
+        (rows x k) tokens and probabilities; InputError unless 1 <= k <= ``size``.
 
         A row's first k entries lead it. The tokens it does not list all sit at
         the floor and tie by index, so only a row with fewer than k entries
         above its floor merges in its k lowest-index unlisted tokens.
         """
-        _check_k(k, self.size)
+        if not 1 <= k <= self.size:
+            raise InputError(f"k={k} out of range for vocabulary of {self.size}")
         rows, which = _distinct(self.index, self.floors.size, dense=True)
         starts, ranks = self.offsets[rows], np.arange(k)
         listed = ranks < (lengths := self.offsets[rows + 1] - starts)[:, None]

@@ -313,7 +313,7 @@ def run_experiment(
         domain_steps, domain_sizes, domain_rows, counts = generate_step(
             *train_models(corpus, config.draft_order, config.target_order, config.smoothing),
             sample_prompts(corpus, config.prompts_per_domain, config.seed,
-                           config.prompt_truncation).prompts,
+                           config.prompt_truncation),
             config.tree, config.max_new_tokens, eos_index,
         )
         tree = domain_steps["tree"] + len(sizes)

@@ -4,9 +4,8 @@ compact size by ``treespec selftest``.
 Each check draws its cases from the generator it is given and returns what
 it measured; the caller holds the bound. Worst cases fold with numpy, which
 keeps a NaN where Python's ``max`` drops it, so a NaN fails every bound. The
-checks cover rejection-sampling exactness and its Monte Carlo, the chain-length
-law, rank correlation against a quadratic oracle, tree structural invariants
-and closed-form entropies.
+checks cover the chain-length law, rank correlation against a quadratic
+oracle, tree structural invariants and closed-form entropies.
 """
 
 from __future__ import annotations
@@ -18,42 +17,7 @@ import numpy as np
 
 from .metrics import average_ranks, chain_probabilities, spearman_rho
 from .model import NGramModel, RowBatch, Vocabulary
-from .tree import TreeParams, build_draft_tree
-from .verify import acceptance_prob, residual_dist
-
-
-def check_sampler(rng: np.random.Generator, pairs: int, samples: int) -> tuple[float, float]:
-    """Accept-or-resample over random (target, draft) pairs of 2-5 tokens.
-
-    Returns the worst per-token deviation of the summed emitted mass from the
-    target (an alpha outside [0, 1] counts as deviation: it is no acceptance
-    probability, however the masses add up) and the worst total-variation
-    distance of ``samples`` draws of the same sampler from the target.
-    """
-    worst_exact = 0.0
-    worst_tv = 0.0
-    for _ in range(pairs):
-        size = int(rng.integers(2, 6))
-        target_w = rng.random(size)
-        if size > 2 and rng.random() < 0.5:
-            target_w[rng.integers(0, size)] = 0.0
-        target = target_w / target_w.sum()
-        draft_w = rng.random(size)
-        draft = draft_w / draft_w.sum()
-        alphas = np.array([acceptance_prob(float(t), float(d)) for t, d in zip(target, draft)])
-        residual = residual_dist(target, draft)
-
-        reject_mass = float((draft * (1.0 - alphas)).sum())
-        emitted = draft * alphas + reject_mass * residual
-        outside = np.abs(alphas - alphas.clip(0.0, 1.0)).max()
-        worst_exact = np.max([worst_exact, np.abs(emitted - target).max(), outside])
-
-        tokens = rng.choice(size, size=samples, p=draft)
-        accepted = rng.random(samples) < alphas[tokens]
-        tokens[~accepted] = rng.choice(size, size=int((~accepted).sum()), p=residual)
-        freq = np.bincount(tokens, minlength=size) / samples
-        worst_tv = np.maximum(worst_tv, 0.5 * np.abs(freq - target).sum())
-    return float(worst_exact), float(worst_tv)
+from .tree import TreeParams, grow_trees
 
 
 def check_chain_law(rng: np.random.Generator, profiles: int, trials: int) -> float:
@@ -110,7 +74,8 @@ def check_ranks(rng: np.random.Generator, datasets: int) -> tuple[float, float]:
 
 
 def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
-    """Random n-gram trees (orders 1-3, max_nodes from root_top_k up).
+    """Random n-gram trees, one ``grow_trees`` call each (orders 1-3, max_nodes
+    from root_top_k up).
 
     Returns each violated invariant once, in the order first met: the node
     budget, depth-1 count, and depth and branch caps.
@@ -131,7 +96,7 @@ def check_trees(rng: np.random.Generator, builds: int) -> list[str]:
             max_nodes=int(rng.integers(root_top_k, 14)),
         )
         context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(1, 6)))]
-        tree = build_draft_tree(model, context, params)
+        tree = grow_trees(model, [context], params)
         depths = tree.depths.tolist()
 
         children = [0] * len(depths)
@@ -166,16 +131,12 @@ def check_entropy(sizes: Sequence[int]) -> tuple[float, float]:
 def run_selftest(seed: int = 42) -> bool:
     """Run every check at compact size; prints one line per check, returns overall success."""
     rng = np.random.default_rng(seed)
-    pairs, builds, datasets = 10, 100, 10
-    exact, tv = check_sampler(rng, pairs, samples=200_000)
+    builds, datasets = 100, 10
     chain_dev = check_chain_law(rng, profiles=4, trials=200_000)
     rank_dev, rho_dev = check_ranks(rng, datasets)
     violations = check_trees(rng, builds)
     uniform_dev, one_hot = check_entropy((2, 3, 4, 7, 10, 33, 50))
     results = [
-        ("rejection-sampling exactness", exact < 1e-12,
-         f"max per-token deviation {exact:.3e} over {pairs} pairs"),
-        ("composite sampler monte carlo", tv < 0.02, f"max TV distance {tv:.4f}"),
         ("chain-length law", chain_dev < 5.0,
          f"4 alpha profiles, mean accepted length off E[L] by <= {chain_dev:.2f} standard errors"),
         ("rank correlation vs naive oracle", rank_dev == 0.0 and rho_dev <= 1e-12,

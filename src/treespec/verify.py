@@ -4,9 +4,7 @@ Scores every node of one or many trees against the target model in one
 batched call, giving float64 columns of the token-level acceptance
 probability min(1, p_target / p_draft) and the target entropy at each
 node's position. No token is committed here: the runner's trajectory
-commits the target's greedy token before any tree is scored. The
-stochastic accept/resample primitives live here too; the harness records
-acceptance analytically, but sampling is what makes the rule testable.
+commits the target's greedy token before any tree is scored.
 """
 
 from __future__ import annotations
@@ -17,17 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, validate_dist
+from .model import LanguageModel, TokenSeq
 from .tree import DraftTrees
-
-
-def acceptance_prob(p_target: float, p_draft: float) -> float:
-    """Rejection-sampling keep probability min(1, p_target / p_draft)."""
-    if not 0.0 <= p_target <= 1.0:
-        raise InputError(f"p_target={p_target!r} outside [0, 1]")
-    if not 0.0 < p_draft <= 1.0:
-        raise InputError(f"p_draft={p_draft!r} outside (0, 1]")
-    return min(1.0, p_target / p_draft)
 
 
 def score_tree(target: LanguageModel, context: TokenSeq, tree: DraftTrees) -> dict[str, np.ndarray]:
@@ -82,35 +71,19 @@ def score_trees(
 
 
 def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> np.ndarray:
-    """``acceptance_prob`` of each pair, checked and divided as float64 arrays.
-
-    ``np.minimum(1, p_target / p_draft)`` is the scalar rule's IEEE
-    operation; the first pair that fails a check raises the scalar error.
-    """
+    """The rejection-sampling keep probability min(1, p_target / p_draft) of each
+    pair, as float64; InputError names the first pair with p_target outside
+    [0, 1] or p_draft outside (0, 1]."""
     pt = np.asarray(p_target, dtype=np.float64)
     pd = np.asarray(p_draft, dtype=np.float64)
     bad = ~((pt >= 0.0) & (pt <= 1.0) & (pd > 0.0) & (pd <= 1.0))
     if bad.any():
         first = int(np.argmax(bad))
-        acceptance_prob(float(pt[first]), float(pd[first]))
+        t, d = float(pt[first]), float(pd[first])
+        if not 0.0 <= t <= 1.0:
+            raise InputError(f"p_target={t!r} outside [0, 1]")
+        raise InputError(f"p_draft={d!r} outside (0, 1]")
     # A subnormal p_draft (from a tiny smoothing) can send the ratio to inf,
-    # as the scalar division does, and both then keep the token with 1.0.
+    # and the token is then kept with 1.0.
     with np.errstate(over="ignore"):
         return np.minimum(1.0, pt / pd)
-
-
-def residual_dist(
-    target_dist: np.ndarray | Sequence[float], draft_dist: np.ndarray | Sequence[float]
-) -> np.ndarray:
-    """normalize(max(0, target - draft)); falls back to target when identically zero.
-
-    Sampling from this after a rejection is exactly what preserves the target
-    distribution under the min(1, p_target/p_draft) acceptance rule.
-    """
-    t = validate_dist(target_dist)
-    d = validate_dist(draft_dist, t.shape[0])
-    residual = np.clip(t - d, 0.0, None)
-    total = float(residual.sum())
-    if total <= 0.0:
-        return t.copy()
-    return residual / total

@@ -66,6 +66,31 @@ def ngram_model(vocab, order, counts, smoothing):
                               n_contexts)
 
 
+def top_candidates(dist, k):
+    """The k highest-probability (token, probability) pairs of a dense vector,
+    descending, ties by ascending token: the oracle for ``RowBatch.top``."""
+    arr = np.asarray(dist, dtype=np.float64)
+    return [(int(i), float(arr[i])) for i in np.argsort(-arr, kind="stable")[:k]]
+
+
+def checked_dist(dist, size):
+    """``dist`` after checking that it is a distribution over ``size`` tokens:
+    float64, finite, non-negative and summing to 1 within 1e-9."""
+    arr = np.asarray(dist)
+    assert arr.dtype == np.float64 and arr.shape == (size,)
+    assert np.isfinite(arr).all() and (arr >= 0.0).all()
+    assert abs(float(arr.sum()) - 1.0) <= 1e-9
+    return arr
+
+
+def dense_batch(vectors):
+    """A RowBatch of dense vectors: a row per vector, listing every token over a floor of 0."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n, size = vectors.shape
+    return RowBatch(size, np.arange(n + 1) * size, np.tile(np.arange(size), n),
+                    vectors.reshape(-1), np.zeros(n))
+
+
 def score_lists(scores):
     """``score_trees``' columns as lists, which compare with ``==``."""
     return {name: column.tolist() for name, column in scores.items()}
@@ -108,9 +133,7 @@ class TableModel(LanguageModel):
         self.batches.append([tuple(c) for c in contexts])
         self.scored += len(contexts)
         vectors = [self.table.get(window, self.default) for window in self.windows(contexts)]
-        size, n = self.vocab.size, len(vectors)
-        return RowBatch(size, np.arange(n + 1) * size, np.tile(np.arange(size), n),
-                        np.concatenate([np.zeros(0), *vectors]), np.zeros(n))
+        return dense_batch(np.reshape(vectors, (len(vectors), self.vocab.size)))
 
 
 @pytest.fixture(scope="session")

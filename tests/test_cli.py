@@ -21,11 +21,10 @@ from conftest import record_table
 from treespec import (
     GenerationConfig,
     InputError,
-    acceptance_prob,
     average_ranks,
-    build_draft_tree,
     chain_probabilities,
     cli,
+    grow_trees,
     read_records_csv,
     selftest,
     write_records_csv,
@@ -134,9 +133,9 @@ LARGE_VOCABULARY_SHA256 = {
 }
 
 
-def branch_cap_ignored(model, context, params):
-    """build_draft_tree with a defect: a node may have up to max_nodes children."""
-    return build_draft_tree(model, context, dataclasses.replace(params, max_branch=params.max_nodes))
+def branch_cap_ignored(model, contexts, params):
+    """grow_trees with a defect: a node may have up to max_nodes children."""
+    return grow_trees(model, contexts, dataclasses.replace(params, max_branch=params.max_nodes))
 
 
 class OffsetEntropies(RowBatch):
@@ -555,8 +554,9 @@ class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert run_cli("selftest", "--seed", "42") == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "FAIL" not in out
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS  chain-length law", "PASS  rank correlation vs naive oracle",
+            "PASS  tree invariants", "PASS  entropy bounds"]
 
     def test_negative_seed_exits_one(self, capsys):
         # It died with numpy's traceback from default_rng.
@@ -564,23 +564,20 @@ class TestSelftest:
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
     @pytest.mark.parametrize("name, defect, check", [
-        ("acceptance_prob", lambda t, d: t / d, "rejection-sampling exactness"),
         ("average_ranks", lambda values: average_ranks(values) + 1.0,
          "rank correlation vs naive oracle"),
-        ("build_draft_tree", branch_cap_ignored, "tree invariants"),
+        ("grow_trees", branch_cap_ignored, "tree invariants"),
         ("chain_probabilities", dict, "chain-length law"),
         ("RowBatch", OffsetEntropies, "entropy bounds"),
         # NaN defects: each check must keep a NaN measure, not fold it away.
-        ("acceptance_prob", lambda t, d: math.nan if t == 0.0 else acceptance_prob(t, d),
-         "rejection-sampling exactness"),
         ("average_ranks", lambda values: np.full(len(values), np.nan),
          "rank correlation vs naive oracle"),
         ("chain_probabilities", lambda alphas: {**chain_probabilities(alphas), 1: math.nan},
          "chain-length law"),
         ("RowBatch", NanEntropies, "entropy bounds"),
     ], ids=[
-        "unclipped-alpha", "ranks-off-by-one", "branch-cap-ignored", "chain-without-products",
-        "entropy-offset", "nan-alpha", "nan-ranks", "nan-chain", "nan-entropy",
+        "ranks-off-by-one", "branch-cap-ignored", "chain-without-products",
+        "entropy-offset", "nan-ranks", "nan-chain", "nan-entropy",
     ])
     def test_each_check_fails_on_its_defect(self, monkeypatch, capsys, name, defect, check):
         # Only the selftest module's binding is patched; the defects wrap the real functions.

@@ -201,8 +201,7 @@ class TestVocabularyBuild:
 class TestSamplePrompts:
     def test_single_document(self):
         corpus = DomainCorpus.from_texts("d", ["a b c d e"])
-        prompts = sample_prompts(corpus, 1, seed=0, max_len=3)
-        assert prompts.prompts == [corpus.documents[0][:3]]
+        assert sample_prompts(corpus, 1, seed=0, max_len=3) == [corpus.documents[0][:3]]
 
     def test_same_seed_identical(self):
         corpus = synthetic_corpus("chat", n_docs=30, seed=1)
@@ -212,26 +211,23 @@ class TestSamplePrompts:
 
     def test_different_seed_differs(self):
         corpus = synthetic_corpus("chat", n_docs=30, seed=1)
-        assert (
-            sample_prompts(corpus, 10, seed=1).doc_indices
-            != sample_prompts(corpus, 10, seed=2).doc_indices
-        )
+        assert sample_prompts(corpus, 10, seed=1) != sample_prompts(corpus, 10, seed=2)
 
     def test_frozen_index_fixture(self):
         corpus = synthetic_corpus("chat", n_docs=200, seed=7)
         prompts = sample_prompts(corpus, 50, seed=42, max_len=512)
-        assert prompts.doc_indices == FROZEN_DOC_INDICES
-        assert len(set(prompts.doc_indices)) == 50  # without replacement
+        assert prompts == [corpus.documents[i][:512] for i in FROZEN_DOC_INDICES]
+        # Without replacement: 50 distinct prompts, so 50 distinct documents.
+        assert len(set(prompts)) == len(set(FROZEN_DOC_INDICES)) == 50
 
     def test_with_replacement_when_scarce(self):
         corpus = DomainCorpus.from_texts("d", ["a b", "b a"])
-        prompts = sample_prompts(corpus, 5, seed=3)
-        assert len(prompts.prompts) == 5
+        assert len(sample_prompts(corpus, 5, seed=3)) == 5
 
     def test_truncation(self):
         corpus = synthetic_corpus("math", n_docs=5, seed=2)
         prompts = sample_prompts(corpus, 3, seed=42, max_len=40)
-        assert all(len(p) == 40 for p in prompts.prompts)
+        assert all(len(p) == 40 for p in prompts)
 
     def test_empty_corpus_rejected(self):
         corpus = DomainCorpus("d", [], Vocabulary((UNK_TOKEN, "a")))
@@ -242,6 +238,12 @@ class TestSamplePrompts:
         corpus = DomainCorpus.from_texts("d", ["a b"])
         with pytest.raises(InputError):
             sample_prompts(corpus, 0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        # It raised numpy's bare ValueError from default_rng.
+        corpus = DomainCorpus.from_texts("d", ["a b"])
+        with pytest.raises(InputError, match=r"^seed must be >= 0$"):
+            sample_prompts(corpus, 1, seed=-1)
 
 
 class TestTrainModels:

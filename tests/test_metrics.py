@@ -286,6 +286,13 @@ class TestSpearman:
         with pytest.raises(InputError):
             spearman_rho(np.array([1.0]), np.array([2.0]))
 
+    @pytest.mark.parametrize("x, y", [([1, 2, 3], [3, 1]), ([1, 2], [1])])
+    def test_unequal_lengths_rejected(self, x, y):
+        # They raised numpy's broadcast ValueError and an "all-tied" error.
+        with pytest.raises(InputError, match=f"^x has {len(x)} values but y has {len(y)}$") as caught:
+            spearman_rho(x, y)
+        assert not isinstance(caught.value, UndefinedCorrelationError)
+
     def test_matches_naive_oracle_with_ties(self):
         rng = np.random.default_rng(43)
         for _ in range(15):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TableModel, ngram_model
+from conftest import TableModel, checked_dist, dense_batch, ngram_model, top_candidates
 from treespec import (
     DomainCorpus,
     InputError,
@@ -17,9 +17,7 @@ from treespec import (
     RowBatch,
     Vocabulary,
     entropy_nats,
-    top_candidates,
     train_models,
-    validate_dist,
 )
 from treespec import model as model_module
 
@@ -114,28 +112,6 @@ class TestCheckContext:
             assert repr(tuple(context)) in str(caught.value)
 
 
-class TestValidateDist:
-    def test_accepts_valid(self):
-        validate_dist([0.5, 0.25, 0.25])
-
-    def test_rejects_negative(self):
-        with pytest.raises(InputError):
-            validate_dist([1.5, -0.5])
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(InputError):
-            validate_dist([0.5, 0.4])
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(InputError):
-            validate_dist([0.5, 0.5], size=3)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, value):
-        with pytest.raises(InputError, match="non-finite"):
-            validate_dist([value, 1.0])
-
-
 class TestNextTokenDist:
     def test_uniform_table_model(self):
         model = TableModel(WXYZ, [0.25, 0.25, 0.25, 0.25])
@@ -221,9 +197,7 @@ class TestNextTokenDist:
             order = int(rng.integers(1, 4))
             model = NGramModel.fit(vocab, [doc], order=order, smoothing=float(rng.uniform(0, 0.8)))
             context = [int(t) for t in rng.integers(0, size, size=int(rng.integers(0, 6)))]
-            dist = np.asarray(model.next_token_dist(context))
-            assert abs(dist.sum() - 1.0) < 1e-9
-            assert np.all(dist >= 0)
+            checked_dist(model.next_token_dist(context), size)
 
     def test_deterministic(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=2, smoothing=0.2)
@@ -426,23 +400,23 @@ class TestCountStore:
 
 
 class TestTopCandidates:
+    """``RowBatch.top`` of dense rows, each listing every token over a floor of 0."""
+
     def test_basic(self):
-        assert top_candidates([0.1, 0.7, 0.2], 2) == [(1, 0.7), (2, 0.2)]
+        assert top_lists(dense_batch([[0.1, 0.7, 0.2]]), 2) == [[(1, 0.7), (2, 0.2)]]
 
     def test_tie_break_by_index(self):
-        assert top_candidates([0.25, 0.25, 0.25, 0.25], 2) == [(0, 0.25), (1, 0.25)]
+        assert top_lists(dense_batch([[0.25, 0.25, 0.25, 0.25]]), 2) == [[(0, 0.25), (1, 0.25)]]
 
     def test_k_equals_vocab(self):
-        assert top_candidates([0.5, 0.3, 0.2], 3) == [(0, 0.5), (1, 0.3), (2, 0.2)]
+        assert top_lists(dense_batch([[0.5, 0.3, 0.2]]), 3) == [[(0, 0.5), (1, 0.3), (2, 0.2)]]
 
     @pytest.mark.parametrize("k", [0, 4, -1])
     def test_k_out_of_range(self, k):
         model = NGramModel.fit(Vocabulary(("a", "b", "c")), [[0, 1, 2]], order=2, smoothing=0.1)
-        for dist in ([0.5, 0.3, 0.2], model.next_token_dist([0])):
-            with pytest.raises(InputError):
-                top_candidates(dist, k)
-        with pytest.raises(InputError):
-            model.next_token_dists([[0]]).top(k)
+        for batch in (dense_batch([[0.5, 0.3, 0.2]]), model.next_token_dists([[0]])):
+            with pytest.raises(InputError, match=f"k={k} out of range for vocabulary of 3"):
+                batch.top(k)
 
     def test_full_k_is_permutation(self):
         rng = np.random.default_rng(3)
@@ -450,10 +424,11 @@ class TestTopCandidates:
             size = int(rng.integers(2, 15))
             weights = rng.random(size)
             dist = weights / weights.sum()
-            picked = top_candidates(dist, size)
+            [picked] = top_lists(dense_batch([dist]), size)
             assert sorted(i for i, _ in picked) == list(range(size))
             probs = [p for _, p in picked]
             assert probs == sorted(probs, reverse=True)
+            assert picked == top_candidates(dist, size)
 
 
 class TestEntropy:
@@ -588,7 +563,7 @@ class TestRowBatch:
                 batch = model.next_token_dists([context])
                 dense = dense_dist(model, context)
                 assert_same_bits(batch.dense()[0], dense)
-                assert_same_bits(validate_dist(model.next_token_dist(context), size), dense)
+                assert_same_bits(checked_dist(model.next_token_dist(context), size), dense)
                 assert_same_bits(batch.prob(np.zeros(size, dtype=np.int64), np.arange(size)), dense)
                 for k in range(1, size + 1):
                     assert top_lists(batch, k) == [top_candidates(dense, k)]

@@ -17,8 +17,8 @@ entropies of its dense vectors bit for bit.
 
 import numpy as np
 
-from conftest import ngram_model
-from treespec import DomainCorpus, NGramModel, RowBatch, Vocabulary, entropy_nats, top_candidates
+from conftest import ngram_model, top_candidates
+from treespec import DomainCorpus, NGramModel, RowBatch, Vocabulary, entropy_nats
 from treespec import train_models
 from treespec import model as model_module
 

@@ -268,7 +268,7 @@ def plain_loop(config, corpora, models=train_models):
             corpus, config.prompts_per_domain, config.seed, config.prompt_truncation
         )
         eos = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
-        for prompt_id, prompt in enumerate(prompts.prompts):
+        for prompt_id, prompt in enumerate(prompts):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
                 position_bin = 0 if 2 * step_index < config.max_new_tokens else 1
@@ -336,7 +336,7 @@ class TestRunExperiment:
         corpus = DomainCorpus("d", [(1, 2), (2, 1), (3, 3)], vocab)
         config = GenerationConfig(prompts_per_domain=3, max_new_tokens=1, prompt_truncation=2)
         records = run_experiment(config, {"d": corpus}).records
-        prompts = sample_prompts(corpus, 3, config.seed, 2).prompts
+        prompts = sample_prompts(corpus, 3, config.seed, 2)
         assert sorted(windows) == sorted(prompts) == [(1, 2), (2, 1), (3, 3)]
         tree_of = dict(zip(prompts, records.steps["tree"].tolist()))
         assert tree_of[1, 2] == tree_of[2, 1] != tree_of[3, 3]
@@ -468,7 +468,7 @@ def prompt_major_loop(config, corpora):
         eos = corpus.vocabulary.get(config.eos_token) if config.eos_token else None
         width = max(draft.context_window, target.context_window)
         memo = {}
-        for prompt_id, prompt in enumerate(prompts.prompts):
+        for prompt_id, prompt in enumerate(prompts):
             context = list(prompt)
             for step_index in range(config.max_new_tokens):
                 key = tuple(context[-width:])
@@ -539,7 +539,7 @@ class TestLockstep:
         monkeypatch.setattr(runner, "score_trees", recording_score)
         report = run_experiment(config, corpora)
         domains = sorted(corpora)
-        assert steps == [sample_prompts(corpora[d], 8, config.seed, 40).prompts for d in domains]
+        assert steps == [sample_prompts(corpora[d], 8, config.seed, 40) for d in domains]
         # Every window a step records is scored once, and each of their
         # distinct draft windows (the last token) grows once; a window that
         # halts a prompt is recorded by no step and neither grown nor scored.

@@ -8,10 +8,8 @@ from treespec import (
     NGramModel,
     TreeParams,
     Vocabulary,
-    acceptance_prob,
     build_draft_tree,
     entropy_nats,
-    residual_dist,
     score_tree,
     score_trees,
 )
@@ -20,44 +18,43 @@ from treespec.verify import acceptance_probs
 ABCD = Vocabulary(("a", "b", "c", "d"))
 
 
-def random_dist(rng, size, allow_zero=True):
-    weights = rng.random(size)
-    if allow_zero and size > 2 and rng.random() < 0.5:
-        weights[rng.integers(0, size)] = 0.0
-    return weights / weights.sum()
-
-
 class TestAcceptanceProb:
+    """``acceptance_probs``, min(1, p_target / p_draft) of each pair."""
+
     def test_ratio(self):
-        assert acceptance_prob(0.2, 0.4) == 0.5
+        assert acceptance_probs([0.2], [0.4]).tolist() == [0.5]
 
     def test_clamp(self):
-        assert acceptance_prob(0.9, 0.3) == 1.0
+        assert acceptance_probs([0.9], [0.3]).tolist() == [1.0]
 
     def test_zero_target(self):
-        assert acceptance_prob(0.0, 0.5) == 0.0
+        assert acceptance_probs([0.0], [0.5]).tolist() == [0.0]
 
     def test_zero_draft_rejected(self):
-        with pytest.raises(InputError):
-            acceptance_prob(0.5, 0.0)
+        with pytest.raises(InputError, match=r"^p_draft=0\.0 outside \(0, 1\]$"):
+            acceptance_probs([0.5], [0.0])
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            acceptance_prob(1.5, 0.5)
-        with pytest.raises(InputError):
-            acceptance_prob(0.5, 1.5)
+        with pytest.raises(InputError, match=r"^p_target=1\.5 outside \[0, 1\]$"):
+            acceptance_probs([1.5], [0.5])
+        with pytest.raises(InputError, match=r"^p_draft=1\.5 outside \(0, 1\]$"):
+            acceptance_probs([0.5], [1.5])
+        # The first bad pair is named: by its p_target when that is bad, else by its p_draft.
+        with pytest.raises(InputError, match=r"^p_draft=2\.0 outside \(0, 1\]$"):
+            acceptance_probs([0.5, 0.2, -0.5], [0.5, 2.0, 0.0])
+        with pytest.raises(InputError, match=r"^p_target=nan outside \[0, 1\]$"):
+            acceptance_probs([0.5, float("nan")], [0.5, 0.0])
 
     def test_subnormal_draft_keeps_the_token(self):
-        # 0.25 / 5e-321 overflows to inf; the array rule must say so without a warning.
-        assert acceptance_probs([0.25, 1e-320], [5e-321, 0.5]).tolist() == [
-            acceptance_prob(0.25, 5e-321), acceptance_prob(1e-320, 0.5)] == [1.0, 2e-320]
+        # 0.25 / 5e-321 overflows to inf; the rule must say so without a warning.
+        assert acceptance_probs([0.25, 1e-320], [5e-321, 0.5]).tolist() == [1.0, 2e-320]
 
     def test_monotone_in_target(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             p_draft = float(rng.uniform(0.01, 1.0))
             targets = np.sort(rng.random(10))
-            alphas = [acceptance_prob(float(t), p_draft) for t in targets]
+            alphas = acceptance_probs(targets, np.full(10, p_draft)).tolist()
             assert all(a <= b for a, b in zip(alphas, alphas[1:]))
             for t, a in zip(targets, alphas):
                 if t >= p_draft:
@@ -138,37 +135,6 @@ class TestScoreTree:
             score_tree(model, context, tree)
         with pytest.raises(InputError, match="not an integer"):
             score_trees(model, [[0, 1], context], tree.take([0, 0]))
-
-
-class TestResidual:
-    def test_identical_dists_fall_back_to_target(self):
-        target = np.array([0.3, 0.7])
-        assert np.array_equal(residual_dist(target, target), target)
-
-    def test_one_hot_pair(self):
-        target = np.array([1.0, 0.0])
-        draft = np.array([0.0, 1.0])
-        assert np.array_equal(residual_dist(target, draft), [1.0, 0.0])
-
-    def test_hand_normalized_residual(self):
-        target = np.array([0.6, 0.4])
-        draft = np.array([0.4, 0.6])
-        assert np.allclose(residual_dist(target, draft), [1.0, 0.0])
-
-    def test_composite_sampler_exact_per_token_mass(self):
-        # Closed form, no sampling: draft[t]*alpha[t] + P(reject)*residual[t]
-        # must reproduce the target exactly.
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            size = int(rng.integers(2, 6))
-            target = random_dist(rng, size)
-            draft = random_dist(rng, size, allow_zero=False)
-            alphas = np.array(
-                [acceptance_prob(float(t), float(d)) for t, d in zip(target, draft)]
-            )
-            reject_mass = float((draft * (1.0 - alphas)).sum())
-            emitted = draft * alphas + reject_mass * residual_dist(target, draft)
-            assert np.max(np.abs(emitted - target)) < 1e-12
 
 
 class TestSparseMatchesTable:
