@@ -73,9 +73,13 @@ def score_trees(
 def acceptance_probs(p_target: Sequence[float], p_draft: Sequence[float]) -> np.ndarray:
     """The rejection-sampling keep probability min(1, p_target / p_draft) of each
     pair, as float64; InputError names the first pair with p_target outside
-    [0, 1] or p_draft outside (0, 1]."""
+    [0, 1] or p_draft outside (0, 1], or the shapes of two inputs that are not
+    one-dimensional of one length."""
     pt = np.asarray(p_target, dtype=np.float64)
     pd = np.asarray(p_draft, dtype=np.float64)
+    if pt.ndim != 1 or pt.shape != pd.shape:
+        raise InputError(f"p_target and p_draft must pair up as one-dimensional arrays of one "
+                         f"length, got shapes {pt.shape} and {pd.shape}")
     bad = ~((pt >= 0.0) & (pt <= 1.0) & (pd > 0.0) & (pd <= 1.0))
     if bad.any():
         first = int(np.argmax(bad))

@@ -112,6 +112,32 @@ class TestCheckContext:
             assert repr(tuple(context)) in str(caught.value)
 
 
+class TestValidateDist:
+    """``checked_dist``, the suite's check that a model row is a distribution,
+    fails on each defect it stands guard for."""
+
+    def test_accepts_valid(self):
+        dist = checked_dist(np.array([0.5, 0.25, 0.25]), 3)
+        assert dist.tolist() == [0.5, 0.25, 0.25]
+
+    def test_rejects_negative(self):
+        with pytest.raises(AssertionError):
+            checked_dist(np.array([1.5, -0.5]), 2)
+
+    def test_rejects_bad_sum(self):
+        with pytest.raises(AssertionError):
+            checked_dist(np.array([0.5, 0.4]), 2)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(AssertionError):
+            checked_dist(np.array([0.5, 0.5]), 3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(AssertionError):
+            checked_dist(np.array([value, 1.0]), 2)
+
+
 class TestNextTokenDist:
     def test_uniform_table_model(self):
         model = TableModel(WXYZ, [0.25, 0.25, 0.25, 0.25])

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,21 @@ class TestAcceptanceProb:
             acceptance_probs([0.5, 0.2, -0.5], [0.5, 2.0, 0.0])
         with pytest.raises(InputError, match=r"^p_target=nan outside \[0, 1\]$"):
             acceptance_probs([0.5, float("nan")], [0.5, 0.0])
+
+    @pytest.mark.parametrize("p_target, p_draft", [
+        ([0.2, 0.3], [0.5]),  # broadcast to two alphas before
+        ([0.2, 0.3], [0.5, 0.5, 0.5]),  # numpy's bare broadcast ValueError before
+        (1.5, 0.5),  # IndexError on the 0-d array before
+        ([[0.2]], [[0.5]]),
+    ], ids=["one-draft-for-two", "three-drafts-for-two", "scalars", "two-dimensional"])
+    def test_unpaired_inputs_rejected(self, p_target, p_draft):
+        shapes = f"{np.shape(p_target)} and {np.shape(p_draft)}"
+        with pytest.raises(InputError, match=re.escape(shapes)):
+            acceptance_probs(p_target, p_draft)
+
+    def test_no_pairs(self):
+        alphas = acceptance_probs([], [])
+        assert alphas.dtype == np.float64 and alphas.shape == (0,)
 
     def test_subnormal_draft_keeps_the_token(self):
         # 0.25 / 5e-321 overflows to inf; the rule must say so without a warning.
