@@ -132,6 +132,13 @@ LARGE_VOCABULARY_SHA256 = {
     "tables.txt": "a7850e69438fff922aa36773610110557e2da6312da0151a11b866558a2eb082",
 }
 
+# sha256 of the same run with one-token prompts, made as REFERENCE_SHA256 was.
+SHORT_PROMPT_SHA256 = {
+    "records.csv": "183208c9f91576b7f7b823302fb9c67b707b12c911c8056ef3cd249fcc6f6eb0",
+    "summary.json": "3bddaad4af56022748644fd8c191cc2073534bb8c6898337b0bb49ed3115d87e",
+    "tables.txt": "7b04df3e4267ae68cc6652af23a3f233b5779ad62789c76c156439d6bef77ab8",
+}
+
 
 def branch_cap_ignored(model, contexts, params):
     """grow_trees with a defect: a node may have up to max_nodes children."""
@@ -185,6 +192,27 @@ class TestRun:
             for name in LARGE_VOCABULARY_SHA256
         }
         assert digests == LARGE_VOCABULARY_SHA256
+
+    def test_short_prompt_data_run_matches_pinned_hashes(self, tmp_path):
+        # One-token prompts: the first steps' windows are shorter than both
+        # models' spans, so the trajectory, growth and scoring all read
+        # windows padded past the document start.
+        write_markov_data(tmp_path / "data")
+        config = tmp_path / "config.txt"
+        config.write_text("max_depth = 4\nroot_top_k = 4\nmax_nodes = 16\ntarget_order = 4\n"
+                          "prompts_per_domain = 40\nmax_new_tokens = 8\nprompt_truncation = 1\n",
+                          encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli("run", "--data", str(tmp_path / "data"), "--config", str(config),
+                       "--out", str(out)) == 0
+        domains = json.loads((out / "meta.json").read_text(encoding="utf-8"))["domains"]
+        assert {d: (meta["speculated_windows"], meta["trees"]) for d, meta in domains.items()} == {
+            "left": (317, 320), "right": (318, 320)}
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in SHORT_PROMPT_SHA256
+        }
+        assert digests == SHORT_PROMPT_SHA256
 
     def test_early_stopped_run_speculates_only_the_windows_steps_record(self, tmp_path):
         # A window whose committed token is the end token halts its prompt,
