@@ -219,46 +219,61 @@ class LanguageModel(abc.ABC):
     Implementations are immutable after construction and safe for concurrent
     reads. Contexts are sequences of token indices into ``vocab``.
 
-    ``context_window`` is how many trailing context tokens the model reads;
-    None means all of them. Callers may pass any context that ends in those
-    tokens and get the same distribution.
+    ``context_window``, an int >= 0 every model sets, is how many trailing
+    context tokens the model reads. Callers may pass any context that ends in
+    those tokens and get the same distribution.
     """
 
     vocab: Vocabulary
-    context_window: int | None = None
+    context_window: int
 
     def next_token_dist(self, context: TokenSeq) -> np.ndarray:
         """Next-token distribution given ``context`` as a dense vector: a batch of one."""
-        return self._batch_dists([context]).dense()[0]
+        return self._batch_dists(self.windows([context])).dense()[0]
 
-    def next_token_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
-        """Score many contexts in one invocation (the batched call boundary).
-
-        Subclasses serve the batch through ``_batch_dists`` and leave this
-        method alone, so every batch passes through this one boundary.
-        """
-        return self._batch_dists(contexts)
+    def next_token_dists(self, contexts: Sequence[TokenSeq] | np.ndarray) -> RowBatch:
+        """Score many contexts, in either form ``windows`` takes, in one invocation (the
+        batched call boundary). Subclasses serve the checked windows through
+        ``_batch_dists`` and leave this method alone, so every batch passes through it."""
+        return self._batch_dists(self.windows(contexts))
 
     @abc.abstractmethod
-    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
-        """The next-token distribution of each context, as one ``RowBatch`` with
-        an ``index`` entry per context; deterministic per input."""
+    def _batch_dists(self, windows: np.ndarray) -> RowBatch:
+        """The next-token distribution of each row of a ``windows`` array, as one ``RowBatch``
+        with an ``index`` entry per row; deterministic per input."""
 
-    def windows(self, contexts: Sequence[TokenSeq]) -> list[tuple[int, ...]]:
-        """Each context's last ``context_window`` tokens as plain ints: all of them when None.
+    def windows(self, contexts: Sequence[TokenSeq] | np.ndarray) -> np.ndarray:
+        """Each context's last ``context_window`` tokens as one (contexts x ``context_window``)
+        int64 array: right-aligned, with -1 before the first token of a shorter context.
 
-        InputError unless every token of every whole context is an integer
-        (``_int_key``, which names the first context that holds one that is
-        not) in the vocabulary.
+        ``contexts`` is either a sequence of contexts, InputError unless every
+        token of every whole context is an integer (``_int_key``, which names
+        the first context that holds one that is not) in the vocabulary; or an
+        integer array of rows in this form, InputError unless it is 2-D with
+        entries in [-1, |V|) and -1 only as a leading run in its row. A
+        narrower array is padded on the left with -1, a wider one cut.
         """
+        span = self.context_window
+        if isinstance(contexts, np.ndarray):
+            if contexts.ndim != 2 or contexts.dtype.kind not in "iu":
+                raise InputError(f"a window array must be 2-D of integers, "
+                                 f"got {contexts.ndim}-D of {contexts.dtype}")
+            if contexts.size and (contexts.min() < -1 or contexts.max() >= self.vocab.size):
+                raise InputError("context contains a token outside the model vocabulary")
+            pad = contexts < 0
+            if (pad[:, 1:] & ~pad[:, :-1]).any():
+                raise InputError("a window array holds -1 after a token")
+            cut = contexts[:, max(0, contexts.shape[1] - span):].astype(np.int64, copy=False)
+            return np.pad(cut, ((0, 0), (span - cut.shape[1], 0)), constant_values=-1)
         contexts = [tuple(context) for context in contexts]
         tokens = list(itertools.chain.from_iterable(contexts))
         if set(map(type, tokens)) - {int}:
             contexts = list(map(_int_key, contexts))
         if tokens and (min(tokens) < 0 or max(tokens) >= self.vocab.size):
             raise InputError("context contains a token outside the model vocabulary")
-        span = self.context_window
-        return contexts if span is None else [c[max(0, len(c) - span):] for c in contexts]
+        pad = (-1,) * span
+        return np.array([(pad + c)[len(c):] for c in contexts],
+                        dtype=np.int64).reshape(len(contexts), span)
 
 
 class NGramModel(LanguageModel):
@@ -284,14 +299,14 @@ class NGramModel(LanguageModel):
     sum ``_totals[c]``.
 
     A batch (``_batch_dists``) walks the levels once for all of its
-    contexts, one ``np.searchsorted`` per level, which gives each its id.
+    windows, one ``np.searchsorted`` per level, which gives each its id.
     ``_row_of[c]`` is context c's row in one ``RowBatch``, ``_store`` (-1
     until read); its last slot, the id of every unseen context, holds the
     shared row 0. The ids a batch has not read before are read once, in id
     order: their successors' probabilities, over the floor smoothing /
     (total + smoothing * |V|), are computed and ranked in one numpy pass
     (``_read_rows``) appended to the store, so a context is read and its
-    entropy summed once. A batch is the store with the contexts' rows as
+    entropy summed once. A batch is the store with the windows' rows as
     ``index``.
     """
 
@@ -387,17 +402,14 @@ class NGramModel(LanguageModel):
             for back, start, stop in zip(backs, offsets, offsets[1:])
         })
 
-    def _batch_dists(self, contexts: Sequence[TokenSeq]) -> RowBatch:
-        """``next_token_dists``: the contexts' ``windows``, one level walk that gives each its id
-        (a window shorter than the span is padded with -1, whose ``back`` is 0) and one
-        ``_read_rows`` of the ids not read before; the store's columns, with the contexts' rows
-        as index. An unseen context's id is -1, ``_row_of``'s last slot; a model of no
-        contexts has empty levels and that one slot, so it walks none of them."""
-        size, span = self.vocab.size, self.context_window
-        windows = self.windows(contexts)
-        pad = (-1,) * span
-        backs = np.array([pad[len(w):] + w for w in windows],
-                         dtype=np.int64).reshape(len(windows), span)[:, ::-1] + 1
+    def _batch_dists(self, windows: np.ndarray) -> RowBatch:
+        """``next_token_dists``: one level walk that gives each window its id (the -1 that pads
+        a short window has the ``back`` 0) and one ``_read_rows`` of the ids not read before;
+        the store's columns, with the windows' rows as index. An unseen context's id is -1,
+        ``_row_of``'s last slot; a model of no contexts has empty levels and that one slot, so
+        it walks none of them."""
+        size = self.vocab.size
+        backs = windows[:, ::-1] + 1
         ids = np.zeros(len(windows), dtype=np.int64)
         for k, codes in enumerate(self._levels if len(self._totals) else ()):
             codes = np.asarray(codes)

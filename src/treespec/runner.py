@@ -193,27 +193,26 @@ def generate_step(
     """Every step of one domain's prompts: the greedy trajectory, then each window's tree.
 
     A step's tree and committed token depend only on its window, the last
-    max(draft, target, 1) ``context_window`` tokens of its context (the
-    whole context when either window is None), and the committed token,
-    the top candidate of the target's row at the window, not on the tree.
-    So the trajectory runs first, in lockstep: wave w is step w of every
-    prompt still live, and one bare-window ``target.next_token_dists`` call
-    per wave gives the windows not seen before their tokens. A prompt leaves
-    when it commits ``eos_index`` (that step is not recorded) or after
-    ``max_new_tokens`` steps; every other new window becomes the next memo
-    entry. Then the entries' windows are speculated, up to
-    ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows one tree per
-    distinct draft window (``draft.windows``; an empty one grows on its first
-    window), ``DraftTrees.take`` gathers each window's tree and
-    ``score_trees`` scores them. Each node gives one row: its ``depth``,
-    ``token`` and ``p_draft`` columns and its scores.
+    max(draft, target, 1) ``context_window`` tokens of its context, and the
+    committed token, the top candidate of the target's row at the window,
+    not on the tree. So the trajectory runs first, in lockstep: wave w is
+    step w of every prompt still live, and one bare-window
+    ``target.next_token_dists`` call per wave gives the windows not seen
+    before their tokens. A prompt leaves when it commits ``eos_index`` (that
+    step is not recorded) or after ``max_new_tokens`` steps; every other new
+    window becomes the next memo entry. Then the entries' windows are
+    speculated, up to ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows
+    one tree per distinct row of ``draft.windows``, on the first window that
+    has it (a draft that reads no token grows one tree), ``DraftTrees.take``
+    gathers each window's tree and ``score_trees`` scores them. Each node
+    gives one row: its ``depth``, ``token`` and ``p_draft`` columns and its
+    scores.
 
     Returns the steps (``prompt_id``, ``step_index`` and ``tree``, the memo
     entry) prompt by prompt, the rows per entry, the row columns and the
     counts ``stopped_prompts``, ``speculated_windows`` and ``grown_trees``.
     """
-    windows = (draft.context_window, target.context_window)
-    suffix = slice(None) if None in windows else slice(-max(*windows, 1), None)
+    suffix = slice(-max(draft.context_window, target.context_window, 1), None)
     memo: dict[tuple[int, ...], tuple[int, int] | None] = {}  # window -> (entry, token) or None
     seen: list[tuple[int, ...]] = []  # every entry's window, in entry order
     contexts = [list(prompt) for prompt in prompts]
@@ -246,14 +245,10 @@ def generate_step(
     grown = 0
     for start in range(0, len(seen), _SPECULATION_BATCH):
         batch = seen[start:start + _SPECULATION_BATCH]
-        drafts = draft.windows(batch)
-        firsts: dict[tuple[int, ...], tuple[int, ...]] = {}  # draft window -> what it grows on
-        for cut, key in zip(drafts, batch):
-            firsts.setdefault(cut, cut or key)
-        tree_of = {cut: i for i, cut in enumerate(firsts)}
-        trees = grow_trees(draft, list(firsts.values()), params).take(
-            [tree_of[cut] for cut in drafts])
-        grown += len(firsts)
+        cuts, tree_of = np.unique(draft.windows(batch), axis=0, return_inverse=True)
+        # A draft that reads no token grows its one tree on the first window.
+        trees = grow_trees(draft, cuts if cuts.size else batch[:1], params).take(tree_of)
+        grown += len(cuts)
         sizes += np.diff(trees.offsets).tolist()
         for name, column in {"depth": trees.depths, "token": trees.tokens, "p_draft": trees.p_draft,
                              **score_trees(target, batch, trees)}.items():

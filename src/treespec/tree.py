@@ -74,7 +74,7 @@ def build_draft_tree(draft: LanguageModel, context: TokenSeq, params: TreeParams
 
 
 def grow_trees(
-    draft: LanguageModel, contexts: Sequence[TokenSeq], params: TreeParams
+    draft: LanguageModel, contexts: Sequence[TokenSeq] | np.ndarray, params: TreeParams
 ) -> DraftTrees:
     """Build one speculative tree per context with the draft model, all at once.
 
@@ -83,20 +83,26 @@ def grow_trees(
     on ties) is expanded into its top ``max_branch`` children until
     ``max_nodes`` nodes exist, the depth cap stops expansion, or no
     expandable node remains. A candidate with probability <= 0 ends its
-    parent's expansion (it is not a proposal). The contexts are checked and
-    cut to the draft's window in one ``draft.windows`` call.
+    parent's expansion (it is not a proposal). The contexts, in either form
+    ``draft.windows`` takes, are checked and cut to the draft's window in
+    one ``draft.windows`` call; InputError for an empty one (in an array, a
+    row of -1 alone).
 
     The trees grow in rounds over (trees x width) arrays: the first round
     places every tree's roots, and each later one pops every live tree's
     best frontier node, asks one ``draft.next_token_dists`` call for those
-    nodes' contexts (window + path) alone, ranks each distinct row once and
-    writes the children. The width grows as trees fill; it is never sized by
+    nodes' windows alone, ranks each distinct row once and writes the
+    children. A node's window, its context + path cut to the draft's
+    window, is a row of a (trees x width x window) array: its parent's
+    window (the tree's base window for a root) shifted left by one, with
+    its own token last. The width grows as trees fill; it is never sized by
     ``max_nodes``.
     """
-    if not all(map(len, contexts)):
-        raise InputError("context must be non-empty")
     bases = draft.windows(contexts)
-    n = len(bases)
+    if ((contexts < 0).all(axis=1).any() if isinstance(contexts, np.ndarray)
+            else not all(map(len, contexts))):
+        raise InputError("context must be non-empty")
+    n, span = bases.shape
     vocab_size = draft.vocab.size
     # No tree outgrows int64, nor gets deeper than its node count.
     max_nodes = min(params.max_nodes, sys.maxsize)
@@ -106,9 +112,9 @@ def grow_trees(
     count = np.zeros(n, dtype=np.int64)
     tokens, depths, parents = (np.zeros((n, width), dtype=np.int64) for _ in range(3))
     p_draft, cum_logp = np.zeros((n, width)), np.zeros((n, width))
+    windows = np.zeros((n, width, span), dtype=np.int64)
     # cum_logp of each node that awaits expansion, -inf elsewhere.
     frontier = np.full((n, width), -np.inf)
-    asked: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]  # expanded node -> its context
 
     # The first round expands each tree's bare context (-1) into its roots.
     live, popped = np.arange(n), np.full(n, -1)
@@ -128,20 +134,25 @@ def grow_trees(
             tokens, depths, parents, p_draft, cum_logp = (
                 np.pad(column, ((0, 0), (0, grow)))
                 for column in (tokens, depths, parents, p_draft, cum_logp))
+            windows = np.pad(windows, ((0, 0), (0, grow), (0, 0)))
             frontier = np.pad(frontier, ((0, 0), (0, grow)), constant_values=-np.inf)
             width += grow
         # Each popped node's children: tree ``tree``, column ``at``, candidate
-        # ``rank`` of ranked row ``row``.
-        tree, row = np.repeat(live, placed), np.repeat(which, placed)
+        # ``rank`` of ranked row ``row``, whose parent's window is request ``source``.
+        source = np.repeat(np.arange(live.size), placed)
+        tree, row = live[source], which[source]
         rank = np.arange(row.size) - np.repeat(np.cumsum(placed) - placed, placed)
-        at = np.repeat(count[live], placed) + rank
-        child_depth = np.repeat(parent_depth + 1, placed)
-        child_logp = np.repeat(parent_logp, placed) + ranked_logps[row, rank]
-        tokens[tree, at] = ranked_tokens[row, rank]
+        at = count[tree] + rank
+        child_token = ranked_tokens[row, rank]
+        child_depth = parent_depth[source] + 1
+        child_logp = parent_logp[source] + ranked_logps[row, rank]
+        tokens[tree, at] = child_token
         depths[tree, at] = child_depth
-        parents[tree, at] = np.repeat(popped, placed)
+        parents[tree, at] = popped[source]
         p_draft[tree, at] = ranked_probs[row, rank]
         cum_logp[tree, at] = child_logp
+        # The last ``span`` tokens of the parent's window and the child's token.
+        windows[tree, at] = np.concatenate((requests[source], child_token[:, None]), axis=1)[:, 1:]
         frontier[tree, at] = np.where(child_depth < max_depth, child_logp, -np.inf)
         count[live] = stops
 
@@ -152,12 +163,7 @@ def grow_trees(
         popped = best[live]
         frontier[live, popped] = -np.inf
         parent_depth, parent_logp = depths[live, popped], cum_logp[live, popped]
-        requests = []
-        for t, node, parent, token in zip(live.tolist(), popped.tolist(),
-                                          parents[live, popped].tolist(),
-                                          tokens[live, popped].tolist()):
-            requests.append((bases[t] if parent < 0 else asked[t][parent]) + (token,))
-            asked[t][node] = requests[-1]
+        requests = windows[live, popped]
 
     filled = np.arange(width) < count[:, None]
     offsets = np.concatenate(([0], np.cumsum(count)))

@@ -9,7 +9,6 @@ commits the target's greedy token before any tree is scored.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -33,14 +32,17 @@ def score_trees(
     the context its parent was expanded on. Each tree asks for its bare
     context first, then for each node with children, in the order they were
     expanded: a node's children follow one another, so each run of equal
-    ``parents`` is one expansion. One batched model invocation serves all the
-    trees; the ``RowBatch`` it returns gives every node's ``p_target`` in one
-    gather and its rows' entropies together, and the acceptance probabilities
-    are one array (``acceptance_probs``). The contexts are checked and cut to
-    the target's window in one ``target.windows`` call; a tree may be scored
-    over any context that ends in the draft window it grew on. Returns the
-    float64 columns ``p_target``, ``alpha`` and ``target_entropy``, one value
-    per node of every tree in order.
+    ``parents`` is one expansion. The contexts are checked and cut to the
+    target's window in one ``target.windows`` call, and an expanded node's
+    window is its parent's (its tree's for a root) shifted left by one with
+    its own token last, found for every expanded node of one depth in one
+    numpy pass. One batched model invocation serves all the trees; the
+    ``RowBatch`` it returns gives every node's ``p_target`` in one gather and
+    its rows' entropies together, and the acceptance probabilities are one
+    array (``acceptance_probs``). A tree may be scored over any context that
+    ends in the draft window it grew on. Returns the float64 columns
+    ``p_target``, ``alpha`` and ``target_entropy``, one value per node of
+    every tree in order.
     """
     offsets = trees.offsets
     if len(contexts) != offsets.size - 1:
@@ -52,17 +54,19 @@ def score_trees(
     expanded = parent[first]
     # Requests go tree by tree: the bare context, then each expanded node's context.
     per_tree = np.bincount(tree_of[expanded], minlength=len(contexts))
-    node_slot = (np.arange(len(contexts)) + np.cumsum(per_tree) - per_tree)[tree_of]
+    base_slot = np.arange(len(contexts)) + np.cumsum(per_tree) - per_tree
+    node_slot = base_slot[tree_of]  # the request of each node's parent's window
     node_slot[child] = (np.cumsum(first) + tree_of)[child]
+    expanded_slot = node_slot[first]
 
-    requests: list[tuple[int, ...]] = []
-    asked: dict[int, tuple[int, ...]] = {}  # expanded node -> its context
-    rows = zip(expanded.tolist(), parent[expanded].tolist(), trees.tokens[expanded].tolist())
-    for base, n_expanded in zip(target.windows(contexts), per_tree.tolist()):
-        requests.append(base)
-        for node, above, token in itertools.islice(rows, n_expanded):
-            requests.append((base if above < 0 else asked[above]) + (token,))
-            asked[node] = requests[-1]
+    requests = np.empty((len(contexts) + expanded.size, target.context_window), dtype=np.int64)
+    requests[base_slot] = target.windows(contexts)
+    depth_of = trees.depths[expanded]
+    for depth in range(1, int(depth_of.max(initial=0)) + 1):
+        at = depth_of == depth
+        node = expanded[at]
+        requests[expanded_slot[at]] = np.concatenate(
+            (requests[node_slot[node]], trees.tokens[node, None]), axis=1)[:, 1:]
 
     rows = target.next_token_dists(requests)
     p_target = rows.prob(node_slot, trees.tokens)

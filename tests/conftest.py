@@ -109,19 +109,55 @@ def node_paths(tree):
     return paths
 
 
+def node_window(context, path, span):
+    """The per-node rule: ``context`` + ``path`` cut to its last ``span`` tokens, as a tuple.
+    The oracle for the window arrays that growth and scoring build from tree columns."""
+    whole = (*context, *path)
+    return tuple(whole[max(0, len(whole) - span):])
+
+
+def expansions(tree):
+    """The paths of one tree's nodes with children, in the order they were expanded: that of
+    their first children. A popped node always gets a child, its top candidate."""
+    return list(dict.fromkeys(path[:-1] for path in node_paths(tree) if len(path) > 1))
+
+
+def growth_batches(contexts, trees, span):
+    """The batches of windows ``grow_trees`` asks a draft that reads ``span`` tokens, by the
+    per-node rule: each tree's context, then, round by round, the next node each tree
+    expands, tree by tree."""
+    per_tree = [expansions(trees.take([i])) for i in range(len(contexts))]
+    return [[node_window(c, (), span) for c in contexts]] + [
+        [node_window(c, paths[r], span) for c, paths in zip(contexts, per_tree) if len(paths) > r]
+        for r in range(max(map(len, per_tree), default=0))]
+
+
+def scoring_batch(contexts, trees, span):
+    """The one batch of windows ``score_trees`` asks a target that reads ``span`` tokens, by
+    the per-node rule: tree by tree, its context, then each node with children in turn."""
+    return [node_window(c, path, span) for i, c in enumerate(contexts)
+            for path in [(), *expansions(trees.take([i]))]]
+
+
+def window_tuples(windows):
+    """Each row of a ``LanguageModel.windows`` array as a tuple of its tokens, the -1 that
+    pads a short window left out."""
+    return [tuple(token for token in row if token >= 0) for row in windows.tolist()]
+
+
 class TableModel(LanguageModel):
     """Hand-built model: an explicit dense distribution per exact window.
 
-    It reads the last ``context_window`` tokens (all of them when None), and
-    a window absent from ``table`` gets ``default``. It keeps each batch of
-    contexts it is asked in ``batches`` (``next_token_dist`` asks a batch of
-    one) and counts the contexts it scores in ``scored``. Distributions are
+    It reads the last ``context_window`` tokens, and a window absent from
+    ``table`` gets ``default``. It keeps each batch of windows it is asked in
+    ``batches``, as ``window_tuples`` (``next_token_dist`` asks a batch of
+    one), and counts the windows it scores in ``scored``. Distributions are
     taken as given: a batch is one ``RowBatch`` of the dense vectors, a row
-    per context listing every token over a floor of 0, which the batch's
+    per window listing every token over a floor of 0, which the batch's
     constructor ranks.
     """
 
-    def __init__(self, vocab, default, table=None, context_window=None):
+    def __init__(self, vocab, default, table=None, *, context_window):
         self.vocab = vocab
         self.context_window = context_window
         self.default = np.asarray(default, dtype=np.float64)
@@ -129,10 +165,10 @@ class TableModel(LanguageModel):
         self.batches = []
         self.scored = 0
 
-    def _batch_dists(self, contexts):
-        self.batches.append([tuple(c) for c in contexts])
-        self.scored += len(contexts)
-        vectors = [self.table.get(window, self.default) for window in self.windows(contexts)]
+    def _batch_dists(self, windows):
+        self.batches.append(window_tuples(windows))
+        self.scored += len(windows)
+        vectors = [self.table.get(window, self.default) for window in self.batches[-1]]
         return dense_batch(np.reshape(vectors, (len(vectors), self.vocab.size)))
 
 

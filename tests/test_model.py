@@ -9,10 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TableModel, checked_dist, dense_batch, ngram_model, top_candidates
+from conftest import (TableModel, checked_dist, dense_batch, ngram_model, top_candidates,
+                      window_tuples)
 from treespec import (
     DomainCorpus,
     InputError,
+    LanguageModel,
     NGramModel,
     RowBatch,
     Vocabulary,
@@ -59,12 +61,13 @@ class TestVocabulary:
 
 
 class TestCheckContext:
-    """``windows`` checks every whole context and returns the model's window of each; a batch,
-    of many contexts or of one, applies the same rule."""
+    """``windows`` checks every whole context, or every row of an array of windows, and returns
+    the model's window of each; a batch, of many contexts or of one, applies the same rule."""
 
     trigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=3, smoothing=0.2)
     unigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=1, smoothing=0.2)  # span 0
-    table = TableModel(WXYZ, [0.25] * 4)  # span None
+    table = TableModel(WXYZ, [0.25] * 4, {(1, 2, 3): [0.7, 0.1, 0.1, 0.1], (3,): [0.1, 0.7, 0.1, 0.1]},
+                       context_window=3)
 
     def calls(self, context):
         """Each way ``context`` reaches each model's rule, after a good context."""
@@ -82,8 +85,8 @@ class TestCheckContext:
         whole = tuple(map(int, context))
         for model, want in ((self.trigram, window), (self.unigram, ()), (self.table, whole)):
             got = model.windows([[0], context])
-            assert got == [model.windows([[0]])[0], want]
-            assert all(type(t) is int for t in got[1])
+            assert got.dtype == np.int64 and got.shape == (2, model.context_window)
+            assert window_tuples(got) == [(0,)[:model.context_window], want]
             dense = model.next_token_dist(want)
             assert np.array_equal(model.next_token_dist(context), dense)
             assert np.array_equal(model.next_token_dists([[0], context]).dense()[1], dense)
@@ -110,6 +113,45 @@ class TestCheckContext:
             with pytest.raises(InputError, match="not an integer") as caught:
                 call()
             assert repr(tuple(context)) in str(caught.value)
+
+    @pytest.mark.parametrize("rows", [
+        [[-1, -1, 2], [0, 1, 3], [-1, -1, -1]],  # leading -1 runs, a whole row of them too
+        [[3], [-1]],  # narrower than the trigram's and the table's windows
+        [[-1, -1, 1, 2, 3], [3, 2, 1, 0, 3]],  # wider than every window
+        np.zeros((2, 0), dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_window_array_accepted(self, rows, dtype):
+        # As the contexts that the rows' tokens make.
+        rows = np.asarray(rows, dtype=dtype)
+        contexts = [[t for t in row if t >= 0] for row in rows.tolist()]
+        for model in (self.trigram, self.unigram, self.table):
+            got = model.windows(rows)
+            assert got.dtype == np.int64 and got.shape == (len(rows), model.context_window)
+            assert np.array_equal(got, model.windows(contexts))
+            batch, plain = model.next_token_dists(rows), model.next_token_dists(contexts)
+            assert np.array_equal(batch.dense(), plain.dense())
+            assert np.array_equal(batch.entropies(), plain.entropies())
+
+    @pytest.mark.parametrize("rows, match", [
+        (np.array([0, 1]), "2-D"),
+        (np.zeros((1, 2, 2), dtype=np.int64), "2-D"),
+        (np.array([[0.0, 1.0]]), "2-D of integers"),
+        (np.array([[0, 1]], dtype=object), "2-D of integers"),
+        (np.array([[True, False]]), "2-D of integers"),
+        (np.array([[-2, 1]]), "outside the model vocabulary"),
+        (np.array([[0, 1], [1, 4]]), "outside the model vocabulary"),
+        (np.array([[2**40, 1]]), "outside the model vocabulary"),
+        (np.array([[0, -1, 1]]), "-1 after a token"),
+        (np.array([[-1, 2, -1, 3, 0]]), "-1 after a token"),  # before every window
+        (np.array([[1, -1]]), "-1 after a token"),
+    ])
+    def test_window_array_rejected(self, rows, match):
+        for model in (self.trigram, self.unigram, self.table):
+            for call in (model.windows, model.next_token_dists):
+                with pytest.raises(InputError, match=match):
+                    call(rows)
 
 
 class TestValidateDist:
@@ -140,7 +182,7 @@ class TestValidateDist:
 
 class TestNextTokenDist:
     def test_uniform_table_model(self):
-        model = TableModel(WXYZ, [0.25, 0.25, 0.25, 0.25])
+        model = TableModel(WXYZ, [0.25, 0.25, 0.25, 0.25], context_window=3)
         for context in ([0], [3, 2], [1, 1, 1]):
             assert np.allclose(model.next_token_dist(context), [0.25] * 4)
 
@@ -250,7 +292,8 @@ class TestNextTokenDist:
         contexts += contexts[:5] + [[int(t) for t in c] for c in contexts[5:10]]
         batch = model.next_token_dists(contexts)
         read = len(model._store.floors)
-        for i, (context, window, dense) in enumerate(zip(contexts, model.windows(contexts),
+        for i, (context, window, dense) in enumerate(zip(contexts,
+                                                         window_tuples(model.windows(contexts)),
                                                          batch.dense())):
             single = twin.next_token_dists([context])
             assert_same_bits(dense, single.dense()[0])
@@ -306,7 +349,8 @@ class TestNextTokenDist:
         # known; numpy ints are integers.
         plain = [0 if math.isnan(t) else int(t) for t in bad]
         for model in (NGramModel.fit(WXYZ, [[0, 1, 2, 3, 0, 1]], order=3, smoothing=0.2),
-                      TableModel(WXYZ, [0.25] * 4, {tuple(plain): [0.7, 0.1, 0.1, 0.1]})):
+                      TableModel(WXYZ, [0.25] * 4, {tuple(plain): [0.7, 0.1, 0.1, 0.1]},
+                                 context_window=2)):
             for _ in range(2):
                 with pytest.raises(InputError, match="not an integer"):
                     model.next_token_dist(bad)
@@ -323,22 +367,28 @@ class TestContextWindow:
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=order, smoothing=0.1)
         assert model.context_window == order - 1
 
-    def test_table_model_reads_whole_context(self):
-        assert TableModel(WXYZ, [0.25] * 4).context_window is None
+    def test_every_model_sets_its_window(self):
+        # The base class has no default window: every model reads a set number of tokens.
+        assert not hasattr(LanguageModel, "context_window")
+        assert TableModel(WXYZ, [0.25] * 4, context_window=5).context_window == 5
 
     def test_window_is_the_last_context_window_tokens(self):
+        # Right-aligned, with -1 before the first token of a shorter context.
         contexts = [[0, 1, 2, 3], [2, 3], [1]]  # longer than, as long as and shorter than 2
-        for order, windows in ((3, [(2, 3), (2, 3), (1,)]), (4, [(1, 2, 3), (2, 3), (1,)]),
-                               (1, [(), (), ()])):
+        for order, windows in ((3, [[2, 3], [2, 3], [-1, 1]]),
+                               (4, [[1, 2, 3], [-1, 2, 3], [-1, -1, 1]]), (1, [[], [], []])):
             model = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=order, smoothing=0.1)
-            assert model.windows(contexts) == windows
-            assert model.windows([]) == []
-        assert TableModel(WXYZ, [0.25] * 4).windows([(1, np.int64(2)), [3]]) == [(1, 2), (3,)]
+            got = model.windows(contexts)
+            assert got.dtype == np.int64 and got.shape == (3, order - 1)
+            assert got.tolist() == windows
+            assert model.windows([]).shape == (0, order - 1)
+        table = TableModel(WXYZ, [0.25] * 4, context_window=3)
+        assert table.windows([(1, np.int64(2)), [3]]).tolist() == [[-1, 1, 2], [-1, -1, 3]]
 
     def test_short_context_scored_like_full(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 3, 1, 2, 0, 1, 3]], order=4, smoothing=0.1)
         for context in ([1], [0, 1], [2, 0, 1], [3, 2, 0, 1]):
-            [suffix] = model.windows([context])
+            [suffix] = window_tuples(model.windows([context]))
             assert np.array_equal(model.next_token_dist(suffix), model.next_token_dist(context))
 
     def test_fit_matches_position_loop(self):

@@ -12,12 +12,15 @@ once for both of its models, so the draft must hold the target's own lower
 level objects. The level walk that serves a batch must find each context's
 row as ``counts`` decodes it, and every ``RowBatch`` a model serves, or the
 constructor ranks, must give the top candidates, probabilities and
-entropies of its dense vectors bit for bit.
+entropies of its dense vectors bit for bit. A batch sent as the array of
+its windows must be served as the batch of its contexts.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ngram_model, top_candidates
+from conftest import ngram_model, top_candidates, window_tuples
 from treespec import DomainCorpus, NGramModel, RowBatch, Vocabulary, entropy_nats
 from treespec import train_models
 from treespec import model as model_module
@@ -319,7 +322,7 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
                         for i, c in enumerate(contexts)]
             stored = model._store.floors.size
             batch = model.next_token_dists(contexts)
-            keys = model.windows(contexts)
+            keys = window_tuples(model.windows(contexts))
             assert_matches_dense(batch, [dense_oracle(model, key) for key in keys])
             found = [-1 if key in massless else ids.get(key, -1) for key in keys]
             assert batch.index.tolist() == model._row_of[found].tolist()
@@ -362,3 +365,26 @@ def test_constructed_batches_match_their_dense_vectors():
         for r, (row, value) in enumerate(zip(rows, values)):
             vectors[r, row] = value
         assert_matches_dense(batch, vectors[index])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_window_array_is_served_as_its_contexts(data):
+    # Contexts of 0 to w + 2 tokens: shorter than, as long as and longer
+    # than the window, which the array pads with -1 or holds cut. A twin
+    # model serves the array, so that no row is read for it beforehand.
+    size = data.draw(st.integers(2, 7), label="size")
+    order = data.draw(st.integers(1, 4), label="order")
+    tokens = st.integers(0, size - 1)
+    docs = data.draw(st.lists(st.lists(tokens, max_size=30), min_size=1, max_size=3), label="docs")
+    smoothing = data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="smoothing")
+    vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
+    model, twin = (NGramModel.fit(vocab, docs, order, smoothing) for _ in range(2))
+    contexts = data.draw(st.lists(st.lists(tokens, max_size=order + 1), min_size=1, max_size=8),
+                         label="contexts")
+    plain, served = model.next_token_dists(contexts), twin.next_token_dists(model.windows(contexts))
+    assert plain.dense().view(np.uint64).tolist() == served.dense().view(np.uint64).tolist()
+    k = data.draw(st.integers(1, size), label="k")
+    for got, want in zip(served.top(k), plain.top(k)):
+        assert np.array_equal(got, want)
+    assert [h.hex() for h in served.entropies()] == [h.hex() for h in plain.entropies()]

@@ -1,7 +1,8 @@
 """Seeded property tests over random TableModel draft/target pairs and TreeParams.
 
 Each case draws a small vocabulary, a draft and a target table model that
-read a random number of trailing tokens (or the whole context), random tree
+read a random number of trailing tokens (8 of them, more than most
+contexts hold, or fewer), random tree
 limits and a random context. Distributions have zero entries and exact ties,
 so the p <= 0 cut and the index tie-break are exercised. The tree, its scores
 and a domain's steps are checked against re-computations that score one
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-from conftest import TableModel, node_paths, score_lists, tree_lists
+from conftest import (TableModel, growth_batches, node_paths, scoring_batch, score_lists, tree_lists,
+                      window_tuples)
 from treespec.metrics import TREE_FIELDS
 from treespec import (
     TreeParams,
@@ -41,15 +43,15 @@ def random_dist(rng, size):
 
 
 def random_model(rng, vocab):
-    window = [None, 0, 1, 2, 3][rng.integers(5)]
-    longest = 3 if window is None else window
+    # A window of 8 is as long as the longest context a case starts on.
+    window = [8, 0, 1, 2, 3][rng.integers(5)]
     table = {
         context: random_dist(rng, vocab.size)
-        for n in range(longest + 1)
+        for n in range(min(window, 3) + 1)
         for context in itertools.product(range(vocab.size), repeat=n)
         if rng.random() < 0.8
     }
-    return TableModel(vocab, random_dist(rng, vocab.size), table, window)
+    return TableModel(vocab, random_dist(rng, vocab.size), table, context_window=window)
 
 
 def random_case(rng):
@@ -120,10 +122,9 @@ def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():
         draft, target, params, context = random_case(rng)
         tree = build_draft_tree(draft, context, params)
         scores = score_lists(score_tree(target, context, tree))
-        [base] = target.windows([context])
         paths = node_paths(tree)
         prefixes = list(dict.fromkeys([(), *(path[:-1] for path in paths)]))
-        assert target.batches == [[base + prefix for prefix in prefixes]]
+        assert target.batches == [scoring_batch([context], tree, target.context_window)]
         assert target.scored == len(prefixes)
         nodes = zip(tree.tokens.tolist(), tree.p_draft.tolist(), paths, scores["p_target"],
                     scores["alpha"], scores["target_entropy"], strict=True)
@@ -152,6 +153,26 @@ def test_trees_grown_and_scored_in_lockstep_equal_one_at_a_time():
         }
 
 
+def test_growth_and_scoring_ask_the_per_node_windows():
+    # Each batch holds exactly the windows of context + path, cut node by
+    # node: over contexts shorter than the window (a window of 8 is wider
+    # than most) and with models that read no token.
+    rng = np.random.default_rng(4106)
+    tally = {"short": 0, "no token": 0}
+    for _ in range(CASES):
+        draft, target, params, context = random_case(rng)
+        other = rng.integers(0, draft.vocab.size, size=int(rng.integers(1, 9))).tolist()
+        contexts = [context, other, context[-1:]]
+        trees = grow_trees(draft, contexts, params)
+        score_trees(target, contexts, trees)
+        assert draft.batches == growth_batches(contexts, trees, draft.context_window)
+        assert target.batches == [scoring_batch(contexts, trees, target.context_window)]
+        windows = (draft.context_window, target.context_window)
+        tally["short"] += any(len(c) < w for c in contexts for w in windows)
+        tally["no token"] += 0 in windows
+    assert min(tally.values()) >= CASES // 5, tally
+
+
 def test_contexts_that_share_a_draft_window_share_one_tree():
     rng = np.random.default_rng(4105)
     shared_cases = 0
@@ -160,7 +181,7 @@ def test_contexts_that_share_a_draft_window_share_one_tree():
         size = draft.vocab.size
         longer = [[*rng.integers(0, size, size=int(rng.integers(1, 5))).tolist(), *context]
                   for _ in range(3)]
-        cuts = draft.windows([context, *longer])
+        cuts = window_tuples(draft.windows([context, *longer]))
         contexts = [c for c, cut in zip([context, *longer], cuts) if cut == cuts[0]]
         shared_cases += len(contexts) > 1
         # A tree depends on its draft window alone, not on what comes before it.

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Row, TableModel, column_table, record_table, score_lists, table_rows
+from conftest import (Row, TableModel, column_table, record_table, score_lists, table_rows,
+                      window_tuples)
 from treespec import (
     DomainCorpus,
     DomainSummary,
@@ -159,6 +160,12 @@ class TestConfig:
             parse_config_file(path)
 
 
+def context_tuples(contexts):
+    """The contexts ``grow_trees`` or ``score_trees`` was given, as tuples: an array's rows
+    without the -1 that pads a short window."""
+    return window_tuples(contexts) if isinstance(contexts, np.ndarray) else list(map(tuple, contexts))
+
+
 def oracle_step(draft, target, context, params):
     """One step on ``context`` with no memo: its tree's rows, as ``(depth, token, p_draft,
     p_target, alpha, target_entropy)`` tuples from ``grow_trees`` and ``score_trees``, and
@@ -225,8 +232,8 @@ class TestGenerateStep:
 
     def test_one_hot_target_commits_its_token_whatever_the_tree(self):
         vocab = Vocabulary(("a", "b", "c", "d"))
-        draft = TableModel(vocab, [0.5, 0.5, 0.0, 0.0])
-        target = TableModel(vocab, [1.0, 0.0, 0.0, 0.0])
+        draft = TableModel(vocab, [0.5, 0.5, 0.0, 0.0], context_window=3)
+        target = TableModel(vocab, [1.0, 0.0, 0.0, 0.0], context_window=3)
         assert committed_token(draft, target, [2], TreeParams(1, 2, 2, 8)) == 0
         steps, _, rows, counts = generate_step(draft, target, [(2,)], TreeParams(1, 2, 2, 8), 3)
         assert steps["step_index"].tolist() == [0, 1, 2] and counts["stopped_prompts"] == 0
@@ -298,11 +305,11 @@ class TestRunExperiment:
         grown, scored = [], []
 
         def recording_grow(draft, contexts, params):
-            grown.extend(contexts)
+            grown.extend(context_tuples(contexts))
             return grow_trees(draft, contexts, params)
 
         def recording_score(target, contexts, trees):
-            scored.extend(contexts)
+            scored.extend(context_tuples(contexts))
             return score_trees(target, contexts, trees)
 
         monkeypatch.setattr(runner, "grow_trees", recording_grow)
@@ -324,7 +331,8 @@ class TestRunExperiment:
         # one tree. The target's row for (3, 3) makes a second tree.
         vocab = Vocabulary(("a", "b", "c", "d"))
         draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4], context_window=2)
-        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(3, 3): [0.1, 0.1, 0.1, 0.7]}, 2)
+        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(3, 3): [0.1, 0.1, 0.1, 0.7]},
+                            context_window=2)
         monkeypatch.setattr(runner, "train_models", lambda *args: (draft, target))
         windows = []
 
@@ -343,12 +351,13 @@ class TestRunExperiment:
         assert len(records.tree_offsets) - 1 == 2 and len(records) == 3 * 8
 
     def test_models_that_read_every_token_key_the_whole_context(self, monkeypatch):
-        # A TableModel reads the whole context (its context_window is None).
+        # These TableModels read 3 tokens, as much as the longest prompt holds.
         # The target's row for (0, 1, 2) makes that prompt's steps differ from
         # those of the prompt (1, 2), which ends in the same tokens.
         vocab = Vocabulary(("a", "b", "c", "d"))
-        draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4])
-        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(0, 1, 2): [0.1, 0.1, 0.1, 0.7]})
+        draft = TableModel(vocab, [0.1, 0.2, 0.3, 0.4], context_window=3)
+        target = TableModel(vocab, [0.4, 0.3, 0.2, 0.1], {(0, 1, 2): [0.1, 0.1, 0.1, 0.7]},
+                            context_window=3)
 
         def models(*args):
             return draft, target
@@ -527,11 +536,11 @@ class TestLockstep:
             return step(*args, **kwargs)
 
         def recording_grow(draft, contexts, params):
-            grown[-1].extend(contexts)
+            grown[-1].extend(context_tuples(contexts))
             return grow_trees(draft, contexts, params)
 
         def recording_score(target, contexts, trees):
-            scored[-1].extend(contexts)
+            scored[-1].extend(context_tuples(contexts))
             return score_trees(target, contexts, trees)
 
         monkeypatch.setattr(runner, "generate_step", recording_step)

@@ -4,7 +4,9 @@ The benchmark lives outside ``tests/``, so these checks keep a change here
 from breaking it unseen:
 
 - it counts model batches and their contexts by patching
-  ``LanguageModel.next_token_dists``, so ``NGramModel`` must not override it;
+  ``LanguageModel.next_token_dists``, so ``NGramModel`` must not override it,
+  and by iterating each batch, so a batch given as an array of windows must
+  count one context per row;
 - it counts single-context calls by patching ``NGramModel.next_token_dist``,
   which ``NGramModel`` inherits as a batch of one: ``_batch_dists`` is the
   one method a model implements, and a run makes no single-context call;
@@ -23,6 +25,8 @@ from breaking it unseen:
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from treespec import GenerationConfig, LanguageModel, NGramModel, run_experiment, synthetic_corpus
 from treespec import model, runner, tree, verify
@@ -73,7 +77,8 @@ def test_ngram_model_serves_batches_through_the_base_method():
     assert NGramModel.next_token_dist is LanguageModel.next_token_dist
 
 
-def test_tracer_counts_batches_and_no_single_context_call():
+def traced_small_run():
+    """``small_run`` under the tracer; its op metrics."""
     tracer = load_tracing().Tracer(keep_spans=False)
     own = set(vars(NGramModel))
     tracer.install()
@@ -85,10 +90,31 @@ def test_tracer_counts_batches_and_no_single_context_call():
         # inherited next_token_dist would stay on NGramModel as its own.
         for attr in set(vars(NGramModel)) - own:
             delattr(NGramModel, attr)
-    metrics = tracer.op_metrics()
+    return tracer.op_metrics()
+
+
+def test_tracer_counts_batches_and_no_single_context_call():
+    metrics = traced_small_run()
     assert metrics["model.dist.calls"] == 0
     assert metrics["model.batch.calls"] > 0 and metrics["model.contexts_scored"] > 0
     assert metrics["runner.step.calls"] == 2
+
+
+def test_tracer_counts_each_row_of_an_array_batch_as_a_context(monkeypatch):
+    rows, arrays = [], []
+    batch = LanguageModel.next_token_dists
+
+    def recording(self, contexts):
+        rows.append(len(contexts))
+        arrays.append(isinstance(contexts, np.ndarray))
+        return batch(self, contexts)
+
+    monkeypatch.setattr(LanguageModel, "next_token_dists", recording)
+    metrics = traced_small_run()
+    assert any(arrays) and not all(arrays)  # growth and scoring ask arrays, the trajectory tuples
+    assert metrics["model.batch.calls"] == len(rows)
+    assert metrics["model.contexts_scored"] == sum(rows)
+    assert 0 < metrics["model.window_unique_ratio"] <= 1
 
 
 def test_every_model_call_is_inside_a_step_and_windows_are_tuples(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TableModel, ngram_model, tree_lists
+from conftest import TableModel, growth_batches, ngram_model, tree_lists, window_tuples
 from treespec import (
     DraftTrees,
     InputError,
@@ -148,7 +148,7 @@ def random_params(rng):
 
 class TestBuild:
     def test_deterministic_one_hot_chain(self):
-        draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0])
+        draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0], context_window=2)
         tree = build_draft_tree(draft, [1], TreeParams(3, 2, 3, 8))
         assert tree_tuples(tree) == [
             (0, 1, -1, 1.0, 0.0),
@@ -229,21 +229,21 @@ class TestBuild:
         with pytest.raises(InputError, match="not an integer"):
             grow_trees(bigram, [[0, 1], context], TreeParams())
 
-    def test_model_sees_window_plus_path_only(self):
+    def test_model_sees_the_window_of_context_and_path_only(self):
         seen = []
         spy = trigram_model()
         batch = spy.next_token_dists
 
         def recording_batch(contexts):
-            seen.extend(list(context) for context in contexts)
+            seen.append(window_tuples(spy.windows(contexts)))
             return batch(contexts)
 
         spy.next_token_dists = recording_batch
         params = TreeParams(3, 2, 3, 8)
         context = [3, 3, 2, 0, 1]
         tree = build_draft_tree(spy, context, params)
-        assert seen[0] == [0, 1]
-        assert all(c[:2] == [0, 1] and len(c) <= 2 + 2 for c in seen)
+        assert seen[0] == [(0, 1)]
+        assert seen == growth_batches([context], tree, 2)
         assert tree_tuples(tree) == tree_tuples(build_draft_tree(trigram_model(), [0, 1], params))
 
     def test_growth_asks_only_for_the_rows_it_expands(self):
@@ -258,15 +258,16 @@ class TestBuild:
             table = {tuple(rng.integers(0, size, size=window).tolist()): rng.random(size) + 0.01
                      for _ in range(8)}
             draft = TableModel(vocab, np.ones(size), {c: d / d.sum() for c, d in table.items()},
-                               window)
+                               context_window=window)
             contexts = [rng.integers(0, size, size=int(rng.integers(1, 5))).tolist()
                         for _ in range(int(rng.integers(1, 5)))]
             trees = grow_trees(draft, contexts, random_params(rng))
             tree_of = np.repeat(np.arange(len(contexts)), np.diff(trees.offsets))
             expanded = {(t, parent) for t, parent in zip(tree_of.tolist(), trees.parents.tolist())
                         if parent != -1}
-            assert draft.batches[0] == draft.windows(contexts)
+            assert draft.batches[0] == window_tuples(draft.windows(contexts))
             assert sum(map(len, draft.batches)) == len(contexts) + len(expanded)
+            assert draft.batches == growth_batches(contexts, trees, window)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(InputError):
@@ -368,13 +369,13 @@ def leaf_paths(tree: DraftTrees):
 
 class TestPaths:
     def test_single_chain(self):
-        draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0])
+        draft = TableModel(WXYZ, [1.0, 0.0, 0.0, 0.0], context_window=2)
         tree = build_draft_tree(draft, [1], TreeParams(3, 2, 3, 8))
         assert paths_from_parents(tree) == [(0,), (0, 0), (0, 0, 0)]
         assert leaf_paths(tree) == [[0, 0, 0]]
 
     def test_two_depth_one_leaves(self):
-        draft = TableModel(WXYZ, [0.6, 0.4, 0.0, 0.0])
+        draft = TableModel(WXYZ, [0.6, 0.4, 0.0, 0.0], context_window=2)
         tree = build_draft_tree(draft, [1], TreeParams(1, 2, 2, 8))
         assert leaf_paths(tree) == [[0], [1]]
 

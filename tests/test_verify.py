@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import TableModel, node_paths, score_lists, tree_lists
+from conftest import TableModel, node_paths, score_lists, tree_lists, window_tuples
 from treespec import (
     InputError,
     NGramModel,
@@ -88,8 +88,8 @@ class TestScoreTree:
         assert all(alpha == 1.0 for alpha in scores["alpha"])
 
     def test_one_hot_target(self):
-        draft = TableModel(ABCD, [0.5, 0.5, 0.0, 0.0])
-        target = TableModel(ABCD, [1.0, 0.0, 0.0, 0.0])
+        draft = TableModel(ABCD, [0.5, 0.5, 0.0, 0.0], context_window=1)
+        target = TableModel(ABCD, [1.0, 0.0, 0.0, 0.0], context_window=1)
         tree = build_draft_tree(draft, [2], TreeParams(1, 2, 2, 8))
         assert tree.tokens.tolist() == [0, 1]
         scores = score_lists(score_tree(target, [2], tree))
@@ -156,13 +156,14 @@ class TestScoreTree:
 
 class TestSparseMatchesTable:
     """Trees and scores over NGramModels equal those over TableModels that
-    hold the same rows as dense vectors, keyed on the full contexts asked."""
+    hold the same rows as dense vectors, keyed on the windows of the contexts asked."""
 
     @staticmethod
     def as_table(model, contexts):
-        rows = {tuple(c): np.asarray(model.next_token_dist(c)) for c in contexts}
+        rows = {window: np.asarray(model.next_token_dist(c))
+                for c, window in zip(contexts, window_tuples(model.windows(contexts)))}
         uniform = np.full(model.vocab.size, 1.0 / model.vocab.size)
-        return TableModel(model.vocab, uniform, rows)
+        return TableModel(model.vocab, uniform, rows, context_window=model.context_window)
 
     @pytest.mark.parametrize("smoothing", [0.0, 1e-3, 0.1, 1.0])
     def test_same_trees_and_scores(self, smoothing):
