@@ -202,11 +202,10 @@ def generate_step(
     step is not recorded) or after ``max_new_tokens`` steps; every other new
     window becomes the next memo entry. Then the entries' windows are
     speculated, up to ``_SPECULATION_BATCH`` at a time: ``grow_trees`` grows
-    one tree per distinct row of ``draft.windows``, on the first window that
-    has it (a draft that reads no token grows one tree), ``DraftTrees.take``
-    gathers each window's tree and ``score_trees`` scores them. Each node
-    gives one row: its ``depth``, ``token`` and ``p_draft`` columns and its
-    scores.
+    one tree on each distinct row of ``draft.windows`` (a draft that reads
+    no token grows one, on the first window), ``DraftTrees.take`` gathers
+    each window's tree and ``score_trees`` scores them. Each node gives one
+    row: its ``depth``, ``token`` and ``p_draft`` columns and its scores.
 
     Returns the steps (``prompt_id``, ``step_index`` and ``tree``, the memo
     entry) prompt by prompt, the rows per entry, the row columns and the

@@ -143,16 +143,15 @@ def grow_trees(
         tree, row = live[source], which[source]
         rank = np.arange(row.size) - np.repeat(np.cumsum(placed) - placed, placed)
         at = count[tree] + rank
-        child_token = ranked_tokens[row, rank]
         child_depth = parent_depth[source] + 1
         child_logp = parent_logp[source] + ranked_logps[row, rank]
-        tokens[tree, at] = child_token
+        tokens[tree, at] = ranked_tokens[row, rank]
         depths[tree, at] = child_depth
         parents[tree, at] = popped[source]
         p_draft[tree, at] = ranked_probs[row, rank]
         cum_logp[tree, at] = child_logp
         # The last ``span`` tokens of the parent's window and the child's token.
-        windows[tree, at] = np.concatenate((requests[source], child_token[:, None]), axis=1)[:, 1:]
+        windows[tree, at] = np.concatenate((requests[source], tokens[tree, at, None]), axis=1)[:, 1:]
         frontier[tree, at] = np.where(child_depth < max_depth, child_logp, -np.inf)
         count[live] = stops
 

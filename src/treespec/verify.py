@@ -36,11 +36,12 @@ def score_trees(
     target's window in one ``target.windows`` call, and an expanded node's
     window is its parent's (its tree's for a root) shifted left by one with
     its own token last, found for every expanded node of one depth in one
-    numpy pass. One batched model invocation serves all the trees; the
-    ``RowBatch`` it returns gives every node's ``p_target`` in one gather and
-    its rows' entropies together, and the acceptance probabilities are one
-    array (``acceptance_probs``). A tree may be scored over any context that
-    ends in the draft window it grew on. Returns the float64 columns
+    numpy pass (InputError unless each depth agrees with ``parents``). One
+    batched model invocation serves all the trees; the ``RowBatch`` it
+    returns gives every node's ``p_target`` in one gather and its rows'
+    entropies together, and the acceptance probabilities are one array
+    (``acceptance_probs``). A tree may be scored over any context that ends
+    in the draft window it grew on. Returns the float64 columns
     ``p_target``, ``alpha`` and ``target_entropy``, one value per node of
     every tree in order.
     """
@@ -50,6 +51,8 @@ def score_trees(
     tree_of = np.repeat(np.arange(len(contexts)), np.diff(offsets))
     child = trees.parents >= 0
     parent = np.where(child, trees.parents + offsets[tree_of], -1)  # an index into the batch
+    if (trees.depths != np.where(child, trees.depths[parent] + 1, 1)).any():
+        raise InputError("a node's depth must be 1 at the root and its parent's + 1 below it")
     first = child & (parent != np.concatenate(([-1], parent[:-1])))  # a run's first child
     expanded = parent[first]
     # Requests go tree by tree: the bare context, then each expanded node's context.

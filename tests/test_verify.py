@@ -87,6 +87,15 @@ class TestScoreTree:
         assert len(scores["alpha"]) == len(tree.tokens)
         assert all(alpha == 1.0 for alpha in scores["alpha"])
 
+    def test_depths_that_disagree_with_parents_rejected(self):
+        # Each node's window is built from its parent's, one depth at a time.
+        model = NGramModel.fit(ABCD, [[0, 1, 2, 3, 0, 1, 2, 0, 1]], order=3, smoothing=0.4)
+        tree = build_draft_tree(model, [0, 1], TreeParams(3, 2, 3, 8))
+        assert tree.depths.max() == 3
+        for depths in (np.ones_like(tree.depths), tree.depths + 1, tree.depths[::-1]):
+            with pytest.raises(InputError, match="depth must be 1 at the root"):
+                score_tree(model, [0, 1], tree._replace(depths=depths))
+
     def test_one_hot_target(self):
         draft = TableModel(ABCD, [0.5, 0.5, 0.0, 0.0], context_window=1)
         target = TableModel(ABCD, [1.0, 0.0, 0.0, 0.0], context_window=1)
