@@ -9,11 +9,9 @@ vector), and all tie-breaking is by ascending token index.
 from __future__ import annotations
 
 import abc
-import copy
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -74,28 +72,33 @@ class RowBatch:
     ``index[i]``. ``top`` equals a stable descending sort of the dense
     vectors (``dense``), ``prob`` their indexing and ``entropies`` their
     ``entropy_nats``, bit for bit, each over the distinct rows at once.
-    ``h[0]`` keeps each row's entropy once computed (NaN until then); the
-    batches an ``NGramModel`` cuts from its store share that list, so a row
-    is summed once.
 
     The constructor ranks each row itself; with no ``index``, context i is
-    row i. A dense vector is a row that lists every token over a floor of 0.
+    row i. ``_ranked`` takes rows already in rank order and sorts nothing. A
+    dense vector is a row that lists every token over a floor of 0.
     """
 
-    __slots__ = ("size", "offsets", "tokens", "probs", "floors", "index", "h")
+    __slots__ = ("size", "offsets", "tokens", "probs", "floors", "index")
 
     def __init__(self, size: int, offsets: Sequence[int], tokens: Sequence[int],
                  probs: Sequence[float], floors: Sequence[float],
                  index: Sequence[int] | None = None) -> None:
-        self.size = size
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.floors = np.asarray(floors, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
         tokens, probs = np.asarray(tokens, dtype=np.int64), np.asarray(probs, dtype=np.float64)
-        rows = np.repeat(np.arange(self.floors.size), np.diff(self.offsets))
+        rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
         order = np.lexsort((tokens, -probs, rows))
-        self.tokens, self.probs = tokens[order], probs[order]
-        self.index = np.arange(self.floors.size) if index is None else np.asarray(index, np.int64)
-        self.h = [np.full(self.floors.size, np.nan)]
+        self._ranked(size, offsets, tokens[order], probs[order], floors, index, self)
+
+    @classmethod
+    def _ranked(cls, size: int, offsets: np.ndarray, tokens: np.ndarray, probs: np.ndarray,
+                floors: Sequence[float], index: Sequence[int] | None = None,
+                batch: RowBatch | None = None) -> RowBatch:
+        """``batch`` (a new one when None) holding rows given in rank order, unsorted."""
+        batch = cls.__new__(cls) if batch is None else batch
+        batch.size, batch.offsets, batch.tokens, batch.probs = size, offsets, tokens, probs
+        batch.floors = np.asarray(floors, dtype=np.float64)
+        batch.index = np.arange(batch.floors.size) if index is None else np.asarray(index, np.int64)
+        return batch
 
     def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The dense vectors of ``rows``, each context's row when None, as a (rows x size) array."""
@@ -152,14 +155,13 @@ class RowBatch:
                         self.floors[rows])
 
     def entropies(self) -> np.ndarray:
-        """Each context's ``entropy_nats``, as float64; a row is summed once and kept in ``h``."""
-        rows, _ = _distinct(self.index, self.floors.size, dense=True)
-        _set_entropies(self, rows[np.isnan(self.h[0][rows])])
-        return self.h[0][self.index]
+        """Each context's ``entropy_nats``, as float64; each distinct row is summed once."""
+        rows, which = _distinct(self.index, self.floors.size, dense=True)
+        return _entropies(self, rows)[which]
 
 
-def _set_entropies(batch: RowBatch, rows: np.ndarray) -> None:
-    """Set the entropy (``batch.h[0]``) of each of the distinct ``rows``.
+def _entropies(batch: RowBatch, rows: np.ndarray) -> np.ndarray:
+    """The entropy of each of the distinct ``rows`` of ``batch``, in that order.
 
     A row whose floor and entries are all positive sums all |V| p ln p terms
     of its dense vector in token order. Its terms are computed in one pass
@@ -172,23 +174,24 @@ def _set_entropies(batch: RowBatch, rows: np.ndarray) -> None:
     at, lengths = _gather(batch.offsets, rows)
     positive = batch.floors[rows] > 0.0
     positive[np.repeat(np.arange(rows.size), lengths)[batch.probs[at] <= 0.0]] = False
-    h = batch.h[0]
-    for row in rows[~positive]:
-        h[row] = entropy_nats(batch.dense(row[None])[0])
-    rows, size = rows[positive], batch.size
-    at, lengths = _gather(batch.offsets, rows)
-    values, floors = batch.probs[at], batch.floors[rows]
+    h = np.empty(rows.size)
+    for i in np.flatnonzero(~positive).tolist():
+        h[i] = entropy_nats(batch.dense(rows[i, None])[0])
+    where, size = np.flatnonzero(positive), batch.size
+    at, lengths = _gather(batch.offsets, rows[where])
+    values, floors = batch.probs[at], batch.floors[rows[where]]
     terms, floor_terms = values * np.log(values), floors * np.log(floors)
     per_block = max(1, _ENTROPY_BLOCK // size)
-    local, tokens = np.repeat(np.arange(rows.size) % per_block, lengths), batch.tokens[at]
+    local, tokens = np.repeat(np.arange(where.size) % per_block, lengths), batch.tokens[at]
     ends = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    buffer = np.empty((min(per_block, rows.size), size))
-    for first in range(0, rows.size, per_block):
-        last = min(first + per_block, rows.size)
+    buffer = np.empty((min(per_block, where.size), size))
+    for first in range(0, where.size, per_block):
+        last = min(first + per_block, where.size)
         block, part = buffer[:last - first], slice(ends[first], ends[last])
         block[:] = floor_terms[first:last, None]
         block[local[part], tokens[part]] = terms[part]
-        h[rows[first:last]] = -block.sum(axis=1) + 0.0
+        h[where[first:last]] = -block.sum(axis=1) + 0.0
+    return h
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -295,19 +298,17 @@ class NGramModel(LanguageModel):
     ``_levels[k - 1]`` holds level k's distinct codes, ascending, so an id
     is its code's index there and a lookup is a binary search. The context
     with final id c has the successors ``_tokens[_offsets[c]:_offsets[c +
-    1]]`` (ascending), their counts ``_counts`` over the same slice, and the
-    sum ``_totals[c]``.
+    1]]``, their counts ``_counts`` over the same slice, and the sum
+    ``_totals[c]``. ``fit`` puts each context's successors in rank order
+    once: descending count, then ascending token. A probability rises with
+    its count, so a context's row is read out already ranked.
 
-    A batch (``_batch_dists``) walks the levels once for all of its
-    windows, one ``np.searchsorted`` per level, which gives each its id.
-    ``_row_of[c]`` is context c's row in one ``RowBatch``, ``_store`` (-1
-    until read); its last slot, the id of every unseen context, holds the
-    shared row 0. The ids a batch has not read before are read once, in id
-    order: their successors' probabilities, over the floor smoothing /
-    (total + smoothing * |V|), are computed and ranked in one numpy pass
-    (``_read_rows``) appended to the store, so a context is read and its
-    entropy summed once. A batch is the store with the windows' rows as
-    ``index``.
+    Nothing changes after ``fit``. A batch (``_batch_dists``) walks the
+    levels once for all of its windows, one ``np.searchsorted`` per level,
+    which gives each its id, and builds a ``RowBatch`` of just its distinct
+    ids, ascending: each context's successors' probabilities over the
+    floor smoothing / (total + smoothing * |V|), in one numpy pass. Every
+    unseen context (id -1) shares the first row, which lists no token.
     """
 
     @classmethod
@@ -366,20 +367,16 @@ class NGramModel(LanguageModel):
         model, size = cls(), vocab.size
         model.vocab, model.order, model.context_window = vocab, order, order - 1
         model.smoothing = float(smoothing)
-        model._lock = threading.Lock()
-        # Unseen contexts share row 0; () is the real document-start row.
-        s = model.smoothing
-        model._store = RowBatch(size, [0, 0], [], [], [s / (s * size) if s else 1.0 / size])
-        model._row_of = np.full(n_contexts + 1, -1, dtype=np.int64)
-        model._row_of[-1] = 0
         model._levels = levels
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
         # Differences of running sums give a row with no successors a total of 0.
         cumulative = np.concatenate(([0], np.cumsum(counts)))
+        # Rank order within each row: the keys ascend by token, and lexsort is stable.
+        ranked = np.lexsort((-counts, rows))
         model._offsets = memoryview(offsets)
-        model._tokens = memoryview(keys - rows * size)
-        model._counts = memoryview(counts)
+        model._tokens = memoryview((keys - rows * size)[ranked])
+        model._counts = memoryview(counts[ranked])
         model._totals = memoryview(cumulative[offsets[1:]] - cumulative[offsets[:-1]])
         return model
 
@@ -395,8 +392,10 @@ class NGramModel(LanguageModel):
             node, back = np.divmod(np.asarray(codes)[node], self.vocab.size + 1)
             columns.append(back)
         backs = np.stack(columns, axis=1).tolist() if columns else [[]] * len(self._totals)
-        offsets, tokens = self._offsets.tolist(), self._tokens.tolist()
-        counts = self._counts.tolist()
+        offsets, tokens = np.asarray(self._offsets), np.asarray(self._tokens)
+        ascending = np.lexsort((tokens, np.repeat(np.arange(len(self._totals)), np.diff(offsets))))
+        tokens, counts = tokens[ascending].tolist(), np.asarray(self._counts)[ascending].tolist()
+        offsets = offsets.tolist()
         return MappingProxyType({
             tuple(t - 1 for t in back if t): dict(zip(tokens[start:stop], counts[start:stop]))
             for back, start, stop in zip(backs, offsets, offsets[1:])
@@ -404,51 +403,33 @@ class NGramModel(LanguageModel):
 
     def _batch_dists(self, windows: np.ndarray) -> RowBatch:
         """``next_token_dists``: one level walk that gives each window its id (the -1 that pads
-        a short window has the ``back`` 0) and one ``_read_rows`` of the ids not read before;
-        the store's columns, with the windows' rows as index. An unseen context's id is -1,
-        ``_row_of``'s last slot; a model of no contexts has empty levels and that one slot, so
-        it walks none of them."""
-        size = self.vocab.size
+        a short window has the ``back`` 0), then one row per distinct id, ascending, each
+        context's row its id's. An unseen context's id is -1, and so is every window's in a
+        model of no contexts, which walks no level. A context with no mass (possible only at
+        smoothing 0) is served as unseen: the uniform row then."""
+        size, smoothing = self.vocab.size, self.smoothing
+        totals = np.asarray(self._totals)
         backs = windows[:, ::-1] + 1
-        ids = np.zeros(len(windows), dtype=np.int64)
-        for k, codes in enumerate(self._levels if len(self._totals) else ()):
+        ids = np.full(len(windows), 0 if totals.size else -1)
+        for k, codes in enumerate(self._levels if totals.size else ()):
             codes = np.asarray(codes)
             want = ids * (size + 1) + backs[:, k]
             found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
             # An unseen parent (-1) makes a negative code, which never matches.
             ids = np.where(codes[found] == want, found, -1)
-        with self._lock:  # an append replaces the store's columns one by one
-            row_of = self._row_of
-            new = _sorted_distinct(ids[row_of[ids] < 0])
-            if new.size:
-                row_of[new] = self._read_rows(new)
-            batch = copy.copy(self._store)
-            batch.index = row_of[ids]
-        return batch
-
-    def _read_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Append the count rows of the ascending, distinct context ``ids`` to the store, in
-        that order, and return their rows there; a row with no mass (possible only at
-        smoothing 0) gets the shared unseen row 0: the uniform row then."""
-        smoothing, size = self.smoothing, self.vocab.size
-        denoms = np.asarray(self._totals)[ids] + smoothing * size
-        mass = denoms > 0.0
-        seen, denoms = ids[mass], denoms[mass]
-        # Every seen row's successors and probabilities, in rank order:
-        # descending probability, then ascending token, as a stable sort of
-        # ascending tokens leaves equal probabilities.
+        if not smoothing and totals.size:
+            ids[totals[ids] == 0] = -1
+        distinct = _sorted_distinct(ids)
+        seen = distinct[distinct >= 0]
+        unseen = distinct.size - seen.size  # 1 when row 0 is the unseen row, else 0
+        denoms = totals[seen] + smoothing * size
         at, lengths = _gather(np.asarray(self._offsets), seen)
         probs = (smoothing + np.asarray(self._counts)[at]) / np.repeat(denoms, lengths)
-        order = np.lexsort((-probs, np.repeat(np.arange(seen.size), lengths)))
-        store = self._store
-        rows = np.zeros(ids.size, dtype=np.int64)
-        rows[mass] = store.floors.size + np.arange(seen.size)
-        store.offsets = np.concatenate((store.offsets, store.offsets[-1] + np.cumsum(lengths)))
-        store.tokens = np.concatenate((store.tokens, np.asarray(self._tokens)[at[order]]))
-        store.probs = np.concatenate((store.probs, probs[order]))
-        store.floors = np.concatenate((store.floors, smoothing / denoms))
-        store.h[0] = np.concatenate((store.h[0], np.full(seen.size, np.nan)))
-        return rows
+        floor = smoothing / (smoothing * size) if smoothing else 1.0 / size
+        return RowBatch._ranked(size, np.concatenate(([0] * (1 + unseen), np.cumsum(lengths))),
+                                np.asarray(self._tokens)[at], probs,
+                                np.concatenate(([floor] * unseen, smoothing / denoms)),
+                                np.searchsorted(distinct, ids))
 
 
 # Up to this many codes' worth of code space, a presence mask or a bincount

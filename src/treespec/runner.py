@@ -302,7 +302,7 @@ def run_experiment(
     for code, domain in enumerate(domains):
         corpus = corpora[domain]
         eos_index = corpus.vocabulary.index_of(config.eos_token) if config.eos_token else None
-        # The models and their row caches are let go once the domain's steps
+        # The models and their count columns are let go once the domain's steps
         # are taken, before the next domain's models are fitted.
         domain_steps, domain_sizes, domain_rows, counts = generate_step(
             *train_models(corpus, config.draft_order, config.target_order, config.smoothing),

@@ -46,9 +46,7 @@ class DraftTrees(NamedTuple):
     ``offsets[i]:offsets[i + 1]``, in insertion order.
 
     ``parents`` indexes a node's parent within its own tree (-1 at depth 1).
-    ``cum_logp`` accumulates ln(p_draft) along the root-to-node path; log
-    domain keeps long chains away from underflow. ``tokens``, ``depths``,
-    ``parents`` and ``offsets`` are int64, ``p_draft`` and ``cum_logp``
+    ``tokens``, ``depths``, ``parents`` and ``offsets`` are int64, ``p_draft``
     float64.
     """
 
@@ -56,7 +54,6 @@ class DraftTrees(NamedTuple):
     depths: np.ndarray
     parents: np.ndarray
     p_draft: np.ndarray
-    cum_logp: np.ndarray
     offsets: np.ndarray
 
     def take(self, which: Sequence[int] | np.ndarray) -> DraftTrees:
@@ -79,8 +76,9 @@ def grow_trees(
     """Build one speculative tree per context with the draft model, all at once.
 
     Depth-1 nodes are the ``root_top_k`` top candidates at the bare context;
-    thereafter the unexpanded node with the highest cum_logp (the first one
-    on ties) is expanded into its top ``max_branch`` children until
+    thereafter the unexpanded node with the highest cumulative log-probability
+    (the sum of ln(p_draft) along its path; the log domain keeps long chains
+    away from underflow, and the first node wins ties) is expanded into its top ``max_branch`` children until
     ``max_nodes`` nodes exist, the depth cap stops expansion, or no
     expandable node remains. A candidate with probability <= 0 ends its
     parent's expansion (it is not a proposal). The contexts, in either form
@@ -166,6 +164,5 @@ def grow_trees(
 
     filled = np.arange(width) < count[:, None]
     offsets = np.concatenate(([0], np.cumsum(count)))
-    return DraftTrees(tokens[filled], depths[filled], parents[filled], p_draft[filled],
-                      cum_logp[filled], offsets)
+    return DraftTrees(tokens[filled], depths[filled], parents[filled], p_draft[filled], offsets)
 

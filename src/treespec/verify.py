@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq
+from .model import LanguageModel, TokenSeq, _sorted_distinct
 from .tree import DraftTrees
 
 
@@ -29,17 +29,16 @@ def score_trees(
     """Score every node of each tree over its context.
 
     A node at depth d is scored on context + its (d-1)-token ancestor prefix,
-    the context its parent was expanded on. Each tree asks for its bare
-    context first, then for each node with children, in the order they were
-    expanded: a node's children follow one another, so each run of equal
-    ``parents`` is one expansion. The contexts are checked and cut to the
-    target's window in one ``target.windows`` call, and an expanded node's
-    window is its parent's (its tree's for a root) shifted left by one with
-    its own token last, found for every expanded node of one depth in one
-    numpy pass (InputError unless each depth agrees with ``parents``). One
-    batched model invocation serves all the trees; the ``RowBatch`` it
-    returns gives every node's ``p_target`` in one gather and its rows'
-    entropies together, and the acceptance probabilities are one array
+    the context its parent was expanded on. The batch asks for each tree's
+    bare context, tree by tree, then once for each node with children, in
+    node order. The contexts are checked and cut to the target's window in
+    one ``target.windows`` call, and an expanded node's window is its
+    parent's (its tree's for a root) shifted left by one with its own token
+    last, found for every expanded node of one depth in one numpy pass
+    (InputError unless each depth agrees with ``parents``). One batched
+    model invocation serves all the trees; the ``RowBatch`` it returns gives
+    every node's ``p_target`` in one gather and its rows' entropies
+    together, and the acceptance probabilities are one array
     (``acceptance_probs``). A tree may be scored over any context that ends
     in the draft window it grew on. Returns the float64 columns
     ``p_target``, ``alpha`` and ``target_entropy``, one value per node of
@@ -53,22 +52,18 @@ def score_trees(
     parent = np.where(child, trees.parents + offsets[tree_of], -1)  # an index into the batch
     if (trees.depths != np.where(child, trees.depths[parent] + 1, 1)).any():
         raise InputError("a node's depth must be 1 at the root and its parent's + 1 below it")
-    first = child & (parent != np.concatenate(([-1], parent[:-1])))  # a run's first child
-    expanded = parent[first]
-    # Requests go tree by tree: the bare context, then each expanded node's context.
-    per_tree = np.bincount(tree_of[expanded], minlength=len(contexts))
-    base_slot = np.arange(len(contexts)) + np.cumsum(per_tree) - per_tree
-    node_slot = base_slot[tree_of]  # the request of each node's parent's window
-    node_slot[child] = (np.cumsum(first) + tree_of)[child]
-    expanded_slot = node_slot[first]
+    expanded = _sorted_distinct(parent[child])
+    # Request i < n is tree i's bare context; then each expanded node's context.
+    slot = np.zeros(tree_of.size, dtype=np.int64)
+    slot[expanded] = len(contexts) + np.arange(expanded.size)
+    node_slot = np.where(child, slot[parent], tree_of)  # the request of each node's parent's window
 
     requests = np.empty((len(contexts) + expanded.size, target.context_window), dtype=np.int64)
-    requests[base_slot] = target.windows(contexts)
+    requests[:len(contexts)] = target.windows(contexts)
     depth_of = trees.depths[expanded]
     for depth in range(1, int(depth_of.max(initial=0)) + 1):
-        at = depth_of == depth
-        node = expanded[at]
-        requests[expanded_slot[at]] = np.concatenate(
+        node = expanded[depth_of == depth]
+        requests[slot[node]] = np.concatenate(
             (requests[node_slot[node]], trees.tokens[node, None]), axis=1)[:, 1:]
 
     rows = target.next_token_dists(requests)

@@ -134,9 +134,15 @@ def growth_batches(contexts, trees, span):
 
 def scoring_batch(contexts, trees, span):
     """The one batch of windows ``score_trees`` asks a target that reads ``span`` tokens, by
-    the per-node rule: tree by tree, its context, then each node with children in turn."""
-    return [node_window(c, path, span) for i, c in enumerate(contexts)
-            for path in [(), *expansions(trees.take([i]))]]
+    the per-node rule: each tree's context, tree by tree, then, tree by tree, each node with
+    children, in node order."""
+    expanded = []
+    for i, c in enumerate(contexts):
+        tree = trees.take([i])
+        parents = set(tree.parents.tolist())
+        expanded += [node_window(c, path, span)
+                     for node, path in enumerate(node_paths(tree)) if node in parents]
+    return [node_window(c, (), span) for c in contexts] + expanded
 
 
 def window_tuples(windows):

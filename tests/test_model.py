@@ -282,31 +282,27 @@ class TestNextTokenDist:
 
     def test_large_batch_matches_single(self):
         # Short, full and longer than the window, unseen ones, numpy ints
-        # and repeats, all new in one batch.
+        # and repeats, in one batch.
         rng = np.random.default_rng(59)
         vocab = Vocabulary(tuple(f"t{i}" for i in range(30)))
         docs = [[int(t) for t in rng.integers(0, 30, size=200)] for _ in range(3)]
         model = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
-        twin = NGramModel.fit(vocab, docs, order=3, smoothing=0.1)
         contexts = [list(rng.integers(0, 30, size=int(rng.integers(0, 6)))) for _ in range(96)]
         contexts += contexts[:5] + [[int(t) for t in c] for c in contexts[5:10]]
         batch = model.next_token_dists(contexts)
-        read = len(model._store.floors)
-        for i, (context, window, dense) in enumerate(zip(contexts,
-                                                         window_tuples(model.windows(contexts)),
-                                                         batch.dense())):
-            single = twin.next_token_dists([context])
+        windows = window_tuples(model.windows(contexts))
+        for i, (context, window, dense) in enumerate(zip(contexts, windows, batch.dense())):
+            single = model.next_token_dists([context])
             assert_same_bits(dense, single.dense()[0])
             assert row_of(batch, i) == row_of(single, 0)
             assert_smoothed_counts(batch, i, model.counts.get(window), 0.1)
-            # Kept, not read again.
-            assert model.next_token_dists([context]).index.tolist() == [batch.index[i]]
-        assert len(model._store.floors) == read
+        # One row per distinct context; every unseen one shares a row.
+        assert batch.floors.size == len({w if w in model.counts else None for w in windows})
 
     def test_concurrent_batches_match_a_serial_model(self):
         # Four threads send overlapping batches to one fresh model at once.
-        # Each batch equals a serial twin's, and the store ends with row 0
-        # and one row per context id read, as the twin's does.
+        # Each batch equals a serial twin's, and the model ends holding the
+        # very objects it held before.
         rng = np.random.default_rng(61)
         vocab = Vocabulary(tuple(f"t{i}" for i in range(30)))
         docs = [[int(t) for t in rng.integers(0, 30, size=300)] for _ in range(3)]
@@ -316,6 +312,7 @@ class TestNextTokenDist:
         batches = [[[pool[i] for i in rng.integers(0, len(pool), size=24)] for _ in range(25)]
                    for _ in range(4)]
         start = threading.Barrier(len(batches))
+        before = dict(vars(model))
 
         def send(mine):
             start.wait(timeout=10)
@@ -331,11 +328,8 @@ class TestNextTokenDist:
         for mine, dense in zip(batches, served):
             for contexts, got in zip(mine, dense):
                 assert_same_bits(got, twin.next_token_dists(contexts).dense())
-        read = model._row_of[:-1] >= 0
-        assert np.array_equal(read, twin._row_of[:-1] >= 0)
-        assert sorted(model._row_of[:-1][read].tolist()) == list(range(1, model._store.floors.size))
-        store = model._store
-        assert store.offsets.size == store.floors.size + 1 == store.h[0].size + 1
+        assert vars(model).keys() == before.keys()
+        assert all(vars(model)[name] is value for name, value in before.items())
 
     @pytest.mark.parametrize("bad", [[4], [-1], [0, 1, 9]])
     def test_batch_rejects_a_token_outside_the_vocabulary(self, bad):
@@ -585,16 +579,16 @@ def assert_smoothed_counts(batch, i, row, smoothing):
     assert floor.hex() == (smoothing / denom).hex()
 
 
-def spy_on_set_entropies(monkeypatch):
-    """The rows ``_set_entropies`` is handed from now on, in order."""
+def spy_on_entropies(monkeypatch):
+    """The rows ``_entropies`` is handed from now on, in order."""
     summed = []
-    set_entropies = model_module._set_entropies
+    entropies = model_module._entropies
 
     def spy(batch, rows):
         summed.extend(rows.tolist())
-        set_entropies(batch, rows)
+        return entropies(batch, rows)
 
-    monkeypatch.setattr(model_module, "_set_entropies", spy)
+    monkeypatch.setattr(model_module, "_entropies", spy)
     return summed
 
 
@@ -631,8 +625,6 @@ class TestRowBatch:
             for _ in range(100):
                 unseen = [int(t) for t in rng.integers(0, size, size=order - 1)]
                 if tuple(unseen) not in counts:
-                    # First, so that its kept entropy cannot stand in for
-                    # the () row's.
                     contexts.insert(0, unseen)
                     break
             for context in contexts:
@@ -645,7 +637,6 @@ class TestRowBatch:
                     assert top_lists(batch, k) == [top_candidates(dense, k)]
                 assert batch.top(1)[1][0, 0] == int(np.argmax(dense))
                 assert batch.entropies()[0].hex() == entropy_nats(dense).hex()
-                assert batch.entropies()[0].hex() == entropy_nats(dense).hex()  # kept
 
     def test_entropy_matches_dense_at_large_vocabularies(self):
         # Past 128 entries numpy's pairwise sum splits the array into blocks;
@@ -662,7 +653,7 @@ class TestRowBatch:
                 assert top_lists(batch, 40) == [top_candidates(d, 40) for d in dense]
 
     def test_log_does_not_depend_on_array_length(self):
-        # _set_entropies takes its p ln p terms from a short array and the
+        # _entropies takes its p ln p terms from a short array and the
         # dense path from a vocabulary-sized one; their bits agree only while
         # np.log gives a value the same result wherever it sits.
         values = np.random.default_rng(31).random(20_000) + 1e-12
@@ -672,7 +663,7 @@ class TestRowBatch:
             assert_same_bits(np.concatenate(parts), whole)
 
     def test_row_sums_of_a_block_equal_one_dimensional_sums(self):
-        # _set_entropies sums each row of a C-contiguous block where the
+        # _entropies sums each row of a C-contiguous block where the
         # dense path sums a 1-D array; the bits agree only while numpy adds
         # a block row as it adds the same values alone.
         rng = np.random.default_rng(37)
@@ -686,7 +677,7 @@ class TestRowBatch:
         # Three rows to a block, so a batch's rows split across block
         # boundaries; unseen contexts share one row, and a row may repeat.
         monkeypatch.setattr(model_module, "_ENTROPY_BLOCK", 3 * size)
-        summed = spy_on_set_entropies(monkeypatch)
+        summed = spy_on_entropies(monkeypatch)
         rng = np.random.default_rng(size + int(10 * smoothing))
         vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
         counts = {}
@@ -700,13 +691,12 @@ class TestRowBatch:
         model = ngram_model(vocab, 2, counts, smoothing)
         batch = model.next_token_dists(contexts)
         hs = batch.entropies()
-        # Every distinct row is summed once; at smoothing 0 only the uniform
-        # fallback has a positive floor.
-        assert sorted(summed) == sorted(set(batch.index.tolist()))
-        assert np.count_nonzero(batch.floors[summed] > 0.0) == (12 if smoothing else 1)
-        twin = ngram_model(vocab, 2, counts, smoothing)
+        # The batch holds one row per distinct context, each summed once; at
+        # smoothing 0 only the uniform fallback has a positive floor.
+        assert summed == list(range(batch.floors.size))
+        assert np.count_nonzero(batch.floors > 0.0) == (12 if smoothing else 1)
         for context, h in zip(contexts, hs):
-            assert h.hex() == entropy_nats(twin.next_token_dist(context)).hex()
+            assert h.hex() == entropy_nats(model.next_token_dist(context)).hex()
 
     def test_entropy_blocks_stay_within_the_bound(self, monkeypatch):
         # Sixty narrow rows at |V| = 4000 and three rows to a block: the
@@ -730,22 +720,20 @@ class TestRowBatch:
         block = 3 * size * np.dtype(np.float64).itemsize
         assert block <= peak < 2 * block
 
-    def test_each_row_is_summed_once_per_model(self, monkeypatch):
-        summed = spy_on_set_entropies(monkeypatch)
+    def test_each_row_is_summed_once_per_batch(self, monkeypatch):
+        summed = spy_on_entropies(monkeypatch)
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=3, smoothing=0.1)
         batch = model.next_token_dists([[2, 2], [3, 0], [], [0], [0, 1], [2, 0, 1]])
-        # [2, 2], [3, 0] and [1, 1] are unseen and share row 0; [2, 0, 1] reads (0, 1).
-        assert batch.index[0] == batch.index[1] == 0
-        assert model.next_token_dists([[1, 1]]).index.tolist() == [0]
-        assert batch.index[5] == batch.index[4]
+        # [2, 2] and [3, 0] are unseen and share row 0; [2, 0, 1] reads (0, 1).
+        assert batch.index.tolist() == [0, 0, 1, 2, 3, 3]
         dense = [entropy_nats(vector) for vector in batch.dense()]
-        for _ in range(2):
-            assert batch.entropies().tolist() == dense
-        # A later batch takes its kept rows' entropies and sums only its new row.
+        assert batch.entropies().tolist() == dense
+        assert summed == [0, 1, 2, 3]
+        # A later batch holds only its own rows and sums each of them.
+        summed.clear()
         later = model.next_token_dists([[0, 1], [1, 2], [2, 2]])
         assert later.entropies().tolist() == [dense[4], entropy_nats(later.dense()[1]), dense[0]]
-        assert sorted(summed) == sorted({*batch.index.tolist(), later.index[1]})
-        assert len(summed) == 5
+        assert summed == [0, 1, 2]
 
     def test_top_hands_out_new_arrays(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3, 3, 2]], order=2, smoothing=0.1)
@@ -778,8 +766,7 @@ class TestRowBatch:
         assert_same_bits(batch.prob(np.zeros(size, dtype=np.int64), np.arange(size)), dense)
         for k in range(1, size + 1):
             assert top_lists(batch, k) == [top_candidates(dense, k)]
-        for _ in range(2):  # computed, then kept
-            assert batch.entropies()[0].hex() == entropy_nats(dense).hex()
+        assert batch.entropies()[0].hex() == entropy_nats(dense).hex()
 
     def test_constructor_ranks_the_rows_it_is_given(self):
         # It used to trust the caller's order and rank (2, 0.3) first.

@@ -7,13 +7,14 @@ ranks it with ``fit``'s ``_ranked_levels`` and packs it with ``_packed``).
 Both rank each level and count the pairs by dense counting when the level's
 code space is small next to the number of codes and by sorting otherwise;
 the cases fall on both sides, and every column must equal the one the
-oracle builds with ``np.unique`` alone. ``train_models`` ranks the levels
-once for both of its models, so the draft must hold the target's own lower
-level objects. The level walk that serves a batch must find each context's
-row as ``counts`` decodes it, and every ``RowBatch`` a model serves, or the
-constructor ranks, must give the top candidates, probabilities and
-entropies of its dense vectors bit for bit. A batch sent as the array of
-its windows must be served as the batch of its contexts.
+oracle builds with ``np.unique`` and a per-row sort alone. ``train_models``
+ranks the levels once for both of its models, so the draft must hold the
+target's own lower level objects. The level walk that serves a batch must
+find each context's row as ``counts`` decodes it, and every ``RowBatch`` a
+model serves, or the constructor ranks, must give the top candidates,
+probabilities and entropies of its dense vectors bit for bit. A batch
+sent as the array of its windows must be served as the batch of its
+contexts, and no batch may change the model.
 """
 
 import numpy as np
@@ -31,7 +32,9 @@ CASES = 200
 def oracle_columns(size, order, backs, owner, tokens, weights):
     """The columns of rows ``backs`` (rows x order - 1) whose pairs are (owner, token, weight).
 
-    Ids are ranked level by level and the pairs counted with ``np.unique``.
+    Ids are ranked level by level and the pairs counted with ``np.unique``;
+    each context's successors are then put in rank order by Python's sort:
+    descending count, then ascending token.
     """
     radix = size + 1
     ids = np.zeros(len(backs), dtype=np.int64)
@@ -48,8 +51,10 @@ def oracle_columns(size, order, backs, owner, tokens, weights):
     offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
     totals = np.zeros(n_contexts, dtype=np.int64)
     np.add.at(totals, rows, counts)
+    tokens = keys - rows * size
+    ranked = sorted(range(keys.size), key=lambda i: (rows[i], -counts[i], tokens[i]))
     return {"levels": levels, "offsets": offsets,
-            "tokens": keys - rows * size, "counts": counts, "totals": totals}
+            "tokens": tokens[ranked], "counts": counts[ranked], "totals": totals}
 
 
 def assert_columns(model, expected):
@@ -197,11 +202,10 @@ def test_level_walk_matches_the_decoded_counts():
     # ``counts`` decodes each row's context by divmod over the levels, in
     # context id order; the level walk must find that row for every context
     # the model holds, for their shorter suffixes and for random keys, mostly
-    # unseen: one token type more than the model saw. A first batch of plain
-    # ints asks for some of the keys; a second asks for every key as plain
-    # ints, numpy ints and floats equal to ints, which share one row, and
-    # appends rows only for the ids the first did not read, in id order.
-    # Unseen keys get row 0 and add no row.
+    # unseen: one token type more than the model saw. One batch asks for
+    # every key as plain ints, numpy ints and floats equal to ints, which
+    # share one row. Its rows are row 0 when a key is unseen, which lists no
+    # token, then one row per context id found, ascending.
     rng = np.random.default_rng(4203)
     unseen = 0
     for case in range(CASES):
@@ -214,36 +218,32 @@ def test_level_walk_matches_the_decoded_counts():
                                                      size=int(rng.integers(0, span + 1))))
                  for _ in range(40)]
         keys = list(dict.fromkeys(keys))
-        store = model._store
-        assert model.next_token_dists([]).index.size == 0 and store.floors.size == 1
-        first = [keys[i] for i in rng.permutation(len(keys))[:len(keys) // 2]]
-        rows = dict(zip(first, model.next_token_dists(first).index.tolist()))
-        read = {ids[key] for key in first if key in ids}
-        assert store.floors.size == 1 + len(read)
+        assert model.next_token_dists([]).index.size == 0
         forms = [form for key in keys for form in (key, np.array(key, dtype=np.int64),
                                                    [float(t) for t in key])]
-        index = model.next_token_dists(forms).index.reshape(len(keys), 3)
+        batch = model.next_token_dists(forms)
+        index = batch.index.reshape(len(keys), 3)
         assert (index == index[:, :1]).all()
-        new = sorted({ids[key] for key in keys if key in ids} - read)
-        assert model._row_of[new].tolist() == list(range(1 + len(read), store.floors.size))
-        assert store.floors.size == 1 + len(held)
+        found = sorted({ids[key] for key in keys if key in ids})
+        first = int(any(key not in held for key in keys))
+        assert batch.floors.size == first + len(found)
         for key, row in zip(keys, index[:, 0].tolist(), strict=True):
-            assert rows.get(key, row) == row
             expected = held.get(key)
             if expected is None:
-                assert row == 0
+                assert row == 0 and batch.offsets[1] == 0
                 unseen += 1
                 continue
+            assert row == first + found.index(ids[key])
             # The row lists its tokens' probabilities in rank order: descending
             # probability, then ascending token.
             denom = sum(expected.values()) + 0.1 * size
-            start, stop = store.offsets[row], store.offsets[row + 1]
-            assert list(zip(store.tokens[start:stop].tolist(), store.probs[start:stop].tolist())) \
+            start, stop = batch.offsets[row], batch.offsets[row + 1]
+            assert list(zip(batch.tokens[start:stop].tolist(), batch.probs[start:stop].tolist())) \
                 == sorted(((token, (0.1 + count) / denom) for token, count in expected.items()),
                           key=lambda item: (-item[1], item[0]))
-            assert store.floors[row] == 0.1 / denom
-        assert store.offsets.size == store.floors.size + 1 == store.h[0].size + 1
-        assert store.tokens.dtype == np.int64 and store.probs.dtype == np.float64
+            assert batch.floors[row] == 0.1 / denom
+        assert batch.offsets.size == batch.floors.size + 1
+        assert batch.tokens.dtype == np.int64 and batch.probs.dtype == np.float64
     assert unseen >= CASES
 
 
@@ -284,19 +284,19 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
     # entries with each other and with the floor; smoothing 0 gives zero
     # floors and rows with no mass. Each case asks two batches of repeated,
     # unseen and short contexts, as plain ints, numpy ints and floats equal to
-    # ints, so the second serves rows the first read. Each context's row is
-    # its context id's row in the cache: row 0 when it is unseen or has no
-    # mass, and a batch appends one row for each other id not read before.
+    # ints. A batch holds one row per distinct context id, ascending, and
+    # sums each once: row 0 serves every unseen context and every one with
+    # no mass.
     summed = []
-    set_entropies = model_module._set_entropies
+    entropies = model_module._entropies
 
     def spy(batch, rows):
         summed.extend(rows.tolist())
-        set_entropies(batch, rows)
+        return entropies(batch, rows)
 
-    monkeypatch.setattr(model_module, "_set_entropies", spy)
+    monkeypatch.setattr(model_module, "_entropies", spy)
     rng = np.random.default_rng(4205)
-    tally = dict.fromkeys(("unseen", "zero floor", "last at floor", "tie", "kept"), 0)
+    tally = dict.fromkeys(("unseen", "zero floor", "last at floor", "tie", "no mass"), 0)
     for case in range(CASES):
         size = int(rng.integers(2, 24))
         vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
@@ -312,37 +312,28 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
         ids = {key: i for i, key in enumerate(held)}
         massless = {key for key, row in model.counts.items()
                     if sum(row.values()) + model.smoothing * size <= 0}
-        summed.clear()
-        read, ids_read = set(), set()
         for _ in range(2):
             contexts = [list(held[i]) for i in rng.integers(0, len(held), size=6)] if held else []
             contexts += [rng.integers(0, size, size=int(rng.integers(0, order + 1))).tolist()
                          for _ in range(6)]
             contexts = [(c, np.array(c, dtype=np.int64), [float(t) for t in c])[i % 3]
                         for i, c in enumerate(contexts)]
-            stored = model._store.floors.size
+            summed.clear()
             batch = model.next_token_dists(contexts)
             keys = window_tuples(model.windows(contexts))
             assert_matches_dense(batch, [dense_oracle(model, key) for key in keys])
             found = [-1 if key in massless else ids.get(key, -1) for key in keys]
-            assert batch.index.tolist() == model._row_of[found].tolist()
-            assert [row for row, i in zip(batch.index.tolist(), found) if i < 0] == \
-                [0] * found.count(-1)
-            assert model._store.floors.size - stored == len(set(found) - {-1} - ids_read)
-            ids_read |= set(found)
-            rows = set(batch.index.tolist())
+            assert batch.index.tolist() == [sorted(set(found)).index(i) for i in found]
+            assert summed == list(range(batch.floors.size))
             ends = batch.offsets[1:][batch.offsets[1:] > batch.offsets[:-1]] - 1
             at_floor = batch.probs[ends] == batch.floors[batch.offsets[1:] > batch.offsets[:-1]]
             owner = np.repeat(np.arange(batch.floors.size), np.diff(batch.offsets))
             same = (batch.probs[1:] == batch.probs[:-1]) & (owner[1:] == owner[:-1])
-            tally["unseen"] += 0 in rows
+            tally["unseen"] += -1 in found
             tally["zero floor"] += bool((batch.floors[batch.index] == 0.0).any())
             tally["last at floor"] += bool(at_floor.any())
             tally["tie"] += bool(same.any())
-            tally["kept"] += bool(rows & read)
-            read |= rows
-        # Each row of the model is summed once, in whichever batch first asks.
-        assert len(summed) == len(set(summed))
+            tally["no mass"] += bool(massless & set(keys))
     assert min(tally.values()) >= 20, tally
 
 
@@ -367,24 +358,82 @@ def test_constructed_batches_match_their_dense_vectors():
         assert_matches_dense(batch, vectors[index])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_a_window_array_is_served_as_its_contexts(data):
-    # Contexts of 0 to w + 2 tokens: shorter than, as long as and longer
-    # than the window, which the array pads with -1 or holds cut. A twin
-    # model serves the array, so that no row is read for it beforehand.
+def small_model(data):
+    """A model ``fit`` on drawn documents over a vocabulary of 2 to 7 tokens, and a strategy
+    for its contexts: 0 to ``order`` + 1 tokens, shorter than, as long as and longer than
+    its window."""
     size = data.draw(st.integers(2, 7), label="size")
     order = data.draw(st.integers(1, 4), label="order")
     tokens = st.integers(0, size - 1)
-    docs = data.draw(st.lists(st.lists(tokens, max_size=30), min_size=1, max_size=3), label="docs")
-    smoothing = data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="smoothing")
+    docs = data.draw(st.lists(st.lists(tokens, max_size=30), max_size=4), label="docs")
     vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
-    model, twin = (NGramModel.fit(vocab, docs, order, smoothing) for _ in range(2))
-    contexts = data.draw(st.lists(st.lists(tokens, max_size=order + 1), min_size=1, max_size=8),
-                         label="contexts")
-    plain, served = model.next_token_dists(contexts), twin.next_token_dists(model.windows(contexts))
+    smoothing = data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="smoothing")
+    model = NGramModel.fit(vocab, docs, order, smoothing)
+    return model, st.lists(tokens, max_size=order + 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_window_array_is_served_as_its_contexts(data):
+    # The array pads a context shorter than the window with -1 and holds a
+    # longer one cut.
+    model, contexts = small_model(data)
+    contexts = data.draw(st.lists(contexts, min_size=1, max_size=8), label="contexts")
+    plain, served = model.next_token_dists(contexts), model.next_token_dists(model.windows(contexts))
     assert plain.dense().view(np.uint64).tolist() == served.dense().view(np.uint64).tolist()
-    k = data.draw(st.integers(1, size), label="k")
+    k = data.draw(st.integers(1, model.vocab.size), label="k")
     for got, want in zip(served.top(k), plain.top(k)):
         assert np.array_equal(got, want)
     assert [h.hex() for h in served.entropies()] == [h.hex() for h in plain.entropies()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fit_ranks_each_contexts_successors_and_gives_each_context_mass(data):
+    # A row is read out of the columns in rank order, so fit must leave each
+    # context's successors there: descending count, then ascending token.
+    # Every context fit makes follows some position, so its total is at least 1.
+    model, _ = small_model(data)
+    offsets, tokens, counts, totals = (np.asarray(getattr(model, f"_{name}"))
+                                       for name in ("offsets", "tokens", "counts", "totals"))
+    for c, (start, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        row = list(zip(tokens[start:stop].tolist(), counts[start:stop].tolist()))
+        assert row == sorted(row, key=lambda item: (-item[1], item[0]))
+        assert totals[c] == sum(counts[start:stop].tolist()) >= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_batch_holds_one_row_per_distinct_context(data):
+    # Contexts repeat, and unseen ones all share one row; two contexts share
+    # a row exactly when the model reads the same counts for both.
+    model, contexts = small_model(data)
+    contexts = data.draw(st.lists(contexts, min_size=1, max_size=12), label="contexts")
+    contexts += data.draw(st.lists(st.sampled_from(contexts), max_size=4), label="repeats")
+    batch = model.next_token_dists(contexts)
+    held = model.counts
+    keys = [key if key in held else None for key in window_tuples(model.windows(contexts))]
+    pairs = set(zip(keys, batch.index.tolist()))
+    assert batch.floors.size == batch.offsets.size - 1 == len(pairs) == len(set(keys))
+    assert sorted(row for _, row in pairs) == list(range(batch.floors.size))
+
+
+def model_state(model):
+    """Each attribute of ``model``: the object's identity and what it holds, arrays as bytes."""
+    return {name: (id(value), [bytes(v) for v in value] if isinstance(value, list)
+                   else bytes(value) if isinstance(value, memoryview) else value)
+            for name, value in vars(model).items()}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batches_leave_the_model_as_fit_made_it(data):
+    # No batch, served from contexts or from windows, may change what the
+    # model holds: the same objects, holding the same values.
+    model, contexts = small_model(data)
+    state = model_state(model)
+    for _ in range(data.draw(st.integers(0, 6), label="batches")):
+        batch = data.draw(st.lists(contexts, max_size=8), label="contexts")
+        served = model.next_token_dists(model.windows(batch) if data.draw(st.booleans()) else batch)
+        served.entropies(), served.top(1)
+        assert model_state(model) == state

@@ -113,7 +113,7 @@ def test_tree_respects_budget_depth_cap_and_best_first_order():
         assert max(parents.count(i) for i in range(len(parents))) <= params.max_branch
         expected = oracle_tree(draft, context, params)
         assert list(zip(*(column.tolist() for column in tree[:-1]),
-                        node_paths(tree))) == expected
+                        node_paths(tree))) == [(*node[:4], node[5]) for node in expected]
 
 
 def test_score_tree_makes_one_batched_call_and_alpha_is_the_clipped_ratio():

@@ -119,8 +119,17 @@ def best_first_select(roots, params: TreeParams):
     ]
 
 
+def cum_logps(tree: DraftTrees):
+    """Each node's sum of ln(p_draft) along its root-to-node path, the order of expansion."""
+    sums = []
+    for parent, p in zip(tree.parents.tolist(), tree.p_draft.tolist()):
+        sums.append((sums[parent] if parent >= 0 else 0.0) + math.log(p))
+    return sums
+
+
 def tree_tuples(tree: DraftTrees):
-    return list(zip(*(column.tolist() for column in tree[:-1])))
+    """Each node of one tree as (token, depth, parent, p_draft, its ``cum_logps`` entry)."""
+    return list(zip(*(column.tolist() for column in tree[:-1]), cum_logps(tree)))
 
 
 def random_model_and_context(rng):
@@ -283,7 +292,7 @@ class TestInvariants:
             model, context = random_model_and_context(rng)
             params = random_params(rng)
             tree = build_draft_tree(model, context, params)
-            depths, parents, cum_logp = tree.depths.tolist(), tree.parents.tolist(), tree.cum_logp
+            depths, parents = tree.depths.tolist(), tree.parents.tolist()
             assert 1 <= len(depths) <= params.max_nodes
             assert depths.count(1) <= params.root_top_k
             assert max(depths) <= params.max_depth
@@ -292,15 +301,9 @@ class TestInvariants:
                 if parent != -1:
                     children[parent] += 1
             assert all(c <= params.max_branch for c in children)
-            for i, (parent, p_draft) in enumerate(zip(parents, tree.p_draft)):
-                if parent == -1:
-                    assert depths[i] == 1
-                    assert cum_logp[i] == pytest.approx(math.log(p_draft), abs=1e-12)
-                else:
-                    assert depths[i] == depths[parent] + 1
-                    assert cum_logp[i] == pytest.approx(
-                        cum_logp[parent] + math.log(p_draft), abs=1e-12
-                    )
+            assert (tree.p_draft > 0.0).all()
+            for i, parent in enumerate(parents):
+                assert depths[i] == (1 if parent == -1 else depths[parent] + 1)
 
     def test_best_first_expansion_order(self):
         # Replay expansion events from the output: a parent's expansion happens
@@ -311,6 +314,7 @@ class TestInvariants:
             model, context = random_model_and_context(rng)
             params = random_params(rng)
             tree = build_draft_tree(model, context, params)
+            cum_logp = cum_logps(tree)
             events = []
             seen = set()
             for idx, parent in enumerate(tree.parents.tolist()):
@@ -319,13 +323,13 @@ class TestInvariants:
                     events.append((idx, parent))
             expanded = set()
             for created_at, parent in events:
-                parent_clp = tree.cum_logp[parent]
+                parent_clp = cum_logp[parent]
                 for other in range(created_at):
                     if other == parent or other in expanded:
                         continue
                     if tree.depths[other] >= params.max_depth:
                         continue
-                    assert tree.cum_logp[other] <= parent_clp + 1e-12
+                    assert cum_logp[other] <= parent_clp + 1e-12
                 expanded.add(parent)
 
 
