@@ -1,12 +1,12 @@
 """Per-domain corpora: loading, tokenization, prompt sampling, model training.
 
 A corpus is a set of documents encoded into a closed vocabulary (index 0 is
-the reserved unknown token). Bundled synthetic generators produce four
-stylistically distinct domains (chat, code, math, reasoning) so the whole
-pipeline can run and be tested without any external data. Synthetic
-documents are streams of short episodes, each terminated by an explicit
-end-of-sequence token, which gives the trained models a learnable stopping
-pattern. Their draws go through ``getrandbits`` by ``random``'s own rejection
+the reserved unknown token), held end to end in one array of token ids.
+Bundled synthetic generators produce four stylistically distinct domains
+(chat, code, math, reasoning) so the whole pipeline can run and be tested
+without any external data. Synthetic documents are streams of short episodes,
+each terminated by an explicit end-of-sequence token, which gives the trained
+models a learnable stopping pattern. Their draws go through ``getrandbits`` by ``random``'s own rejection
 rule, so the documents equal what ``randint``, ``choice`` and ``sample`` would
 give from the same seeded generator; the tests hold them to an oracle written
 with those methods.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import NGramModel, Vocabulary
+from .model import NGramModel, Vocabulary, _check_token_ids
 
 UNK_TOKEN = "<unk>"
 END_TOKEN = "<end>"
@@ -45,23 +46,47 @@ def build_vocabulary(domain: str, token_docs: Iterable[Sequence[str]]) -> Vocabu
     return Vocabulary((UNK_TOKEN, *sorted(seen)))
 
 
-@dataclass
+@dataclass(eq=False)
 class DomainCorpus:
-    """Encoded documents of one domain sharing one vocabulary."""
+    """One domain's documents over one vocabulary, end to end in one int64 ``tokens`` array:
+    document i is ``tokens[offsets[i]:offsets[i + 1]]``. InputError unless both arrays are
+    1-D of integers, each id is in [0, |V|) and ``offsets`` rise from 0 to ``tokens.size``."""
 
     domain: str
-    documents: list[tuple[int, ...]]
+    tokens: np.ndarray
+    offsets: np.ndarray
     vocabulary: Vocabulary
+
+    def __post_init__(self) -> None:
+        tokens, offsets = np.asarray(self.tokens), np.asarray(self.offsets)
+        if any(array.ndim != 1 or array.dtype.kind not in "iu" for array in (tokens, offsets)):
+            raise InputError(f"domain {self.domain!r}: tokens and offsets must be 1-D of integers")
+        _check_token_ids(tokens, self.vocabulary.size)
+        if not offsets.size or offsets[0] or offsets[-1] != tokens.size or (
+                offsets[1:] < offsets[:-1]).any():
+            raise InputError(f"domain {self.domain!r}: offsets must rise from 0 to {tokens.size}")
+        self.tokens = tokens.astype(np.int64, copy=False)
+        self.offsets = offsets.astype(np.int64, copy=False)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, DomainCorpus) and self.domain == other.domain
+                and self.vocabulary == other.vocabulary
+                and np.array_equal(self.tokens, other.tokens)
+                and np.array_equal(self.offsets, other.offsets))
 
     @classmethod
     def from_tokens(cls, domain: str, token_docs: Iterable[Sequence[str]]) -> "DomainCorpus":
-        """Encode token lists over the vocabulary they span; empty documents are dropped."""
+        """Encode token lists over the vocabulary they span; empty documents are dropped. One
+        pass in C numbers the tokens by first appearance; one gather in place renumbers them."""
         token_docs = [doc for doc in token_docs if doc]
-        vocab = build_vocabulary(domain, token_docs)
-        # Every token is in the vocabulary, so map needs no default and runs in C.
-        index = vocab._index.__getitem__  # type: ignore[attr-defined]
-        documents = [tuple(map(index, doc)) for doc in token_docs]
-        return cls(domain=domain, documents=documents, vocabulary=vocab)
+        offsets = np.cumsum([0, *map(len, token_docs)], dtype=np.int64)
+        first = defaultdict(itertools.count().__next__)
+        tokens = np.fromiter(map(first.__getitem__, itertools.chain.from_iterable(token_docs)),
+                             dtype=np.int64, count=int(offsets[-1]))
+        vocab = build_vocabulary(domain, [first.keys()])
+        # Every id is below len(first): "clip" clips none, and unlike "raise" it copies nothing.
+        np.take(np.array([*map(vocab.index_of, first)]), tokens, out=tokens, mode="clip")
+        return cls(domain, tokens, offsets, vocab)
 
     @classmethod
     def from_texts(cls, domain: str, texts: Iterable[str]) -> "DomainCorpus":
@@ -78,19 +103,20 @@ def sample_prompts(
     without replacement whenever the corpus has at least n documents.
     Truncation keeps the leading tokens.
     """
-    if not corpus.documents:
+    offsets = corpus.offsets.tolist()
+    if len(offsets) < 2:
         raise InputError(f"domain {corpus.domain!r} has no documents")
     if n < 1 or max_len < 1:
         raise InputError("n and max_len must be >= 1")
     if seed < 0:
         raise InputError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    replace = len(corpus.documents) < n
     try:
-        chosen = rng.choice(len(corpus.documents), size=n, replace=replace)
+        chosen = rng.choice(len(offsets) - 1, size=n, replace=len(offsets) <= n)
     except (ValueError, OverflowError, MemoryError) as exc:  # n too large for one array
         raise InputError(f"cannot draw {n} prompts from domain {corpus.domain!r}: {exc}") from exc
-    return [tuple(corpus.documents[i][:max_len]) for i in chosen.tolist()]
+    return [tuple(corpus.tokens[offsets[i]:min(offsets[i] + max_len, offsets[i + 1])].tolist())
+            for i in chosen.tolist()]
 
 
 def train_models(
@@ -98,15 +124,14 @@ def train_models(
 ) -> tuple[NGramModel, NGramModel]:
     """Fit the (draft, target) pair on one corpus; both share its vocabulary.
 
-    The documents are flattened and their context levels ranked once
-    (``NGramModel._fit_orders``, which also rejects an order below 1): the
-    draft is counted from the target's lower levels and holds the same
-    level objects.
+    The corpus arrays' context levels are ranked once (``NGramModel._fit_orders``,
+    which also rejects an order below 1): the draft is counted from the target's
+    lower levels and holds the same level objects.
     """
     if draft_order >= target_order:
         raise InputError("draft_order must be strictly below target_order")
-    orders = (draft_order, target_order)
-    return tuple(NGramModel._fit_orders(corpus.vocabulary, corpus.documents, orders, smoothing))
+    return tuple(NGramModel._fit_orders(corpus.vocabulary, corpus.tokens, corpus.offsets,
+                                        (draft_order, target_order), smoothing))
 
 
 def load_domain_dir(path: str | Path) -> DomainCorpus:

@@ -315,50 +315,34 @@ class NGramModel(LanguageModel):
     def fit(cls, vocab: Vocabulary, documents: Sequence[TokenSeq], order: int,
             smoothing: float) -> "NGramModel":
         """Count successor statistics over ``documents`` (index sequences): ``_fit_orders``
-        at this one order."""
-        return cls._fit_orders(vocab, documents, (order,), smoothing)[0]
+        at this one order, on the documents flattened by ``_flat_documents``."""
+        return cls._fit_orders(vocab, *_flat_documents(documents), (order,), smoothing)[0]
 
     @classmethod
-    def _fit_orders(cls, vocab: Vocabulary, documents: Sequence[TokenSeq], orders: Sequence[int],
-                    smoothing: float) -> list["NGramModel"]:
+    def _fit_orders(cls, vocab: Vocabulary, tokens: np.ndarray, offsets: np.ndarray,
+                    orders: Sequence[int], smoothing: float) -> list["NGramModel"]:
         """``fit`` at each of the ascending ``orders``, from one ranking of the levels.
 
-        The documents are flattened into one range-checked array, each token an
-        integer by the rule ``windows`` applies to a context (``_int_key``), and
-        each level's context ids are ranked over all positions at once up to
-        the highest order (``_ranked_levels``). After level k - 1 the order-k
-        model counts its (context, token) pairs in one pass (``_count``) and
-        keeps ``_levels[:k - 1]``, the very level objects every higher order holds.
+        Document i is ``tokens[offsets[i]:offsets[i + 1]]``; the tokens are
+        range-checked here. Each level's context ids are ranked over all
+        positions at once up to the highest order (``_ranked_levels``). After
+        level k - 1 the order-k model counts its (context, token) pairs in one
+        pass (``_count``) and keeps ``_levels[:k - 1]``, the very level objects
+        every higher order holds.
         """
         if orders[0] < 1:
             raise InputError("order must be >= 1")
         if not 0 <= smoothing < math.inf:
             raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
         size = vocab.size
-        lengths = np.array([len(doc) for doc in documents], dtype=np.int64)
-        tokens = itertools.chain.from_iterable(documents)
-        # The sum is a plain int only when every token is an int or a bool;
-        # numpy ints that overflow it are checked token by token too.
-        with np.errstate(over="ignore"):
-            try:
-                plain = type(sum(map(sum, documents))) is int
-            except TypeError:
-                plain = False
-        if not plain:
-            tokens = _int_key(tuple(tokens), "a document")
-        try:
-            flat = np.fromiter(tokens, dtype=np.int64, count=int(lengths.sum()))
-        except OverflowError:  # a token past int64 is outside the vocabulary too
-            flat = None
-        if flat is None or flat.size and (flat.min() < 0 or flat.max() >= size):
-            raise InputError("document contains a token outside the model vocabulary")
-        since_start = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        _check_token_ids(tokens, size)
+        since_start = np.arange(tokens.size) - np.repeat(offsets[:-1], np.diff(offsets))
         # Made one level at a time, so only one column is alive at once.
-        columns = (np.where(since_start < k, 0, np.roll(flat, k) + 1) for k in range(1, orders[-1]))
+        columns = (np.where(since_start < k, 0, np.roll(tokens, k) + 1) for k in range(1, orders[-1]))
         return [cls._packed(vocab, order, smoothing, levels,
-                            *_count(ids * size + flat, n_contexts * size), n_contexts)
+                            *_count(ids * size + tokens, n_contexts * size), n_contexts)
                 for order, (levels, ids, n_contexts)
-                in enumerate(_ranked_levels(columns, flat.size, size + 1), 1) if order in orders]
+                in enumerate(_ranked_levels(columns, tokens.size, size + 1), 1) if order in orders]
 
     @classmethod
     def _packed(cls, vocab: Vocabulary, order: int, smoothing: float, levels: list[memoryview],
@@ -469,6 +453,38 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     counts = np.bincount(codes, minlength=space)
     keys = np.flatnonzero(counts)
     return keys, counts[keys]
+
+
+def _flat_documents(documents: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
+    """``documents`` end to end in one int64 array, and their CSR offsets; InputError unless each
+    is a sequence of integer tokens (``_int_key``, the rule ``windows`` applies to a context)."""
+    try:
+        offsets = np.cumsum([0, *map(len, documents)], dtype=np.int64)
+    except TypeError:
+        raise InputError("a document is not a sequence of tokens") from None
+    tokens = itertools.chain.from_iterable(documents)
+    # The sum is a plain int only when every token is an int or a bool;
+    # numpy ints that overflow it are checked token by token too.
+    with np.errstate(over="ignore"):
+        try:
+            plain = type(sum(map(sum, documents))) is int
+        except TypeError:
+            plain = False
+    if not plain:
+        tokens = _int_key(tuple(tokens), "a document")
+    try:
+        return np.fromiter(tokens, dtype=np.int64, count=int(offsets[-1])), offsets
+    except OverflowError:  # a token past int64 is outside the vocabulary too
+        raise InputError(_OUTSIDE_VOCABULARY) from None
+
+
+_OUTSIDE_VOCABULARY = "document contains a token outside the model vocabulary"
+
+
+def _check_token_ids(tokens: np.ndarray, size: int) -> None:
+    """InputError unless every entry of the integer array ``tokens`` is in [0, size)."""
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= size):
+        raise InputError(_OUTSIDE_VOCABULARY)
 
 
 def _int_key(key: tuple, owner: str | None = None) -> tuple[int, ...]:

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treespec import LanguageModel, NGramModel, RecordTable, RowBatch, synthetic_corpora
+from treespec import DomainCorpus, LanguageModel, NGramModel, RecordTable, RowBatch, synthetic_corpora
 from treespec.metrics import FLOAT_FIELDS, RECORD_COLUMNS, RECORD_FIELDS, STEP_FIELDS, TREE_FIELDS
-from treespec.model import _ranked_levels
+from treespec.model import _flat_documents, _ranked_levels
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,6 +44,18 @@ def table_rows(table):
     """Each record of ``table`` as a Row."""
     columns = [getattr(table, name).tolist() for name in RECORD_FIELDS[1:]]
     return [Row(table.domains[code], *values) for code, *values in zip(table.domain_code.tolist(), *columns)]
+
+
+def documents(corpus):
+    """A corpus's documents as tuples of Python ints, whose ``repr`` every digest of
+    documents hashes (that of an ``np.int64`` differs)."""
+    tokens, offsets = corpus.tokens.tolist(), corpus.offsets.tolist()
+    return [tuple(tokens[start:stop]) for start, stop in zip(offsets, offsets[1:])]
+
+
+def corpus_of(domain, documents, vocab):
+    """The DomainCorpus of id ``documents`` over ``vocab``, flattened as ``fit`` flattens them."""
+    return DomainCorpus(domain, *_flat_documents(documents), vocab)
 
 
 def ngram_model(vocab, order, counts, smoothing):

@@ -1,9 +1,13 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import corpus_of, documents
 from treespec import (
     DomainCorpus,
     InputError,
@@ -63,7 +67,7 @@ GOLDEN_CORPORA = {
 
 
 def _corpus_digest(corpus):
-    return hashlib.sha256(repr((corpus.vocabulary.tokens, corpus.documents)).encode()).hexdigest()
+    return hashlib.sha256(repr((corpus.vocabulary.tokens, documents(corpus))).encode()).hexdigest()
 
 
 # The episode generators as written with random's own methods: the oracle
@@ -165,15 +169,99 @@ class TestTokenize:
     def test_whitespace(self):
         corpus = DomainCorpus.from_texts("d", ["a b\ta\n b"])
         assert corpus.vocabulary.tokens == (UNK_TOKEN, "a", "b")
-        assert corpus.documents == [(1, 2, 1, 2)]
+        assert documents(corpus) == [(1, 2, 1, 2)]
 
     def test_empty(self):
         corpus = DomainCorpus.from_texts("d", ["a", "", " \n"])
-        assert corpus.documents == [(1,)]
+        assert documents(corpus) == [(1,)]
 
     def test_deterministic(self):
         text = "def f ( x ) :\n  return x"
         assert DomainCorpus.from_texts("d", [text]) == DomainCorpus.from_texts("d", [text])
+
+
+def from_tokens_oracle(domain, token_docs):
+    """``DomainCorpus.from_tokens`` one token at a time: (vocabulary tokens, documents), the
+    unknown token first and the rest sorted, each token encoded by one dict lookup."""
+    token_docs = [doc for doc in token_docs if doc]
+    seen = {token for doc in token_docs for token in doc}
+    if not seen:
+        raise InputError(f"domain {domain!r} has no tokens: every document is empty")
+    seen.discard(UNK_TOKEN)
+    if not seen:
+        raise InputError(f"domain {domain!r} has no tokens besides {UNK_TOKEN}")
+    vocabulary = (UNK_TOKEN, *sorted(seen))
+    index = {token: i for i, token in enumerate(vocabulary)}
+    return vocabulary, [tuple(index[token] for token in doc) for doc in token_docs]
+
+
+# Short tokens, non-ASCII among them, with the unknown token often inside a document.
+TOKENS = st.one_of(st.sampled_from([UNK_TOKEN, "a", "b", "é", "日本", "Ω", "\U0001f600"]),
+                   st.text(max_size=3))
+
+
+class TestFromTokensOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(TOKENS, max_size=8), max_size=6))
+    def test_matches_the_scalar_oracle(self, token_docs):
+        try:
+            expected = from_tokens_oracle("d", token_docs)
+        except InputError as exc:
+            with pytest.raises(InputError, match=f"^{re.escape(str(exc))}$"):
+                DomainCorpus.from_tokens("d", token_docs)
+            return
+        corpus = DomainCorpus.from_tokens("d", token_docs)
+        assert (corpus.vocabulary.tokens, documents(corpus)) == expected
+        assert corpus.tokens.dtype == corpus.offsets.dtype == np.int64
+
+    def test_oracle_cases(self):
+        # Each case the property test must reach, spelt out: the unknown token
+        # inside a document, an empty document and non-ASCII tokens.
+        corpus = DomainCorpus.from_tokens("d", [["日本", UNK_TOKEN, "é"], [], ["a", "日本"]])
+        assert (corpus.vocabulary.tokens, documents(corpus)) == from_tokens_oracle(
+            "d", [["日本", UNK_TOKEN, "é"], [], ["a", "日本"]])
+        assert documents(corpus) == [(3, 0, 2), (1, 3)]
+
+
+class TestConstructor:
+    VOCAB = Vocabulary((UNK_TOKEN, "a", "b"))
+
+    def test_keeps_int64_arrays(self):
+        corpus = DomainCorpus("d", np.array([1, 2, 0], dtype=np.uint8),
+                              np.array([0, 2, 2, 3], dtype=np.int32), self.VOCAB)
+        assert corpus.tokens.dtype == corpus.offsets.dtype == np.int64
+        assert documents(corpus) == [(1, 2), (), (0,)]
+
+    @pytest.mark.parametrize("tokens", [np.array([[1, 2]]), np.array([1.0, 2.0]), np.array(1),
+                                        np.array(["a"])])
+    def test_tokens_not_one_dimensional_of_integers_rejected(self, tokens):
+        with pytest.raises(InputError, match="^domain 'd': tokens and offsets must be 1-D of integers$"):
+            DomainCorpus("d", tokens, np.array([0, 2]), self.VOCAB)
+
+    @pytest.mark.parametrize("token", [-1, 3, 2**62])
+    def test_id_outside_the_vocabulary_rejected(self, token):
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            DomainCorpus("d", np.array([1, token]), np.array([0, 2]), self.VOCAB)
+
+    @pytest.mark.parametrize("offsets", [[], [1, 2], [0, 1], [0, 2, 1, 2], [0, 3], [-1, 2]])
+    def test_offsets_that_do_not_run_from_zero_to_the_end_rejected(self, offsets):
+        with pytest.raises(InputError, match="^domain 'd': offsets must rise from 0 to 2$"):
+            DomainCorpus("d", np.array([1, 2]), np.array(offsets, dtype=np.int64), self.VOCAB)
+
+    def test_offsets_not_one_dimensional_of_integers_rejected(self):
+        for offsets in (np.array([[0, 2]]), np.array([0.0, 2.0])):
+            with pytest.raises(InputError, match="^domain 'd': tokens and offsets must be 1-D of integers$"):
+                DomainCorpus("d", np.array([1, 2]), offsets, self.VOCAB)
+
+    def test_equality_compares_the_arrays(self):
+        corpus = corpus_of("d", [(1, 2), (0,)], self.VOCAB)
+        assert corpus == corpus_of("d", [(1, 2), (0,)], self.VOCAB)
+        # Arrays of other lengths, other offsets, another domain or vocabulary, or
+        # another type compare unequal, without raising.
+        for other in (corpus_of("d", [(1, 2)], self.VOCAB), corpus_of("d", [(1,), (2, 0)], self.VOCAB),
+                      corpus_of("e", [(1, 2), (0,)], self.VOCAB),
+                      corpus_of("d", [(1, 2), (0,)], Vocabulary((UNK_TOKEN, "a", "c"))), "d"):
+            assert corpus != other and not corpus == other
 
 
 class TestVocabularyBuild:
@@ -191,17 +279,17 @@ class TestVocabularyBuild:
 
     def test_unknown_token_keeps_index_zero(self):
         corpus = DomainCorpus.from_tokens("d", [["b", UNK_TOKEN, "a"], []])
-        assert corpus.documents == [(2, 0, 1)]
+        assert documents(corpus) == [(2, 0, 1)]
 
     def test_blank_documents_dropped(self):
         corpus = DomainCorpus.from_texts("d", ["a b", "   ", "b"])
-        assert len(corpus.documents) == 2
+        assert len(documents(corpus)) == 2
 
 
 class TestSamplePrompts:
     def test_single_document(self):
         corpus = DomainCorpus.from_texts("d", ["a b c d e"])
-        assert sample_prompts(corpus, 1, seed=0, max_len=3) == [corpus.documents[0][:3]]
+        assert sample_prompts(corpus, 1, seed=0, max_len=3) == [documents(corpus)[0][:3]]
 
     def test_same_seed_identical(self):
         corpus = synthetic_corpus("chat", n_docs=30, seed=1)
@@ -216,7 +304,7 @@ class TestSamplePrompts:
     def test_frozen_index_fixture(self):
         corpus = synthetic_corpus("chat", n_docs=200, seed=7)
         prompts = sample_prompts(corpus, 50, seed=42, max_len=512)
-        assert prompts == [corpus.documents[i][:512] for i in FROZEN_DOC_INDICES]
+        assert prompts == [documents(corpus)[i][:512] for i in FROZEN_DOC_INDICES]
         # Without replacement: 50 distinct prompts, so 50 distinct documents.
         assert len(set(prompts)) == len(set(FROZEN_DOC_INDICES)) == 50
 
@@ -230,7 +318,7 @@ class TestSamplePrompts:
         assert all(len(p) == 40 for p in prompts)
 
     def test_empty_corpus_rejected(self):
-        corpus = DomainCorpus("d", [], Vocabulary((UNK_TOKEN, "a")))
+        corpus = corpus_of("d", [], Vocabulary((UNK_TOKEN, "a")))
         with pytest.raises(InputError):
             sample_prompts(corpus, 1, seed=0)
 
@@ -238,6 +326,21 @@ class TestSamplePrompts:
         corpus = DomainCorpus.from_texts("d", ["a b"])
         with pytest.raises(InputError):
             sample_prompts(corpus, 0, seed=0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_slicing_oracle(self, data):
+        # Both sides of the replacement rule, and a max_len past int64.
+        docs = data.draw(st.lists(st.lists(st.integers(0, 3), max_size=10), min_size=1, max_size=6))
+        n = data.draw(st.integers(1, 2 * len(docs) + 2))
+        seed = data.draw(st.integers(0, 2**64))
+        max_len = data.draw(st.one_of(st.integers(1, 12), st.just(2**70)))
+        corpus = corpus_of("d", docs, Vocabulary((UNK_TOKEN, "a", "b", "c")))
+        chosen = np.random.default_rng(seed).choice(len(docs), size=n, replace=len(docs) < n)
+        expected = [tuple(docs[i][:max_len]) for i in chosen.tolist()]
+        prompts = sample_prompts(corpus, n, seed, max_len)
+        assert prompts == expected
+        assert all(type(token) is int for prompt in prompts for token in prompt)
 
     def test_negative_seed_rejected(self):
         # It raised numpy's bare ValueError from default_rng.
@@ -289,9 +392,9 @@ class TestSynthetic:
 
     def test_doc_length_and_end_token(self):
         corpus = synthetic_corpus("reasoning", n_docs=4, seed=13, doc_len=300)
-        assert all(len(doc) >= 300 for doc in corpus.documents)
+        assert all(len(doc) >= 300 for doc in documents(corpus))
         end = corpus.vocabulary.index_of(END_TOKEN)
-        assert all(end in doc for doc in corpus.documents)
+        assert all(end in doc for doc in documents(corpus))
 
     def test_unknown_domain(self):
         with pytest.raises(InputError):
@@ -311,7 +414,7 @@ class TestSynthetic:
         for seed, n_docs in ((0, 1), (7, 3), (42, 20)):
             corpus = synthetic_corpus(domain, n_docs=n_docs, seed=seed)
             tokens = corpus.vocabulary.tokens
-            texts = [" ".join(tokens[i] for i in doc) for doc in corpus.documents]
+            texts = [" ".join(tokens[i] for i in doc) for doc in documents(corpus)]
             assert DomainCorpus.from_texts(domain, texts) == corpus
 
 
@@ -323,9 +426,9 @@ class TestIO:
         (d / "a.txt").write_text("a a", encoding="utf-8")
         corpus = load_domain_dir(d)
         assert corpus.domain == "chat"
-        assert len(corpus.documents) == 2
+        assert len(documents(corpus)) == 2
         # files read in sorted order
-        assert corpus.documents[0] == tuple([corpus.vocabulary.index_of("a")] * 2)
+        assert documents(corpus)[0] == tuple([corpus.vocabulary.index_of("a")] * 2)
 
     def test_load_corpora(self, tmp_path):
         for name in ("alpha", "beta"):

@@ -9,10 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (TableModel, checked_dist, dense_batch, ngram_model, top_candidates,
-                      window_tuples)
+from conftest import (TableModel, checked_dist, corpus_of, dense_batch, ngram_model,
+                      top_candidates, window_tuples)
 from treespec import (
-    DomainCorpus,
     InputError,
     LanguageModel,
     NGramModel,
@@ -30,7 +29,7 @@ WXYZ = Vocabulary(("w", "x", "y", "z"))
 def fits(vocab):
     """The order-2 model of some documents, by ``NGramModel.fit`` and by ``train_models``."""
     return (lambda documents: NGramModel.fit(vocab, documents, 2, 0.1),
-            lambda documents: train_models(DomainCorpus("d", documents, vocab), 1, 2, 0.1)[1])
+            lambda documents: train_models(corpus_of("d", documents, vocab), 1, 2, 0.1)[1])
 
 
 def hand_count_bigram(corpus, context_token, successor, smoothing, vocab_size):
@@ -234,6 +233,13 @@ class TestNextTokenDist:
                 fit(documents)
         with pytest.raises(InputError, match="not an integer"):
             NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).windows(documents[-1:])
+
+    @pytest.mark.parametrize("documents", [[None], [[1, 2], 5], [[0], 1.5], [iter([0, 1])]])
+    def test_fit_document_that_is_not_a_sequence_rejected(self, documents):
+        # A bare TypeError (no len()) before: both entry points name the document.
+        for fit in fits(Vocabulary(("a", "b", "c"))):
+            with pytest.raises(InputError, match="^a document is not a sequence of tokens$"):
+                fit(documents)
 
     def test_fit_takes_integer_tokens_of_any_type(self):
         abc = Vocabulary(("a", "b", "c"))

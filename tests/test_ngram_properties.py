@@ -21,8 +21,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ngram_model, top_candidates, window_tuples
-from treespec import DomainCorpus, NGramModel, RowBatch, Vocabulary, entropy_nats
+from conftest import corpus_of, ngram_model, top_candidates, window_tuples
+from treespec import NGramModel, RowBatch, Vocabulary, entropy_nats
 from treespec import train_models
 from treespec import model as model_module
 
@@ -140,7 +140,7 @@ def test_train_models_matches_direct_fits_at_every_order_pair():
         vocab = random_vocab(rng)
         types = int(rng.integers(1, vocab.size + 1))
         documents = random_documents(rng, types, max_len=5 if case % 3 == 0 else 200)
-        corpus = DomainCorpus("d", documents, vocab)
+        corpus = corpus_of("d", documents, vocab)
         for draft_order, target_order in pairs:
             draft, target = train_models(corpus, draft_order, target_order, 0.1)
             for model, order in ((draft, draft_order), (target, target_order)):

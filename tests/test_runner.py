@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (Row, TableModel, column_table, record_table, score_lists, table_rows,
-                      window_tuples)
+from conftest import (Row, TableModel, column_table, corpus_of, documents, record_table,
+                      score_lists, table_rows, window_tuples)
 from treespec import (
-    DomainCorpus,
     DomainSummary,
     GenerationConfig,
     InputError,
@@ -200,9 +199,10 @@ class TestGenerateStep:
 
     def test_full_tree_yields_max_nodes_records(self):
         corpus = synthetic_corpus("chat", n_docs=10, seed=3, doc_len=120)
-        draft = NGramModel.fit(corpus.vocabulary, corpus.documents, 2, 0.1)
-        target = NGramModel.fit(corpus.vocabulary, corpus.documents, 3, 0.1)
-        _, sizes, _, _ = generate_step(draft, target, [corpus.documents[0][:40]], TreeParams(), 1)
+        docs = documents(corpus)
+        draft = NGramModel.fit(corpus.vocabulary, docs, 2, 0.1)
+        target = NGramModel.fit(corpus.vocabulary, docs, 3, 0.1)
+        _, sizes, _, _ = generate_step(draft, target, [docs[0][:40]], TreeParams(), 1)
         assert sizes == [8]
 
     def test_records_match_tree_and_scores(self):
@@ -341,7 +341,7 @@ class TestRunExperiment:
             return score_trees(target, contexts, trees)
 
         monkeypatch.setattr(runner, "score_trees", recording_score)
-        corpus = DomainCorpus("d", [(1, 2), (2, 1), (3, 3)], vocab)
+        corpus = corpus_of("d", [(1, 2), (2, 1), (3, 3)], vocab)
         config = GenerationConfig(prompts_per_domain=3, max_new_tokens=1, prompt_truncation=2)
         records = run_experiment(config, {"d": corpus}).records
         prompts = sample_prompts(corpus, 3, config.seed, 2)
@@ -363,19 +363,20 @@ class TestRunExperiment:
             return draft, target
 
         monkeypatch.setattr(runner, "train_models", models)
-        corpus = DomainCorpus("d", [(0, 1, 2), (1, 2)], vocab)
+        corpus = corpus_of("d", [(0, 1, 2), (1, 2)], vocab)
         config = GenerationConfig(prompts_per_domain=2, max_new_tokens=3, prompt_truncation=3)
         report = run_experiment(config, {"d": corpus})
         assert report.records == plain_loop(config, {"d": corpus}, models)
         assert len(report.records) == 2 * 3 * 8
 
     def test_out_of_range_prompt_token_before_window_rejected(self):
-        # Both prompts open on the same window, so the second one is a memo
-        # hit; its token 99 must still be rejected.
+        # Both prompts would open on the same window, so the second one would
+        # be a memo hit; its token 99 must still be rejected. A prompt is a
+        # prefix of a corpus document, and the corpus rejects it first.
         vocab = Vocabulary(("a", "b", "c", "d"))
-        corpus = DomainCorpus("d", [(0, 1, 2, 3, 0, 1, 2), (99, 1, 2)], vocab)
         config = GenerationConfig(prompts_per_domain=2, max_new_tokens=2, prompt_truncation=3)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="outside the model vocabulary"):
+            corpus = corpus_of("d", [(0, 1, 2, 3, 0, 1, 2), (99, 1, 2)], vocab)
             run_experiment(config, {"d": corpus})
 
     def test_count_arithmetic_small(self):
@@ -562,7 +563,7 @@ class TestLockstep:
     def test_steps_are_recorded_prompt_by_prompt(self):
         # Two prompts share their window (2, 3) from the first wave on.
         vocab = Vocabulary(("a", "b", "c", "d"))
-        corpus = DomainCorpus("d", [(1, 2, 3), (0, 2, 3)], vocab)
+        corpus = corpus_of("d", [(1, 2, 3), (0, 2, 3)], vocab)
         config = GenerationConfig(prompts_per_domain=2, max_new_tokens=3, prompt_truncation=3)
         report = run_experiment(config, {"d": corpus})
         assert report.records == plain_loop(config, {"d": corpus})
