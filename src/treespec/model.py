@@ -71,10 +71,10 @@ class RowBatch:
     token has the probability ``floors[r]``, and context i has row
     ``index[i]``. ``top`` equals a stable descending sort of the dense
     vectors (``dense``), ``prob`` their indexing and ``entropies`` their
-    ``entropy_nats``, bit for bit, each over the distinct rows at once.
+    ``entropy_nats``, bit for bit, each over all the rows at once.
 
-    The constructor ranks each row itself; with no ``index``, context i is
-    row i. ``_ranked`` takes rows already in rank order and sorts nothing. A
+    The constructor checks and ranks each row itself; with no ``index``, context i
+    is row i. ``_ranked`` takes checked rows in rank order and sorts nothing. A
     dense vector is a row that lists every token over a floor of 0.
     """
 
@@ -83,21 +83,31 @@ class RowBatch:
     def __init__(self, size: int, offsets: Sequence[int], tokens: Sequence[int],
                  probs: Sequence[float], floors: Sequence[float],
                  index: Sequence[int] | None = None) -> None:
-        offsets = np.asarray(offsets, dtype=np.int64)
+        offsets, floors = np.asarray(offsets, dtype=np.int64), np.asarray(floors, dtype=np.float64)
         tokens, probs = np.asarray(tokens, dtype=np.int64), np.asarray(probs, dtype=np.float64)
-        rows = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-        order = np.lexsort((tokens, -probs, rows))
+        rows = offsets.size - 1
+        index = np.arange(rows) if index is None else np.asarray(index, dtype=np.int64)
+        if tokens.ndim != 1 or offsets.ndim != 1 or not offsets.size or offsets[0] or (
+                offsets[-1] != tokens.size or (np.diff(offsets) < 0).any()):
+            raise InputError(f"row offsets must be 1-D and rise from 0 to {tokens.size}")
+        if probs.shape != tokens.shape or floors.shape != (rows,) or index.ndim != 1:
+            raise InputError(f"a batch of {rows} rows needs {rows} floors, {tokens.size} probs, a 1-D index")
+        for name, ids, bound in (("a row token", tokens, size), ("an index entry", index, rows)):
+            if ids.size and not 0 <= ids.min() <= ids.max() < bound:
+                raise InputError(f"{name} is outside [0, {bound})")
+        owner = np.repeat(np.arange(rows), np.diff(offsets))
+        if _sorted_distinct(owner * size + tokens).size < tokens.size:
+            raise InputError("a row lists a token twice")
+        order = np.lexsort((tokens, -probs, owner))
         self._ranked(size, offsets, tokens[order], probs[order], floors, index, self)
 
     @classmethod
     def _ranked(cls, size: int, offsets: np.ndarray, tokens: np.ndarray, probs: np.ndarray,
-                floors: Sequence[float], index: Sequence[int] | None = None,
-                batch: RowBatch | None = None) -> RowBatch:
-        """``batch`` (a new one when None) holding rows given in rank order, unsorted."""
+                floors: np.ndarray, index: np.ndarray, batch: RowBatch | None = None) -> RowBatch:
+        """``batch`` (a new one when None) holding checked rows given in rank order, unsorted."""
         batch = cls.__new__(cls) if batch is None else batch
         batch.size, batch.offsets, batch.tokens, batch.probs = size, offsets, tokens, probs
-        batch.floors = np.asarray(floors, dtype=np.float64)
-        batch.index = np.arange(batch.floors.size) if index is None else np.asarray(index, np.int64)
+        batch.floors, batch.index = floors, index
         return batch
 
     def dense(self, rows: np.ndarray | None = None) -> np.ndarray:
@@ -109,9 +119,9 @@ class RowBatch:
         return vectors
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The k most probable tokens of each distinct row, ties by ascending token, each
-        row ranked once: each context's position among the distinct rows, and their
-        (rows x k) tokens and probabilities; InputError unless 1 <= k <= ``size``.
+        """The k most probable tokens of each row, ties by ascending token, each row ranked
+        once: a copy of ``index`` (each context's row), and the (rows x k) tokens and
+        probabilities; InputError unless 1 <= k <= ``size``.
 
         A row's first k entries lead it. The tokens it does not list all sit at
         the floor and tie by index, so only a row with fewer than k entries
@@ -119,49 +129,45 @@ class RowBatch:
         """
         if not 1 <= k <= self.size:
             raise InputError(f"k={k} out of range for vocabulary of {self.size}")
-        rows, which = _distinct(self.index, self.floors.size, dense=True)
-        starts, ranks = self.offsets[rows], np.arange(k)
-        listed = ranks < (lengths := self.offsets[rows + 1] - starts)[:, None]
-        tokens, probs = np.zeros((rows.size, k), dtype=np.int64), np.zeros((rows.size, k))
+        starts, ranks, rows = self.offsets[:-1], np.arange(k), self.floors.size
+        listed = ranks < (lengths := np.diff(self.offsets))[:, None]
+        tokens, probs = np.zeros((rows, k), dtype=np.int64), np.zeros((rows, k))
         at = (starts[:, None] + ranks)[listed]
         tokens[listed], probs[listed] = self.tokens[at], self.probs[at]
-        short = (lengths < self.size) & ~(listed[:, -1] & (probs[:, -1] > self.floors[rows]))
+        short = (lengths < self.size) & ~(listed[:, -1] & (probs[:, -1] > self.floors))
         for i in np.flatnonzero(short).tolist():
             taken = set(self.tokens[starts[i]:starts[i] + lengths[i]].tolist())
             extra = itertools.islice((t for t in range(self.size) if t not in taken), k)
-            floor = float(self.floors[rows[i]])
+            floor = float(self.floors[i])
             ranked = sorted([*zip(tokens[i].tolist(), probs[i].tolist())][:lengths[i]]
                             + [(t, floor) for t in extra], key=lambda item: (-item[1], item[0]))
             tokens[i], probs[i] = zip(*ranked[:k])
-        return which, tokens, probs
+        return self.index.copy(), tokens, probs
 
     def prob(self, contexts: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """The probability of each ``tokens[i]`` at context ``contexts[i]``, as float64: its row's
-        entry, found by one search over the distinct rows' (row, token) keys, or else its floor;
+        entry, found by one search over every row's (row, token) keys, or else its floor;
         InputError for a token outside the vocabulary."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.size:
             raise InputError("a scored token is outside the model vocabulary")
-        rows = self.index[contexts]
-        distinct, local = _distinct(rows, self.floors.size, dense=True)
-        at, lengths = _gather(self.offsets, distinct)
-        keys = np.repeat(np.arange(distinct.size), lengths) * self.size + self.tokens[at]
+        rows, n_rows = self.index[contexts], self.floors.size
+        keys = np.repeat(np.arange(n_rows), np.diff(self.offsets)) * self.size + self.tokens
         order = np.argsort(keys)
         # A last key past every wanted one, so that each search lands on a key.
-        keys = np.append(keys[order], distinct.size * self.size)
-        want = local * self.size + tokens
+        keys = np.append(keys[order], n_rows * self.size)
+        want = rows * self.size + tokens
         found = np.searchsorted(keys, want)
-        return np.where(keys[found] == want, np.append(self.probs[at[order]], 0.0)[found],
+        return np.where(keys[found] == want, np.append(self.probs[order], 0.0)[found],
                         self.floors[rows])
 
     def entropies(self) -> np.ndarray:
-        """Each context's ``entropy_nats``, as float64; each distinct row is summed once."""
-        rows, which = _distinct(self.index, self.floors.size, dense=True)
-        return _entropies(self, rows)[which]
+        """Each context's ``entropy_nats``, as float64; each row is summed once."""
+        return _entropies(self)[self.index]
 
 
-def _entropies(batch: RowBatch, rows: np.ndarray) -> np.ndarray:
-    """The entropy of each of the distinct ``rows`` of ``batch``, in that order.
+def _entropies(batch: RowBatch) -> np.ndarray:
+    """The entropy of each row of ``batch``, in row order.
 
     A row whose floor and entries are all positive sums all |V| p ln p terms
     of its dense vector in token order. Its terms are computed in one pass
@@ -171,15 +177,13 @@ def _entropies(batch: RowBatch, rows: np.ndarray) -> np.ndarray:
     adds them (tests hold numpy to both). Any other row sums its dense
     vector, where its zero entries drop out.
     """
-    at, lengths = _gather(batch.offsets, rows)
-    positive = batch.floors[rows] > 0.0
-    positive[np.repeat(np.arange(rows.size), lengths)[batch.probs[at] <= 0.0]] = False
-    h = np.empty(rows.size)
+    h, positive = np.empty(batch.floors.size), batch.floors > 0.0
+    positive[np.repeat(np.arange(h.size), np.diff(batch.offsets))[batch.probs <= 0.0]] = False
     for i in np.flatnonzero(~positive).tolist():
-        h[i] = entropy_nats(batch.dense(rows[i, None])[0])
+        h[i] = entropy_nats(batch.dense(np.array([i]))[0])
     where, size = np.flatnonzero(positive), batch.size
-    at, lengths = _gather(batch.offsets, rows[where])
-    values, floors = batch.probs[at], batch.floors[rows[where]]
+    at, lengths = _gather(batch.offsets, where)
+    values, floors = batch.probs[at], batch.floors[where]
     terms, floor_terms = values * np.log(values), floors * np.log(floors)
     per_block = max(1, _ENTROPY_BLOCK // size)
     local, tokens = np.repeat(np.arange(where.size) % per_block, lengths), batch.tokens[at]
@@ -345,7 +349,7 @@ class NGramModel(LanguageModel):
                 in enumerate(_ranked_levels(columns, tokens.size, size + 1), 1) if order in orders]
 
     @classmethod
-    def _packed(cls, vocab: Vocabulary, order: int, smoothing: float, levels: list[memoryview],
+    def _packed(cls, vocab: Vocabulary, order: int, smoothing: float, levels: list[np.ndarray],
                 keys: np.ndarray, counts: np.ndarray, n_contexts: int) -> "NGramModel":
         """The model of ``levels`` and ascending ``context id * |V| + token`` keys' counts."""
         model, size = cls(), vocab.size
@@ -358,10 +362,10 @@ class NGramModel(LanguageModel):
         cumulative = np.concatenate(([0], np.cumsum(counts)))
         # Rank order within each row: the keys ascend by token, and lexsort is stable.
         ranked = np.lexsort((-counts, rows))
-        model._offsets = memoryview(offsets)
-        model._tokens = memoryview((keys - rows * size)[ranked])
-        model._counts = memoryview(counts[ranked])
-        model._totals = memoryview(cumulative[offsets[1:]] - cumulative[offsets[:-1]])
+        model._offsets = offsets
+        model._tokens = (keys - rows * size)[ranked]
+        model._counts = counts[ranked]
+        model._totals = cumulative[offsets[1:]] - cumulative[offsets[:-1]]
         return model
 
     @functools.cached_property
@@ -373,13 +377,13 @@ class NGramModel(LanguageModel):
         node = np.arange(len(self._totals))
         columns = []
         for codes in reversed(self._levels):
-            node, back = np.divmod(np.asarray(codes)[node], self.vocab.size + 1)
+            node, back = np.divmod(codes[node], self.vocab.size + 1)
             columns.append(back)
         backs = np.stack(columns, axis=1).tolist() if columns else [[]] * len(self._totals)
-        offsets, tokens = np.asarray(self._offsets), np.asarray(self._tokens)
-        ascending = np.lexsort((tokens, np.repeat(np.arange(len(self._totals)), np.diff(offsets))))
-        tokens, counts = tokens[ascending].tolist(), np.asarray(self._counts)[ascending].tolist()
-        offsets = offsets.tolist()
+        rows = np.repeat(np.arange(len(self._totals)), np.diff(self._offsets))
+        ascending = np.lexsort((self._tokens, rows))
+        tokens, counts = self._tokens[ascending].tolist(), self._counts[ascending].tolist()
+        offsets = self._offsets.tolist()
         return MappingProxyType({
             tuple(t - 1 for t in back if t): dict(zip(tokens[start:stop], counts[start:stop]))
             for back, start, stop in zip(backs, offsets, offsets[1:])
@@ -391,12 +395,10 @@ class NGramModel(LanguageModel):
         context's row its id's. An unseen context's id is -1, and so is every window's in a
         model of no contexts, which walks no level. A context with no mass (possible only at
         smoothing 0) is served as unseen: the uniform row then."""
-        size, smoothing = self.vocab.size, self.smoothing
-        totals = np.asarray(self._totals)
+        size, smoothing, totals = self.vocab.size, self.smoothing, self._totals
         backs = windows[:, ::-1] + 1
         ids = np.full(len(windows), 0 if totals.size else -1)
         for k, codes in enumerate(self._levels if totals.size else ()):
-            codes = np.asarray(codes)
             want = ids * (size + 1) + backs[:, k]
             found = np.minimum(np.searchsorted(codes, want), codes.size - 1)
             # An unseen parent (-1) makes a negative code, which never matches.
@@ -407,11 +409,11 @@ class NGramModel(LanguageModel):
         seen = distinct[distinct >= 0]
         unseen = distinct.size - seen.size  # 1 when row 0 is the unseen row, else 0
         denoms = totals[seen] + smoothing * size
-        at, lengths = _gather(np.asarray(self._offsets), seen)
-        probs = (smoothing + np.asarray(self._counts)[at]) / np.repeat(denoms, lengths)
+        at, lengths = _gather(self._offsets, seen)
+        probs = (smoothing + self._counts[at]) / np.repeat(denoms, lengths)
         floor = smoothing / (smoothing * size) if smoothing else 1.0 / size
         return RowBatch._ranked(size, np.concatenate(([0] * (1 + unseen), np.cumsum(lengths))),
-                                np.asarray(self._tokens)[at], probs,
+                                self._tokens[at], probs,
                                 np.concatenate(([floor] * unseen, smoothing / denoms)),
                                 np.searchsorted(distinct, ids))
 
@@ -423,23 +425,23 @@ _DENSE_SPACE_PER_CODE = 2
 
 
 def _ranked_levels(columns: Iterable[np.ndarray], n: int,
-                   radix: int) -> Iterator[tuple[list[memoryview], np.ndarray, int]]:
+                   radix: int) -> Iterator[tuple[list[np.ndarray], np.ndarray, int]]:
     """Yield (the levels so far, the ``n`` rows' ids, the number of contexts) at level 0, where
     every row is the one context () (none when n is 0), then after ranking each ``back`` column.
     """
     ids = np.zeros(n, dtype=np.int64)
-    levels: list[memoryview] = []
+    levels: list[np.ndarray] = []
     yield levels, ids, min(n, 1)
     for back in columns:
         codes, ids = _distinct(ids * radix + back, (len(levels[-1]) if levels else 1) * radix)
-        levels = [*levels, memoryview(codes)]  # a new list: the yielded ones stay as they are
+        levels = [*levels, codes]  # a new list: the yielded ones stay as they are
         yield levels, ids, codes.size
 
 
-def _distinct(codes: np.ndarray, space: int, dense: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(codes, return_inverse=True)`` for int64 codes in [0, space), by a presence
-    mask when ``dense`` (a batch's rows, each one read) or the space is small next to the codes."""
-    if not dense and space > _DENSE_SPACE_PER_CODE * codes.size:
+    mask when the space is small next to the codes."""
+    if space > _DENSE_SPACE_PER_CODE * codes.size:
         return np.unique(codes, return_inverse=True)
     present = np.zeros(space, dtype=bool)
     present[codes] = True
@@ -462,16 +464,7 @@ def _flat_documents(documents: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarr
         offsets = np.cumsum([0, *map(len, documents)], dtype=np.int64)
     except TypeError:
         raise InputError("a document is not a sequence of tokens") from None
-    tokens = itertools.chain.from_iterable(documents)
-    # The sum is a plain int only when every token is an int or a bool;
-    # numpy ints that overflow it are checked token by token too.
-    with np.errstate(over="ignore"):
-        try:
-            plain = type(sum(map(sum, documents))) is int
-        except TypeError:
-            plain = False
-    if not plain:
-        tokens = _int_key(tuple(tokens), "a document")
+    tokens = _int_key(tuple(itertools.chain.from_iterable(documents)), "a document")
     try:
         return np.fromiter(tokens, dtype=np.int64, count=int(offsets[-1])), offsets
     except OverflowError:  # a token past int64 is outside the vocabulary too

@@ -89,7 +89,7 @@ def grow_trees(
     The trees grow in rounds over (trees x width) arrays: the first round
     places every tree's roots, and each later one pops every live tree's
     best frontier node, asks one ``draft.next_token_dists`` call for those
-    nodes' windows alone, ranks each distinct row once and writes the
+    nodes' windows alone, ranks each row of that batch once and writes the
     children. A node's window, its context + path cut to the draft's
     window, is a row of a (trees x width x window) array: its parent's
     window (the tree's base window for a root) shifted left by one, with
@@ -109,9 +109,9 @@ def grow_trees(
     width = min(k + branch, max_nodes)
     count = np.zeros(n, dtype=np.int64)
     tokens, depths, parents = (np.zeros((n, width), dtype=np.int64) for _ in range(3))
-    p_draft, cum_logp = np.zeros((n, width)), np.zeros((n, width))
+    p_draft = np.zeros((n, width))
     windows = np.zeros((n, width, span), dtype=np.int64)
-    # cum_logp of each node that awaits expansion, -inf elsewhere.
+    # The cumulative log-probability of each node that awaits expansion, -inf elsewhere.
     frontier = np.full((n, width), -np.inf)
 
     # The first round expands each tree's bare context (-1) into its roots.
@@ -129,9 +129,8 @@ def grow_trees(
         stops = count[live] + placed
         if int(stops.max()) > width:
             grow = max(int(stops.max()), 2 * width) - width
-            tokens, depths, parents, p_draft, cum_logp = (
-                np.pad(column, ((0, 0), (0, grow)))
-                for column in (tokens, depths, parents, p_draft, cum_logp))
+            tokens, depths, parents, p_draft = (
+                np.pad(column, ((0, 0), (0, grow))) for column in (tokens, depths, parents, p_draft))
             windows = np.pad(windows, ((0, 0), (0, grow), (0, 0)))
             frontier = np.pad(frontier, ((0, 0), (0, grow)), constant_values=-np.inf)
             width += grow
@@ -147,7 +146,6 @@ def grow_trees(
         depths[tree, at] = child_depth
         parents[tree, at] = popped[source]
         p_draft[tree, at] = ranked_probs[row, rank]
-        cum_logp[tree, at] = child_logp
         # The last ``span`` tokens of the parent's window and the child's token.
         windows[tree, at] = np.concatenate((requests[source], tokens[tree, at, None]), axis=1)[:, 1:]
         frontier[tree, at] = np.where(child_depth < max_depth, child_logp, -np.inf)
@@ -158,8 +156,8 @@ def grow_trees(
         best = frontier.argmax(axis=1)  # the first of equal bests, as a heap pops them
         live = np.flatnonzero(frontier[np.arange(n), best] > -np.inf)
         popped = best[live]
+        parent_depth, parent_logp = depths[live, popped], frontier[live, popped]
         frontier[live, popped] = -np.inf
-        parent_depth, parent_logp = depths[live, popped], cum_logp[live, popped]
         requests = windows[live, popped]
 
     filled = np.arange(width) < count[:, None]

@@ -586,13 +586,13 @@ def assert_smoothed_counts(batch, i, row, smoothing):
 
 
 def spy_on_entropies(monkeypatch):
-    """The rows ``_entropies`` is handed from now on, in order."""
+    """The rows ``_entropies`` sums from now on, in order: every row of each batch it is handed."""
     summed = []
     entropies = model_module._entropies
 
-    def spy(batch, rows):
-        summed.extend(rows.tolist())
-        return entropies(batch, rows)
+    def spy(batch):
+        summed.extend(range(batch.floors.size))
+        return entropies(batch)
 
     monkeypatch.setattr(model_module, "_entropies", spy)
     return summed
@@ -779,6 +779,32 @@ class TestRowBatch:
         batch = RowBatch(3, [0, 2], [0, 1], [0.2, 0.5], [0.3])
         assert top_lists(batch, 1) == [[(1, 0.5)]]
         assert row_of(batch, 0) == ([(1, 0.5), (0, 0.2)], 0.3)
+
+    @pytest.mark.parametrize("offsets, tokens, probs, floors, index, match", [
+        # A token past the vocabulary of 3, which top(1) used to hand out.
+        ([0, 1], [5], [0.5], [0.25], None, r"row token is outside \[0, 3\)"),
+        ([0, 1], [-1], [0.5], [0.25], None, r"row token is outside \[0, 3\)"),
+        # -1 used to serve the last row, and 1 raised a bare IndexError.
+        ([0, 1], [1], [0.5], [0.25], [-1], r"index entry is outside \[0, 1\)"),
+        ([0, 1], [1], [0.5], [0.25], [0, 1], r"index entry is outside \[0, 1\)"),
+        ([0, 1], [1], [0.5], [0.25], [[0]], "1-D index"),
+        # One floor too many used to raise a bare IndexError.
+        ([0, 1], [1], [0.5], [0.25, 0.1], None, "needs 1 floors"),
+        ([0, 1], [1], [0.5], [], None, "needs 1 floors"),
+        ([0, 1], [1], [0.5, 0.2], [0.25], None, "1 probs"),
+        # Two tokens in a row of one used to raise a bare ValueError.
+        ([0, 1], [0, 1], [0.5, 0.2], [0.25], None, "rise from 0 to 2"),
+        ([1, 1], [1], [0.5], [0.25], None, "rise from 0 to 1"),
+        ([0, 2, 1], [1], [0.5], [0.25, 0.1], None, "rise from 0 to 1"),
+        ([], [], [], [], None, "rise from 0 to 0"),
+        ([[0, 1]], [1], [0.5], [0.25], None, "must be 1-D"),
+        ([0, 1], [[1]], [0.5], [0.25], None, "must be 1-D"),
+        # A token listed twice in one row: dense() read 0.2 and prob() 0.5.
+        ([0, 2], [1, 1], [0.5, 0.2], [0.3], None, "lists a token twice"),
+    ])
+    def test_constructor_rejects_broken_rows(self, offsets, tokens, probs, floors, index, match):
+        with pytest.raises(InputError, match=match):
+            RowBatch(3, offsets, tokens, probs, floors, index)
 
     def test_token_out_of_range(self):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)

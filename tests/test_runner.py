@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -132,6 +133,20 @@ class TestConfig:
         defaults = {k: v or "(none)" for k, v in GenerationConfig().flat_dict().items()}
         assert list(rows) == list(runner.CONFIG_KEYS)
         assert rows == defaults
+
+    def test_readme_library_example_runs(self):
+        # The first python block under "## Library use", run as written with
+        # every warning an error; each context reads its own row's top tokens.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Library use\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        names = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(example, "README.md", "exec"), names)
+        rows, which, tokens, probs = (names[name] for name in ("rows", "which", "tokens", "probs"))
+        assert which.tolist() == rows.index.tolist()
+        assert tokens.shape == probs.shape == (rows.floors.size, 3)
+        assert np.array_equal(rows.prob([0, 1], tokens[which, 0]), probs[which, 0])
 
     def test_hash_changes_with_config(self):
         assert GenerationConfig().config_hash() != GenerationConfig(seed=43).config_hash()
