@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import NGramModel, Vocabulary, _check_token_ids
+from .model import NGramModel, Vocabulary, _ids, _offsets
 
 UNK_TOKEN = "<unk>"
 END_TOKEN = "<end>"
@@ -49,8 +49,8 @@ def build_vocabulary(domain: str, token_docs: Iterable[Sequence[str]]) -> Vocabu
 @dataclass(eq=False)
 class DomainCorpus:
     """One domain's documents over one vocabulary, end to end in one int64 ``tokens`` array:
-    document i is ``tokens[offsets[i]:offsets[i + 1]]``. InputError unless both arrays are
-    1-D of integers, each id is in [0, |V|) and ``offsets`` rise from 0 to ``tokens.size``."""
+    document i is ``tokens[offsets[i]:offsets[i + 1]]``. InputError unless ``tokens`` are
+    ``_ids`` of the vocabulary and ``offsets`` are ``_offsets`` to ``tokens.size``."""
 
     domain: str
     tokens: np.ndarray
@@ -58,15 +58,8 @@ class DomainCorpus:
     vocabulary: Vocabulary
 
     def __post_init__(self) -> None:
-        tokens, offsets = np.asarray(self.tokens), np.asarray(self.offsets)
-        if any(array.ndim != 1 or array.dtype.kind not in "iu" for array in (tokens, offsets)):
-            raise InputError(f"domain {self.domain!r}: tokens and offsets must be 1-D of integers")
-        _check_token_ids(tokens, self.vocabulary.size)
-        if not offsets.size or offsets[0] or offsets[-1] != tokens.size or (
-                offsets[1:] < offsets[:-1]).any():
-            raise InputError(f"domain {self.domain!r}: offsets must rise from 0 to {tokens.size}")
-        self.tokens = tokens.astype(np.int64, copy=False)
-        self.offsets = offsets.astype(np.int64, copy=False)
+        self.tokens = _ids(self.tokens, f"domain {self.domain!r}: tokens", self.vocabulary.size)
+        self.offsets = _offsets(self.offsets, f"domain {self.domain!r}: offsets", self.tokens.size)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, DomainCorpus) and self.domain == other.domain

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, UndefinedCorrelationError
-from .model import _ranges, _sorted_distinct
+from .model import _ids, _offsets, _ranges, _sorted_distinct
 
 
 # A record's fields, in a record file's column order.
@@ -88,19 +88,20 @@ class RecordTable:
         ``tree_offsets[c]:tree_offsets[c + 1]``. The table keeps one tree per
         distinct content that a step uses, numbered by first use. Each step
         used must have rows, and no two adjacent steps may share their step
-        fields (such steps are one step of the records).
+        fields (such steps are one step of the records). Each ``domain_code``
+        and ``tree`` must be ``_ids`` of the domains and the candidates.
         """
-        offsets = np.asarray(tree_offsets, dtype=np.int64)
         trees = {name: _array(name, trees[name]) for name in TREE_FIELDS}
-        steps = {name: np.asarray(steps[name], dtype=np.int64) for name in STEP_FIELDS}
+        offsets = _offsets(tree_offsets, "tree offsets", trees["depth"].size)
+        if any(trees[name].shape != trees["depth"].shape for name in TREE_FIELDS):
+            raise InputError("tree columns must be one-dimensional and of equal length")
+        domains = tuple(domains)
+        steps = {"domain_code": _ids(steps["domain_code"], "domain codes", len(domains)),
+                 **{name: _array(name, steps[name]) for name in STEP_FIELDS[1:-1]},
+                 "tree": _ids(steps["tree"], "step trees", offsets.size - 1)}
         tree = steps["tree"]
-        if (offsets.ndim != 1 or not offsets.size or offsets[0] != 0 or np.any(np.diff(offsets) < 0)
-                or any(trees[name].shape != (offsets[-1],) for name in TREE_FIELDS)):
-            raise InputError("tree offsets must rise from 0 to the number of tree rows")
-        if any(steps[name].shape != tree.shape for name in STEP_FIELDS) or tree.ndim != 1:
+        if any(steps[name].shape != tree.shape for name in STEP_FIELDS):
             raise InputError("step columns must be one-dimensional and of equal length")
-        if tree.size and (tree.min() < 0 or tree.max() >= offsets.size - 1):
-            raise InputError("step tree outside the candidate trees")
         if not _step_starts([steps[name] for name in STEP_FIELDS[:-1]]).all():
             raise InputError("adjacent steps share their step fields")
         content, _ = _number_blocks(_row_bits(trees).tobytes(), 8 * len(TREE_FIELDS), offsets)
@@ -108,13 +109,9 @@ class RecordTable:
         lo, hi = offsets[tree[first_step]], offsets[tree[first_step] + 1]
         if np.any(hi == lo):
             raise InputError("a step's tree has no rows")
-        domains = tuple(domains)
         if len(set(domains)) != len(domains):
             raise InputError(f"duplicate domain names: {domains}")
         check_domain_names(domains)
-        codes = steps["domain_code"]
-        if codes.size and (codes.min() < 0 or codes.max() >= len(domains)):
-            raise InputError("domain code outside the domain names")
         rows = _ranges(lo, hi)
         table = cls.__new__(cls)
         table.domains = domains
@@ -185,8 +182,10 @@ for _name in RECORD_COLUMNS:
 
 
 def _array(name: str, values) -> np.ndarray:
-    """``values`` as the dtype of record column ``name``: float64 or int64."""
-    return np.asarray(values, dtype=np.float64 if name in FLOAT_FIELDS else np.int64)
+    """``values`` as the dtype of record column ``name``: float64, or int64 ``_ids`` of any int64."""
+    if name in FLOAT_FIELDS:
+        return np.asarray(values, dtype=np.float64)
+    return _ids(values, name, 2**63, low=-2**63)
 
 
 def _row_bits(columns: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -83,18 +83,13 @@ class RowBatch:
     def __init__(self, size: int, offsets: Sequence[int], tokens: Sequence[int],
                  probs: Sequence[float], floors: Sequence[float],
                  index: Sequence[int] | None = None) -> None:
-        offsets, floors = np.asarray(offsets, dtype=np.int64), np.asarray(floors, dtype=np.float64)
-        tokens, probs = np.asarray(tokens, dtype=np.int64), np.asarray(probs, dtype=np.float64)
+        tokens = _ids(tokens, "row tokens", size)
+        offsets = _offsets(offsets, "row offsets", tokens.size)
         rows = offsets.size - 1
-        index = np.arange(rows) if index is None else np.asarray(index, dtype=np.int64)
-        if tokens.ndim != 1 or offsets.ndim != 1 or not offsets.size or offsets[0] or (
-                offsets[-1] != tokens.size or (np.diff(offsets) < 0).any()):
-            raise InputError(f"row offsets must be 1-D and rise from 0 to {tokens.size}")
-        if probs.shape != tokens.shape or floors.shape != (rows,) or index.ndim != 1:
-            raise InputError(f"a batch of {rows} rows needs {rows} floors, {tokens.size} probs, a 1-D index")
-        for name, ids, bound in (("a row token", tokens, size), ("an index entry", index, rows)):
-            if ids.size and not 0 <= ids.min() <= ids.max() < bound:
-                raise InputError(f"{name} is outside [0, {bound})")
+        index = np.arange(rows) if index is None else _ids(index, "the index", rows)
+        floors, probs = np.asarray(floors, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+        if probs.shape != tokens.shape or floors.shape != (rows,):
+            raise InputError(f"a batch of {rows} rows needs {rows} floors and {tokens.size} probs")
         owner = np.repeat(np.arange(rows), np.diff(offsets))
         if _sorted_distinct(owner * size + tokens).size < tokens.size:
             raise InputError("a row lists a token twice")
@@ -121,12 +116,13 @@ class RowBatch:
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The k most probable tokens of each row, ties by ascending token, each row ranked
         once: a copy of ``index`` (each context's row), and the (rows x k) tokens and
-        probabilities; InputError unless 1 <= k <= ``size``.
+        probabilities; InputError unless k is an integer (``_check_ints``) in [1, ``size``].
 
         A row's first k entries lead it. The tokens it does not list all sit at
         the floor and tie by index, so only a row with fewer than k entries
         above its floor merges in its k lowest-index unlisted tokens.
         """
+        _check_ints(k=k)
         if not 1 <= k <= self.size:
             raise InputError(f"k={k} out of range for vocabulary of {self.size}")
         starts, ranks, rows = self.offsets[:-1], np.arange(k), self.floors.size
@@ -147,11 +143,9 @@ class RowBatch:
     def prob(self, contexts: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """The probability of each ``tokens[i]`` at context ``contexts[i]``, as float64: its row's
         entry, found by one search over every row's (row, token) keys, or else its floor;
-        InputError for a token outside the vocabulary."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size and not 0 <= tokens.min() <= tokens.max() < self.size:
-            raise InputError("a scored token is outside the model vocabulary")
-        rows, n_rows = self.index[contexts], self.floors.size
+        InputError unless ``contexts`` and ``tokens`` are ``_ids`` of contexts and of tokens."""
+        rows, n_rows = self.index[_ids(contexts, "contexts", self.index.size)], self.floors.size
+        tokens = _ids(tokens, "scored tokens", self.size)
         keys = np.repeat(np.arange(n_rows), np.diff(self.offsets)) * self.size + self.tokens
         order = np.argsort(keys)
         # A last key past every wanted one, so that each search lands on a key.
@@ -255,29 +249,23 @@ class LanguageModel(abc.ABC):
 
         ``contexts`` is either a sequence of contexts, InputError unless every
         token of every whole context is an integer (``_int_key``, which names
-        the first context that holds one that is not) in the vocabulary; or an
-        integer array of rows in this form, InputError unless it is 2-D with
-        entries in [-1, |V|) and -1 only as a leading run in its row. A
+        the first context that holds one that is not) and ``_ids`` of the
+        vocabulary; or an array of rows in this form, InputError unless 2-D
+        ``_ids`` in [-1, |V|) with -1 only as a leading run in its row. A
         narrower array is padded on the left with -1, a wider one cut.
         """
         span = self.context_window
         if isinstance(contexts, np.ndarray):
-            if contexts.ndim != 2 or contexts.dtype.kind not in "iu":
-                raise InputError(f"a window array must be 2-D of integers, "
-                                 f"got {contexts.ndim}-D of {contexts.dtype}")
-            if contexts.size and (contexts.min() < -1 or contexts.max() >= self.vocab.size):
-                raise InputError("context contains a token outside the model vocabulary")
+            contexts = _ids(contexts, "a window array", self.vocab.size, low=-1, ndim=2)
             pad = contexts < 0
             if (pad[:, 1:] & ~pad[:, :-1]).any():
                 raise InputError("a window array holds -1 after a token")
-            cut = contexts[:, max(0, contexts.shape[1] - span):].astype(np.int64, copy=False)
+            cut = contexts[:, max(0, contexts.shape[1] - span):]
             return np.pad(cut, ((0, 0), (span - cut.shape[1], 0)), constant_values=-1)
         contexts = [tuple(context) for context in contexts]
-        tokens = list(itertools.chain.from_iterable(contexts))
-        if set(map(type, tokens)) - {int}:
+        if set(map(type, itertools.chain.from_iterable(contexts))) - {int}:
             contexts = list(map(_int_key, contexts))
-        if tokens and (min(tokens) < 0 or max(tokens) >= self.vocab.size):
-            raise InputError("context contains a token outside the model vocabulary")
+        _ids(np.array([*itertools.chain.from_iterable(contexts)]), "context tokens", self.vocab.size)
         pad = (-1,) * span
         return np.array([(pad + c)[len(c):] for c in contexts],
                         dtype=np.int64).reshape(len(contexts), span)
@@ -328,7 +316,7 @@ class NGramModel(LanguageModel):
         """``fit`` at each of the ascending ``orders``, from one ranking of the levels.
 
         Document i is ``tokens[offsets[i]:offsets[i + 1]]``; the tokens are
-        range-checked here. Each level's context ids are ranked over all
+        ``_ids`` of the vocabulary. Each level's context ids are ranked over all
         positions at once up to the highest order (``_ranked_levels``). After
         level k - 1 the order-k model counts its (context, token) pairs in one
         pass (``_count``) and keeps ``_levels[:k - 1]``, the very level objects
@@ -339,7 +327,7 @@ class NGramModel(LanguageModel):
         if not 0 <= smoothing < math.inf:
             raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
         size = vocab.size
-        _check_token_ids(tokens, size)
+        tokens = _ids(tokens, "document tokens", size)
         since_start = np.arange(tokens.size) - np.repeat(offsets[:-1], np.diff(offsets))
         # Made one level at a time, so only one column is alive at once.
         columns = (np.where(since_start < k, 0, np.roll(tokens, k) + 1) for k in range(1, orders[-1]))
@@ -458,26 +446,14 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flat_documents(documents: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
-    """``documents`` end to end in one int64 array, and their CSR offsets; InputError unless each
-    is a sequence of integer tokens (``_int_key``, the rule ``windows`` applies to a context)."""
+    """``documents`` end to end in one array for ``_ids``, and their int64 CSR offsets; InputError
+    unless each is a sequence of integer tokens (``_int_key``, the rule ``windows`` applies)."""
     try:
         offsets = np.cumsum([0, *map(len, documents)], dtype=np.int64)
     except TypeError:
         raise InputError("a document is not a sequence of tokens") from None
-    tokens = _int_key(tuple(itertools.chain.from_iterable(documents)), "a document")
-    try:
-        return np.fromiter(tokens, dtype=np.int64, count=int(offsets[-1])), offsets
-    except OverflowError:  # a token past int64 is outside the vocabulary too
-        raise InputError(_OUTSIDE_VOCABULARY) from None
-
-
-_OUTSIDE_VOCABULARY = "document contains a token outside the model vocabulary"
-
-
-def _check_token_ids(tokens: np.ndarray, size: int) -> None:
-    """InputError unless every entry of the integer array ``tokens`` is in [0, size)."""
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= size):
-        raise InputError(_OUTSIDE_VOCABULARY)
+    # A token past int64 makes an object or a uint64 array, which ``_ids`` rejects.
+    return np.array(_int_key(tuple(itertools.chain.from_iterable(documents)), "a document")), offsets
 
 
 def _int_key(key: tuple, owner: str | None = None) -> tuple[int, ...]:
@@ -490,3 +466,29 @@ def _int_key(key: tuple, owner: str | None = None) -> tuple[int, ...]:
     if plain != key:
         raise InputError(f"{owner or f'context {key!r}'} holds a token that is not an integer")
     return plain
+
+
+def _ids(values: object, name: str, high: int | np.ndarray, low: int = 0, ndim: int = 1) -> np.ndarray:
+    """``values`` as an int64 array, nothing truncated; InputError naming ``name`` unless it is ``ndim``-D
+    and, if not empty, integers each in [``low``, ``high``), ``high`` an int or a same-shape array."""
+    ids = np.asarray(values)
+    if ids.ndim != ndim or np.shape(high) not in ((), ids.shape) or ids.size and (
+            ids.dtype.kind not in "iu" or ids.min() < low or (ids >= high).any()):
+        bound = high if np.ndim(high) == 0 else "its own bound"
+        raise InputError(f"{name} must be {ndim}-D of integers in [{low}, {bound})")
+    return ids.astype(np.int64, copy=False)
+
+
+def _offsets(values: object, name: str, total: int) -> np.ndarray:
+    """``values`` as int64 CSR offsets: ``_ids`` that rise from 0 to ``total``, InputError else."""
+    offsets = _ids(values, name, total + 1)
+    if not offsets.size or offsets[0] or offsets[-1] != total or (np.diff(offsets) < 0).any():
+        raise InputError(f"{name} must rise from 0 to {total}")
+    return offsets
+
+
+def _check_ints(**values: object) -> None:
+    """The scalar ``_ids``: InputError naming the first of ``values`` that is no int (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")

@@ -62,7 +62,7 @@ from .metrics import (
     position_effects,
     summarize,
 )
-from .model import LanguageModel, _ranges
+from .model import LanguageModel, _check_ints, _ranges
 from .tree import TreeParams, grow_trees
 from .verify import score_trees
 
@@ -92,6 +92,8 @@ class GenerationConfig:
     eos_token: str | None = None
 
     def __post_init__(self) -> None:
+        _check_ints(**{key: getattr(self, key) for key, kind in _field_types(type(self)).items()
+                       if kind is int})
         if self.max_new_tokens < 1 or self.prompt_truncation < 1 or self.prompts_per_domain < 1:
             raise InputError("token caps and prompt counts must be >= 1")
         if self.seed < 0:
@@ -731,6 +733,11 @@ def _rho_str(rho: float) -> str:
     return "n/a" if math.isnan(rho) else f"{rho:+.3f}"
 
 
+def _cell(value: float | None, sign: str = "") -> str:
+    """An 8-wide table cell: ``value`` to 3 places, signed when ``sign`` is "+", or '-' for None."""
+    return f"{'-':>8}" if value is None else f"{value:>{sign}8.3f}"
+
+
 def render_tables(records: RecordTable, summaries: Mapping[str, DomainSummary]) -> str:
     """Six plain-text report tables over a record set and its summaries.
 
@@ -765,10 +772,7 @@ def render_tables(records: RecordTable, summaries: Mapping[str, DomainSummary]) 
     out.append("== Fully accepted chain probability by depth ==")
     out.append(f"{'domain':<12}" + "".join(f"{'d=' + str(d):>8}" for d in all_depths))
     for domain in domains:
-        s = summaries[domain]
-        cells = "".join(
-            f"{s.chain_prob[d]:>8.3f}" if d in s.chain_prob else f"{'-':>8}" for d in all_depths
-        )
+        cells = "".join(_cell(summaries[domain].chain_prob.get(d)) for d in all_depths)
         out.append(f"{domain:<12}{cells}")
     out.append("")
 
@@ -776,11 +780,8 @@ def render_tables(records: RecordTable, summaries: Mapping[str, DomainSummary]) 
     profile = depth_profile(summaries)
     out.append(f"{'domain':<12}" + "".join(f"{'d=' + str(d):>8}" for d in all_depths) + f"{'delta':>8}")
     for domain in domains:
-        cells = "".join(
-            f"{profile.cells[(domain, d)]:>8.3f}" if (domain, d) in profile.cells else f"{'-':>8}"
-            for d in all_depths
-        )
-        out.append(f"{domain:<12}{cells}{profile.delta[domain]:>+8.3f}")
+        cells = "".join(_cell(profile.cells.get((domain, d))) for d in all_depths)
+        out.append(f"{domain:<12}{cells}{_cell(profile.delta[domain], '+')}")
     out.append("")
 
     out.append("== Mean acceptance by depth and position bin ==")
@@ -788,12 +789,8 @@ def render_tables(records: RecordTable, summaries: Mapping[str, DomainSummary]) 
     if records:
         effects = position_effects(records)
         for depth in sorted({d for d, _ in effects.cells}):
-            early = effects.cells.get((depth, 0))
-            late = effects.cells.get((depth, 1))
-            early_s = f"{early:>8.3f}" if early is not None else f"{'-':>8}"
-            late_s = f"{late:>8.3f}" if late is not None else f"{'-':>8}"
-            delta_s = f"{effects.delta[depth]:>+8.3f}" if depth in effects.delta else f"{'-':>8}"
-            out.append(f"{depth:<8}{early_s}{late_s}{delta_s}")
+            early, late = _cell(effects.cells.get((depth, 0))), _cell(effects.cells.get((depth, 1)))
+            out.append(f"{depth:<8}{early}{late}{_cell(effects.delta.get(depth), '+')}")
     out.append("")
 
     out.append("== Entropy-acceptance rank correlation ==")

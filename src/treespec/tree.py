@@ -22,12 +22,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, _ranges
+from .model import LanguageModel, TokenSeq, _check_ints, _ids, _ranges
 
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Structural limits for one draft tree."""
+    """Structural limits for one draft tree: integers (``_check_ints``)."""
 
     max_depth: int = 3
     max_branch: int = 2
@@ -35,6 +35,7 @@ class TreeParams:
     max_nodes: int = 8
 
     def __post_init__(self) -> None:
+        _check_ints(**vars(self))
         if self.max_depth < 1 or self.max_branch < 1 or self.root_top_k < 1:
             raise InputError("tree limits must all be >= 1")
         if self.max_nodes < self.root_top_k:
@@ -57,8 +58,8 @@ class DraftTrees(NamedTuple):
     offsets: np.ndarray
 
     def take(self, which: Sequence[int] | np.ndarray) -> DraftTrees:
-        """The trees at the indices ``which``, in that order; an index may repeat."""
-        which = np.asarray(which, dtype=np.intp)
+        """The trees at the indices ``which`` (``_ids`` of the trees), in that order; an index may repeat."""
+        which = _ids(which, "tree indices", len(self.offsets) - 1)
         lo, hi = self.offsets[which], self.offsets[which + 1]
         nodes = _ranges(lo, hi)
         return DraftTrees(*(column[nodes] for column in self[:-1]),

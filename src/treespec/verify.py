@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import LanguageModel, TokenSeq, _sorted_distinct
+from .model import LanguageModel, TokenSeq, _ids, _offsets, _sorted_distinct
 from .tree import DraftTrees
 
 
@@ -29,28 +29,35 @@ def score_trees(
     """Score every node of each tree over its context.
 
     A node at depth d is scored on context + its (d-1)-token ancestor prefix,
-    the context its parent was expanded on. The batch asks for each tree's
-    bare context, tree by tree, then once for each node with children, in
-    node order. The contexts are checked and cut to the target's window in
-    one ``target.windows`` call, and an expanded node's window is its
-    parent's (its tree's for a root) shifted left by one with its own token
-    last, found for every expanded node of one depth in one numpy pass
-    (InputError unless each depth agrees with ``parents``). One batched
-    model invocation serves all the trees; the ``RowBatch`` it returns gives
-    every node's ``p_target`` in one gather and its rows' entropies
-    together, and the acceptance probabilities are one array
+    the context its parent was expanded on. InputError unless the columns
+    are one batch of trees: ``tokens`` ``_ids`` of the target's vocabulary,
+    ``offsets`` their ``_offsets``, and one integer ``depths`` and
+    ``parents`` entry per node, each parent in [-1, its tree's node count).
+    The batch asks for each tree's bare context, tree by tree, then once for
+    each node with children, in node order. The contexts are checked and cut
+    to the target's window in one ``target.windows`` call, and an expanded
+    node's window is its parent's (its tree's for a root) shifted left by
+    one with its own token last, found for every expanded node of one depth
+    in one numpy pass (InputError unless each depth agrees with ``parents``).
+    One batched model invocation serves all the trees; the ``RowBatch`` it
+    returns gives every node's ``p_target`` in one gather and its rows'
+    entropies together, and the acceptance probabilities are one array
     (``acceptance_probs``). A tree may be scored over any context that ends
     in the draft window it grew on. Returns the float64 columns
     ``p_target``, ``alpha`` and ``target_entropy``, one value per node of
     every tree in order.
     """
-    offsets = trees.offsets
+    tokens = _ids(trees.tokens, "tree tokens", target.vocab.size)
+    offsets = _offsets(trees.offsets, "tree offsets", tokens.size)
     if len(contexts) != offsets.size - 1:
         raise InputError("need one context per tree")
     tree_of = np.repeat(np.arange(len(contexts)), np.diff(offsets))
-    child = trees.parents >= 0
-    parent = np.where(child, trees.parents + offsets[tree_of], -1)  # an index into the batch
-    if (trees.depths != np.where(child, trees.depths[parent] + 1, 1)).any():
+    size_of = np.diff(offsets)[tree_of]  # each node's tree's node count
+    depths = _ids(trees.depths, "tree depths", size_of + 1, low=1)
+    parents = _ids(trees.parents, "tree parents", size_of, low=-1)
+    child = parents >= 0
+    parent = np.where(child, parents + offsets[tree_of], -1)  # an index into the batch
+    if (depths != np.where(child, depths[parent] + 1, 1)).any():
         raise InputError("a node's depth must be 1 at the root and its parent's + 1 below it")
     expanded = _sorted_distinct(parent[child])
     # Request i < n is tree i's bare context; then each expanded node's context.
@@ -60,14 +67,14 @@ def score_trees(
 
     requests = np.empty((len(contexts) + expanded.size, target.context_window), dtype=np.int64)
     requests[:len(contexts)] = target.windows(contexts)
-    depth_of = trees.depths[expanded]
+    depth_of = depths[expanded]
     for depth in range(1, int(depth_of.max(initial=0)) + 1):
         node = expanded[depth_of == depth]
         requests[slot[node]] = np.concatenate(
-            (requests[node_slot[node]], trees.tokens[node, None]), axis=1)[:, 1:]
+            (requests[node_slot[node]], tokens[node, None]), axis=1)[:, 1:]
 
     rows = target.next_token_dists(requests)
-    p_target = rows.prob(node_slot, trees.tokens)
+    p_target = rows.prob(node_slot, tokens)
     return {"p_target": p_target, "alpha": acceptance_probs(p_target, trees.p_draft),
             "target_entropy": rows.entropies()[node_slot]}
 

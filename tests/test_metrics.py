@@ -22,6 +22,7 @@ from treespec import (
     write_records_csv,
 )
 from treespec.metrics import FLOAT_FIELDS, INT_FIELDS, RECORD_FIELDS
+from treespec.selftest import _naive_ranks
 
 
 def make_record(
@@ -255,17 +256,6 @@ class TestPositionEffects:
             position_effects(record_table([bad]))
 
 
-def naive_ranks(values):
-    """Quadratic oracle: count-below plus half the tie group."""
-    return np.array(
-        [
-            float(sum(1 for other in values if other < v))
-            + (sum(1 for other in values if other == v) + 1) / 2.0
-            for v in values
-        ]
-    )
-
-
 class TestSpearman:
     def test_perfectly_decreasing(self):
         assert spearman_rho(np.array([1.0, 2.0, 3.0]), np.array([0.9, 0.5, 0.1])) == -1.0
@@ -301,7 +291,7 @@ class TestSpearman:
             y = np.round(rng.random(n), 1)
             if np.all(x == x[0]) or np.all(y == y[0]):
                 continue
-            rx, ry = naive_ranks(x), naive_ranks(y)
+            rx, ry = _naive_ranks(x), _naive_ranks(y)
             assert np.array_equal(average_ranks(x), rx)
             assert np.array_equal(average_ranks(y), ry)
             rx -= rx.mean()
@@ -513,7 +503,7 @@ class TestRecordTable:
 
     def test_rejects_bad_codes_and_duplicate_domains(self):
         columns = {name: [1] for name in RECORD_FIELDS[1:]}
-        with pytest.raises(InputError, match="domain code outside the domain names"):
+        with pytest.raises(InputError, match=r"^domain codes must be 1-D of integers in \[0, 1\)$"):
             column_table(("a",), {**columns, "domain_code": [1]})
         with pytest.raises(InputError, match="duplicate domain names"):
             column_table(("a", "a"), {**columns, "domain_code": [0]})
@@ -524,10 +514,10 @@ class TestRecordTable:
         with pytest.raises(InputError, match=re.escape(f"domain name {name!r} holds a line break")):
             column_table(("ok", name), {**columns, "domain_code": [0]})
 
-    def from_steps(self, tree, prompt_id=(0, 1, 2, 3), offsets=(0, 1, 2, 3, 3)):
+    def from_steps(self, tree, prompt_id=(0, 1, 2, 3), offsets=(0, 1, 2, 3, 3), depth=(1, 1, 1)):
         # Candidate trees: c0 and c1 hold equal rows, c2 another, c3 none.
         trees = {
-            "depth": [1, 1, 1], "token": [5, 5, 7], "p_draft": [0.5] * 3,
+            "depth": depth, "token": [5, 5, 7], "p_draft": [0.5] * 3,
             "p_target": [0.25, 0.25, 0.5], "alpha": [0.5, 0.5, 1.0], "target_entropy": [0.1, 0.1, 0.3],
         }
         n = len(tree)
@@ -549,17 +539,24 @@ class TestRecordTable:
         assert rebuilt == table
         assert rebuilt.steps["tree"].tolist() == [0, 1, 1, 0]
 
-    @pytest.mark.parametrize("tree, prompt_id, offsets, message", [
-        ([0, 1], (0, 0), (0, 1, 2, 3, 3), "adjacent steps share their step fields"),
-        ([0, 3], (0, 1), (0, 1, 2, 3, 3), "a step's tree has no rows"),
-        ([0, 4], (0, 1), (0, 1, 2, 3, 3), "step tree outside the candidate trees"),
-        ([0], (0,), (0, 2, 1, 3), "tree offsets must rise"),
-        ([0], (0,), (0, 1, 2), "tree offsets must rise"),
-        ([0, 1], (0,), (0, 1, 2, 3, 3), "step columns must be one-dimensional and of equal length"),
+    INT64_RANGE = re.escape(f"[{-2**63}, {2**63})")  # an int column's ids are any int64
+
+    @pytest.mark.parametrize("tree, prompt_id, offsets, depth, message", [
+        ([0, 1], (0, 0), (0, 1, 2, 3, 3), (1, 1, 1), "adjacent steps share their step fields"),
+        ([0, 3], (0, 1), (0, 1, 2, 3, 3), (1, 1, 1), "a step's tree has no rows"),
+        ([0, 4], (0, 1), (0, 1, 2, 3, 3), (1, 1, 1), r"step trees must be 1-D of integers in \[0, 4\)"),
+        ([0], (0,), (0, 2, 1, 3), (1, 1, 1), "tree offsets must rise"),
+        ([0], (0,), (0, 1, 2), (1, 1, 1), "tree offsets must rise"),
+        ([0, 1], (0,), (0, 1, 2, 3, 3), (1, 1, 1), "step columns must be one-dimensional and of equal length"),
+        # Each was truncated: to prompt 0, to candidate 0, to offsets (0, 1, 2, 3, 3) and to depth 1.
+        ([0, 1], (0.9, 1), (0, 1, 2, 3, 3), (1, 1, 1), f"^prompt_id must be 1-D of integers in {INT64_RANGE}$"),
+        ([0.5, 1], (0, 1), (0, 1, 2, 3, 3), (1, 1, 1), r"^step trees must be 1-D of integers in \[0, 4\)$"),
+        ([0, 1], (0, 1), (0, 1, 2.5, 3, 3), (1, 1, 1), r"^tree offsets must be 1-D of integers in \[0, 4\)$"),
+        ([0, 1], (0, 1), (0, 1, 2, 3, 3), (1.7, 1, 1), f"^depth must be 1-D of integers in {INT64_RANGE}$"),
     ])
-    def test_from_steps_rejects(self, tree, prompt_id, offsets, message):
+    def test_from_steps_rejects(self, tree, prompt_id, offsets, depth, message):
         with pytest.raises(InputError, match=message):
-            self.from_steps(tree, prompt_id, offsets)
+            self.from_steps(tree, prompt_id, offsets, depth)
 
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

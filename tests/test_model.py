@@ -98,7 +98,7 @@ class TestCheckContext:
     def test_outside_vocabulary_rejected(self, context):
         # Anywhere in the context, before the window too.
         for call in self.calls(context):
-            with pytest.raises(InputError, match="outside the model vocabulary"):
+            with pytest.raises(InputError, match=r"^context tokens must be 1-D of integers in \[0, 4\)$"):
                 call()
 
     @pytest.mark.parametrize(
@@ -139,9 +139,9 @@ class TestCheckContext:
         (np.array([[0.0, 1.0]]), "2-D of integers"),
         (np.array([[0, 1]], dtype=object), "2-D of integers"),
         (np.array([[True, False]]), "2-D of integers"),
-        (np.array([[-2, 1]]), "outside the model vocabulary"),
-        (np.array([[0, 1], [1, 4]]), "outside the model vocabulary"),
-        (np.array([[2**40, 1]]), "outside the model vocabulary"),
+        (np.array([[-2, 1]]), r"2-D of integers in \[-1, 4\)"),
+        (np.array([[0, 1], [1, 4]]), r"2-D of integers in \[-1, 4\)"),
+        (np.array([[2**40, 1]]), r"2-D of integers in \[-1, 4\)"),
         (np.array([[0, -1, 1]]), "-1 after a token"),
         (np.array([[-1, 2, -1, 3, 0]]), "-1 after a token"),  # before every window
         (np.array([[1, -1]]), "-1 after a token"),
@@ -217,7 +217,7 @@ class TestNextTokenDist:
         # Past int64 too, through both entry points.
         for documents in ([[0, 1], [1, 2]], [[0, 2**70]], [[-2**70, 1]]):
             for fit in fits(AB):
-                with pytest.raises(InputError, match="outside the model vocabulary"):
+                with pytest.raises(InputError, match=r"tokens must be 1-D of integers in \[0, 2\)$"):
                     fit(documents)
 
     @pytest.mark.parametrize("documents", [
@@ -782,12 +782,12 @@ class TestRowBatch:
 
     @pytest.mark.parametrize("offsets, tokens, probs, floors, index, match", [
         # A token past the vocabulary of 3, which top(1) used to hand out.
-        ([0, 1], [5], [0.5], [0.25], None, r"row token is outside \[0, 3\)"),
-        ([0, 1], [-1], [0.5], [0.25], None, r"row token is outside \[0, 3\)"),
+        ([0, 1], [5], [0.5], [0.25], None, r"row tokens must be 1-D of integers in \[0, 3\)"),
+        ([0, 1], [-1], [0.5], [0.25], None, r"row tokens must be 1-D of integers in \[0, 3\)"),
         # -1 used to serve the last row, and 1 raised a bare IndexError.
-        ([0, 1], [1], [0.5], [0.25], [-1], r"index entry is outside \[0, 1\)"),
-        ([0, 1], [1], [0.5], [0.25], [0, 1], r"index entry is outside \[0, 1\)"),
-        ([0, 1], [1], [0.5], [0.25], [[0]], "1-D index"),
+        ([0, 1], [1], [0.5], [0.25], [-1], r"index must be 1-D of integers in \[0, 1\)"),
+        ([0, 1], [1], [0.5], [0.25], [0, 1], r"index must be 1-D of integers in \[0, 1\)"),
+        ([0, 1], [1], [0.5], [0.25], [[0]], r"index must be 1-D of integers in \[0, 1\)"),
         # One floor too many used to raise a bare IndexError.
         ([0, 1], [1], [0.5], [0.25, 0.1], None, "needs 1 floors"),
         ([0, 1], [1], [0.5], [], None, "needs 1 floors"),
@@ -795,21 +795,34 @@ class TestRowBatch:
         # Two tokens in a row of one used to raise a bare ValueError.
         ([0, 1], [0, 1], [0.5, 0.2], [0.25], None, "rise from 0 to 2"),
         ([1, 1], [1], [0.5], [0.25], None, "rise from 0 to 1"),
-        ([0, 2, 1], [1], [0.5], [0.25, 0.1], None, "rise from 0 to 1"),
+        ([0, 2, 1], [1], [0.5], [0.25, 0.1], None, r"offsets must be 1-D of integers in \[0, 2\)"),
         ([], [], [], [], None, "rise from 0 to 0"),
         ([[0, 1]], [1], [0.5], [0.25], None, "must be 1-D"),
         ([0, 1], [[1]], [0.5], [0.25], None, "must be 1-D"),
         # A token listed twice in one row: dense() read 0.2 and prob() 0.5.
         ([0, 2], [1, 1], [0.5, 0.2], [0.3], None, "lists a token twice"),
+        # Each was truncated: to token 1, to context 0's row 0, to row 1 and to offsets [0, 1, 1].
+        ([0, 1], [1.5], [0.5], [0.25], None, r"row tokens must be 1-D of integers in \[0, 3\)"),
+        ([0, 1], [1], [0.5], [0.25], [0.7], r"index must be 1-D of integers in \[0, 1\)"),
+        ([0, 1, 2], [1, 2], [0.5, 0.5], [0.25, 0.25], [True], r"index must be 1-D of integers in \[0, 2\)"),
+        ([0, 1.5, 1], [1], [0.5], [0.25, 0.1], None, r"offsets must be 1-D of integers in \[0, 2\)"),
     ])
     def test_constructor_rejects_broken_rows(self, offsets, tokens, probs, floors, index, match):
         with pytest.raises(InputError, match=match):
             RowBatch(3, offsets, tokens, probs, floors, index)
 
-    def test_token_out_of_range(self):
+    @pytest.mark.parametrize("contexts, tokens, match", [
+        ([0], [4], r"^scored tokens must be 1-D of integers in \[0, 4\)$"),
+        ([0], [-1], r"^scored tokens must be 1-D of integers in \[0, 4\)$"),
+        # -1 served the last context's row; 2 and 0.5 raised a bare IndexError.
+        ([-1], [1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
+        ([2], [1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
+        ([0.5], [1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
+    ])
+    def test_token_out_of_range(self, contexts, tokens, match):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)
-        batch = model.next_token_dists([[0]])
-        assert batch.prob([0], [np.int64(1)])[0] == dense_dist(model, [0])[1]
-        for token in (4, -1):
-            with pytest.raises(InputError, match="outside the model vocabulary"):
-                batch.prob([0], [token])
+        batch = model.next_token_dists([[0], [1]])
+        assert batch.prob([1, 0], [np.int64(1), 1]).tolist() == [dense_dist(model, [1])[1],
+                                                                  dense_dist(model, [0])[1]]
+        with pytest.raises(InputError, match=match):
+            batch.prob(contexts, tokens)

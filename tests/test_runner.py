@@ -103,6 +103,11 @@ class TestConfig:
     def test_bad_int_rejected(self):
         with pytest.raises(InputError):
             config_from_mapping({"seed": "forty-two"})
+        # 2.5 ran 3 steps per prompt and wrote "2.5" into the config and its hash.
+        for key, value in (("max_new_tokens", 2.5), ("seed", 7.0), ("target_order", "3"),
+                           ("prompts_per_domain", True)):
+            with pytest.raises(InputError, match=f"^{key} must be an integer, got {value!r}$"):
+                GenerationConfig(**{key: value})
 
     def test_empty_eos_means_none(self):
         assert config_from_mapping({"eos_token": ""}).eos_token is None
@@ -390,7 +395,7 @@ class TestRunExperiment:
         # prefix of a corpus document, and the corpus rejects it first.
         vocab = Vocabulary(("a", "b", "c", "d"))
         config = GenerationConfig(prompts_per_domain=2, max_new_tokens=2, prompt_truncation=3)
-        with pytest.raises(InputError, match="outside the model vocabulary"):
+        with pytest.raises(InputError, match=r"tokens must be 1-D of integers in \[0, 4\)"):
             corpus = corpus_of("d", [(0, 1, 2, 3, 0, 1, 2), (99, 1, 2)], vocab)
             run_experiment(config, {"d": corpus})
 

@@ -172,6 +172,13 @@ class TestBuild:
         assert len(tree.tokens) == min(3, WXYZ.size)
         assert tree.depths.tolist() == [1] * len(tree.tokens)
 
+    @pytest.mark.parametrize("which", [[1], [-1], [0.5], [[0]]])
+    def test_take_outside_the_batch_rejected(self, which):
+        # [1] raised a bare IndexError, [-1] took the last tree and [0.5] tree 0.
+        tree = build_draft_tree(trigram_model(), [0, 1], TreeParams())
+        with pytest.raises(InputError, match=r"^tree indices must be 1-D of integers in \[0, 1\)$"):
+            tree.take(which)
+
     def test_depth_cap_small_vocab(self):
         vocab = Vocabulary(("a", "b"))
         model = NGramModel.fit(vocab, [[0, 1, 0]], order=1, smoothing=0.5)
@@ -223,9 +230,9 @@ class TestBuild:
     def test_out_of_range_token_rejected(self, context):
         # Before the window too, where the model never reads it.
         bigram = NGramModel.fit(WXYZ, [[0, 1, 2, 3]], order=2, smoothing=0.1)
-        with pytest.raises(InputError, match="outside the model vocabulary"):
+        with pytest.raises(InputError, match=r"^context tokens must be 1-D of integers in \[0, 4\)$"):
             build_draft_tree(bigram, context, TreeParams())
-        with pytest.raises(InputError, match="outside the model vocabulary"):
+        with pytest.raises(InputError, match=r"^context tokens must be 1-D of integers in \[0, 4\)$"):
             grow_trees(bigram, [[0, 1], context], TreeParams())
 
     @pytest.mark.parametrize("context", [[0, 1.5], [1.5, 0, 1], [0, float("nan")],
@@ -278,11 +285,17 @@ class TestBuild:
             assert sum(map(len, draft.batches)) == len(contexts) + len(expanded)
             assert draft.batches == growth_batches(contexts, trees, window)
 
-    def test_invalid_params_rejected(self):
-        with pytest.raises(InputError):
-            TreeParams(max_depth=0)
-        with pytest.raises(InputError):
-            TreeParams(root_top_k=4, max_nodes=3)
+    @pytest.mark.parametrize("params, match", [
+        ({"max_depth": 0}, "tree limits must all be >= 1"),
+        ({"root_top_k": 4, "max_nodes": 3}, "max_nodes must be >= root_top_k"),
+        # A depth of 2.5 grew depth-3 trees.
+        ({"max_depth": 2.5}, r"^max_depth must be an integer, got 2.5$"),
+        ({"max_nodes": 8.0}, r"^max_nodes must be an integer, got 8.0$"),
+        ({"root_top_k": True}, r"^root_top_k must be an integer, got True$"),
+    ])
+    def test_invalid_params_rejected(self, params, match):
+        with pytest.raises(InputError, match=match):
+            TreeParams(**params)
 
 
 class TestInvariants:

@@ -96,6 +96,22 @@ class TestScoreTree:
             with pytest.raises(InputError, match="depth must be 1 at the root"):
                 score_tree(model, [0, 1], tree._replace(depths=depths))
 
+    @pytest.mark.parametrize("column, values, match", [
+        # These raised a bare IndexError and a bare ValueError, scored the tokens as 0, 1, 2,
+        # took the float depths and raised a bare ValueError.
+        ("parents", [-1, -1, 5], r"^tree parents must be 1-D of integers in \[-1, its own bound\)$"),
+        ("offsets", [0, 5], r"^tree offsets must be 1-D of integers in \[0, 4\)$"),
+        ("tokens", [0.5, 1.5, 2.5], r"^tree tokens must be 1-D of integers in \[0, 4\)$"),
+        ("depths", [1.0, 1.0, 2.0], r"^tree depths must be 1-D of integers in \[1, its own bound\)$"),
+        ("parents", [-1, -1], r"^tree parents must be 1-D of integers in \[-1, its own bound\)$"),
+    ])
+    def test_broken_tree_columns_rejected(self, column, values, match):
+        model = NGramModel.fit(ABCD, [[0, 1, 2, 3, 0, 1, 2, 0, 1]], order=3, smoothing=0.4)
+        tree = build_draft_tree(model, [0, 1], TreeParams(2, 1, 2, 3))
+        assert tree.parents.tolist() == [-1, -1, 0]
+        with pytest.raises(InputError, match=match):
+            score_tree(model, [0, 1], tree._replace(**{column: np.array(values)}))
+
     def test_one_hot_target(self):
         draft = TableModel(ABCD, [0.5, 0.5, 0.0, 0.0], context_window=1)
         target = TableModel(ABCD, [1.0, 0.0, 0.0, 0.0], context_window=1)
@@ -146,9 +162,9 @@ class TestScoreTree:
         draft = NGramModel.fit(draft_vocab, [[0, 1, draft_size - 1]], order=2, smoothing=0.1)
         model = NGramModel.fit(ABCD, [[0, 1, 2, 3]], order=2, smoothing=0.1)
         tree = build_draft_tree(draft, [0, 0, 1], TreeParams(max_depth=1))
-        with pytest.raises(InputError, match="outside the model vocabulary"):
+        with pytest.raises(InputError, match=r"tokens must be 1-D of integers in \[0, 4\)$"):
             score_tree(model, context, tree)
-        with pytest.raises(InputError, match="outside the model vocabulary"):
+        with pytest.raises(InputError, match=r"tokens must be 1-D of integers in \[0, 4\)$"):
             score_trees(model, [[0, 0, 1], context], tree.take([0, 0]))
 
     @pytest.mark.parametrize("context", [[0, 1.5], [1.5, 1], [0, float("nan")],
