@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import NGramModel, Vocabulary, _ids, _offsets
+from .model import NGramModel, Vocabulary, _check_ints, _ids, _offsets
 
 UNK_TOKEN = "<unk>"
 END_TOKEN = "<end>"
@@ -99,10 +99,8 @@ def sample_prompts(
     offsets = corpus.offsets.tolist()
     if len(offsets) < 2:
         raise InputError(f"domain {corpus.domain!r} has no documents")
-    if n < 1 or max_len < 1:
-        raise InputError("n and max_len must be >= 1")
-    if seed < 0:
-        raise InputError("seed must be >= 0")
+    _check_ints(1, n=n, max_len=max_len)
+    _check_ints(0, seed=seed)
     rng = np.random.default_rng(seed)
     try:
         chosen = rng.choice(len(offsets) - 1, size=n, replace=len(offsets) <= n)
@@ -117,12 +115,12 @@ def train_models(
 ) -> tuple[NGramModel, NGramModel]:
     """Fit the (draft, target) pair on one corpus; both share its vocabulary.
 
-    The corpus arrays' context levels are ranked once (``NGramModel._fit_orders``,
-    which also rejects an order below 1): the draft is counted from the target's
-    lower levels and holds the same level objects.
+    The orders are integers, 1 <= draft_order < target_order. The corpus arrays'
+    context levels are ranked once (``NGramModel._fit_orders``): the draft is
+    counted from the target's lower levels and holds the same level objects.
     """
-    if draft_order >= target_order:
-        raise InputError("draft_order must be strictly below target_order")
+    _check_ints(1, draft_order=draft_order)
+    _check_ints(draft_order + 1, target_order=target_order)
     return tuple(NGramModel._fit_orders(corpus.vocabulary, corpus.tokens, corpus.offsets,
                                         (draft_order, target_order), smoothing))
 
@@ -267,8 +265,8 @@ def synthetic_corpus(
     generator = _EPISODE_GENERATORS.get(domain)
     if generator is None:
         raise InputError(f"unknown synthetic domain {domain!r}; choose from {SYNTHETIC_DOMAINS}")
-    if n_docs < 1 or doc_len < 1:
-        raise InputError("n_docs and doc_len must be >= 1")
+    _check_ints(1, n_docs=n_docs, doc_len=doc_len)
+    _check_ints(0, seed=seed)
     rng = random.Random(f"{domain}-{seed}")
     token_docs = []
     for _ in range(n_docs):

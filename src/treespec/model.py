@@ -122,9 +122,7 @@ class RowBatch:
         the floor and tie by index, so only a row with fewer than k entries
         above its floor merges in its k lowest-index unlisted tokens.
         """
-        _check_ints(k=k)
-        if not 1 <= k <= self.size:
-            raise InputError(f"k={k} out of range for vocabulary of {self.size}")
+        _check_ints(1, self.size + 1, k=k)
         starts, ranks, rows = self.offsets[:-1], np.arange(k), self.floors.size
         listed = ranks < (lengths := np.diff(self.offsets))[:, None]
         tokens, probs = np.zeros((rows, k), dtype=np.int64), np.zeros((rows, k))
@@ -143,9 +141,11 @@ class RowBatch:
     def prob(self, contexts: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """The probability of each ``tokens[i]`` at context ``contexts[i]``, as float64: its row's
         entry, found by one search over every row's (row, token) keys, or else its floor;
-        InputError unless ``contexts`` and ``tokens`` are ``_ids`` of contexts and of tokens."""
+        InputError unless ``contexts`` and ``tokens`` are equally long ``_ids`` of contexts and tokens."""
         rows, n_rows = self.index[_ids(contexts, "contexts", self.index.size)], self.floors.size
         tokens = _ids(tokens, "scored tokens", self.size)
+        if tokens.size != rows.size:
+            raise InputError(f"contexts and scored tokens differ in length: {rows.size} and {tokens.size}")
         keys = np.repeat(np.arange(n_rows), np.diff(self.offsets)) * self.size + self.tokens
         order = np.argsort(keys)
         # A last key past every wanted one, so that each search lands on a key.
@@ -248,7 +248,7 @@ class LanguageModel(abc.ABC):
         int64 array: right-aligned, with -1 before the first token of a shorter context.
 
         ``contexts`` is either a sequence of contexts, InputError unless every
-        token of every whole context is an integer (``_int_key``, which names
+        token of every whole context is an integer (``_is_int``; the message names
         the first context that holds one that is not) and ``_ids`` of the
         vocabulary; or an array of rows in this form, InputError unless 2-D
         ``_ids`` in [-1, |V|) with -1 only as a leading run in its row. A
@@ -264,7 +264,10 @@ class LanguageModel(abc.ABC):
             return np.pad(cut, ((0, 0), (span - cut.shape[1], 0)), constant_values=-1)
         contexts = [tuple(context) for context in contexts]
         if set(map(type, itertools.chain.from_iterable(contexts))) - {int}:
-            contexts = list(map(_int_key, contexts))
+            for context in contexts:
+                if not all(map(_is_int, context)):
+                    raise InputError(f"context {context!r} holds a token that is not an integer")
+            contexts = [tuple(map(int, context)) for context in contexts]
         _ids(np.array([*itertools.chain.from_iterable(contexts)]), "context tokens", self.vocab.size)
         pad = (-1,) * span
         return np.array([(pad + c)[len(c):] for c in contexts],
@@ -307,7 +310,8 @@ class NGramModel(LanguageModel):
     def fit(cls, vocab: Vocabulary, documents: Sequence[TokenSeq], order: int,
             smoothing: float) -> "NGramModel":
         """Count successor statistics over ``documents`` (index sequences): ``_fit_orders``
-        at this one order, on the documents flattened by ``_flat_documents``."""
+        at this one order (an integer >= 1), on the documents flattened by ``_flat_documents``."""
+        _check_ints(1, order=order)
         return cls._fit_orders(vocab, *_flat_documents(documents), (order,), smoothing)[0]
 
     @classmethod
@@ -322,11 +326,7 @@ class NGramModel(LanguageModel):
         pass (``_count``) and keeps ``_levels[:k - 1]``, the very level objects
         every higher order holds.
         """
-        if orders[0] < 1:
-            raise InputError("order must be >= 1")
-        if not 0 <= smoothing < math.inf:
-            raise InputError(f"smoothing must be finite and >= 0, got {smoothing!r}")
-        size = vocab.size
+        smoothing, size = _check_smoothing(smoothing), vocab.size
         tokens = _ids(tokens, "document tokens", size)
         since_start = np.arange(tokens.size) - np.repeat(offsets[:-1], np.diff(offsets))
         # Made one level at a time, so only one column is alive at once.
@@ -342,7 +342,7 @@ class NGramModel(LanguageModel):
         """The model of ``levels`` and ascending ``context id * |V| + token`` keys' counts."""
         model, size = cls(), vocab.size
         model.vocab, model.order, model.context_window = vocab, order, order - 1
-        model.smoothing = float(smoothing)
+        model.smoothing = smoothing
         model._levels = levels
         rows = keys // size
         offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
@@ -447,35 +447,29 @@ def _count(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _flat_documents(documents: Sequence[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
     """``documents`` end to end in one array for ``_ids``, and their int64 CSR offsets; InputError
-    unless each is a sequence of integer tokens (``_int_key``, the rule ``windows`` applies)."""
+    unless each is a sequence of integer tokens (``_is_int``, the rule ``windows`` applies)."""
     try:
         offsets = np.cumsum([0, *map(len, documents)], dtype=np.int64)
     except TypeError:
         raise InputError("a document is not a sequence of tokens") from None
+    tokens = tuple(itertools.chain.from_iterable(documents))
+    if not all(map(_is_int, tokens)):
+        raise InputError("a document holds a token that is not an integer")
     # A token past int64 makes an object or a uint64 array, which ``_ids`` rejects.
-    return np.array(_int_key(tuple(itertools.chain.from_iterable(documents)), "a document")), offsets
-
-
-def _int_key(key: tuple, owner: str | None = None) -> tuple[int, ...]:
-    """``key`` as plain ints; InputError, naming ``owner`` (the context ``key`` when None),
-    unless each of its tokens is an integer: equal to its ``int``."""
-    try:
-        plain = tuple(map(int, key))
-    except (TypeError, ValueError, OverflowError):
-        plain = None
-    if plain != key:
-        raise InputError(f"{owner or f'context {key!r}'} holds a token that is not an integer")
-    return plain
+    return np.array([*map(int, tokens)]), offsets
 
 
 def _ids(values: object, name: str, high: int | np.ndarray, low: int = 0, ndim: int = 1) -> np.ndarray:
     """``values`` as an int64 array, nothing truncated; InputError naming ``name`` unless it is ``ndim``-D
     and, if not empty, integers each in [``low``, ``high``), ``high`` an int or a same-shape array."""
-    ids = np.asarray(values)
-    if ids.ndim != ndim or np.shape(high) not in ((), ids.shape) or ids.size and (
-            ids.dtype.kind not in "iu" or ids.min() < low or (ids >= high).any()):
+    try:
+        ids = np.asarray(values)  # a ragged nesting raises ValueError
+        if ids.ndim != ndim or np.shape(high) not in ((), ids.shape) or ids.size and (
+                ids.dtype.kind not in "iu" or ids.min() < low or (ids >= high).any()):
+            raise ValueError
+    except ValueError:
         bound = high if np.ndim(high) == 0 else "its own bound"
-        raise InputError(f"{name} must be {ndim}-D of integers in [{low}, {bound})")
+        raise InputError(f"{name} must be {ndim}-D of integers in [{low}, {bound})") from None
     return ids.astype(np.int64, copy=False)
 
 
@@ -487,8 +481,23 @@ def _offsets(values: object, name: str, total: int) -> np.ndarray:
     return offsets
 
 
-def _check_ints(**values: object) -> None:
-    """The scalar ``_ids``: InputError naming the first of ``values`` that is no int (a bool is not)."""
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_ints(low: int, high: int | None = None, /, **values: object) -> None:
+    """The scalar ``_ids``: InputError naming the first of ``values`` that is no integer
+    (``_is_int``) or lies outside [``low``, ``high``), ``high`` None for no ceiling."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+        if not _is_int(value) or not low <= value < (math.inf if high is None else high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high})"
+            raise InputError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def _check_smoothing(value: object) -> float:
+    """``value`` as a float; InputError unless it is a finite int or float >= 0 (a bool is not)."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (number and 0 <= value < math.inf):
+        raise InputError(f"smoothing must be finite and >= 0, got {value!r}")
+    return float(value)

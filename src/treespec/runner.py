@@ -62,7 +62,7 @@ from .metrics import (
     position_effects,
     summarize,
 )
-from .model import LanguageModel, _check_ints, _ranges
+from .model import LanguageModel, _check_ints, _check_smoothing, _ranges
 from .tree import TreeParams, grow_trees
 from .verify import score_trees
 
@@ -92,16 +92,11 @@ class GenerationConfig:
     eos_token: str | None = None
 
     def __post_init__(self) -> None:
-        _check_ints(**{key: getattr(self, key) for key, kind in _field_types(type(self)).items()
-                       if kind is int})
-        if self.max_new_tokens < 1 or self.prompt_truncation < 1 or self.prompts_per_domain < 1:
-            raise InputError("token caps and prompt counts must be >= 1")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
-        if self.draft_order < 1 or self.draft_order >= self.target_order:
-            raise InputError("need 1 <= draft_order < target_order")
-        if not 0 <= self.smoothing < math.inf:
-            raise InputError(f"smoothing must be finite and >= 0, got {self.smoothing!r}")
+        _check_ints(1, max_new_tokens=self.max_new_tokens, prompt_truncation=self.prompt_truncation,
+                    prompts_per_domain=self.prompts_per_domain, draft_order=self.draft_order)
+        _check_ints(0, seed=self.seed)
+        _check_ints(self.draft_order + 1, target_order=self.target_order)
+        object.__setattr__(self, "smoothing", _check_smoothing(self.smoothing))
 
     def flat_dict(self) -> dict[str, str]:
         """Flat key/value view; tree limits are inlined and no eos_token is ''."""

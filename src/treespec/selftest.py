@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import average_ranks, chain_probabilities, spearman_rho
-from .model import NGramModel, RowBatch, Vocabulary
+from .model import NGramModel, RowBatch, Vocabulary, _check_ints
 from .tree import TreeParams, grow_trees
 
 
@@ -130,6 +130,7 @@ def check_entropy(sizes: Sequence[int]) -> tuple[float, float]:
 
 def run_selftest(seed: int = 42) -> bool:
     """Run every check at compact size; prints one line per check, returns overall success."""
+    _check_ints(0, seed=seed)
     rng = np.random.default_rng(seed)
     builds, datasets = 100, 10
     chain_dev = check_chain_law(rng, profiles=4, trials=200_000)

@@ -27,7 +27,7 @@ from .model import LanguageModel, TokenSeq, _check_ints, _ids, _ranges
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Structural limits for one draft tree: integers (``_check_ints``)."""
+    """Structural limits for one draft tree: integers >= 1 (``_check_ints``), max_nodes >= root_top_k."""
 
     max_depth: int = 3
     max_branch: int = 2
@@ -35,11 +35,8 @@ class TreeParams:
     max_nodes: int = 8
 
     def __post_init__(self) -> None:
-        _check_ints(**vars(self))
-        if self.max_depth < 1 or self.max_branch < 1 or self.root_top_k < 1:
-            raise InputError("tree limits must all be >= 1")
-        if self.max_nodes < self.root_top_k:
-            raise InputError("max_nodes must be >= root_top_k")
+        _check_ints(1, max_depth=self.max_depth, max_branch=self.max_branch, root_top_k=self.root_top_k)
+        _check_ints(self.root_top_k, max_nodes=self.max_nodes)
 
 
 class DraftTrees(NamedTuple):

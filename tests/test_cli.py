@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -303,7 +304,7 @@ class TestRun:
         "flag, value, message",
         [
             ("--seed", "abc", "error: config key seed expects an integer, got 'abc'"),
-            ("--seed", "-1", "error: seed must be >= 0"),
+            ("--seed", "-1", "error: seed must be an integer >= 0, got -1"),
             ("--smoothing", "nan", "error: smoothing must be finite and >= 0, got nan"),
             ("--smoothing", "inf", "error: smoothing must be finite and >= 0, got inf"),
         ],
@@ -586,10 +587,16 @@ class TestSelftest:
             "PASS  chain-length law", "PASS  rank correlation vs naive oracle",
             "PASS  tree invariants", "PASS  entropy bounds"]
 
-    def test_negative_seed_exits_one(self, capsys):
-        # It died with numpy's traceback from default_rng.
-        assert run_cli("selftest", "--seed", "-1") == 1
-        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_negative_seed_exits_one(self, capsys, seed):
+        # The command died with numpy's traceback from default_rng; run_selftest
+        # raised a bare ValueError for -1, a bare TypeError for 1.5 and ran seed 1 for True.
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            selftest.run_selftest(seed=seed)
+        if seed == -1:
+            assert run_cli("selftest", "--seed", str(seed)) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("name, defect, check", [
         ("average_ranks", lambda values: average_ranks(values) + 1.0,

@@ -323,10 +323,17 @@ class TestSamplePrompts:
         with pytest.raises(InputError):
             sample_prompts(corpus, 1, seed=0)
 
-    def test_bad_n_rejected(self):
+    @pytest.mark.parametrize("n, max_len, match", [
+        (0, 512, r"^n must be an integer >= 1, got 0$"),
+        # 2.5 and max_len 1.5 raised numpy's and a slice's bare TypeError.
+        (2.5, 512, r"^n must be an integer >= 1, got 2.5$"),
+        (1, 1.5, r"^max_len must be an integer >= 1, got 1.5$"),
+        (1, 0, r"^max_len must be an integer >= 1, got 0$"),
+    ])
+    def test_bad_n_rejected(self, n, max_len, match):
         corpus = DomainCorpus.from_texts("d", ["a b"])
-        with pytest.raises(InputError):
-            sample_prompts(corpus, 0, seed=0)
+        with pytest.raises(InputError, match=match):
+            sample_prompts(corpus, n, seed=0, max_len=max_len)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -343,11 +350,12 @@ class TestSamplePrompts:
         assert prompts == expected
         assert all(type(token) is int for prompt in prompts for token in prompt)
 
-    def test_negative_seed_rejected(self):
-        # It raised numpy's bare ValueError from default_rng.
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x"])
+    def test_negative_seed_rejected(self, seed):
+        # Each raised numpy's bare ValueError or TypeError from default_rng.
         corpus = DomainCorpus.from_texts("d", ["a b"])
-        with pytest.raises(InputError, match=r"^seed must be >= 0$"):
-            sample_prompts(corpus, 1, seed=-1)
+        with pytest.raises(InputError, match=f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+            sample_prompts(corpus, 1, seed=seed)
 
 
 class TestTrainModels:
@@ -374,10 +382,17 @@ class TestTrainModels:
         with pytest.raises(InputError):
             train_models(corpus, 2, 2, smoothing=0.1)
 
-    def test_bad_order_rejected(self):
+    @pytest.mark.parametrize("draft_order, target_order, match", [
+        (0, 2, r"^draft_order must be an integer >= 1, got 0$"),
+        # 1.5 returned one model, 2.5 raised a bare TypeError and True fitted order 1.
+        (1.5, 3, r"^draft_order must be an integer >= 1, got 1.5$"),
+        (1, 2.5, r"^target_order must be an integer >= 2, got 2.5$"),
+        (True, 2, r"^draft_order must be an integer >= 1, got True$"),
+    ])
+    def test_bad_order_rejected(self, draft_order, target_order, match):
         corpus = DomainCorpus.from_texts("d", ["a b"])
-        with pytest.raises(InputError):
-            train_models(corpus, 0, 2, smoothing=0.1)
+        with pytest.raises(InputError, match=match):
+            train_models(corpus, draft_order, target_order, smoothing=0.1)
 
 
 class TestSynthetic:
@@ -396,6 +411,18 @@ class TestSynthetic:
         assert all(len(doc) >= 300 for doc in documents(corpus))
         end = corpus.vocabulary.index_of(END_TOKEN)
         assert all(end in doc for doc in documents(corpus))
+
+    @pytest.mark.parametrize("kwargs, match", [
+        # Each seed drew a corpus, and n_docs 1.5 raised a bare TypeError.
+        ({"seed": -3}, r"^seed must be an integer >= 0, got -3$"),
+        ({"seed": 1.5}, r"^seed must be an integer >= 0, got 1.5$"),
+        ({"seed": "x"}, r"^seed must be an integer >= 0, got 'x'$"),
+        ({"n_docs": 1.5}, r"^n_docs must be an integer >= 1, got 1.5$"),
+        ({"doc_len": 0}, r"^doc_len must be an integer >= 1, got 0$"),
+    ])
+    def test_bad_argument_rejected(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            synthetic_corpus("chat", **kwargs)
 
     def test_unknown_domain(self):
         with pytest.raises(InputError):

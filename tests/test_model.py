@@ -78,7 +78,7 @@ class TestCheckContext:
     @pytest.mark.parametrize(
         "context, window",
         [([], ()), ((), ()), ([0, 3, 1], (3, 1)), ((3,), (3,)),
-         ([np.int64(2), np.int32(0)], (2, 0)), (np.array([1, 2, 3]), (2, 3)), ([True, 1], (1, 1))],
+         ([np.int64(2), np.int32(0)], (2, 0)), (np.array([1, 2, 3]), (2, 3))],
     )
     def test_in_vocabulary_accepted(self, context, window):
         whole = tuple(map(int, context))
@@ -104,7 +104,9 @@ class TestCheckContext:
     @pytest.mark.parametrize(
         "context",
         [[1.5], [0, 1.5], [1.5, 0, 1], [float("nan")], [2, float("nan")], [float("nan"), 0, 1],
-         ["1"], [None, 0, 1], ["a", 0, 1], [0, 1, "x"]],
+         ["1"], [None, 0, 1], ["a", 0, 1], [0, 1, "x"],
+         # Each was taken as the integer it equals, though an array of it is rejected.
+         [True, 1], [1.0], [0, np.float64(2.0)], [np.True_]],
     )
     def test_token_that_is_not_an_integer_rejected(self, context):
         # Before the window too; the message names the context.
@@ -198,14 +200,17 @@ class TestNextTokenDist:
         model = NGramModel.fit(AB, [[0, 1, 0, 1, 0]], order=1, smoothing=0.0)
         assert np.allclose(model.next_token_dist([]), [0.6, 0.4])
 
-    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, -0.1])
+    # "0.1" and None raised a bare TypeError, and True was taken as 1.
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, -0.1, "0.1", None, True])
     def test_rejects_bad_smoothing(self, smoothing):
         with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
             NGramModel.fit(AB, [[0, 1, 0]], order=2, smoothing=smoothing)
 
-    def test_rejects_bad_order(self):
-        with pytest.raises(InputError, match="order must be >= 1"):
-            NGramModel.fit(AB, [[0, 1, 0]], order=0, smoothing=0.1)
+    # 2.5 raised a bare TypeError, and True fitted order 1.
+    @pytest.mark.parametrize("order", [0, 2.5, True])
+    def test_rejects_bad_order(self, order):
+        with pytest.raises(InputError, match=f"^order must be an integer >= 1, got {order!r}$"):
+            NGramModel.fit(AB, [[0, 1, 0]], order=order, smoothing=0.1)
 
     def test_empty_row_kept(self):
         for order, context in ((1, ()), (2, (0,))):
@@ -223,6 +228,8 @@ class TestNextTokenDist:
     @pytest.mark.parametrize("documents", [
         [[0, 1.5, 2]], [(0, 1.5, 2)], [[0, 1], [2, 0.5]], [[float("nan")]], [["1"]], [[0, None]],
         [[np.int64(2**62)] * 4 + [0.5]],
+        # Each was counted as the integer it equals.
+        [[0, 1.0, 2]], [[0, True, 2]], [[np.float64(1)]],
     ])
     def test_fit_token_that_is_not_an_integer_rejected(self, documents):
         # The rule window applies to a context: 1.5 is not counted as 1, nor
@@ -244,7 +251,7 @@ class TestNextTokenDist:
     def test_fit_takes_integer_tokens_of_any_type(self):
         abc = Vocabulary(("a", "b", "c"))
         plain = NGramModel.fit(abc, [[0, 1, 2]], 2, 0.1).counts
-        for documents in ([[0, 1.0, np.int64(2)]], [np.array([0, 1, 2])], [[0, True, 2]]):
+        for documents in ([[0, np.int32(1), np.int64(2)]], [np.array([0, 1, 2])], [(0, 1, np.uint8(2))]):
             for fit in fits(abc):
                 assert fit(documents).counts == plain
 
@@ -487,11 +494,11 @@ class TestTopCandidates:
     def test_k_equals_vocab(self):
         assert top_lists(dense_batch([[0.5, 0.3, 0.2]]), 3) == [[(0, 0.5), (1, 0.3), (2, 0.2)]]
 
-    @pytest.mark.parametrize("k", [0, 4, -1])
+    @pytest.mark.parametrize("k", [0, 4, -1, 1.5, True])
     def test_k_out_of_range(self, k):
         model = NGramModel.fit(Vocabulary(("a", "b", "c")), [[0, 1, 2]], order=2, smoothing=0.1)
         for batch in (dense_batch([[0.5, 0.3, 0.2]]), model.next_token_dists([[0]])):
-            with pytest.raises(InputError, match=f"k={k} out of range for vocabulary of 3"):
+            with pytest.raises(InputError, match=rf"^k must be an integer in \[1, 4\), got {k!r}$"):
                 batch.top(k)
 
     def test_full_k_is_permutation(self):
@@ -806,6 +813,10 @@ class TestRowBatch:
         ([0, 1], [1], [0.5], [0.25], [0.7], r"index must be 1-D of integers in \[0, 1\)"),
         ([0, 1, 2], [1, 2], [0.5, 0.5], [0.25, 0.25], [True], r"index must be 1-D of integers in \[0, 2\)"),
         ([0, 1.5, 1], [1], [0.5], [0.25, 0.1], None, r"offsets must be 1-D of integers in \[0, 2\)"),
+        # Ragged nestings raised numpy's bare ValueError (inhomogeneous shape).
+        ([0, 1], [[1], [1, 2]], [0.5], [0.25], None, r"row tokens must be 1-D of integers in \[0, 3\)"),
+        ([[0], [0, 1]], [1], [0.5], [0.25], None, r"offsets must be 1-D of integers in \[0, 2\)"),
+        ([0, 1], [1], [0.5], [0.25], [[0], [0, 0]], r"index must be 1-D of integers in \[0, 1\)"),
     ])
     def test_constructor_rejects_broken_rows(self, offsets, tokens, probs, floors, index, match):
         with pytest.raises(InputError, match=match):
@@ -818,6 +829,10 @@ class TestRowBatch:
         ([-1], [1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
         ([2], [1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
         ([0.5], [1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
+        ([[0], [0, 1]], [1, 1], r"^contexts must be 1-D of integers in \[0, 2\)$"),
+        # One token was broadcast over both contexts, and three raised a bare ValueError.
+        ([0, 1], [1], r"^contexts and scored tokens differ in length: 2 and 1$"),
+        ([0, 1], [0, 1, 2], r"^contexts and scored tokens differ in length: 2 and 3$"),
     ])
     def test_token_out_of_range(self, contexts, tokens, match):
         model = NGramModel.fit(WXYZ, [[0, 1, 2, 0, 1, 3]], order=2, smoothing=0.1)

@@ -18,11 +18,12 @@ contexts, and no batch may change the model.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_of, ngram_model, top_candidates, window_tuples
-from treespec import NGramModel, RowBatch, Vocabulary, entropy_nats
+from treespec import InputError, NGramModel, RowBatch, Vocabulary, entropy_nats
 from treespec import train_models
 from treespec import model as model_module
 
@@ -203,9 +204,10 @@ def test_level_walk_matches_the_decoded_counts():
     # context id order; the level walk must find that row for every context
     # the model holds, for their shorter suffixes and for random keys, mostly
     # unseen: one token type more than the model saw. One batch asks for
-    # every key as plain ints, numpy ints and floats equal to ints, which
-    # share one row. Its rows are row 0 when a key is unseen, which lists no
-    # token, then one row per context id found, ascending.
+    # every key as plain ints and as numpy ints, which share one row; a key
+    # of floats equal to ints is rejected, as its array is. The batch's rows
+    # are row 0 when a key is unseen, which lists no token, then one row per
+    # context id found, ascending.
     rng = np.random.default_rng(4203)
     unseen = 0
     for case in range(CASES):
@@ -219,10 +221,12 @@ def test_level_walk_matches_the_decoded_counts():
                  for _ in range(40)]
         keys = list(dict.fromkeys(keys))
         assert model.next_token_dists([]).index.size == 0
-        forms = [form for key in keys for form in (key, np.array(key, dtype=np.int64),
-                                                   [float(t) for t in key])]
+        forms = [form for key in keys for form in (key, np.array(key, dtype=np.int64))]
         batch = model.next_token_dists(forms)
-        index = batch.index.reshape(len(keys), 3)
+        index = batch.index.reshape(len(keys), 2)
+        for key in [key for key in keys if key][-1:]:
+            with pytest.raises(InputError, match="not an integer"):
+                model.next_token_dists([*forms, [float(t) for t in key]])
         assert (index == index[:, :1]).all()
         found = sorted({ids[key] for key in keys if key in ids})
         first = int(any(key not in held for key in keys))
@@ -283,10 +287,10 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
     # Small vocabularies, so that every k is checked. Counts from 0 tie
     # entries with each other and with the floor; smoothing 0 gives zero
     # floors and rows with no mass. Each case asks two batches of repeated,
-    # unseen and short contexts, as plain ints, numpy ints and floats equal to
-    # ints. A batch holds one row per distinct context id, ascending, and
-    # sums each once: row 0 serves every unseen context and every one with
-    # no mass.
+    # unseen and short contexts, as plain ints and numpy ints; with floats
+    # equal to ints in any context, a batch is rejected. A batch holds one row
+    # per distinct context id, ascending, and sums each once: row 0 serves
+    # every unseen context and every one with no mass.
     summed = []
     entropies = model_module._entropies
 
@@ -316,8 +320,10 @@ def test_model_batches_match_their_dense_vectors(monkeypatch):
             contexts = [list(held[i]) for i in rng.integers(0, len(held), size=6)] if held else []
             contexts += [rng.integers(0, size, size=int(rng.integers(0, order + 1))).tolist()
                          for _ in range(6)]
-            contexts = [(c, np.array(c, dtype=np.int64), [float(t) for t in c])[i % 3]
-                        for i, c in enumerate(contexts)]
+            for floated in ([float(t) for t in c] for c in contexts if c):
+                with pytest.raises(InputError, match="not an integer"):
+                    model.next_token_dists([*contexts, floated])
+            contexts = [(c, np.array(c, dtype=np.int64))[i % 2] for i, c in enumerate(contexts)]
             summed.clear()
             batch = model.next_token_dists(contexts)
             keys = window_tuples(model.windows(contexts))

@@ -104,9 +104,11 @@ class TestConfig:
         with pytest.raises(InputError):
             config_from_mapping({"seed": "forty-two"})
         # 2.5 ran 3 steps per prompt and wrote "2.5" into the config and its hash.
-        for key, value in (("max_new_tokens", 2.5), ("seed", 7.0), ("target_order", "3"),
-                           ("prompts_per_domain", True)):
-            with pytest.raises(InputError, match=f"^{key} must be an integer, got {value!r}$"):
+        # target_order is bounded by the default draft_order of 2.
+        for key, value, low in (("max_new_tokens", 2.5, 1), ("seed", 7.0, 0), ("target_order", "3", 3),
+                                ("prompts_per_domain", True, 1), ("seed", -1, 0),
+                                ("max_new_tokens", 0, 1), ("draft_order", 0, 1), ("target_order", 2, 3)):
+            with pytest.raises(InputError, match=f"^{key} must be an integer >= {low}, got {value!r}$"):
                 GenerationConfig(**{key: value})
 
     def test_empty_eos_means_none(self):
@@ -119,12 +121,20 @@ class TestConfig:
             with pytest.raises(InputError, match=r"unknown config keys: \['temperature_mode'\]"):
                 config_from_mapping({"temperature_mode": mode})
 
-    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf, -math.inf, "0.1", None, True])
     def test_non_finite_smoothing_rejected(self, smoothing):
+        # "0.1" and None raised a bare TypeError, and True was taken as 1.
         with pytest.raises(InputError, match="smoothing must be finite"):
             GenerationConfig(smoothing=smoothing)
-        with pytest.raises(InputError, match="smoothing must be finite"):
-            config_from_mapping({"smoothing": str(smoothing)})
+        if isinstance(smoothing, float):
+            with pytest.raises(InputError, match="smoothing must be finite"):
+                config_from_mapping({"smoothing": str(smoothing)})
+
+    def test_integer_smoothing_is_held_as_a_float(self):
+        # Its config_hash read "smoothing=1", the same config parsed from text "smoothing=1.0".
+        config = GenerationConfig(smoothing=1)
+        assert config.smoothing == 1.0 and type(config.smoothing) is float
+        assert config.config_hash() == config_from_mapping({"smoothing": "1"}).config_hash()
 
     def test_readme_key_table_matches_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

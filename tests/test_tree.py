@@ -172,9 +172,10 @@ class TestBuild:
         assert len(tree.tokens) == min(3, WXYZ.size)
         assert tree.depths.tolist() == [1] * len(tree.tokens)
 
-    @pytest.mark.parametrize("which", [[1], [-1], [0.5], [[0]]])
+    @pytest.mark.parametrize("which", [[1], [-1], [0.5], [[0]], [[0], [0, 0]]])
     def test_take_outside_the_batch_rejected(self, which):
-        # [1] raised a bare IndexError, [-1] took the last tree and [0.5] tree 0.
+        # [1] raised a bare IndexError, [-1] took the last tree and [0.5] tree 0;
+        # the ragged [[0], [0, 0]] raised numpy's bare ValueError.
         tree = build_draft_tree(trigram_model(), [0, 1], TreeParams())
         with pytest.raises(InputError, match=r"^tree indices must be 1-D of integers in \[0, 1\)$"):
             tree.take(which)
@@ -286,12 +287,14 @@ class TestBuild:
             assert draft.batches == growth_batches(contexts, trees, window)
 
     @pytest.mark.parametrize("params, match", [
-        ({"max_depth": 0}, "tree limits must all be >= 1"),
-        ({"root_top_k": 4, "max_nodes": 3}, "max_nodes must be >= root_top_k"),
+        ({"max_depth": 0}, r"^max_depth must be an integer >= 1, got 0$"),
+        ({"max_branch": -1}, r"^max_branch must be an integer >= 1, got -1$"),
+        ({"root_top_k": 4, "max_nodes": 3}, r"^max_nodes must be an integer >= 4, got 3$"),
+        ({"root_top_k": 9}, r"^max_nodes must be an integer >= 9, got 8$"),
         # A depth of 2.5 grew depth-3 trees.
-        ({"max_depth": 2.5}, r"^max_depth must be an integer, got 2.5$"),
-        ({"max_nodes": 8.0}, r"^max_nodes must be an integer, got 8.0$"),
-        ({"root_top_k": True}, r"^root_top_k must be an integer, got True$"),
+        ({"max_depth": 2.5}, r"^max_depth must be an integer >= 1, got 2.5$"),
+        ({"max_nodes": 8.0}, r"^max_nodes must be an integer >= 3, got 8.0$"),
+        ({"root_top_k": True}, r"^root_top_k must be an integer >= 1, got True$"),
     ])
     def test_invalid_params_rejected(self, params, match):
         with pytest.raises(InputError, match=match):
