@@ -25,11 +25,16 @@ from .errors import InputError, UndefinedCorrelationError
 from .model import _ids, _offsets, _ranges, _sorted_distinct
 
 
-# A record's fields, in a record file's column order.
-RECORD_FIELDS = ("domain", "prompt_id", "step_index", "depth", "position_bin", "token",
-                 "p_draft", "p_target", "alpha", "target_entropy")
-INT_FIELDS = RECORD_FIELDS[1:6]  # prompt_id .. token
-FLOAT_FIELDS = RECORD_FIELDS[6:]  # p_draft .. target_entropy
+# A record's fields, in a record file's column order, each with the type its
+# text parses to: the domain's name, then int (held as int64) and float
+# (held as float64) columns.
+RECORD_TYPES: dict[str, type] = {
+    "domain": str, "prompt_id": int, "step_index": int, "depth": int, "position_bin": int,
+    "token": int, "p_draft": float, "p_target": float, "alpha": float, "target_entropy": float,
+}
+RECORD_FIELDS = tuple(RECORD_TYPES)
+INT_FIELDS = tuple(name for name, kind in RECORD_TYPES.items() if kind is int)
+FLOAT_FIELDS = tuple(name for name, kind in RECORD_TYPES.items() if kind is float)
 # A RecordTable's step columns (the last is the step's tree id), its tree
 # row columns, and its per-record columns.
 STEP_FIELDS = ("domain_code", "prompt_id", "step_index", "position_bin", "tree")
@@ -182,8 +187,9 @@ for _name in RECORD_COLUMNS:
 
 
 def _array(name: str, values) -> np.ndarray:
-    """``values`` as the dtype of record column ``name``: float64, or int64 ``_ids`` of any int64."""
-    if name in FLOAT_FIELDS:
+    """``values`` as record column ``name`` holds them (``RECORD_TYPES``): float64, or int64
+    ``_ids`` of any int64."""
+    if RECORD_TYPES[name] is float:
         return np.asarray(values, dtype=np.float64)
     return _ids(values, name, 2**63, low=-2**63)
 

@@ -50,6 +50,7 @@ from .metrics import (
     FLOAT_FIELDS,
     INT_FIELDS,
     RECORD_FIELDS,
+    RECORD_TYPES,
     STEP_FIELDS,
     TREE_FIELDS,
     DomainSummary,
@@ -92,6 +93,10 @@ class GenerationConfig:
     eos_token: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tree, TreeParams):
+            raise InputError(f"tree must be a TreeParams, got {type(self.tree).__name__}")
+        if not isinstance(self.eos_token, (str, type(None))):
+            raise InputError(f"eos_token must be a str or None, got {type(self.eos_token).__name__}")
         _check_ints(1, max_new_tokens=self.max_new_tokens, prompt_truncation=self.prompt_truncation,
                     prompts_per_domain=self.prompts_per_domain, draft_order=self.draft_order)
         _check_ints(0, seed=self.seed)
@@ -410,20 +415,22 @@ def read_records_csv(path: str | Path) -> RecordTable:
     is not UTF-8 reaches the reader as a lone surrogate. A first line that is
     not the header makes the file ``not a record file`` (or line 1 not UTF-8
     text) whatever the later lines hold. The writer puts one record on each
-    line, and its nine numeric fields never hold a comma or a quote, so a
-    line's fields are what splitting it at its last nine commas gives; only
-    the domain field may be quoted. It writes a step as lines that share the
-    prefix ``domain,prompt_id,step_index,`` before the tails of its tree's
-    rows, so lines are read as prefixes over distinct tails,
-    ``_CSV_CHUNK_ROWS`` at a time (see ``_RecordReader``): each run of lines
-    with one prefix has its prefix parsed once, and each distinct tail is
-    parsed and checked once. After the last chunk the steps are found and
+    line, and its numeric fields never hold a comma or a quote, so a line's
+    fields are what splitting it at its last ``len(RECORD_FIELDS) - 1``
+    commas gives; only the domain field may be quoted. It writes a step as
+    lines that share the prefix ``domain,prompt_id,step_index,`` before the
+    tails of its tree's rows, so lines are read as prefixes over distinct
+    tails, ``_CSV_CHUNK_ROWS`` at a time (see ``_RecordReader``): each run of
+    lines with one prefix has its prefix parsed once, and each distinct tail
+    is parsed and checked once. After the last chunk the steps are found and
     numbered in one pass, each kept as the sequence of its lines' tails, and
     the table is built from them with ``RecordTable.from_steps``, which makes
-    tails that parse to equal rows one tree. The first bad line is reported
-    as ``path:line`` with its first fault, ranked as ``_RecordReader`` ranks them.
+    tails that parse to equal rows one tree. A chunk the reader finds a fault
+    in has its lines checked one at a time by ``_line_fault``, and the first
+    bad line is reported as ``path:line`` with its first fault; if none has
+    one, the reader's own error is raised again.
     """
-    reader = _RecordReader(path)
+    reader = _RecordReader()
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         header = handle.readline()
         if header.rstrip("\r\n") != ",".join(RECORD_FIELDS):
@@ -432,7 +439,13 @@ def read_records_csv(path: str | Path) -> RecordTable:
                              else f"{path} is not a record file (unexpected header)")
         first_line = 2  # of the chunk being read
         while lines := list(itertools.islice(handle, _CSV_CHUNK_ROWS)):
-            reader.read(lines, first_line)
+            try:
+                reader.read(lines, first_line)
+            except (ValueError, OverflowError):
+                for number, line in enumerate(lines, first_line):
+                    if fault := _line_fault(line):
+                        raise InputError(f"{path}:{number}: {fault}") from None
+                raise
             first_line += len(lines)
     return reader.table()
 
@@ -446,15 +459,44 @@ def _not_utf8(line: str) -> str:
     return ""
 
 
+def _line_fault(line: str) -> str:
+    """The first fault of the record line ``line``, read with surrogateescape, or '' if it has none.
+
+    The line is checked for, in this order: a byte that is not UTF-8; a
+    field count other than ``len(RECORD_FIELDS)`` once it is split at its
+    last commas; an int or float field whose text does not parse, in column
+    order; a domain not quoted as the writer quotes it; an int outside
+    int64; and the first of ``_RULES`` it breaks.
+    """
+    if fault := _not_utf8(line):
+        return fault
+    fields = line.rsplit(",", len(RECORD_FIELDS) - 1)
+    if len(fields) != len(RECORD_FIELDS):
+        return f"malformed row of {len(fields)} fields, not {len(RECORD_FIELDS)}"
+    try:
+        values = {name: RECORD_TYPES[name](text) for name, text in zip(RECORD_FIELDS[1:], fields[1:])}
+        _domain_name(fields[0])
+    except ValueError as exc:
+        return str(exc)
+    if not all(-(2**63) <= values[name] < 2**63 for name in INT_FIELDS):
+        return "integer field outside the int64 range"
+    code = _rule_codes({name: _array(name, [value]) for name, value in values.items()})[0]
+    if not code:
+        return ""
+    name, message = _RULES[code - 1]
+    return message.format(values[name])
+
+
 # A record line's fields: its prefix ``domain,prompt_id,step_index,`` and
-# its tail, the rest. The domain is everything before the line's last nine
-# commas, so the tail holds six; its last field keeps the line end, which
-# int and float ignore.
+# its tail, the rest. The domain is everything before the line's last
+# ``len(RECORD_FIELDS) - 1`` commas, so the tail holds
+# ``len(_TAIL_FIELDS) - 1``; its last field keeps the line end, which int
+# and float ignore.
 _PREFIX_FIELDS, _TAIL_FIELDS = RECORD_FIELDS[:3], RECORD_FIELDS[3:]
 
 # The rules every record keeps, in check order; a record's rule code is the
 # 1-based index of the first it breaks. Each gives the column whose value
-# its message shows as ``{}``. Only ``_STEP_RULE`` reads a prefix field.
+# its message shows as ``{}``. Only the step rule reads a prefix field.
 _RULES = (
     *((name, f"{name} must be finite, got {{!r}}") for name in FLOAT_FIELDS),
     ("step_index", "step_index must be >= 0 and depth >= 1"),
@@ -463,33 +505,32 @@ _RULES = (
     ("p_draft", "p_draft must be positive for a proposed token"),
     ("alpha", "alpha inconsistent with stored p_target / p_draft"),
 )
-_STEP_RULE = len(FLOAT_FIELDS) + 1
 
 
-def _rule_codes(tails: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Each tail's rule code: the first of ``_RULES`` it breaks, or 0 if it keeps them all.
+def _rule_codes(rows: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Each row's rule code: the first of ``_RULES`` it breaks, or 0 if it keeps them all.
 
-    A tail breaks ``_STEP_RULE`` when its depth is below 1; a line whose
-    step_index is negative breaks it too, which the caller checks.
+    ``rows`` maps every tail field and may map ``step_index``: a row breaks
+    the step rule when its depth is below 1 or its step_index is negative.
     """
-    p_draft, p_target, alpha = tails["p_draft"], tails["p_target"], tails["alpha"]
-    bins = tails["position_bin"]
+    p_draft, p_target, alpha = rows["p_draft"], rows["p_target"], rows["alpha"]
+    bins = rows["position_bin"]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        broken = [
-            *(~np.isfinite(tails[name]) for name in FLOAT_FIELDS),
-            tails["depth"] < 1,
+        masks = [
+            *(~np.isfinite(rows[name]) for name in FLOAT_FIELDS),
+            (rows["depth"] < 1) | (rows.get("step_index", 0) < 0),
             (bins != 0) & (bins != 1),
-            ~((alpha >= 0.0) & (alpha <= 1.0)) | (tails["target_entropy"] < 0.0),
+            ~((alpha >= 0.0) & (alpha <= 1.0)) | (rows["target_entropy"] < 0.0),
             ~(p_draft > 0.0),
-            # A tail that reaches this rule has finite values and p_draft > 0,
+            # A row that reaches this rule has finite values and p_draft > 0,
             # where np.minimum agrees with the scalar min(1.0, ratio).
             np.abs(alpha - np.minimum(p_target / p_draft, 1.0)) > 1e-9,
         ]
-    # Only the tails that break a rule are ranked: a reduction across the
+    # Only the rows that break a rule are ranked: a reduction across the
     # stacked masks costs more than the masks themselves.
-    rows = np.flatnonzero(functools.reduce(np.logical_or, broken))
+    bad = np.flatnonzero(functools.reduce(np.logical_or, masks))
     codes = np.zeros(len(p_draft), dtype=np.int64)
-    codes[rows] = np.argmax([mask[rows] for mask in broken], axis=0) + 1
+    codes[bad] = np.argmax([mask[bad] for mask in masks], axis=0) + 1
     return codes
 
 
@@ -504,28 +545,20 @@ def _domain_name(text: str) -> str:
 class _RecordReader:
     """The steps and trees of a record file, read one chunk of lines at a time.
 
-    Each line is split at its last nine commas into a prefix and a tail. A
-    run of lines with one prefix text has its prefix fields parsed once, and
-    each distinct tail text is parsed and checked once while the reader
-    knows it. Its dict of tail texts is emptied after a chunk once it holds
-    more than half a chunk of them: a file whose steps repeat a few trees
-    has each tail parsed once, and one of mostly distinct tails keeps few
-    texts. Across chunks it keeps only the domain numbering, that dict, and
-    what each chunk appends: its parsed new tails, each one's first line
-    number, each line's tail (the first line number of its text), and each
-    run's first line number and prefix fields. ``table`` then finds and
-    numbers every step at once.
-
-    Faults are ranked as a line's fields are: -1 for a byte that is not
-    UTF-8 (a lone surrogate), 0 for a wrong field count, the field's index
-    for a text an int or float field rejects, ``width`` for a domain not
-    quoted as the writer quotes it, ``width + 1`` for an int outside int64
-    and ``width + 2`` for the first rule the line breaks. A chunk raises
-    InputError for its first bad line, with that line's first fault.
+    Each line is split at its last ``len(RECORD_FIELDS) - 1`` commas into a
+    prefix and a tail. A run of lines with one prefix text has its prefix
+    fields parsed once, and each distinct tail text is parsed and checked
+    once while the reader knows it. Its dict of tail texts is emptied after
+    a chunk once it holds more than half a chunk of them: a file whose steps
+    repeat a few trees has each tail parsed once, and one of mostly distinct
+    tails keeps few texts. Across chunks it keeps only the domain numbering,
+    that dict, and what each chunk appends: its parsed new tails, each one's
+    first line number, each line's tail (the first line number of its text),
+    and each run's first line number and prefix fields. ``table`` then finds
+    and numbers every step at once.
     """
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = path
+    def __init__(self) -> None:
         self.domains: dict[str, int] = {}  # numbered as met
         self.known: dict[str, int] = {}  # tail text -> the number of the first line that held it
         empty = np.zeros(0, dtype=np.int64)
@@ -539,24 +572,25 @@ class _RecordReader:
         """Take the record lines ``lines``, the first of them line ``first_line`` of the file.
 
         A line that does not start with the previous line's prefix is split
-        at its last nine commas, which gives it a prefix; any other line
-        keeps the previous one. Either way the rest of the line is its tail.
-        Every new tail is checked to hold six commas, so the prefix's three
-        fields and the tail's seven are the fields ``rsplit`` would give: a
-        prefix's ``prompt_id`` and ``step_index`` hold no comma.
+        at its last ``len(RECORD_FIELDS) - 1`` commas, which gives it a
+        prefix; any other line keeps the previous one. Either way the rest of
+        the line is its tail. Every new tail is checked to hold
+        ``len(_TAIL_FIELDS) - 1`` commas, so the prefix's fields and the
+        tail's are the fields ``rsplit`` would give: a prefix's
+        ``prompt_id`` and ``step_index`` hold no comma.
+
+        Raises ValueError or OverflowError, leaving the reader unusable, if
+        any line has a fault that ``_line_fault`` names.
         """
-        width = len(RECORD_FIELDS)
         heads: list[str] = []  # each run's prefix fields, in turn
         runs: list[int] = []  # the index of each run's first line
         line_tails: list[str] = []
-        faults: list[tuple[int, int, str]] = []  # (line index, rank, message)
         prefix, cut = "\n\n", 0  # no line starts with two line breaks, so the first line is split
         for line in lines:
             if not line.startswith(prefix):
-                fields = line.rsplit(",", width - 1)
-                if len(fields) != width:
-                    faults.append((len(line_tails), 0, f"malformed row of {len(fields)} fields, not {width}"))
-                    break  # a later line's faults come after this one
+                fields = line.rsplit(",", len(RECORD_FIELDS) - 1)
+                if len(fields) != len(RECORD_FIELDS):
+                    raise ValueError("a line of another field count")
                 runs.append(len(line_tails))
                 heads += fields[:len(_PREFIX_FIELDS)]
                 prefix = ",".join(fields[:len(_PREFIX_FIELDS)]) + ","
@@ -568,59 +602,25 @@ class _RecordReader:
         line_ids = np.fromiter(map(self.known.setdefault, line_tails, itertools.count(first_line)),
                                np.int64, n)
         new = np.flatnonzero(line_ids == np.arange(first_line, first_line + n))  # first lines of new tails
-        new_firsts = new.tolist()
-        texts = list(map(line_tails.__getitem__, new_firsts))
+        texts = list(map(line_tails.__getitem__, new.tolist()))
         cells = ",".join(texts).split(",") if texts else []
         # Only a tail's last field ends with a line end (the file's last line
-        # may have none), so each tail holds six commas when every seventh
-        # cell but the last ends with one.
+        # may have none), so each tail holds ``len(_TAIL_FIELDS) - 1`` commas
+        # when every cell that falls where a tail's last field should, the
+        # file's last aside, ends with one.
         if len(cells) != len(_TAIL_FIELDS) * len(texts) or not all(
                 map(str.endswith, cells[len(_TAIL_FIELDS) - 1:-1:len(_TAIL_FIELDS)], itertools.repeat(("\n", "\r")))):
-            # The first line holding another count is split at its last nine
-            # commas as the first line of the rest. Its domain field then ends
-            # inside the quotes or runs past them, so the rest is rejected there
-            # unless the lines before it are.
-            at = next(line for line, text in zip(new_firsts, texts) if text.count(",") != len(_TAIL_FIELDS) - 1)
-            for text in texts:  # unknown again, as the rest is read anew
-                del self.known[text]
-            self.read(lines[:at], first_line)
-            self.read(lines[at:], first_line + at)
-            return
-        # Every byte of a line lies in its run's prefix or in its tail, so the
-        # new prefixes, the new tails and the malformed line the loop may
-        # have stopped at hold every byte not checked before.
-        try:
-            "".join(itertools.chain(heads, texts, lines[n:n + 1])).encode("utf-8")
-        except UnicodeEncodeError:
-            at = next(i for i, line in enumerate(lines) if _not_utf8(line))
-            faults.append((at, -1, _not_utf8(lines[at])))
-        tails = {
-            name: _parse_column(cells[i::len(_TAIL_FIELDS)], int if name in INT_FIELDS else float,
-                                len(_PREFIX_FIELDS) + i, faults, new_firsts)
-            for i, name in enumerate(_TAIL_FIELDS)
-        }
-
-        domain, prompt_id, step_index = (
-            _parse_column(heads[i::len(_PREFIX_FIELDS)], parse, rank, faults, runs)
-            for i, (parse, rank) in enumerate([(self._domain_code, width), (int, 1), (int, 2)])
-        )
-
-        # The first line to break a rule, with the first rule it breaks: its
-        # tail's, or the step rule if its step_index is negative.
-        broken = []  # (line index, rule code, message)
-        tail_codes = _rule_codes(tails)
-        for bad in np.flatnonzero(tail_codes)[:1].tolist():
-            name, message = _RULES[tail_codes[bad] - 1]
-            value = tails[name][bad].item() if name in tails else None
-            broken.append((new_firsts[bad], int(tail_codes[bad]), message.format(value)))
-        for run in np.flatnonzero(step_index < 0)[:1].tolist():
-            broken.append((runs[run], _STEP_RULE, _RULES[_STEP_RULE - 1][1]))
-        if broken:
-            line, _, message = min(broken)
-            faults.append((line, width + 2, message))
-        if faults:
-            line, _, message = min(faults)
-            raise InputError(f"{self.path}:{first_line + line}: {message}")
+            raise ValueError("a new tail of another field count")
+        # Every byte of a line lies in its run's prefix or in its tail, so
+        # encoding the new prefixes and tails checks every byte not checked
+        # before; a lone surrogate fails it.
+        "".join(itertools.chain(heads, texts)).encode("utf-8")
+        tails = {name: _parse_column(cells[i::len(_TAIL_FIELDS)], RECORD_TYPES[name])
+                 for i, name in enumerate(_TAIL_FIELDS)}
+        domain, prompt_id, step_index = (_parse_column(heads[i::len(_PREFIX_FIELDS)], parse)
+                                         for i, parse in enumerate([self._domain_code, int, int]))
+        if _rule_codes(tails).any() or (step_index < 0).any():
+            raise ValueError("a record breaks a rule")
 
         if len(self.known) > _CSV_CHUNK_ROWS // 2:
             self.known.clear()  # so a file of mostly distinct tails keeps few texts
@@ -665,32 +665,11 @@ class _RecordReader:
         return RecordTable.from_steps(tuple(self.domains), steps, np.append(0, np.cumsum(hi - lo)), trees)
 
 
-def _parse_column(texts: list[str], parse, rank: int, faults: list[tuple[int, int, str]],
-                  lines: Sequence[int]) -> np.ndarray:
-    """``parse`` applied to each distinct text once; ``texts[i]`` is on line ``lines[i]``.
-
-    A text that ``parse`` rejects, or whose int falls outside int64, reads
-    as 0, and the first line holding one joins ``faults``: at ``rank``, or
-    at the int64 rank (see ``_RecordReader``).
-    """
-    dtype = np.float64 if parse is float else np.int64
+def _parse_column(texts: list[str], parse) -> np.ndarray:
+    """``parse`` applied to each distinct text once, as int64, or float64 when ``parse`` is float."""
     distinct = dict.fromkeys(texts)
-    try:
-        values = dict(zip(distinct, map(parse, distinct)))
-        return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
-    except (ValueError, OverflowError):
-        pass
-    values, bad = {}, {}
-    for text in distinct:
-        try:
-            values[text] = parse(text)
-        except ValueError as exc:
-            values[text], bad[text] = 0, (rank, str(exc))
-        if parse is int and not -(2**63) <= values[text] < 2**63:
-            values[text], bad[text] = 0, (len(RECORD_FIELDS) + 1, "integer field outside the int64 range")
-    first = next(i for i, text in enumerate(texts) if text in bad)
-    faults.append((lines[first], *bad[texts[first]]))
-    return np.fromiter(map(values.__getitem__, texts), dtype, len(texts))
+    values = dict(zip(distinct, map(parse, distinct)))
+    return np.fromiter(map(values.__getitem__, texts), np.float64 if parse is float else np.int64, len(texts))
 
 
 def _summary_to_jsonable(summary: DomainSummary) -> dict[str, object]:

@@ -130,6 +130,18 @@ class TestConfig:
             with pytest.raises(InputError, match="smoothing must be finite"):
                 config_from_mapping({"smoothing": str(smoothing)})
 
+    @pytest.mark.parametrize("tree", [{"max_depth": 2}, None, (4, 8)])
+    def test_a_tree_that_is_not_tree_params_rejected(self, tree):
+        # A dict was accepted, and config_hash then raised a bare AttributeError.
+        with pytest.raises(InputError, match=f"^tree must be a TreeParams, got {type(tree).__name__}$"):
+            GenerationConfig(tree=tree)
+
+    @pytest.mark.parametrize("eos_token", [5, b"<end>", ["<end>"]])
+    def test_an_eos_token_that_is_not_a_str_rejected(self, eos_token):
+        # 5 was accepted and hashed as the text "5".
+        with pytest.raises(InputError, match=f"^eos_token must be a str or None, got {type(eos_token).__name__}$"):
+            GenerationConfig(eos_token=eos_token)
+
     def test_integer_smoothing_is_held_as_a_float(self):
         # Its config_hash read "smoothing=1", the same config parsed from text "smoothing=1.0".
         config = GenerationConfig(smoothing=1)
@@ -884,10 +896,19 @@ class TestRecordCsv:
         ("chat,0,0,1,7,5,0.5,0.25,1.5,0.1", "position_bin must be 0 or 1, got 7"),
         ("chat,0,0,1,0,5,0.5,0.25,1.5,0.1", "alpha outside [0, 1] or negative entropy"),
         ("chat,0,0,1,0,5,-0.5,0.25,0.75,0.1", "p_draft must be positive for a proposed token"),
+        # A lone surrogate is written as the byte it stands for, which is not UTF-8.
+        ("chat,0,0,1,0,\udcff5", "not UTF-8 text: invalid start byte"),
+        ("chat,0,\udcff,1,0,5,0.5,0.25,0.5,0.1", "not UTF-8 text: invalid start byte"),
+        ("chat,0,0,1,0,x", "malformed row of 6 fields, not 10"),
+        ('"x,0,0,1,0,5', "malformed row of 6 fields, not 10"),
+        ("chat,0,-1,1,0,5,0.5,0.25,0.5,nan", "target_entropy must be finite, got nan"),
+        ("chat,0,-1,1,7,5,0.5,0.25,1.5,0.1", "step_index must be >= 0 and depth >= 1"),
+        ("chat,0,0,1,0,5,0.5,0.25,0.75,-1", "alpha outside [0, 1] or negative entropy"),
     ])
     def test_a_line_reports_its_first_fault(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text(",".join(RECORD_FIELDS) + "\n" + row + "\n", encoding="utf-8")
+        path.write_text(",".join(RECORD_FIELDS) + "\n" + row + "\n", encoding="utf-8",
+                        errors="surrogateescape")
         with pytest.raises(InputError, match=re.escape(f"{path}:2: {message}")):
             read_records_csv(path)
 
@@ -910,6 +931,15 @@ class TestRecordCsv:
         path.write_text("\n".join([",".join(RECORD_FIELDS), good, row, *[good] * 8]) + "\n",
                         encoding="utf-8")
         with pytest.raises(InputError, match=f"{path}:3: {message}"):
+            read_records_csv(path)
+
+    def test_a_chunk_no_line_check_faults_raises_the_readers_error(self, tmp_path, monkeypatch):
+        # Were the line check to pass a line the chunk check rejects, the
+        # chunk's own error surfaces: the file is never read as a table.
+        monkeypatch.setattr(runner, "_line_fault", lambda line: "")
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{RECORD_HEADER}\nchat,0,0,1,0,5,0.5,0.25,0.75,0.1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="a record breaks a rule"):
             read_records_csv(path)
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
