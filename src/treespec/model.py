@@ -52,15 +52,10 @@ class Vocabulary:
 
 
 def entropy_nats(dist: np.ndarray | Sequence[float]) -> float:
-    """Shannon entropy -sum(p ln p) in nats of a dense vector, with 0 ln 0 taken as 0."""
-    arr = np.asarray(dist, dtype=np.float64)
-    pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum()) + 0.0
-
-
-# Rows whose entropies are summed together are laid out as C-contiguous
-# (rows x |V|) float64 blocks of at most this many entries.
-_ENTROPY_BLOCK = 1 << 16
+    """Shannon entropy -sum(p ln p) in nats of a dense vector, with 0 ln 0 taken as 0;
+    InputError unless ``dist`` is ``_probabilities``."""
+    arr = _probabilities(dist, "a distribution")
+    return float(-_p_ln_p(arr[arr > 0.0]).sum()) + 0.0
 
 
 class RowBatch:
@@ -87,7 +82,7 @@ class RowBatch:
         offsets = _offsets(offsets, "row offsets", tokens.size)
         rows = offsets.size - 1
         index = np.arange(rows) if index is None else _ids(index, "the index", rows)
-        floors, probs = np.asarray(floors, dtype=np.float64), np.asarray(probs, dtype=np.float64)
+        floors, probs = _probabilities(floors, "row floors"), _probabilities(probs, "row probs")
         if probs.shape != tokens.shape or floors.shape != (rows,):
             raise InputError(f"a batch of {rows} rows needs {rows} floors and {tokens.size} probs")
         owner = np.repeat(np.arange(rows), np.diff(offsets))
@@ -161,35 +156,230 @@ class RowBatch:
 
 
 def _entropies(batch: RowBatch) -> np.ndarray:
-    """The entropy of each row of ``batch``, in row order.
+    """The entropy of each row of ``batch``, in row order: ``entropy_nats`` of its dense
+    vector, bit for bit, with no row written out |V| wide (``_row_terms``, ``_row_sums``)."""
+    floored = batch.floors > 0.0
+    floor_terms = _p_ln_p(np.where(floored, batch.floors, 1.0))  # a zero floor's is never read
+    return -_row_sums(floor_terms, *_row_terms(batch, floored)) + 0.0
 
-    A row whose floor and entries are all positive sums all |V| p ln p terms
-    of its dense vector in token order. Its terms are computed in one pass
-    without a vocabulary-sized log (np.log gives a value the same result in
-    any array) and laid out in one reused C-contiguous (rows x |V|) block of
-    at most ``_ENTROPY_BLOCK`` entries, summed row-wise as the dense 1-D sum
-    adds them (tests hold numpy to both). Any other row sums its dense
-    vector, where its zero entries drop out.
+
+def _row_terms(batch: RowBatch, floored: np.ndarray) -> tuple[np.ndarray, ...]:
+    """How many terms ``entropy_nats`` adds for each row of ``batch``, and the row, place
+    and probability of each listed positive entry.
+
+    ``entropy_nats`` adds a row's positive terms p ln p in token order: all
+    |V| tokens but the listed zeros under a positive (``floored``) floor,
+    only the positive listed entries under a zero floor. A listed positive
+    entry takes its place among them; every other place holds the floor's term.
     """
-    h, positive = np.empty(batch.floors.size), batch.floors > 0.0
-    positive[np.repeat(np.arange(h.size), np.diff(batch.offsets))[batch.probs <= 0.0]] = False
-    for i in np.flatnonzero(~positive).tolist():
-        h[i] = entropy_nats(batch.dense(np.array([i]))[0])
-    where, size = np.flatnonzero(positive), batch.size
-    at, lengths = _gather(batch.offsets, where)
-    values, floors = batch.probs[at], batch.floors[where]
-    terms, floor_terms = values * np.log(values), floors * np.log(floors)
-    per_block = max(1, _ENTROPY_BLOCK // size)
-    local, tokens = np.repeat(np.arange(where.size) % per_block, lengths), batch.tokens[at]
-    ends = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    buffer = np.empty((min(per_block, where.size), size))
-    for first in range(0, where.size, per_block):
-        last = min(first + per_block, where.size)
-        block, part = buffer[:last - first], slice(ends[first], ends[last])
-        block[:] = floor_terms[first:last, None]
-        block[local[part], tokens[part]] = terms[part]
-        h[where[first:last]] = -block.sum(axis=1) + 0.0
-    return h
+    size, rows, places, probs = batch.size, batch.floors.size, batch.tokens, batch.probs
+    owner = np.repeat(np.arange(rows), np.diff(batch.offsets))
+    positive = probs > 0.0
+    lengths = np.where(floored, size - np.bincount(owner[~positive], minlength=rows),
+                       np.bincount(owner[positive], minlength=rows))
+    if positive.all() and floored.all():
+        return lengths, owner, places, probs
+    # In token order, each row's entries keep the row's offsets.
+    order = np.argsort(owner * size + places)
+
+    def before(marked: np.ndarray) -> np.ndarray:
+        """How many ``marked`` entries of each entry's row list a lower token."""
+        running = np.concatenate(([0], np.cumsum(marked[order])))
+        counts = np.empty(order.size, dtype=np.int64)
+        counts[order] = running[:-1] - running[batch.offsets[:-1]][owner]
+        return counts
+
+    places = np.where(floored[owner], places - before(~positive), before(positive & ~floored[owner]))
+    return lengths, owner[positive], places[positive], probs[positive]
+
+
+def _p_ln_p(values: np.ndarray) -> np.ndarray:
+    """Each p ln p of ``values``: the terms of ``entropy_nats`` and of ``_entropies``."""
+    return values * np.log(values)
+
+
+# numpy adds a contiguous float64 array pairwise (Higham, "The accuracy of
+# floating point summation", 1993). A run of more than _LEAF terms splits at
+# half its length, rounded down to a multiple of _LANES; a run of at most
+# _LEAF terms is a leaf. A leaf adds its first L - L % _LANES terms in _LANES
+# strided lanes (lane j adds terms j, j + 8, ... in order), adds the lanes as
+# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) (``_combine``), then adds
+# its last L % _LANES terms, its tail, in order. (numpy starts a leaf of
+# fewer than _LANES terms at -0.0; a signed zero changes no sum but a zero
+# one, and ``_entropies`` turns a zero sum into 0.0, so sums here start at
+# 0.0 and 0.0 pads them.)
+_LEAF, _LANES = 128, 8
+_STEPS = _LEAF // _LANES  # the most terms a lane adds
+_SLOTS = _LEAF + _LANES  # a term's slot in its leaf: lane by lane, step by step, then the tail
+# The leaves that hold a listed term are summed a block at a time: fewer than
+# _BLOCK + _LEAF listed terms.
+_BLOCK = 1 << 10
+
+
+def _pairwise(n: int, start: int, leaf):
+    """``leaf(start, length)`` of each leaf of numpy's pairwise sum of the n terms from
+    ``start``, in order, added as numpy adds the leaves' sums."""
+    if n <= _LEAF:
+        return leaf(start, n)
+    half = n // 2 - n // 2 % _LANES
+    return _pairwise(half, start, leaf) + _pairwise(n - half, start + half, leaf)
+
+
+def _row_sums(floor_terms: np.ndarray, lengths: np.ndarray, rows: np.ndarray, places: np.ndarray,
+              probs: np.ndarray) -> np.ndarray:
+    """numpy's sum of each row i of ``lengths[i]`` terms: ``floor_terms[i]`` but at each
+    ``places[j]`` of row ``rows[j]``, which holds the term of ``probs[j]``.
+
+    The leaves (``_pairwise``) that hold a listed term are summed by
+    ``_leaf_sums``, a block at a time (``_written_sums``). A lane or leaf that holds none
+    repeats its row's floor term, so its sum follows from that term and its
+    length, for all rows at once: a lane of s terms for each s, a leaf
+    (``_repeated_sums``) for each of the few lengths a row length's leaves
+    have (at most four for every length up to 200,000). Then ``_merged``
+    adds each row's leaf sums in numpy's order, all rows of one length at
+    once.
+    """
+    width = floor_terms.size
+    # The leaves of every row length, numbered one length after another.
+    ns = _sorted_distinct(lengths)
+    layouts = [_pairwise(n, 0, lambda start, length: [(start, length)]) for n in ns.tolist()]
+    starts, leaf_lengths = np.array([*itertools.chain(*layouts)], dtype=np.int64).reshape(-1, 2).T
+    first_leaf = np.cumsum([0, *map(len, layouts)])
+    layout = np.searchsorted(ns, lengths)
+    # Every leaf starts at a multiple of _LANES, so each run of _LANES places lies in one leaf.
+    runs = -(-leaf_lengths // _LANES)
+    first_run = np.concatenate(([0], np.cumsum(runs)))[first_leaf[:-1]]
+    leaf = np.repeat(np.arange(starts.size), runs)[first_run[layout[rows]] + places // _LANES]
+    at, body = places - starts[leaf], leaf_lengths[leaf] - leaf_lengths[leaf] % _LANES
+    keys = (leaf * width + rows) * _SLOTS + np.where(at < body, at % _LANES * _STEPS + at // _LANES,
+                                                     _LEAF + at - body)
+    del leaf, at, body
+    order = np.argsort(keys)
+    keys, terms = keys[order], _p_ln_p(probs[order])
+    del order
+    written, sums = _written_sums(keys, terms, width, leaf_lengths, floor_terms)
+    del keys, terms
+    # Each row's place among the rows of its length.
+    by_layout = np.argsort(layout, kind="stable")
+    groups = np.searchsorted(layout[by_layout], np.arange(ns.size + 1))
+    rank = np.empty(width, dtype=np.int64)
+    rank[by_layout] = np.arange(width) - np.repeat(groups[:-1], np.diff(groups))
+    spans = np.searchsorted(written, np.arange(starts.size + 1) * width).tolist()
+    written = rank[written % width]
+    row_sums = np.empty(width)
+    for k, n in enumerate(ns.tolist()):
+        group = by_layout[groups[k]:groups[k + 1]]
+        row_sums[group] = _merged(n, layouts[k], floor_terms[group], written, sums,
+                                  spans[first_leaf[k]:first_leaf[k + 1] + 1])
+    return row_sums
+
+
+def _written_sums(keys: np.ndarray, terms: np.ndarray, width: int, leaf_lengths: np.ndarray,
+                  floor_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The written leaves, each (leaf, row) that holds a listed term as the ascending
+    ``leaf * width + row``, and their sums. Listed term j is ``terms[j]`` at slot
+    ``keys[j] % _SLOTS`` of written leaf ``keys[j] // _SLOTS``, ``keys`` ascending; leaf
+    l has ``leaf_lengths[l]`` terms, and row i's floor term is ``floor_terms[i]``."""
+    new = _run_starts(keys // _SLOTS)
+    written, firsts = keys[new] // _SLOTS, np.flatnonzero(new)
+    # A block starts at the written leaf whose listed terms pass a multiple of _BLOCK.
+    cuts = np.flatnonzero(_run_starts(firsts // _BLOCK))
+    bounds, firsts = [*cuts.tolist(), written.size], [*firsts[cuts].tolist(), keys.size]
+    # The sum of each row's lane of s floor terms, for each s a leaf's lanes have.
+    lane_steps, lanes, lane = set((leaf_lengths // _LANES).tolist()), {}, np.zeros(width)
+    for s in range(1, max(lane_steps, default=0) + 1):
+        lane = lane + floor_terms
+        if s in lane_steps:
+            lanes[s] = lane
+    sums = np.empty(written.size)
+    for first, last, start, stop in zip(bounds, bounds[1:], firsts, firsts[1:]):
+        leaf_of, row_of = np.divmod(written[first:last], width)
+        steps, clean = leaf_lengths[leaf_of] // _LANES, np.zeros(last - first)
+        for s, lane in lanes.items():
+            chosen = steps == s
+            clean[chosen] = lane[row_of[chosen]]
+        sums[first:last] = _leaf_sums(leaf_lengths[leaf_of], floor_terms[row_of], clean,
+                                      keys[start:stop], terms[start:stop])
+    return written, sums
+
+
+def _merged(n: int, layout: list[tuple[int, int]], floor_terms: np.ndarray, rows: np.ndarray,
+            sums: np.ndarray, spans: list[int]) -> np.ndarray:
+    """numpy's sum of each of a group's rows of n terms from its leaf sums: leaf j of
+    ``layout`` holds ``sums[spans[j]:spans[j + 1]]`` in rows ``rows[spans[j]:spans[j + 1]]``
+    and repeats the row's ``floor_terms`` in every other row."""
+    index, repeated = {start: j for j, (start, _) in enumerate(layout)}, {}
+
+    def leaf_sums(start: int, length: int) -> np.ndarray:
+        written = slice(spans[index[start]], spans[index[start] + 1])
+        if written.stop - written.start == floor_terms.size:  # every row lists a term here
+            values = np.empty(floor_terms.size)
+        else:
+            if length not in repeated:
+                repeated[length] = _repeated_sums(floor_terms, length)
+            values = repeated[length].copy()
+        values[rows[written]] = sums[written]
+        return values
+
+    return _pairwise(n, 0, leaf_sums)
+
+
+def _leaf_sums(lengths: np.ndarray, floor_terms: np.ndarray, lanes: np.ndarray, keys: np.ndarray,
+               terms: np.ndarray) -> np.ndarray:
+    """numpy's sum of each leaf i of ``lengths[i]`` terms, ``floor_terms[i]`` but where a
+    term is listed: the leaves take the distinct ``keys // _SLOTS`` in order, and term j
+    of ascending ``keys`` is ``terms[j]`` at slot ``keys[j] % _SLOTS`` of its leaf.
+    ``lanes[i]`` is the sum of a lane of leaf i that holds no listed term.
+
+    Only the lanes and the tails that hold a listed term are written out.
+    """
+    owner, slots = np.cumsum(_run_starts(keys // _SLOTS)) - 1, keys % _SLOTS
+    steps, tails = np.divmod(lengths, _LANES)
+    in_lane = slots < _LEAF
+    lane_of = owner[in_lane] * _LANES + slots[in_lane] // _STEPS
+    new = _run_starts(lane_of)
+    dirty = lane_of[new]
+    block = np.repeat(lanes[None], _LANES, axis=0)
+    block[dirty % _LANES, dirty // _LANES] = _running_sums(
+        np.zeros(dirty.size), floor_terms[dirty // _LANES], steps[dirty // _LANES],
+        slots[in_lane] % _STEPS, np.cumsum(new) - 1, terms[in_lane])
+    return _running_sums(_combine(block), floor_terms, tails, slots[~in_lane] - _LEAF,
+                         owner[~in_lane], terms[~in_lane])
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Whether each value of an int array differs from the one before it, the first always."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
+def _running_sums(starts: np.ndarray, values: np.ndarray, counts: np.ndarray, at: np.ndarray,
+                  owners: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Each ``starts[i]`` plus ``counts[i]`` terms added in order, each ``values[i]`` but
+    term ``at[j]`` of sum ``owners[j]``, which is ``terms[j]``."""
+    block = np.where(np.arange(counts.max(initial=0))[:, None] < counts, values, 0.0)
+    block[at, owners] = terms
+    for column in block:
+        starts = starts + column
+    return starts
+
+
+def _combine(lanes: np.ndarray) -> np.ndarray:
+    """numpy's sum of a leaf's eight lane sums ``lanes[0]`` ... ``lanes[7]``."""
+    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+
+
+def _repeated_sums(terms: np.ndarray, length: int) -> np.ndarray:
+    """numpy's sum of a leaf of ``length`` copies of each of ``terms``. Its lanes are
+    equal, so each addition in ``_combine`` doubles exactly."""
+    lane = np.zeros_like(terms)
+    for _ in range(length // _LANES):
+        lane = lane + terms
+    leaf = lane * 8.0
+    for _ in range(length % _LANES):
+        leaf = leaf + terms
+    return leaf
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -345,7 +535,7 @@ class NGramModel(LanguageModel):
         model.smoothing = smoothing
         model._levels = levels
         rows = keys // size
-        offsets = np.searchsorted(rows, np.arange(n_contexts + 1))
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_contexts))))
         # Differences of running sums give a row with no successors a total of 0.
         cumulative = np.concatenate(([0], np.cumsum(counts)))
         # Rank order within each row: the keys ascend by token, and lexsort is stable.
@@ -471,6 +661,21 @@ def _ids(values: object, name: str, high: int | np.ndarray, low: int = 0, ndim: 
         bound = high if np.ndim(high) == 0 else "its own bound"
         raise InputError(f"{name} must be {ndim}-D of integers in [{low}, {bound})") from None
     return ids.astype(np.int64, copy=False)
+
+
+def _probabilities(values: object, name: str) -> np.ndarray:
+    """``values`` as a float64 array; InputError naming ``name`` unless it is 1-D and each
+    value is a probability in [0, 1] (so neither NaN nor infinite)."""
+    try:
+        probs = np.asarray(values, dtype=np.float64)  # a ragged nesting or a string raises ValueError
+    except (TypeError, ValueError):
+        probs = None
+    if probs is None or probs.ndim != 1:
+        raise InputError(f"{name} must be 1-D of probabilities in [0, 1]")
+    outside = ~((probs >= 0.0) & (probs <= 1.0))
+    if outside.any():
+        raise InputError(f"{name} must be probabilities in [0, 1], got {float(probs[outside][0])!r}")
+    return probs
 
 
 def _offsets(values: object, name: str, total: int) -> np.ndarray:

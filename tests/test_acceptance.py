@@ -159,8 +159,8 @@ def test_count_arithmetic_early_stop(corpora):
 
 
 def test_entropy_checks(default_report):
-    uniform_dev, one_hot = check_entropy((2, 3, 4, 10, 50))
-    closed_form_ok = uniform_dev <= 1e-12 and one_hot == 0.0
+    uniform_dev, one_hot, sparse_off = check_entropy(np.random.default_rng(0), (2, 3, 4, 10, 50, 129, 4001))
+    closed_form_ok = uniform_dev <= 1e-12 and one_hot == 0.0 and sparse_off == 0
 
     vocab_sizes = {
         d: meta["vocab_size"] for d, meta in default_report.metadata["domains"].items()

@@ -4,7 +4,6 @@ import itertools
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,6 +531,19 @@ class TestEntropy:
             shuffled = rng.permutation(dist)
             assert entropy_nats(shuffled) == pytest.approx(entropy_nats(dist), abs=1e-12)
 
+    @pytest.mark.parametrize("dist, match", [
+        # Each was summed: to -0.608, 0.0, nan and, over both rows, 1.386.
+        ([-0.5, 1.5], r"^a distribution must be probabilities in \[0, 1\], got -0\.5$"),
+        ([math.nan, 1.0], r"^a distribution must be probabilities in \[0, 1\], got nan$"),
+        ([0.5, math.inf], r"^a distribution must be probabilities in \[0, 1\], got inf$"),
+        ([[0.5, 0.5], [0.5, 0.5]], r"^a distribution must be 1-D of probabilities in \[0, 1\]$"),
+        (0.5, r"^a distribution must be 1-D of probabilities in \[0, 1\]$"),
+        (["a"], r"^a distribution must be 1-D of probabilities in \[0, 1\]$"),
+    ])
+    def test_rejects_values_that_are_not_probabilities(self, dist, match):
+        with pytest.raises(InputError, match=match):
+            entropy_nats(dist)
+
     def test_bounds(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -666,30 +678,20 @@ class TestRowBatch:
                 assert top_lists(batch, 40) == [top_candidates(d, 40) for d in dense]
 
     def test_log_does_not_depend_on_array_length(self):
-        # _entropies takes its p ln p terms from a short array and the
-        # dense path from a vocabulary-sized one; their bits agree only while
-        # np.log gives a value the same result wherever it sits.
+        # _entropies takes its p ln p terms from arrays of the listed
+        # entries and the floors, and the dense path from a vocabulary-sized
+        # one; their bits agree only while np.log gives a value the same
+        # result wherever it sits.
         values = np.random.default_rng(31).random(20_000) + 1e-12
         whole = np.log(values)
         for step in (1, 2, 3, 9):
             parts = [np.log(values[i:i + step]) for i in range(0, values.size, step)]
             assert_same_bits(np.concatenate(parts), whole)
 
-    def test_row_sums_of_a_block_equal_one_dimensional_sums(self):
-        # _entropies sums each row of a C-contiguous block where the
-        # dense path sums a 1-D array; the bits agree only while numpy adds
-        # a block row as it adds the same values alone.
-        rng = np.random.default_rng(37)
-        for width in (129, 517, 3999, 4000, 8193):
-            block = rng.random((64, width)) * rng.choice([1e-6, 1.0, 1e6], size=(64, 1))
-            assert_same_bits(block.sum(axis=1), np.array([row.sum() for row in block]))
-
     @pytest.mark.parametrize("size", [129, 517, 4000, 8193])
     @pytest.mark.parametrize("smoothing", [0.0, 0.1])
     def test_batched_entropies_match_single_rows_and_dense(self, size, smoothing, monkeypatch):
-        # Three rows to a block, so a batch's rows split across block
-        # boundaries; unseen contexts share one row, and a row may repeat.
-        monkeypatch.setattr(model_module, "_ENTROPY_BLOCK", 3 * size)
+        # Unseen contexts share one row, and a row may repeat.
         summed = spy_on_entropies(monkeypatch)
         rng = np.random.default_rng(size + int(10 * smoothing))
         vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
@@ -710,28 +712,6 @@ class TestRowBatch:
         assert np.count_nonzero(batch.floors > 0.0) == (12 if smoothing else 1)
         for context, h in zip(contexts, hs):
             assert h.hex() == entropy_nats(model.next_token_dist(context)).hex()
-
-    def test_entropy_blocks_stay_within_the_bound(self, monkeypatch):
-        # Sixty narrow rows at |V| = 4000 and three rows to a block: the
-        # block buffer, not the rows' few values, sets the peak, and it
-        # holds three rows, not sixty.
-        size = 4000
-        monkeypatch.setattr(model_module, "_ENTROPY_BLOCK", 3 * size)
-        rng = np.random.default_rng(61)
-        vocab = Vocabulary(tuple(f"t{i}" for i in range(size)))
-        counts = {(c,): {int(t): int(rng.integers(1, 5)) for t in rng.choice(size, 8, replace=False)}
-                  for c in range(60)}
-        batch = ngram_model(vocab, 2, counts, 0.1).next_token_dists([[c] for c in range(60)])
-        dense = [entropy_nats(vector) for vector in batch.dense()]
-        tracemalloc.start()
-        try:
-            hs = batch.entropies()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert hs.tolist() == dense
-        block = 3 * size * np.dtype(np.float64).itemsize
-        assert block <= peak < 2 * block
 
     def test_each_row_is_summed_once_per_batch(self, monkeypatch):
         summed = spy_on_entropies(monkeypatch)
@@ -813,6 +793,16 @@ class TestRowBatch:
         ([0, 1], [1], [0.5], [0.25], [0.7], r"index must be 1-D of integers in \[0, 1\)"),
         ([0, 1, 2], [1, 2], [0.5, 0.5], [0.25, 0.25], [True], r"index must be 1-D of integers in \[0, 2\)"),
         ([0, 1.5, 1], [1], [0.5], [0.25, 0.1], None, r"offsets must be 1-D of integers in \[0, 2\)"),
+        # Each value that is no probability was summed: nan gave a nan entropy and an infinite floor -inf.
+        ([0, 1], [1], [math.nan], [0.25], None, r"row probs must be probabilities in \[0, 1\], got nan"),
+        ([0, 1], [1], [-0.5], [0.25], None, r"row probs must be probabilities in \[0, 1\], got -0\.5"),
+        ([0, 1], [1], [1.5], [0.25], None, r"row probs must be probabilities in \[0, 1\], got 1\.5"),
+        ([0, 1], [1], [0.5], [math.inf], None, r"row floors must be probabilities in \[0, 1\], got inf"),
+        ([0, 1], [1], [0.5], [-math.inf], None, r"row floors must be probabilities in \[0, 1\], got -inf"),
+        ([0, 1], [1], [0.5], [math.nan], None, r"row floors must be probabilities in \[0, 1\], got nan"),
+        ([0, 1], [1], [0.5], [-1e-300], None, r"row floors must be probabilities in \[0, 1\], got -1e-300"),
+        ([0, 1], [1], [[0.5]], [0.25], None, r"row probs must be 1-D of probabilities in \[0, 1\]"),
+        ([0, 1], [1], [0.5], ["x"], None, r"row floors must be 1-D of probabilities in \[0, 1\]"),
         # Ragged nestings raised numpy's bare ValueError (inhomogeneous shape).
         ([0, 1], [[1], [1, 2]], [0.5], [0.25], None, r"row tokens must be 1-D of integers in \[0, 3\)"),
         ([[0], [0, 1]], [1], [0.5], [0.25], None, r"offsets must be 1-D of integers in \[0, 2\)"),
