@@ -17,6 +17,7 @@ from treespec import (
     synthetic_corpus,
     train_models,
 )
+import treespec.corpus as corpus_module
 from treespec.corpus import (
     _CHAT_GREETINGS,
     _CHAT_MOODS,
@@ -25,13 +26,14 @@ from treespec.corpus import (
     _CODE_ARGS,
     _CODE_NAMES,
     _CODE_OPS,
-    _EPISODE_GENERATORS,
     _REASON_ITEMS,
     _REASON_NAMES,
     END_TOKEN,
     SYNTHETIC_DOMAINS,
     UNK_TOKEN,
-    _below,
+    _mt19937,
+    _pool_swap,
+    _Stream,
     build_vocabulary,
     load_corpora,
     load_domain_dir,
@@ -71,7 +73,7 @@ def _corpus_digest(corpus):
 
 
 # The episode generators as written with random's own methods: the oracle
-# that the getrandbits draws in treespec.corpus must equal, draw for draw.
+# that the array draws in treespec.corpus must equal, draw for draw.
 def _oracle_chat(rng):
     ep = ["user", ":", rng.choice(_CHAT_GREETINGS), "how", "are", "you", "today", "?"]
     ep += ["assistant", ":", "i", "am", rng.choice(_CHAT_MOODS), ",", "thank", "you", "for", "asking"]
@@ -126,28 +128,109 @@ ORACLE_GENERATORS = {
 }
 
 
+def oracle_corpus(domain, n_docs, seed, doc_len):
+    """``synthetic_corpus`` as written with random's own methods: the oracle episodes of one
+    seeded generator, packed into documents and encoded by ``DomainCorpus.from_tokens``."""
+    rng = random.Random(f"{domain}-{seed}")
+    docs = []
+    for _ in range(n_docs):
+        doc = []
+        while len(doc) < doc_len:
+            doc += ORACLE_GENERATORS[domain](rng)
+        docs.append(doc)
+    return DomainCorpus.from_tokens(domain, docs)
+
+
+# The reference shape, one off it, a single document, documents shorter than
+# an episode, one-token documents and a corpus larger than the reference.
+ORACLE_SHAPES = [(42, 160, 600), (7, 20, 300), (0, 1, 600), (3, 5, 10), (1, 3, 1), (11, 400, 1000)]
+
+
+def stream_of(rng, size):
+    """A ``_Stream`` of the next ``size`` words of ``rng``, one getrandbits(32) each; ``rng``
+    is left where it was."""
+    state = rng.getstate()
+    words = np.array([rng.getrandbits(32) for _ in range(size)], dtype=np.uint32)
+    rng.setstate(state)
+    return _Stream(words)
+
+
 class TestDraws:
     @pytest.mark.parametrize("domain", SYNTHETIC_DOMAINS)
-    def test_generators_match_the_random_method_oracle(self, domain):
-        generator, oracle = _EPISODE_GENERATORS[domain], ORACLE_GENERATORS[domain]
-        for seed in range(200):
-            rng, expected_rng = random.Random(f"{domain}-{seed}"), random.Random(f"{domain}-{seed}")
-            for _ in range(20):
-                assert generator(rng) == oracle(expected_rng), (domain, seed)
-            assert rng.getstate() == expected_rng.getstate(), (domain, seed)
+    def test_corpus_matches_the_random_method_oracle(self, domain):
+        # Fifty more seeds, each with its own document count and length.
+        shapes = ORACLE_SHAPES + [(seed, 1 + seed % 7, 1 + 37 * seed % 251) for seed in range(50)]
+        for seed, n_docs, doc_len in shapes:
+            expected = oracle_corpus(domain, n_docs, seed, doc_len)
+            assert synthetic_corpus(domain, n_docs, seed, doc_len) == expected, (seed, n_docs, doc_len)
 
-    # Every n up to 64 takes the redraw branch wherever n is not a power of
-    # two; the large n need more than one 32-bit word per draw.
-    @pytest.mark.parametrize("n", [*range(1, 65), 1000, 2**32 + 1, 3 * 2**60 + 5])
-    def test_below_matches_randint_and_choice(self, n):
+    def test_a_stream_too_short_grows_until_the_documents_fit(self, monkeypatch):
+        # From one word, the stream doubles until a walk fits the documents.
+        walk, sizes = corpus_module._walk, []
+
+        def counted_walk(end, *args):
+            sizes.append(end.size - 2)
+            return walk(end, *args)
+
+        monkeypatch.setattr(corpus_module, "_stream_size", lambda *args: 1)
+        monkeypatch.setattr(corpus_module, "_walk", counted_walk)
+        for domain in SYNTHETIC_DOMAINS:
+            sizes.clear()
+            assert synthetic_corpus(domain, 6, 5, 200) == oracle_corpus(domain, 6, 5, 200)
+            assert len(sizes) >= 5 and sizes == [2**i for i in range(len(sizes))], (domain, sizes)
+
+    # getstate() is the 624 key words and then the position, anywhere in the
+    # key or at its end, where the next word regenerates it.
+    @pytest.mark.parametrize("words_before", [0, 1, 623, 624, 1000])
+    def test_mt19937_continues_the_generator(self, words_before):
+        rng = random.Random("chat-42")
+        for _ in range(words_before):
+            rng.getrandbits(32)
+        generator = _mt19937(rng.getstate()[1])
+        assert generator.random_raw(1500).tolist() == [rng.getrandbits(32) for _ in range(1500)]
+
+    def test_getrandbits_takes_one_word_from_the_top(self):
+        # The rule each bounded draw is tabled by: getrandbits(k <= 32) is one word's top k bits.
+        rng, words = random.Random(5), random.Random(5)
+        for k in [*range(1, 33)] * 3:
+            assert rng.getrandbits(k) == words.getrandbits(32) >> (32 - k)
+
+    # Every n up to 64 takes the redraw branch wherever n is not a power of two.
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_bounded_draw_matches_randint_and_choice(self, n):
         seq = range(n)
         for seed in range(3):
-            rng, expected = random.Random(seed), random.Random(seed)
-            bits = rng.getrandbits
+            expected = random.Random(seed)
+            stream = stream_of(expected, 600)
+            at = np.zeros(1, np.intp)
             for _ in range(50):
-                assert -3 + _below(bits, n) == expected.randint(-3, n - 4)
-                assert seq[_below(bits, n)] == expected.choice(seq)
-            assert rng.getstate() == expected.getstate()
+                at = stream.below(n, at)
+                assert -3 + stream.value(n, at).item() == expected.randint(-3, n - 4)
+                at = stream.below(n, at)
+                assert seq[stream.value(n, at).item()] == expected.choice(seq)
+            assert at[0] <= stream.size and stream.words[at[0]] == expected.getrandbits(32)
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_bounded_draw_from_every_position(self, n):
+        # From position p, a draw gives what randrange gives after p words and takes as many
+        # words; one that runs out of words lands past the end, and a draw from there stays.
+        stream = stream_of(random.Random(n), 40)
+        at = stream.below(n, np.arange(stream.size + 2))
+        values = stream.value(n, at)
+        for p in range(stream.size + 2):
+            rng = random.Random(n)
+            for _ in range(p):
+                rng.getrandbits(32)
+            counter = random.Random()
+            counter.setstate(rng.getstate())
+            draw, taken = rng.randrange(n), 0
+            while counter.getstate() != rng.getstate():
+                counter.getrandbits(32)
+                taken += 1
+            if p + taken <= stream.size:
+                assert (at[p], values[p]) == (p + taken, draw), p
+            else:
+                assert at[p] == stream.size + 1, p
 
     # random.sample(seq, 2) swaps within a pool while len(seq) <= 21, which
     # covers the reasoning generator's names.
@@ -155,14 +238,30 @@ class TestDraws:
     def test_pool_swap_matches_sample(self, n):
         seq = [f"t{i}" for i in range(n)]
         for seed in range(3):
-            rng, expected = random.Random(seed), random.Random(seed)
-            bits = rng.getrandbits
+            expected = random.Random(seed)
+            stream = stream_of(expected, 600)
+            at = np.zeros(1, np.intp)
             for _ in range(50):
-                first = _below(bits, n)
-                second = _below(bits, n - 1)
-                pair = [seq[first], seq[n - 1 if second == first else second]]
-                assert pair == expected.sample(seq, 2)
-            assert rng.getstate() == expected.getstate()
+                at = stream.below(n, at)
+                first = stream.value(n, at)
+                at = stream.below(n - 1, at)
+                second = stream.value(n - 1, at)
+                assert [seq[first[0]], seq[_pool_swap(first, second, n)[0]]] == expected.sample(seq, 2)
+            assert at[0] <= stream.size and stream.words[at[0]] == expected.getrandbits(32)
+
+    def test_float_draw_matches_random(self):
+        # A word between draws starts the next float at the other parity.
+        for seed in range(3):
+            expected = random.Random(seed)
+            stream = stream_of(expected, 200)
+            at = np.zeros(1, np.intp)
+            for _ in range(60):
+                value, at = stream.random(at)
+                assert value[0] == expected.random()
+                assert stream.words[at[0]] == expected.getrandbits(32)
+                at += 1
+            value, at = stream.random(np.array([stream.size - 1]))
+            assert at[0] == stream.size + 1  # two words from the last one run past the end
 
 
 class TestTokenize:
@@ -428,17 +527,16 @@ class TestSynthetic:
         with pytest.raises(InputError):
             synthetic_corpus("poetry")
 
-    def test_generator_tokens_survive_whitespace_split(self):
-        for domain, generator in _EPISODE_GENERATORS.items():
-            rng = random.Random(domain)
-            for _ in range(500):
-                for token in generator(rng):
-                    assert token and token.split() == [token], (domain, token)
+    def test_tokens_survive_whitespace_split(self):
+        for domain, corpus in synthetic_corpora(n_docs=40, seed=3).items():
+            for token in corpus.vocabulary.tokens:
+                assert token and token.split() == [token], (domain, token)
 
     @pytest.mark.parametrize("domain", SYNTHETIC_DOMAINS)
     def test_tokens_encode_like_joined_text(self, domain):
-        # synthetic_corpus encodes the generators' token lists directly; the
-        # space-joined documents must read back to the same corpus.
+        # synthetic_corpus writes template ids and remaps them to the sorted
+        # vocabulary; the space-joined documents, read back by from_texts and so
+        # encoded by from_tokens, must give the same corpus.
         for seed, n_docs in ((0, 1), (7, 3), (42, 20)):
             corpus = synthetic_corpus(domain, n_docs=n_docs, seed=seed)
             tokens = corpus.vocabulary.tokens
