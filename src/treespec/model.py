@@ -199,21 +199,12 @@ def _p_ln_p(values: np.ndarray) -> np.ndarray:
 
 
 # numpy adds a contiguous float64 array pairwise (Higham, "The accuracy of
-# floating point summation", 1993). A run of more than _LEAF terms splits at
-# half its length, rounded down to a multiple of _LANES; a run of at most
-# _LEAF terms is a leaf. A leaf adds its first L - L % _LANES terms in _LANES
-# strided lanes (lane j adds terms j, j + 8, ... in order), adds the lanes as
-# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) (``_combine``), then adds
-# its last L % _LANES terms, its tail, in order. (numpy starts a leaf of
-# fewer than _LANES terms at -0.0; a signed zero changes no sum but a zero
-# one, and ``_entropies`` turns a zero sum into 0.0, so sums here start at
-# 0.0 and 0.0 pads them.)
+# floating point summation", 1993): a run of more than _LEAF terms splits at
+# half its length, rounded down to a multiple of _LANES, and a shorter run is a
+# leaf, which numpy adds its own way. Leaves are written out _MIN_BLOCK to
+# _MAX_BLOCK at a time, at most 1/_BLOCK_SHARE of a batch's dense terms.
 _LEAF, _LANES = 128, 8
-_STEPS = _LEAF // _LANES  # the most terms a lane adds
-_SLOTS = _LEAF + _LANES  # a term's slot in its leaf: lane by lane, step by step, then the tail
-# The leaves that hold a listed term are summed a block at a time: fewer than
-# _BLOCK + _LEAF listed terms.
-_BLOCK = 1 << 10
+_MIN_BLOCK, _MAX_BLOCK, _BLOCK_SHARE = 64, 512, 192
 
 
 def _pairwise(n: int, start: int, leaf):
@@ -230,156 +221,72 @@ def _row_sums(floor_terms: np.ndarray, lengths: np.ndarray, rows: np.ndarray, pl
     """numpy's sum of each row i of ``lengths[i]`` terms: ``floor_terms[i]`` but at each
     ``places[j]`` of row ``rows[j]``, which holds the term of ``probs[j]``.
 
-    The leaves (``_pairwise``) that hold a listed term are summed by
-    ``_leaf_sums``, a block at a time (``_written_sums``). A lane or leaf that holds none
-    repeats its row's floor term, so its sum follows from that term and its
-    length, for all rows at once: a lane of s terms for each s, a leaf
-    (``_repeated_sums``) for each of the few lengths a row length's leaves
-    have (at most four for every length up to 200,000). Then ``_merged``
-    adds each row's leaf sums in numpy's order, all rows of one length at
-    once.
+    That is its leaves' own sums (``_pairwise``), added in the split's order,
+    all rows of one length at once. Only the leaves that hold a listed term
+    are written out (``_leaf_sums``); one that holds none repeats its row's floor
+    term, so it is summed once per leaf length and distinct floor term (by bit
+    pattern) among the rows of its length.
     """
-    width = floor_terms.size
-    # The leaves of every row length, numbered one length after another.
+    width, row_sums = floor_terms.size, np.empty(floor_terms.size)
+    block = min(max(int(lengths.sum()) // (_BLOCK_SHARE * _LEAF), _MIN_BLOCK), _MAX_BLOCK)
+    # Leaf l of all the row lengths' terms laid end to end begins at term begins[l].
     ns = _sorted_distinct(lengths)
-    layouts = [_pairwise(n, 0, lambda start, length: [(start, length)]) for n in ns.tolist()]
-    starts, leaf_lengths = np.array([*itertools.chain(*layouts)], dtype=np.int64).reshape(-1, 2).T
-    first_leaf = np.cumsum([0, *map(len, layouts)])
-    layout = np.searchsorted(ns, lengths)
-    # Every leaf starts at a multiple of _LANES, so each run of _LANES places lies in one leaf.
-    runs = -(-leaf_lengths // _LANES)
-    first_run = np.concatenate(([0], np.cumsum(runs)))[first_leaf[:-1]]
-    leaf = np.repeat(np.arange(starts.size), runs)[first_run[layout[rows]] + places // _LANES]
-    at, body = places - starts[leaf], leaf_lengths[leaf] - leaf_lengths[leaf] % _LANES
-    keys = (leaf * width + rows) * _SLOTS + np.where(at < body, at % _LANES * _STEPS + at // _LANES,
-                                                     _LEAF + at - body)
-    del leaf, at, body
+    shifts = np.cumsum(np.concatenate(([0], ns)))
+    layouts = (_pairwise(n, shift, lambda start, length: [(start, length)])
+               for n, shift in zip(ns.tolist(), shifts.tolist()))
+    begins, leaf_lengths = np.array([*itertools.chain(*layouts)], dtype=np.int64).reshape(-1, 2).T
+    # The rows renumbered by length: the rows of length ns[k] are groups[k]...groups[k + 1] - 1.
+    by_length = np.argsort(lengths, kind="stable")
+    groups = np.append(np.searchsorted(lengths[by_length], ns), width)
+    at = shifts[np.searchsorted(ns, lengths[rows])] + places
+    leaf = np.searchsorted(begins, at, side="right") - 1  # past an empty leaf that begins there
+    at -= begins[leaf]
+    keys = (leaf_lengths[leaf] * begins.size + leaf) * width + np.argsort(by_length)[rows]
+    del leaf
     order = np.argsort(keys)
-    keys, terms = keys[order], _p_ln_p(probs[order])
+    keys = keys[order]  # each one in turn, so that few are alive at once
+    at = at[order]
+    terms = _p_ln_p(probs[order])
     del order
-    written, sums = _written_sums(keys, terms, width, leaf_lengths, floor_terms)
-    del keys, terms
-    # Each row's place among the rows of its length.
-    by_layout = np.argsort(layout, kind="stable")
-    groups = np.searchsorted(layout[by_layout], np.arange(ns.size + 1))
-    rank = np.empty(width, dtype=np.int64)
-    rank[by_layout] = np.arange(width) - np.repeat(groups[:-1], np.diff(groups))
-    spans = np.searchsorted(written, np.arange(starts.size + 1) * width).tolist()
-    written = rank[written % width]
-    row_sums = np.empty(width)
+    # The written leaves, each (leaf, row) that holds a listed term, by leaf length, leaf and row.
+    new = np.diff(keys, prepend=-1) != 0
+    written = keys[new]
+    sums = _leaf_sums(written // (begins.size * width), floor_terms[by_length[written % width]], block,
+                      np.cumsum(new) - 1, at, terms)
+    bounds = ((leaf_lengths * begins.size + np.arange(begins.size)) * width)[:, None] + [0, width]
+    # ``_pairwise`` visits each length's leaves in order, so the lengths' folds take them in turn.
+    leaves, written = iter(np.searchsorted(written, bounds).tolist()), written % width
     for k, n in enumerate(ns.tolist()):
-        group = by_layout[groups[k]:groups[k + 1]]
-        row_sums[group] = _merged(n, layouts[k], floor_terms[group], written, sums,
-                                  spans[first_leaf[k]:first_leaf[k + 1] + 1])
+        group = by_length[groups[k]:groups[k + 1]]
+        (floors, floor_of), repeated = np.unique(floor_terms[group].view(np.int64), return_inverse=True), {}
+
+        def leaf_sums(start: int, length: int) -> np.ndarray:
+            if length not in repeated:
+                repeated[length] = _leaf_sums(np.full(floors.size, length), floors.view(np.float64), block)
+            values = repeated[length][floor_of]
+            lo, hi = next(leaves)
+            values[written[lo:hi] - groups[k]] = sums[lo:hi]
+            return values
+
+        row_sums[group] = _pairwise(n, 0, leaf_sums)
     return row_sums
 
 
-def _written_sums(keys: np.ndarray, terms: np.ndarray, width: int, leaf_lengths: np.ndarray,
-                  floor_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The written leaves, each (leaf, row) that holds a listed term as the ascending
-    ``leaf * width + row``, and their sums. Listed term j is ``terms[j]`` at slot
-    ``keys[j] % _SLOTS`` of written leaf ``keys[j] // _SLOTS``, ``keys`` ascending; leaf
-    l has ``leaf_lengths[l]`` terms, and row i's floor term is ``floor_terms[i]``."""
-    new = _run_starts(keys // _SLOTS)
-    written, firsts = keys[new] // _SLOTS, np.flatnonzero(new)
-    # A block starts at the written leaf whose listed terms pass a multiple of _BLOCK.
-    cuts = np.flatnonzero(_run_starts(firsts // _BLOCK))
-    bounds, firsts = [*cuts.tolist(), written.size], [*firsts[cuts].tolist(), keys.size]
-    # The sum of each row's lane of s floor terms, for each s a leaf's lanes have.
-    lane_steps, lanes, lane = set((leaf_lengths // _LANES).tolist()), {}, np.zeros(width)
-    for s in range(1, max(lane_steps, default=0) + 1):
-        lane = lane + floor_terms
-        if s in lane_steps:
-            lanes[s] = lane
-    sums = np.empty(written.size)
-    for first, last, start, stop in zip(bounds, bounds[1:], firsts, firsts[1:]):
-        leaf_of, row_of = np.divmod(written[first:last], width)
-        steps, clean = leaf_lengths[leaf_of] // _LANES, np.zeros(last - first)
-        for s, lane in lanes.items():
-            chosen = steps == s
-            clean[chosen] = lane[row_of[chosen]]
-        sums[first:last] = _leaf_sums(leaf_lengths[leaf_of], floor_terms[row_of], clean,
-                                      keys[start:stop], terms[start:stop])
-    return written, sums
-
-
-def _merged(n: int, layout: list[tuple[int, int]], floor_terms: np.ndarray, rows: np.ndarray,
-            sums: np.ndarray, spans: list[int]) -> np.ndarray:
-    """numpy's sum of each of a group's rows of n terms from its leaf sums: leaf j of
-    ``layout`` holds ``sums[spans[j]:spans[j + 1]]`` in rows ``rows[spans[j]:spans[j + 1]]``
-    and repeats the row's ``floor_terms`` in every other row."""
-    index, repeated = {start: j for j, (start, _) in enumerate(layout)}, {}
-
-    def leaf_sums(start: int, length: int) -> np.ndarray:
-        written = slice(spans[index[start]], spans[index[start] + 1])
-        if written.stop - written.start == floor_terms.size:  # every row lists a term here
-            values = np.empty(floor_terms.size)
-        else:
-            if length not in repeated:
-                repeated[length] = _repeated_sums(floor_terms, length)
-            values = repeated[length].copy()
-        values[rows[written]] = sums[written]
-        return values
-
-    return _pairwise(n, 0, leaf_sums)
-
-
-def _leaf_sums(lengths: np.ndarray, floor_terms: np.ndarray, lanes: np.ndarray, keys: np.ndarray,
-               terms: np.ndarray) -> np.ndarray:
-    """numpy's sum of each leaf i of ``lengths[i]`` terms, ``floor_terms[i]`` but where a
-    term is listed: the leaves take the distinct ``keys // _SLOTS`` in order, and term j
-    of ascending ``keys`` is ``terms[j]`` at slot ``keys[j] % _SLOTS`` of its leaf.
-    ``lanes[i]`` is the sum of a lane of leaf i that holds no listed term.
-
-    Only the lanes and the tails that hold a listed term are written out.
-    """
-    owner, slots = np.cumsum(_run_starts(keys // _SLOTS)) - 1, keys % _SLOTS
-    steps, tails = np.divmod(lengths, _LANES)
-    in_lane = slots < _LEAF
-    lane_of = owner[in_lane] * _LANES + slots[in_lane] // _STEPS
-    new = _run_starts(lane_of)
-    dirty = lane_of[new]
-    block = np.repeat(lanes[None], _LANES, axis=0)
-    block[dirty % _LANES, dirty // _LANES] = _running_sums(
-        np.zeros(dirty.size), floor_terms[dirty // _LANES], steps[dirty // _LANES],
-        slots[in_lane] % _STEPS, np.cumsum(new) - 1, terms[in_lane])
-    return _running_sums(_combine(block), floor_terms, tails, slots[~in_lane] - _LEAF,
-                         owner[~in_lane], terms[~in_lane])
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Whether each value of an int array differs from the one before it, the first always."""
-    starts = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
-
-
-def _running_sums(starts: np.ndarray, values: np.ndarray, counts: np.ndarray, at: np.ndarray,
-                  owners: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Each ``starts[i]`` plus ``counts[i]`` terms added in order, each ``values[i]`` but
-    term ``at[j]`` of sum ``owners[j]``, which is ``terms[j]``."""
-    block = np.where(np.arange(counts.max(initial=0))[:, None] < counts, values, 0.0)
-    block[at, owners] = terms
-    for column in block:
-        starts = starts + column
-    return starts
-
-
-def _combine(lanes: np.ndarray) -> np.ndarray:
-    """numpy's sum of a leaf's eight lane sums ``lanes[0]`` ... ``lanes[7]``."""
-    return ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-
-
-def _repeated_sums(terms: np.ndarray, length: int) -> np.ndarray:
-    """numpy's sum of a leaf of ``length`` copies of each of ``terms``. Its lanes are
-    equal, so each addition in ``_combine`` doubles exactly."""
-    lane = np.zeros_like(terms)
-    for _ in range(length // _LANES):
-        lane = lane + terms
-    leaf = lane * 8.0
-    for _ in range(length % _LANES):
-        leaf = leaf + terms
-    return leaf
+def _leaf_sums(lengths: np.ndarray, fills: np.ndarray, block: int, *listed: np.ndarray) -> np.ndarray:
+    """numpy's sum of each leaf i of ``lengths[i]`` terms: ``fills[i]``, but ``terms[j]`` at place
+    ``places[j]`` of leaf ``leaves[j]`` (ascending) for ``listed`` = (leaves, places, terms). Each
+    length's leaves, adjacent, are written out and reduced in blocks of at most ``block`` rows."""
+    leaves, places, terms = listed or np.zeros((3, 0), dtype=np.int64)
+    runs = [*np.flatnonzero(np.diff(lengths, prepend=-1)).tolist(), lengths.size]
+    cuts = [*itertools.chain(*map(range, runs, runs[1:], itertools.repeat(block))), lengths.size]
+    bounds = np.searchsorted(leaves, cuts).tolist()
+    sums, buffer = np.empty(fills.size), np.empty(min(block, fills.size) * lengths.max(initial=0))
+    for first, last, lo, hi in zip(cuts, cuts[1:], bounds, bounds[1:]):
+        part = buffer[:(last - first) * lengths[first]].reshape(last - first, lengths[first])
+        part[:] = fills[first:last, None]
+        part[leaves[lo:hi] - first, places[lo:hi]] = terms[lo:hi]
+        sums[first:last] = np.add.reduce(part, axis=1)
+    return sums
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
