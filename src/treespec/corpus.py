@@ -8,7 +8,7 @@ without any external data. Synthetic documents are streams of short episodes,
 each terminated by an explicit end-of-sequence token, which gives the trained
 models a learnable stopping pattern. Their draws follow ``random``'s own rules
 on the 32-bit words of one seeded ``random.Random``, taken in bulk through
-numpy's MT19937, so the documents equal what ``randint``, ``choice``,
+its ``randbytes``, so the documents equal what ``randint``, ``choice``,
 ``sample`` and ``random`` would give from that generator; the tests hold them
 to an oracle written with those methods.
 """
@@ -166,13 +166,12 @@ def load_corpora(root: str | Path) -> dict[str, DomainCorpus]:
 # (Random._randbelow_with_getrandbits); random() is
 # ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 from the next two words; and
 # sample(seq, 2) draws below len(seq), then below len(seq) - 1 from the pool
-# whose vacancy took its last item. The generator's state (getstate: 624 key
-# words and a position) is loaded into numpy's MT19937, which gives the same
-# words in bulk. Each draw is tabled at every word position, so the end of the
-# episode that would start at any position is known at once; one walk from
-# position 0 picks the episode starts and cuts the documents, and only the
-# chosen episodes are written, as template ids remapped to the sorted
-# vocabulary, with no token string per token.
+# whose vacancy took its last item. The words come in bulk: randbytes(4 * n)
+# is getrandbits(32 * n) in little-endian bytes, the next n words in order.
+# Each draw is tabled at every word position, so the end of the episode that
+# would start at any position is known at once; one walk from position 0 picks
+# the episode starts and cuts the documents, and only the chosen episodes are
+# written, as template ids remapped to the sorted vocabulary, not as strings.
 
 
 class _Stream:
@@ -383,26 +382,17 @@ def _stream_size(episode: _Episode, n_docs: int, doc_len: int, longest: int) -> 
     return math.ceil(episode.words_per_token * n_docs * (doc_len + longest))
 
 
-def _mt19937(state: tuple[int, ...]) -> np.random.MT19937:
-    """numpy's MT19937 at the ``random`` state ``state`` (``getstate()[1]``: the 624 key words,
-    then the position), so it gives the same 32-bit words from there."""
-    generator = np.random.MT19937(0)  # its seed is replaced at once
-    generator.state = {"bit_generator": "MT19937",
-                       "state": {"key": np.array(state[:-1], np.uint32), "pos": state[-1]}}
-    return generator
-
-
 # Start positions drawn at once: a block's scratch arrays stay small beside the stream's
 # own tables, where drawing from every position at once held several arrays of its size.
 _BLOCK = 8192
 
 
-def _chosen_episodes(episode: _Episode, state: tuple[int, ...], lengths: np.ndarray,
+def _chosen_episodes(episode: _Episode, rng: random.Random, lengths: np.ndarray,
                      n_docs: int, doc_len: int) -> tuple[list, np.ndarray, list, list]:
-    """The episodes that fill the documents, drawn from the words of the ``random`` state
-    ``state``: ``_draw``'s values and repeat counts at their starts, and the document offsets."""
-    generator = _mt19937(state)
-    stream = _Stream(generator.random_raw(_stream_size(episode, n_docs, doc_len, int(lengths.max()))))
+    """The episodes that fill the documents, drawn from the words of ``rng``: ``_draw``'s
+    values and repeat counts at their starts, and the document offsets."""
+    size = _stream_size(episode, n_docs, doc_len, int(lengths.max()))
+    stream = _Stream(np.frombuffer(rng.randbytes(4 * size), "<u4"))
     while True:
         end = np.empty(stream.size + 2, np.int32)  # by start position: the episode's end
         length = np.empty_like(end)  # and its tokens
@@ -415,7 +405,8 @@ def _chosen_episodes(episode: _Episode, state: tuple[int, ...], lengths: np.ndar
         if at <= stream.size:
             head, repeats, body, _ = _draw(stream, episode, np.array(starts, np.intp))
             return head, repeats, body, offsets
-        stream = _Stream(np.append(stream.words[:stream.size], generator.random_raw(stream.size)))
+        more = np.frombuffer(rng.randbytes(4 * stream.size), "<u4")
+        stream = _Stream(np.append(stream.words[:stream.size], more))
 
 
 def _template_ids(ids: dict[str, int], item: str | tuple | np.ndarray) -> int | np.ndarray:
@@ -439,7 +430,7 @@ def synthetic_corpus(
     _check_ints(0, seed=seed)
     lengths = episode.lengths()
     head, repeats, body, offsets = _chosen_episodes(
-        episode, random.Random(f"{domain}-{seed}").getstate()[1], lengths, n_docs, doc_len)
+        episode, random.Random(f"{domain}-{seed}"), lengths, n_docs, doc_len)
     per_episode = lengths.take(repeats)
     first = np.cumsum(per_episode) - per_episode  # each episode's first token
     ids = dict(zip(_NUMBER_TEXT, itertools.count()))  # token text -> template id

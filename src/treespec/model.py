@@ -421,9 +421,11 @@ class NGramModel(LanguageModel):
         positions at once up to the highest order (``_ranked_levels``). After
         level k - 1 the order-k model counts its (context, token) pairs in one
         pass (``_count``) and keeps ``_levels[:k - 1]``, the very level objects
-        every higher order holds.
+        every higher order holds. InputError if smoothing * |V| is not finite.
         """
         smoothing, size = _check_smoothing(smoothing), vocab.size
+        if not math.isfinite(smoothing * size):
+            raise InputError(f"smoothing {smoothing!r} times the vocabulary size {size} is not finite")
         tokens = _ids(tokens, "document tokens", size)
         since_start = np.arange(tokens.size) - np.repeat(offsets[:-1], np.diff(offsets))
         # Made one level at a time, so only one column is alive at once.

@@ -37,7 +37,7 @@ import itertools
 import json
 import math
 import reprlib
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -466,7 +466,10 @@ def _line_fault(line: str) -> str:
     field count other than ``len(RECORD_FIELDS)`` once it is split at its
     last commas; an int or float field whose text does not parse, in column
     order; a domain not quoted as the writer quotes it; an int outside
-    int64; and the first of ``_RULES`` it breaks.
+    int64; and the first of ``_RULES`` it breaks: a float not finite,
+    step_index < 0 or depth < 1, position_bin not 0 or 1, alpha outside
+    [0, 1] or a negative entropy, p_draft <= 0, p_draft > 1, p_target > 1,
+    then alpha != min(1, p_target / p_draft).
     """
     if fault := _not_utf8(line):
         return fault
@@ -503,6 +506,8 @@ _RULES = (
     ("position_bin", "position_bin must be 0 or 1, got {}"),
     ("alpha", "alpha outside [0, 1] or negative entropy"),
     ("p_draft", "p_draft must be positive for a proposed token"),
+    ("p_draft", "p_draft must be at most 1, got {}"),
+    ("p_target", "p_target must be at most 1, got {}"),
     ("alpha", "alpha inconsistent with stored p_target / p_draft"),
 )
 
@@ -522,6 +527,8 @@ def _rule_codes(rows: Mapping[str, np.ndarray]) -> np.ndarray:
             (bins != 0) & (bins != 1),
             ~((alpha >= 0.0) & (alpha <= 1.0)) | (rows["target_entropy"] < 0.0),
             ~(p_draft > 0.0),
+            p_draft > 1.0,
+            p_target > 1.0,
             # A row that reaches this rule has finite values and p_draft > 0,
             # where np.minimum agrees with the scalar min(1.0, ratio).
             np.abs(alpha - np.minimum(p_target / p_draft, 1.0)) > 1e-9,
@@ -673,17 +680,12 @@ def _parse_column(texts: list[str], parse) -> np.ndarray:
 
 
 def _summary_to_jsonable(summary: DomainSummary) -> dict[str, object]:
-    rho = summary.spearman_rho
-    return {
-        "node_count": summary.node_count,
-        "mean_alpha": summary.mean_alpha,
-        "std_alpha": summary.std_alpha,
-        "mean_entropy": summary.mean_entropy,
-        "per_depth_alpha": {str(d): v for d, v in summary.per_depth_alpha.items()},
-        "chain_prob": {str(d): v for d, v in summary.chain_prob.items()},
-        "expected_len": summary.expected_len,
-        "spearman_rho": None if math.isnan(rho) else rho,
-    }
+    """``summary``'s fields (``asdict``), each per-depth key as text and a NaN rho as None."""
+    jsonable = {name: {str(d): v for d, v in value.items()} if isinstance(value, dict) else value
+                for name, value in asdict(summary).items()}
+    if math.isnan(summary.spearman_rho):
+        jsonable["spearman_rho"] = None
+    return jsonable
 
 
 def write_summary_json(summaries: Mapping[str, DomainSummary], path: str | Path) -> None:

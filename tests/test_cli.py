@@ -315,6 +315,15 @@ class TestRun:
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
+    def test_smoothing_that_overflows_with_the_vocabulary_exits_one(self, tmp_path, capsys):
+        # 1e308 * |V| is not finite, so every row read 0 and the run failed later, at
+        # "a step's tree has no rows"; fitting names the smoothing and chat's 49 tokens.
+        code = run_cli("run", "--synthetic", "--synthetic-docs", "5", "--prompts-per-domain", "2",
+                       "--max-new-tokens", "3", "--smoothing", "1e308", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: smoothing 1e+308 times the vocabulary size 49 is not finite\n")
+
     def test_unknown_format_exits_one_before_reading_data(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = run_cli(

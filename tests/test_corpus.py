@@ -31,7 +31,6 @@ from treespec.corpus import (
     END_TOKEN,
     SYNTHETIC_DOMAINS,
     UNK_TOKEN,
-    _mt19937,
     _pool_swap,
     _Stream,
     build_vocabulary,
@@ -179,15 +178,17 @@ class TestDraws:
             assert synthetic_corpus(domain, 6, 5, 200) == oracle_corpus(domain, 6, 5, 200)
             assert len(sizes) >= 5 and sizes == [2**i for i in range(len(sizes))], (domain, sizes)
 
-    # getstate() is the 624 key words and then the position, anywhere in the
-    # key or at its end, where the next word regenerates it.
+    # The generator's 624-word key, read from its start, inside it, at its end
+    # (where the next word regenerates it) and past one regeneration.
     @pytest.mark.parametrize("words_before", [0, 1, 623, 624, 1000])
-    def test_mt19937_continues_the_generator(self, words_before):
-        rng = random.Random("chat-42")
+    def test_randbytes_is_the_next_words_little_endian(self, words_before):
+        rng, twin = random.Random("chat-42"), random.Random("chat-42")
         for _ in range(words_before):
             rng.getrandbits(32)
-        generator = _mt19937(rng.getstate()[1])
-        assert generator.random_raw(1500).tolist() == [rng.getrandbits(32) for _ in range(1500)]
+            twin.getrandbits(32)
+        data = rng.randbytes(6000)
+        assert data == b"".join(twin.getrandbits(32).to_bytes(4, "little") for _ in range(1500))
+        assert rng.getrandbits(32) == twin.getrandbits(32)
 
     def test_getrandbits_takes_one_word_from_the_top(self):
         # The rule each bounded draw is tabled by: getrandbits(k <= 32) is one word's top k bits.

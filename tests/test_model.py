@@ -205,6 +205,19 @@ class TestNextTokenDist:
         with pytest.raises(InputError, match="smoothing must be finite and >= 0"):
             NGramModel.fit(AB, [[0, 1, 0]], order=2, smoothing=smoothing)
 
+    def test_rejects_smoothing_whose_product_with_the_vocabulary_overflows(self):
+        # 1e308 * 3 overflowed, so every row read 0, which is no distribution; 5e307 * 3 is
+        # finite and every row stays uniform. Both entry points fit through _fit_orders.
+        abc, documents = Vocabulary(("a", "b", "c")), [[0, 1, 2, 1]]
+        for fit in (lambda smoothing: NGramModel.fit(abc, documents, 2, smoothing),
+                    lambda smoothing: train_models(corpus_of("d", documents, abc), 1, 2, smoothing)[1]):
+            with pytest.raises(InputError,
+                               match=r"^smoothing 1e\+308 times the vocabulary size 3 is not finite$"):
+                fit(1e308)
+            model = fit(5e307)
+            for context in ([0], [1], [2]):
+                assert model.next_token_dist(context).tolist() == [1 / 3] * 3
+
     # 2.5 raised a bare TypeError, and True fitted order 1.
     @pytest.mark.parametrize("order", [0, 2.5, True])
     def test_rejects_bad_order(self, order):

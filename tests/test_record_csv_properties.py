@@ -46,12 +46,13 @@ LINE_BREAK_DOMAIN = "line break in a quoted domain"
 KINDS = (
     "field dropped", "field added", "unbalanced quote in the domain",
     "unquoted comma in the domain", "non-finite float", "alpha mismatch",
-    "int beyond int64", "blank line", "CRLF line ends", "no final newline",
-    QUOTED_NUMBER, LINE_BREAK_DOMAIN,
+    "probability above 1", "int beyond int64", "blank line", "CRLF line ends",
+    "no final newline", QUOTED_NUMBER, LINE_BREAK_DOMAIN,
 )
 NAME_PARTS = ["chat", "a", ",", '"', " ", "é", "数学", "x y", ""]
 # -0.0, the smallest subnormal, a larger subnormal, tiny, a 17-digit value, exact values.
 FLOATS = [-0.0, 0.0, 5e-324, 1.5e-310, 1e-300, 0.1 + 0.2, 0.25, 0.5, 1.0, 3.0, 1e300]
+PROBABILITIES = [v for v in FLOATS if v <= 1.0]  # for p_draft (those > 0) and p_target
 WIDTH = len(RECORD_FIELDS)
 
 
@@ -68,6 +69,10 @@ def first_broken_rule(r):
         return "alpha outside [0, 1] or negative entropy"
     if r.p_draft <= 0.0:
         return "p_draft must be positive for a proposed token"
+    if r.p_draft > 1.0:
+        return f"p_draft must be at most 1, got {r.p_draft}"
+    if r.p_target > 1.0:
+        return f"p_target must be at most 1, got {r.p_target}"
     if abs(r.alpha - min(1.0, r.p_target / r.p_draft)) > 1e-9:
         return "alpha inconsistent with stored p_target / p_draft"
     return None
@@ -127,8 +132,8 @@ def random_names(rng):
 def random_table(rng):
     names = random_names(rng)
     n = int(rng.integers(1, 30))
-    p_draft = [float(v) for v in rng.choice([v for v in FLOATS if v > 0], n)]
-    p_target = [float(v) for v in rng.choice(FLOATS, n)]
+    p_draft = [float(v) for v in rng.choice([v for v in PROBABILITIES if v > 0], n)]
+    p_target = [float(v) for v in rng.choice(PROBABILITIES, n)]
     big = np.array([0, 1, 7, 2**31, 2**63 - 1, -(2**63)], dtype=np.int64)
     return column_table(names, dict(
         domain_code=rng.integers(0, len(names), n),
@@ -148,8 +153,8 @@ def random_tree(rng):
     """1-3 valid tree rows: (depth, token, p_draft, p_target, alpha, target_entropy)."""
     rows = []
     for _ in range(int(rng.integers(1, 4))):
-        p_draft = float(rng.choice([v for v in FLOATS if v > 0]))
-        p_target = float(rng.choice(FLOATS))
+        p_draft = float(rng.choice([v for v in PROBABILITIES if v > 0]))
+        p_target = float(rng.choice(PROBABILITIES))
         rows.append((int(rng.integers(1, 3)), int(rng.integers(0, 3)), p_draft, p_target,
                      min(1.0, p_target / p_draft), float(rng.choice(FLOATS))))
     return rows
@@ -218,7 +223,7 @@ def random_distinct_steps(rng, n_steps):
         else:
             size = int(rng.integers(1, 21))
             p_draft = rng.uniform(0.01, 1.0, size)
-            p_target = p_draft * rng.uniform(0.0, 1.2, size)
+            p_target = np.minimum(p_draft * rng.uniform(0.0, 1.2, size), 1.0)
             tree = list(zip(rng.integers(1, 10**6, size).tolist(), rng.integers(0, 10**6, size).tolist(),
                             p_draft.tolist(), p_target.tolist(),
                             np.minimum(1.0, p_target / p_draft).tolist(),
@@ -255,6 +260,9 @@ def corrupt(rng, lines, kind):
     elif kind == "alpha mismatch":
         alpha = float(fields[RECORD_FIELDS.index("alpha")])
         fields[RECORD_FIELDS.index("alpha")] = format((alpha + rng.uniform(0.01, 0.99)) % 1.0, ".17g")
+    elif kind == "probability above 1":
+        at = RECORD_FIELDS.index(str(rng.choice(["p_draft", "p_target"])))
+        fields[at] = str(rng.choice(["1.0000000000000002", "2", "4.0", "1e300"]))
     elif kind == "int beyond int64":
         beyond = 2**63 + int(rng.integers(0, 1000))
         fields[int(rng.integers(1, 1 + len(INT_FIELDS)))] = str(rng.choice([beyond, -beyond - 1]))
@@ -317,8 +325,8 @@ def test_every_line_the_writer_writes_has_no_fault(tmp_path):
         names_seen.update(names)
         rows = []
         for _ in range(int(rng.integers(1, 20))):
-            p_draft = float(rng.choice([v for v in FLOATS if v > 0]))
-            p_target = float(rng.choice(FLOATS))
+            p_draft = float(rng.choice([v for v in PROBABILITIES if v > 0]))
+            p_target = float(rng.choice(PROBABILITIES))
             rows.append(Row(str(rng.choice(names)), int(rng.choice([*big, -(2**63)])), int(rng.choice(big)),
                             int(rng.choice(big[1:])), int(rng.integers(0, 2)), int(rng.choice([*big, -(2**63)])),
                             p_draft, p_target, min(1.0, p_target / p_draft), float(rng.choice(FLOATS))))

@@ -665,6 +665,16 @@ class TestPersistence:
         }
         assert json.loads(path.read_text(encoding="utf-8")) == expected
 
+    def test_summary_json_depth_keys_past_nine_sort_as_text(self, tmp_path):
+        # Depth keys are written as text and sorted as text, so 10-12 come between 1 and 2.
+        depths = {d: d / 100 for d in range(1, 13)}
+        path = tmp_path / "summary.json"
+        write_summary_json({"d": DomainSummary(5, 0.5, 0.1, 1.0, depths, depths, 2.0, math.nan)}, path)
+        loaded = json.loads(path.read_text(encoding="utf-8"))["d"]
+        order = ["1", "10", "11", "12", *map(str, range(2, 10))]
+        assert list(loaded["per_depth_alpha"]) == list(loaded["chain_prob"]) == order
+        assert loaded["per_depth_alpha"]["10"] == 0.1 and loaded["spearman_rho"] is None
+
     def test_reference_summary_fixture_round_trip(self, reference_stats, tmp_path):
         summaries = {}
         for name, payload in reference_stats["domains"].items():
@@ -896,6 +906,9 @@ class TestRecordCsv:
         ("chat,0,0,1,7,5,0.5,0.25,1.5,0.1", "position_bin must be 0 or 1, got 7"),
         ("chat,0,0,1,0,5,0.5,0.25,1.5,0.1", "alpha outside [0, 1] or negative entropy"),
         ("chat,0,0,1,0,5,-0.5,0.25,0.75,0.1", "p_draft must be positive for a proposed token"),
+        # Each was read: alpha is min(1, p_target / p_draft) in both.
+        ("chat,0,0,1,0,5,4.0,2.0,0.5,0.1", "p_draft must be at most 1, got 4.0"),
+        ("chat,0,0,1,0,5,0.5,2.0,1,0.1", "p_target must be at most 1, got 2.0"),
         # A lone surrogate is written as the byte it stands for, which is not UTF-8.
         ("chat,0,0,1,0,\udcff5", "not UTF-8 text: invalid start byte"),
         ("chat,0,\udcff,1,0,5,0.5,0.25,0.5,0.1", "not UTF-8 text: invalid start byte"),
